@@ -11,7 +11,7 @@ kappa           compute the obstruction class for user-supplied data
 dump-data       print one of the embedded datasets
 
 All reports are JSON on stdout, deterministic byte for byte given the
-same inputs and seed (the timing field is always null for this reason).
+same inputs and seed.
 Exit codes: 0 every check passed, 1 at least one check failed, 2 the
 input was unusable (parse error, torsion, domain mismatch).
 """
@@ -44,7 +44,6 @@ from .geom import (
     phi_c8,
 )
 from .lcs import (
-    ConfigMismatchError,
     TorsionError,
     b_lattice,
     build_lcs,
@@ -104,7 +103,6 @@ def _assemble(report_name: str, config: Configuration, checks: list[dict], verdi
         "checks": checks,
         "ok": ok,
         "verdict": verdict if verdict is not None else ("pass" if ok else "fail"),
-        "timing": None,
     }
 
 
@@ -398,6 +396,9 @@ def cmd_kappa(args) -> int:
         return EXIT_INPUT
     try:
         data = build_lcs(config)
+        g = _load_g(config, args.g)
+        gprime = _load_g(config, args.gprime)
+        report = kappa(data, g, gprime)
     except TorsionError as exc:
         _emit(
             args,
@@ -408,14 +409,7 @@ def cmd_kappa(args) -> int:
             },
         )
         return EXIT_INPUT
-    except ValueError as exc:
-        _emit(args, {"ok": False, "error": str(exc)})
-        return EXIT_INPUT
-    try:
-        g = _load_g(config, args.g)
-        gprime = _load_g(config, args.gprime)
-        report = kappa(data, g, gprime)
-    except (OSError, ValueError, ConfigMismatchError) as exc:
+    except (OSError, ValueError) as exc:
         _emit(args, {"ok": False, "error": str(exc)})
         return EXIT_INPUT
     payload = report.to_json_dict()
@@ -457,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--json", action="store_true", help="JSON output (the default; accepted for compatibility)")
         p.add_argument("--quiet", action="store_true", help="suppress output, use the exit code only")
 
     p_val = sub.add_parser("validate", help="check a configuration against the incidence axioms")

@@ -28,7 +28,7 @@ class IntMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, rows: Iterable[Sequence[int]], cols: int | None = None):
-        ents = tuple(tuple(int(x) for x in row) for row in rows)
+        ents = tuple(tuple(map(int, row)) for row in rows)
         if ents:
             ncols = len(ents[0]) if cols is None else cols
             for row in ents:
@@ -118,19 +118,6 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     return IntMatrix(rows, cols)
 
 
-def hstack(*mats: IntMatrix) -> IntMatrix:
-    nrows = mats[0].rows
-    out = []
-    for i in range(nrows):
-        row: list[int] = []
-        for m in mats:
-            if m.rows != nrows:
-                raise ValueError("row mismatch in hstack")
-            row.extend(m.entries[i])
-        out.append(row)
-    return IntMatrix(out, sum(m.cols for m in mats))
-
-
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch")
@@ -148,13 +135,6 @@ def vec_mat(v: Sequence[int], m: IntMatrix) -> tuple[int, ...]:
                 if y:
                     out[j] += x * y
     return tuple(out)
-
-
-def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    """Matrix times column vector."""
-    if len(v) != m.cols:
-        raise ValueError("length mismatch")
-    return tuple(dot(row, v) for row in m.entries)
 
 
 # -- row operation helpers on list-of-list workspaces --------------------
@@ -236,24 +216,21 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 
 def _snf_full(m: IntMatrix):
-    """Smith form with transforms and their inverses.
+    """Smith form with both transforms and the inverse of the right one.
 
-    Returns ``(divisors, left, right, left_inv, right_inv)`` where
+    Returns ``(divisors, left, right, right_inv)`` where
     ``left @ m @ right`` is diagonal with the given positive divisor
-    chain and ``left_inv``/``right_inv`` are exact inverses.
+    chain and ``right_inv`` is the exact inverse of ``right``.
     """
     nr, nc = m.rows, m.cols
     a = m.to_lists()
     left = IntMatrix.identity(nr).to_lists()
-    left_inv = IntMatrix.identity(nr).to_lists()
     right = IntMatrix.identity(nc).to_lists()
     right_inv = IntMatrix.identity(nc).to_lists()
 
     def row_sub(i, j, q):
         _row_sub(a, i, j, q)
         _row_sub(left, i, j, q)
-        for row in left_inv:  # inverse op: column j += q * column i
-            row[j] += q * row[i]
 
     def col_sub(j, i, q):
         if q:
@@ -268,8 +245,6 @@ def _snf_full(m: IntMatrix):
         if i != j:
             a[i], a[j] = a[j], a[i]
             left[i], left[j] = left[j], left[i]
-            for row in left_inv:
-                row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
         if i != j:
@@ -282,8 +257,6 @@ def _snf_full(m: IntMatrix):
     def row_neg(i):
         a[i] = [-x for x in a[i]]
         left[i] = [-x for x in left[i]]
-        for row in left_inv:
-            row[i] = -row[i]
 
     t = 0
     while True:
@@ -333,18 +306,12 @@ def _snf_full(m: IntMatrix):
             row_neg(t)
         t += 1
     divisors = tuple(a[k][k] for k in range(t))
-    return (
-        divisors,
-        IntMatrix(left, nr),
-        IntMatrix(right, nc),
-        IntMatrix(left_inv, nr),
-        IntMatrix(right_inv, nc),
-    )
+    return divisors, IntMatrix(left, nr), IntMatrix(right, nc), IntMatrix(right_inv, nc)
 
 
 def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
     """Smith normal form: ``(divisors, left, right)``, ``left @ m @ right`` diagonal."""
-    divisors, left, right, _, _ = _snf_full(m)
+    divisors, left, right, _ = _snf_full(m)
     return divisors, left, right
 
 
@@ -493,7 +460,8 @@ def _divisor_witness(h: IntMatrix, pivots: list[int], k: int, v: Sequence[int]) 
     f = [0] * h.cols
     for i in range(rank):
         fi = x[i] * det
-        assert fi.denominator == 1
+        if fi.denominator != 1:
+            raise AssertionError("adjugate witness is not integral")
         f[pivots[i]] = int(fi)
     pairing = dot(f, v) % det
     return Witness(tuple(f), det, pairing)
@@ -504,10 +472,6 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
     return Lattice(a.ambient_rank, vstack(a.basis, b.basis))
-
-
-def lattice_equal(a: Lattice, b: Lattice) -> bool:
-    return a == b
 
 
 def perp(lat: Lattice) -> Lattice:
@@ -545,7 +509,7 @@ class QuotientPresentation:
 
 def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     m = lat.canonical_form
-    divisors, _, right, _, right_inv = _snf_full(m)
+    divisors, _, right, right_inv = _snf_full(m)
     s = len(divisors)
     n = lat.ambient_rank
     projection = IntMatrix([row[s:] for row in right.entries], n - s)

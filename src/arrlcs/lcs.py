@@ -21,6 +21,13 @@ Coordinate conventions, shared with the bundled data files:
 - Hom(R2,P3) values are matrices with one row of P3 quotient
   coordinates per generator flag, flattened row-major.
 
+Every degree-3 object is one route: a sparse left-normed lift into
+H⊗Λ²H, then the bracketing matrix ``LcsData.bracket`` (H⊗Λ²H → L3),
+then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
+cached lift ``LcsData.tau_lift`` of each A coordinate; δ̄ lifts f̂ at each
+generator flag; R3perp pulls perp(R3) back along the bracket.  A lift is
+a sequence of (generator flag, slot, coefficient) terms.
+
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
 Λ²H-lift f̂ of f.  This is the unique sign for which δ̄ agrees with τ̃
@@ -84,10 +91,10 @@ class ConfigMismatchError(ValueError):
 class LcsData:
     """Degree-2 and degree-3 graded data of one configuration.
 
-    Degree-2 objects are built eagerly; everything in degree 3 (the
-    Lyndon-coordinate R3, its Smith presentation, the dual lattice
-    R3perp and the τ̃/δ̄ matrices) is computed on first use, so purely
-    degree-2 work on large configurations stays cheap.
+    Degree-2 objects are built eagerly.  The degree-3 objects (the
+    bracket map, R3, P3, R3perp, the τ̃ lift and matrix, Im δ̄) are
+    cached properties computed on first use, so purely degree-2 work on
+    large configurations stays cheap.
     """
 
     def __init__(self, config: Configuration):
@@ -131,30 +138,29 @@ class LcsData:
         return len(self.lie3)
 
     @cached_property
-    def _bracket3(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Lyndon coordinates of [x_m, [x_a, x_b]], keyed by (m, wedge pos)."""
-        out = {}
+    def bracket(self) -> IntMatrix:
+        """The bracketing map H⊗Λ²H → L3, one row per slot.
+
+        Row slot(m, w) holds the Lyndon coordinates of [x_m, [x_a, x_b]],
+        where (a, b) is the pair at wedge position w.
+        """
+        rows = []
         for m in range(1, self.n + 1):
-            for (a, b), w in self.wedge_pos.items():
+            for (a, b) in self.wedge_pos:
                 tensor: dict[tuple[int, ...], int] = {}
                 for word, c in (((m, a, b), 1), ((m, b, a), -1), ((a, b, m), -1), ((b, a, m), 1)):
                     tensor[word] = tensor.get(word, 0) + c
-                out[(m, w)] = lie_component_coords(tensor, self.lie3)
-        return out
+                rows.append(lie_component_coords(tensor, self.lie3))
+        return IntMatrix(rows, self.dim3)
 
     @cached_property
     def r3(self) -> Lattice:
         """[H, R2] in L3 Lyndon coordinates (n rows per R2 generator)."""
+        np_ = self.npairs
         rows = []
-        for m in range(1, self.n + 1):
-            for rrow in self.r2.basis.entries:
-                acc = [0] * self.dim3
-                for w, c in enumerate(rrow):
-                    if c:
-                        for t, x in enumerate(self._bracket3[(m, w)]):
-                            if x:
-                                acc[t] += c * x
-                rows.append(acc)
+        for m in range(self.n):
+            block = IntMatrix(self.bracket.entries[m * np_ : (m + 1) * np_], self.dim3)
+            rows.extend(vec_mat(r, block) for r in self.r2.basis.entries)
         return Lattice(self.dim3, IntMatrix(rows, self.dim3))
 
     @cached_property
@@ -193,15 +199,10 @@ class LcsData:
         return Lattice(self.hw_rank, IntMatrix([vec_mat(c, e_mat) for c in combos.entries], self.hw_rank))
 
     def _r3perp_via_lie(self) -> Lattice:
-        """perp(R3) in L3*, pulled back through the bracketing map."""
-        rows = []
-        for f in perp(self.r3).canonical_form.entries:
-            row = []
-            for m in range(1, self.n + 1):
-                for w in range(self.npairs):
-                    row.append(dot(f, self._bracket3[(m, w)]))
-            rows.append(row)
-        return Lattice(self.hw_rank, IntMatrix(rows, self.hw_rank))
+        """perp(R3) in L3*, pulled back through the bracketing map: perp(R3)·bracketᵀ."""
+        dual = perp(self.r3).canonical_form.transpose()
+        pulled = IntMatrix([vec_mat(row, dual) for row in self.bracket.entries], dual.cols)
+        return Lattice(self.hw_rank, pulled.transpose())
 
     @cached_property
     def r3perp(self) -> Lattice:
@@ -217,70 +218,78 @@ class LcsData:
         return via_dstar
 
     @cached_property
-    def tau_matrix(self) -> IntMatrix:
-        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order."""
-        n, np_ = self.n, self.npairs
-        proj = self.p3.projection
-        rank3 = self.p3.free_rank
-        width = len(self.gens) * rank3
-        rows = []
+    def tau_lift(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Sparse left-normed lift of τ̃, one entry per flat A coordinate.
+
+        The entry of the x_m-coordinate at flag (i,p) lists the
+        (generator flag, H⊗Λ²H slot, coefficient) terms of the lift of its
+        τ̃ value: x_k⊗(x_i∧x_m) at each generator flag (k,p) with k ≠ i,
+        and -Σ_{j on p, j≠i} x_j⊗(x_i∧x_m) at (i,p).
+        """
+        np_, gp = self.npairs, self.index.gen_pos
+        out = []
         for (i, p) in self.index.pairs:
             lines_p = self.config.lines_through(p)
-            gens_here = [(self.index.gen_pos[(k, p)], k) for k in lines_p if (k, p) in self.index.gen_pos]
-            for m in range(1, n + 1):
-                row = [0] * width
+            for m in range(1, self.n + 1):
+                terms = []
                 if m != i:
-                    lo, hi = (i, m) if i < m else (m, i)
-                    w = self.wedge_pos[(lo, hi)]
+                    w = self.wedge_pos[(min(i, m), max(i, m))]
                     sgn = 1 if i < m else -1
-                    for g, k in gens_here:
-                        acc = [sgn * x for x in self._bracket3[(k, w)]]
-                        if k == i:
-                            for j in lines_p:
-                                bj = self._bracket3[(j, w)]
-                                for t in range(self.dim3):
-                                    acc[t] -= sgn * bj[t]
-                        val = vec_mat(acc, proj)
-                        row[g * rank3 : (g + 1) * rank3] = val
-                rows.append(row)
-        return IntMatrix(rows, width)
+                    for k in lines_p:
+                        if (k, p) not in gp:
+                            continue
+                        if k != i:
+                            terms.append((gp[(k, p)], (k - 1) * np_ + w, sgn))
+                        else:
+                            terms.extend((gp[(k, p)], (j - 1) * np_ + w, -sgn) for j in lines_p if j != i)
+                out.append(tuple(terms))
+        return tuple(out)
+
+    @cached_property
+    def _bracket_p3(self) -> IntMatrix:
+        """The bracketing map followed by the P3 projection, H⊗Λ²H → P3."""
+        proj = self.p3.projection
+        return IntMatrix([vec_mat(row, proj) for row in self.bracket.entries], proj.cols)
+
+    def _to_hom(self, lift) -> tuple[int, ...]:
+        """Flat Hom(R2,P3) coordinates of a sparse (generator flag, slot, coefficient) lift."""
+        r = self.p3.free_rank
+        bp = self._bracket_p3.entries
+        out = [0] * (len(self.gens) * r)
+        for g, s, c in lift:
+            for t, x in enumerate(bp[s], g * r):
+                if x:
+                    out[t] += c * x
+        return tuple(out)
+
+    @cached_property
+    def tau_matrix(self) -> IntMatrix:
+        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order."""
+        return IntMatrix([self._to_hom(lift) for lift in self.tau_lift], len(self.gens) * self.p3.free_rank)
+
+    def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
+        """Sparse left-normed lift of δ̄(fhat): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
+        np_ = self.npairs
+        nonzero = [[(w, c) for w, c in enumerate(row) if c] for row in fhat.entries]
+        terms = []
+        for g, (k, p) in enumerate(self.gens):
+            for j in self.config.lines_through(p):
+                if j != k:
+                    terms.extend((g, (k - 1) * np_ + w, c) for w, c in nonzero[j - 1])
+                    terms.extend((g, (j - 1) * np_ + w, -c) for w, c in nonzero[k - 1])
+        return terms
 
     @cached_property
     def im_delta(self) -> Lattice:
         """Image of δ̄; basis rows ordered by (line i, P2 coordinate)."""
-        rows = []
-        for i in range(1, self.n + 1):
-            for c in range(self.p2.free_rank):
-                fhat = [(0,) * self.npairs] * (i - 1) + [self.p2.section.row(c)] + [(0,) * self.npairs] * (self.n - i)
-                rows.append(self._delta_flat(IntMatrix(fhat, self.npairs)))
-        return Lattice(len(self.gens) * self.p3.free_rank, IntMatrix(rows, len(self.gens) * self.p3.free_rank))
-
-    def _delta_flat(self, fhat: IntMatrix) -> tuple[int, ...]:
-        """Flat Hom(R2,P3) coordinates of δ̄ applied to the lift matrix fhat."""
-        proj = self.p3.projection
-        out: list[int] = []
-        for (k, p) in self.gens:
-            lines_p = self.config.lines_through(p)
-            fsp = [0] * self.npairs
-            for j in lines_p:
-                fj = fhat.row(j - 1)
-                for w in range(self.npairs):
-                    fsp[w] += fj[w]
-            acc = [0] * self.dim3
-            for w, c in enumerate(fsp):
-                if c:
-                    for t, x in enumerate(self._bracket3[(k, w)]):
-                        if x:
-                            acc[t] += c * x
-            fxk = fhat.row(k - 1)
-            for j in lines_p:
-                for w, c in enumerate(fxk):
-                    if c:
-                        for t, x in enumerate(self._bracket3[(j, w)]):
-                            if x:
-                                acc[t] -= c * x
-            out.extend(vec_mat(acc, proj))
-        return tuple(out)
+        zero = (0,) * self.npairs
+        rows = [
+            self._to_hom(self._delta_lift(IntMatrix([s if j == i else zero for j in range(self.n)], self.npairs)))
+            for i in range(self.n)
+            for s in self.p2.section.entries
+        ]
+        width = len(self.gens) * self.p3.free_rank
+        return Lattice(width, IntMatrix(rows, width))
 
 
 def build_lcs(config: Configuration) -> LcsData:
@@ -334,43 +343,26 @@ def tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
     return HomR2P3(data.gens, data.p3.free_rank, vec_mat(a.vector(), data.tau_matrix))
 
 
+def _lift_rows(data: LcsData, lift) -> IntMatrix:
+    """Dense H⊗Λ²H rows, one per generator flag, of a sparse lift."""
+    rows = [[0] * data.hw_rank for _ in data.gens]
+    for g, s, c in lift:
+        rows[g][s] += c
+    return IntMatrix(rows, data.hw_rank)
+
+
 def tau_lift_rows(data: LcsData, a: GMap | AbelianGMap) -> IntMatrix:
     """Left-normed H⊗Λ²H lift of τ̃a at each generator flag (row per flag)."""
     a = _as_abelian(a)
     if a.config != data.config:
         raise ConfigMismatchError("conjugator data belongs to another configuration")
-    n, np_, wp = data.n, data.npairs, data.wedge_pos
-    rows = []
-    for (k, p) in data.gens:
-        lines_p = data.config.lines_through(p)
-        row = [0] * data.hw_rank
-        ak = a.value(k, p)
-        for j in lines_p:
-            aj = a.value(j, p)
-            for m in range(1, n + 1):
-                c = aj[m - 1]
-                if c and m != j:
-                    lo, hi = (j, m) if j < m else (m, j)
-                    row[(k - 1) * np_ + wp[(lo, hi)]] += (c if j < m else -c)
-                c = ak[m - 1]
-                if c and m != k:
-                    lo, hi = (k, m) if k < m else (m, k)
-                    row[(j - 1) * np_ + wp[(lo, hi)]] -= (c if k < m else -c)
-        rows.append(row)
-    return IntMatrix(rows, data.hw_rank)
+    lift = [(g, s, x * c) for x, terms in zip(a.vector(), data.tau_lift) if x for g, s, c in terms]
+    return _lift_rows(data, lift)
 
 
 def bracket_to_l3(data: LcsData, hw_row: Sequence[int]) -> tuple[int, ...]:
     """Apply the bracketing map H⊗Λ²H → L3 to flat slot coordinates."""
-    acc = [0] * data.dim3
-    np_ = data.npairs
-    for slot, c in enumerate(hw_row):
-        if c:
-            m, w = divmod(slot, np_)
-            for t, x in enumerate(data._bracket3[(m + 1, w)]):
-                if x:
-                    acc[t] += c * x
-    return tuple(acc)
+    return vec_mat(hw_row, data.bracket)
 
 
 def delta_bar(data: LcsData, f: IntMatrix) -> HomR2P3:
@@ -384,27 +376,12 @@ def delta_bar_from_lift(data: LcsData, fhat: IntMatrix) -> HomR2P3:
     """δ̄ from an explicit Λ²H-lift matrix; independent of the lift mod R2."""
     if fhat.shape != (data.n, data.npairs):
         raise ValueError("lift must be n x dim(L2)")
-    return HomR2P3(data.gens, data.p3.free_rank, data._delta_flat(fhat))
+    return HomR2P3(data.gens, data.p3.free_rank, data._to_hom(data._delta_lift(fhat)))
 
 
 def delta_lift_rows(data: LcsData, fhat: IntMatrix) -> IntMatrix:
     """Left-normed H⊗Λ²H lift of δ̄(fhat) at each generator flag."""
-    n, np_ = data.n, data.npairs
-    rows = []
-    for (k, p) in data.gens:
-        lines_p = data.config.lines_through(p)
-        row = [0] * data.hw_rank
-        for j in lines_p:
-            fj = fhat.row(j - 1)
-            base = (k - 1) * np_
-            for w in range(np_):
-                row[base + w] += fj[w]
-            fk = fhat.row(k - 1)
-            base = (j - 1) * np_
-            for w in range(np_):
-                row[base + w] -= fk[w]
-        rows.append(row)
-    return IntMatrix(rows, data.hw_rank)
+    return _lift_rows(data, data._delta_lift(fhat))
 
 
 def delta_kernel(data: LcsData) -> Lattice:
@@ -623,29 +600,7 @@ def tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]
     through left-normed lifts; well defined on P3 values whenever the
     functional lies in R3perp.
     """
-    n, np_ = data.n, data.npairs
-    out = [0] * data.a_rank
-    for pos, (i, p) in enumerate(data.index.pairs):
-        lines_p = data.config.lines_through(p)
-        gens_here = [(data.index.gen_pos[(k, p)], k) for k in lines_p if (k, p) in data.index.gen_pos]
-        for m in range(1, n + 1):
-            if m == i:
-                continue
-            lo, hi = (i, m) if i < m else (m, i)
-            w = data.wedge_pos[(lo, hi)]
-            sgn = 1 if i < m else -1
-            total = 0
-            for g, k in gens_here:
-                cg = gen_coeffs[g]
-                if not cg:
-                    continue
-                contrib = functional[(k - 1) * np_ + w]
-                if k == i:
-                    contrib -= sum(functional[(j - 1) * np_ + w] for j in lines_p)
-                total += cg * contrib
-            if total:
-                out[pos * n + (m - 1)] = sgn * total
-    return tuple(out)
+    return tuple(sum(gen_coeffs[g] * c * functional[s] for g, s, c in terms) for terms in data.tau_lift)
 
 
 def automorphism_from_line_perm(config: Configuration, line_perm: Sequence[int]) -> ConfigAutomorphism:

@@ -529,7 +529,8 @@ class LieBasis:
         expansions = []
         for w in words:
             t = _tree_tensor(standard_bracketing(w))
-            assert t.get(w) == 1 and min(t) == w  # triangular with unit diagonal
+            if t.get(w) != 1 or min(t) != w:
+                raise AssertionError(f"bracketing of {w} is not unitriangular in the Lyndon basis")
             expansions.append(t)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, and deterministic output."""
 
+import dataclasses
 import json
 
 import pytest
 
-from arrlcs import cli
+from arrlcs import cli, lcs
 from arrlcs.lcs import TorsionError, builtin_g_map
+from arrlcs.words import lie_basis
 
 
 def run(capsys, *argv):
@@ -97,7 +99,7 @@ def test_maclane_report_all_checks_pass(capsys):
     assert code == 0
     assert payload["ok"] is True
     assert payload["verdict"] == "pass"
-    assert payload["timing"] is None
+    assert "timing" not in payload
     assert payload["report"] == "maclane"
     names = [c["name"] for c in payload["checks"]]
     assert names == [
@@ -271,6 +273,28 @@ def test_kappa_reports_torsion_as_input_error(capsys, monkeypatch):
     assert "torsion-free" in payload["explanation"]
 
 
+def test_kappa_reports_degree_three_torsion_with_explanation(capsys, monkeypatch):
+    # a divisor 2 on the L3 quotient only: build_lcs succeeds, and the
+    # torsion surfaces lazily, when kappa() first needs P3
+    real = lcs.quotient_presentation
+    dim_l3 = len(lie_basis(7, 3))
+
+    def l3_torsion(lat):
+        pres = real(lat)
+        if lat.ambient_rank != dim_l3:
+            return pres
+        return dataclasses.replace(pres, elementary_divisors=pres.elementary_divisors[:-1] + (2,))
+
+    monkeypatch.setattr(lcs, "quotient_presentation", l3_torsion)
+    code, payload = run_json(
+        capsys, "kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:minus"
+    )
+    assert code == 2
+    assert payload["ok"] is False
+    assert "degree-3 quotient has torsion" in payload["error"]
+    assert "torsion-free" in payload["explanation"]
+
+
 # -- dump-data --------------------------------------------------------------------------
 
 
@@ -322,8 +346,8 @@ def test_quiet_suppresses_output(capsys):
 
 
 def test_reports_are_byte_deterministic(capsys):
-    _, first = run(capsys, "maclane-report", "--json")
-    _, second = run(capsys, "maclane-report", "--json")
+    _, first = run(capsys, "maclane-report")
+    _, second = run(capsys, "maclane-report")
     assert first == second
     _, first = run(capsys, "c13-report")
     _, second = run(capsys, "c13-report")

@@ -1,5 +1,7 @@
 """Graded degree-2/3 data, the tau/delta calculus, and the kappa obstruction."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -90,6 +92,39 @@ def test_degree_two_on_asymmetric_config(asymmetric_config):
     assert data.r2.rank == len(data.gens) == 20
     assert data.p2.free_rank == 8
     assert data.p2.is_torsion_free
+
+
+def _matrix_digest(m: IntMatrix) -> str:
+    return hashlib.sha256(json.dumps([m.rows, m.cols, m.to_lists()]).encode()).hexdigest()
+
+
+# sha256 of the exact degree-3 coordinates.  A change of P3 coordinates
+# (e.g. a different quotient presentation) must re-pin these on purpose.
+DEGREE_THREE_DIGESTS = {
+    "maclane": {
+        "r3": "a4e205183beb32da66b8cfb406ce6daeecb1c97adb3b14b5732f61aae3886dc1",
+        "p3_projection": "be930d4a6fe54e82e2ec9c73b039b60e16765ff172edbe4ec8310ab5941e7b4e",
+        "tau_matrix": "bfd8f193d34faebe2f51ff601be96ee7e6dd704a2985be467da2e20f625cda2d",
+        "im_delta": "962352b0b123b2d3419f50ca9064784349b8e1e6e79a5e56ca861dec8260c516",
+    },
+    "asymmetric": {
+        "r3": "36e41c6b4ad72c6d8b8a12cf570a88d8655231301904c328b1fcca20a3ee68d3",
+        "p3_projection": "11ea028f7918c989ea590aeb91292cbd6b78c19fed7d0453f8d16241c135915c",
+        "tau_matrix": "cddb9ca014c2c25bde2d8848290a3261829965ed385d17b11074ab5b25773bde",
+        "im_delta": "0e8aa14559c05189828c6510de0a5034eccc6fb077a7b5e0c3884c29592b98ff",
+    },
+}
+
+
+def test_degree_three_coordinates_are_pinned(maclane_data, asymmetric_config):
+    for name, data in (("maclane", maclane_data), ("asymmetric", build_lcs(asymmetric_config))):
+        got = {
+            "r3": _matrix_digest(data.r3.canonical_form),
+            "p3_projection": _matrix_digest(data.p3.projection),
+            "tau_matrix": _matrix_digest(data.tau_matrix),
+            "im_delta": _matrix_digest(data.im_delta.basis),
+        }
+        assert got == DEGREE_THREE_DIGESTS[name], name
 
 
 # -- the kernel lattices ------------------------------------------------------
