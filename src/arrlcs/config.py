@@ -135,24 +135,28 @@ def load_configuration(data: dict) -> Configuration:
     if not isinstance(data, dict):
         raise ConfigFormatError("configuration JSON must be an object")
     try:
-        lines = list(data["lines"])
+        lines = data["lines"]
         infinity = data["infinity"]
         points = data["points"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigFormatError(f"missing configuration field: {exc}") from exc
+    if not isinstance(lines, list) or not all(isinstance(l, str) for l in lines):
+        raise ConfigFormatError("'lines' must be a list of line names")
     if infinity not in lines:
         raise ConfigFormatError("infinity line is not in the line list")
-    if not all(isinstance(l, str) for l in lines):
-        raise ConfigFormatError("line names must be strings")
+    if not isinstance(points, list):
+        raise ConfigFormatError("'points' must be a list")
     lines = [infinity] + [l for l in lines if l != infinity]
     names = []
     incidence = []
     for entry in points:
         if not isinstance(entry, dict) or "name" not in entry or "lines" not in entry:
             raise ConfigFormatError("each point needs 'name' and 'lines'")
-        names.append(entry["name"])
-        for l in entry["lines"]:
-            incidence.append((l, entry["name"]))
+        name, on = entry["name"], entry["lines"]
+        if not isinstance(name, str) or not isinstance(on, list):
+            raise ConfigFormatError("each point needs a string 'name' and a list of 'lines'")
+        names.append(name)
+        incidence.extend((l, name) for l in on)
     return Configuration(lines, names, incidence)
 
 

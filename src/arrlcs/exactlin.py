@@ -14,6 +14,12 @@ Normal form conventions:
 * ``snf`` returns ``(divisors, left, right)`` with
   ``left @ m @ right`` diagonal, divisors positive and each dividing
   the next.
+
+A quotient ``ZZ^n / lattice`` is presented by one path: the projection
+is the transpose of the lattice's cached orthogonal basis K, and the
+section comes from the transform of one ``hnf_with_transform(Kᵀ)``.
+The Smith form runs only when the lattice is not saturated, to name
+the torsion divisors.
 """
 
 from __future__ import annotations
@@ -69,20 +75,6 @@ class IntMatrix:
             for ra in self.entries
         ]
         return IntMatrix(out, other.cols)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * x for x in row] for row in self.entries], self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -215,18 +207,12 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return hnf(IntMatrix(u.entries[rank:], m.cols))
 
 
-def _snf_full(m: IntMatrix):
-    """Smith form with both transforms and the inverse of the right one.
-
-    Returns ``(divisors, left, right, right_inv)`` where
-    ``left @ m @ right`` is diagonal with the given positive divisor
-    chain and ``right_inv`` is the exact inverse of ``right``.
-    """
+def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """Smith normal form: ``(divisors, left, right)``, ``left @ m @ right`` diagonal."""
     nr, nc = m.rows, m.cols
     a = m.to_lists()
     left = IntMatrix.identity(nr).to_lists()
     right = IntMatrix.identity(nc).to_lists()
-    right_inv = IntMatrix.identity(nc).to_lists()
 
     def row_sub(i, j, q):
         _row_sub(a, i, j, q)
@@ -238,8 +224,6 @@ def _snf_full(m: IntMatrix):
                 row[j] -= q * row[i]
             for row in right:
                 row[j] -= q * row[i]
-            ri, rj = right_inv[i], right_inv[j]
-            right_inv[i] = [x + q * y for x, y in zip(ri, rj)]
 
     def row_swap(i, j):
         if i != j:
@@ -252,7 +236,6 @@ def _snf_full(m: IntMatrix):
                 row[i], row[j] = row[j], row[i]
             for row in right:
                 row[i], row[j] = row[j], row[i]
-            right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
@@ -306,13 +289,7 @@ def _snf_full(m: IntMatrix):
             row_neg(t)
         t += 1
     divisors = tuple(a[k][k] for k in range(t))
-    return divisors, IntMatrix(left, nr), IntMatrix(right, nc), IntMatrix(right_inv, nc)
-
-
-def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """Smith normal form: ``(divisors, left, right)``, ``left @ m @ right`` diagonal."""
-    divisors, left, right, _ = _snf_full(m)
-    return divisors, left, right
+    return divisors, IntMatrix(left, nr), IntMatrix(right, nc)
 
 
 # -- lattices -------------------------------------------------------------
@@ -488,15 +465,15 @@ def saturate(lat: Lattice) -> Lattice:
 class QuotientPresentation:
     """Integer presentation of ``ZZ^ambient_rank / lattice``.
 
-    ``projection`` (ambient x free_rank) maps a vector to coordinates on
-    the free part; ``section`` (free_rank x ambient) is a right inverse,
-    i.e. ``v -> section_row_combination`` lifts quotient coordinates.
-    ``elementary_divisors`` lists the full SNF diagonal of the relator
-    lattice; the quotient is torsion-free iff they are all 1.
+    ``projection`` (ambient x free_rank) is Kᵀ for K the canonical basis
+    of the functionals vanishing on the lattice, so it kills the lattice;
+    ``section`` (free_rank x ambient) is a right inverse, read off the
+    transform that reduces Kᵀ to its Hermite form ``I``.  The quotient is
+    torsion-free iff the lattice is saturated; ``elementary_divisors`` is
+    then all ones, otherwise the Smith diagonal of the lattice.
     """
 
     ambient_rank: int
-    relators: Lattice
     elementary_divisors: tuple[int, ...]
     free_rank: int
     projection: IntMatrix
@@ -508,17 +485,18 @@ class QuotientPresentation:
 
 
 def quotient_presentation(lat: Lattice) -> QuotientPresentation:
-    m = lat.canonical_form
-    divisors, _, right, right_inv = _snf_full(m)
-    s = len(divisors)
     n = lat.ambient_rank
-    projection = IntMatrix([row[s:] for row in right.entries], n - s)
-    section = IntMatrix(right_inv.entries[s:], n)
+    projection = lat._perp_rows().transpose()
+    f = projection.cols
+    h, u, _ = hnf_with_transform(projection)
+    if h != IntMatrix.identity(f):
+        raise AssertionError("the orthogonal complement is not primitive")
+    saturation = Lattice(n, IntMatrix(u.entries[f:], n))
+    divisors = (1,) * lat.rank if saturation == lat else snf(lat.canonical_form)[0]
     return QuotientPresentation(
         ambient_rank=n,
-        relators=lat,
         elementary_divisors=divisors,
-        free_rank=n - s,
+        free_rank=f,
         projection=projection,
-        section=section,
+        section=IntMatrix(u.entries[:f], n),
     )

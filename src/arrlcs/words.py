@@ -209,11 +209,15 @@ class GMap:
 
     @staticmethod
     def from_json_dict(config: Configuration, data: Mapping[str, str]) -> "GMap":
+        if not isinstance(data, dict):
+            raise ValueError("g-map JSON must be an object of flag keys to words")
         assignments = {}
         for key, text in data.items():
             m = _FLAG_KEY.match(key.strip())
             if not m:
                 raise ValueError(f"bad flag key {key!r}; expected '(i,point)'")
+            if not isinstance(text, str):
+                raise ValueError(f"word at {key!r} must be a string")
             assignments[(int(m.group(1)), m.group(2).strip())] = parse_word(text)
         return GMap(config, assignments)
 

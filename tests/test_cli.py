@@ -52,6 +52,21 @@ def test_validate_builtin_configs(capsys):
     assert payload["lines"] == 13 and payload["points"] == 48
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {**TRIANGLE, "points": 5},
+        {**TRIANGLE, "points": [{"name": "a", "lines": 7}]},
+        {**TRIANGLE, "points": [{"name": ["p"], "lines": ["l0", "l1"]}]},
+    ],
+    ids=["points-not-a-list", "lines-not-a-list", "name-not-a-string"],
+)
+def test_validate_rejects_malformed_shapes(capsys, tmp_path, bad):
+    code, payload = run_json(capsys, "validate", write_json(tmp_path, "bad.json", bad))
+    assert code == 2
+    assert payload["ok"] is False
+
+
 def test_validate_axiom_violation(capsys, tmp_path):
     bad = dict(TRIANGLE)
     bad["points"] = TRIANGLE["points"] + [{"name": "d", "lines": ["l2"]}]
@@ -246,6 +261,16 @@ def test_kappa_shift_plus_both_families_still_separates(capsys, tmp_path):
 
 def test_kappa_rejects_bad_flag(capsys, tmp_path):
     path = write_json(tmp_path, "g.json", {"(0,p135)": "w1"})
+    code, payload = run_json(
+        capsys, "kappa", "--builtin", "maclane8", "--g", path, "--gprime", "builtin:plus"
+    )
+    assert code == 2
+    assert payload["ok"] is False
+
+
+@pytest.mark.parametrize("doc", [["x"], {"(1,p135)": 5}], ids=["not-an-object", "word-not-a-string"])
+def test_kappa_rejects_malformed_g_file(capsys, tmp_path, doc):
+    path = write_json(tmp_path, "g.json", doc)
     code, payload = run_json(
         capsys, "kappa", "--builtin", "maclane8", "--g", path, "--gprime", "builtin:plus"
     )

@@ -239,6 +239,18 @@ def test_loader_rejects_bad_shapes():
         load_configuration(
             {"lines": ["l0", "l1", "l1"], "infinity": "l0", "points": []}
         )
+    with pytest.raises(ConfigFormatError):
+        load_configuration({"lines": "ab", "infinity": "a", "points": [{"name": "p", "lines": ["a", "b"]}]})
+    with pytest.raises(ConfigFormatError):
+        load_configuration({"lines": ["l0", "l1"], "infinity": "l0", "points": 5})
+    with pytest.raises(ConfigFormatError):
+        load_configuration(
+            {"lines": ["l0", "l1"], "infinity": "l0", "points": [{"name": "p", "lines": 7}]}
+        )
+    with pytest.raises(ConfigFormatError):
+        load_configuration(
+            {"lines": ["l0", "l1"], "infinity": "l0", "points": [{"name": ["p"], "lines": ["l0", "l1"]}]}
+        )
 
 
 def test_restrict_keeps_only_inner_points():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrlcs.exactlin import (
     IntMatrix,
@@ -292,21 +293,28 @@ def test_lattice_sum_ambient_mismatch():
 # -- quotient presentations ----------------------------------------------------------
 
 
-def test_quotient_presentation_laws():
-    rng = random.Random(112)
-    for _ in range(150):
-        m = random_matrix(rng, rows=rng.randint(0, 4), cols=5)
-        lat = Lattice(5, m)
-        q = quotient_presentation(lat)
-        assert q.free_rank == 5 - len(q.elementary_divisors)
-        assert q.is_torsion_free == all(d == 1 for d in q.elementary_divisors)
-        # projection kills the relator lattice
-        for row in m.entries:
-            assert all(x == 0 for x in vec_mat(row, q.projection))
-        # section is a right inverse of projection
-        for i in range(q.free_rank):
-            image = vec_mat(q.section.row(i), q.projection)
-            assert image == tuple(1 if j == i else 0 for j in range(q.free_rank))
+@st.composite
+def lattices(draw):
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return Lattice(n, IntMatrix(draw(st.lists(row, max_size=5)), n))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(lattices())
+def test_quotient_presentation_laws(lat):
+    n = lat.ambient_rank
+    q = quotient_presentation(lat)
+    assert q.free_rank == n - len(q.elementary_divisors)
+    assert q.is_torsion_free == all(d == 1 for d in q.elementary_divisors)
+    assert q.is_torsion_free == (lat == saturate(lat))
+    # projection kills the relator lattice
+    for row in lat.basis.entries:
+        assert all(x == 0 for x in vec_mat(row, q.projection))
+    # section is a right inverse of projection
+    for i in range(q.free_rank):
+        image = vec_mat(q.section.row(i), q.projection)
+        assert image == tuple(1 if j == i else 0 for j in range(q.free_rank))
 
 
 def test_quotient_presentation_divisors():
@@ -314,3 +322,8 @@ def test_quotient_presentation_divisors():
     assert q.elementary_divisors == (1, 6)
     assert q.free_rank == 1
     assert not q.is_torsion_free
+    # saturated although its Hermite pivot is 2
+    q = quotient_presentation(Lattice(2, [[2, 3]]))
+    assert q.elementary_divisors == (1,)
+    assert q.free_rank == 1
+    assert q.is_torsion_free

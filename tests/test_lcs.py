@@ -86,6 +86,17 @@ def test_glued_degree_two(c13_data):
     assert data.dim3 == 572
 
 
+def test_glued_degree_three_presentation(c13_data):
+    data = c13_data
+    assert data.r3.rank == 532
+    assert data.p3.free_rank == 40
+    assert data.p3.is_torsion_free
+    proj, sec = data.p3.projection, data.p3.section
+    for row in data.r3.basis.entries:
+        assert not any(vec_mat(row, proj))
+    assert sec @ proj == IntMatrix.identity(40)
+
+
 def test_degree_two_on_asymmetric_config(asymmetric_config):
     data = build_lcs(asymmetric_config)
     assert data.n == 8
@@ -98,20 +109,22 @@ def _matrix_digest(m: IntMatrix) -> str:
     return hashlib.sha256(json.dumps([m.rows, m.cols, m.to_lists()]).encode()).hexdigest()
 
 
-# sha256 of the exact degree-3 coordinates.  A change of P3 coordinates
-# (e.g. a different quotient presentation) must re-pin these on purpose.
+# sha256 of the exact degree-3 coordinates, with P3 coordinates from the
+# orthogonal-basis presentation (projection = perp(R3)ᵀ).  A change of P3
+# coordinates (e.g. a different quotient presentation) must re-pin these on
+# purpose; the r3 digests do not depend on the presentation.
 DEGREE_THREE_DIGESTS = {
     "maclane": {
         "r3": "a4e205183beb32da66b8cfb406ce6daeecb1c97adb3b14b5732f61aae3886dc1",
-        "p3_projection": "be930d4a6fe54e82e2ec9c73b039b60e16765ff172edbe4ec8310ab5941e7b4e",
-        "tau_matrix": "bfd8f193d34faebe2f51ff601be96ee7e6dd704a2985be467da2e20f625cda2d",
-        "im_delta": "962352b0b123b2d3419f50ca9064784349b8e1e6e79a5e56ca861dec8260c516",
+        "p3_projection": "fa9240009fcd9428fffc2d33a67d0f948c567239fbed73b414023472409c2568",
+        "tau_matrix": "dde5829537aadeaba39657bb9f453ca5ce4e6061b78d12358c612a3e123aa992",
+        "im_delta": "42267491fb74e796d36d2f5d6356a3c4ec4c9a481ff39212d22d9e0b75a065a8",
     },
     "asymmetric": {
         "r3": "36e41c6b4ad72c6d8b8a12cf570a88d8655231301904c328b1fcca20a3ee68d3",
-        "p3_projection": "11ea028f7918c989ea590aeb91292cbd6b78c19fed7d0453f8d16241c135915c",
-        "tau_matrix": "cddb9ca014c2c25bde2d8848290a3261829965ed385d17b11074ab5b25773bde",
-        "im_delta": "0e8aa14559c05189828c6510de0a5034eccc6fb077a7b5e0c3884c29592b98ff",
+        "p3_projection": "9d8e67befd6d1cec28a4b22b295a3b3aab2d17189af867f6bb1e08e1c1355507",
+        "tau_matrix": "954d2ff6eae71f266ad1b02156128cc7a949dbbd0247ac1f5092c993b1fa6c76",
+        "im_delta": "1446e458617fed76dd45dea75a7914a2ccba237595e369187e94b0fa3c55641c",
     },
 }
 
