@@ -193,15 +193,16 @@ def _kernel_check(data) -> dict:
     b = b_lattice(data.config)
     ker = tau_kernel(data)
     pre = tau_preimage(data)
+    u_plus_b = lattice_sum(u, b)
     ker_ok = ker == u
-    pre_ok = pre == lattice_sum(u, b)
+    pre_ok = pre == u_plus_b
     return _check(
         "kernel_structure",
         ker_ok and pre_ok,
         {
             "rank_U": u.rank,
             "rank_B": b.rank,
-            "rank_U_plus_B": lattice_sum(u, b).rank,
+            "rank_U_plus_B": u_plus_b.rank,
             "tau_kernel_equals_U": ker_ok,
             "tau_preimage_of_im_delta_equals_U_plus_B": pre_ok,
         },

@@ -15,15 +15,22 @@ Normal form conventions:
   ``left @ m @ right`` diagonal, divisors positive and each dividing
   the next.
 
+``Lattice.__init__`` is the one place a lattice is put in canonical
+form: ``kernel_basis`` returns a plain basis, ``perp`` returns the
+orthogonal complement cached on the lattice, and ``lattice_sum`` stacks
+two canonical forms.  Membership reduces a vector by the Hermite form;
+on failure, one back-substitution on its pivot block gives the witness.
+
 A quotient ``ZZ^n / lattice`` is presented by one path: the projection
-is the transpose of the lattice's cached orthogonal basis K, and the
-section comes from the transform of one ``hnf_with_transform(Kᵀ)``.
-The Smith form runs only when the lattice is not saturated, to name
-the torsion divisors.
+is Kᵀ for K the canonical form of ``perp(lattice)``, and the section
+comes from the transform of one ``hnf_with_transform(Kᵀ)``.  The Smith
+form runs only when the lattice is not saturated, to name the torsion
+divisors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -201,10 +208,12 @@ def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of ``{v in ZZ^cols : m @ v^T = 0}``."""
+    """A basis of ``{v in ZZ^cols : m @ v^T = 0}``; ``Lattice`` canonicalizes.
+
+    The rows are the tail of the transform that reduces ``mᵀ``.
+    """
     _, u, pivots = hnf_with_transform(m.transpose())
-    rank = len(pivots)
-    return hnf(IntMatrix(u.entries[rank:], m.cols))
+    return IntMatrix(u.entries[len(pivots):], m.cols)
 
 
 def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
@@ -314,14 +323,6 @@ class Lattice:
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
 
-    @staticmethod
-    def zero(ambient_rank: int) -> "Lattice":
-        return Lattice(ambient_rank, IntMatrix([], ambient_rank))
-
-    @staticmethod
-    def full(ambient_rank: int) -> "Lattice":
-        return Lattice(ambient_rank, IntMatrix.identity(ambient_rank))
-
     @property
     def rank(self) -> int:
         return self.canonical_form.rows
@@ -346,11 +347,6 @@ class Lattice:
             object.__setattr__(self, "_reduction", (h, keep, pivots))
         return self._reduction
 
-    def _perp_rows(self) -> IntMatrix:
-        if self._perp is None:
-            object.__setattr__(self, "_perp", kernel_basis(self.basis))
-        return self._perp
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -359,7 +355,8 @@ class Witness:
     ``functional . w ≡ 0 (mod modulus)`` for every lattice element ``w``
     while ``functional . v`` is not.  ``modulus == 0`` means honest
     integer orthogonality: the functional kills the lattice exactly but
-    not the vector, so the failure is already rational.
+    not the vector, so the failure is already rational; such a functional
+    is primitive (its entries have gcd 1).
     """
 
     functional: tuple[int, ...]
@@ -382,78 +379,80 @@ def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
 
     On success ``coefficients`` expresses ``v`` over ``lat.basis`` rows.
     On failure the witness has ``modulus == 0`` (rational failure) or a
-    positive modulus dividing the pivot product (divisibility failure).
+    positive modulus dividing the pivot product (divisibility failure);
+    either comes from the Hermite pivot block alone.
     """
     v = tuple(int(x) for x in v)
     if len(v) != lat.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
     h, keep, pivots = lat._reduction_data()
-    rank = len(pivots)
     rem = list(v)
     coeffs: list[int] = []
-    for k in range(rank):
-        c = pivots[k]
-        piv = h.entries[k][c]
-        q, r = divmod(rem[c], piv)
+    for k, c in enumerate(pivots):
+        hk = h.entries[k]
+        q, r = divmod(rem[c], hk[c])
         if r:
-            return MembershipResult(False, witness=_divisor_witness(h, pivots, k, v))
+            return MembershipResult(False, witness=_pivot_witness(h, pivots, v, k=k))
         coeffs.append(q)
         if q:
-            hk = h.entries[k]
             rem = [x - q * y for x, y in zip(rem, hk)]
-    if any(rem):
-        for f in lat._perp_rows().entries:
-            pairing = dot(f, v)
-            if pairing:
-                return MembershipResult(
-                    False, witness=Witness(tuple(f), 0, pairing)
-                )
-        raise AssertionError("residue outside span but no orthogonal witness")
+    c = next((j for j, x in enumerate(rem) if x), None)
+    if c is not None:
+        return MembershipResult(False, witness=_pivot_witness(h, pivots, v, c=c))
     return MembershipResult(True, coefficients=vec_mat(coeffs, keep))
 
 
-def _divisor_witness(h: IntMatrix, pivots: list[int], k: int, v: Sequence[int]) -> Witness:
-    """Adjugate-style witness for a divisibility failure at pivot row ``k``.
+def _pivot_witness(h: IntMatrix, pivots: list[int], v: Sequence[int], *, k=None, c=None) -> Witness:
+    """Witness from one back-substitution on the pivot block P of ``h``.
 
-    Let P be the square pivot-column submatrix of ``h`` (upper triangular).
-    The functional carries ``det(P) * (P^{-1} e_k)`` on the pivot
-    coordinates; it maps the lattice into ``det(P) ZZ`` exactly and the
-    vector outside it.
+    P, the pivot columns of ``h``, is upper triangular with determinant
+    d, the pivot product, so y = d·P⁻¹b is integral (the adjugate).  A
+    divisibility failure at pivot row ``k`` solves for b = e_k: y on the
+    pivot coordinates maps every row of ``h`` into dZZ and ``v`` outside
+    it.  A rational failure at the non-pivot column ``c`` solves for
+    b = -h[:, c] and sets f_c = d, so f kills every row of ``h`` exactly
+    but not ``v``, whose residue is nonzero at ``c`` and zero at every
+    pivot; f is then divided by the gcd of its entries.
     """
-    from fractions import Fraction
-
     rank = len(pivots)
-    p = [[h.entries[i][pivots[j]] for j in range(rank)] for i in range(rank)]
-    det = 1
-    for i in range(rank):
-        det *= p[i][i]
-    # back-substitute P x = e_k
-    x = [Fraction(0)] * rank
+    det = math.prod(row[p] for row, p in zip(h.entries, pivots))
+    if c is None:
+        b = [det if i == k else 0 for i in range(rank)]
+    else:
+        b = [-det * row[c] for row in h.entries]
+    y = [0] * rank
     for i in range(rank - 1, -1, -1):
-        s = Fraction(1 if i == k else 0)
-        for j in range(i + 1, rank):
-            s -= p[i][j] * x[j]
-        x[i] = s / p[i][i]
-    f = [0] * h.cols
-    for i in range(rank):
-        fi = x[i] * det
-        if fi.denominator != 1:
+        row = h.entries[i]
+        s = b[i] - sum(row[pivots[j]] * y[j] for j in range(i + 1, rank) if y[j])
+        y[i], r = divmod(s, row[pivots[i]])
+        if r:
             raise AssertionError("adjugate witness is not integral")
-        f[pivots[i]] = int(fi)
-    pairing = dot(f, v) % det
-    return Witness(tuple(f), det, pairing)
+    f = [0] * h.cols
+    for p, x in zip(pivots, y):
+        f[p] = x
+    if c is None:
+        return Witness(tuple(f), det, dot(f, v) % det)
+    f[c] = det
+    g = math.gcd(*f)
+    f = [x // g for x in f]
+    return Witness(tuple(f), 0, dot(f, v))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    """Smallest lattice containing both; basis is the concatenation."""
+    """Smallest lattice containing both; basis is the two canonical forms stacked."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    return Lattice(a.ambient_rank, vstack(a.basis, b.basis))
+    return Lattice(a.ambient_rank, vstack(a.canonical_form, b.canonical_form))
 
 
 def perp(lat: Lattice) -> Lattice:
-    """Integer functionals vanishing on the lattice (ambient dual, same coords)."""
-    return Lattice(lat.ambient_rank, lat._perp_rows())
+    """Integer functionals vanishing on the lattice (ambient dual, same coords).
+
+    Computed once per lattice and cached on it, so ``perp(lat) is perp(lat)``.
+    """
+    if lat._perp is None:
+        object.__setattr__(lat, "_perp", Lattice(lat.ambient_rank, kernel_basis(lat.basis)))
+    return lat._perp
 
 
 def saturate(lat: Lattice) -> Lattice:
@@ -465,8 +464,8 @@ def saturate(lat: Lattice) -> Lattice:
 class QuotientPresentation:
     """Integer presentation of ``ZZ^ambient_rank / lattice``.
 
-    ``projection`` (ambient x free_rank) is Kᵀ for K the canonical basis
-    of the functionals vanishing on the lattice, so it kills the lattice;
+    ``projection`` (ambient x free_rank) is Kᵀ for K the canonical form
+    of ``perp(lattice)``, the functionals vanishing on it, so it kills the lattice;
     ``section`` (free_rank x ambient) is a right inverse, read off the
     transform that reduces Kᵀ to its Hermite form ``I``.  The quotient is
     torsion-free iff the lattice is saturated; ``elementary_divisors`` is
@@ -486,7 +485,7 @@ class QuotientPresentation:
 
 def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     n = lat.ambient_rank
-    projection = lat._perp_rows().transpose()
+    projection = perp(lat).canonical_form.transpose()
     f = projection.cols
     h, u, _ = hnf_with_transform(projection)
     if h != IntMatrix.identity(f):

@@ -1,9 +1,10 @@
 """Randomized laws for the exact integer linear algebra substrate."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arrlcs.exactlin import (
     IntMatrix,
@@ -164,24 +165,34 @@ def test_snf_preserves_determinant_magnitude():
         done += 1
 
 
+@st.composite
+def lattices(draw):
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return Lattice(n, IntMatrix(draw(st.lists(row, max_size=5)), n))
+
+
 # -- kernels -------------------------------------------------------------------
 
 
-def test_kernel_fixed_examples():
+def test_kernel_fixed_examples(monkeypatch):
+    # a basis, left for Lattice to put in canonical form
+    monkeypatch.setattr("arrlcs.exactlin.hnf", lambda m: pytest.fail("kernel_basis calls hnf"))
     assert kernel_basis(IntMatrix([[1, 1, 1]])).rows == 2
     assert kernel_basis(IntMatrix.identity(4)).rows == 0
 
 
-def test_kernel_is_saturated_and_complete():
-    rng = random.Random(106)
-    for _ in range(200):
-        m = random_matrix(rng)
-        k = kernel_basis(m)
-        for row in k.entries:
-            assert all(x == 0 for x in vec_mat(row, m.transpose()))
-        lat = Lattice(m.cols, k)
-        assert lat == saturate(lat)
-        assert lat.rank == m.cols - Lattice(m.cols, m).rank
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(lattices())
+def test_kernel_is_saturated_and_complete(lat):
+    m = lat.basis
+    k = kernel_basis(m)
+    for row in k.entries:
+        assert all(x == 0 for x in vec_mat(row, m.transpose()))
+    ker = Lattice(m.cols, k)
+    assert ker.rank == k.rows  # a basis, not only a spanning set
+    assert ker == saturate(ker)
+    assert ker.rank == m.cols - lat.rank
 
 
 # -- membership ------------------------------------------------------------------
@@ -207,29 +218,52 @@ def test_member_coefficients_reconstruct():
         assert vec_mat(res.coefficients, m) == v
 
 
-def test_member_witness_separates():
-    rng = random.Random(108)
-    refusals = 0
-    for _ in range(300):
-        m = random_matrix(rng, rows=rng.randint(1, 4), cols=4)
-        lat = Lattice(4, m)
-        v = tuple(rng.randint(-9, 9) for _ in range(4))
+@st.composite
+def lattices_and_vectors(draw):
+    lat = draw(lattices())
+    n = lat.ambient_rank
+    return lat, tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lattices_and_vectors())
+@example((Lattice(2, [[2, 0]]), (1, 0)))  # divisibility failure
+@example((Lattice(3, [[1, 1, 0]]), (0, 0, 1)))  # rational failure
+def test_member_witness_separates(case):
+    lat, v = case
+    res = member(v, lat)
+    if res.ok:
+        assert vec_mat(res.coefficients, lat.basis) == v
+        return
+    w = res.witness
+    if w.modulus:
+        assert w.pairing % w.modulus == w.pairing != 0
+        assert dot(w.functional, v) % w.modulus == w.pairing
+        for row in lat.basis.entries:
+            assert dot(w.functional, row) % w.modulus == 0
+    else:
+        assert w.pairing == dot(w.functional, v) != 0
+        assert math.gcd(*w.functional) == 1
+        for row in lat.basis.entries:
+            assert dot(w.functional, row) == 0
+
+
+def test_member_rational_failure_needs_no_orthogonal_complement(monkeypatch, c13_data):
+    im_delta = c13_data.im_delta
+    pivots = {next(j for j, x in enumerate(row) if x) for row in im_delta.canonical_form.entries}
+    c = min(set(range(im_delta.ambient_rank)) - pivots)
+    unit = tuple(int(j == c) for j in range(im_delta.ambient_rank))
+
+    def no_kernel(m):
+        raise AssertionError("member must not compute a kernel")
+
+    monkeypatch.setattr("arrlcs.exactlin.kernel_basis", no_kernel)
+    for lat, v in ((Lattice(3, [[1, 1, 0]]), (0, 0, 1)), (im_delta, unit)):
         res = member(v, lat)
-        if res.ok:
-            assert vec_mat(res.coefficients, m) == v
-            continue
-        refusals += 1
-        w = res.witness
-        if w.modulus:
-            assert w.pairing % w.modulus == w.pairing != 0
-            assert dot(w.functional, v) % w.modulus == w.pairing
-            for row in m.entries:
-                assert dot(w.functional, row) % w.modulus == 0
-        else:
-            assert w.pairing == dot(w.functional, v) != 0
-            for row in m.entries:
-                assert dot(w.functional, row) == 0
-    assert refusals > 50
+        assert not res.ok and res.witness.modulus == 0
+        assert res.witness.pairing == dot(res.witness.functional, v) != 0
+        for row in lat.basis.entries:
+            assert dot(res.witness.functional, row) == 0
 
 
 def test_member_matches_hnf_extension():
@@ -246,7 +280,9 @@ def test_member_matches_hnf_extension():
 
 
 def test_perp_fixed_example():
-    assert perp(Lattice(2, [[1, 0]])) == Lattice(2, [[0, 1]])
+    lat = Lattice(2, [[1, 0]])
+    assert perp(lat) == Lattice(2, [[0, 1]])
+    assert perp(lat) is perp(lat)
 
 
 def test_perp_saturate_laws():
@@ -291,13 +327,6 @@ def test_lattice_sum_ambient_mismatch():
 
 
 # -- quotient presentations ----------------------------------------------------------
-
-
-@st.composite
-def lattices(draw):
-    n = draw(st.integers(1, 6))
-    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-    return Lattice(n, IntMatrix(draw(st.lists(row, max_size=5)), n))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

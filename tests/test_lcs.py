@@ -112,19 +112,33 @@ def _matrix_digest(m: IntMatrix) -> str:
 # sha256 of the exact degree-3 coordinates, with P3 coordinates from the
 # orthogonal-basis presentation (projection = perp(R3)ᵀ).  A change of P3
 # coordinates (e.g. a different quotient presentation) must re-pin these on
-# purpose; the r3 digests do not depend on the presentation.
+# purpose; the r3 digests do not depend on the presentation.  The lattice
+# digests are of canonical forms, so they do not depend on which basis a
+# kernel or a sum is built from.
 DEGREE_THREE_DIGESTS = {
     "maclane": {
         "r3": "a4e205183beb32da66b8cfb406ce6daeecb1c97adb3b14b5732f61aae3886dc1",
         "p3_projection": "fa9240009fcd9428fffc2d33a67d0f948c567239fbed73b414023472409c2568",
         "tau_matrix": "dde5829537aadeaba39657bb9f453ca5ce4e6061b78d12358c612a3e123aa992",
         "im_delta": "42267491fb74e796d36d2f5d6356a3c4ec4c9a481ff39212d22d9e0b75a065a8",
+        "perp_r3": "c42bc5e1b4b651d5ebd8dfafa63572663d3a83793612c3ebe5c5939061c8721f",
+        "r3perp": "ac1ae397a597ee15fa38899a82327378b703ddd517573cc2cf5c6948737ea53f",
+        "tau_kernel": "31b31952a4bfcc8d7dfeafa3815efb12dedcea5e36505d647f44dc0f66e0f215",
+        "tau_preimage": "0adeff040ab644d1043d6ecbb49356f2ff1be658887761dd379d09da230b133f",
+        "u_plus_b": "0adeff040ab644d1043d6ecbb49356f2ff1be658887761dd379d09da230b133f",
+        "delta_kernel": "61c47f28efa6af1d840eaa181a2627b49f188a59bcdfb9edde27e26d6c85e50d",
     },
     "asymmetric": {
         "r3": "36e41c6b4ad72c6d8b8a12cf570a88d8655231301904c328b1fcca20a3ee68d3",
         "p3_projection": "9d8e67befd6d1cec28a4b22b295a3b3aab2d17189af867f6bb1e08e1c1355507",
         "tau_matrix": "954d2ff6eae71f266ad1b02156128cc7a949dbbd0247ac1f5092c993b1fa6c76",
         "im_delta": "1446e458617fed76dd45dea75a7914a2ccba237595e369187e94b0fa3c55641c",
+        "perp_r3": "52bc3c6461a13dc0e3653fa2ea22197326f39ebadf7d6eb04139158762abc56f",
+        "r3perp": "5034d833f3321c9ef08af567f7ab5e3c3519dd1f45fbd8b9a549ff5f9a1bcad7",
+        "tau_kernel": "62150f57f1b7d7c33c596a460af2a6b4354cfcfdc9fd1a6651f0a6cfc47b211c",
+        "tau_preimage": "4961ab7c57f14ed6b8bca10d5bcf7fcaa65a6759a83139f305ae0170108b9ee0",
+        "u_plus_b": "4961ab7c57f14ed6b8bca10d5bcf7fcaa65a6759a83139f305ae0170108b9ee0",
+        "delta_kernel": "07e6e8d83ebee774b7aaf3b3f134de94660f8c028dacf04e64d0048c8ca77e13",
     },
 }
 
@@ -136,6 +150,12 @@ def test_degree_three_coordinates_are_pinned(maclane_data, asymmetric_config):
             "p3_projection": _matrix_digest(data.p3.projection),
             "tau_matrix": _matrix_digest(data.tau_matrix),
             "im_delta": _matrix_digest(data.im_delta.basis),
+            "perp_r3": _matrix_digest(perp(data.r3).canonical_form),
+            "r3perp": _matrix_digest(data.r3perp.canonical_form),
+            "tau_kernel": _matrix_digest(tau_kernel(data).canonical_form),
+            "tau_preimage": _matrix_digest(tau_preimage(data).canonical_form),
+            "u_plus_b": _matrix_digest(lattice_sum(u_lattice(data.config), b_lattice(data.config)).canonical_form),
+            "delta_kernel": _matrix_digest(delta_kernel(data).canonical_form),
         }
         assert got == DEGREE_THREE_DIGESTS[name], name
 
