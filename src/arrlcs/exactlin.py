@@ -15,9 +15,11 @@ Normal form conventions:
   ``left @ m @ right`` diagonal, divisors positive and each dividing
   the next.
 
-``Lattice.__init__`` is the one place a lattice is put in canonical
-form: ``kernel_basis`` returns a plain basis, ``perp`` returns the
-orthogonal complement cached on the lattice, and ``lattice_sum`` stacks
+Linear maps act on row vectors (v ↦ v·m).  ``Lattice.__init__`` is the
+one place a lattice is put in canonical form: ``kernel_basis(m)``
+returns a plain basis of the left kernel {v : v·m = 0}, read off the
+transform that reduces ``m``; ``perp``, the one caller that transposes,
+caches the orthogonal complement on the lattice; ``lattice_sum`` stacks
 two canonical forms.  Membership reduces a vector by the Hermite form;
 on failure, one back-substitution on its pivot block gives the witness.
 
@@ -208,12 +210,12 @@ def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """A basis of ``{v in ZZ^cols : m @ v^T = 0}``; ``Lattice`` canonicalizes.
+    """A basis of the left kernel ``{v in ZZ^rows : v·m = 0}``; ``Lattice`` canonicalizes.
 
-    The rows are the tail of the transform that reduces ``mᵀ``.
+    The rows are the tail of the unimodular transform that reduces ``m``.
     """
-    _, u, pivots = hnf_with_transform(m.transpose())
-    return IntMatrix(u.entries[len(pivots):], m.cols)
+    _, u, pivots = hnf_with_transform(m)
+    return IntMatrix(u.entries[len(pivots):], m.rows)
 
 
 def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
@@ -448,10 +450,11 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
 def perp(lat: Lattice) -> Lattice:
     """Integer functionals vanishing on the lattice (ambient dual, same coords).
 
-    Computed once per lattice and cached on it, so ``perp(lat) is perp(lat)``.
+    The left kernel of the basis transposed.  Computed once per lattice
+    and cached on it, so ``perp(lat) is perp(lat)``.
     """
     if lat._perp is None:
-        object.__setattr__(lat, "_perp", Lattice(lat.ambient_rank, kernel_basis(lat.basis)))
+        object.__setattr__(lat, "_perp", Lattice(lat.ambient_rank, kernel_basis(lat.basis.transpose())))
     return lat._perp
 
 

@@ -194,7 +194,7 @@ class LcsData:
             ]
             for f in e_rows
         ]
-        combos = kernel_basis(IntMatrix(drows, len(triples)).transpose())
+        combos = kernel_basis(IntMatrix(drows, len(triples)))
         e_mat = IntMatrix(e_rows, self.hw_rank)
         return Lattice(self.hw_rank, IntMatrix([vec_mat(c, e_mat) for c in combos.entries], self.hw_rank))
 
@@ -386,7 +386,7 @@ def delta_lift_rows(data: LcsData, fhat: IntMatrix) -> IntMatrix:
 
 def delta_kernel(data: LcsData) -> Lattice:
     """ker δ̄ inside Hom(H,P2) flat coordinates.  Computed, nothing asserted."""
-    return Lattice(data.n * data.p2.free_rank, kernel_basis(data.im_delta.basis.transpose()))
+    return Lattice(data.n * data.p2.free_rank, kernel_basis(data.im_delta.basis))
 
 
 # -- the kernel lattices U and B ---------------------------------------------
@@ -443,7 +443,7 @@ def b_lattice(config: Configuration) -> Lattice:
 
 
 def tau_kernel(data: LcsData) -> Lattice:
-    return Lattice(data.a_rank, kernel_basis(data.tau_matrix.transpose()))
+    return Lattice(data.a_rank, kernel_basis(data.tau_matrix))
 
 
 def tau_kernel_equals_u(data: LcsData) -> bool:
@@ -454,7 +454,7 @@ def tau_kernel_equals_u(data: LcsData) -> bool:
 def tau_preimage(data: LcsData) -> Lattice:
     """{a : τ̃a ∈ Im δ̄}, via the joint kernel of [τ̃ | δ̄] projected to A."""
     stacked = vstack(data.tau_matrix, data.im_delta.basis)
-    joint = kernel_basis(stacked.transpose())
+    joint = kernel_basis(stacked)
     rows = [row[: data.a_rank] for row in joint.entries]
     return Lattice(data.a_rank, IntMatrix(rows, data.a_rank))
 
@@ -805,7 +805,7 @@ def builtin_g_difference() -> AbelianGMap:
 
 
 @lru_cache(maxsize=None)
-def _t_vector() -> tuple[int, ...]:
+def _t_vector() -> tuple[tuple[int, ...], int]:
     raw = _builtin_json("dual_basis_c8.json")["mod3_functional"]
     duals = {e.label: e for e in maclane_dual_basis()}
     first = duals[f"{raw['terms'][0][1]}({raw['terms'][0][2]})"]
@@ -813,7 +813,7 @@ def _t_vector() -> tuple[int, ...]:
     for c, fam, p in raw["terms"]:
         for s, x in enumerate(duals[f"{fam}({p})"].coords):
             vec[s] += c * x
-    return tuple(vec)
+    return tuple(vec), raw["modulus"]
 
 
 def t_functional(a: GMap | AbelianGMap) -> int:
@@ -825,8 +825,8 @@ def t_functional(a: GMap | AbelianGMap) -> int:
     a = _as_abelian(a)
     if a.config != maclane_c8():
         raise ConfigMismatchError("the mod-3 functional is defined for the MacLane configuration")
-    raw = _builtin_json("dual_basis_c8.json")["mod3_functional"]
-    return dot(_t_vector(), a.vector()) % raw["modulus"]
+    vec, modulus = _t_vector()
+    return dot(vec, a.vector()) % modulus
 
 
 # -- the isomorphism obstruction ----------------------------------------------

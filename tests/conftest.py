@@ -1,9 +1,14 @@
 """Shared fixtures; the degree-3 MacLane data is built once per session."""
 
 import pytest
+from hypothesis import settings
 
 from arrlcs.config import Configuration, glue_c13
 from arrlcs.lcs import build_lcs, _maclane_data
+
+# property tests draw the same examples on every run and are not timed
+settings.register_profile("arrlcs", derandomize=True, deadline=None)
+settings.load_profile("arrlcs")
 
 
 @pytest.fixture(scope="session")

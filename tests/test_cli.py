@@ -157,6 +157,16 @@ def test_maclane_report_no_hardcoded(capsys):
     assert ranks["rank_R3perp"] == 21 and ranks["r3perp_routes_agree"] is True
 
 
+def test_maclane_report_builds_u_and_b_once(capsys, monkeypatch):
+    calls = []
+    for name in ("u_lattice", "b_lattice"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda config, name=name, real=real: calls.append(name) or real(config))
+    code, _ = run(capsys, "maclane-report")
+    assert code == 0
+    assert sorted(calls) == ["b_lattice", "u_lattice"]
+
+
 # -- c13-report ---------------------------------------------------------------------
 
 

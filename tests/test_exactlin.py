@@ -1,10 +1,9 @@
 """Randomized laws for the exact integer linear algebra substrate."""
 
 import math
-import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arrlcs.exactlin import (
     IntMatrix,
@@ -23,12 +22,15 @@ from arrlcs.exactlin import (
 )
 
 
-def random_matrix(rng, rows=None, cols=None, bound=9):
-    rows = rng.randint(0, 5) if rows is None else rows
-    cols = rng.randint(1, 6) if cols is None else cols
-    return IntMatrix(
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols
-    )
+@st.composite
+def matrices(draw, rows=(0, 5), cols=(1, 6), bound=9):
+    n = draw(st.integers(*cols))
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return IntMatrix(draw(st.lists(row, min_size=rows[0], max_size=rows[1])), n)
+
+
+def lattices(**shape):
+    return matrices(**shape).map(lambda m: Lattice(m.cols, m))
 
 
 def bareiss_det(m: IntMatrix) -> int:
@@ -82,43 +84,40 @@ def test_hnf_fixed_examples():
     assert hnf(IntMatrix([], 3)) == IntMatrix([], 3)
 
 
-def test_hnf_shape_and_idempotence():
-    rng = random.Random(101)
-    for _ in range(500):
-        m = random_matrix(rng)
-        h = hnf(m)
-        assert_hnf_shape(h)
-        assert hnf(h) == h
+@settings(max_examples=500)
+@given(matrices())
+def test_hnf_shape_and_idempotence(m):
+    h = hnf(m)
+    assert_hnf_shape(h)
+    assert hnf(h) == h
 
 
-def test_hnf_span_preserved_by_mutual_membership():
-    rng = random.Random(102)
-    for _ in range(200):
-        m = random_matrix(rng, rows=rng.randint(1, 5), cols=5)
-        lat_m = Lattice(5, m)
-        lat_h = Lattice(5, hnf(m))
-        for row in m.entries:
-            assert member(row, lat_h).ok
-        for row in hnf(m).entries:
-            assert member(row, lat_m).ok
+@settings(max_examples=200)
+@given(matrices(rows=(1, 5), cols=(5, 5)))
+def test_hnf_span_preserved_by_mutual_membership(m):
+    lat_m = Lattice(5, m)
+    lat_h = Lattice(5, hnf(m))
+    for row in m.entries:
+        assert member(row, lat_h).ok
+    for row in hnf(m).entries:
+        assert member(row, lat_m).ok
 
 
-def test_hnf_canonical_under_unimodular_row_ops():
-    rng = random.Random(103)
-    for _ in range(150):
-        m = random_matrix(rng, rows=rng.randint(1, 4), cols=rng.randint(2, 5))
-        rows = [list(r) for r in m.entries]
-        for _ in range(10):
-            op = rng.randrange(3)
-            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
-            if op == 0:
-                rows[i], rows[j] = rows[j], rows[i]
-            elif op == 1:
-                rows[i] = [-x for x in rows[i]]
-            elif i != j:
-                q = rng.randint(-3, 3)
-                rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
-        assert hnf(IntMatrix(rows, m.cols)) == hnf(m)
+@settings(max_examples=150)
+@given(st.data())
+def test_hnf_canonical_under_unimodular_row_ops(data):
+    m = data.draw(matrices(rows=(1, 4), cols=(2, 5)))
+    index = st.integers(0, m.rows - 1)
+    op = st.tuples(st.integers(0, 2), index, index, st.integers(-3, 3))
+    rows = [list(r) for r in m.entries]
+    for kind, i, j, q in data.draw(st.lists(op, min_size=10, max_size=10)):
+        if kind == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == 1:
+            rows[i] = [-x for x in rows[i]]
+        elif i != j:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    assert hnf(IntMatrix(rows, m.cols)) == hnf(m)
 
 
 # -- SNF ---------------------------------------------------------------------
@@ -131,68 +130,55 @@ def test_snf_fixed_examples():
     assert divisors == ()
 
 
-def test_snf_transform_and_divisibility():
-    rng = random.Random(104)
-    for _ in range(300):
-        m = random_matrix(rng)
-        divisors, left, right = snf(m)
-        assert is_unimodular(left)
-        assert is_unimodular(right)
-        d = left @ m @ right
-        for i, row in enumerate(d.entries):
-            for j, x in enumerate(row):
-                expect = divisors[i] if i == j and i < len(divisors) else 0
-                assert x == expect
-        assert all(x > 0 for x in divisors)
-        for a, b in zip(divisors, divisors[1:]):
-            assert b % a == 0
+@settings(max_examples=300)
+@given(matrices())
+def test_snf_transform_and_divisibility(m):
+    divisors, left, right = snf(m)
+    assert is_unimodular(left)
+    assert is_unimodular(right)
+    d = left @ m @ right
+    for i, row in enumerate(d.entries):
+        for j, x in enumerate(row):
+            expect = divisors[i] if i == j and i < len(divisors) else 0
+            assert x == expect
+    assert all(x > 0 for x in divisors)
+    for a, b in zip(divisors, divisors[1:]):
+        assert b % a == 0
 
 
-def test_snf_preserves_determinant_magnitude():
-    rng = random.Random(105)
-    done = 0
-    while done < 100:
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, rows=n, cols=n)
-        det = bareiss_det(m)
-        if det == 0:
-            continue
-        divisors, _, _ = snf(m)
-        prod = 1
-        for x in divisors:
-            prod *= x
-        assert prod == abs(det)
-        done += 1
-
-
-@st.composite
-def lattices(draw):
-    n = draw(st.integers(1, 6))
-    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-    return Lattice(n, IntMatrix(draw(st.lists(row, max_size=5)), n))
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(lambda n: matrices(rows=(n, n), cols=(n, n))))
+def test_snf_preserves_determinant_magnitude(m):
+    det = bareiss_det(m)
+    assume(det != 0)
+    divisors, _, _ = snf(m)
+    assert math.prod(divisors) == abs(det)
 
 
 # -- kernels -------------------------------------------------------------------
 
 
 def test_kernel_fixed_examples(monkeypatch):
-    # a basis, left for Lattice to put in canonical form
+    # a basis of the left kernel, left for Lattice to put in canonical form
     monkeypatch.setattr("arrlcs.exactlin.hnf", lambda m: pytest.fail("kernel_basis calls hnf"))
-    assert kernel_basis(IntMatrix([[1, 1, 1]])).rows == 2
-    assert kernel_basis(IntMatrix.identity(4)).rows == 0
+    assert kernel_basis(IntMatrix([[1], [1], [1]])).shape == (2, 3)
+    assert kernel_basis(IntMatrix.identity(4)).shape == (0, 4)
+    assert kernel_basis(IntMatrix([[1, 1, 1]])).shape == (0, 1)
+    k = kernel_basis(IntMatrix([[1, 0], [1, 0], [0, 1]]))
+    assert k.rows == 1 and set(k.entries) <= {(1, -1, 0), (-1, 1, 0)}
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(lattices())
 def test_kernel_is_saturated_and_complete(lat):
     m = lat.basis
     k = kernel_basis(m)
     for row in k.entries:
-        assert all(x == 0 for x in vec_mat(row, m.transpose()))
-    ker = Lattice(m.cols, k)
+        assert all(x == 0 for x in vec_mat(row, m))
+    ker = Lattice(m.rows, k)
     assert ker.rank == k.rows  # a basis, not only a spanning set
     assert ker == saturate(ker)
-    assert ker.rank == m.cols - lat.rank
+    assert ker.rank == m.rows - lat.rank
 
 
 # -- membership ------------------------------------------------------------------
@@ -206,16 +192,15 @@ def test_member_fixed_examples():
     assert not res.ok and res.witness is not None
 
 
-def test_member_coefficients_reconstruct():
-    rng = random.Random(107)
-    for _ in range(300):
-        m = random_matrix(rng, rows=rng.randint(1, 4), cols=5)
-        lat = Lattice(5, m)
-        combo = [rng.randint(-4, 4) for _ in range(m.rows)]
-        v = vec_mat(combo, m)
-        res = member(v, lat)
-        assert res.ok
-        assert vec_mat(res.coefficients, m) == v
+@settings(max_examples=300)
+@given(st.data())
+def test_member_coefficients_reconstruct(data):
+    m = data.draw(matrices(rows=(1, 4), cols=(5, 5)))
+    combo = data.draw(st.lists(st.integers(-4, 4), min_size=m.rows, max_size=m.rows))
+    v = vec_mat(combo, m)
+    res = member(v, Lattice(5, m))
+    assert res.ok
+    assert vec_mat(res.coefficients, m) == v
 
 
 @st.composite
@@ -225,7 +210,7 @@ def lattices_and_vectors(draw):
     return lat, tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(lattices_and_vectors())
 @example((Lattice(2, [[2, 0]]), (1, 0)))  # divisibility failure
 @example((Lattice(3, [[1, 1, 0]]), (0, 0, 1)))  # rational failure
@@ -266,14 +251,12 @@ def test_member_rational_failure_needs_no_orthogonal_complement(monkeypatch, c13
             assert dot(res.witness.functional, row) == 0
 
 
-def test_member_matches_hnf_extension():
-    rng = random.Random(109)
-    for _ in range(200):
-        m = random_matrix(rng, rows=rng.randint(1, 4), cols=4)
-        lat = Lattice(4, m)
-        v = tuple(rng.randint(-6, 6) for _ in range(4))
-        extended = Lattice(4, vstack(m, IntMatrix([v], 4)))
-        assert bool(member(v, lat)) == (extended == lat)
+@settings(max_examples=200)
+@given(matrices(rows=(1, 4), cols=(4, 4)), st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+def test_member_matches_hnf_extension(m, v):
+    lat = Lattice(4, m)
+    extended = Lattice(4, vstack(m, IntMatrix([v], 4)))
+    assert bool(member(v, lat)) == (extended == lat)
 
 
 # -- perp / saturate / sums --------------------------------------------------------
@@ -285,40 +268,35 @@ def test_perp_fixed_example():
     assert perp(lat) is perp(lat)
 
 
-def test_perp_saturate_laws():
-    rng = random.Random(110)
-    for _ in range(200):
-        m = random_matrix(rng, rows=rng.randint(0, 5), cols=6)
-        lat = Lattice(6, m)
-        pp = perp(lat)
-        for f in pp.basis.entries:
-            for row in m.entries:
-                assert dot(f, row) == 0
-        assert pp.rank == 6 - lat.rank
-        sat = saturate(lat)
-        assert perp(pp) == sat
-        assert sat.rank == lat.rank
-        assert saturate(sat) == sat
-        for row in m.entries:
-            assert member(row, sat).ok
-        # antitone under adding a generator
-        bigger = lattice_sum(lat, Lattice(6, [[rng.randint(-4, 4) for _ in range(6)]]))
-        for f in perp(bigger).basis.entries:
-            assert member(f, pp).ok
+@settings(max_examples=200)
+@given(lattices(cols=(6, 6)), lattices(rows=(1, 1), cols=(6, 6), bound=4))
+def test_perp_saturate_laws(lat, extra):
+    pp = perp(lat)
+    for f in pp.basis.entries:
+        for row in lat.basis.entries:
+            assert dot(f, row) == 0
+    assert pp.rank == 6 - lat.rank
+    sat = saturate(lat)
+    assert perp(pp) == sat
+    assert sat.rank == lat.rank
+    assert saturate(sat) == sat
+    for row in lat.basis.entries:
+        assert member(row, sat).ok
+    # antitone under adding a generator
+    for f in perp(lattice_sum(lat, extra)).basis.entries:
+        assert member(f, pp).ok
 
 
-def test_lattice_sum_contains_both():
-    rng = random.Random(111)
-    for _ in range(100):
-        a = Lattice(5, random_matrix(rng, rows=rng.randint(0, 3), cols=5))
-        b = Lattice(5, random_matrix(rng, rows=rng.randint(0, 3), cols=5))
-        s = lattice_sum(a, b)
-        for row in a.basis.entries:
-            assert member(row, s).ok
-        for row in b.basis.entries:
-            assert member(row, s).ok
-        assert s == lattice_sum(b, a)
-        assert s.rank <= a.rank + b.rank
+@settings(max_examples=100)
+@given(lattices(rows=(0, 3), cols=(5, 5)), lattices(rows=(0, 3), cols=(5, 5)))
+def test_lattice_sum_contains_both(a, b):
+    s = lattice_sum(a, b)
+    for row in a.basis.entries:
+        assert member(row, s).ok
+    for row in b.basis.entries:
+        assert member(row, s).ok
+    assert s == lattice_sum(b, a)
+    assert s.rank <= a.rank + b.rank
 
 
 def test_lattice_sum_ambient_mismatch():
@@ -329,7 +307,7 @@ def test_lattice_sum_ambient_mismatch():
 # -- quotient presentations ----------------------------------------------------------
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(lattices())
 def test_quotient_presentation_laws(lat):
     n = lat.ambient_rank

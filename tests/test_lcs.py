@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from arrlcs import lcs
 from arrlcs.config import glue_c13, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, dot, lattice_sum, member, perp, vec_mat
 from arrlcs.lcs import (
@@ -194,6 +195,22 @@ def test_kernel_and_preimage_lattices(maclane_data):
     assert tau_kernel_equals_u(data)
     assert tau_preimage(data) == both
     assert tau_preimage_equals_u_plus_b(data)
+
+
+def test_kernel_callers_do_not_transpose(monkeypatch, maclane_data):
+    data = maclane_data
+    # built first: P3 and the Lie route of R3perp transpose on purpose
+    data.r3perp, data.tau_matrix, data.im_delta  # noqa: B018
+    u, b = u_lattice(data.config), b_lattice(data.config)
+
+    def no_transpose(self):
+        raise AssertionError("kernel_basis takes the row-vector map as it is")
+
+    monkeypatch.setattr(IntMatrix, "transpose", no_transpose)
+    assert tau_kernel(data) == u
+    assert tau_preimage(data) == lattice_sum(u, b)
+    assert delta_kernel(data).rank == 7
+    assert data._r3perp_via_dstar() == data.r3perp
 
 
 # -- tau and delta ------------------------------------------------------------
@@ -400,6 +417,20 @@ def test_t_functional_values(maclane_data):
         assert t_functional(AbelianGMap.from_vector(data.config, row)) == 0
     with pytest.raises(ConfigMismatchError):
         t_functional(abelianize(GMap(glue_c13())))
+
+
+def test_t_functional_reads_its_data_file_once(monkeypatch):
+    diff = builtin_g_difference()
+    lcs._t_vector.cache_clear()
+    reads = []
+    real = lcs._builtin_json
+    monkeypatch.setattr("arrlcs.lcs._builtin_json", lambda name: reads.append(name) or real(name))
+    assert t_functional(diff) == 1
+    first = len(reads)
+    assert "dual_basis_c8.json" in reads
+    for _ in range(4):
+        assert t_functional(diff) == 1
+    assert len(reads) == first
 
 
 # -- kappa --------------------------------------------------------------------
