@@ -144,6 +144,8 @@ def load_configuration(data: dict) -> Configuration:
         raise ConfigFormatError("'lines' must be a list of line names")
     if infinity not in lines:
         raise ConfigFormatError("infinity line is not in the line list")
+    if len(set(lines)) != len(lines):
+        raise ConfigFormatError("duplicate line names")
     if not isinstance(points, list):
         raise ConfigFormatError("'points' must be a list")
     lines = [infinity] + [l for l in lines if l != infinity]

@@ -24,9 +24,11 @@ Coordinate conventions, shared with the bundled data files:
 Every degree-3 object is one route: a sparse left-normed lift into
 H⊗Λ²H, then the bracketing matrix ``LcsData.bracket`` (H⊗Λ²H → L3),
 then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
-cached lift ``LcsData.tau_lift`` of each A coordinate; δ̄ lifts f̂ at each
-generator flag; R3perp pulls perp(R3) back along the bracket.  A lift is
-a sequence of (generator flag, slot, coefficient) terms.
+cached lift ``LcsData.tau_lift`` of each A coordinate and is stored per
+point (``LcsData.tau_blocks``); ``tau_matrix`` is the dense view kept for
+the pinned digests, ``check_equivariance`` and the benchmark.  δ̄ lifts f̂
+at each generator flag; R3perp pulls perp(R3) back along the bracket.  A
+lift is a sequence of (generator flag, slot, coefficient) terms.
 
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
@@ -56,7 +58,6 @@ from .exactlin import (
     Witness,
     dot,
     kernel_basis,
-    lattice_sum,
     member,
     perp,
     quotient_presentation,
@@ -92,9 +93,10 @@ class LcsData:
     """Degree-2 and degree-3 graded data of one configuration.
 
     Degree-2 objects are built eagerly.  The degree-3 objects (the
-    bracket map, R3, P3, R3perp, the τ̃ lift and matrix, Im δ̄) are
-    cached properties computed on first use, so purely degree-2 work on
-    large configurations stays cheap.
+    bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, its dense
+    matrix for the pinned digests, ``check_equivariance`` and the
+    benchmark, Im δ̄) are cached properties computed on first use, so
+    purely degree-2 work on large configurations stays cheap.
     """
 
     def __init__(self, config: Configuration):
@@ -251,20 +253,33 @@ class LcsData:
         proj = self.p3.projection
         return IntMatrix([vec_mat(row, proj) for row in self.bracket.entries], proj.cols)
 
-    def _to_hom(self, lift) -> tuple[int, ...]:
-        """Flat Hom(R2,P3) coordinates of a sparse (generator flag, slot, coefficient) lift."""
+    def _to_hom(self, lift, gens: range | None = None) -> tuple[int, ...]:
+        """Flat Hom(R2,P3) coordinates of a sparse lift on the generator flags ``gens`` (default all)."""
         r = self.p3.free_rank
         bp = self._bracket_p3.entries
-        out = [0] * (len(self.gens) * r)
+        gens = gens or range(len(self.gens))
+        out = [0] * (len(gens) * r)
         for g, s, c in lift:
-            for t, x in enumerate(bp[s], g * r):
+            for t, x in enumerate(bp[s], (g - gens.start) * r):
                 if x:
                     out[t] += c * x
         return tuple(out)
 
     @cached_property
+    def tau_blocks(self) -> tuple[tuple[slice, slice, IntMatrix], ...]:
+        """τ̃ = ⊕_p τ̃_p: (A rows, Hom(R2,P3) columns, τ̃_p) for each finite point p, in ``index.p0`` order."""
+        n, r, out, flag, gen = self.n, self.p3.free_rank, [], 0, 0
+        for p in self.index.p0:
+            k = self.config.multiplicity(p)
+            rows, gens = slice(flag * n, (flag + k) * n), range(gen, gen + k - 1)
+            block = IntMatrix([self._to_hom(lift, gens) for lift in self.tau_lift[rows]], len(gens) * r)
+            out.append((rows, slice(gen * r, gens.stop * r), block))
+            flag, gen = flag + k, gen + k - 1
+        return tuple(out)
+
+    @cached_property
     def tau_matrix(self) -> IntMatrix:
-        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order."""
+        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order; zero off the ``tau_blocks``."""
         return IntMatrix([self._to_hom(lift) for lift in self.tau_lift], len(self.gens) * self.p3.free_rank)
 
     def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
@@ -336,11 +351,12 @@ def _as_abelian(g: GMap | AbelianGMap) -> AbelianGMap:
 
 
 def tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
-    """τ̃a(r̄(i,p)) = [[x_i,a(i,p)], s_p] + [x_i, Σ_j [x_j,a(j,p)]] + R3."""
+    """τ̃a(r̄(i,p)) = [[x_i,a(i,p)], s_p] + [x_i, Σ_j [x_j,a(j,p)]] + R3, block by block."""
     a = _as_abelian(a)
     if a.config != data.config:
         raise ConfigMismatchError("conjugator data belongs to another configuration")
-    return HomR2P3(data.gens, data.p3.free_rank, vec_mat(a.vector(), data.tau_matrix))
+    vec = a.vector()
+    return HomR2P3(data.gens, data.p3.free_rank, tuple(x for rows, _, b in data.tau_blocks for x in vec_mat(vec[rows], b)))
 
 
 def _lift_rows(data: LcsData, lift) -> IntMatrix:
@@ -358,11 +374,6 @@ def tau_lift_rows(data: LcsData, a: GMap | AbelianGMap) -> IntMatrix:
         raise ConfigMismatchError("conjugator data belongs to another configuration")
     lift = [(g, s, x * c) for x, terms in zip(a.vector(), data.tau_lift) if x for g, s, c in terms]
     return _lift_rows(data, lift)
-
-
-def bracket_to_l3(data: LcsData, hw_row: Sequence[int]) -> tuple[int, ...]:
-    """Apply the bracketing map H⊗Λ²H → L3 to flat slot coordinates."""
-    return vec_mat(hw_row, data.bracket)
 
 
 def delta_bar(data: LcsData, f: IntMatrix) -> HomR2P3:
@@ -392,29 +403,27 @@ def delta_kernel(data: LcsData) -> Lattice:
 # -- the kernel lattices U and B ---------------------------------------------
 
 
-def u_lattice(config: Configuration) -> Lattice:
-    """Span of the three generator families known to lie in ker τ̃.
+def _u_generators(config: Configuration):
+    """The generator rows of U, each with the finite point whose flags carry it.
 
-    Family 0: x_i at the single flag (i,p).  Family 1: x_i at every
-    flag of one point, for every i.  Family 2: Σ_{k: p2 on l_k} x_k at
-    the single flag (i,p1), for every finite point p2 on l_i (p2 = p1
-    allowed).
+    Family 0: x_i at the single flag (i,p).  Family 1: x_i at every flag of
+    one point, for every i.  Family 2: Σ_{k: p2 on l_k} x_k at the single
+    flag (i,p1), for every finite point p2 on l_i (p2 = p1 allowed).
     """
     idx = IncidenceIndex(config)
     n = idx.n
     dim = len(idx.pairs) * n
     p0set = set(idx.p0)
-    rows = []
     for pos, (i, p) in enumerate(idx.pairs):
         row = [0] * dim
         row[pos * n + (i - 1)] = 1
-        rows.append(row)
+        yield p, row
     for p in idx.p0:
         for i in range(1, n + 1):
             row = [0] * dim
             for j in config.lines_through(p):
                 row[idx.pair_pos[(j, p)] * n + (i - 1)] = 1
-            rows.append(row)
+            yield p, row
     for pos, (i, p1) in enumerate(idx.pairs):
         for p2 in config.points_on(i):
             if p2 not in p0set:
@@ -422,8 +431,12 @@ def u_lattice(config: Configuration) -> Lattice:
             row = [0] * dim
             for k in config.lines_through(p2):
                 row[pos * n + (k - 1)] += 1
-            rows.append(row)
-    return Lattice(dim, IntMatrix(rows, dim))
+            yield p1, row
+
+
+def u_lattice(config: Configuration) -> Lattice:
+    """Span of the three generator families known to lie in ker τ̃ (see ``_u_generators``)."""
+    return Lattice(len(IncidenceIndex(config).pairs) * (len(config.lines) - 1), [row for _, row in _u_generators(config)])
 
 
 def b_lattice(config: Configuration) -> Lattice:
@@ -442,13 +455,20 @@ def b_lattice(config: Configuration) -> Lattice:
     return Lattice(dim, IntMatrix(rows, dim))
 
 
+def _u_blocks(data: LcsData):
+    """(A rows, Hom(R2,P3) columns, τ̃_p, U_p) per finite point p; U_p is spanned by U's generators at p."""
+    gens = list(_u_generators(data.config))
+    for p, (rows, cols, block) in zip(data.index.p0, data.tau_blocks):
+        yield rows, cols, block, Lattice(rows.stop - rows.start, [row[rows] for q, row in gens if q == p])
+
+
 def tau_kernel(data: LcsData) -> Lattice:
     return Lattice(data.a_rank, kernel_basis(data.tau_matrix))
 
 
 def tau_kernel_equals_u(data: LcsData) -> bool:
-    """ker τ̃ = U (exact lattice equality)."""
-    return tau_kernel(data) == u_lattice(data.config)
+    """ker τ̃ = U, point by point: both are direct sums over p, so ker τ̃_p = U_p at every p."""
+    return all(Lattice(u.ambient_rank, kernel_basis(block)) == u for _, _, block, u in _u_blocks(data))
 
 
 def tau_preimage(data: LcsData) -> Lattice:
@@ -460,8 +480,28 @@ def tau_preimage(data: LcsData) -> Lattice:
 
 
 def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
-    """τ̃^{-1}(Im δ̄) = U + B (exact lattice equality)."""
-    return tau_preimage(data) == lattice_sum(u_lattice(data.config), b_lattice(data.config))
+    """τ̃⁻¹(Im δ̄) = U + B, decided in A/U = ⊕ A_p/U_p (rank 36 on C13), whether or not ker τ̃ = U.
+
+    Let π: A → A/U with section s.  Once τ̃(U) ⊆ Im δ̄, a lies in the
+    preimage iff s(π(a)) does, so the equality holds iff π(preimage), the
+    left kernel of [τ̃∘s; Im δ̄] cut to its first block, equals π(B).
+    Raises TorsionError if A/U has torsion, where no such section exists.
+    """
+    width, blocks = len(data.gens) * data.p3.free_rank, list(_u_blocks(data))
+
+    def spread(cols, v):
+        return [0] * cols.start + list(v) + [0] * (width - cols.stop)
+    images = [(cols, vec_mat(x, block)) for _, cols, block, u in blocks for x in u.canonical_form.entries]
+    if not all(member(spread(cols, v), data.im_delta) for cols, v in images if any(v)):
+        return False
+    quos = [quotient_presentation(u) for *_, u in blocks]
+    if not all(q.is_torsion_free for q in quos):
+        raise TorsionError("A/U has torsion")
+    tau_s = [spread(cols, vec_mat(x, block)) for (_, cols, block, _), q in zip(blocks, quos) for x in q.section.entries]
+    joint = kernel_basis(vstack(IntMatrix(tau_s, width), data.im_delta.basis))
+    b_rows = b_lattice(data.config).basis.entries
+    pi_b = [[x for (rows, *_), q in zip(blocks, quos) for x in vec_mat(b[rows], q.projection)] for b in b_rows]
+    return Lattice(len(tau_s), [k[: len(tau_s)] for k in joint.entries]) == Lattice(len(tau_s), pi_b)
 
 
 # -- dual elements ------------------------------------------------------------

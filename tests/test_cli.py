@@ -58,8 +58,9 @@ def test_validate_builtin_configs(capsys):
         {**TRIANGLE, "points": 5},
         {**TRIANGLE, "points": [{"name": "a", "lines": 7}]},
         {**TRIANGLE, "points": [{"name": ["p"], "lines": ["l0", "l1"]}]},
+        {**TRIANGLE, "lines": ["l0", "l1", "l2", "l0"]},
     ],
-    ids=["points-not-a-list", "lines-not-a-list", "name-not-a-string"],
+    ids=["points-not-a-list", "lines-not-a-list", "name-not-a-string", "repeated-infinity-line"],
 )
 def test_validate_rejects_malformed_shapes(capsys, tmp_path, bad):
     code, payload = run_json(capsys, "validate", write_json(tmp_path, "bad.json", bad))

@@ -239,6 +239,10 @@ def test_loader_rejects_bad_shapes():
         load_configuration(
             {"lines": ["l0", "l1", "l1"], "infinity": "l0", "points": []}
         )
+    # a repeated infinity line is a duplicate like any other
+    c8 = json.loads(maclane_c8().canonical_json())
+    with pytest.raises(ConfigFormatError, match="duplicate line names"):
+        load_configuration({**c8, "lines": c8["lines"] + [c8["infinity"]]})
     with pytest.raises(ConfigFormatError):
         load_configuration({"lines": "ab", "infinity": "a", "points": [{"name": "p", "lines": ["a", "b"]}]})
     with pytest.raises(ConfigFormatError):

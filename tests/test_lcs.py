@@ -6,15 +6,15 @@ import random
 
 import pytest
 
-from arrlcs import lcs
+from arrlcs import exactlin, lcs
 from arrlcs.config import glue_c13, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, dot, lattice_sum, member, perp, vec_mat
 from arrlcs.lcs import (
     ConfigMismatchError,
     HomR2P3,
+    TorsionError,
     automorphism_from_line_perm,
     b_lattice,
-    bracket_to_l3,
     build_lcs,
     builtin_g_difference,
     builtin_g_map,
@@ -213,6 +213,136 @@ def test_kernel_callers_do_not_transpose(monkeypatch, maclane_data):
     assert data._r3perp_via_dstar() == data.r3perp
 
 
+# -- the per-point predicates against the global reference route -------------
+
+
+def _agree_with_reference(data):
+    """Each predicate equals its global comparison, and τ̃ per point equals the dense matrix."""
+    u, b = lcs.u_lattice(data.config), lcs.b_lattice(data.config)
+    kernel_ok, preimage_ok = tau_kernel(data) == u, tau_preimage(data) == lattice_sum(u, b)
+    assert tau_kernel_equals_u(data) == kernel_ok
+    assert tau_preimage_equals_u_plus_b(data) == preimage_ok
+    for k in range(3):
+        a = random_abelian(random.Random(k), data)
+        assert tau_tilde(data, a).flat == vec_mat(a.vector(), data.tau_matrix)
+    return kernel_ok, preimage_ok
+
+
+def test_predicates_match_the_global_route(maclane_data, asymmetric_config):
+    assert _agree_with_reference(maclane_data) == (True, True)
+    # on the 9-line fixture ker τ̃ is larger than U (one extra rank at p578)
+    # yet still inside U + B, so the preimage identity holds without ker τ̃ = U
+    assert _agree_with_reference(build_lcs(asymmetric_config)) == (False, True)
+
+
+def test_predicates_match_the_global_route_on_c13(c13_data):
+    assert _agree_with_reference(c13_data) == (True, True)
+
+
+def test_tau_blocks_cover_the_dense_matrix(maclane_data):
+    data = maclane_data
+    dense = [[0] * data.tau_matrix.cols for _ in range(data.a_rank)]
+    for rows, cols, block in data.tau_blocks:
+        for i, row in zip(range(rows.start, rows.stop), block.entries):
+            dense[i][cols] = row
+    assert IntMatrix(dense, data.tau_matrix.cols) == data.tau_matrix
+
+
+def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch, maclane_data):
+    data = maclane_data
+    unit = next(
+        v
+        for v in ([int(k == j) for k in range(data.a_rank)] for j in range(data.a_rank))
+        if not tau_tilde(data, AbelianGMap.from_vector(data.config, v)).is_zero()
+    )
+    point = data.index.pairs[unit.index(1) // data.n][1]
+    assert not member(unit, lcs.u_lattice(data.config))
+    generators = lcs._u_generators
+
+    def with_extra(config):
+        yield from generators(config)
+        yield point, unit
+
+    monkeypatch.setattr(lcs, "_u_generators", with_extra)
+    u, b = lcs.u_lattice(data.config), lcs.b_lattice(data.config)
+    assert tau_kernel(data) != u and not tau_kernel_equals_u(data)
+    assert tau_preimage(data) != lattice_sum(u, b) and not tau_preimage_equals_u_plus_b(data)
+
+
+def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch, maclane_data):
+    data = maclane_data
+    point = data.index.p0[0]
+    generators = lcs._u_generators
+
+    def doubled_at_point(config):
+        for p, row in generators(config):
+            yield p, [2 * x for x in row] if p == point else row
+
+    monkeypatch.setattr(lcs, "_u_generators", doubled_at_point)
+    u = lcs.u_lattice(data.config)
+    assert u.rank == 129 and tau_kernel(data) != u and not tau_kernel_equals_u(data)
+    # A/U has torsion, so the preimage route has no section to work with
+    with pytest.raises(TorsionError):
+        tau_preimage_equals_u_plus_b(data)
+
+
+def test_preimage_predicate_fails_when_b_gains_the_builtin_difference(monkeypatch, maclane_data):
+    data = maclane_data
+    diff = builtin_g_difference()
+    assert not kappa(data, builtin_g_map("plus"), builtin_g_map("minus")).zero
+    b_lattice_orig = lcs.b_lattice
+
+    def with_difference(config):
+        b = b_lattice_orig(config)
+        return Lattice(b.ambient_rank, list(b.basis.entries) + [diff.vector()])
+
+    monkeypatch.setattr(lcs, "b_lattice", with_difference)
+    u, b = lcs.u_lattice(data.config), lcs.b_lattice(data.config)
+    assert tau_kernel_equals_u(data)
+    assert tau_preimage(data) != lattice_sum(u, b) and not tau_preimage_equals_u_plus_b(data)
+
+
+def _row_counter(monkeypatch, names):
+    """Wrap exactlin reductions (and the names lcs imported) to record the rows of each call."""
+    rows = {name: [] for name in names}
+    for name in names:
+        real = getattr(exactlin, name)
+
+        def counted(m, _real=real, _name=name):
+            rows[_name].append(m.rows)
+            return _real(m)
+
+        monkeypatch.setattr(exactlin, name, counted)
+        if hasattr(lcs, name):
+            monkeypatch.setattr(lcs, name, counted)
+    return rows
+
+
+def test_verdict_path_never_builds_the_dense_tau(monkeypatch):
+    data = build_lcs(maclane_c8())
+    data.p3, data.im_delta  # noqa: B018 - built before counting
+    rows = _row_counter(monkeypatch, ["kernel_basis"])
+    assert not kappa(data, builtin_g_map("plus"), builtin_g_map("minus")).zero
+    assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
+    assert "tau_matrix" not in vars(data)
+    # rank Im τ̃ + Im δ̄ basis rows = 18 + 56; the dense route reduces 147 and 203
+    assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 56
+
+
+def test_c13_verdict_reductions_stay_small(monkeypatch, c13_data):
+    data = c13_data
+    data.p3, data.im_delta  # noqa: B018 - built before counting
+
+    def no_u_lattice(config):
+        raise AssertionError("the verdict path builds no global U")
+
+    monkeypatch.setattr(lcs, "u_lattice", no_u_lattice)
+    rows = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"])
+    assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
+    tau_tilde(data, random_abelian(random.Random(0), data))
+    assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
+
+
 # -- tau and delta ------------------------------------------------------------
 
 
@@ -243,7 +373,7 @@ def test_tau_lift_rows_project_to_tau_value(maclane_data):
         lift = tau_lift_rows(data, a)
         flat = []
         for g in range(len(data.gens)):
-            flat.extend(vec_mat(bracket_to_l3(data, lift.row(g)), proj))
+            flat.extend(vec_mat(vec_mat(lift.row(g), data.bracket), proj))
         assert tuple(flat) == tau_tilde(data, a).flat
 
 
@@ -278,7 +408,7 @@ def test_delta_lift_rows_project_to_delta_value(maclane_data):
         lift = delta_lift_rows(data, fhat)
         flat = []
         for g in range(len(data.gens)):
-            flat.extend(vec_mat(bracket_to_l3(data, lift.row(g)), proj))
+            flat.extend(vec_mat(vec_mat(lift.row(g), data.bracket), proj))
         assert tuple(flat) == delta_bar_from_lift(data, fhat).flat
 
 
