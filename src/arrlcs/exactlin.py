@@ -15,6 +15,11 @@ Normal form conventions:
   ``left @ m @ right`` diagonal, divisors positive and each dividing
   the next.
 
+Hermite reduction runs on sparse rows ``{column: entry}`` and skips the
+columns no working row reaches, but performs the dense algorithm's
+operations in its order, so its transforms are deterministic and equal
+to a dense reduction's.  Results come back as dense ``IntMatrix``es.
+
 Linear maps act on row vectors (v ↦ v·m).  ``Lattice.__init__`` is the
 one place a lattice is put in canonical form: ``kernel_basis(m)``
 returns a plain basis of the left kernel {v : v·m = 0}, read off the
@@ -34,16 +39,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable integer matrix; entries stored as a tuple of row tuples."""
+    """Immutable integer matrix; entries stored as a tuple of row tuples.
+
+    Entries must be Python ``int``s and are stored as given, without
+    coercion: a ``float`` or ``Fraction`` passed in would break exactness.
+    """
 
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, rows: Iterable[Sequence[int]], cols: int | None = None):
-        ents = tuple(tuple(map(int, row)) for row in rows)
+        ents = tuple(tuple(row) for row in rows)
         if ents:
             ncols = len(ents[0]) if cols is None else cols
             for row in ents:
@@ -138,7 +148,7 @@ def vec_mat(v: Sequence[int], m: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- row operation helpers on list-of-list workspaces --------------------
+# -- row operation helpers ------------------------------------------------
 
 
 def _row_sub(a: list[list[int]], i: int, j: int, q: int) -> None:
@@ -147,54 +157,86 @@ def _row_sub(a: list[list[int]], i: int, j: int, q: int) -> None:
         a[i] = [x - q * y for x, y in zip(a[i], rj)]
 
 
-def _hnf_core(a: list[list[int]], ncols: int, u: list[list[int]] | None):
-    """Reduce `a` to row HNF in place, mirroring ops on `u`.  Returns pivots."""
+def _sparse_sub(a: list[dict[int, int]], i: int, j: int, q: int) -> None:
+    """``a[i] -= q·a[j]`` on sparse rows; entries that cancel are dropped."""
+    ri = a[i]
+    for k, y in a[j].items():
+        x = ri.get(k, 0) - q * y
+        if x:
+            ri[k] = x
+        else:
+            del ri[k]
+
+
+def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | None) -> list[int]:
+    """Reduce sparse rows ``{column: entry}`` to row HNF in place, mirroring ops on ``u``.
+
+    The operation sequence is the dense algorithm's: per column, the pivot
+    is the smallest |entry| at or below row ``r`` (lowest row on ties), the
+    rows below are reduced by floor quotients until the column is clean,
+    the pivot is made positive, then the rows above are reduced into
+    ``[0, pivot)``.  So ``a``, ``u`` and the pivots are deterministic and
+    equal to a dense run's.  Rows at or below ``r`` vanish left of the
+    current column, so the loop tracks each one's leading column and jumps
+    to the least, skipping the empty columns.  Returns the pivot columns.
+    """
     nrows = len(a)
+    lead = [min(row, default=ncols) for row in a]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for r in range(nrows):
+        c = min(lead[r:])
+        if c == ncols:
             break
         while True:
-            nz = [i for i in range(r, nrows) if a[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
+            i0 = min((i for i in range(r, nrows) if lead[i] == c), key=lambda i: abs(a[i][c]))
             if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
+                a[r], a[i0], lead[r], lead[i0] = a[i0], a[r], lead[i0], lead[r]
                 if u is not None:
                     u[r], u[i0] = u[i0], u[r]
             if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
+                a[r] = {k: -x for k, x in a[r].items()}
                 if u is not None:
-                    u[r] = [-x for x in u[r]]
+                    u[r] = {k: -x for k, x in u[r].items()}
             clean = True
             for i in range(r + 1, nrows):
-                if a[i][c]:
+                if lead[i] == c:
                     q = a[i][c] // a[r][c]
-                    _row_sub(a, i, r, q)
+                    _sparse_sub(a, i, r, q)
                     if u is not None:
-                        _row_sub(u, i, r, q)
-                    if a[i][c]:
+                        _sparse_sub(u, i, r, q)
+                    if c in a[i]:
                         clean = False
+                    else:
+                        lead[i] = min(a[i], default=ncols)
             if clean:
                 break
-        if r < nrows and a[r][c]:
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                _row_sub(a, i, r, q)
+        for i in range(r):
+            q = a[i].get(c, 0) // a[r][c]
+            if q:
+                _sparse_sub(a, i, r, q)
                 if u is not None:
-                    _row_sub(u, i, r, q)
-            pivots.append(c)
-            r += 1
+                    _sparse_sub(u, i, r, q)
+        pivots.append(c)
     return pivots
+
+
+def _sparse(m: IntMatrix) -> list[dict[int, int]]:
+    return [dict(compress(enumerate(row), row)) for row in m.entries]
+
+
+def _dense(rows: list[dict[int, int]], n: int) -> IntMatrix:
+    out = [[0] * n for _ in rows]
+    for d, row in zip(out, rows):
+        for k, x in row.items():
+            d[k] = x
+    return IntMatrix(out, n)
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form with zero rows dropped (canonical)."""
-    a = m.to_lists()
+    a = _sparse(m)
     pivots = _hnf_core(a, m.cols, None)
-    return IntMatrix(a[: len(pivots)], m.cols)
+    return _dense(a[: len(pivots)], m.cols)
 
 
 def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
@@ -203,10 +245,10 @@ def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
     ``u`` is square unimodular of size ``m.rows``; ``h`` has the zero rows
     dropped, so ``len(pivots) == h.rows`` is the rank.
     """
-    a = m.to_lists()
-    u = IntMatrix.identity(m.rows).to_lists()
+    a = _sparse(m)
+    u = [{i: 1} for i in range(m.rows)]
     pivots = _hnf_core(a, m.cols, u)
-    return IntMatrix(a[: len(pivots)], m.cols), IntMatrix(u, m.rows), pivots
+    return _dense(a[: len(pivots)], m.cols), _dense(u, m.rows), pivots
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

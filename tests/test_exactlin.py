@@ -10,6 +10,7 @@ from arrlcs.exactlin import (
     Lattice,
     dot,
     hnf,
+    hnf_with_transform,
     kernel_basis,
     lattice_sum,
     member,
@@ -27,6 +28,15 @@ def matrices(draw, rows=(0, 5), cols=(1, 6), bound=9):
     n = draw(st.integers(*cols))
     row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
     return IntMatrix(draw(st.lists(row, min_size=rows[0], max_size=rows[1])), n)
+
+
+@st.composite
+def wide_sparse(draw, max_rows=12, max_cols=60):
+    """Few nonzeros per row: zero rows, zero columns and negative leads are common."""
+    n = draw(st.integers(1, max_cols))
+    entry = st.dictionaries(st.integers(0, n - 1), st.integers(-9, 9).filter(bool), max_size=3)
+    rows = draw(st.lists(entry, max_size=max_rows))
+    return IntMatrix([[row.get(j, 0) for j in range(n)] for row in rows], n)
 
 
 def lattices(**shape):
@@ -118,6 +128,75 @@ def test_hnf_canonical_under_unimodular_row_ops(data):
         elif i != j:
             rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
     assert hnf(IntMatrix(rows, m.cols)) == hnf(m)
+
+
+def dense_hnf_core(a, ncols, u):
+    """The dense reduction, kept as the oracle the sparse kernel must replay step for step."""
+
+    def row_sub(rows, i, j, q):
+        if q:
+            rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+
+    nrows = len(a)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        while True:
+            nz = [i for i in range(r, nrows) if a[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(a[i][c]))
+            if i0 != r:
+                a[r], a[i0] = a[i0], a[r]
+                u[r], u[i0] = u[i0], u[r]
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+                u[r] = [-x for x in u[r]]
+            clean = True
+            for i in range(r + 1, nrows):
+                if a[i][c]:
+                    q = a[i][c] // a[r][c]
+                    row_sub(a, i, r, q)
+                    row_sub(u, i, r, q)
+                    if a[i][c]:
+                        clean = False
+            if clean:
+                break
+        if r < nrows and a[r][c]:
+            for i in range(r):
+                q = a[i][c] // a[r][c]
+                row_sub(a, i, r, q)
+                row_sub(u, i, r, q)
+            pivots.append(c)
+            r += 1
+    return pivots
+
+
+def assert_replays_dense_reduction(m: IntMatrix) -> None:
+    a = [list(row) for row in m.entries]
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    pivots = dense_hnf_core(a, m.cols, u)
+    h = IntMatrix(a[: len(pivots)], m.cols)
+    assert hnf_with_transform(m) == (h, IntMatrix(u, m.rows), pivots)
+    assert hnf(m) == h
+
+
+@settings(max_examples=300)
+@given(st.one_of(matrices(), wide_sparse()))
+@example(IntMatrix([[0, -2, 0, 3, 0], [0, 0, 0, 0, 0], [0, -4, 0, 1, 0], [0, 0, -3, 0, 0]], 5))
+def test_hnf_transform_equals_the_dense_reduction(m):
+    assert_replays_dense_reduction(m)
+
+
+def test_hnf_transform_equals_the_dense_reduction_on_empty_shapes():
+    for m in (IntMatrix([], 0), IntMatrix([], 4), IntMatrix([()] * 3, 0)):
+        assert_replays_dense_reduction(m)
+
+
+def test_hnf_transform_equals_the_dense_reduction_on_c13(c13_data):
+    assert_replays_dense_reduction(c13_data.im_delta.basis)
 
 
 # -- SNF ---------------------------------------------------------------------

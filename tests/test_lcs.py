@@ -161,6 +161,38 @@ def test_degree_three_coordinates_are_pinned(maclane_data, asymmetric_config):
         assert got == DEGREE_THREE_DIGESTS[name], name
 
 
+def test_reduction_builds_no_dense_identity_or_work_lists(monkeypatch, maclane_data):
+    basis = maclane_data.r3.basis
+
+    def no_dense(*args):
+        raise AssertionError("the reduction kernel builds dense work rows")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(IntMatrix, "identity", staticmethod(no_dense))
+        mp.setattr(IntMatrix, "to_lists", no_dense)
+        h = exactlin.hnf(basis)
+        ht, u, pivots = exactlin.hnf_with_transform(basis)
+        perp_r3 = Lattice(basis.cols, exactlin.kernel_basis(basis.transpose()))
+    pins = DEGREE_THREE_DIGESTS["maclane"]
+    assert _matrix_digest(h) == _matrix_digest(ht) == pins["r3"]
+    assert _matrix_digest(perp_r3.canonical_form) == pins["perp_r3"]
+    assert u @ basis == exactlin.vstack(h, IntMatrix.zeros(basis.rows - len(pivots), basis.cols))
+
+
+def test_degree_three_matrices_hold_exact_ints(maclane_data, asymmetric_config):
+    # IntMatrix stores entries as given, so a Fraction or float leaking in would stay
+    for data in (maclane_data, build_lcs(asymmetric_config)):
+        for m in (
+            data.r3.canonical_form,
+            data.p3.projection,
+            data.p3.section,
+            data.tau_matrix,
+            data.im_delta.basis,
+            exactlin.kernel_basis(data.im_delta.basis),
+        ):
+            assert all(type(x) is int for row in m.entries for x in row)
+
+
 # -- the kernel lattices ------------------------------------------------------
 
 
