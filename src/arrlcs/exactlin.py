@@ -15,10 +15,12 @@ Normal form conventions:
   ``left @ m @ right`` diagonal, divisors positive and each dividing
   the next.
 
-Hermite reduction runs on sparse rows ``{column: entry}`` and skips the
-columns no working row reaches, but performs the dense algorithm's
-operations in its order, so its transforms are deterministic and equal
-to a dense reduction's.  Results come back as dense ``IntMatrix``es.
+All elimination, Hermite and Smith, runs on sparse rows
+``{column: entry}`` in one kernel.  It skips the columns no working row
+reaches, but performs the dense Hermite algorithm's operations in its
+order, so its transforms are deterministic and equal to a dense
+reduction's.  The Smith form alternates that kernel over the rows and
+the columns.  Results come back as dense ``IntMatrix``es.
 
 Linear maps act on row vectors (v ↦ v·m).  ``Lattice.__init__`` is the
 one place a lattice is put in canonical form: ``kernel_basis(m)``
@@ -31,8 +33,8 @@ on failure, one back-substitution on its pivot block gives the witness.
 A quotient ``ZZ^n / lattice`` is presented by one path: the projection
 is Kᵀ for K the canonical form of ``perp(lattice)``, and the section
 comes from the transform of one ``hnf_with_transform(Kᵀ)``.  The Smith
-form runs only when the lattice is not saturated, to name the torsion
-divisors.
+form of the lattice's canonical form runs only when the lattice is not
+saturated, to name the torsion divisors.
 """
 
 from __future__ import annotations
@@ -151,12 +153,6 @@ def vec_mat(v: Sequence[int], m: IntMatrix) -> tuple[int, ...]:
 # -- row operation helpers ------------------------------------------------
 
 
-def _row_sub(a: list[list[int]], i: int, j: int, q: int) -> None:
-    if q:
-        rj = a[j]
-        a[i] = [x - q * y for x, y in zip(a[i], rj)]
-
-
 def _sparse_sub(a: list[dict[int, int]], i: int, j: int, q: int) -> None:
     """``a[i] -= q·a[j]`` on sparse rows; entries that cancel are dropped."""
     ri = a[i]
@@ -232,6 +228,14 @@ def _dense(rows: list[dict[int, int]], n: int) -> IntMatrix:
     return IntMatrix(out, n)
 
 
+def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    out: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for k, x in row.items():
+            out[k][i] = x
+    return out
+
+
 def hnf(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form with zero rows dropped (canonical)."""
     a = _sparse(m)
@@ -261,88 +265,38 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 
 def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """Smith normal form: ``(divisors, left, right)``, ``left @ m @ right`` diagonal."""
-    nr, nc = m.rows, m.cols
-    a = m.to_lists()
-    left = IntMatrix.identity(nr).to_lists()
-    right = IntMatrix.identity(nc).to_lists()
+    """Smith normal form: ``(divisors, left, right)``, ``left @ m @ right`` diagonal.
 
-    def row_sub(i, j, q):
-        _row_sub(a, i, j, q)
-        _row_sub(left, i, j, q)
-
-    def col_sub(j, i, q):
-        if q:
-            for row in a:
-                row[j] -= q * row[i]
-            for row in right:
-                row[j] -= q * row[i]
-
-    def row_swap(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            left[i], left[j] = left[j], left[i]
-
-    def col_swap(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in right:
-                row[i], row[j] = row[j], row[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    t = 0
+    Hermite passes alternate between the rows and the columns, each
+    applying its row operations to ``left`` or to the rows of ``right``ᵀ,
+    until every row holds one entry.  A pair of entries where the smaller
+    does not divide the larger is merged by adding one row to the other,
+    and the other orientation is reduced next (the same one would undo
+    the addition).  Finally the entries are moved to the diagonal in
+    ascending order.
+    """
+    a, ncols = _sparse(m), m.cols
+    ops = [[{i: 1} for i in range(m.rows)], [{j: 1} for j in range(m.cols)]]
+    side = 0
     while True:
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        row_swap(t, best[1])
-        col_swap(t, best[2])
-        while True:
-            # clear column t, then row t; repeat while either dirties the other
-            for i in range(nr):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_sub(i, t, q)
-                    if a[i][t]:
-                        row_swap(t, i)
-            if any(a[i][t] for i in range(nr) if i != t):
-                continue
-            for j in range(nc):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_sub(j, t, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-            if any(a[t][j] for j in range(nc) if j != t):
-                continue
-            if any(a[i][t] for i in range(nr) if i != t):
-                continue
-            # enforce pivot | remaining block before moving on
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+        _hnf_core(a, ncols, ops[side])
+        if all(len(row) < 2 for row in a):
+            diag = sorted((x, i, c) for i, row in enumerate(a) for c, x in row.items())
+            bad = next(((i, j) for (x, i, _), (y, j, _) in zip(diag, diag[1:]) if y % x), None)
             if bad is None:
                 break
-            row_sub(t, bad, -1)
-        if a[t][t] < 0:
-            row_neg(t)
-        t += 1
-    divisors = tuple(a[k][k] for k in range(t))
-    return divisors, IntMatrix(left, nr), IntMatrix(right, nc)
+            _sparse_sub(a, *bad, -1)
+            _sparse_sub(ops[side], *bad, -1)
+        a, ncols, side = _transpose(a, ncols), len(a), 1 - side
+    # working row i holds its one entry x in column c: move each to (k, k)
+    order = [i for _, i, _ in diag], [c for *_, c in diag]
+    if side:
+        order = order[::-1]
+    for u, first in zip(ops, order):
+        taken = set(first)
+        u[:] = [u[k] for k in first] + [row for k, row in enumerate(u) if k not in taken]
+    left, right = ops
+    return tuple(x for x, *_ in diag), _dense(left, m.rows), _dense(_transpose(right, m.cols), m.cols)
 
 
 # -- lattices -------------------------------------------------------------
@@ -424,9 +378,9 @@ def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
     On success ``coefficients`` expresses ``v`` over ``lat.basis`` rows.
     On failure the witness has ``modulus == 0`` (rational failure) or a
     positive modulus dividing the pivot product (divisibility failure);
-    either comes from the Hermite pivot block alone.
+    either comes from the Hermite pivot block alone.  Entries of ``v``
+    must be Python ``int``s; they are used as given, without coercion.
     """
-    v = tuple(int(x) for x in v)
     if len(v) != lat.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
     h, keep, pivots = lat._reduction_data()
@@ -514,7 +468,8 @@ class QuotientPresentation:
     ``section`` (free_rank x ambient) is a right inverse, read off the
     transform that reduces Kᵀ to its Hermite form ``I``.  The quotient is
     torsion-free iff the lattice is saturated; ``elementary_divisors`` is
-    then all ones, otherwise the Smith diagonal of the lattice.
+    then all ones, otherwise the ``snf`` divisors of the canonical form,
+    whose entries above 1 are the torsion.
     """
 
     ambient_rank: int

@@ -189,17 +189,20 @@ def incident(line: ProjLine, point: ProjPoint) -> bool:
     return not dot(line, point)
 
 
+def _cross(u: _ProjTriple, v: _ProjTriple) -> tuple[CycloRational, ...]:
+    (a0, a1, a2), (b0, b1, b2) = u.coords, v.coords
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    (a0, a1, a2), (b0, b1, b2) = l1.coords, l2.coords
-    c = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    c = _cross(l1, l2)
     if not any(c):
         raise ValueError("coincident lines have no unique intersection")
     return ProjPoint(*c)
 
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
-    (a0, a1, a2), (b0, b1, b2) = p1.coords, p2.coords
-    c = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    c = _cross(p1, p2)
     if not any(c):
         raise ValueError("coincident points have no unique joining line")
     return ProjLine(*c)

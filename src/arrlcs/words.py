@@ -309,6 +309,15 @@ def conjugated_generators(config: Configuration, g: GMap, p: str) -> list[tuple[
     ]
 
 
+def _cyclic_product(ws: list[tuple[int, Word]], a: int) -> Word:
+    """c_a = w(i_a) w(i_{a-1}) ... w(i_1) w(i_k) ... w(i_{a+1}) for ``ws`` from ``conjugated_generators``."""
+    k = len(ws)
+    prod = Word()
+    for t in range(k):
+        prod = prod * ws[(a - 1 - t) % k][1]
+    return prod
+
+
 def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Word]:
     """One relator per non-minimal flag of each finite point.
 
@@ -324,14 +333,7 @@ def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Wor
     for p in idx.p0:
         ws = conjugated_generators(config, g, p)
         k = len(ws)
-        cs = []
-        for a in range(1, k + 1):
-            prod = Word()
-            for b in range(a - 1, -1, -1):
-                prod = prod * ws[b][1]
-            for b in range(k - 1, a - 1, -1):
-                prod = prod * ws[b][1]
-            cs.append(prod)
+        cs = [_cyclic_product(ws, a) for a in range(1, k + 1)]
         for a in range(2, k + 1):
             out[(ws[a - 1][0], p)] = cs[a - 2].inverse() * cs[a - 1]
     return out
@@ -342,13 +344,7 @@ def relator_at_flag(config: Configuration, g: GMap, i: int, p: str) -> Word:
     ws = conjugated_generators(config, g, p)
     lines = [j for j, _ in ws]
     a = lines.index(i) + 1
-    k = len(ws)
-    prod = Word()
-    for b in range(a - 1, -1, -1):
-        prod = prod * ws[b][1]
-    for b in range(k - 1, a - 1, -1):
-        prod = prod * ws[b][1]
-    return commutator(ws[a - 1][1], prod)
+    return commutator(ws[a - 1][1], _cyclic_product(ws, a))
 
 
 # -- truncated Magnus expansion ---------------------------------------------

@@ -1,6 +1,8 @@
 """Randomized laws for the exact integer linear algebra substrate."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -234,6 +236,43 @@ def test_snf_preserves_determinant_magnitude(m):
     assert math.prod(divisors) == abs(det)
 
 
+@settings(max_examples=200)
+@given(matrices())
+def test_snf_divisor_products_are_minor_gcds(m):
+    # d_1...d_k is the gcd of all k x k minors (0 past the rank)
+    divisors, _, _ = snf(m)
+    for k in range(1, min(m.rows, m.cols) + 1):
+        minors = (
+            bareiss_det(IntMatrix([[m.entries[i][j] for j in cols] for i in rows], k))
+            for rows in itertools.combinations(range(m.rows), k)
+            for cols in itertools.combinations(range(m.cols), k)
+        )
+        expect = math.prod(divisors[:k]) if k <= len(divisors) else 0
+        assert math.gcd(*minors) == expect
+
+
+def test_snf_of_im_delta_has_torsion_three(maclane_data, c13_data):
+    for data, torsion in ((maclane_data, (3,)), (c13_data, (3, 3))):
+        divisors, _, _ = snf(data.im_delta.canonical_form)
+        assert tuple(d for d in divisors if d != 1) == torsion
+        assert len(divisors) == data.im_delta.rank
+
+
+def test_snf_builds_no_dense_work_lists(monkeypatch, maclane_data):
+    def no_dense(*args):
+        pytest.fail("snf reduces dense lists")
+
+    m = maclane_data.im_delta.canonical_form
+    monkeypatch.setattr(IntMatrix, "to_lists", no_dense)
+    monkeypatch.setattr(IntMatrix, "identity", no_dense)
+    divisors, left, right = snf(m)
+    assert divisors[-1] == 3
+    # the canonical form has full row rank, so every row keeps a divisor
+    assert left @ m @ right == IntMatrix(
+        [[d if i == j else 0 for j in range(m.cols)] for i, d in enumerate(divisors)], m.cols
+    )
+
+
 # -- kernels -------------------------------------------------------------------
 
 
@@ -269,6 +308,11 @@ def test_member_fixed_examples():
     assert res.ok and res.coefficients == (2,)
     res = member([1, 0], lat)
     assert not res.ok and res.witness is not None
+
+
+def test_member_does_not_truncate_entries():
+    # 1/2 is not an integer multiple of the basis, whatever int() makes of it
+    assert not member((Fraction(1, 2), 0), Lattice(2, [[1, 0]])).ok
 
 
 @settings(max_examples=300)
