@@ -15,12 +15,15 @@ Normal form conventions:
   ``left @ m @ right`` diagonal, divisors positive and each dividing
   the next.
 
-All elimination, Hermite and Smith, runs on sparse rows
-``{column: entry}`` in one kernel.  It skips the columns no working row
-reaches, but performs the dense Hermite algorithm's operations in its
-order, so its transforms are deterministic and equal to a dense
-reduction's.  The Smith form alternates that kernel over the rows and
-the columns.  Results come back as dense ``IntMatrix``es.
+``IntMatrix`` stores sparse rows ``{column: entry}`` and nothing else;
+its dense ``entries`` is a view built when read.  All elimination,
+Hermite and Smith, runs on copies of those rows in one kernel, and its
+result rows are wrapped as they are.  The kernel skips the columns no
+working row reaches, but performs the dense Hermite algorithm's
+operations in its order, so its transforms are deterministic and equal
+to a dense reduction's.  The Smith form alternates that kernel over the
+rows and the columns.  Products, ``vec_mat`` and membership touch only
+nonzero entries.
 
 Linear maps act on row vectors (v ↦ v·m).  ``Lattice.__init__`` is the
 one place a lattice is put in canonical form: ``kernel_basis(m)``
@@ -46,76 +49,86 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable integer matrix; entries stored as a tuple of row tuples.
+    """Immutable integer matrix stored as sparse rows.
 
+    ``sparse_rows`` holds one ``{column: entry}`` dict per row, zeros never
+    stored; the dicts are shared, never mutated.  ``entries``, ``row()``
+    and ``to_lists()`` are dense views built each time they are read.
     Entries must be Python ``int``s and are stored as given, without
     coercion: a ``float`` or ``Fraction`` passed in would break exactness.
     """
 
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("sparse_rows", "rows", "cols")
 
     def __init__(self, rows: Iterable[Sequence[int]], cols: int | None = None):
-        ents = tuple(tuple(row) for row in rows)
-        if ents:
-            ncols = len(ents[0]) if cols is None else cols
-            for row in ents:
-                if len(row) != ncols:
-                    raise ValueError("ragged rows")
-        else:
-            if cols is None:
+        dense = [tuple(row) for row in rows]
+        if cols is None:
+            if not dense:
                 raise ValueError("empty matrix needs an explicit column count")
-            ncols = cols
-        object.__setattr__(self, "entries", ents)
-        object.__setattr__(self, "rows", len(ents))
-        object.__setattr__(self, "cols", ncols)
+            cols = len(dense[0])
+        if any(len(row) != cols for row in dense):
+            raise ValueError("ragged rows")
+        self._set([dict(compress(enumerate(row), row)) for row in dense], cols)
+
+    @classmethod
+    def _of(cls, rows: Iterable[dict[int, int]], cols: int) -> "IntMatrix":
+        """Wrap sparse rows without copying; the caller hands them over, zeros dropped."""
+        m = object.__new__(cls)
+        m._set(rows, cols)
+        return m
+
+    def _set(self, rows, cols: int) -> None:
+        object.__setattr__(self, "sparse_rows", tuple(rows))
+        object.__setattr__(self, "rows", len(self.sparse_rows))
+        object.__setattr__(self, "cols", cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return IntMatrix._of([{i: 1} for i in range(n)], n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)], cols)
+        return IntMatrix._of([{} for _ in range(rows)], cols)
 
     def transpose(self) -> "IntMatrix":
-        if not self.entries:
-            return IntMatrix([()] * self.cols, 0)
-        return IntMatrix(list(zip(*self.entries)), self.rows)
+        return IntMatrix._of(_transpose(self.sparse_rows, self.cols), self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        bt = list(zip(*other.entries))
-        out = [
-            [sum(x * y for x, y in zip(ra, cb)) for cb in bt]
-            for ra in self.entries
-        ]
-        return IntMatrix(out, other.cols)
+        return IntMatrix._of([combine(row.items(), other) for row in self.sparse_rows], other.cols)
+
+    def columns(self, start: int, stop: int) -> "IntMatrix":
+        """Columns ``start`` to ``stop - 1``, renumbered from 0."""
+        rows = [{k - start: x for k, x in row.items() if start <= k < stop} for row in self.sparse_rows]
+        return IntMatrix._of(rows, stop - start)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(densify(row, self.cols) for row in self.sparse_rows)
+
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
+        return densify(self.sparse_rows[i], self.cols)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
+        return [list(densify(row, self.cols)) for row in self.sparse_rows]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.entries, self.cols))
+        return hash((tuple(frozenset(row.items()) for row in self.sparse_rows), self.cols))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -123,12 +136,27 @@ class IntMatrix:
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
     cols = mats[0].cols
-    rows: list[Sequence[int]] = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch in vstack")
-        rows.extend(m.entries)
-    return IntMatrix(rows, cols)
+    if any(m.cols != cols for m in mats):
+        raise ValueError("column mismatch in vstack")
+    return IntMatrix._of([row for m in mats for row in m.sparse_rows], cols)
+
+
+def densify(row: dict[int, int], n: int) -> tuple[int, ...]:
+    """The dense length-``n`` tuple of a sparse row."""
+    out = [0] * n
+    for k, x in row.items():
+        out[k] = x
+    return tuple(out)
+
+
+def combine(terms: Iterable[tuple[int, int]], m: IntMatrix) -> dict[int, int]:
+    """Σ x·(row k of m) over the pairs (k, x) in ``terms``, as a sparse row."""
+    out: dict[int, int] = {}
+    rows = m.sparse_rows
+    for k, x in terms:
+        for j, y in rows[k].items():
+            out[j] = out.get(j, 0) + x * y
+    return {j: z for j, z in out.items() if z}
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -142,21 +170,19 @@ def vec_mat(v: Sequence[int], m: IntMatrix) -> tuple[int, ...]:
     if len(v) != m.rows:
         raise ValueError("length mismatch")
     out = [0] * m.cols
-    for x, row in zip(v, m.entries):
+    for x, row in zip(v, m.sparse_rows):
         if x:
-            for j, y in enumerate(row):
-                if y:
-                    out[j] += x * y
+            for j, y in row.items():
+                out[j] += x * y
     return tuple(out)
 
 
 # -- row operation helpers ------------------------------------------------
 
 
-def _sparse_sub(a: list[dict[int, int]], i: int, j: int, q: int) -> None:
-    """``a[i] -= q·a[j]`` on sparse rows; entries that cancel are dropped."""
-    ri = a[i]
-    for k, y in a[j].items():
+def _sparse_sub(ri: dict[int, int], rj: dict[int, int], q: int) -> None:
+    """``ri -= q·rj`` in place on sparse rows; entries that cancel are dropped."""
+    for k, y in rj.items():
         x = ri.get(k, 0) - q * y
         if x:
             ri[k] = x
@@ -197,9 +223,9 @@ def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | Non
             for i in range(r + 1, nrows):
                 if lead[i] == c:
                     q = a[i][c] // a[r][c]
-                    _sparse_sub(a, i, r, q)
+                    _sparse_sub(a[i], a[r], q)
                     if u is not None:
-                        _sparse_sub(u, i, r, q)
+                        _sparse_sub(u[i], u[r], q)
                     if c in a[i]:
                         clean = False
                     else:
@@ -209,26 +235,14 @@ def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | Non
         for i in range(r):
             q = a[i].get(c, 0) // a[r][c]
             if q:
-                _sparse_sub(a, i, r, q)
+                _sparse_sub(a[i], a[r], q)
                 if u is not None:
-                    _sparse_sub(u, i, r, q)
+                    _sparse_sub(u[i], u[r], q)
         pivots.append(c)
     return pivots
 
 
-def _sparse(m: IntMatrix) -> list[dict[int, int]]:
-    return [dict(compress(enumerate(row), row)) for row in m.entries]
-
-
-def _dense(rows: list[dict[int, int]], n: int) -> IntMatrix:
-    out = [[0] * n for _ in rows]
-    for d, row in zip(out, rows):
-        for k, x in row.items():
-            d[k] = x
-    return IntMatrix(out, n)
-
-
-def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+def _transpose(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     out: list[dict[int, int]] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for k, x in row.items():
@@ -238,9 +252,9 @@ def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
 
 def hnf(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form with zero rows dropped (canonical)."""
-    a = _sparse(m)
+    a = [dict(row) for row in m.sparse_rows]
     pivots = _hnf_core(a, m.cols, None)
-    return _dense(a[: len(pivots)], m.cols)
+    return IntMatrix._of(a[: len(pivots)], m.cols)
 
 
 def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
@@ -249,10 +263,10 @@ def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
     ``u`` is square unimodular of size ``m.rows``; ``h`` has the zero rows
     dropped, so ``len(pivots) == h.rows`` is the rank.
     """
-    a = _sparse(m)
+    a = [dict(row) for row in m.sparse_rows]
     u = [{i: 1} for i in range(m.rows)]
     pivots = _hnf_core(a, m.cols, u)
-    return _dense(a[: len(pivots)], m.cols), _dense(u, m.rows), pivots
+    return IntMatrix._of(a[: len(pivots)], m.cols), IntMatrix._of(u, m.rows), pivots
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -261,7 +275,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     The rows are the tail of the unimodular transform that reduces ``m``.
     """
     _, u, pivots = hnf_with_transform(m)
-    return IntMatrix(u.entries[len(pivots):], m.rows)
+    return IntMatrix._of(u.sparse_rows[len(pivots):], m.rows)
 
 
 def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
@@ -275,7 +289,7 @@ def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
     the addition).  Finally the entries are moved to the diagonal in
     ascending order.
     """
-    a, ncols = _sparse(m), m.cols
+    a, ncols = [dict(row) for row in m.sparse_rows], m.cols
     ops = [[{i: 1} for i in range(m.rows)], [{j: 1} for j in range(m.cols)]]
     side = 0
     while True:
@@ -285,8 +299,9 @@ def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
             bad = next(((i, j) for (x, i, _), (y, j, _) in zip(diag, diag[1:]) if y % x), None)
             if bad is None:
                 break
-            _sparse_sub(a, *bad, -1)
-            _sparse_sub(ops[side], *bad, -1)
+            i, j = bad
+            _sparse_sub(a[i], a[j], -1)
+            _sparse_sub(ops[side][i], ops[side][j], -1)
         a, ncols, side = _transpose(a, ncols), len(a), 1 - side
     # working row i holds its one entry x in column c: move each to (k, k)
     order = [i for _, i, _ in diag], [c for *_, c in diag]
@@ -296,7 +311,7 @@ def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
         taken = set(first)
         u[:] = [u[k] for k in first] + [row for k, row in enumerate(u) if k not in taken]
     left, right = ops
-    return tuple(x for x, *_ in diag), _dense(left, m.rows), _dense(_transpose(right, m.cols), m.cols)
+    return tuple(x for x, *_ in diag), IntMatrix._of(left, m.rows), IntMatrix._of(_transpose(right, m.cols), m.cols)
 
 
 # -- lattices -------------------------------------------------------------
@@ -341,7 +356,7 @@ class Lattice:
     def _reduction_data(self):
         if self._reduction is None:
             h, u, pivots = hnf_with_transform(self.basis)
-            keep = IntMatrix(u.entries[: len(pivots)], u.cols)
+            keep = IntMatrix._of(u.sparse_rows[: len(pivots)], u.cols)
             object.__setattr__(self, "_reduction", (h, keep, pivots))
         return self._reduction
 
@@ -384,19 +399,17 @@ def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
     if len(v) != lat.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
     h, keep, pivots = lat._reduction_data()
-    rem = list(v)
+    rem = dict(compress(enumerate(v), v))
     coeffs: list[int] = []
-    for k, c in enumerate(pivots):
-        hk = h.entries[k]
-        q, r = divmod(rem[c], hk[c])
+    for k, (hk, c) in enumerate(zip(h.sparse_rows, pivots)):
+        q, r = divmod(rem.get(c, 0), hk[c])
         if r:
             return MembershipResult(False, witness=_pivot_witness(h, pivots, v, k=k))
         coeffs.append(q)
         if q:
-            rem = [x - q * y for x, y in zip(rem, hk)]
-    c = next((j for j, x in enumerate(rem) if x), None)
-    if c is not None:
-        return MembershipResult(False, witness=_pivot_witness(h, pivots, v, c=c))
+            _sparse_sub(rem, hk, q)
+    if rem:
+        return MembershipResult(False, witness=_pivot_witness(h, pivots, v, c=min(rem)))
     return MembershipResult(True, coefficients=vec_mat(coeffs, keep))
 
 
@@ -412,17 +425,18 @@ def _pivot_witness(h: IntMatrix, pivots: list[int], v: Sequence[int], *, k=None,
     but not ``v``, whose residue is nonzero at ``c`` and zero at every
     pivot; f is then divided by the gcd of its entries.
     """
-    rank = len(pivots)
-    det = math.prod(row[p] for row, p in zip(h.entries, pivots))
+    rank, rows = len(pivots), h.sparse_rows
+    det = math.prod(row[p] for row, p in zip(rows, pivots))
     if c is None:
         b = [det if i == k else 0 for i in range(rank)]
     else:
-        b = [-det * row[c] for row in h.entries]
+        b = [-det * row.get(c, 0) for row in rows]
+    pos = {p: j for j, p in enumerate(pivots)}
     y = [0] * rank
     for i in range(rank - 1, -1, -1):
-        row = h.entries[i]
-        s = b[i] - sum(row[pivots[j]] * y[j] for j in range(i + 1, rank) if y[j])
-        y[i], r = divmod(s, row[pivots[i]])
+        # row i is zero left of its pivot, and y[i] is still 0
+        s = b[i] - sum(x * y[pos[col]] for col, x in rows[i].items() if col in pos)
+        y[i], r = divmod(s, rows[i][pivots[i]])
         if r:
             raise AssertionError("adjugate witness is not integral")
     f = [0] * h.cols
@@ -490,12 +504,12 @@ def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     h, u, _ = hnf_with_transform(projection)
     if h != IntMatrix.identity(f):
         raise AssertionError("the orthogonal complement is not primitive")
-    saturation = Lattice(n, IntMatrix(u.entries[f:], n))
+    saturation = Lattice(n, IntMatrix._of(u.sparse_rows[f:], n))
     divisors = (1,) * lat.rank if saturation == lat else snf(lat.canonical_form)[0]
     return QuotientPresentation(
         ambient_rank=n,
         elementary_divisors=divisors,
         free_rank=f,
         projection=projection,
-        section=IntMatrix(u.entries[:f], n),
+        section=IntMatrix._of(u.sparse_rows[:f], n),
     )

@@ -25,10 +25,13 @@ Every degree-3 object is one route: a sparse left-normed lift into
 H⊗Λ²H, then the bracketing matrix ``LcsData.bracket`` (H⊗Λ²H → L3),
 then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
 cached lift ``LcsData.tau_lift`` of each A coordinate and is stored per
-point (``LcsData.tau_blocks``); ``tau_matrix`` is the dense view kept for
-the pinned digests, ``check_equivariance`` and the benchmark.  δ̄ lifts f̂
-at each generator flag; R3perp pulls perp(R3) back along the bracket.  A
-lift is a sequence of (generator flag, slot, coefficient) terms.
+point (``LcsData.tau_blocks``); ``tau_matrix``, the whole A × Hom(R2,P3)
+matrix, is kept for the pinned digests, ``check_equivariance`` and the
+benchmark.  δ̄ lifts f̂ at each generator flag; R3perp pulls perp(R3)
+back along the bracket.  A lift is a sequence of (generator flag, slot,
+coefficient) terms.  Every matrix is built from sparse rows, so no
+layer reads or writes their zeros (on C13 under 2% of entries are
+nonzero).
 
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .config import (
@@ -56,6 +60,8 @@ from .exactlin import (
     Lattice,
     QuotientPresentation,
     Witness,
+    combine,
+    densify,
     dot,
     kernel_basis,
     member,
@@ -71,7 +77,7 @@ from .words import (
     abelianize,
     conjugated_generators,
     lie_basis,
-    lie_component_coords,
+    lie_sparse_coords,
     parse_word,
     rbar_coords,
     wedge_index,
@@ -93,7 +99,7 @@ class LcsData:
     """Degree-2 and degree-3 graded data of one configuration.
 
     Degree-2 objects are built eagerly.  The degree-3 objects (the
-    bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, its dense
+    bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, its whole
     matrix for the pinned digests, ``check_equivariance`` and the
     benchmark, Im δ̄) are cached properties computed on first use, so
     purely degree-2 work on large configurations stays cheap.
@@ -152,18 +158,19 @@ class LcsData:
                 tensor: dict[tuple[int, ...], int] = {}
                 for word, c in (((m, a, b), 1), ((m, b, a), -1), ((a, b, m), -1), ((b, a, m), 1)):
                     tensor[word] = tensor.get(word, 0) + c
-                rows.append(lie_component_coords(tensor, self.lie3))
-        return IntMatrix(rows, self.dim3)
+                rows.append(lie_sparse_coords(tensor, self.lie3))
+        return IntMatrix._of(rows, self.dim3)
 
     @cached_property
     def r3(self) -> Lattice:
         """[H, R2] in L3 Lyndon coordinates (n rows per R2 generator)."""
         np_ = self.npairs
-        rows = []
-        for m in range(self.n):
-            block = IntMatrix(self.bracket.entries[m * np_ : (m + 1) * np_], self.dim3)
-            rows.extend(vec_mat(r, block) for r in self.r2.basis.entries)
-        return Lattice(self.dim3, IntMatrix(rows, self.dim3))
+        rows = [
+            combine(((m * np_ + w, x) for w, x in r.items()), self.bracket)
+            for m in range(self.n)
+            for r in self.r2.basis.sparse_rows
+        ]
+        return Lattice(self.dim3, IntMatrix._of(rows, self.dim3))
 
     @cached_property
     def p3(self) -> QuotientPresentation:
@@ -174,37 +181,27 @@ class LcsData:
 
     def _r3perp_via_dstar(self) -> Lattice:
         """ker d* restricted to H*⊗R2perp, pushed into (H⊗Λ²H)* coordinates."""
-        np_, n = self.npairs, self.n
-        phis = self.r2perp.canonical_form.entries
-        e_rows = []
-        for m in range(1, n + 1):
-            for phi in phis:
-                e_rows.append([0] * ((m - 1) * np_) + list(phi) + [0] * ((n - m) * np_))
-        triples = [
-            (i, j, k)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            for k in range(j + 1, n + 1)
-        ]
-        wp = self.wedge_pos
-        drows = [
-            [
-                f[(i - 1) * np_ + wp[(j, k)]]
-                - f[(j - 1) * np_ + wp[(i, k)]]
-                + f[(k - 1) * np_ + wp[(i, j)]]
-                for (i, j, k) in triples
-            ]
-            for f in e_rows
-        ]
-        combos = kernel_basis(IntMatrix(drows, len(triples)))
-        e_mat = IntMatrix(e_rows, self.hw_rank)
-        return Lattice(self.hw_rank, IntMatrix([vec_mat(c, e_mat) for c in combos.entries], self.hw_rank))
+        np_, n, pairs = self.npairs, self.n, list(self.wedge_pos)
+        fs = [(m, phi) for m in range(1, n + 1) for phi in self.r2perp.canonical_form.sparse_rows]
+        triples = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
+        at = {t: k for k, t in enumerate(triples)}
+        # d*f(i∧j∧k) = f_i(j∧k) - f_j(i∧k) + f_k(i∧j); f = x_m*⊗φ meets only the
+        # triples {m, a, b} with φ(a∧b) ≠ 0, with a minus sign when a < m < b
+        drows = []
+        for m, phi in fs:
+            row = {}
+            for w, x in phi.items():
+                a, b = pairs[w]
+                if m not in (a, b):
+                    row[at[tuple(sorted((m, a, b)))]] = -x if a < m < b else x
+            drows.append(row)
+        combos = kernel_basis(IntMatrix._of(drows, len(triples)))
+        e_mat = IntMatrix._of([{(m - 1) * np_ + w: x for w, x in phi.items()} for m, phi in fs], self.hw_rank)
+        return Lattice(self.hw_rank, combos @ e_mat)
 
     def _r3perp_via_lie(self) -> Lattice:
         """perp(R3) in L3*, pulled back through the bracketing map: perp(R3)·bracketᵀ."""
-        dual = perp(self.r3).canonical_form.transpose()
-        pulled = IntMatrix([vec_mat(row, dual) for row in self.bracket.entries], dual.cols)
-        return Lattice(self.hw_rank, pulled.transpose())
+        return Lattice(self.hw_rank, perp(self.r3).canonical_form @ self.bracket.transpose())
 
     @cached_property
     def r3perp(self) -> Lattice:
@@ -250,20 +247,17 @@ class LcsData:
     @cached_property
     def _bracket_p3(self) -> IntMatrix:
         """The bracketing map followed by the P3 projection, H⊗Λ²H → P3."""
-        proj = self.p3.projection
-        return IntMatrix([vec_mat(row, proj) for row in self.bracket.entries], proj.cols)
+        return self.bracket @ self.p3.projection
 
-    def _to_hom(self, lift, gens: range | None = None) -> tuple[int, ...]:
-        """Flat Hom(R2,P3) coordinates of a sparse lift on the generator flags ``gens`` (default all)."""
-        r = self.p3.free_rank
-        bp = self._bracket_p3.entries
-        gens = gens or range(len(self.gens))
-        out = [0] * (len(gens) * r)
+    def _to_hom(self, lift, gens: range | None = None) -> dict[int, int]:
+        """Sparse flat Hom(R2,P3) coordinates of a sparse lift on the generator flags ``gens`` (default all)."""
+        r, bp, start = self.p3.free_rank, self._bracket_p3.sparse_rows, gens.start if gens else 0
+        out: dict[int, int] = {}
         for g, s, c in lift:
-            for t, x in enumerate(bp[s], (g - gens.start) * r):
-                if x:
-                    out[t] += c * x
-        return tuple(out)
+            base = (g - start) * r
+            for t, x in bp[s].items():
+                out[base + t] = out.get(base + t, 0) + c * x
+        return {t: x for t, x in out.items() if x}
 
     @cached_property
     def tau_blocks(self) -> tuple[tuple[slice, slice, IntMatrix], ...]:
@@ -272,7 +266,7 @@ class LcsData:
         for p in self.index.p0:
             k = self.config.multiplicity(p)
             rows, gens = slice(flag * n, (flag + k) * n), range(gen, gen + k - 1)
-            block = IntMatrix([self._to_hom(lift, gens) for lift in self.tau_lift[rows]], len(gens) * r)
+            block = IntMatrix._of([self._to_hom(lift, gens) for lift in self.tau_lift[rows]], len(gens) * r)
             out.append((rows, slice(gen * r, gens.stop * r), block))
             flag, gen = flag + k, gen + k - 1
         return tuple(out)
@@ -280,12 +274,12 @@ class LcsData:
     @cached_property
     def tau_matrix(self) -> IntMatrix:
         """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order; zero off the ``tau_blocks``."""
-        return IntMatrix([self._to_hom(lift) for lift in self.tau_lift], len(self.gens) * self.p3.free_rank)
+        return IntMatrix._of([self._to_hom(lift) for lift in self.tau_lift], len(self.gens) * self.p3.free_rank)
 
     def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
         """Sparse left-normed lift of δ̄(fhat): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
         np_ = self.npairs
-        nonzero = [[(w, c) for w, c in enumerate(row) if c] for row in fhat.entries]
+        nonzero = [list(row.items()) for row in fhat.sparse_rows]
         terms = []
         for g, (k, p) in enumerate(self.gens):
             for j in self.config.lines_through(p):
@@ -297,14 +291,13 @@ class LcsData:
     @cached_property
     def im_delta(self) -> Lattice:
         """Image of δ̄; basis rows ordered by (line i, P2 coordinate)."""
-        zero = (0,) * self.npairs
         rows = [
-            self._to_hom(self._delta_lift(IntMatrix([s if j == i else zero for j in range(self.n)], self.npairs)))
+            self._to_hom(self._delta_lift(IntMatrix._of([s if j == i else {} for j in range(self.n)], self.npairs)))
             for i in range(self.n)
-            for s in self.p2.section.entries
+            for s in self.p2.section.sparse_rows
         ]
         width = len(self.gens) * self.p3.free_rank
-        return Lattice(width, IntMatrix(rows, width))
+        return Lattice(width, IntMatrix._of(rows, width))
 
 
 def build_lcs(config: Configuration) -> LcsData:
@@ -387,7 +380,8 @@ def delta_bar_from_lift(data: LcsData, fhat: IntMatrix) -> HomR2P3:
     """δ̄ from an explicit Λ²H-lift matrix; independent of the lift mod R2."""
     if fhat.shape != (data.n, data.npairs):
         raise ValueError("lift must be n x dim(L2)")
-    return HomR2P3(data.gens, data.p3.free_rank, data._to_hom(data._delta_lift(fhat)))
+    width = len(data.gens) * data.p3.free_rank
+    return HomR2P3(data.gens, data.p3.free_rank, densify(data._to_hom(data._delta_lift(fhat)), width))
 
 
 def delta_lift_rows(data: LcsData, fhat: IntMatrix) -> IntMatrix:
@@ -409,34 +403,26 @@ def _u_generators(config: Configuration):
     Family 0: x_i at the single flag (i,p).  Family 1: x_i at every flag of
     one point, for every i.  Family 2: Σ_{k: p2 on l_k} x_k at the single
     flag (i,p1), for every finite point p2 on l_i (p2 = p1 allowed).
+    Rows are sparse ``{A coordinate: entry}``.
     """
     idx = IncidenceIndex(config)
     n = idx.n
-    dim = len(idx.pairs) * n
     p0set = set(idx.p0)
     for pos, (i, p) in enumerate(idx.pairs):
-        row = [0] * dim
-        row[pos * n + (i - 1)] = 1
-        yield p, row
+        yield p, {pos * n + (i - 1): 1}
     for p in idx.p0:
         for i in range(1, n + 1):
-            row = [0] * dim
-            for j in config.lines_through(p):
-                row[idx.pair_pos[(j, p)] * n + (i - 1)] = 1
-            yield p, row
+            yield p, {idx.pair_pos[(j, p)] * n + (i - 1): 1 for j in config.lines_through(p)}
     for pos, (i, p1) in enumerate(idx.pairs):
         for p2 in config.points_on(i):
-            if p2 not in p0set:
-                continue
-            row = [0] * dim
-            for k in config.lines_through(p2):
-                row[pos * n + (k - 1)] += 1
-            yield p1, row
+            if p2 in p0set:
+                yield p1, {pos * n + (k - 1): 1 for k in config.lines_through(p2)}
 
 
 def u_lattice(config: Configuration) -> Lattice:
     """Span of the three generator families known to lie in ker τ̃ (see ``_u_generators``)."""
-    return Lattice(len(IncidenceIndex(config).pairs) * (len(config.lines) - 1), [row for _, row in _u_generators(config)])
+    dim = len(IncidenceIndex(config).pairs) * (len(config.lines) - 1)
+    return Lattice(dim, IntMatrix._of([row for _, row in _u_generators(config)], dim))
 
 
 def b_lattice(config: Configuration) -> Lattice:
@@ -444,22 +430,22 @@ def b_lattice(config: Configuration) -> Lattice:
     idx = IncidenceIndex(config)
     n = idx.n
     dim = len(idx.pairs) * n
-    rows = []
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            row = [0] * dim
-            for q in idx.p0:
-                if (j, q) in idx.pair_pos:
-                    row[idx.pair_pos[(j, q)] * n + (i - 1)] = 1
-            rows.append(row)
-    return Lattice(dim, IntMatrix(rows, dim))
+    rows = [
+        {idx.pair_pos[(j, q)] * n + (i - 1): 1 for q in idx.p0 if (j, q) in idx.pair_pos}
+        for j in range(1, n + 1)
+        for i in range(1, n + 1)
+    ]
+    return Lattice(dim, IntMatrix._of(rows, dim))
 
 
 def _u_blocks(data: LcsData):
     """(A rows, Hom(R2,P3) columns, τ̃_p, U_p) per finite point p; U_p is spanned by U's generators at p."""
-    gens = list(_u_generators(data.config))
+    at = {p: [] for p in data.index.p0}
+    for p, row in _u_generators(data.config):
+        at[p].append(row)
     for p, (rows, cols, block) in zip(data.index.p0, data.tau_blocks):
-        yield rows, cols, block, Lattice(rows.stop - rows.start, [row[rows] for q, row in gens if q == p])
+        local = IntMatrix._of(at[p], data.a_rank).columns(rows.start, rows.stop)
+        yield rows, cols, block, Lattice(local.cols, local)
 
 
 def tau_kernel(data: LcsData) -> Lattice:
@@ -473,10 +459,8 @@ def tau_kernel_equals_u(data: LcsData) -> bool:
 
 def tau_preimage(data: LcsData) -> Lattice:
     """{a : τ̃a ∈ Im δ̄}, via the joint kernel of [τ̃ | δ̄] projected to A."""
-    stacked = vstack(data.tau_matrix, data.im_delta.basis)
-    joint = kernel_basis(stacked)
-    rows = [row[: data.a_rank] for row in joint.entries]
-    return Lattice(data.a_rank, IntMatrix(rows, data.a_rank))
+    joint = kernel_basis(vstack(data.tau_matrix, data.im_delta.basis))
+    return Lattice(data.a_rank, joint.columns(0, data.a_rank))
 
 
 def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
@@ -489,19 +473,22 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     """
     width, blocks = len(data.gens) * data.p3.free_rank, list(_u_blocks(data))
 
-    def spread(cols, v):
-        return [0] * cols.start + list(v) + [0] * (width - cols.stop)
-    images = [(cols, vec_mat(x, block)) for _, cols, block, u in blocks for x in u.canonical_form.entries]
-    if not all(member(spread(cols, v), data.im_delta) for cols, v in images if any(v)):
+    def tau_rows(cols, block, m):
+        """τ̃_p of each row of ``m``, spread to Hom(R2,P3) columns."""
+        return [{cols.start + t: x for t, x in combine(row.items(), block).items()} for row in m.sparse_rows]
+    images = [v for _, cols, block, u in blocks for v in tau_rows(cols, block, u.canonical_form)]
+    if not all(member(densify(v, width), data.im_delta) for v in images if v):
         return False
     quos = [quotient_presentation(u) for *_, u in blocks]
     if not all(q.is_torsion_free for q in quos):
         raise TorsionError("A/U has torsion")
-    tau_s = [spread(cols, vec_mat(x, block)) for (_, cols, block, _), q in zip(blocks, quos) for x in q.section.entries]
-    joint = kernel_basis(vstack(IntMatrix(tau_s, width), data.im_delta.basis))
-    b_rows = b_lattice(data.config).basis.entries
-    pi_b = [[x for (rows, *_), q in zip(blocks, quos) for x in vec_mat(b[rows], q.projection)] for b in b_rows]
-    return Lattice(len(tau_s), [k[: len(tau_s)] for k in joint.entries]) == Lattice(len(tau_s), pi_b)
+    tau_s = [v for (_, cols, block, _), q in zip(blocks, quos) for v in tau_rows(cols, block, q.section)]
+    joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.basis))
+    # π = ⊕_p π_p, block diagonal: the blocks' A rows run through A in order
+    f, starts = len(tau_s), list(accumulate((q.free_rank for q in quos), initial=0))
+    pi = [{start + t: x for t, x in row.items()} for q, start in zip(quos, starts) for row in q.projection.sparse_rows]
+    pi_b = b_lattice(data.config).basis @ IntMatrix._of(pi, f)
+    return Lattice(f, joint.columns(0, f)) == Lattice(f, pi_b)
 
 
 # -- dual elements ------------------------------------------------------------
@@ -786,8 +773,8 @@ def check_equivariance(data: LcsData, sigma: ConfigAutomorphism) -> bool:
         for u, c in expansion.items():
             key = tuple(sigma.line_perm[x] for x in u)
             permuted[key] = permuted.get(key, 0) + c
-        l3rows.append(lie_component_coords(permuted, data.lie3))
-    p3sigma = data.p3.section @ IntMatrix(l3rows, data.dim3) @ data.p3.projection
+        l3rows.append(lie_sparse_coords(permuted, data.lie3))
+    p3sigma = data.p3.section @ IntMatrix._of(l3rows, data.dim3) @ data.p3.projection
     inv = sigma.inverse()
     rinv = IntMatrix(
         [rbar_gen_coeffs(data, inv.line_perm[k], inv.point_image(p)) for (k, p) in data.gens],

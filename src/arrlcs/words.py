@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .config import Configuration, IncidenceIndex
+from .exactlin import densify
 
 
 class NotInGamma(ValueError):
@@ -550,26 +551,36 @@ def lie_basis(n: int, degree: int) -> LieBasis:
     return LieBasis(n, degree)
 
 
-def lie_component_coords(component: Mapping[tuple[int, ...], int], basis: LieBasis) -> tuple[int, ...]:
-    """Lyndon coordinates of a raw tensor component (triangular sweep)."""
+def lie_sparse_coords(component: Mapping[tuple[int, ...], int], basis: LieBasis) -> dict[int, int]:
+    """Lyndon coordinates ``{basis position: coefficient}`` of a raw tensor component.
+
+    Each expansion is unitriangular with leading (least) word its Lyndon
+    word, so the least word left must be Lyndon, and subtracting its
+    expansion clears it; a non-Lyndon least word is a residue no sweep
+    removes.  Only the words present are visited.
+    """
     target = {w: c for w, c in component.items() if c}
     for w in target:
         if any(x < 1 or x > basis.n for x in w):
             raise NotLieElement(f"letter outside 1..{basis.n} in {w}")
-    coords = []
-    for w, expansion in zip(basis.words, basis.expansions):
-        c = target.get(w, 0)
-        coords.append(c)
-        if c:
-            for u, cu in expansion.items():
-                r = target.get(u, 0) - c * cu
-                if r:
-                    target[u] = r
-                else:
-                    target.pop(u, None)
-    if target:
-        raise NotLieElement(f"residual terms {sorted(target)[:3]}...")
-    return tuple(coords)
+    coords = {}
+    while target:
+        k = basis.index.get(min(target))
+        if k is None:
+            raise NotLieElement(f"residual terms {sorted(target)[:3]}...")
+        c = coords[k] = target[basis.words[k]]
+        for u, cu in basis.expansions[k].items():
+            r = target.get(u, 0) - c * cu
+            if r:
+                target[u] = r
+            else:
+                target.pop(u, None)
+    return coords
+
+
+def lie_component_coords(component: Mapping[tuple[int, ...], int], basis: LieBasis) -> tuple[int, ...]:
+    """Lyndon coordinates of a raw tensor component, as a dense tuple."""
+    return densify(lie_sparse_coords(component, basis), len(basis))
 
 
 def lie_coords(series: TruncatedSeries, degree: int, n: int) -> tuple[int, ...]:

@@ -87,6 +87,62 @@ def assert_hnf_shape(h: IntMatrix) -> None:
             assert 0 <= h.entries[rr][piv] < row[piv]
 
 
+# -- storage -------------------------------------------------------------------
+
+
+def assert_sparse(m: IntMatrix) -> None:
+    assert len(m.sparse_rows) == m.rows
+    assert all(x and 0 <= k < m.cols for row in m.sparse_rows for k, x in row.items())
+
+
+@settings(max_examples=200)
+@given(st.one_of(matrices(), wide_sparse()))
+def test_dense_and_sparse_construction_agree(m):
+    dense = m.to_lists()
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    # insertion order of a row's entries is not part of its value
+    backwards = [dict(reversed(row.items())) for row in sparse]
+    a, b, c = IntMatrix(dense, m.cols), IntMatrix._of(sparse, m.cols), IntMatrix._of(backwards, m.cols)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a.entries == b.entries == tuple(map(tuple, dense))
+    assert [a.row(i) for i in range(a.rows)] == [tuple(row) for row in dense]
+    assert a.sparse_rows == tuple(sparse)
+    assert_sparse(a)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_products_stacks_and_column_windows_agree_with_a_dense_reference(data):
+    m = data.draw(st.one_of(matrices(), wide_sparse()))
+    other = data.draw(matrices(rows=(m.cols, m.cols)))
+    below = data.draw(matrices(rows=(0, 3), cols=(m.cols, m.cols)))
+    v = data.draw(st.lists(st.integers(-9, 9), min_size=m.rows, max_size=m.rows))
+    start = data.draw(st.integers(0, m.cols))
+    stop = data.draw(st.integers(start, m.cols))
+    a, b = m.to_lists(), other.to_lists()
+    rows, inner, cols = m.rows, m.cols, other.cols
+    cases = (
+        (m.transpose(), [[a[i][j] for i in range(rows)] for j in range(inner)]),
+        (m @ other, [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]),
+        (vstack(m, below), a + below.to_lists()),
+        (m.columns(start, stop), [row[start:stop] for row in a]),
+    )
+    for got, expect in cases:
+        assert got.rows == len(expect) and got.to_lists() == expect
+        assert_sparse(got)
+    assert m.transpose().cols == rows and (m @ other).cols == cols and m.columns(start, stop).cols == stop - start
+    assert vec_mat(v, m) == tuple(sum(v[i] * a[i][j] for i in range(rows)) for j in range(inner))
+
+
+def test_construction_rejects_ragged_and_unsized_input():
+    for rows, cols in (([[1, 2], [3]], None), ([[1, 2]], 3), ([], None)):
+        with pytest.raises(ValueError):
+            IntMatrix(rows, cols)
+    assert IntMatrix([], 3).shape == (0, 3)
+    assert IntMatrix([()] * 2, 0).shape == (2, 0)
+    assert IntMatrix([[0, 0], [0, 5]]).sparse_rows == ({}, {1: 5})
+
+
 # -- HNF ---------------------------------------------------------------------
 
 

@@ -293,7 +293,7 @@ def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch
 
     def with_extra(config):
         yield from generators(config)
-        yield point, unit
+        yield point, {unit.index(1): 1}
 
     monkeypatch.setattr(lcs, "_u_generators", with_extra)
     u, b = lcs.u_lattice(data.config), lcs.b_lattice(data.config)
@@ -308,7 +308,7 @@ def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch, maclane_data)
 
     def doubled_at_point(config):
         for p, row in generators(config):
-            yield p, [2 * x for x in row] if p == point else row
+            yield p, {k: 2 * x for k, x in row.items()} if p == point else row
 
     monkeypatch.setattr(lcs, "_u_generators", doubled_at_point)
     u = lcs.u_lattice(data.config)
@@ -373,6 +373,25 @@ def test_c13_verdict_reductions_stay_small(monkeypatch, c13_data):
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
     tau_tilde(data, random_abelian(random.Random(0), data))
     assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
+
+
+
+def test_verdict_path_builds_no_dense_view(monkeypatch, asymmetric_config):
+    def no_dense(*args):
+        raise AssertionError("the verdict path reads a dense view")
+
+    monkeypatch.setattr(IntMatrix, "entries", property(no_dense))
+    monkeypatch.setattr(IntMatrix, "row", no_dense)
+    monkeypatch.setattr(IntMatrix, "to_lists", no_dense)
+    outcomes = []
+    for config in (maclane_c8(), asymmetric_config):
+        data = build_lcs(config)
+        data.r3, data.p3, data.r3perp, data.tau_blocks, data.im_delta  # noqa: B018 - R3⊥ runs both routes
+        outcomes.append((tau_kernel_equals_u(data), tau_preimage_equals_u_plus_b(data)))
+        if config == maclane_c8():
+            assert not kappa(data, builtin_g_map("plus"), builtin_g_map("minus")).zero
+            assert kappa(data, builtin_g_map("plus"), builtin_g_map("plus")).zero
+    assert outcomes == [(True, True), (False, True)]
 
 
 # -- tau and delta ------------------------------------------------------------

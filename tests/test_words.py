@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrlcs.config import Configuration, glue_c13, maclane_c8
 from arrlcs.words import (
@@ -19,6 +20,7 @@ from arrlcs.words import (
     lie_basis,
     lie_component_coords,
     lie_coords,
+    lie_sparse_coords,
     lyndon_words,
     magnus,
     parse_word,
@@ -272,6 +274,25 @@ def test_lie_component_coords_rejects_non_lie():
         lie_component_coords({(1, 2): 1}, lie_basis(2, 2))
     with pytest.raises(NotLieElement):
         lie_component_coords({(1, 5): 1}, lie_basis(2, 2))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_lie_component_coords_recovers_combinations_and_rejects_a_monomial(data):
+    n = data.draw(st.integers(2, 4))
+    basis = lie_basis(n, 3)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    component = {}
+    for c, expansion in zip(coeffs, basis.expansions):
+        for u, cu in expansion.items():
+            component[u] = component.get(u, 0) + c * cu
+    assert lie_component_coords(component, basis) == tuple(coeffs)
+    assert lie_sparse_coords(component, basis) == {k: c for k, c in enumerate(coeffs) if c}
+    # a Lie element of degree >= 2 has coefficient sum 0, so one more monomial leaves the Lie span
+    word = data.draw(st.tuples(*[st.integers(1, n)] * 3))
+    component[word] = component.get(word, 0) + data.draw(st.integers(-3, 3).filter(bool))
+    with pytest.raises(NotLieElement):
+        lie_component_coords(component, basis)
 
 
 # -- conjugator maps ----------------------------------------------------------
