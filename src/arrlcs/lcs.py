@@ -26,12 +26,13 @@ H⊗Λ²H, then the bracketing matrix ``LcsData.bracket`` (H⊗Λ²H → L3),
 then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
 cached lift ``LcsData.tau_lift`` of each A coordinate and is stored per
 point (``LcsData.tau_blocks``); ``tau_matrix``, the whole A × Hom(R2,P3)
-matrix, is kept for the pinned digests, ``check_equivariance`` and the
-benchmark.  δ̄ lifts f̂ at each generator flag; R3perp pulls perp(R3)
-back along the bracket.  A lift is a sequence of (generator flag, slot,
-coefficient) terms.  Every matrix is built from sparse rows, so no
-layer reads or writes their zeros (on C13 under 2% of entries are
-nonzero).
+matrix, serves the pinned digests, the one-identity equivariance check
+and the benchmark.  δ̄ lifts f̂ at each generator flag; R3perp pulls
+perp(R3) back along the bracket.  A lift is a sequence of (generator
+flag, slot, coefficient) terms.  An automorphism acts on A and on H⊗Λ²H
+by one sparse signed permutation each (``_line_action``).  Every matrix
+is built from sparse rows, so no layer reads or writes their zeros (on
+C13 under 2% of entries are nonzero).
 
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
@@ -100,8 +101,8 @@ class LcsData:
 
     Degree-2 objects are built eagerly.  The degree-3 objects (the
     bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, its whole
-    matrix for the pinned digests, ``check_equivariance`` and the
-    benchmark, Im δ̄) are cached properties computed on first use, so
+    matrix for the pinned digests, the one-identity equivariance check and
+    the benchmark, Im δ̄) are cached properties computed on first use, so
     purely degree-2 work on large configurations stays cheap.
     """
 
@@ -642,32 +643,19 @@ def automorphism_from_line_perm(config: Configuration, line_perm: Sequence[int])
     return ConfigAutomorphism(config, tuple(line_perm), tuple(point_perm))
 
 
-def transport_a_functional(data: LcsData, sigma: ConfigAutomorphism, vec: Sequence[int]) -> tuple[int, ...]:
-    """Push an A* functional forward along an automorphism fixing line 0."""
-    n = data.n
-    out = [0] * data.a_rank
-    for pos, (i, p) in enumerate(data.index.pairs):
-        pos2 = data.index.pair_pos[(sigma.line_perm[i], sigma.point_image(p))]
-        for m in range(1, n + 1):
-            c = vec[pos * n + (m - 1)]
-            if c:
-                out[pos2 * n + (sigma.line_perm[m] - 1)] = c
-    return tuple(out)
+def _line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, IntMatrix]:
+    """σ acting on row vectors (v ↦ v·M) of A and of H⊗Λ²H: two signed permutation matrices.
 
-
-def transport_hw_functional(data: LcsData, sigma: ConfigAutomorphism, vec: Sequence[int]) -> tuple[int, ...]:
-    """Push an (H⊗Λ²H)* functional forward along an automorphism."""
-    n, np_, wp = data.n, data.npairs, data.wedge_pos
-    out = [0] * data.hw_rank
-    for m in range(1, n + 1):
-        for (a, b), w in wp.items():
-            c = vec[(m - 1) * np_ + w]
-            if not c:
-                continue
-            sa, sb = sigma.line_perm[a], sigma.line_perm[b]
-            lo, hi = (sa, sb) if sa < sb else (sb, sa)
-            out[(sigma.line_perm[m] - 1) * np_ + wp[(lo, hi)]] += c if sa < sb else -c
-    return tuple(out)
+    x_m at flag (i,p) goes to x_σm at (σi,σp), and x_m⊗(x_a∧x_b) to
+    ±x_σm⊗(x_σa∧x_σb); so σ.compose(τ) acts by M_τ @ M_σ.
+    """
+    if sigma.line_perm[0] != 0:
+        raise ValueError("automorphism must fix the infinity line")
+    s, n, np_, wp = sigma.line_perm, data.n, data.npairs, data.wedge_pos
+    flags = [data.index.pair_pos[(s[i], sigma.point_image(p))] for i, p in data.index.pairs]
+    on_a = [{f * n + s[m] - 1: 1} for f in flags for m in range(1, n + 1)]
+    on_hw = [{(s[m] - 1) * np_ + wp[min(s[a], s[b]), max(s[a], s[b])]: 1 if s[a] < s[b] else -1} for m in range(1, n + 1) for a, b in wp]
+    return IntMatrix._of(on_a, data.a_rank), IntMatrix._of(on_hw, data.hw_rank)
 
 
 @dataclass(frozen=True)
@@ -744,14 +732,10 @@ def tau_star_identities(data: LcsData | None = None) -> TauStarReport:
     transported_rows = []
     consistent = True
     for sigma in transport_group(data):
+        on_a, on_hw = _line_action(data, sigma)
         for label, (i, p), svec in base:
-            lhs = tau_star(
-                data,
-                rbar_gen_coeffs(data, sigma.line_perm[i], sigma.point_image(p)),
-                transport_hw_functional(data, sigma, svec),
-            )
-            if lhs != transport_a_functional(data, sigma, duals[label].coords):
-                consistent = False
+            lhs = tau_star(data, rbar_gen_coeffs(data, sigma.line_perm[i], sigma.point_image(p)), vec_mat(svec, on_hw))
+            consistent &= lhs == vec_mat(duals[label].coords, on_a)
             transported_rows.append(lhs)
     span = Lattice(data.a_rank, IntMatrix(transported_rows, data.a_rank))
     coverage = []
@@ -762,36 +746,25 @@ def tau_star_identities(data: LcsData | None = None) -> TauStarReport:
 
 
 def check_equivariance(data: LcsData, sigma: ConfigAutomorphism) -> bool:
-    """τ̃(σ·a) = σ ∘ τ̃a ∘ σ^{-1}, as an exact identity of matrices."""
-    if sigma.line_perm[0] != 0:
-        raise ValueError("automorphism must fix the infinity line")
-    n = data.n
-    rank3 = data.p3.free_rank
-    l3rows = []
-    for word, expansion in zip(data.lie3.words, data.lie3.expansions):
-        permuted = {}
-        for u, c in expansion.items():
-            key = tuple(sigma.line_perm[x] for x in u)
-            permuted[key] = permuted.get(key, 0) + c
-        l3rows.append(lie_sparse_coords(permuted, data.lie3))
-    p3sigma = data.p3.section @ IntMatrix._of(l3rows, data.dim3) @ data.p3.projection
-    inv = sigma.inverse()
-    rinv = IntMatrix(
-        [rbar_gen_coeffs(data, inv.line_perm[k], inv.point_image(p)) for (k, p) in data.gens],
-        len(data.gens),
-    )
-    for pos, (i, p) in enumerate(data.index.pairs):
-        pos2 = data.index.pair_pos[(sigma.line_perm[i], sigma.point_image(p))]
-        for m in range(1, n + 1):
-            lhs = data.tau_matrix.row(pos2 * n + (sigma.line_perm[m] - 1))
-            mat = IntMatrix(
-                [data.tau_matrix.row(pos * n + (m - 1))[g * rank3 : (g + 1) * rank3] for g in range(len(data.gens))],
-                rank3,
-            )
-            rhs = rinv @ mat @ p3sigma
-            if IntMatrix([lhs[g * rank3 : (g + 1) * rank3] for g in range(len(data.gens))], rank3) != rhs:
-                return False
-    return True
+    """τ̃(σ·a) = σ ∘ τ̃a ∘ σ⁻¹ for every a, as the one sparse identity P_σ·τ̃ = τ̃·K_σ, on any configuration.
+
+    P_σ is σ's action on A (``_line_action``), and K_σ sends a flat
+    Hom(R2,P3) value f to R·f·P3_σ, where row g of R is r̄ at the σ⁻¹-image
+    of generator flag g and P3_σ is σ's action on P3.
+    """
+    on_a, _ = _line_action(data, sigma)
+    lp, inv, r, ngens = sigma.line_perm, sigma.inverse(), data.p3.free_rank, len(data.gens)
+    # lp is a bijection, so the permuted words of one expansion stay distinct
+    l3 = [lie_sparse_coords({tuple(lp[x] for x in u): c for u, c in e.items()}, data.lie3) for e in data.lie3.expansions]
+    p3sigma = (data.p3.section @ IntMatrix._of(l3, data.dim3) @ data.p3.projection).sparse_rows
+    r_t = IntMatrix([rbar_gen_coeffs(data, inv.line_perm[k], inv.point_image(p)) for k, p in data.gens], ngens).transpose()
+    # K_σ = Rᵀ ⊗ P3_σ: row (h, q) holds R[g][h]·P3_σ[q][t] at column (g, t)
+    k_sigma = [
+        {g * r + t: c * y for g, c in r_t.sparse_rows[h].items() for t, y in p3sigma[q].items()}
+        for h in range(ngens)
+        for q in range(r)
+    ]
+    return on_a @ data.tau_matrix == data.tau_matrix @ IntMatrix._of(k_sigma, ngens * r)
 
 
 # -- bundled conjugator data and the mod-3 separating functional -------------

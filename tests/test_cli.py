@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and deterministic output."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -381,6 +382,21 @@ def test_quiet_suppresses_output(capsys):
     assert out == ""
 
 
+# sha256 of stdout; a version bump changes every report, and re-pins these on purpose
+PINNED_STDOUT = {
+    ("maclane-report",): "78b4dbac1b9ff47993f364bb44ab2cd097af5fa4dff5fd901026e688999ecfb6",
+    ("maclane-report", "--swap-g"): "8467dcb4c236aae0591a1ea41c4bf45f9e6c0dd83c3c5a3cefb7896130e87e53",
+    ("maclane-report", "--no-hardcoded"): "799c210dce83c945f25b7a927073769611686a979f10e5d4f987af73f8b272e2",
+    ("c13-report", "--seed", "0"): "79f6926c305dad96bb392e5cb4e75adeac97c16489b50f53b9d37b423c7fb4fb",
+    ("kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:minus"): (
+        "4db513fad7c5c7b6d6b83d616a187c57dba6403410d676759e5d7f0db71f0865"
+    ),
+    ("kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:plus"): (
+        "3c9fb689edadf0c1e27809be57385def3843824962f7fd1ee93fdadd498a1c55"
+    ),
+}
+
+
 def test_reports_are_byte_deterministic(capsys):
     _, first = run(capsys, "maclane-report")
     _, second = run(capsys, "maclane-report")
@@ -391,3 +407,6 @@ def test_reports_are_byte_deterministic(capsys):
     _, first = run(capsys, "kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:minus")
     _, second = run(capsys, "kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:minus")
     assert first == second
+    for argv, digest in PINNED_STDOUT.items():
+        code, out = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from arrlcs import exactlin, lcs
-from arrlcs.config import glue_c13, maclane_c8
+from arrlcs.config import ConfigAutomorphism, automorphisms, glue_c13, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, dot, lattice_sum, member, perp, vec_mat
 from arrlcs.lcs import (
     ConfigMismatchError,
@@ -391,6 +391,8 @@ def test_verdict_path_builds_no_dense_view(monkeypatch, asymmetric_config):
         if config == maclane_c8():
             assert not kappa(data, builtin_g_map("plus"), builtin_g_map("minus")).zero
             assert kappa(data, builtin_g_map("plus"), builtin_g_map("plus")).zero
+            assert all(check_equivariance(data, sigma) for sigma in transport_group(data))
+            assert tau_star_identities(data).all_ok
     assert outcomes == [(True, True), (False, True)]
 
 
@@ -553,6 +555,52 @@ def test_transport_group_and_equivariance(maclane_data):
     for perm in ((0, 6, 5, 4, 3, 2, 1, 7), (0, 3, 4, 5, 6, 1, 2, 7)):
         sigma = automorphism_from_line_perm(data.config, perm)
         assert check_equivariance(data, sigma)
+    for sigma in group:
+        assert check_equivariance(data, sigma)
+
+
+def test_equivariance_under_c13_automorphisms(c13_data):
+    autos = automorphisms(c13_data.config)
+    fixing = [sigma for sigma in autos if sigma.line_perm[0] == 0]
+    assert len(fixing) == 4
+    for sigma in fixing:
+        assert check_equivariance(c13_data, sigma)
+    with pytest.raises(ValueError):
+        check_equivariance(c13_data, next(sigma for sigma in autos if sigma.line_perm[0] != 0))
+
+
+def test_equivariance_detects_a_changed_tau_entry(maclane_data):
+    group = transport_group(maclane_data)
+    tau = maclane_data.tau_matrix
+    # the twist K_σ matters: σ moves τ̃ itself for every σ but the identity
+    for sigma in group:
+        on_a, _ = lcs._line_action(maclane_data, sigma)
+        assert (on_a @ tau == tau) == sigma.is_identity()
+    data = build_lcs(maclane_c8())
+    rows = [dict(row) for row in tau.sparse_rows]
+    k = next(i for i, row in enumerate(rows) if row)
+    rows[k][min(rows[k])] *= 2
+    data.tau_matrix = IntMatrix._of(rows, tau.cols)
+    assert check_equivariance(data, ConfigAutomorphism.identity(data.config))
+    assert not all(check_equivariance(data, sigma) for sigma in group if not sigma.is_identity())
+
+
+def test_line_action_group_laws(maclane_data):
+    data = maclane_data
+    group = transport_group(data)
+    act = {sigma: lcs._line_action(data, sigma) for sigma in group}
+    identity = ConfigAutomorphism.identity(data.config)
+    assert act[identity] == (IntMatrix.identity(data.a_rank), IntMatrix.identity(data.hw_rank))
+    order_matters = False
+    for sigma in group:
+        for m, m_inv in zip(act[sigma], lcs._line_action(data, sigma.inverse())):
+            assert m @ m_inv == IntMatrix.identity(m.rows)
+        for tau in group:
+            # σ.compose(τ) is σ after τ; on row vectors it acts by M_τ @ M_σ
+            for m_st, m_s, m_t in zip(act[sigma.compose(tau)], act[sigma], act[tau]):
+                assert m_st == m_t @ m_s
+                order_matters |= m_st != m_s @ m_t
+    assert order_matters
 
 
 def test_line_perm_must_preserve_incidence(maclane_data):
