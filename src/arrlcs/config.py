@@ -28,7 +28,7 @@ class ConfigFormatError(ValueError):
 class Configuration:
     """Immutable incidence structure; axioms are checked by ``validate``."""
 
-    __slots__ = ("lines", "points", "incidence", "_line_index", "_point_lines", "_common")
+    __slots__ = ("lines", "points", "incidence", "_line_index", "_point_lines", "_point_of", "_common", "_index")
 
     def __init__(
         self,
@@ -60,7 +60,9 @@ class Configuration:
         object.__setattr__(
             self, "_point_lines", {p: tuple(sorted(ls)) for p, ls in point_lines.items()}
         )
+        object.__setattr__(self, "_point_of", None)
         object.__setattr__(self, "_common", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Configuration is immutable")
@@ -80,6 +82,19 @@ class Configuration:
 
     def multiplicity(self, point: str) -> int:
         return len(self._point_lines[point])
+
+    def point_of(self, lines: frozenset[int]) -> str | None:
+        """The point whose lines are exactly ``lines``, or None if there is none."""
+        if self._point_of is None:
+            object.__setattr__(self, "_point_of", {frozenset(ls): p for p, ls in self._point_lines.items()})
+        return self._point_of.get(lines)
+
+    @property
+    def index(self) -> "IncidenceIndex":
+        """The flag enumeration every coordinate downstream uses, built once."""
+        if self._index is None:
+            object.__setattr__(self, "_index", IncidenceIndex(self))
+        return self._index
 
     def common_point(self, i: int, j: int) -> str | None:
         """The unique point on both lines, or None if there is none."""
@@ -233,33 +248,37 @@ def maclane_c8() -> Configuration:
     return load_configuration(_builtin_json("maclane8.json"))
 
 
+# The gluing relabels the second copy: its lines 3..7 become 8..12 (lines
+# 0, 1, 2 are shared) and its point pX becomes p'X.
+GLUE_LINE_MAP = {i: i + 5 for i in range(3, 8)}
+
+
+def glue_point(p: str) -> str:
+    return "p'" + p[1:]
+
+
 @lru_cache(maxsize=None)
 def glue_c13() -> Configuration:
     """Two MacLane copies glued along lines 0,1,2 and their common triple point.
 
-    The second copy's lines 3..7 become lines 8..12.  Its points other
-    than the shared one get a prime in the name; the 25 new crossings
-    between old and new lines are double points named ``p''ij`` for the
-    intersection of line i with line j+5 (i, j between 3 and 7).
+    The second copy is relabeled by ``GLUE_LINE_MAP`` and ``glue_point``,
+    except that its shared point merges with the first copy's; the 25 new
+    crossings between old and new lines are double points named ``p''ij``
+    for the intersection of line i with line j+5 (i, j between 3 and 7).
     """
     base = maclane_c8()
-    shared = {0, 1, 2}
     lines = [f"l{i}" for i in range(13)]
-
-    def relabel(i: int) -> int:
-        return i if i in shared else i + 5
-
     points: dict[str, set[int]] = {}
     for p in base.points:
         points[p] = set(base.lines_through(p))
     for p in base.points:
-        img = {relabel(i) for i in base.lines_through(p)}
+        img = {GLUE_LINE_MAP.get(i, i) for i in base.lines_through(p)}
         if img == set(base.lines_through(p)):
             continue  # the shared triple point merges with its twin
-        points["p'" + p[1:]] = img
-    for i in range(3, 8):
-        for j in range(3, 8):
-            points[f"p''{i}{j}"] = {i, j + 5}
+        points[glue_point(p)] = img
+    for i in GLUE_LINE_MAP:
+        for j, image in GLUE_LINE_MAP.items():
+            points[f"p''{i}{j}"] = {i, image}
     incidence = [(lines[i], p) for p, ls in points.items() for i in ls]
     return Configuration(lines, list(points), incidence)
 
@@ -306,43 +325,38 @@ class IncidenceIndex:
 
 @dataclass(frozen=True)
 class ConfigAutomorphism:
-    """Incidence-preserving permutation of lines with its induced point map.
+    """Incidence-preserving permutation of lines; it determines the point map.
 
-    ``line_perm[i]`` is the image index of line i; ``point_perm[k]`` is
-    the index (into ``config.points``) of the image of point k.
+    ``line_perm[i]`` is the image index of line i.  ``from_line_perm``
+    is the constructor that checks incidence.
     """
 
     config: Configuration
     line_perm: tuple[int, ...]
-    point_perm: tuple[int, ...]
+
+    @staticmethod
+    def from_line_perm(config: Configuration, line_perm: Sequence[int]) -> "ConfigAutomorphism":
+        """The automorphism with the given line permutation; ValueError if it breaks incidence."""
+        sigma = ConfigAutomorphism(config, tuple(line_perm))
+        if any(sigma.point_image(p) is None for p in config.points):
+            raise ValueError("line permutation does not preserve incidence")
+        return sigma
 
     @staticmethod
     def identity(config: Configuration) -> "ConfigAutomorphism":
-        return ConfigAutomorphism(
-            config,
-            tuple(range(len(config.lines))),
-            tuple(range(len(config.points))),
-        )
+        return ConfigAutomorphism(config, tuple(range(len(config.lines))))
 
     def compose(self, other: "ConfigAutomorphism") -> "ConfigAutomorphism":
         """self after other."""
         if self.config != other.config:
             raise ValueError("automorphisms of different configurations")
-        return ConfigAutomorphism(
-            self.config,
-            tuple(self.line_perm[j] for j in other.line_perm),
-            tuple(self.point_perm[j] for j in other.point_perm),
-        )
+        return ConfigAutomorphism(self.config, tuple(self.line_perm[j] for j in other.line_perm))
 
     def inverse(self) -> "ConfigAutomorphism":
-        n, m = len(self.line_perm), len(self.point_perm)
-        lp = [0] * n
-        pp = [0] * m
+        lp = [0] * len(self.line_perm)
         for i, j in enumerate(self.line_perm):
             lp[j] = i
-        for i, j in enumerate(self.point_perm):
-            pp[j] = i
-        return ConfigAutomorphism(self.config, tuple(lp), tuple(pp))
+        return ConfigAutomorphism(self.config, tuple(lp))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.line_perm))
@@ -356,8 +370,9 @@ class ConfigAutomorphism:
             k += 1
         return k
 
-    def point_image(self, point: str) -> str:
-        return self.config.points[self.point_perm[self.config.points.index(point)]]
+    def point_image(self, point: str) -> str | None:
+        """The point on the images of ``point``'s lines (None only if incidence breaks)."""
+        return self.config.point_of(frozenset(self.line_perm[i] for i in self.config.lines_through(point)))
 
 
 def _line_profiles(config: Configuration) -> list[tuple[int, ...]]:
@@ -382,7 +397,6 @@ def isomorphisms(a: Configuration, b: Configuration) -> list[dict]:
         [j for j in range(nl) if prof_b[j] == prof_a[i]]
         for i in range(nl)
     ]
-    b_point_of_lineset = {frozenset(b.lines_through(p)): p for p in b.points}
     out: list[dict] = []
     sigma = [-1] * nl
     used = [False] * nl
@@ -390,8 +404,7 @@ def isomorphisms(a: Configuration, b: Configuration) -> list[dict]:
     def leaf_check() -> dict | None:
         point_map = {}
         for p in a.points:
-            img = frozenset(sigma[i] for i in a.lines_through(p))
-            q = b_point_of_lineset.get(img)
+            q = b.point_of(frozenset(sigma[i] for i in a.lines_through(p)))
             if q is None:
                 return None
             point_map[p] = q
@@ -431,13 +444,11 @@ def isomorphisms(a: Configuration, b: Configuration) -> list[dict]:
 
 def automorphisms(config: Configuration) -> list[ConfigAutomorphism]:
     """The full automorphism group, sorted by line permutation."""
-    point_pos = {p: k for k, p in enumerate(config.points)}
     line_pos = {l: k for k, l in enumerate(config.lines)}
-    autos = []
-    for iso in isomorphisms(config, config):
-        lp = tuple(line_pos[iso["lines"][l]] for l in config.lines)
-        pp = tuple(point_pos[iso["points"][p]] for p in config.points)
-        autos.append(ConfigAutomorphism(config, lp, pp))
+    autos = [
+        ConfigAutomorphism(config, tuple(line_pos[iso["lines"][l]] for l in config.lines))
+        for iso in isomorphisms(config, config)
+    ]
     autos.sort(key=lambda s: s.line_perm)
     return autos
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import Configuration, glue_c13
+from .config import GLUE_LINE_MAP, Configuration, glue_c13
 
 
 class DegenerateRealization(ValueError):
@@ -359,14 +359,14 @@ def glue_realization(sign: str, psi) -> tuple[ProjLine, ...]:
     """Thirteen lines: the ``+`` realization plus psi-images of lines 3..7.
 
     The second copy uses the ``sign`` realization; its lines 3..7
-    become lines 8..12.  ``psi`` must fix the three shared lines.
+    become lines 8..12 (``GLUE_LINE_MAP``).  ``psi`` must fix the three shared lines.
     """
     first = phi_c8("+")
     second = phi_c8(sign)
     for i in range(3):
         if transform_line(psi, first[i]) != first[i]:
             raise ValueError("psi must fix the three shared lines")
-    return first + tuple(transform_line(psi, second[i]) for i in range(3, 8))
+    return first + tuple(transform_line(psi, second[i]) for i in GLUE_LINE_MAP)
 
 
 @dataclass

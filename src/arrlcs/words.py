@@ -23,7 +23,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .config import Configuration, IncidenceIndex
+from .config import Configuration
 from .exactlin import densify
 
 
@@ -168,25 +168,23 @@ def commutator(a: Word, b: Word) -> Word:
 _FLAG_KEY = re.compile(r"^\((\d+),\s*([^)]+)\)$")
 
 
-def _check_flag(config: Configuration, idx: IncidenceIndex, i: int, p: str) -> None:
-    if (i, p) not in idx.pair_pos:
+def _check_flag(config: Configuration, i: int, p: str) -> None:
+    if (i, p) not in config.index.pair_pos:
         raise ValueError(f"({i},{p}) is not a line/point flag off the infinity line")
 
 
 class GMap:
     """Assignment of a conjugating word to each flag; defaults to identity."""
 
-    __slots__ = ("config", "index", "assignments")
+    __slots__ = ("config", "assignments")
 
     def __init__(self, config: Configuration, assignments: Mapping[tuple[int, str], Word] | None = None):
-        idx = IncidenceIndex(config)
         clean: dict[tuple[int, str], Word] = {}
         for (i, p), w in (assignments or {}).items():
-            _check_flag(config, idx, i, p)
+            _check_flag(config, i, p)
             if not w.is_identity():
                 clean[(i, p)] = w
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "index", idx)
         object.__setattr__(self, "assignments", clean)
 
     def __setattr__(self, name, value):
@@ -226,28 +224,26 @@ class GMap:
 class AbelianGMap:
     """Flag-indexed vectors in ZZ^n (n = number of finite lines)."""
 
-    __slots__ = ("config", "index", "values")
+    __slots__ = ("config", "values")
 
     def __init__(self, config: Configuration, values: Mapping[tuple[int, str], Sequence[int]] | None = None):
-        idx = IncidenceIndex(config)
-        n = idx.n
+        n = config.index.n
         clean = {}
         for (i, p), v in (values or {}).items():
-            _check_flag(config, idx, i, p)
+            _check_flag(config, i, p)
             v = tuple(int(x) for x in v)
             if len(v) != n:
                 raise ValueError("abelian value has wrong length")
             if any(v):
                 clean[(i, p)] = v
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "index", idx)
         object.__setattr__(self, "values", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGMap is immutable")
 
     def value(self, i: int, p: str) -> tuple[int, ...]:
-        return self.values.get((i, p), (0,) * self.index.n)
+        return self.values.get((i, p), (0,) * self.config.index.n)
 
     def __sub__(self, other: "AbelianGMap") -> "AbelianGMap":
         if self.config != other.config:
@@ -272,17 +268,18 @@ class AbelianGMap:
 
     def vector(self) -> tuple[int, ...]:
         """Flatten over the index pair order, n coordinates per flag."""
-        n = self.index.n
-        out = [0] * (len(self.index.pairs) * n)
+        idx = self.config.index
+        n = idx.n
+        out = [0] * (len(idx.pairs) * n)
         for (i, p), v in self.values.items():
-            base = self.index.pair_pos[(i, p)] * n
+            base = idx.pair_pos[(i, p)] * n
             for j, x in enumerate(v):
                 out[base + j] = x
         return tuple(out)
 
     @staticmethod
     def from_vector(config: Configuration, vec: Sequence[int]) -> "AbelianGMap":
-        idx = IncidenceIndex(config)
+        idx = config.index
         n = idx.n
         if len(vec) != len(idx.pairs) * n:
             raise ValueError("vector length mismatch")
@@ -295,7 +292,7 @@ class AbelianGMap:
 
 
 def abelianize(g: GMap) -> AbelianGMap:
-    n = g.index.n
+    n = g.config.index.n
     return AbelianGMap(g.config, {flag: w.exponent_sums(n) for flag, w in g.assignments.items()})
 
 
@@ -329,9 +326,8 @@ def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Wor
     [w(i_a), c_a].  The a = 1 relator is the redundant one and is
     dropped.
     """
-    idx = g.index
     out: dict[tuple[int, str], Word] = {}
-    for p in idx.p0:
+    for p in g.config.index.p0:
         ws = conjugated_generators(config, g, p)
         k = len(ws)
         cs = [_cyclic_product(ws, a) for a in range(1, k + 1)]

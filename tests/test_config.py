@@ -8,7 +8,6 @@ from arrlcs.config import (
     ConfigAutomorphism,
     ConfigFormatError,
     Configuration,
-    IncidenceIndex,
     automorphisms,
     glue_c13,
     is_s3_times_z2,
@@ -96,7 +95,7 @@ def test_maclane_counts_and_points():
 
 
 def test_maclane_incidence_index():
-    idx = IncidenceIndex(maclane_c8())
+    idx = maclane_c8().index
     assert idx.n == 7
     assert len(idx.p0) == 8
     assert len(idx.pairs) == 21
@@ -109,6 +108,13 @@ def test_maclane_incidence_index():
         assert gens_at_p == [i for i in ls if i != min(ls)]
 
 
+def test_index_is_cached_on_the_configuration():
+    fresh = load_configuration(json.loads(maclane_c8().canonical_json()))
+    for c in (maclane_c8(), fresh):
+        assert c.index is c.index
+        assert c.index.config is c
+
+
 # -- gluing -----------------------------------------------------------------------
 
 
@@ -117,7 +123,7 @@ def test_glued_counts():
     assert len(c.lines) == 13
     assert len(c.points) == 48
     assert validate(c).ok
-    idx = IncidenceIndex(c)
+    idx = c.index
     assert len(idx.p0) == 41
     assert len(idx.pairs) == 92
     assert len(idx.generator_pairs) == 51
@@ -178,11 +184,16 @@ def test_automorphisms_form_a_group():
 
 
 def test_automorphism_preserves_incidence():
-    c = glue_c13()
-    for a in automorphisms(c):
-        for l, p in c.incidence:
-            li = c.line_index(l)
-            assert (c.lines[a.line_perm[li]], a.point_image(p)) in c.incidence
+    for c in (maclane_c8(), glue_c13()):
+        for a in automorphisms(c):
+            for l, p in c.incidence:
+                li = c.line_index(l)
+                assert (c.lines[a.line_perm[li]], a.point_image(p)) in c.incidence
+            # point_image is a bijection on points carrying each point's lines to its image's
+            images = {p: a.point_image(p) for p in c.points}
+            assert sorted(images.values()) == list(c.points)
+            for p, q in images.items():
+                assert c.lines_through(q) == tuple(sorted(a.line_perm[i] for i in c.lines_through(p)))
 
 
 def test_glued_automorphism_group():

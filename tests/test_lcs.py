@@ -7,13 +7,12 @@ import random
 import pytest
 
 from arrlcs import exactlin, lcs
-from arrlcs.config import ConfigAutomorphism, automorphisms, glue_c13, maclane_c8
+from arrlcs.config import ConfigAutomorphism, IncidenceIndex, automorphisms, glue_c13, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, dot, lattice_sum, member, perp, vec_mat
 from arrlcs.lcs import (
     ConfigMismatchError,
     HomR2P3,
     TorsionError,
-    automorphism_from_line_perm,
     b_lattice,
     build_lcs,
     builtin_g_difference,
@@ -29,7 +28,6 @@ from arrlcs.lcs import (
     glued_g_map,
     kappa,
     maclane_dual_basis,
-    omega_functionals,
     t_functional,
     tau_kernel,
     tau_kernel_equals_u,
@@ -484,7 +482,6 @@ def test_pairing_identity_at_shared_points(maclane_data):
     data = maclane_data
     config = data.config
     duals = {e.label: e for e in maclane_dual_basis()}
-    omegas = {e.label: e for e in omega_functionals(config)}
     gp = data.index.gen_pos
     checked = 0
     for seed in range(3):
@@ -504,7 +501,7 @@ def test_pairing_identity_at_shared_points(maclane_data):
             i, j = int(inner[0]), int(inner[1])
             lo, hi = min(i, j), max(i, j)
             sign = 1 if i < j else -1
-            om = omegas[f"omega({lo},{hi})"].coords
+            w = data.wedge_pos[(lo, hi)]  # omega_ij is the unit functional at this wedge coordinate
             for p in data.index.p0:
                 lines_p = config.lines_through(p)
                 if i not in lines_p:
@@ -513,7 +510,7 @@ def test_pairing_identity_at_shared_points(maclane_data):
                     if k == i or (k, p) not in gp:
                         continue
                     lhs = dot(e.coords, lift.row(gp[(k, p)]))
-                    assert lhs == -sign * dot(om, fhat.row(k - 1))
+                    assert lhs == -sign * fhat.row(k - 1)[w]
                     checked += 1
     assert checked == 60
 
@@ -553,7 +550,7 @@ def test_transport_group_and_equivariance(maclane_data):
     group = transport_group(data)
     assert len(group) == 6
     for perm in ((0, 6, 5, 4, 3, 2, 1, 7), (0, 3, 4, 5, 6, 1, 2, 7)):
-        sigma = automorphism_from_line_perm(data.config, perm)
+        sigma = ConfigAutomorphism.from_line_perm(data.config, perm)
         assert check_equivariance(data, sigma)
     for sigma in group:
         assert check_equivariance(data, sigma)
@@ -603,9 +600,14 @@ def test_line_action_group_laws(maclane_data):
     assert order_matters
 
 
+def test_transport_group_is_the_line_0_stabiliser(maclane_data):
+    stabiliser = [sigma for sigma in automorphisms(maclane_data.config) if sigma.line_perm[0] == 0]
+    assert stabiliser == transport_group(maclane_data)
+
+
 def test_line_perm_must_preserve_incidence(maclane_data):
     with pytest.raises(ValueError):
-        automorphism_from_line_perm(maclane_data.config, (0, 2, 1, 3, 4, 5, 6, 7))
+        ConfigAutomorphism.from_line_perm(maclane_data.config, (0, 2, 1, 3, 4, 5, 6, 7))
 
 
 # -- bundled conjugator data --------------------------------------------------
@@ -769,6 +771,23 @@ def test_glued_g_map_transports_assignments():
                 assert glued.value(i, p) == Word.identity()
     with pytest.raises(ConfigMismatchError):
         glued_g_map(GMap(glue_c13()), plus)
+
+
+def test_kappa_on_c13_builds_no_incidence_index(c13_data, monkeypatch):
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    pp, pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
+    c13_data.im_delta, c13_data.tau_blocks  # the lazy degree-3 build runs before counting
+    built = []
+    init = IncidenceIndex.__init__
+
+    def counting_init(self, config):
+        built.append(config)
+        init(self, config)
+
+    monkeypatch.setattr(IncidenceIndex, "__init__", counting_init)
+    assert not kappa(c13_data, pp, pm).zero
+    assert kappa(c13_data, pp, pp).zero
+    assert built == []
 
 
 def test_class_of_glued_sign_combinations(maclane_data):
