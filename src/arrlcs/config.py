@@ -488,17 +488,3 @@ def is_s3_times_z2(autos: Sequence[ConfigAutomorphism]) -> bool:
     ]
     involutions = [s for s in elems if not s.is_identity() and s.order() == 2]
     return len(center) == 2 and len(involutions) == 7
-
-
-def restrict(config: Configuration, line_idxs: Sequence[int]) -> Configuration:
-    """Sub-configuration on a subset of lines (points need two survivors)."""
-    keep = sorted(set(line_idxs))
-    names = [config.lines[i] for i in keep]
-    pts = []
-    incidence = []
-    for p in config.points:
-        on = [i for i in config.lines_through(p) if i in set(keep)]
-        if len(on) >= 2:
-            pts.append(p)
-            incidence.extend((config.lines[i], p) for i in on)
-    return Configuration(names, pts, incidence)

@@ -18,12 +18,14 @@ Normal form conventions:
 ``IntMatrix`` stores sparse rows ``{column: entry}`` and nothing else;
 its dense ``entries`` is a view built when read.  All elimination,
 Hermite and Smith, runs on copies of those rows in one kernel, and its
-result rows are wrapped as they are.  The kernel skips the columns no
-working row reaches, but performs the dense Hermite algorithm's
-operations in its order, so its transforms are deterministic and equal
-to a dense reduction's.  The Smith form alternates that kernel over the
-rows and the columns.  Products, ``vec_mat`` and membership touch only
-nonzero entries.
+result rows are wrapped as they are.  The kernel keeps the unfinished
+rows in buckets by leading column, so a pivot step touches only the rows
+led by its column, and it picks the finished rows holding that column
+with one C-level filter; no step scans every row.  It still performs the
+dense Hermite algorithm's operations in the dense order, so its
+``(h, u, pivots)`` are deterministic and equal to a dense reduction's.
+The Smith form alternates that kernel over the rows and the columns.
+Products, ``vec_mat`` and membership touch only nonzero entries.
 
 Linear maps act on row vectors (v ↦ v·m).  ``Lattice.__init__`` is the
 one place a lattice is put in canonical form: ``kernel_basis(m)``
@@ -44,7 +46,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from heapq import heapify, heappop, heappush
+from itertools import compress, repeat
+from operator import contains
 from typing import Iterable, Sequence
 
 
@@ -198,44 +202,76 @@ def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | Non
     rows below are reduced by floor quotients until the column is clean,
     the pivot is made positive, then the rows above are reduced into
     ``[0, pivot)``.  So ``a``, ``u`` and the pivots are deterministic and
-    equal to a dense run's.  Rows at or below ``r`` vanish left of the
-    current column, so the loop tracks each one's leading column and jumps
-    to the least, skipping the empty columns.  Returns the pivot columns.
+    equal to a dense run's.
+
+    Rows at or below ``r`` vanish left of the current column.  They sit in
+    buckets ``{leading column: row indices}``, with a heap of the occupied
+    columns, so a pivot step touches only its column's bucket: a row whose
+    entry there cancels moves to the bucket of its new leading column, and
+    a swap moves the pivot's index to ``r`` in its bucket and the displaced
+    row's index to the pivot's old one in the bucket of its own leading
+    column.  The rows above ``r`` that hold the column are picked out by
+    one C-level filter.  Within a pass each row receives the dense run's
+    operations in its order, so the order in which rows are visited
+    changes no result.
+    Returns the pivot columns.
     """
-    nrows = len(a)
     lead = [min(row, default=ncols) for row in a]
+    at: dict[int, set[int]] = {}
+    for i, c in enumerate(lead):
+        if c < ncols:
+            at.setdefault(c, set()).add(i)
+    heap = list(at)
+    heapify(heap)
     pivots: list[int] = []
-    for r in range(nrows):
-        c = min(lead[r:])
-        if c == ncols:
+    for r in range(len(a)):
+        if not heap:
             break
+        c = heappop(heap)
+        bucket = at.pop(c)
         while True:
-            i0 = min((i for i in range(r, nrows) if lead[i] == c), key=lambda i: abs(a[i][c]))
+            i0 = min(bucket, key=lambda i: (abs(a[i][c]), i))
             if i0 != r:
                 a[r], a[i0], lead[r], lead[i0] = a[i0], a[r], lead[i0], lead[r]
                 if u is not None:
                     u[r], u[i0] = u[i0], u[r]
+                lr = lead[i0]
+                if lr != c:
+                    # the pivot is now row r of this bucket, the displaced row i0 of its own
+                    bucket.remove(i0)
+                    bucket.add(r)
+                    if lr < ncols:
+                        at[lr].remove(r)
+                        at[lr].add(i0)
             if a[r][c] < 0:
                 a[r] = {k: -x for k, x in a[r].items()}
                 if u is not None:
                     u[r] = {k: -x for k, x in u[r].items()}
-            clean = True
-            for i in range(r + 1, nrows):
-                if lead[i] == c:
-                    q = a[i][c] // a[r][c]
-                    _sparse_sub(a[i], a[r], q)
-                    if u is not None:
-                        _sparse_sub(u[i], u[r], q)
-                    if c in a[i]:
-                        clean = False
-                    else:
-                        lead[i] = min(a[i], default=ncols)
-            if clean:
+            p = a[r]
+            bucket.remove(r)
+            left = set()
+            for i in bucket:
+                q = a[i][c] // p[c]
+                _sparse_sub(a[i], p, q)
+                if u is not None:
+                    _sparse_sub(u[i], u[r], q)
+                if c in a[i]:
+                    left.add(i)
+                else:
+                    k = lead[i] = min(a[i], default=ncols)
+                    if k in at:
+                        at[k].add(i)
+                    elif k < ncols:
+                        at[k] = {i}
+                        heappush(heap, k)
+            if not left:
                 break
-        for i in range(r):
-            q = a[i].get(c, 0) // a[r][c]
+            left.add(r)
+            bucket = left
+        for i in compress(range(r), map(contains, a, repeat(c, r))):
+            q = a[i][c] // p[c]
             if q:
-                _sparse_sub(a[i], a[r], q)
+                _sparse_sub(a[i], p, q)
                 if u is not None:
                     _sparse_sub(u[i], u[r], q)
         pivots.append(c)

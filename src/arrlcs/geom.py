@@ -22,7 +22,6 @@ Provided realizations:
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,16 +130,6 @@ ZERO = CycloRational(0)
 ONE = CycloRational(1)
 OMEGA = CycloRational(0, 1)
 
-_CYCLO_RE = re.compile(r"^(-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)\*w$")
-
-
-def cyclo_from_str(s: str) -> CycloRational:
-    m = _CYCLO_RE.match(s.replace(" ", ""))
-    if m is None:
-        raise ValueError(f"not a Q(w) literal: {s!r}")
-    return CycloRational(Fraction(m.group(1)), Fraction(m.group(2)))
-
-
 # -- projective points and lines --------------------------------------------
 
 
@@ -181,14 +170,6 @@ class ProjLine(_ProjTriple):
     """Line {a*z0 + b*z1 + c*z2 = 0} with covector (a, b, c)."""
 
 
-def dot(line: ProjLine, point: ProjPoint) -> CycloRational:
-    return sum((a * z for a, z in zip(line.coords, point.coords)), ZERO)
-
-
-def incident(line: ProjLine, point: ProjPoint) -> bool:
-    return not dot(line, point)
-
-
 def _cross(u: _ProjTriple, v: _ProjTriple) -> tuple[CycloRational, ...]:
     (a0, a1, a2), (b0, b1, b2) = u.coords, v.coords
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
@@ -199,13 +180,6 @@ def intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     if not any(c):
         raise ValueError("coincident lines have no unique intersection")
     return ProjPoint(*c)
-
-
-def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
-    c = _cross(p1, p2)
-    if not any(c):
-        raise ValueError("coincident points have no unique joining line")
-    return ProjLine(*c)
 
 
 # -- the two conjugate MacLane realizations ---------------------------------

@@ -391,11 +391,6 @@ def delta_lift_rows(data: LcsData, fhat: IntMatrix) -> IntMatrix:
     return _lift_rows(data, data._delta_lift(fhat))
 
 
-def delta_kernel(data: LcsData) -> Lattice:
-    """ker δ̄ inside Hom(H,P2) flat coordinates.  Computed, nothing asserted."""
-    return Lattice(data.n * data.p2.free_rank, kernel_basis(data.im_delta.basis))
-
-
 # -- the kernel lattices U and B ---------------------------------------------
 
 

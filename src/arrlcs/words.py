@@ -446,30 +446,6 @@ def magnus(word: Word) -> TruncatedSeries:
 # -- Lyndon bases -------------------------------------------------------------
 
 
-def witt_dimension(n: int, k: int) -> int:
-    """Number of Lyndon words of length k over n letters."""
-
-    def mobius(m: int) -> int:
-        out = 1
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    return 0
-                out = -out
-            d += 1
-        if m > 1:
-            out = -out
-        return out
-
-    total = 0
-    for d in range(1, k + 1):
-        if k % d == 0:
-            total += mobius(d) * n ** (k // d)
-    return total // k
-
-
 def _is_lyndon(w: tuple[int, ...]) -> bool:
     return all(w < w[k:] + w[:k] for k in range(1, len(w)))
 

@@ -15,9 +15,9 @@ from arrlcs.config import (
     load_configuration,
     maclane_c8,
     partition_check,
-    restrict,
     validate,
 )
+from helpers import restrict
 
 MACLANE_POINTS = {
     "p012": (0, 1, 2),

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from arrlcs.config import maclane_c8
 from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
@@ -23,6 +24,7 @@ from arrlcs.exactlin import (
     vec_mat,
     vstack,
 )
+from arrlcs.lcs import u_lattice
 
 
 @st.composite
@@ -38,6 +40,20 @@ def wide_sparse(draw, max_rows=12, max_cols=60):
     n = draw(st.integers(1, max_cols))
     entry = st.dictionaries(st.integers(0, n - 1), st.integers(-9, 9).filter(bool), max_size=3)
     rows = draw(st.lists(entry, max_size=max_rows))
+    return IntMatrix([[row.get(j, 0) for j in range(n)] for row in rows], n)
+
+
+@st.composite
+def tall_sparse(draw, max_rows=150, max_cols=8):
+    """Many rows led by the same 2-3 columns, entries ±1 and ±2: large leading-column
+    buckets, row swaps and |entry| ties at nearly every pivot."""
+    n = draw(st.integers(3, max_cols))
+    leads = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=3, unique=True))
+    value = st.sampled_from((-2, -1, 1, 2))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        lead = draw(st.sampled_from(leads))
+        rows.append({lead: draw(value), **draw(st.dictionaries(st.integers(lead + 1, n - 1), value, max_size=2))})
     return IntMatrix([[row.get(j, 0) for j in range(n)] for row in rows], n)
 
 
@@ -242,7 +258,7 @@ def assert_replays_dense_reduction(m: IntMatrix) -> None:
 
 
 @settings(max_examples=300)
-@given(st.one_of(matrices(), wide_sparse()))
+@given(st.one_of(matrices(), wide_sparse(), tall_sparse()))
 @example(IntMatrix([[0, -2, 0, 3, 0], [0, 0, 0, 0, 0], [0, -4, 0, 1, 0], [0, 0, -3, 0, 0]], 5))
 def test_hnf_transform_equals_the_dense_reduction(m):
     assert_replays_dense_reduction(m)
@@ -254,7 +270,12 @@ def test_hnf_transform_equals_the_dense_reduction_on_empty_shapes():
 
 
 def test_hnf_transform_equals_the_dense_reduction_on_c13(c13_data):
+    # Im δ̄ fills in; R3 and its transpose have large leading-column buckets
     assert_replays_dense_reduction(c13_data.im_delta.basis)
+    assert_replays_dense_reduction(c13_data.r3.basis)
+    assert_replays_dense_reduction(c13_data.r3.basis.transpose())
+    # the basis of U is c8's `_u_generators` rows as they come
+    assert_replays_dense_reduction(u_lattice(maclane_c8()).basis)
 
 
 # -- SNF ---------------------------------------------------------------------

@@ -16,16 +16,14 @@ from arrlcs.geom import (
     ProjPoint,
     check_realization,
     conjugate_realization,
-    cyclo_from_str,
     generic_glued_realization,
     glue_realization,
-    incident,
     intersection,
-    line_through,
     phi_c8,
     psi_generic,
     transform_line,
 )
+from helpers import cyclo_from_str, incident, line_through
 
 IDENTITY_PSI = (
     (Fraction(1), Fraction(0), Fraction(0)),

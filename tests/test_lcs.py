@@ -23,7 +23,6 @@ from arrlcs.lcs import (
     class_of_glued,
     delta_bar,
     delta_bar_from_lift,
-    delta_kernel,
     delta_lift_rows,
     glued_g_map,
     kappa,
@@ -40,6 +39,7 @@ from arrlcs.lcs import (
     u_lattice,
 )
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
+from helpers import delta_kernel
 
 
 def random_abelian(rng: random.Random, data, bound: int = 2) -> AbelianGMap:

@@ -29,8 +29,8 @@ from arrlcs.words import (
     relators_from_g,
     standard_bracketing,
     wedge_index,
-    witt_dimension,
 )
+from helpers import witt_dimension
 
 
 def random_word(rng: random.Random, n: int, maxlen: int = 6) -> Word:
