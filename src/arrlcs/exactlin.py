@@ -496,17 +496,14 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
 def perp(lat: Lattice) -> Lattice:
     """Integer functionals vanishing on the lattice (ambient dual, same coords).
 
-    The left kernel of the basis transposed.  Computed once per lattice
-    and cached on it, so ``perp(lat) is perp(lat)``.
+    The left kernel of the canonical form transposed: it depends only on
+    the span, and the canonical form has no more rows than the basis (532
+    against 612 for C13's R3).  Computed once per lattice and cached on
+    it, so ``perp(lat) is perp(lat)``.
     """
     if lat._perp is None:
-        object.__setattr__(lat, "_perp", Lattice(lat.ambient_rank, kernel_basis(lat.basis.transpose())))
+        object.__setattr__(lat, "_perp", Lattice(lat.ambient_rank, kernel_basis(lat.canonical_form.transpose())))
     return lat._perp
-
-
-def saturate(lat: Lattice) -> Lattice:
-    """Largest sublattice of the ambient with the same rational span."""
-    return perp(perp(lat))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
 cached lift ``LcsData.tau_lift`` of each A coordinate and is stored per
 point (``LcsData.tau_blocks``); ``tau_matrix``, the whole A × Hom(R2,P3)
 matrix, serves the pinned digests, the one-identity equivariance check
-and the benchmark.  δ̄ lifts f̂ at each generator flag; R3perp pulls
+and the benchmark.  δ̄ lifts f̂ at each generator flag, and Im δ̄ is
+assembled from the same sums, one section image per line; R3perp pulls
 perp(R3) back along the bracket.  A lift is a sequence of (generator
 flag, slot, coefficient) terms.  An automorphism acts on A and on H⊗Λ²H
 by one sparse signed permutation each (``_line_action``).  Every matrix
@@ -65,6 +66,7 @@ from .exactlin import (
     combine,
     densify,
     dot,
+    hnf,
     kernel_basis,
     member,
     perp,
@@ -97,13 +99,31 @@ class ConfigMismatchError(ValueError):
 # -- core data ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PointU:
+    """U at one finite point p, as both kernel identities read it.
+
+    ``rows`` and ``cols`` are p's slices of A and of Hom(R2,P3), ``tau``
+    is τ̃_p, ``u`` is the canonical form of U_p (spanned by U's generators
+    at p, in p's A coordinates) and ``quotient`` presents A_p/U_p.  The
+    generator basis of U_p is not kept.
+    """
+
+    rows: slice
+    cols: slice
+    tau: IntMatrix
+    u: IntMatrix
+    quotient: QuotientPresentation
+
+
 class LcsData:
     """Degree-2 and degree-3 graded data of one configuration.
 
     Degree-2 objects are built eagerly.  The degree-3 objects (the
-    bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, its whole
-    matrix for the pinned digests, the one-identity equivariance check and
-    the benchmark, Im δ̄) are cached properties computed on first use, so
+    bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, U per point
+    with A_p/U_p for both kernel identities, the whole τ̃ matrix for the
+    pinned digests, the one-identity equivariance check and the
+    benchmark, Im δ̄) are cached properties computed on first use, so
     purely degree-2 work on large configurations stays cheap.
     """
 
@@ -251,9 +271,14 @@ class LcsData:
         """The bracketing map followed by the P3 projection, H⊗Λ²H → P3."""
         return self.bracket @ self.p3.projection
 
-    def _to_hom(self, lift, gens: range | None = None) -> dict[int, int]:
-        """Sparse flat Hom(R2,P3) coordinates of a sparse lift on the generator flags ``gens`` (default all)."""
-        r, bp, start = self.p3.free_rank, self._bracket_p3.sparse_rows, gens.start if gens else 0
+    def _to_hom(self, lift, gens: range | None = None, images: IntMatrix | None = None) -> dict[int, int]:
+        """Sparse flat Hom(R2,P3) coordinates of a sparse lift on the generator flags ``gens`` (default all).
+
+        A term (g, s, c) adds c times row s of ``images`` (default the
+        H⊗Λ²H → P3 map ``_bracket_p3``) at generator flag g.
+        """
+        r, start = self.p3.free_rank, gens.start if gens else 0
+        bp = (self._bracket_p3 if images is None else images).sparse_rows
         out: dict[int, int] = {}
         for g, s, c in lift:
             base = (g - start) * r
@@ -271,6 +296,19 @@ class LcsData:
             block = IntMatrix._of([self._to_hom(lift, gens) for lift in self.tau_lift[rows]], len(gens) * r)
             out.append((rows, slice(gen * r, gens.stop * r), block))
             flag, gen = flag + k, gen + k - 1
+        return tuple(out)
+
+    @cached_property
+    def u_points(self) -> tuple[PointU, ...]:
+        """U at each finite point, in ``index.p0`` order, shared by both kernel identities."""
+        at = {p: [] for p in self.index.p0}
+        for p, row in _u_generators(self.config):
+            at[p].append(row)
+        out = []
+        for p, (rows, cols, block) in zip(self.index.p0, self.tau_blocks):
+            local = IntMatrix._of(at[p], self.a_rank).columns(rows.start, rows.stop)
+            u = Lattice(local.cols, local)
+            out.append(PointU(rows, cols, block, u.canonical_form, quotient_presentation(u)))
         return tuple(out)
 
     @cached_property
@@ -292,13 +330,28 @@ class LcsData:
 
     @cached_property
     def im_delta(self) -> Lattice:
-        """Image of δ̄; basis rows ordered by (line i, P2 coordinate)."""
-        rows = [
-            self._to_hom(self._delta_lift(IntMatrix._of([s if j == i else {} for j in range(self.n)], self.npairs)))
-            for i in range(self.n)
-            for s in self.p2.section.sparse_rows
-        ]
-        width = len(self.gens) * self.p3.free_rank
+        """Image of δ̄; basis row (i, t) is δ̄ of the unit map x_i ↦ e_t (H → P2), rows ordered by (line i, t).
+
+        Built from one linear map per line: Y_m = ``p2.section`` followed by
+        line m's block of ``_bracket_p3`` sends e_t to the P3 value of
+        x_m⊗ŝ_t.  At a generator flag g = (k,p) with i on p, row (i, t)
+        is +Y_k[t] when k ≠ i and -Σ_{j on p, j≠i} Y_j[t] when k = i: the
+        sum the δ-lift of that unit map (``_delta_lift``) reduces to.
+        ``delta_bar`` keeps the lift route, an independent check.
+        """
+        n, np_, f2, r = self.n, self.npairs, self.p2.free_rank, self.p3.free_rank
+        bp = self._bracket_p3.sparse_rows
+        # row (m-1)·f2 + t is Y_m[t]
+        ys = vstack(*(self.p2.section @ IntMatrix._of(bp[m * np_ : (m + 1) * np_], r) for m in range(n)))
+        rows = []
+        for i in range(1, n + 1):
+            terms = []  # (generator flag, line m, sign) of each Y_m in the rows of line i
+            for g, (k, p) in enumerate(self.gens):
+                on_p = self.config.lines_through(p)
+                if i in on_p:
+                    terms += [(g, k, 1)] if k != i else [(g, j, -1) for j in on_p if j != i]
+            rows += [self._to_hom([(g, (m - 1) * f2 + t, c) for g, m, c in terms], images=ys) for t in range(f2)]
+        width = len(self.gens) * r
         return Lattice(width, IntMatrix._of(rows, width))
 
 
@@ -440,23 +493,31 @@ def b_lattice(config: Configuration) -> Lattice:
     return Lattice(dim, IntMatrix._of(rows, dim))
 
 
-def _u_blocks(data: LcsData):
-    """(A rows, Hom(R2,P3) columns, τ̃_p, U_p) per finite point p; U_p is spanned by U's generators at p."""
-    at = {p: [] for p in data.index.p0}
-    for p, row in _u_generators(data.config):
-        at[p].append(row)
-    for p, (rows, cols, block) in zip(data.index.p0, data.tau_blocks):
-        local = IntMatrix._of(at[p], data.a_rank).columns(rows.start, rows.stop)
-        yield rows, cols, block, Lattice(local.cols, local)
-
-
 def tau_kernel(data: LcsData) -> Lattice:
     return Lattice(data.a_rank, kernel_basis(data.tau_matrix))
 
 
 def tau_kernel_equals_u(data: LcsData) -> bool:
-    """ker τ̃ = U, point by point: both are direct sums over p, so ker τ̃_p = U_p at every p."""
-    return all(Lattice(u.ambient_rank, kernel_basis(block)) == u for _, _, block, u in _u_blocks(data))
+    """ker τ̃ = U, decided point by point from the quotients A_p/U_p of ``LcsData.u_points``.
+
+    Both lattices are direct sums over the finite points p, so the
+    equality holds iff ker τ̃_p = U_p at every p, and that holds iff
+    τ̃_p kills U_p, A_p/U_p is torsion-free, and τ̃_p∘s_p has rank f_p,
+    where π_p: A_p → ZZ^f_p and its section s_p present A_p/U_p.
+
+    Proof: the target of τ̃_p is free, so ker τ̃_p is saturated, and a U_p
+    with torsion in A_p/U_p differs from it.  Otherwise U_p = ker π_p,
+    and π_p(a - s_p π_p(a)) = 0 puts a - s_p π_p(a) in U_p for every a.
+    If τ̃_p kills U_p, then τ̃_p(a) = τ̃_p(s_p π_p(a)), so
+    ker τ̃_p = π_p⁻¹(ker τ̃_p∘s_p); it equals U_p = π_p⁻¹(0) iff τ̃_p∘s_p
+    is injective on ZZ^f_p, i.e. has rank f_p.
+    """
+    return all(
+        not any((pt.u @ pt.tau).sparse_rows)
+        and pt.quotient.is_torsion_free
+        and hnf(pt.quotient.section @ pt.tau).rows == pt.quotient.free_rank
+        for pt in data.u_points
+    )
 
 
 def tau_preimage(data: LcsData) -> Lattice:
@@ -468,27 +529,28 @@ def tau_preimage(data: LcsData) -> Lattice:
 def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     """τ̃⁻¹(Im δ̄) = U + B, decided in A/U = ⊕ A_p/U_p (rank 36 on C13), whether or not ker τ̃ = U.
 
-    Let π: A → A/U with section s.  Once τ̃(U) ⊆ Im δ̄, a lies in the
-    preimage iff s(π(a)) does, so the equality holds iff π(preimage), the
-    left kernel of [τ̃∘s; Im δ̄] cut to its first block, equals π(B).
-    Raises TorsionError if A/U has torsion, where no such section exists.
+    Let π: A → A/U with section s, both read from ``LcsData.u_points``.
+    Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff s(π(a)) does, so the
+    equality holds iff π(preimage), the left kernel of [τ̃∘s; Im δ̄] cut
+    to its first block, equals π(B).  Im δ̄ enters that kernel by its
+    canonical form: only its span matters there.  Raises TorsionError if
+    A/U has torsion, where no such section exists.
     """
-    width, blocks = len(data.gens) * data.p3.free_rank, list(_u_blocks(data))
+    width, points = len(data.gens) * data.p3.free_rank, data.u_points
 
-    def tau_rows(cols, block, m):
-        """τ̃_p of each row of ``m``, spread to Hom(R2,P3) columns."""
-        return [{cols.start + t: x for t, x in combine(row.items(), block).items()} for row in m.sparse_rows]
-    images = [v for _, cols, block, u in blocks for v in tau_rows(cols, block, u.canonical_form)]
+    def spread(start, m):
+        """The rows of ``m`` with every column shifted by ``start``."""
+        return [{start + t: x for t, x in row.items()} for row in m.sparse_rows]
+    images = [v for pt in points for v in spread(pt.cols.start, pt.u @ pt.tau)]
     if not all(member(densify(v, width), data.im_delta) for v in images if v):
         return False
-    quos = [quotient_presentation(u) for *_, u in blocks]
-    if not all(q.is_torsion_free for q in quos):
+    if not all(pt.quotient.is_torsion_free for pt in points):
         raise TorsionError("A/U has torsion")
-    tau_s = [v for (_, cols, block, _), q in zip(blocks, quos) for v in tau_rows(cols, block, q.section)]
-    joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.basis))
-    # π = ⊕_p π_p, block diagonal: the blocks' A rows run through A in order
-    f, starts = len(tau_s), list(accumulate((q.free_rank for q in quos), initial=0))
-    pi = [{start + t: x for t, x in row.items()} for q, start in zip(quos, starts) for row in q.projection.sparse_rows]
+    tau_s = [v for pt in points for v in spread(pt.cols.start, pt.quotient.section @ pt.tau)]
+    joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.canonical_form))
+    # π = ⊕_p π_p, block diagonal: the points' A rows run through A in order
+    f, starts = len(tau_s), list(accumulate((pt.quotient.free_rank for pt in points), initial=0))
+    pi = [v for pt, start in zip(points, starts) for v in spread(start, pt.quotient.projection)]
     pi_b = b_lattice(data.config).basis @ IntMatrix._of(pi, f)
     return Lattice(f, joint.columns(0, f)) == Lattice(f, pi_b)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from arrlcs.config import Configuration
-from arrlcs.exactlin import Lattice, kernel_basis
+from arrlcs.exactlin import Lattice, kernel_basis, perp
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, _cross
 from arrlcs.lcs import LcsData
 
@@ -70,6 +70,11 @@ def restrict(config: Configuration, line_idxs: Sequence[int]) -> Configuration:
             pts.append(p)
             incidence.extend((config.lines[i], p) for i in on)
     return Configuration(names, pts, incidence)
+
+
+def saturate(lat: Lattice) -> Lattice:
+    """Largest sublattice of the ambient with the same rational span."""
+    return perp(perp(lat))
 
 
 def delta_kernel(data: LcsData) -> Lattice:

@@ -22,7 +22,6 @@ from arrlcs.exactlin import (
     lattice_sum,
     member,
     perp,
-    saturate,
     snf,
 )
 from arrlcs.geom import (
@@ -56,6 +55,7 @@ from arrlcs.words import (
     relator_at_flag,
     relators_from_g,
 )
+from helpers import saturate
 
 
 @pytest.fixture

@@ -19,12 +19,12 @@ from arrlcs.exactlin import (
     member,
     perp,
     quotient_presentation,
-    saturate,
     snf,
     vec_mat,
     vstack,
 )
 from arrlcs.lcs import u_lattice
+from helpers import saturate
 
 
 @st.composite

@@ -269,6 +269,29 @@ def test_predicates_match_the_global_route_on_c13(c13_data):
     assert _agree_with_reference(c13_data) == (True, True)
 
 
+def test_point_defects_match_the_kernel_route(maclane_data, asymmetric_config, c13_data):
+    # f_p - rank τ̃_p∘s_p from the shared record, against rank ker τ̃_p - rank U_p
+    for data, expected in ((maclane_data, {}), (build_lcs(asymmetric_config), {"p578": 1}), (c13_data, {})):
+        defects = {}
+        for p, pt in zip(data.index.p0, data.u_points):
+            assert pt.quotient.is_torsion_free
+            defect = pt.quotient.free_rank - exactlin.hnf(pt.quotient.section @ pt.tau).rows
+            assert defect == Lattice(pt.u.cols, exactlin.kernel_basis(pt.tau)).rank - pt.u.rows
+            if defect:
+                defects[p] = defect
+        assert defects == expected
+
+
+def test_im_delta_rows_equal_the_delta_lift_route(maclane_data, asymmetric_config, c13_data):
+    for data in (maclane_data, build_lcs(asymmetric_config), c13_data):
+        n, f2, basis = data.n, data.p2.free_rank, data.im_delta.basis
+        assert basis.rows == n * f2
+        for i in range(n):
+            for t in range(f2):
+                unit = IntMatrix([[int(j == i and s == t) for s in range(f2)] for j in range(n)], f2)
+                assert basis.row(i * f2 + t) == delta_bar(data, unit).flat
+
+
 def test_tau_blocks_cover_the_dense_matrix(maclane_data):
     data = maclane_data
     dense = [[0] * data.tau_matrix.cols for _ in range(data.a_rank)]
@@ -294,14 +317,14 @@ def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch
         yield point, {unit.index(1): 1}
 
     monkeypatch.setattr(lcs, "_u_generators", with_extra)
+    data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched generators
     u, b = lcs.u_lattice(data.config), lcs.b_lattice(data.config)
     assert tau_kernel(data) != u and not tau_kernel_equals_u(data)
     assert tau_preimage(data) != lattice_sum(u, b) and not tau_preimage_equals_u_plus_b(data)
 
 
-def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch, maclane_data):
-    data = maclane_data
-    point = data.index.p0[0]
+def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch):
+    point = maclane_c8().index.p0[0]
     generators = lcs._u_generators
 
     def doubled_at_point(config):
@@ -309,6 +332,7 @@ def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch, maclane_data)
             yield p, {k: 2 * x for k, x in row.items()} if p == point else row
 
     monkeypatch.setattr(lcs, "_u_generators", doubled_at_point)
+    data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched generators
     u = lcs.u_lattice(data.config)
     assert u.rank == 129 and tau_kernel(data) != u and not tau_kernel_equals_u(data)
     # A/U has torsion, so the preimage route has no section to work with
@@ -359,8 +383,9 @@ def test_verdict_path_never_builds_the_dense_tau(monkeypatch):
     assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 56
 
 
-def test_c13_verdict_reductions_stay_small(monkeypatch, c13_data):
-    data = c13_data
+def test_c13_verdict_reductions_stay_small(monkeypatch):
+    # fresh, so the per-point U record is built inside the count
+    data = build_lcs(glue_c13())
     data.p3, data.im_delta  # noqa: B018 - built before counting
 
     def no_u_lattice(config):
@@ -368,7 +393,17 @@ def test_c13_verdict_reductions_stay_small(monkeypatch, c13_data):
 
     monkeypatch.setattr(lcs, "u_lattice", no_u_lattice)
     rows = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"])
+    core, kernel_calls = exactlin._hnf_core, []
+
+    def counted_core(*args):
+        kernel_calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(exactlin, "_hnf_core", counted_core)
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
+    # per point: U_p, the four reductions of A_p/U_p's presentation and rank τ̃_p∘s_p,
+    # over 41 points; then B, the joint kernel and the two lattices it compares
+    assert len(kernel_calls) == 41 * 6 + 4
     tau_tilde(data, random_abelian(random.Random(0), data))
     assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
 
