@@ -18,14 +18,16 @@ Normal form conventions:
 ``IntMatrix`` stores sparse rows ``{column: entry}`` and nothing else;
 its dense ``entries`` is a view built when read.  All elimination,
 Hermite and Smith, runs on copies of those rows in one kernel, and its
-result rows are wrapped as they are.  The kernel keeps the unfinished
-rows in buckets by leading column, so a pivot step touches only the rows
-led by its column, and it picks the finished rows holding that column
-with one C-level filter; no step scans every row.  It still performs the
-dense Hermite algorithm's operations in the dense order, so its
-``(h, u, pivots)`` are deterministic and equal to a dense reduction's.
-The Smith form alternates that kernel over the rows and the columns.
-Products, ``vec_mat`` and membership touch only nonzero entries.
+result rows are wrapped as they are.  The kernel's forward pass keeps
+the unfinished rows in buckets by leading column, so a pivot step
+touches only the rows led by its column; one back-substitution then
+reduces each finished row by the rows below it, visiting only the pivot
+columns the row holds.  No step scans every row.  The echelon rows are
+the dense Hermite algorithm's, and the Hermite form of their span and
+its transform are unique, so ``(h, u, pivots)`` are deterministic and
+equal to a dense reduction's.  The Smith form alternates that kernel
+over the rows and the columns.  Products, ``vec_mat`` and membership
+touch only nonzero entries.
 
 Linear maps act on row vectors (v ↦ v·m).  ``Lattice.__init__`` is the
 one place a lattice is put in canonical form: ``kernel_basis(m)``
@@ -47,8 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
-from operator import contains
+from itertools import compress
 from typing import Iterable, Sequence
 
 
@@ -197,23 +198,38 @@ def _sparse_sub(ri: dict[int, int], rj: dict[int, int], q: int) -> None:
 def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | None) -> list[int]:
     """Reduce sparse rows ``{column: entry}`` to row HNF in place, mirroring ops on ``u``.
 
-    The operation sequence is the dense algorithm's: per column, the pivot
+    A forward pass brings the rows to echelon form.  Per column, the pivot
     is the smallest |entry| at or below row ``r`` (lowest row on ties), the
     rows below are reduced by floor quotients until the column is clean,
-    the pivot is made positive, then the rows above are reduced into
-    ``[0, pivot)``.  So ``a``, ``u`` and the pivots are deterministic and
-    equal to a dense run's.
+    and the pivot is made positive; row ``r`` is then finished.  Rows at
+    or below ``r`` vanish left of the current column.  They sit in buckets
+    ``{leading column: row indices}``, with a heap of the occupied columns,
+    so a pivot step touches only its column's bucket: a row whose entry
+    there cancels moves to the bucket of its new leading column, and a swap
+    moves the pivot's index to ``r`` in its bucket and the displaced row's
+    index to the pivot's old one in the bucket of its own leading column.
+    Each row of a bucket receives the dense run's operations in its order,
+    so the order in which the bucket's rows are visited changes no result.
 
-    Rows at or below ``r`` vanish left of the current column.  They sit in
-    buckets ``{leading column: row indices}``, with a heap of the occupied
-    columns, so a pivot step touches only its column's bucket: a row whose
-    entry there cancels moves to the bucket of its new leading column, and
-    a swap moves the pivot's index to ``r`` in its bucket and the displaced
-    row's index to the pivot's old one in the bucket of its own leading
-    column.  The rows above ``r`` that hold the column are picked out by
-    one C-level filter.  Within a pass each row receives the dense run's
-    operations in its order, so the order in which rows are visited
-    changes no result.
+    One back-substitution then reduces the entries above each pivot into
+    ``[0, pivot)``, from the last finished row up.  Row i walks its entries
+    at pivot columns right of its own pivot in increasing column order,
+    from a heap of those columns, and at column c_j subtracts
+    ⌊a[i][c_j] / p_j⌋ times row j, already reduced; the pivot columns of
+    row j that the subtraction brings into row i join the heap.  Row j is
+    zero left of c_j, so later steps leave column c_j alone.  Only entries
+    the rows hold are visited; no step scans every row.
+
+    The result is the dense algorithm's, which reduces the rows above at
+    each pivot instead.  The forward pass never reads a finished row, so
+    the echelon rows a⁰ (full row rank), their transform rows u⁰, the
+    pivots and the zero rows of ``a`` with their rows of ``u`` (the
+    kernel tail) do not depend on when the rows above are reduced.  Every
+    such reduction subtracts a finished row from a finished row, so the
+    head ends as T·a⁰ and its transform as T·u⁰ for one integer T.  The
+    HNF T·a⁰ is unique, and so is T since a⁰ has full row rank: ``a``,
+    ``u`` and the pivots equal a dense run's, up to the insertion order of
+    entries within a row, which ``IntMatrix`` equality ignores.
     Returns the pivot columns.
     """
     lead = [min(row, default=ncols) for row in a]
@@ -268,13 +284,28 @@ def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | Non
                 break
             left.add(r)
             bucket = left
-        for i in compress(range(r), map(contains, a, repeat(c, r))):
-            q = a[i][c] // p[c]
-            if q:
-                _sparse_sub(a[i], p, q)
-                if u is not None:
-                    _sparse_sub(u[i], u[r], q)
         pivots.append(c)
+    row_of = {c: j for j, c in enumerate(pivots)}
+    later: list[list[int]] = [[]] * len(pivots)  # each reduced row's pivot columns but its own
+    for i in reversed(range(len(pivots))):
+        ai = a[i]
+        todo = [k for k in ai if k in row_of]
+        heapify(todo)
+        heappop(todo)  # the row's own pivot, its leftmost entry
+        while todo:
+            c = heappop(todo)
+            if c not in ai:
+                continue
+            j = row_of[c]
+            q = ai[c] // a[j][c]
+            if q:
+                for k in later[j]:
+                    if k not in ai:
+                        heappush(todo, k)
+                _sparse_sub(ai, a[j], q)
+                if u is not None:
+                    _sparse_sub(u[i], u[j], q)
+        later[i] = [k for k in ai if k in row_of and k != pivots[i]]
     return pivots
 
 

@@ -205,7 +205,13 @@ def test_hnf_canonical_under_unimodular_row_ops(data):
 
 
 def dense_hnf_core(a, ncols, u):
-    """The dense reduction, kept as the oracle the sparse kernel must replay step for step."""
+    """The dense reduction, kept as the oracle whose result the sparse kernel must equal.
+
+    It reduces the rows above each pivot as soon as the pivot is found; the
+    kernel does the same forward steps but reduces the rows above in one
+    back-substitution at the end.  The Hermite form and its transform are
+    unique, so the two results agree even though their step sequences differ.
+    """
 
     def row_sub(rows, i, j, q):
         if q:
@@ -248,7 +254,7 @@ def dense_hnf_core(a, ncols, u):
     return pivots
 
 
-def assert_replays_dense_reduction(m: IntMatrix) -> None:
+def assert_matches_dense_reduction(m: IntMatrix) -> None:
     a = [list(row) for row in m.entries]
     u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
     pivots = dense_hnf_core(a, m.cols, u)
@@ -260,22 +266,46 @@ def assert_replays_dense_reduction(m: IntMatrix) -> None:
 @settings(max_examples=300)
 @given(st.one_of(matrices(), wide_sparse(), tall_sparse()))
 @example(IntMatrix([[0, -2, 0, 3, 0], [0, 0, 0, 0, 0], [0, -4, 0, 1, 0], [0, 0, -3, 0, 0]], 5))
+# pivots 3, 2, 3: reducing row 0 at column 1 by row 1, which holds 1 at the
+# pivot column 2, brings fill into column 2 of row 0, reduced in turn; the
+# last row is row 0 + row 1 and leaves a kernel row
+@example(IntMatrix([[3, 5, 0], [0, 2, 7], [0, 0, 3], [3, 7, 7]]))
 def test_hnf_transform_equals_the_dense_reduction(m):
-    assert_replays_dense_reduction(m)
+    assert_matches_dense_reduction(m)
 
 
 def test_hnf_transform_equals_the_dense_reduction_on_empty_shapes():
     for m in (IntMatrix([], 0), IntMatrix([], 4), IntMatrix([()] * 3, 0)):
-        assert_replays_dense_reduction(m)
+        assert_matches_dense_reduction(m)
 
 
 def test_hnf_transform_equals_the_dense_reduction_on_c13(c13_data):
     # Im δ̄ fills in; R3 and its transpose have large leading-column buckets
-    assert_replays_dense_reduction(c13_data.im_delta.basis)
-    assert_replays_dense_reduction(c13_data.r3.basis)
-    assert_replays_dense_reduction(c13_data.r3.basis.transpose())
+    assert_matches_dense_reduction(c13_data.im_delta.basis)
+    assert_matches_dense_reduction(c13_data.r3.basis)
+    assert_matches_dense_reduction(c13_data.r3.basis.transpose())
     # the basis of U is c8's `_u_generators` rows as they come
-    assert_replays_dense_reduction(u_lattice(maclane_c8()).basis)
+    assert_matches_dense_reduction(u_lattice(maclane_c8()).basis)
+
+
+def assert_hermite_form_is_fixed(h: IntMatrix, pivots: list[int]) -> None:
+    assert hnf(h) == h
+    assert hnf_with_transform(h) == (h, IntMatrix.identity(h.rows), pivots)
+
+
+@settings(max_examples=200)
+@given(st.one_of(matrices(), wide_sparse(), tall_sparse()))
+def test_reducing_a_hermite_form_again_is_a_no_op(m):
+    h, _, pivots = hnf_with_transform(m)
+    assert hnf(m) == h
+    assert_hermite_form_is_fixed(h, pivots)
+
+
+def test_reducing_c13_canonical_forms_again_is_a_no_op(c13_data):
+    r3, im_delta = c13_data.r3.canonical_form, c13_data.im_delta.canonical_form
+    assert r3.shape == (532, 572) and im_delta.shape == (168, 2040)
+    for h in (r3, im_delta):
+        assert_hermite_form_is_fixed(h, [min(row) for row in h.sparse_rows])
 
 
 # -- SNF ---------------------------------------------------------------------

@@ -11,10 +11,11 @@ Captures each ``exactlin._hnf_core`` call made by
 then replays each captured input best of ``REPEAT`` on fresh copies and
 writes one record per input: source, calling function, shape, nonzeros in
 and out, whether a transform is carried, seconds, and a sha256 of the
-result ``(a, u, pivots)`` in row insertion order, so runs of two commits
-can be checked for identical output as well as compared for speed.  Each
-run records ``git describe`` and a sha256 of the ``src/`` tree it imported
-(``src_sha256``), so a run of uncommitted code still names what it timed.
+result ``(a, u, pivots)`` with each row's entries sorted by column, so
+runs of two commits can be checked for identical output as well as
+compared for speed.  Each run records ``git describe`` and a sha256 of
+the ``src/`` tree it imported (``src_sha256``), so a run of uncommitted
+code still names what it timed.
 
     python3 tools/kernel_replay.py --label change --out BENCH.json
 
@@ -83,7 +84,7 @@ def replay(caller, rows, ncols, u) -> dict:
         t0 = time.perf_counter()
         pivots = exactlin._hnf_core(a, ncols, t)
         best = min(best, time.perf_counter() - t0)
-        digests.add(hashlib.sha256(repr((a, t, pivots)).encode()).hexdigest())
+        digests.add(digest(a, t, pivots))
     if len(digests) != 1:
         raise SystemExit(f"{caller}: the kernel gave different results on equal inputs")
     return {
@@ -96,6 +97,19 @@ def replay(caller, rows, ncols, u) -> dict:
         "seconds": round(best, 6),
         "digest": digests.pop(),
     }
+
+
+def digest(a, u, pivots) -> str:
+    """sha256 of ``(a, u, pivots)`` with each row as its sorted ``(column, entry)`` items.
+
+    A row's value does not depend on the order its entries were inserted
+    in, as for ``IntMatrix.__eq__``, so neither does the digest.
+    """
+    def rows(m):
+        return [sorted(row.items()) for row in m]
+
+    key = (rows(a), None if u is None else rows(u), pivots)
+    return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
 def cpu_model() -> str:
