@@ -1,10 +1,15 @@
 """Exact projective geometry over Q(w) with w^2 + w + 1 = 0.
 
 Verifies that explicit homogeneous line coordinates realize a
-configuration: every pairwise intersection point of the lines is
-computed exactly, intersections are clustered by location, and the
-resulting incidence structure must match the configured one line set
-for line set.  No floating point appears anywhere.
+configuration.  Each line's covector is scaled into Z[w] once, as
+(a, b) int pairs for a + b*w, by clearing its denominators.  For each
+pair of distinct lines whose meeting point is not yet known, the
+integral cross product P of their covectors is taken, and the lines
+through P are those whose covector has Z[w] dot product 0 with P; every
+pair among them then meets at P.  The resulting incidence structure
+must match the configured one line set for line set.  Only the
+configured points are normalized, one ``ProjPoint`` each.  No floating
+point appears anywhere.
 
 Provided realizations:
 
@@ -16,7 +21,7 @@ Provided realizations:
   realization under a projective transformation ``psi`` fixing the
   three shared lines.  For generic ``psi`` the incidence pattern is
   exactly the glued 13-line configuration; genericity is certified
-  per seed by the cluster comparison, never argued symbolically.
+  per seed by the incidence comparison, never argued symbolically.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from .config import GLUE_LINE_MAP, Configuration, glue_c13
 
@@ -130,6 +137,61 @@ ZERO = CycloRational(0)
 ONE = CycloRational(1)
 OMEGA = CycloRational(0, 1)
 
+# -- integral coordinates ----------------------------------------------------
+#
+# A triple over Q(w) scaled by the common denominator of its rational parts
+# is a triple over Z[w], stored as (a, b) int pairs for a + b*w.  Scaling
+# changes no projective answer, so incidence and coincidence are decided on
+# these int pairs, and only a point that is reported becomes Fractions.
+
+
+def _integral(coords) -> tuple[tuple[int, int], ...]:
+    """``coords`` (``CycloRational``s) scaled into Z[w] by their common denominator."""
+    parts = [f for c in coords for f in (c.a, c.b)]
+    den = lcm(*(f.denominator for f in parts))
+    ints = [f.numerator * (den // f.denominator) for f in parts]
+    return tuple(zip(ints[0::2], ints[1::2]))
+
+
+def _zcross(u, v) -> tuple[tuple[int, int], ...]:
+    """Cross product of two Z[w] triples."""
+
+    def minor(i, j):
+        # u_i v_j - u_j v_i, with (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd)*w
+        (a, b), (c, d), (e, f), (g, h) = u[i], v[j], u[j], v[i]
+        return (a * c - b * d - e * g + f * h, a * d + b * c - b * d - e * h - f * g + f * h)
+
+    return (minor(1, 2), minor(2, 0), minor(0, 1))
+
+
+def _incident(line, point) -> bool:
+    """Whether the Z[w] dot product of a covector and a point vanishes."""
+    re = im = 0
+    for (a, b), (c, d) in zip(line, point):
+        re += a * c - b * d
+        im += a * d + b * c - b * d
+    return not re and not im
+
+
+def _canonical(z) -> tuple[CycloRational, ...]:
+    """A Z[w] triple divided by its first nonzero entry p.
+
+    Each entry x becomes x * conj(p) / N(p), with the norm N(p) =
+    p * conj(p) a positive integer, so every ``Fraction`` is built once,
+    already in lowest terms.
+    """
+    pivot = next((p for p in z if p != (0, 0)), None)
+    if pivot is None:
+        raise ValueError("homogeneous coordinates must not all vanish")
+    pa, pb = pivot
+    ca, cb = pa - pb, -pb
+    n = pa * pa - pa * pb + pb * pb
+    return tuple(
+        CycloRational(Fraction(a * ca - b * cb, n), Fraction(a * cb + b * ca - b * cb, n))
+        for a, b in z
+    )
+
+
 # -- projective points and lines --------------------------------------------
 
 
@@ -139,11 +201,15 @@ class _ProjTriple:
     __slots__ = ("coords",)
 
     def __init__(self, c0, c1, c2):
-        coords = tuple(CycloRational.coerce(c) for c in (c0, c1, c2))
-        pivot = next((c for c in coords if c), None)
-        if pivot is None:
-            raise ValueError("homogeneous coordinates must not all vanish")
-        object.__setattr__(self, "coords", tuple(c / pivot for c in coords))
+        coords = [CycloRational.coerce(c) for c in (c0, c1, c2)]
+        object.__setattr__(self, "coords", _canonical(_integral(coords)))
+
+    @classmethod
+    def _from_integral(cls, z):
+        """The triple with Z[w] coordinates ``z``, normalized."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "coords", _canonical(z))
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -170,16 +236,11 @@ class ProjLine(_ProjTriple):
     """Line {a*z0 + b*z1 + c*z2 = 0} with covector (a, b, c)."""
 
 
-def _cross(u: _ProjTriple, v: _ProjTriple) -> tuple[CycloRational, ...]:
-    (a0, a1, a2), (b0, b1, b2) = u.coords, v.coords
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
 def intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    c = _cross(l1, l2)
-    if not any(c):
+    c = _zcross(_integral(l1.coords), _integral(l2.coords))
+    if c == ((0, 0),) * 3:
         raise ValueError("coincident lines have no unique intersection")
-    return ProjPoint(*c)
+    return ProjPoint._from_integral(c)
 
 
 # -- the two conjugate MacLane realizations ---------------------------------
@@ -246,31 +307,43 @@ class RealizationReport:
 def check_realization(config: Configuration, lines) -> RealizationReport:
     """Compare the incidence pattern of ``lines`` with ``config``.
 
-    All pairwise intersections are computed exactly and clustered by
-    location; the set of cluster line sets must equal the set of
-    configured point line sets.  This certifies both that every
-    configured point is realized and that no unconfigured concurrence
-    (or coincidence of two configured points) occurs.
+    Incidence is decided on the lines' covectors scaled into Z[w]: for
+    each pair of distinct lines not yet known to meet at a found point,
+    their cross product P is a new point, and its line set is every
+    line whose covector has dot product 0 with P.  The set of these line
+    sets must equal the set of configured point line sets.  This
+    certifies both that every configured point is realized and that no
+    unconfigured concurrence (or coincidence of two configured points)
+    occurs.  Each matched configured point is normalized once, for
+    ``locations``.
     """
     lines = tuple(lines)
     if len(lines) != len(config.lines):
         raise ValueError(f"expected {len(config.lines)} lines, got {len(lines)}")
-    clusters: dict[ProjPoint, set[int]] = {}
+    # Lines are normalized, so two are equal exactly when their scaled covectors are.
+    covectors = [_integral(l.coords) for l in lines]
+    realized: dict[frozenset[int], tuple] = {}
+    met: set[tuple[int, int]] = set()
     duplicates: list[tuple[int, int]] = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if lines[i] == lines[j]:
-                duplicates.append((i, j))
-                continue
-            clusters.setdefault(intersection(lines[i], lines[j]), set()).update((i, j))
-    realized = {frozenset(ls): pt for pt, ls in clusters.items()}
+    for i, j in combinations(range(len(lines)), 2):
+        if covectors[i] == covectors[j]:
+            duplicates.append((i, j))
+        elif (i, j) not in met:
+            point = _zcross(covectors[i], covectors[j])
+            on = [k for k, cov in enumerate(covectors) if _incident(cov, point)]
+            met.update(combinations(on, 2))
+            realized[frozenset(on)] = point
     configured = {p: frozenset(config.lines_through(p)) for p in config.points}
     configured_sets = set(configured.values())
     missing = tuple(p for p, ls in configured.items() if ls not in realized)
     extra = tuple(
         sorted(tuple(sorted(ls)) for ls in realized if ls not in configured_sets)
     )
-    locations = {p: realized[ls] for p, ls in configured.items() if ls in realized}
+    locations = {
+        p: ProjPoint._from_integral(realized[ls])
+        for p, ls in configured.items()
+        if ls in realized
+    }
     ok = not missing and not extra and not duplicates
     return RealizationReport(
         ok=ok,
@@ -306,17 +379,34 @@ def psi_generic(seed: int) -> tuple[tuple[Fraction, ...], ...]:
     return ((one, zero, u), (zero, one, v), (zero, zero, w))
 
 
-def _inverse3(m) -> tuple[tuple[Fraction, ...], ...]:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0:
-        raise ValueError("singular transformation")
+def _covector_map(psi) -> tuple[tuple[int, ...], ...]:
+    """An integer matrix proportional to psi^{-1}: the adjugate of psi scaled to integers.
+
+    Covectors transform by c -> c . psi^{-T}; up to a nonzero factor,
+    which changes no projective line, that is c -> c . adj^T.
+    """
+    rows = [[_as_fraction(x) for x in row] for row in psi]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    (a, b, c), (d, e, f), (g, h, i) = ([x.numerator * (den // x.denominator) for x in row] for row in rows)
     adj = (
         (e * i - f * h, c * h - b * i, b * f - c * e),
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
-    return tuple(tuple(x / det for x in row) for row in adj)
+    if a * adj[0][0] + b * adj[1][0] + c * adj[2][0] == 0:
+        raise ValueError("singular transformation")
+    return adj
+
+
+def _moved(adj, line: ProjLine) -> ProjLine:
+    """Image of ``line`` under the covector map ``adj`` from ``_covector_map``."""
+    z = _integral(line.coords)
+    return ProjLine._from_integral(
+        tuple(
+            (sum(a * m for (a, _), m in zip(z, row)), sum(b * m for (_, b), m in zip(z, row)))
+            for row in adj
+        )
+    )
 
 
 def transform_line(psi, line: ProjLine) -> ProjLine:
@@ -324,9 +414,7 @@ def transform_line(psi, line: ProjLine) -> ProjLine:
 
     Covectors transform by the inverse transpose: c -> c . psi^{-T}.
     """
-    inv = _inverse3(psi)
-    c = line.coords
-    return ProjLine(*(sum((c[j] * inv[k][j] for j in range(3)), ZERO) for k in range(3)))
+    return _moved(_covector_map(psi), line)
 
 
 def glue_realization(sign: str, psi) -> tuple[ProjLine, ...]:
@@ -335,12 +423,13 @@ def glue_realization(sign: str, psi) -> tuple[ProjLine, ...]:
     The second copy uses the ``sign`` realization; its lines 3..7
     become lines 8..12 (``GLUE_LINE_MAP``).  ``psi`` must fix the three shared lines.
     """
+    adj = _covector_map(psi)
     first = phi_c8("+")
     second = phi_c8(sign)
     for i in range(3):
-        if transform_line(psi, first[i]) != first[i]:
+        if _moved(adj, first[i]) != first[i]:
             raise ValueError("psi must fix the three shared lines")
-    return first + tuple(transform_line(psi, second[i]) for i in GLUE_LINE_MAP)
+    return first + tuple(_moved(adj, second[i]) for i in GLUE_LINE_MAP)
 
 
 @dataclass

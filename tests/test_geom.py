@@ -23,7 +23,7 @@ from arrlcs.geom import (
     psi_generic,
     transform_line,
 )
-from helpers import cyclo_from_str, incident, line_through
+from helpers import clustered_realization, cyclo_from_str, divide_by_pivot, incident, line_through
 
 IDENTITY_PSI = (
     (Fraction(1), Fraction(0), Fraction(0)),
@@ -113,6 +113,52 @@ def test_projective_normalization():
     assert ProjPoint(1, 0, 0) != ProjLine(1, 0, 0)
     with pytest.raises(ValueError):
         ProjPoint(0, 0, 0)
+
+
+def test_normalization_matches_division_by_the_pivot():
+    rng = random.Random(15)
+
+    def entry(big: bool):
+        top = 10**12 if big else 9
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-top, top)
+        if kind == 1:
+            return Fraction(rng.randint(-top, top), rng.randint(1, top))
+        return CycloRational(
+            Fraction(rng.randint(-top, top), rng.randint(1, top)),
+            Fraction(rng.randint(-top, top), rng.randint(1, top)),
+        )
+
+    for k in range(600):
+        pivot, big = k % 3, k % 2 == 1
+        triple = [rng.choice((0, Fraction(0), ZERO)) for _ in range(pivot)]
+        triple += [entry(big) for _ in range(3 - pivot)]
+        if not triple[pivot]:
+            continue
+        if pivot < 2 and rng.random() < 0.3:
+            triple[rng.randrange(pivot + 1, 3)] = 0
+        expected = divide_by_pivot(triple)
+        for cls in (ProjPoint, ProjLine):
+            t = cls(*triple)
+            assert t.coords == expected
+            assert all(type(c.a) is Fraction and type(c.b) is Fraction for c in t.coords)
+            scale = random_cyclo(rng)
+            if scale:
+                assert cls(*(scale * CycloRational.coerce(c) for c in triple)) == t
+
+
+def test_normalization_rejects_floats_and_zero_triples():
+    for bad in ((0.5, 1, 0), (1, 0, 2.0), (0, 0, 0.0)):
+        with pytest.raises(TypeError):
+            ProjPoint(*bad)
+        with pytest.raises(TypeError):
+            ProjLine(*bad)
+    for zero in ((0, 0, 0), (ZERO, Fraction(0), CycloRational(0, 0))):
+        with pytest.raises(ValueError):
+            ProjPoint(*zero)
+        with pytest.raises(ValueError):
+            ProjLine(*zero)
 
 
 def test_incidence_and_duality():
@@ -252,6 +298,46 @@ def test_identity_psi_duplicates_second_copy():
     rep = check_realization(glue_c13(), lines)
     assert not rep.ok
     assert rep.duplicate_lines == ((3, 8), (4, 9), (5, 10), (6, 11), (7, 12))
+
+
+def test_integer_psi_gives_the_fraction_psi_lines():
+    int_psis = (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 2), (0, 1, -3), (0, 0, 5)),
+        ((1, 0, -7), (0, 1, 1), (0, 0, -2)),
+    )
+    for int_psi in int_psis:
+        frac_psi = tuple(tuple(Fraction(x) for x in row) for row in int_psi)
+        for sign in ("+", "-"):
+            assert glue_realization(sign, int_psi) == glue_realization(sign, frac_psi)
+            for line in phi_c8(sign):
+                assert transform_line(int_psi, line) == transform_line(frac_psi, line)
+    assert glue_realization("+", int_psis[0]) == glue_realization("+", IDENTITY_PSI)
+    with pytest.raises(TypeError):
+        transform_line(((1.0, 0, 0), (0, 1, 0), (0, 0, 1)), phi_c8("+")[3])
+    with pytest.raises(ValueError):
+        transform_line(((1, 0, 0), (0, 1, 0), (0, 0, 0)), phi_c8("+")[3])
+
+
+def test_check_realization_matches_the_clustering_oracle():
+    c8, c13 = maclane_c8(), glue_c13()
+    perturbed = list(phi_c8("+"))
+    perturbed[7] = ProjLine(-2, OMEGA + 1, 1)
+    cases = [(c8, phi_c8("+")), (c8, phi_c8("-")), (c8, perturbed)]
+    cases.append((c13, glue_realization("+", IDENTITY_PSI)))
+    cases += [
+        (c13, glue_realization(sign, psi_generic(seed)))
+        for sign in ("+", "-")
+        for seed in range(40)
+    ]
+    not_ok = []
+    for k, (config, lines) in enumerate(cases):
+        rep = check_realization(config, lines)
+        assert rep.to_json_dict() == clustered_realization(config, lines).to_json_dict()
+        if not rep.ok:
+            not_ok.append(k)
+    degenerate_seeds = [17, 20, 24, 28, 36]
+    assert not_ok == [2, 3] + [4 + s for s in degenerate_seeds] + [44 + s for s in degenerate_seeds]
 
 
 def test_generic_glued_realizations_certify():
