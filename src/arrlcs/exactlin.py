@@ -36,6 +36,9 @@ transform that reduces ``m``; ``perp``, the one caller that transposes,
 caches the orthogonal complement on the lattice; ``lattice_sum`` stacks
 two canonical forms.  Membership reduces a vector by the Hermite form;
 on failure, one back-substitution on its pivot block gives the witness.
+The lattice prepares that block once, with its Hermite form and
+transform, so a warm failed query reads only the pivot entries and pairs
+the witness with the vector over the witness's support.
 
 A quotient ``ZZ^n / lattice`` is presented by one path: the projection
 is Kᵀ for K the canonical form of ``perp(lattice)``, and the section
@@ -421,10 +424,23 @@ class Lattice:
         return f"Lattice(rank {self.rank} in ZZ^{self.ambient_rank})"
 
     def _reduction_data(self):
+        """``(h, keep, pivots, block)``, computed once per lattice.
+
+        ``h`` is the Hermite form of the basis, ``keep`` the transform rows
+        that make it, and ``block`` the pivot block P of ``h`` for
+        ``_pivot_witness``: per row of ``h``, its ``(pivot index, entry)``
+        pairs at the other pivot columns, and the pivot product d = det P.
+        """
         if self._reduction is None:
             h, u, pivots = hnf_with_transform(self.basis)
             keep = IntMatrix._of(u.sparse_rows[: len(pivots)], u.cols)
-            object.__setattr__(self, "_reduction", (h, keep, pivots))
+            pos = {p: j for j, p in enumerate(pivots)}
+            above = tuple(
+                tuple((pos[col], x) for col, x in row.items() if col in pos and col != p)
+                for row, p in zip(h.sparse_rows, pivots)
+            )
+            det = math.prod(row[p] for row, p in zip(h.sparse_rows, pivots))
+            object.__setattr__(self, "_reduction", (h, keep, pivots, (above, det)))
         return self._reduction
 
 
@@ -460,27 +476,28 @@ def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
     On success ``coefficients`` expresses ``v`` over ``lat.basis`` rows.
     On failure the witness has ``modulus == 0`` (rational failure) or a
     positive modulus dividing the pivot product (divisibility failure);
-    either comes from the Hermite pivot block alone.  Entries of ``v``
-    must be Python ``int``s; they are used as given, without coercion.
+    either comes from the Hermite pivot block alone, which the lattice
+    prepares once with its Hermite form.  Entries of ``v`` must be Python
+    ``int``s; they are used as given, without coercion.
     """
     if len(v) != lat.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
-    h, keep, pivots = lat._reduction_data()
+    h, keep, pivots, block = lat._reduction_data()
     rem = dict(compress(enumerate(v), v))
     coeffs: list[int] = []
     for k, (hk, c) in enumerate(zip(h.sparse_rows, pivots)):
         q, r = divmod(rem.get(c, 0), hk[c])
         if r:
-            return MembershipResult(False, witness=_pivot_witness(h, pivots, v, k=k))
+            return MembershipResult(False, witness=_pivot_witness(h, pivots, block, v, k=k))
         coeffs.append(q)
         if q:
             _sparse_sub(rem, hk, q)
     if rem:
-        return MembershipResult(False, witness=_pivot_witness(h, pivots, v, c=min(rem)))
+        return MembershipResult(False, witness=_pivot_witness(h, pivots, block, v, c=min(rem)))
     return MembershipResult(True, coefficients=vec_mat(coeffs, keep))
 
 
-def _pivot_witness(h: IntMatrix, pivots: list[int], v: Sequence[int], *, k=None, c=None) -> Witness:
+def _pivot_witness(h: IntMatrix, pivots: list[int], block, v: Sequence[int], *, k=None, c=None) -> Witness:
     """Witness from one back-substitution on the pivot block P of ``h``.
 
     P, the pivot columns of ``h``, is upper triangular with determinant
@@ -491,30 +508,39 @@ def _pivot_witness(h: IntMatrix, pivots: list[int], v: Sequence[int], *, k=None,
     b = -h[:, c] and sets f_c = d, so f kills every row of ``h`` exactly
     but not ``v``, whose residue is nonzero at ``c`` and zero at every
     pivot; f is then divided by the gcd of its entries.
+
+    ``block`` is the lattice's pivot block, prepared once by
+    ``Lattice._reduction_data``: each row's ``(pivot index, entry)`` pairs
+    right of its pivot, and d.  The back-substitution reads only those,
+    and the pairing f·v runs over the support of f, at most rank + 1
+    entries.
     """
+    above, det = block
     rank, rows = len(pivots), h.sparse_rows
-    det = math.prod(row[p] for row, p in zip(rows, pivots))
     if c is None:
         b = [det if i == k else 0 for i in range(rank)]
+        top = k  # b and so y vanish below row k
     else:
         b = [-det * row.get(c, 0) for row in rows]
-    pos = {p: j for j, p in enumerate(pivots)}
+        top = rank - 1
     y = [0] * rank
-    for i in range(rank - 1, -1, -1):
-        # row i is zero left of its pivot, and y[i] is still 0
-        s = b[i] - sum(x * y[pos[col]] for col, x in rows[i].items() if col in pos)
+    for i in range(top, -1, -1):
+        s = b[i] - sum(x * y[j] for j, x in above[i])
         y[i], r = divmod(s, rows[i][pivots[i]])
         if r:
             raise AssertionError("adjugate witness is not integral")
-    f = [0] * h.cols
-    for p, x in zip(pivots, y):
-        f[p] = x
     if c is None:
-        return Witness(tuple(f), det, dot(f, v) % det)
-    f[c] = det
-    g = math.gcd(*f)
-    f = [x // g for x in f]
-    return Witness(tuple(f), 0, dot(f, v))
+        support, coeffs = pivots, y
+    else:
+        g = math.gcd(*y, det)
+        support, coeffs = [*pivots, c], [x // g for x in (*y, det)]
+    f = [0] * h.cols
+    for p, x in zip(support, coeffs):
+        f[p] = x
+    pairing = sum(x * v[p] for p, x in zip(support, coeffs))
+    if c is None:
+        return Witness(tuple(f), det, pairing % det)
+    return Witness(tuple(f), 0, pairing)
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:

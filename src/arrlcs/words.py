@@ -19,8 +19,10 @@ division-free triangular sweep.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .config import Configuration
@@ -222,73 +224,96 @@ class GMap:
 
 
 class AbelianGMap:
-    """Flag-indexed vectors in ZZ^n (n = number of finite lines)."""
+    """Abelianized conjugator data: one flat vector in ZZ^(flags × n).
 
-    __slots__ = ("config", "values")
+    The vector is flag-major over the index pair order, n coordinates (one
+    per finite line) per flag: the vector that τ̃, the mod-3 functional
+    and ``from_vector`` use.  ``vector()`` returns it as stored, and sums
+    and differences work on it entry by entry.  ``values`` is a read-only
+    view built when read: the nonzero flags with their n-tuples.  Entries
+    must be Python ``int``s, as for ``IntMatrix``; the constructor from a
+    flag dict and ``from_vector`` refuse anything else rather than coerce.
+    """
+
+    __slots__ = ("config", "_vec")
 
     def __init__(self, config: Configuration, values: Mapping[tuple[int, str], Sequence[int]] | None = None):
-        n = config.index.n
-        clean = {}
+        idx = config.index
+        n = idx.n
+        vec = [0] * (len(idx.pairs) * n)
         for (i, p), v in (values or {}).items():
             _check_flag(config, i, p)
-            v = tuple(int(x) for x in v)
+            v = tuple(v)
             if len(v) != n:
                 raise ValueError("abelian value has wrong length")
-            if any(v):
-                clean[(i, p)] = v
+            _check_ints(v, [(i, p)], n)
+            base = idx.pair_pos[(i, p)] * n
+            vec[base : base + n] = v
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "values", clean)
+        object.__setattr__(self, "_vec", tuple(vec))
+
+    @classmethod
+    def _of(cls, config: Configuration, vec: tuple[int, ...]) -> "AbelianGMap":
+        """Wrap a flat vector already checked against ``config``."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "config", config)
+        object.__setattr__(a, "_vec", vec)
+        return a
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGMap is immutable")
 
+    @property
+    def values(self) -> Mapping[tuple[int, str], tuple[int, ...]]:
+        n, vec = self.config.index.n, self._vec
+        blocks = ((flag, vec[k * n : (k + 1) * n]) for k, flag in enumerate(self.config.index.pairs))
+        return MappingProxyType({flag: v for flag, v in blocks if any(v)})
+
     def value(self, i: int, p: str) -> tuple[int, ...]:
-        return self.values.get((i, p), (0,) * self.config.index.n)
+        n, k = self.config.index.n, self.config.index.pair_pos.get((i, p))
+        return (0,) * n if k is None else self._vec[k * n : (k + 1) * n]
+
+    def _entrywise(self, op, other: "AbelianGMap") -> "AbelianGMap":
+        if self.config != other.config:
+            raise ValueError("different configurations")
+        return AbelianGMap._of(self.config, tuple(map(op, self._vec, other._vec)))
 
     def __sub__(self, other: "AbelianGMap") -> "AbelianGMap":
-        if self.config != other.config:
-            raise ValueError("different configurations")
-        keys = set(self.values) | set(other.values)
-        return AbelianGMap(
-            self.config,
-            {k: tuple(a - b for a, b in zip(self.value(*k), other.value(*k))) for k in keys},
-        )
+        return self._entrywise(operator.sub, other)
 
     def __add__(self, other: "AbelianGMap") -> "AbelianGMap":
-        if self.config != other.config:
-            raise ValueError("different configurations")
-        keys = set(self.values) | set(other.values)
-        return AbelianGMap(
-            self.config,
-            {k: tuple(a + b for a, b in zip(self.value(*k), other.value(*k))) for k in keys},
-        )
+        return self._entrywise(operator.add, other)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AbelianGMap) and self.config == other.config and self._vec == other._vec
+
+    def __hash__(self) -> int:
+        return hash((self.config, self._vec))
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not any(self._vec)
 
     def vector(self) -> tuple[int, ...]:
-        """Flatten over the index pair order, n coordinates per flag."""
-        idx = self.config.index
-        n = idx.n
-        out = [0] * (len(idx.pairs) * n)
-        for (i, p), v in self.values.items():
-            base = idx.pair_pos[(i, p)] * n
-            for j, x in enumerate(v):
-                out[base + j] = x
-        return tuple(out)
+        """The flat vector over the index pair order, n coordinates per flag."""
+        return self._vec
 
     @staticmethod
     def from_vector(config: Configuration, vec: Sequence[int]) -> "AbelianGMap":
         idx = config.index
         n = idx.n
+        vec = tuple(vec)
         if len(vec) != len(idx.pairs) * n:
             raise ValueError("vector length mismatch")
-        vals = {}
-        for k, flag in enumerate(idx.pairs):
-            chunk = tuple(vec[k * n : (k + 1) * n])
-            if any(chunk):
-                vals[flag] = chunk
-        return AbelianGMap(config, vals)
+        _check_ints(vec, idx.pairs, n)
+        return AbelianGMap._of(config, vec)
+
+
+def _check_ints(vec: Sequence, flags: Sequence[tuple[int, str]], n: int) -> None:
+    """Refuse an entry that is not an ``int`` in ``vec``, n entries per flag of ``flags``, naming its coordinate."""
+    if set(map(type, vec)) - {int}:
+        k = next(k for k, x in enumerate(vec) if type(x) is not int)
+        i, p = flags[k // n]
+        raise ValueError(f"abelian entry {vec[k]!r} at ({i},{p}), coordinate x{k % n + 1}, is not an int")
 
 
 def abelianize(g: GMap) -> AbelianGMap:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Sequence
 
 from arrlcs.config import Configuration
-from arrlcs.exactlin import Lattice, kernel_basis, perp
+from arrlcs.exactlin import Lattice, Witness, kernel_basis, perp
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
 from arrlcs.lcs import LcsData
 
@@ -126,3 +127,72 @@ def saturate(lat: Lattice) -> Lattice:
 def delta_kernel(data: LcsData) -> Lattice:
     """ker δ̄ inside Hom(H,P2) flat coordinates.  Computed, nothing asserted."""
     return Lattice(data.n * data.p2.free_rank, kernel_basis(data.im_delta.basis))
+
+
+def _solve(a: list[list[Fraction]], b: list[Fraction]) -> tuple[list[Fraction], Fraction]:
+    """``(x, det a)`` with a·x = b for square nonsingular ``a``, by Gauss–Jordan elimination.
+
+    Zero entries are skipped, so a sparse triangular ``a`` costs little,
+    but nothing assumes its shape.
+    """
+    m = [row[:] + [x] for row, x in zip(a, b)]
+    n, det = len(m), Fraction(1)
+    for j in range(n):
+        r = next(i for i in range(j, n) if m[i][j])
+        if r != j:
+            m[j], m[r] = m[r], m[j]
+            det = -det
+        pivot = m[j][j]
+        det *= pivot
+        m[j] = [x / pivot if x else x for x in m[j]]
+        for i in range(n):
+            if i != j and m[i][j]:
+                q = m[i][j]
+                m[i] = [x - q * y if y else x for x, y in zip(m[i], m[j])]
+    return [row[n] for row in m], det
+
+
+def reference_witness(lat: Lattice, v: Sequence[int]) -> Witness | None:
+    """Oracle for ``member``'s witness: the adjugate system solved with ``Fraction``s.
+
+    ``v`` is reduced by the dense canonical form row by row; the first
+    pivot whose entry does not divide is a divisibility failure at that
+    row, and a residue left after every row is a rational failure at its
+    first nonzero column.  With P the dense pivot block of the canonical
+    form and d = det P, the witness is y = d·P⁻¹b on the pivot columns:
+    b = e_k, modulus d, pairing f·v mod d for a divisibility failure at
+    row k; b = -(column c of the form) and f_c = d, divided by the gcd
+    of the entries, modulus 0, pairing f·v for a rational failure at c.
+    None when ``v`` is in the lattice.
+    """
+    h = lat.canonical_form.entries
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    rem, k = list(v), None
+    for i, (row, p) in enumerate(zip(h, pivots)):
+        q, r = divmod(rem[p], row[p])
+        if r:
+            k = i
+            break
+        if q:
+            rem = [x - q * y for x, y in zip(rem, row)]
+    c = None if k is not None else next((j for j, x in enumerate(rem) if x), None)
+    if k is None and c is None:
+        return None
+    if k is not None:
+        b = [Fraction(int(i == k)) for i in range(len(h))]
+    else:
+        b = [Fraction(-row[c]) for row in h]
+    block = [[Fraction(row[p]) for p in pivots] for row in h]
+    x, det = _solve(block, b)
+    y = [det * t for t in x]
+    if any(t.denominator != 1 for t in y) or det.denominator != 1:
+        raise ValueError("the adjugate solution is not integral")
+    f = [0] * lat.ambient_rank
+    for p, t in zip(pivots, y):
+        f[p] = int(t)
+    if k is not None:
+        return Witness(tuple(f), int(det), sum(a * b for a, b in zip(f, v)) % int(det))
+    f[c] = int(det)
+    g = math.gcd(*f)
+    f = [a // g for a in f]
+    return Witness(tuple(f), 0, sum(a * b for a, b in zip(f, v)))

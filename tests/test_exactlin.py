@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,9 @@ from arrlcs.exactlin import (
     vec_mat,
     vstack,
 )
-from arrlcs.lcs import u_lattice
-from helpers import saturate
+from arrlcs.lcs import tau_tilde, u_lattice
+from arrlcs.words import AbelianGMap
+from helpers import reference_witness, saturate
 
 
 @st.composite
@@ -461,6 +463,34 @@ def test_member_witness_separates(case):
         assert math.gcd(*w.functional) == 1
         for row in lat.basis.entries:
             assert dot(w.functional, row) == 0
+
+
+@settings(max_examples=300)
+@given(lattices_and_vectors())
+@example((Lattice(2, [[2, 0]]), (1, 0)))  # divisibility failure
+@example((Lattice(3, [[1, 1, 0]]), (0, 0, 1)))  # rational failure
+def test_member_witness_equals_the_fraction_reference(case):
+    lat, v = case
+    assert member(v, lat).witness == reference_witness(lat, v)
+
+
+def test_member_witness_equals_the_fraction_reference_on_c13(c13_data):
+    # the first eight failures of each kind among seeded τ̃ values; a
+    # rational failure (modulus 0) comes about once in thirty, the eighth at seed 368
+    im_delta, config = c13_data.im_delta, c13_data.config
+    dim = len(config.index.pairs) * c13_data.n
+    wanted = {"divisibility": 8, "rational": 8}
+    for seed in range(2000):
+        rng = random.Random(f"witness:{seed}")
+        value = tau_tilde(c13_data, AbelianGMap.from_vector(config, [rng.randint(-3, 3) for _ in range(dim)])).flat
+        res = member(value, im_delta)
+        kind = None if res.ok else "divisibility" if res.witness.modulus else "rational"
+        if wanted.get(kind):
+            wanted[kind] -= 1
+            assert res.witness == reference_witness(im_delta, value)
+            if not any(wanted.values()):
+                break
+    assert not any(wanted.values())
 
 
 def test_member_rational_failure_needs_no_orthogonal_complement(monkeypatch, c13_data):

@@ -1,6 +1,7 @@
 """Free-group words, Magnus expansions, Lyndon bases, and relator construction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -351,6 +352,60 @@ def test_abelianize_is_additive():
         )
         diff = abelianize(prod) - (abelianize(g) + abelianize(h))
         assert diff.is_zero()
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(7, 2), "3"], ids=["float", "fraction", "str"])
+def test_abelian_gmap_refuses_entries_that_are_not_ints(bad):
+    config = maclane_c8()
+    where = r"at \(4,p45\), coordinate x3, is not an int"
+    with pytest.raises(ValueError, match=where):
+        AbelianGMap(config, {(4, "p45"): (0, 0, bad, 0, 0, 0, 0)})
+    vec = [0] * (len(config.index.pairs) * 7)
+    vec[config.index.pair_pos[(4, "p45")] * 7 + 2] = bad
+    with pytest.raises(ValueError, match=where):
+        AbelianGMap.from_vector(config, vec)
+
+
+def test_abelian_gmap_compares_by_value():
+    config = maclane_c8()
+    p = abelianize(GMap(config, {(4, "p45"): parse_word("w6^-1 w3^-1")}))
+    assert (p - p) == (p - p) == AbelianGMap(config)
+    assert hash(p - p) == hash(AbelianGMap(config))
+    q = AbelianGMap.from_vector(config, p.vector())
+    assert p == q and hash(p) == hash(q)
+    assert p != p - p and p != p + p
+    assert AbelianGMap(config) != AbelianGMap(glue_c13())
+    assert len({p, p - p, p + p - p, AbelianGMap(config)}) == 2
+
+
+@pytest.fixture(scope="module", params=["c8", "asymmetric_9"])
+def law_config(request):
+    return maclane_c8() if request.param == "c8" else request.getfixturevalue("asymmetric_config")
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_abelian_gmap_laws(law_config, data):
+    config = law_config
+    idx = config.index
+    n, flags = idx.n, idx.pairs
+    block = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-3, 3)] * n))
+    blocks_a, blocks_b = (data.draw(st.lists(block, min_size=len(flags), max_size=len(flags))) for _ in range(2))
+    va, vb = ([x for blk in blocks for x in blk] for blocks in (blocks_a, blocks_b))
+    a, b = AbelianGMap.from_vector(config, va), AbelianGMap.from_vector(config, vb)
+    assert a.vector() == tuple(va) and b.vector() == tuple(vb)
+    assert (a + b) - b == a
+    assert dict(a.values) == {flag: blk for flag, blk in zip(flags, blocks_a) if any(blk)}
+    assert AbelianGMap(config, a.values) == a
+    with pytest.raises(TypeError):
+        a.values[flags[0]] = (1,) * n  # a read-only view
+    with pytest.raises(ValueError):
+        AbelianGMap.from_vector(config, va + [0])
+    with pytest.raises(ValueError):
+        AbelianGMap(config, {flags[0]: (0,) * (n + 1)})
+    non_flags = [(i, p) for i in range(len(config.lines)) for p in config.points if (i, p) not in idx.pair_pos]
+    with pytest.raises(ValueError):
+        AbelianGMap(config, {data.draw(st.sampled_from(non_flags)): (0,) * n})
 
 
 # -- relators -----------------------------------------------------------------
