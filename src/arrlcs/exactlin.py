@@ -29,22 +29,26 @@ equal to a dense reduction's.  The Smith form alternates that kernel
 over the rows and the columns.  Products, ``vec_mat`` and membership
 touch only nonzero entries.
 
-Linear maps act on row vectors (v ↦ v·m).  ``Lattice.__init__`` is the
-one place a lattice is put in canonical form: ``kernel_basis(m)``
-returns a plain basis of the left kernel {v : v·m = 0}, read off the
-transform that reduces ``m``; ``perp``, the one caller that transposes,
-caches the orthogonal complement on the lattice; ``lattice_sum`` stacks
-two canonical forms.  Membership reduces a vector by the Hermite form;
-on failure, one back-substitution on its pivot block gives the witness.
-The lattice prepares that block once, with its Hermite form and
-transform, so a warm failed query reads only the pivot entries and pairs
-the witness with the vector over the witness's support.
+Linear maps act on row vectors (v ↦ v·m).  A lattice reduces its basis
+once, on first use, by ``hnf_with_transform``: the Hermite form is its
+canonical form, and the transform and the pivot block serve membership,
+so comparing a lattice and testing membership in it cost one reduction.
+``kernel_basis(m)`` returns a plain basis of the left kernel
+{v : v·m = 0}, read off the transform that reduces ``m``;
+``lattice_sum`` stacks two canonical forms.  ``perp`` caches the
+orthogonal complement on the lattice; when every Hermite pivot is 1 it
+reads the complement's basis off the canonical form, and otherwise
+takes the left kernel of its transpose.  Membership reduces a vector by
+the Hermite form; on failure, one back-substitution on its pivot block
+gives the witness, so a warm failed query reads only the pivot entries
+and pairs the witness with the vector over the witness's support.
 
 A quotient ``ZZ^n / lattice`` is presented by one path: the projection
 is Kᵀ for K the canonical form of ``perp(lattice)``, and the section
-comes from the transform of one ``hnf_with_transform(Kᵀ)``.  The Smith
-form of the lattice's canonical form runs only when the lattice is not
-saturated, to name the torsion divisors.
+comes from the transform of one ``hnf_with_transform(Kᵀ)``.  Unit
+pivots prove the lattice saturated; any other lattice is compared with
+its saturation, and the Smith form of its canonical form runs only when
+they differ, to name the torsion divisors.
 """
 
 from __future__ import annotations
@@ -388,9 +392,14 @@ def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
 
 
 class Lattice:
-    """Integer row span of ``basis`` inside ZZ^ambient_rank."""
+    """Integer row span of ``basis`` inside ZZ^ambient_rank.
 
-    __slots__ = ("ambient_rank", "basis", "canonical_form", "_reduction", "_perp")
+    Building one reduces nothing: the canonical form, and with it the
+    transform and pivot block that ``member`` reads, come from one
+    reduction of the basis the first time any of them is asked for.
+    """
+
+    __slots__ = ("ambient_rank", "basis", "_reduction", "_perp")
 
     def __init__(self, ambient_rank: int, basis: IntMatrix | Iterable[Sequence[int]]):
         if not isinstance(basis, IntMatrix):
@@ -399,12 +408,16 @@ class Lattice:
             raise ValueError("basis width does not match ambient rank")
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "canonical_form", hnf(basis))
         object.__setattr__(self, "_reduction", None)
         object.__setattr__(self, "_perp", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
+
+    @property
+    def canonical_form(self) -> IntMatrix:
+        """The Hermite form of the basis, from the lattice's one reduction (``_reduction_data``)."""
+        return self._reduction_data()[0]
 
     @property
     def rank(self) -> int:
@@ -424,12 +437,15 @@ class Lattice:
         return f"Lattice(rank {self.rank} in ZZ^{self.ambient_rank})"
 
     def _reduction_data(self):
-        """``(h, keep, pivots, block)``, computed once per lattice.
+        """``(h, keep, pivots, block)``, from one ``hnf_with_transform`` of the basis on first use.
 
         ``h`` is the Hermite form of the basis, ``keep`` the transform rows
         that make it, and ``block`` the pivot block P of ``h`` for
         ``_pivot_witness``: per row of ``h``, its ``(pivot index, entry)``
         pairs at the other pivot columns, and the pivot product d = det P.
+        It is the lattice's only reduction: ``canonical_form`` is this
+        ``h``, so comparing a lattice and then testing membership in it
+        reduces its basis once.  d = 1 iff every pivot is 1.
         """
         if self._reduction is None:
             h, u, pivots = hnf_with_transform(self.basis)
@@ -553,13 +569,24 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
 def perp(lat: Lattice) -> Lattice:
     """Integer functionals vanishing on the lattice (ambient dual, same coords).
 
-    The left kernel of the canonical form transposed: it depends only on
-    the span, and the canonical form has no more rows than the basis (532
-    against 612 for C13's R3).  Computed once per lattice and cached on
-    it, so ``perp(lat) is perp(lat)``.
+    The right kernel {x : Hx = 0} of the canonical form H: it depends
+    only on the span.  When every pivot of H is 1, the pivot columns p_k
+    of H are the identity columns (zeros below a pivot, entries above it
+    reduced into [0, 1)), so row k of Hx = 0 reads
+    x_{p_k} = -Σ_c H[k][c]·x_c over the non-pivot columns c, which are
+    free: the rows e_c - Σ_k H[k][c]·e_{p_k}, one per non-pivot column,
+    are a basis, and no reduction builds them.  Any other lattice takes
+    the left kernel of Hᵀ.  Computed once per lattice and cached on it,
+    so ``perp(lat) is perp(lat)``.
     """
     if lat._perp is None:
-        object.__setattr__(lat, "_perp", Lattice(lat.ambient_rank, kernel_basis(lat.canonical_form.transpose())))
+        n, (h, _, pivots, (_, det)) = lat.ambient_rank, lat._reduction_data()
+        if det == 1:
+            cols, free = _transpose(h.sparse_rows, n), sorted(set(range(n)).difference(pivots))
+            basis = IntMatrix._of([{c: 1, **{pivots[k]: -x for k, x in cols[c].items()}} for c in free], n)
+        else:
+            basis = kernel_basis(h.transpose())
+        object.__setattr__(lat, "_perp", Lattice(n, basis))
     return lat._perp
 
 
@@ -588,14 +615,28 @@ class QuotientPresentation:
 
 
 def quotient_presentation(lat: Lattice) -> QuotientPresentation:
+    """Present ``ZZ^n / lat``; see ``QuotientPresentation``.
+
+    The sublattice of vectors with a multiple in ``lat`` (its saturation)
+    is the span of the transform rows that reduce Kᵀ to zero.  When
+    every Hermite pivot of ``lat`` is 1, ``lat`` is its own saturation
+    and nothing is compared: if m·v ∈ lat, the coefficients of m·v over
+    the rows of the canonical form H are its entries at H's pivot
+    columns, which are identity columns, so each is divisible by m and
+    v ∈ lat.  Otherwise the saturation lattice is built and compared,
+    and the Smith form names the divisors when it differs.
+    """
     n = lat.ambient_rank
     projection = perp(lat).canonical_form.transpose()
     f = projection.cols
     h, u, _ = hnf_with_transform(projection)
     if h != IntMatrix.identity(f):
         raise AssertionError("the orthogonal complement is not primitive")
-    saturation = Lattice(n, IntMatrix._of(u.sparse_rows[f:], n))
-    divisors = (1,) * lat.rank if saturation == lat else snf(lat.canonical_form)[0]
+    _, _, _, (_, det) = lat._reduction_data()
+    if det == 1 or Lattice(n, IntMatrix._of(u.sparse_rows[f:], n)) == lat:
+        divisors = (1,) * lat.rank
+    else:
+        divisors = snf(lat.canonical_form)[0]
     return QuotientPresentation(
         ambient_rank=n,
         elementary_divisors=divisors,

@@ -403,8 +403,10 @@ def tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
     a = _as_abelian(a)
     if a.config != data.config:
         raise ConfigMismatchError("conjugator data belongs to another configuration")
-    vec = a.vector()
-    return HomR2P3(data.gens, data.p3.free_rank, tuple(x for rows, _, b in data.tau_blocks for x in vec_mat(vec[rows], b)))
+    vec, flat = a.vector(), []
+    for rows, _, b in data.tau_blocks:
+        flat += vec_mat(vec[rows], b)
+    return HomR2P3(data.gens, data.p3.free_rank, tuple(flat))
 
 
 def _lift_rows(data: LcsData, lift) -> IntMatrix:

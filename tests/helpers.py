@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from arrlcs.config import Configuration
-from arrlcs.exactlin import Lattice, Witness, kernel_basis, perp
+from arrlcs.exactlin import IntMatrix, Lattice, Witness, hnf_with_transform, kernel_basis, perp, snf
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
 from arrlcs.lcs import LcsData
 
@@ -122,6 +122,29 @@ def restrict(config: Configuration, line_idxs: Sequence[int]) -> Configuration:
 def saturate(lat: Lattice) -> Lattice:
     """Largest sublattice of the ambient with the same rational span."""
     return perp(perp(lat))
+
+
+def kernel_perp(lat: Lattice) -> Lattice:
+    """Oracle for ``perp``: the left kernel of the canonical form transposed, for any lattice."""
+    return Lattice(lat.ambient_rank, kernel_basis(lat.canonical_form.transpose()))
+
+
+def reference_quotient(lat: Lattice) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """Oracle for ``quotient_presentation``: ``(divisors, projection, section)``, with no unit-pivot shortcut.
+
+    The projection is Kᵀ for K the canonical form of ``kernel_perp(lat)``,
+    and the section is the head of the transform that reduces Kᵀ.  The
+    divisors are all ones iff ``lat`` equals its saturation, the span of
+    that transform's tail, and otherwise the ``snf`` divisors of the
+    canonical form.
+    """
+    n = lat.ambient_rank
+    projection = kernel_perp(lat).canonical_form.transpose()
+    f = projection.cols
+    _, u, _ = hnf_with_transform(projection)
+    saturation = Lattice(n, IntMatrix._of(u.sparse_rows[f:], n))
+    divisors = (1,) * lat.rank if saturation == lat else snf(lat.canonical_form)[0]
+    return divisors, projection, IntMatrix._of(u.sparse_rows[:f], n)
 
 
 def delta_kernel(data: LcsData) -> Lattice:

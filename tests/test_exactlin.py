@@ -26,7 +26,7 @@ from arrlcs.exactlin import (
 )
 from arrlcs.lcs import tau_tilde, u_lattice
 from arrlcs.words import AbelianGMap
-from helpers import reference_witness, saturate
+from helpers import kernel_perp, reference_quotient, reference_witness, saturate
 
 
 @st.composite
@@ -61,6 +61,35 @@ def tall_sparse(draw, max_rows=150, max_cols=8):
 
 def lattices(**shape):
     return matrices(**shape).map(lambda m: Lattice(m.cols, m))
+
+
+@st.composite
+def unit_pivot_lattices(draw, max_cols=8):
+    """Echelon rows with leading entry 1 and zeros at the other leading columns,
+    mixed by adding multiples of one row to another, sometimes with a dependent row:
+    every Hermite pivot of the span is 1."""
+    n = draw(st.integers(1, max_cols))
+    leads = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    entry = st.integers(-9, 9)
+    rows = [[int(c == p) if c in leads else draw(entry) if c > p else 0 for c in range(n)] for p in leads]
+    if len(rows) >= 2:
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+            k = draw(st.integers(-3, 3))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        if draw(st.booleans()):
+            rows.append([x - y for x, y in zip(rows[0], rows[1])])
+    return Lattice(n, IntMatrix(rows, n))
+
+
+@st.composite
+def permuted_identity_lattices(draw, max_cols=8):
+    """Rows [I | B] with the columns permuted: saturated, with Hermite pivots 1 or larger."""
+    n = draw(st.integers(1, max_cols))
+    r = draw(st.integers(0, n))
+    perm = draw(st.permutations(range(n)))
+    rows = [[int(i == j) for j in range(r)] + draw(st.lists(st.integers(-9, 9), min_size=n - r, max_size=n - r)) for i in range(r)]
+    return Lattice(n, IntMatrix([[row[perm[c]] for c in range(n)] for row in rows], n))
 
 
 def bareiss_det(m: IntMatrix) -> int:
@@ -582,6 +611,51 @@ def test_quotient_presentation_laws(lat):
     for i in range(q.free_rank):
         image = vec_mat(q.section.row(i), q.projection)
         assert image == tuple(1 if j == i else 0 for j in range(q.free_rank))
+
+
+def assert_quotient_matches_the_oracles(lat: Lattice) -> None:
+    q = quotient_presentation(lat)
+    assert perp(lat).canonical_form == kernel_perp(lat).canonical_form
+    assert (q.elementary_divisors, q.projection, q.section) == reference_quotient(lat)
+
+
+@settings(max_examples=200)
+@given(unit_pivot_lattices())
+def test_unit_pivot_perp_and_quotient_equal_the_kernel_route(lat):
+    _, _, _, (_, det) = lat._reduction_data()
+    assert det == 1
+    assert_quotient_matches_the_oracles(lat)
+    assert quotient_presentation(lat).is_torsion_free
+
+
+@settings(max_examples=200)
+@given(st.one_of(lattices(), permuted_identity_lattices()))
+@example(Lattice(2, [[2, 3]]))  # saturated although its Hermite pivot is 2
+@example(Lattice(3, [[2, 0, 0], [0, 3, 0]]))  # torsion Z/6
+@example(Lattice(3, [[0, 2, 1]]))  # [I | B] permuted: pivot 2
+def test_perp_and_quotient_equal_the_kernel_route(lat):
+    assert_quotient_matches_the_oracles(lat)
+
+
+def test_unit_pivot_quotient_needs_no_kernel_and_no_saturation(monkeypatch):
+    lat = Lattice(4, [[1, 2, 0, -3], [2, 4, 1, 0]])  # Hermite form [[1, 2, 0, -3], [0, 0, 1, 6]]
+    monkeypatch.setattr("arrlcs.exactlin.kernel_basis", lambda m: pytest.fail("perp reduced Hᵀ"))
+    monkeypatch.setattr(Lattice, "__eq__", lambda a, b: pytest.fail("saturation compared"))
+    q = quotient_presentation(lat)
+    assert q.elementary_divisors == (1, 1) and q.free_rank == 2
+    assert perp(lat).basis == IntMatrix([[-2, 1, 0, 0], [3, 0, -6, 1]], 4)
+
+
+@settings(max_examples=200)
+@given(st.one_of(matrices(), wide_sparse(), tall_sparse()), st.booleans())
+def test_one_reduction_serves_canonical_form_and_member(m, member_first):
+    lat = Lattice(m.cols, m)
+    if member_first:
+        member((0,) * m.cols, lat)
+    h = lat.canonical_form
+    assert h == hnf(m)
+    h_again, keep, _, _ = lat._reduction_data()
+    assert h_again is h and keep @ m == h
 
 
 def test_quotient_presentation_divisors():

@@ -394,16 +394,22 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     monkeypatch.setattr(lcs, "u_lattice", no_u_lattice)
     rows = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"])
     core, kernel_calls = exactlin._hnf_core, []
+    im_delta_rows = list(data.im_delta.basis.sparse_rows)
 
-    def counted_core(*args):
-        kernel_calls.append(1)
-        return core(*args)
+    def counted_core(a, *args):
+        kernel_calls.append(a == im_delta_rows)
+        return core(a, *args)
 
     monkeypatch.setattr(exactlin, "_hnf_core", counted_core)
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
-    # per point: U_p, the four reductions of A_p/U_p's presentation and rank τ̃_p∘s_p,
-    # over 41 points; then B, the joint kernel and the two lattices it compares
-    assert len(kernel_calls) == 41 * 6 + 4
+    # per point: U_p, perp(U_p)'s canonical form, the section's reduction and rank
+    # τ̃_p∘s_p, over 41 points; then Im δ̄, the joint kernel and the two lattices it compares
+    assert len(kernel_calls) == 41 * 4 + 4
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    g_pp, g_pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
+    assert kappa(data, g_pp, g_pp).zero and not kappa(data, g_pp, g_pm).zero
+    # the joint kernel reads Im δ̄'s canonical form and κ its transform: one reduction
+    assert data.im_delta.basis.shape == (180, 2040) and kernel_calls.count(True) == 1
     tau_tilde(data, random_abelian(random.Random(0), data))
     assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
 
