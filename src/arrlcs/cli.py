@@ -67,10 +67,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-_BUILTIN_CONFIGS = ("maclane8", "glued13")
+_BUILTIN_CONFIGS = {"maclane8": maclane_c8, "glued13": glue_c13}
 _DUMPABLE = (
-    "maclane8",
-    "glued13",
+    *_BUILTIN_CONFIGS,
     "dual_basis_c8",
     "conjugators_plus",
     "conjugators_minus",
@@ -79,12 +78,13 @@ _DUMPABLE = (
 )
 
 
-def _builtin_config(name: str) -> Configuration:
-    if name == "maclane8":
-        return maclane_c8()
-    if name == "glued13":
-        return glue_c13()
-    raise ValueError(f"unknown builtin configuration {name!r}; expected one of {_BUILTIN_CONFIGS}")
+def _input_config(args, path: str | None) -> Configuration | None:
+    """The ``--builtin`` configuration or the JSON file at ``path``; None, with the error emitted, if unusable."""
+    try:
+        return _BUILTIN_CONFIGS[args.builtin]() if args.builtin else load_configuration_file(path)
+    except (OSError, ValueError) as exc:
+        _emit(args, {"ok": False, "error": str(exc)})
+        return None
 
 
 def _digest(config: Configuration) -> str:
@@ -117,13 +117,8 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        if args.builtin:
-            config = _builtin_config(args.builtin)
-        else:
-            config = load_configuration_file(args.path)
-    except (OSError, ValueError) as exc:
-        _emit(args, {"ok": False, "error": str(exc)})
+    config = _input_config(args, args.path)
+    if config is None:
         return EXIT_INPUT
     report = validate(config)
     payload = report.to_json_dict()
@@ -381,13 +376,8 @@ def _load_g(config: Configuration, source: str) -> GMap:
 
 
 def cmd_kappa(args) -> int:
-    try:
-        if args.builtin:
-            config = _builtin_config(args.builtin)
-        else:
-            config = load_configuration_file(args.config)
-    except (OSError, ValueError) as exc:
-        _emit(args, {"ok": False, "error": str(exc)})
+    config = _input_config(args, args.config)
+    if config is None:
         return EXIT_INPUT
     try:
         data = build_lcs(config)
@@ -421,10 +411,8 @@ def cmd_dump_data(args) -> int:
     if args.name is None:
         print(json.dumps({"datasets": list(_DUMPABLE)}, indent=2, sort_keys=True))
         return EXIT_PASS
-    if args.name == "maclane8":
-        payload = maclane_c8().to_json_dict()
-    elif args.name == "glued13":
-        payload = glue_c13().to_json_dict()
+    if args.name in _BUILTIN_CONFIGS:
+        payload = _BUILTIN_CONFIGS[args.name]().to_json_dict()
     elif args.name in _DUMPABLE:
         payload = _builtin_json(f"{args.name}.json")
     else:

@@ -375,82 +375,71 @@ class ConfigAutomorphism:
         return self.config.point_of(frozenset(self.line_perm[i] for i in self.config.lines_through(point)))
 
 
-def _line_profiles(config: Configuration) -> list[tuple[int, ...]]:
-    return [
-        tuple(sorted(config.multiplicity(p) for p in config.points_on(i)))
-        for i in range(len(config.lines))
-    ]
+def _line_maps(a: Configuration, b: Configuration) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
+    """Every incidence isomorphism a -> b as (line permutation, point images in ``a.points`` order).
 
-
-def isomorphisms(a: Configuration, b: Configuration) -> list[dict]:
-    """All incidence isomorphisms a -> b as line/point name maps.
-
-    Backtracking over line images; candidates are pruned by point
-    multiplicity profiles and pairwise common-point multiplicities, and
-    every leaf is verified against the full incidence relation.
+    One backtracking search over line indices builds both maps.  Line k
+    may go to j only if j is unused and has k's profile (the sorted
+    multiplicities of its points).  Sending k to j maps the common point
+    p of each earlier pair (i, k) to the common point q of (σi, j): q must
+    exist, have p's multiplicity, agree with any image p has, and be the
+    image of no other point; backtracking undoes these entries.  Each
+    complete map is checked once: every point has an image and every flag
+    (i, p) of ``a`` goes to a flag (σi, σp) of ``b``.  Both maps are
+    injective and the flag counts equal, so the flags then correspond one
+    to one.  The check is not redundant on input that fails ``validate``:
+    a point that no pair of its lines names (one on a single line, say)
+    gets no image, and the map is rejected.
     """
-    if len(a.lines) != len(b.lines) or len(a.points) != len(b.points):
-        return []
     nl = len(a.lines)
-    prof_a, prof_b = _line_profiles(a), _line_profiles(b)
-    cand = [
-        [j for j in range(nl) if prof_b[j] == prof_a[i]]
-        for i in range(nl)
-    ]
-    out: list[dict] = []
-    sigma = [-1] * nl
-    used = [False] * nl
-
-    def leaf_check() -> dict | None:
-        point_map = {}
-        for p in a.points:
-            q = b.point_of(frozenset(sigma[i] for i in a.lines_through(p)))
-            if q is None:
-                return None
-            point_map[p] = q
-        if len(set(point_map.values())) != len(a.points):
-            return None
-        return {
-            "lines": {a.lines[i]: b.lines[sigma[i]] for i in range(nl)},
-            "points": point_map,
-        }
+    if (nl, len(a.points), len(a.incidence)) != (len(b.lines), len(b.points), len(b.incidence)):
+        return []
+    prof_a, prof_b = ([tuple(sorted(c.multiplicity(p) for p in c.points_on(i))) for i in range(nl)] for c in (a, b))
+    cand = [[j for j in range(nl) if prof_b[j] == prof_a[i]] for i in range(nl)]
+    meet_a, meet_b = ([[c.common_point(i, k) for i in range(nl)] for k in range(nl)] for c in (a, b))
+    mult_a, mult_b = ({p: c.multiplicity(p) for p in c.points} for c in (a, b))
+    flags_a, flags_b = [(a.line_index(l), p) for l, p in a.incidence], {(b.line_index(l), q) for l, q in b.incidence}
+    out: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
+    sigma, used, image, preimage = [-1] * nl, [False] * nl, {}, {}
 
     def extend(k: int) -> None:
         if k == nl:
-            found = leaf_check()
-            if found is not None:
-                out.append(found)
+            if len(image) == len(a.points) and all((sigma[i], image[p]) in flags_b for i, p in flags_a):
+                out.append((tuple(sigma), tuple(image[p] for p in a.points)))
             return
         for j in cand[k]:
             if used[j]:
                 continue
-            ok = True
+            added = []
             for i in range(k):
-                p = a.common_point(i, k)
-                q = b.common_point(sigma[i], j)
-                if p is None or q is None or a.multiplicity(p) != b.multiplicity(q):
-                    ok = False
+                p, q = meet_a[k][i], meet_b[j][sigma[i]]
+                if p is None or q is None or mult_a[p] != mult_b[q] or image.get(p, q) != q or preimage.get(q, p) != p:
                     break
-            if ok:
-                sigma[k] = j
-                used[j] = True
+                if p not in image:
+                    image[p], preimage[q] = q, p
+                    added.append(p)
+            else:
+                sigma[k], used[j] = j, True
                 extend(k + 1)
                 used[j] = False
-                sigma[k] = -1
+            for p in added:
+                del preimage[image.pop(p)]
 
     extend(0)
     return out
 
 
+def isomorphisms(a: Configuration, b: Configuration) -> list[dict]:
+    """All incidence isomorphisms a -> b as line/point name maps (see ``_line_maps``)."""
+    return [
+        {"lines": {a.lines[i]: b.lines[j] for i, j in enumerate(line_perm)}, "points": dict(zip(a.points, points))}
+        for line_perm, points in _line_maps(a, b)
+    ]
+
+
 def automorphisms(config: Configuration) -> list[ConfigAutomorphism]:
     """The full automorphism group, sorted by line permutation."""
-    line_pos = {l: k for k, l in enumerate(config.lines)}
-    autos = [
-        ConfigAutomorphism(config, tuple(line_pos[iso["lines"][l]] for l in config.lines))
-        for iso in isomorphisms(config, config)
-    ]
-    autos.sort(key=lambda s: s.line_perm)
-    return autos
+    return sorted((ConfigAutomorphism(config, perm) for perm, _ in _line_maps(config, config)), key=lambda s: s.line_perm)
 
 
 def partition_check(config: Configuration, autos: Sequence[ConfigAutomorphism]) -> bool:

@@ -46,9 +46,9 @@ and pairs the witness with the vector over the witness's support.
 A quotient ``ZZ^n / lattice`` is presented by one path: the projection
 is Kᵀ for K the canonical form of ``perp(lattice)``, and the section
 comes from the transform of one ``hnf_with_transform(Kᵀ)``.  Unit
-pivots prove the lattice saturated; any other lattice is compared with
-its saturation, and the Smith form of its canonical form runs only when
-they differ, to name the torsion divisors.
+pivots prove the lattice saturated; any other lattice takes the Smith
+divisors of its canonical form, which are all 1 exactly when it is
+saturated and otherwise name the torsion.
 """
 
 from __future__ import annotations
@@ -597,10 +597,11 @@ class QuotientPresentation:
     ``projection`` (ambient x free_rank) is Kᵀ for K the canonical form
     of ``perp(lattice)``, the functionals vanishing on it, so it kills the lattice;
     ``section`` (free_rank x ambient) is a right inverse, read off the
-    transform that reduces Kᵀ to its Hermite form ``I``.  The quotient is
-    torsion-free iff the lattice is saturated; ``elementary_divisors`` is
-    then all ones, otherwise the ``snf`` divisors of the canonical form,
-    whose entries above 1 are the torsion.
+    transform that reduces Kᵀ to its Hermite form ``I``.
+    ``elementary_divisors`` are the ``snf`` divisors of the canonical
+    form (all ones, without a Smith form, when every Hermite pivot is 1);
+    those above 1 are the torsion, so the quotient is torsion-free iff
+    the lattice is saturated.
     """
 
     ambient_rank: int
@@ -617,14 +618,14 @@ class QuotientPresentation:
 def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     """Present ``ZZ^n / lat``; see ``QuotientPresentation``.
 
-    The sublattice of vectors with a multiple in ``lat`` (its saturation)
-    is the span of the transform rows that reduce Kᵀ to zero.  When
-    every Hermite pivot of ``lat`` is 1, ``lat`` is its own saturation
-    and nothing is compared: if m·v ∈ lat, the coefficients of m·v over
+    The torsion of the quotient is decided once.  When every Hermite
+    pivot of ``lat`` is 1, ``lat`` is saturated and the divisors are all
+    1 without a Smith form: if m·v ∈ lat, the coefficients of m·v over
     the rows of the canonical form H are its entries at H's pivot
     columns, which are identity columns, so each is divisible by m and
-    v ∈ lat.  Otherwise the saturation lattice is built and compared,
-    and the Smith form names the divisors when it differs.
+    v ∈ lat.  Any other lattice takes the ``snf`` divisors of H; the
+    torsion of the quotient is ⊕ Z/d over them, so they are all 1
+    exactly when ``lat`` is saturated.
     """
     n = lat.ambient_rank
     projection = perp(lat).canonical_form.transpose()
@@ -633,10 +634,7 @@ def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     if h != IntMatrix.identity(f):
         raise AssertionError("the orthogonal complement is not primitive")
     _, _, _, (_, det) = lat._reduction_data()
-    if det == 1 or Lattice(n, IntMatrix._of(u.sparse_rows[f:], n)) == lat:
-        divisors = (1,) * lat.rank
-    else:
-        divisors = snf(lat.canonical_form)[0]
+    divisors = (1,) * lat.rank if det == 1 else snf(lat.canonical_form)[0]
     return QuotientPresentation(
         ambient_rank=n,
         elementary_divisors=divisors,

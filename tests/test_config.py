@@ -1,6 +1,8 @@
 """Configuration axioms, built-ins, gluing, and automorphism search."""
 
 import json
+import random
+from itertools import permutations
 
 import pytest
 
@@ -17,6 +19,7 @@ from arrlcs.config import (
     partition_check,
     validate,
 )
+from arrlcs.lcs import transport_group
 from helpers import restrict
 
 MACLANE_POINTS = {
@@ -228,6 +231,125 @@ def test_automorphism_order():
         for _ in range(k):
             power = power.compose(a)
         assert power.is_identity()
+
+
+# -- the one isomorphism search against oracles and pinned results ----------------
+
+
+def _relabel(config, seed):
+    """``config`` with line 0 fixed, lines 1..n permuted and points renamed, all from ``seed``."""
+    n = len(config.lines)
+    rng = random.Random(f"relabel:{seed}")
+    images = list(range(1, n))
+    rng.shuffle(images)
+    line_map = [0, *images]
+    names = [f"q{k:02d}" for k in range(len(config.points))]
+    rng.shuffle(names)
+    point_map = dict(zip(config.points, names))
+    lines = [f"l{j}" for j in range(n)]
+    incidence = [(lines[line_map[config.line_index(l)]], point_map[p]) for l, p in config.incidence]
+    return Configuration(lines, names, incidence)
+
+
+def _glue_copies(k):
+    """k MacLane copies glued along lines 0, 1, 2 and p012; copy c sends lines 3..7 to 3+5c..7+5c.
+
+    Lines of different copies cross at new double points.
+    """
+    base = maclane_c8()
+    points = {}
+    for c in range(k):
+        for p in base.points:
+            on = frozenset(i if i < 3 else i + 5 * c for i in base.lines_through(p))
+            points.setdefault(on, f"c{c}{p}")
+    n = 3 + 5 * k
+    for i in range(3, n):
+        for j in range(i + 1, n):
+            if (i - 3) // 5 != (j - 3) // 5:
+                points[frozenset((i, j))] = f"x{i}.{j}"
+    lines = [f"l{i}" for i in range(n)]
+    return Configuration(lines, list(points.values()), [(lines[i], p) for on, p in points.items() for i in on])
+
+
+def test_c8_automorphisms_are_the_brute_force_group(maclane_data):
+    c8 = maclane_c8()
+    brute = []
+    for perm in permutations(range(8)):
+        try:
+            brute.append(ConfigAutomorphism.from_line_perm(c8, perm))
+        except ValueError:
+            pass
+    assert len(brute) == 48
+    assert automorphisms(c8) == brute
+    assert transport_group(maclane_data) == [s for s in brute if s.line_perm[0] == 0]
+
+
+def test_isomorphisms_from_a_relabeled_c8_are_incidence_bijections():
+    c8 = maclane_c8()
+    relabeled = _relabel(c8, 41)
+    isos = isomorphisms(relabeled, c8)
+    assert len(isos) == 48
+    assert len({tuple(iso["lines"].items()) for iso in isos}) == 48
+    for iso in isos:
+        assert sorted(iso["lines"]) == sorted(relabeled.lines)
+        assert sorted(iso["lines"].values()) == sorted(c8.lines)
+        assert sorted(iso["points"]) == list(relabeled.points)
+        assert sorted(iso["points"].values()) == list(c8.points)
+        assert {(iso["lines"][l], iso["points"][p]) for l, p in relabeled.incidence} == c8.incidence
+
+
+def test_threefold_gluing_has_6_times_3_factorial_automorphisms():
+    c18 = _glue_copies(3)
+    assert validate(c18).ok
+    assert (len(c18.lines), len(c18.points)) == (18, 109)
+    autos = automorphisms(c18)
+    assert len(autos) == 36
+    assert partition_check(c18, autos)
+    assert [a.line_perm for a in automorphisms(_glue_copies(2))] == [a.line_perm for a in automorphisms(glue_c13())]
+
+
+def test_search_rejects_a_map_that_leaves_a_point_without_image():
+    # q lies on one line only, so no pair of lines names it; validate reports it
+    c = Configuration(["l0", "l1"], ["p01", "q"], [("l0", "p01"), ("l1", "p01"), ("l1", "q")])
+    assert not validate(c).ok
+    assert isomorphisms(c, c) == [] and automorphisms(c) == []
+
+
+C13_AUTOMORPHISMS = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    (0, 1, 2, 8, 9, 10, 11, 12, 3, 4, 5, 6, 7),
+    (0, 2, 1, 6, 5, 4, 3, 7, 11, 10, 9, 8, 12),
+    (0, 2, 1, 11, 10, 9, 8, 12, 6, 5, 4, 3, 7),
+    (1, 0, 2, 3, 5, 4, 7, 6, 8, 10, 9, 12, 11),
+    (1, 0, 2, 8, 10, 9, 12, 11, 3, 5, 4, 7, 6),
+    (1, 2, 0, 7, 4, 5, 3, 6, 12, 9, 10, 8, 11),
+    (1, 2, 0, 12, 9, 10, 8, 11, 7, 4, 5, 3, 6),
+    (2, 0, 1, 6, 4, 5, 7, 3, 11, 9, 10, 12, 8),
+    (2, 0, 1, 11, 9, 10, 12, 8, 6, 4, 5, 7, 3),
+    (2, 1, 0, 7, 5, 4, 6, 3, 12, 10, 9, 11, 8),
+    (2, 1, 0, 12, 10, 9, 11, 8, 7, 5, 4, 6, 3),
+)
+
+C13_AT_41_AUTOMORPHISMS = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    (0, 1, 9, 6, 4, 11, 3, 12, 10, 2, 8, 5, 7),
+    (0, 4, 7, 3, 1, 10, 6, 2, 11, 12, 5, 8, 9),
+    (0, 4, 12, 6, 1, 8, 3, 9, 5, 7, 11, 10, 2),
+    (1, 0, 7, 5, 4, 3, 11, 2, 8, 12, 10, 6, 9),
+    (1, 0, 12, 11, 4, 6, 5, 9, 10, 7, 8, 3, 2),
+    (1, 4, 2, 5, 0, 10, 11, 7, 6, 9, 3, 8, 12),
+    (1, 4, 9, 11, 0, 8, 5, 12, 3, 2, 6, 10, 7),
+    (4, 0, 2, 10, 1, 3, 8, 7, 11, 9, 5, 6, 12),
+    (4, 0, 9, 8, 1, 6, 10, 12, 5, 2, 11, 3, 7),
+    (4, 1, 7, 10, 0, 5, 8, 2, 6, 12, 3, 11, 9),
+    (4, 1, 12, 8, 0, 11, 10, 9, 3, 7, 6, 5, 2),
+)
+
+
+def test_automorphisms_are_pinned(asymmetric_config):
+    assert tuple(a.line_perm for a in automorphisms(glue_c13())) == C13_AUTOMORPHISMS
+    assert tuple(a.line_perm for a in automorphisms(_relabel(glue_c13(), 41))) == C13_AT_41_AUTOMORPHISMS
+    assert [a.line_perm for a in automorphisms(asymmetric_config)] == [tuple(range(9))]
 
 
 # -- serialization --------------------------------------------------------------------

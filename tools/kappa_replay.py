@@ -25,11 +25,8 @@ The program is imported from ``src/`` next to this script.  An existing
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import random
 import statistics
 import sys
@@ -40,7 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from arrlcs import config, exactlin, lcs, words  # noqa: E402
-from kernel_replay import commit, cpu_model, dump, src_sha256  # noqa: E402
+from kernel_replay import replay_args, write_run  # noqa: E402
 
 REPEAT = 5
 QUERIES = 64
@@ -109,10 +106,7 @@ def replay(data, name: str, k: int, g, gprime, kind: str, sparse: bool) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="key of this run in the output file")
-    ap.add_argument("--out", required=True, type=Path, help="JSON file to write (other labels are kept)")
-    args = ap.parse_args()
+    args = replay_args(__doc__)
 
     records = []
     for name, cfg in (("c8", config.maclane_c8()), ("c13", config.glue_c13())):
@@ -125,18 +119,7 @@ def main() -> None:
         for part in PARTS
     }
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["command"] = "python3 tools/kappa_replay.py --label LABEL --out FILE"
-    doc.setdefault("runs", {})[args.label] = {
-        "commit": commit(),
-        "src_sha256": src_sha256(),
-        "python": platform.python_version(),
-        "machine": f"{cpu_model()}, {os.cpu_count()} CPUs",
-        "repeat": REPEAT,
-        "median_s": summary,
-        "inputs": records,
-    }
-    args.out.write_text(dump(doc))
+    write_run(args, "kappa_replay.py", REPEAT, median_s=summary, inputs=records)
     zero = sum(rec["zero"] for rec in records)
     rational = sum(rec["modulus"] == 0 for rec in records)
     print(f"{args.label}: {len(records)} queries ({zero} zero, {rational} rational failures), median seconds {summary}")

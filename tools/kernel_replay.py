@@ -21,7 +21,9 @@ code still names what it timed.
 
 The program is imported from ``src/`` next to this script.  An existing
 ``--out`` file keeps its other labels, so running a copy of the script in
-a second checkout with another label puts both runs in one file.
+a second checkout with another label puts both runs in one file.  The
+other ``tools/*_replay.py`` scripts parse the same options and write their
+run records through this script's ``replay_args`` and ``write_run``.
 """
 
 from __future__ import annotations
@@ -137,12 +139,37 @@ def src_sha256() -> str:
     return h.hexdigest()
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def replay_args(doc: str) -> argparse.Namespace:
+    """Parse the ``--label`` and ``--out`` options of a replay script with docstring ``doc``."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write (other labels are kept)")
-    args = ap.parse_args()
+    return ap.parse_args()
 
+
+def write_run(args: argparse.Namespace, script: str, repeat: int, **fields) -> dict:
+    """Write one run record under ``args.label`` into ``args.out`` and return it.
+
+    The record is the run metadata (``commit``, ``src_sha256``, ``python``,
+    ``machine``, ``repeat``) followed by ``fields``.  An existing file keeps
+    its other labels.
+    """
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["command"] = f"python3 tools/{script} --label LABEL --out FILE"
+    run = doc.setdefault("runs", {})[args.label] = {
+        "commit": commit(),
+        "src_sha256": src_sha256(),
+        "python": platform.python_version(),
+        "machine": f"{cpu_model()}, {os.cpu_count()} CPUs",
+        "repeat": repeat,
+        **fields,
+    }
+    args.out.write_text(dump(doc))
+    return run
+
+
+def main() -> None:
+    args = replay_args(__doc__)
     captured = [("c13-verify", call) for call in capture(c13_verify)]
     captured += [("u-lattice", call) for call in capture(lambda: lcs.u_lattice(config.glue_c13()))]
     records = [{"source": source, **replay(*call)} for source, call in captured]
@@ -150,19 +177,8 @@ def main() -> None:
     for rec in records:
         totals[rec["source"]] = totals.get(rec["source"], 0.0) + rec["seconds"]
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["command"] = "python3 tools/kernel_replay.py --label LABEL --out FILE"
-    doc.setdefault("runs", {})[args.label] = {
-        "commit": commit(),
-        "src_sha256": src_sha256(),
-        "python": platform.python_version(),
-        "machine": f"{cpu_model()}, {os.cpu_count()} CPUs",
-        "repeat": REPEAT,
-        "total_s": {k: round(v, 4) for k, v in totals.items()},
-        "inputs": records,
-    }
-    args.out.write_text(dump(doc))
-    print(f"{args.label}: {len(records)} inputs, seconds by source {doc['runs'][args.label]['total_s']}")
+    run = write_run(args, "kernel_replay.py", REPEAT, total_s={k: round(v, 4) for k, v in totals.items()}, inputs=records)
+    print(f"{args.label}: {len(records)} inputs, seconds by source {run['total_s']}")
     for rec in sorted(records, key=lambda rec: -rec["seconds"])[:5]:
         print(f"  {rec['source']:10} {rec['caller']:18} {rec['rows']:5} x {rec['cols']:<5} "
               f"nnz {rec['nnz_in']:>6} -> {rec['nnz_out']:<6} {rec['seconds']:.4f} s")

@@ -24,11 +24,7 @@ The program is imported from ``src/`` next to this script.  An existing
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -40,7 +36,7 @@ sys.path.insert(1, str(ROOT / "perfbench"))
 
 from arrlcs import config, exactlin, lcs  # noqa: E402
 from inputs import relabel  # noqa: E402
-from kernel_replay import commit, cpu_model, dump, src_sha256  # noqa: E402
+from kernel_replay import replay_args, write_run  # noqa: E402
 
 REPEAT = 5
 SEED = 41
@@ -127,10 +123,7 @@ def replay(name: str, call: str, caller: str, lat: exactlin.Lattice) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="key of this run in the output file")
-    ap.add_argument("--out", required=True, type=Path, help="JSON file to write (other labels are kept)")
-    args = ap.parse_args()
+    args = replay_args(__doc__)
 
     records, verdicts = [], {}
     for name, cfg in configurations():
@@ -142,19 +135,10 @@ def main() -> None:
         key = f"{rec['config']} {rec['call']}"
         totals[key] = round(totals.get(key, 0.0) + rec["seconds"], 6)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["command"] = "python3 tools/lattice_replay.py --label LABEL --out FILE"
-    doc.setdefault("runs", {})[args.label] = {
-        "commit": commit(),
-        "src_sha256": src_sha256(),
-        "python": platform.python_version(),
-        "machine": f"{cpu_model()}, {os.cpu_count()} CPUs",
-        "repeat": REPEAT,
-        "verdicts": {name: list(v) for name, v in verdicts.items()},
-        "total_s": totals,
-        "inputs": records,
-    }
-    args.out.write_text(dump(doc))
+    write_run(
+        args, "lattice_replay.py", REPEAT,
+        verdicts={name: list(v) for name, v in verdicts.items()}, total_s=totals, inputs=records,
+    )
     print(f"{args.label}: {len(records)} replays, seconds by config and call {totals}")
 
 

@@ -24,11 +24,8 @@ The program is imported from ``src/`` next to this script.  An existing
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -37,7 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from arrlcs import config, geom  # noqa: E402
-from kernel_replay import commit, cpu_model, dump, src_sha256  # noqa: E402
+from kernel_replay import replay_args, write_run  # noqa: E402
 
 REPEAT = 5
 SEEDS = range(40)
@@ -87,10 +84,7 @@ def replay(fields: dict, thunk) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="key of this run in the output file")
-    ap.add_argument("--out", required=True, type=Path, help="JSON file to write (other labels are kept)")
-    args = ap.parse_args()
+    args = replay_args(__doc__)
 
     records = [replay(fields, thunk) for fields, thunk in calls()]
     totals: dict[str, float] = {}
@@ -98,20 +92,9 @@ def main() -> None:
         key = rec["call"] if "config" not in rec else f"{rec['call']} {rec['config']}"
         totals[key] = totals.get(key, 0.0) + rec["seconds"]
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["command"] = "python3 tools/realization_replay.py --label LABEL --out FILE"
-    doc.setdefault("runs", {})[args.label] = {
-        "commit": commit(),
-        "src_sha256": src_sha256(),
-        "python": platform.python_version(),
-        "machine": f"{cpu_model()}, {os.cpu_count()} CPUs",
-        "repeat": REPEAT,
-        "total_s": {k: round(v, 4) for k, v in totals.items()},
-        "inputs": records,
-    }
-    args.out.write_text(dump(doc))
+    run = write_run(args, "realization_replay.py", REPEAT, total_s={k: round(v, 4) for k, v in totals.items()}, inputs=records)
     degenerate = sorted({rec["seed"] for rec in records if rec.get("ok") is False and "seed" in rec})
-    print(f"{args.label}: {len(records)} calls, seconds by call {doc['runs'][args.label]['total_s']}, "
+    print(f"{args.label}: {len(records)} calls, seconds by call {run['total_s']}, "
           f"degenerate seeds {degenerate}")
 
 
