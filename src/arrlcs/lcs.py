@@ -11,7 +11,9 @@ Coordinate conventions, shared with the bundled data files:
 
 - H = ZZ^n with basis x_1..x_n, one generator per finite line.
 - L2 has basis [x_i,x_j] ↔ x_i∧x_j, i < j, in ``words.wedge_index``
-  order; L3 has the degree-3 Lyndon basis of ``words.lie_basis``.
+  order; L3 has the degree-3 Lyndon basis in ``words.lyndon3_index``
+  order: [x_i,[x_j,x_k]] for i ≤ j < k and [[x_i,x_j],x_k] for
+  i < k ≤ j, the standard bracketings of the Lyndon words (i, j, k).
 - A = {maps flags → H}, flattened flag-major: the x_m-coordinate at
   flag (i,p) sits at pair_pos[(i,p)]*n + (m-1).  The functionals
   e_ij(p) (value of x_j* on a(i,p)) use the same flat indexing.
@@ -31,9 +33,10 @@ and the benchmark.  δ̄ lifts f̂ at each generator flag, and Im δ̄ is
 assembled from the same sums, one section image per line; R3perp pulls
 perp(R3) back along the bracket.  A lift is a sequence of (generator
 flag, slot, coefficient) terms.  An automorphism acts on A and on H⊗Λ²H
-by one sparse signed permutation each (``_line_action``).  Every matrix
-is built from sparse rows, so no layer reads or writes their zeros (on
-C13 under 2% of entries are nonzero).
+by one sparse signed permutation each (``_line_action``), and on L3
+through the bracket (``_l3_action``).  Every matrix is built from
+sparse rows, so no layer reads or writes their zeros (on C13 under 2%
+of entries are nonzero).
 
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
@@ -81,8 +84,7 @@ from .words import (
     Word,
     abelianize,
     conjugated_generators,
-    lie_basis,
-    lie_sparse_coords,
+    lyndon3_index,
     parse_word,
     rbar_coords,
     wedge_index,
@@ -125,7 +127,9 @@ class LcsData:
     with A_p/U_p for both kernel identities, the whole τ̃ matrix for the
     pinned digests, the one-identity equivariance check and the
     benchmark, Im δ̄) are cached properties computed on first use, so
-    purely degree-2 work on large configurations stays cheap.
+    purely degree-2 work on large configurations stays cheap.  L3's
+    columns and the bracket map are written down in closed form
+    (``l3_pos``, ``bracket``); no Lie basis is built.
     """
 
     def __init__(self, config: Configuration):
@@ -161,28 +165,55 @@ class LcsData:
         return self.n * self.npairs
 
     @cached_property
-    def lie3(self):
-        return lie_basis(self.n, 3)
+    def l3_pos(self) -> dict[tuple[int, int, int], int]:
+        """L3 column of each degree-3 Lyndon word (``words.lyndon3_index``)."""
+        return lyndon3_index(self.n)
 
     @property
     def dim3(self) -> int:
-        return len(self.lie3)
+        return len(self.l3_pos)
 
     @cached_property
     def bracket(self) -> IntMatrix:
-        """The bracketing map H⊗Λ²H → L3, one row per slot.
+        """The bracketing map H⊗Λ²H → L3, one row per slot, in closed form.
 
         Row slot(m, w) holds the Lyndon coordinates of [x_m, [x_a, x_b]],
-        where (a, b) is the pair at wedge position w.
+        where a < b is the pair at wedge position w.  The standard
+        factorization of a Lyndon word (i, j, k) splits off its longest
+        proper Lyndon suffix, (j, k) when j < k and (k) otherwise, so its
+        basis element e(i,j,k) is [x_i,[x_j,x_k]] for i ≤ j < k and
+        [[x_i,x_j],x_k] for i < k ≤ j.  Hence
+
+        - m ≤ a: [x_m,[x_a,x_b]] = +e(m,a,b);
+        - a < m ≤ b: [x_m,[x_a,x_b]] = -[[x_a,x_b],x_m] = -e(a,b,m);
+        - m > b: by the Jacobi identity [x_m,[x_a,x_b]] =
+          -[x_a,[x_b,x_m]] - [x_b,[x_m,x_a]] = -[x_a,[x_b,x_m]] + [x_b,[x_a,x_m]],
+          and [x_b,[x_a,x_m]] = -[[x_a,x_m],x_b], so it is -e(a,b,m) - e(a,m,b).
         """
-        rows = []
+        at, rows = self.l3_pos, []
         for m in range(1, self.n + 1):
             for (a, b) in self.wedge_pos:
-                tensor: dict[tuple[int, ...], int] = {}
-                for word, c in (((m, a, b), 1), ((m, b, a), -1), ((a, b, m), -1), ((b, a, m), 1)):
-                    tensor[word] = tensor.get(word, 0) + c
-                rows.append(lie_sparse_coords(tensor, self.lie3))
+                if m <= a:
+                    rows.append({at[m, a, b]: 1})
+                elif m <= b:
+                    rows.append({at[a, b, m]: -1})
+                else:
+                    rows.append({at[a, b, m]: -1, at[a, m, b]: -1})
         return IntMatrix._of(rows, self.dim3)
+
+    @cached_property
+    def _bracket_section(self) -> IntMatrix:
+        """E: L3 → H⊗Λ²H with E·``bracket`` = I, one signed unit row per Lyndon word.
+
+        e(i,j,k) is row slot(i, (j,k)) of ``bracket`` when j < k, and
+        minus row slot(k, (i,j)) when k ≤ j (the first two cases there).
+        """
+        np_, wp = self.npairs, self.wedge_pos
+        rows = [
+            {(i - 1) * np_ + wp[j, k]: 1} if j < k else {(k - 1) * np_ + wp[i, j]: -1}
+            for (i, j, k) in self.l3_pos
+        ]
+        return IntMatrix._of(rows, self.hw_rank)
 
     @cached_property
     def r3(self) -> Lattice:
@@ -679,6 +710,15 @@ def _line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, I
     return IntMatrix._of(on_a, data.a_rank), IntMatrix._of(on_hw, data.hw_rank)
 
 
+def _l3_action(data: LcsData, sigma: ConfigAutomorphism) -> IntMatrix:
+    """σ acting on L3 row vectors: E·(σ on H⊗Λ²H)·bracket, with E = ``_bracket_section``.
+
+    Row k lifts the k-th basis element through E, moves the lift by σ and
+    brackets it back; the bracket commutes with σ, so this is σ on L3.
+    """
+    return data._bracket_section @ _line_action(data, sigma)[1] @ data.bracket
+
+
 @dataclass(frozen=True)
 class TauStarReport:
     """Outcome of the τ̃* pullback identities and their orbit transport."""
@@ -769,13 +809,12 @@ def check_equivariance(data: LcsData, sigma: ConfigAutomorphism) -> bool:
 
     P_σ is σ's action on A (``_line_action``), and K_σ sends a flat
     Hom(R2,P3) value f to R·f·P3_σ, where row g of R is r̄ at the σ⁻¹-image
-    of generator flag g and P3_σ is σ's action on P3.
+    of generator flag g and P3_σ is σ's action on P3 (``_l3_action``
+    between the P3 section and projection).
     """
     on_a, _ = _line_action(data, sigma)
-    lp, inv, r, ngens = sigma.line_perm, sigma.inverse(), data.p3.free_rank, len(data.gens)
-    # lp is a bijection, so the permuted words of one expansion stay distinct
-    l3 = [lie_sparse_coords({tuple(lp[x] for x in u): c for u, c in e.items()}, data.lie3) for e in data.lie3.expansions]
-    p3sigma = (data.p3.section @ IntMatrix._of(l3, data.dim3) @ data.p3.projection).sparse_rows
+    inv, r, ngens = sigma.inverse(), data.p3.free_rank, len(data.gens)
+    p3sigma = (data.p3.section @ _l3_action(data, sigma) @ data.p3.projection).sparse_rows
     r_t = IntMatrix([rbar_gen_coeffs(data, inv.line_perm[k], inv.point_image(p)) for k, p in data.gens], ngens).transpose()
     # K_σ = Rᵀ ⊗ P3_σ: row (h, q) holds R[g][h]·P3_σ[q][t] at column (g, t)
     k_sigma = [

@@ -14,7 +14,9 @@ The Lie bases used for coordinates are Lyndon bases: for each Lyndon
 word the bracketing of its standard factorization.  Expansion of such a
 bracketing is the word itself plus lexicographically larger words of
 the same letter content, so coordinates are read off by a
-division-free triangular sweep.
+division-free triangular sweep.  The Lyndon words of degrees 2 and 3
+also have closed-form position maps (``wedge_index``, ``lyndon3_index``),
+which the graded calculus of ``lcs`` uses without building a basis.
 """
 
 from __future__ import annotations
@@ -608,6 +610,16 @@ def wedge_index(n: int) -> dict[tuple[int, int], int]:
             out[(i, j)] = k
             k += 1
     return out
+
+
+def lyndon3_index(n: int) -> dict[tuple[int, int, int], int]:
+    """Position of each degree-3 Lyndon word over 1..n in lexicographic order.
+
+    A word (i, j, k) is Lyndon iff i ≤ j and i < k, so no word is tested:
+    this equals ``lyndon_words(n, 3)`` enumerated.
+    """
+    words = ((i, j, k) for i in range(1, n + 1) for j in range(i, n + 1) for k in range(i + 1, n + 1))
+    return {w: pos for pos, w in enumerate(words)}
 
 
 def rbar_coords(config: Configuration, i: int, p: str) -> tuple[int, ...]:

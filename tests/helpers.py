@@ -7,10 +7,11 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from arrlcs.config import Configuration
+from arrlcs.config import ConfigAutomorphism, Configuration
 from arrlcs.exactlin import IntMatrix, Lattice, Witness, hnf_with_transform, kernel_basis, perp, snf
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
 from arrlcs.lcs import LcsData
+from arrlcs.words import lie_basis, lie_sparse_coords, wedge_index
 
 
 def witt_dimension(n: int, k: int) -> int:
@@ -145,6 +146,26 @@ def reference_quotient(lat: Lattice) -> tuple[tuple[int, ...], IntMatrix, IntMat
     saturation = Lattice(n, IntMatrix._of(u.sparse_rows[f:], n))
     divisors = (1,) * lat.rank if saturation == lat else snf(lat.canonical_form)[0]
     return divisors, projection, IntMatrix._of(u.sparse_rows[:f], n)
+
+
+def swept_bracket(n: int) -> IntMatrix:
+    """Oracle for ``LcsData.bracket``: each [x_m,[x_a,x_b]] expanded to four words and swept into ``lie_basis(n, 3)``."""
+    basis, rows = lie_basis(n, 3), []
+    for m in range(1, n + 1):
+        for (a, b) in wedge_index(n):
+            tensor: dict[tuple[int, ...], int] = {}
+            for word, c in (((m, a, b), 1), ((m, b, a), -1), ((a, b, m), -1), ((b, a, m), 1)):
+                tensor[word] = tensor.get(word, 0) + c
+            rows.append(lie_sparse_coords(tensor, basis))
+    return IntMatrix._of(rows, len(basis))
+
+
+def swept_l3_action(n: int, sigma: ConfigAutomorphism) -> IntMatrix:
+    """Oracle for ``lcs._l3_action``: σ's letters substituted in each Lyndon expansion, swept back into the basis."""
+    basis, lp = lie_basis(n, 3), sigma.line_perm
+    # lp is a bijection, so the permuted words of one expansion stay distinct
+    rows = [lie_sparse_coords({tuple(lp[x] for x in u): c for u, c in e.items()}, basis) for e in basis.expansions]
+    return IntMatrix._of(rows, len(basis))
 
 
 def delta_kernel(data: LcsData) -> Lattice:

@@ -1,13 +1,14 @@
 """Graded degree-2/3 data, the tau/delta calculus, and the kappa obstruction."""
 
+import functools
 import hashlib
 import json
 import random
 
 import pytest
 
-from arrlcs import exactlin, lcs
-from arrlcs.config import ConfigAutomorphism, IncidenceIndex, automorphisms, glue_c13, maclane_c8
+from arrlcs import cli, config, exactlin, geom, lcs, words
+from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, glue_c13, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, dot, lattice_sum, member, perp, vec_mat
 from arrlcs.lcs import (
     ConfigMismatchError,
@@ -39,7 +40,7 @@ from arrlcs.lcs import (
     u_lattice,
 )
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
-from helpers import delta_kernel
+from helpers import delta_kernel, swept_bracket, swept_l3_action
 
 
 def random_abelian(rng: random.Random, data, bound: int = 2) -> AbelianGMap:
@@ -189,6 +190,61 @@ def test_degree_three_matrices_hold_exact_ints(maclane_data, asymmetric_config):
             exactlin.kernel_basis(data.im_delta.basis),
         ):
             assert all(type(x) is int for row in m.entries for x in row)
+
+
+def generic_arrangement(n: int) -> Configuration:
+    """n + 1 lines in general position: one double point per pair."""
+    lines = [f"l{i}" for i in range(n + 1)]
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    incidence = [(lines[k], f"p{i}_{j}") for i, j in pairs for k in (i, j)]
+    return Configuration(lines, [f"p{i}_{j}" for i, j in pairs], incidence)
+
+
+def test_closed_form_bracket_equals_the_lyndon_sweep():
+    # n = 1 has no non-degenerate configuration, and L3 = 0 there
+    # (test_degree_three_index_is_the_lyndon_order)
+    for n in range(2, 14):
+        data = build_lcs(generic_arrangement(n))
+        assert data.dim3 == (n**3 - n) // 3
+        assert data.bracket == swept_bracket(n)
+        assert data._bracket_section @ data.bracket == IntMatrix.identity(data.dim3)
+
+
+def test_l3_action_equals_the_lyndon_sweep(maclane_data, c13_data):
+    c13_fixing = [sigma for sigma in automorphisms(c13_data.config) if sigma.line_perm[0] == 0]
+    cases = [(maclane_data, transport_group(maclane_data)), (c13_data, c13_fixing)]
+    assert [len(group) for _, group in cases] == [6, 4]
+    for data, group in cases:
+        for sigma in group:
+            assert lcs._l3_action(data, sigma) == swept_l3_action(data.n, sigma)
+
+
+def test_cold_verification_builds_no_degree_three_lie_basis(monkeypatch, capsys):
+    degrees = []
+    real = words.lie_basis
+
+    def recording(n, degree):
+        degrees.append(degree)
+        return real(n, degree)
+
+    # every module-level reference, so a `from .words import lie_basis` caller is seen too
+    for module in (config, words, exactlin, lcs, geom, cli):
+        for key, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, key, recording)
+    # an empty cache, so maclane-report builds the MacLane data cold
+    fresh = functools.lru_cache(maxsize=None)(lcs._maclane_data.__wrapped__)
+    for module in (lcs, cli):
+        monkeypatch.setattr(module, "_maclane_data", fresh)
+    data = build_lcs(glue_c13())
+    data.r3, data.p3, data.r3perp, data.tau_matrix, data.im_delta  # noqa: B018 - computed in order
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    g_pp, g_pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
+    assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
+    assert kappa(data, g_pp, g_pp).zero and not kappa(data, g_pp, g_pm).zero
+    assert cli.main(["maclane-report"]) == 0
+    capsys.readouterr()
+    assert 3 not in degrees
 
 
 # -- the kernel lattices ------------------------------------------------------

@@ -22,6 +22,7 @@ from arrlcs.words import (
     lie_component_coords,
     lie_coords,
     lie_sparse_coords,
+    lyndon3_index,
     lyndon_words,
     magnus,
     parse_word,
@@ -243,6 +244,14 @@ def test_degree_two_lyndon_order_matches_wedge_index():
     for n in (3, 7, 12):
         idx = wedge_index(n)
         assert lyndon_words(n, 2) == sorted(idx, key=idx.get)
+
+
+def test_degree_three_index_is_the_lyndon_order():
+    for n in range(1, 14):
+        idx = lyndon3_index(n)
+        assert list(idx) == lyndon_words(n, 3)
+        assert list(idx.values()) == list(range(len(idx)))
+        assert len(idx) == witt_dimension(n, 3) == (n**3 - n) // 3
 
 
 def bracketing_word(tree) -> Word:

@@ -5,8 +5,10 @@ Captures each ``exactlin._hnf_core`` call made by
 * ``c13-verify``: one cold verification of C13 on C13 itself (the steps of
   perfbench's c13-direct sample, unrelabeled): build, R3, P3, R3⊥, Im δ̄,
   ker τ̃ = U, τ̃⁻¹(Im δ̄) = U+B, κ(plus, plus) and κ(plus, minus);
-* ``u-lattice``: ``u_lattice(glue_c13())``, the kappa-stream setup's
-  largest reduction,
+* ``u-lattice``: the canonical form of ``u_lattice(glue_c13())``, all of
+  U reduced at once (1296 generator rows in A = ZZ^1104, rank 1068), as
+  ``maclane-report``'s kernel check does on c8; ``Lattice`` reduces its
+  basis on first use, so the source reads ``canonical_form``,
 
 then replays each captured input best of ``REPEAT`` on fresh copies and
 writes one record per input: source, calling function, shape, nonzeros in
@@ -170,8 +172,11 @@ def write_run(args: argparse.Namespace, script: str, repeat: int, **fields) -> d
 
 def main() -> None:
     args = replay_args(__doc__)
-    captured = [("c13-verify", call) for call in capture(c13_verify)]
-    captured += [("u-lattice", call) for call in capture(lambda: lcs.u_lattice(config.glue_c13()))]
+    sources = {"c13-verify": c13_verify, "u-lattice": lambda: lcs.u_lattice(config.glue_c13()).canonical_form}
+    captured = [(source, call) for source, work in sources.items() for call in capture(work)]
+    empty = sorted(set(sources) - {source for source, _ in captured})
+    if empty:
+        raise SystemExit(f"no kernel input captured from source(s): {', '.join(empty)}")
     records = [{"source": source, **replay(*call)} for source, call in captured]
     totals: dict[str, float] = {}
     for rec in records:
