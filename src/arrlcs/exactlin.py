@@ -43,12 +43,15 @@ the Hermite form; on failure, one back-substitution on its pivot block
 gives the witness, so a warm failed query reads only the pivot entries
 and pairs the witness with the vector over the witness's support.
 
-A quotient ``ZZ^n / lattice`` is presented by one path: the projection
-is Kᵀ for K the canonical form of ``perp(lattice)``, and the section
-comes from the transform of one ``hnf_with_transform(Kᵀ)``.  Unit
-pivots prove the lattice saturated; any other lattice takes the Smith
-divisors of its canonical form, which are all 1 exactly when it is
-saturated and otherwise name the torsion.
+``quotient_presentation`` presents a quotient ``ZZ^n / lattice`` from
+the lattice alone: the projection is Kᵀ for K the canonical form of
+``perp(lattice)``, and the section comes from the transform of one
+``hnf_with_transform(Kᵀ)``.  Unit pivots prove the lattice saturated;
+any other lattice takes the Smith divisors of its canonical form, which
+are all 1 exactly when it is saturated and otherwise name the torsion.
+A caller that knows K from the lattice's structure builds the same
+``QuotientPresentation`` from these functions without reducing the
+lattice (``lcs`` does so for U at each point).
 """
 
 from __future__ import annotations
@@ -594,14 +597,16 @@ def perp(lat: Lattice) -> Lattice:
 class QuotientPresentation:
     """Integer presentation of ``ZZ^ambient_rank / lattice``.
 
-    ``projection`` (ambient x free_rank) is Kᵀ for K the canonical form
-    of ``perp(lattice)``, the functionals vanishing on it, so it kills the lattice;
+    ``projection`` (ambient x free_rank) is Kᵀ for K a basis of
+    ``perp(lattice)``, the functionals vanishing on it, so it kills the
+    lattice; ``quotient_presentation`` takes K as the canonical form.
     ``section`` (free_rank x ambient) is a right inverse, read off the
     transform that reduces Kᵀ to its Hermite form ``I``.
-    ``elementary_divisors`` are the ``snf`` divisors of the canonical
-    form (all ones, without a Smith form, when every Hermite pivot is 1);
-    those above 1 are the torsion, so the quotient is torsion-free iff
-    the lattice is saturated.
+    ``elementary_divisors`` are the lattice's: the ``snf`` divisors of
+    its canonical form, as many as its rank, however they were found
+    (``quotient_presentation`` needs no Smith form when every Hermite
+    pivot is 1).  Those above 1 are the torsion, so the quotient is
+    torsion-free iff the lattice is saturated.
     """
 
     ambient_rank: int

@@ -38,6 +38,14 @@ through the bracket (``_l3_action``).  Every matrix is built from
 sparse rows, so no layer reads or writes their zeros (on C13 under 2%
 of entries are nonzero).
 
+U splits over the finite points like τ̃, and both kernel identities read
+it from ``LcsData.u_points``.  U's generators are defined once
+(``_u_generators``); those at a flag of line i span a U_i ⊂ H that
+depends on i alone (``_u_line``), whose orthogonal complement is written
+down in closed form (``_line_perp``).  A_p/U_p is then the free
+⊕_{i∋p} H/U_i modulo the images of the generators that span more than
+one flag (``_point_quotient``), so no U_p is ever reduced.
+
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
 Λ²H-lift f̂ of f.  This is the unique sign for which δ̄ agrees with τ̃
@@ -46,6 +54,7 @@ on conjugator data constant in p exactly, not merely up to sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -71,10 +80,12 @@ from .exactlin import (
     densify,
     dot,
     hnf,
+    hnf_with_transform,
     kernel_basis,
     member,
     perp,
     quotient_presentation,
+    snf,
     vec_mat,
     vstack,
 )
@@ -107,9 +118,9 @@ class PointU:
     """U at one finite point p, as both kernel identities read it.
 
     ``rows`` and ``cols`` are p's slices of A and of Hom(R2,P3), ``tau``
-    is τ̃_p, ``u`` is the canonical form of U_p (spanned by U's generators
-    at p, in p's A coordinates) and ``quotient`` presents A_p/U_p.  The
-    generator basis of U_p is not kept.
+    is τ̃_p, ``u`` holds U's generator rows at p (in p's A coordinates,
+    not reduced) and ``quotient`` presents A_p/U_p (``_point_quotient``).
+    No Hermite form of U_p is built.
     """
 
     rows: slice
@@ -144,7 +155,7 @@ class LcsData:
         self.wedge_pos = wedge_index(self.n)
         self.npairs = len(self.wedge_pos)
         self.gens = self.index.generator_pairs
-        rows = [rbar_coords(config, i, p) for (i, p) in self.gens]
+        rows = [rbar_coords(config, i, p, self.wedge_pos) for (i, p) in self.gens]
         self.r2 = Lattice(self.npairs, IntMatrix(rows, self.npairs))
         if self.r2.rank != len(self.gens):
             raise ValueError("degree-2 relator classes are not independent")
@@ -332,15 +343,27 @@ class LcsData:
 
     @cached_property
     def u_points(self) -> tuple[PointU, ...]:
-        """U at each finite point, in ``index.p0`` order, shared by both kernel identities."""
-        at = {p: [] for p in self.index.p0}
+        """U at each finite point, in ``index.p0`` order, shared by both kernel identities.
+
+        U_p is never reduced.  Each line's U_i^⊥ is written down once
+        (``_line_perp``); at p the bases of the lines through p, placed at
+        their flags' A_p coordinates (``index.pair_pos``), form Φ, and
+        ``_point_quotient`` presents A_p/U_p from Φ and U's generator rows
+        at p (``_u_generators``).
+        """
+        n, idx = self.n, self.index
+        perps = {i: _line_perp(n, _u_line(self.config, i)) for i in range(1, n + 1)}
+        at = {p: [] for p in idx.p0}
         for p, row in _u_generators(self.config):
             at[p].append(row)
         out = []
-        for p, (rows, cols, block) in zip(self.index.p0, self.tau_blocks):
-            local = IntMatrix._of(at[p], self.a_rank).columns(rows.start, rows.stop)
-            u = Lattice(local.cols, local)
-            out.append(PointU(rows, cols, block, u.canonical_form, quotient_presentation(u)))
+        for p, (rows, cols, block) in zip(idx.p0, self.tau_blocks):
+            gens = IntMatrix._of(at[p], self.a_rank).columns(rows.start, rows.stop)
+            phi = []
+            for j in self.config.lines_through(p):
+                base = idx.pair_pos[(j, p)] * n - rows.start
+                phi += [{base + k: x for k, x in f.items()} for f in perps[j]]
+            out.append(PointU(rows, cols, block, gens, _point_quotient(IntMatrix._of(phi, gens.cols), gens)))
         return tuple(out)
 
     @cached_property
@@ -481,26 +504,100 @@ def delta_lift_rows(data: LcsData, fhat: IntMatrix) -> IntMatrix:
 # -- the kernel lattices U and B ---------------------------------------------
 
 
+def _u_line(config: Configuration, i: int) -> list[tuple[int, ...]]:
+    """U's generators at any flag of line i (families 0 and 2), each as the lines k of its x_k terms.
+
+    Family 0 is x_i.  Family 2 is s_q = Σ_{k: q on l_k} x_k for every
+    finite point q on l_i.  Neither depends on the flag's point, so both
+    span the same U_i ⊂ H at every flag of l_i.
+    """
+    p0set = set(config.index.p0)
+    return [(i,), *(config.lines_through(q) for q in config.points_on(i) if q in p0set)]
+
+
 def _u_generators(config: Configuration):
     """The generator rows of U, each with the finite point whose flags carry it.
 
     Family 0: x_i at the single flag (i,p).  Family 1: x_i at every flag of
     one point, for every i.  Family 2: Σ_{k: p2 on l_k} x_k at the single
     flag (i,p1), for every finite point p2 on l_i (p2 = p1 allowed).
-    Rows are sparse ``{A coordinate: entry}``.
+    Families 0 and 2 at a flag of line i are ``_u_line(config, i)``.  Rows
+    are sparse ``{A coordinate: entry}``.
     """
     idx = config.index
     n = idx.n
-    p0set = set(idx.p0)
+    line = {i: _u_line(config, i) for i in range(1, n + 1)}
     for pos, (i, p) in enumerate(idx.pairs):
-        yield p, {pos * n + (i - 1): 1}
+        yield p, {pos * n + k - 1: 1 for k in line[i][0]}
     for p in idx.p0:
         for i in range(1, n + 1):
             yield p, {idx.pair_pos[(j, p)] * n + (i - 1): 1 for j in config.lines_through(p)}
-    for pos, (i, p1) in enumerate(idx.pairs):
-        for p2 in config.points_on(i):
-            if p2 in p0set:
-                yield p1, {pos * n + (k - 1): 1 for k in config.lines_through(p2)}
+    for pos, (i, p) in enumerate(idx.pairs):
+        for s in line[i][1:]:
+            yield p, {pos * n + (k - 1): 1 for k in s}
+
+
+def _line_perp(n: int, gens: list[tuple[int, ...]]) -> list[dict[int, int]]:
+    """A basis of U_i^⊥ ⊂ H*, written down from ``gens`` = ``_u_line(config, i)``; no reduction.
+
+    With S_q the lines through q other than i, s_q ≡ t_q = Σ_{k∈S_q} x_k
+    mod x_i.  Two lines meet once, so the S_q of distinct q are disjoint
+    and miss i, and U_i = ZZ·x_i ⊕ ⊕_q ZZ·t_q.  Hence a functional φ
+    kills U_i iff φ(x_i) = 0 and Σ_{k∈S_q} φ(x_k) = 0 for every q.  Its
+    values are free at each line k that meets l_i on line 0 (in no S_q)
+    and at each k ∈ S_q but the least, r_q, where they fix φ(x_{r_q}).
+    The rows e*_k and e*_k - e*_{r_q} are φ for one free value 1 and the
+    others 0, so they are a basis.  U_i is saturated: x_i and the t_q
+    have disjoint 0/1 supports, so m·v ∈ U_i makes m divide every
+    coefficient of m·v.  So the map H → ZZ^{f_i} of these rows has kernel
+    exactly U_i, and it is onto, since each row takes the value 1 at its
+    own free x_k, where every other row is 0.  Rows are sparse
+    ``{H coordinate: entry}``.
+    """
+    (i,), *stars = gens
+    rows, met = [], {i}
+    for s in stars:
+        rest = [k for k in s if k != i]
+        met.update(rest)
+        rows += [{k - 1: 1, rest[0] - 1: -1} for k in rest[1:]]
+    return rows + [{k - 1: 1} for k in range(1, n + 1) if k not in met]
+
+
+def _point_quotient(phi: IntMatrix, gens: IntMatrix) -> QuotientPresentation:
+    """Present A_p/U_p from Φ, the per-line bases of U_i^⊥ at p's flags, and U_p's generator rows.
+
+    Φ (F × dim A_p, block diagonal) maps A_p onto ZZ^F with kernel
+    ⊕_i U_i (``_line_perp``), and ⊕_i U_i ⊆ U_p (families 0 and 2 at
+    p's flags).  So A_p/U_p ≅ ZZ^F/D, where D is spanned by the images
+    of the generators; those in ⊕_i U_i map to 0, the others (today
+    family 1, the generators that span more than one flag) are the
+    columns of G = Φ·genᵀ.  One ``hnf_with_transform(G)`` reads off
+    both halves of the quotient:
+
+    - U_p^⊥.  A functional on A_p that kills U_p kills ⊕_i U_i, so it is
+      c·Φ for one integer row c, and it kills U_p iff c·G = 0.  The tail
+      rows of the transform are a basis of that left kernel, so (tail·Φ)ᵀ
+      is the projection π_p.  One ``hnf_with_transform(π_p)`` checks that
+      its Hermite form is I_f (π_p is onto) and gives the section s_p.
+    - Torsion.  ZZ^F/D has the torsion of G's elementary divisors, which
+      are those of G's Hermite form H.  When the pivot product of H is 1,
+      H's pivot columns are a unit triangular minor of full rank, so the
+      gcd of those minors, and every divisor, is 1; any other product
+      takes the ``snf`` divisors of H.  ``elementary_divisors`` are then
+      those of U_p in A_p: rank U_p = dim A_p - F + rank G, and the first
+      dim A_p - F of them are 1.
+    """
+    dim, f_all = phi.cols, phi.rows
+    images = [row for row in (gens @ phi.transpose()).sparse_rows if row]
+    h, u, pivots = hnf_with_transform(IntMatrix._of(images, f_all).transpose())
+    projection = (IntMatrix._of(u.sparse_rows[len(pivots):], f_all) @ phi).transpose()
+    f = projection.cols
+    hs, us, _ = hnf_with_transform(projection)
+    if hs != IntMatrix.identity(f):
+        raise AssertionError("the orthogonal complement is not primitive")
+    det = math.prod(row[c] for row, c in zip(h.sparse_rows, pivots))
+    divisors = (1,) * (dim - f) if det == 1 else (1,) * (dim - f_all) + snf(h)[0]
+    return QuotientPresentation(dim, divisors, f, projection, IntMatrix._of(us.sparse_rows[:f], dim))
 
 
 def u_lattice(config: Configuration) -> Lattice:

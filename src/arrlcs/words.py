@@ -622,10 +622,14 @@ def lyndon3_index(n: int) -> dict[tuple[int, int, int], int]:
     return {w: pos for pos, w in enumerate(words)}
 
 
-def rbar_coords(config: Configuration, i: int, p: str) -> tuple[int, ...]:
-    """Degree-2 class [x_i, sum of x_j over lines j through p]."""
-    n = len(config.lines) - 1
-    idx = wedge_index(n)
+def rbar_coords(config: Configuration, i: int, p: str, idx: Mapping[tuple[int, int], int] | None = None) -> tuple[int, ...]:
+    """Degree-2 class [x_i, sum of x_j over lines j through p].
+
+    ``idx`` is ``wedge_index(n)``, built here when not given; a caller
+    that asks for many flags passes it once.
+    """
+    if idx is None:
+        idx = wedge_index(len(config.lines) - 1)
     out = [0] * len(idx)
     for j in config.lines_through(p):
         if j == i or j == 0:
@@ -640,12 +644,13 @@ def rbar_coords(config: Configuration, i: int, p: str) -> tuple[int, ...]:
 def admissibility_check(config: Configuration, relators: Mapping[tuple[int, str], Word]) -> bool:
     """Each relator is in gamma_2 with degree-2 leading term [x_i, s_p]."""
     n = len(config.lines) - 1
+    idx = wedge_index(n)
     for (i, p), w in relators.items():
         s = magnus(w)
         try:
             coords = lie_coords(s, 2, n)
         except (NotInGamma, NotLieElement):
             return False
-        if coords != rbar_coords(config, i, p):
+        if coords != rbar_coords(config, i, p, idx):
             return False
     return True

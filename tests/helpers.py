@@ -3,15 +3,91 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
 from typing import Sequence
 
-from arrlcs.config import ConfigAutomorphism, Configuration
-from arrlcs.exactlin import IntMatrix, Lattice, Witness, hnf_with_transform, kernel_basis, perp, snf
+from arrlcs.config import ConfigAutomorphism, Configuration, maclane_c8
+from arrlcs.exactlin import (
+    IntMatrix,
+    Lattice,
+    QuotientPresentation,
+    Witness,
+    hnf_with_transform,
+    kernel_basis,
+    perp,
+    quotient_presentation,
+    snf,
+)
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.lcs import LcsData
+from arrlcs.lcs import LcsData, _u_generators
 from arrlcs.words import lie_basis, lie_sparse_coords, wedge_index
+
+
+def relabel(config, seed):
+    """``config`` with line 0 fixed, lines 1..n permuted and points renamed, all from ``seed``."""
+    n = len(config.lines)
+    rng = random.Random(f"relabel:{seed}")
+    images = list(range(1, n))
+    rng.shuffle(images)
+    line_map = [0, *images]
+    names = [f"q{k:02d}" for k in range(len(config.points))]
+    rng.shuffle(names)
+    point_map = dict(zip(config.points, names))
+    lines = [f"l{j}" for j in range(n)]
+    incidence = [(lines[line_map[config.line_index(l)]], point_map[p]) for l, p in config.incidence]
+    return Configuration(lines, names, incidence)
+
+
+def glue_copies(k):
+    """k MacLane copies glued along lines 0, 1, 2 and p012; copy c sends lines 3..7 to 3+5c..7+5c.
+
+    Lines of different copies cross at new double points.
+    """
+    base = maclane_c8()
+    points = {}
+    for c in range(k):
+        for p in base.points:
+            on = frozenset(i if i < 3 else i + 5 * c for i in base.lines_through(p))
+            points.setdefault(on, f"c{c}{p}")
+    n = 3 + 5 * k
+    for i in range(3, n):
+        for j in range(i + 1, n):
+            if (i - 3) // 5 != (j - 3) // 5:
+                points[frozenset((i, j))] = f"x{i}.{j}"
+    lines = [f"l{i}" for i in range(n)]
+    return Configuration(lines, list(points.values()), [(lines[i], p) for on, p in points.items() for i in on])
+
+
+# a 9-line configuration with trivial automorphism group (found by search,
+# then frozen): eight triple points plus the forced double points
+ASYMMETRIC_9 = {
+    "lines": ["l0", "l1", "l2", "l3", "l4", "l5", "l6", "l7", "l8"],
+    "infinity": "l0",
+    "points": [
+        {"name": "p01", "lines": ["l0", "l1"]},
+        {"name": "p02", "lines": ["l0", "l2"]},
+        {"name": "p03", "lines": ["l0", "l3"]},
+        {"name": "p048", "lines": ["l0", "l4", "l8"]},
+        {"name": "p056", "lines": ["l0", "l5", "l6"]},
+        {"name": "p07", "lines": ["l0", "l7"]},
+        {"name": "p12", "lines": ["l1", "l2"]},
+        {"name": "p135", "lines": ["l1", "l3", "l5"]},
+        {"name": "p14", "lines": ["l1", "l4"]},
+        {"name": "p167", "lines": ["l1", "l6", "l7"]},
+        {"name": "p18", "lines": ["l1", "l8"]},
+        {"name": "p238", "lines": ["l2", "l3", "l8"]},
+        {"name": "p245", "lines": ["l2", "l4", "l5"]},
+        {"name": "p26", "lines": ["l2", "l6"]},
+        {"name": "p27", "lines": ["l2", "l7"]},
+        {"name": "p347", "lines": ["l3", "l4", "l7"]},
+        {"name": "p36", "lines": ["l3", "l6"]},
+        {"name": "p46", "lines": ["l4", "l6"]},
+        {"name": "p578", "lines": ["l5", "l7", "l8"]},
+        {"name": "p68", "lines": ["l6", "l8"]},
+    ],
+}
 
 
 def witt_dimension(n: int, k: int) -> int:
@@ -146,6 +222,23 @@ def reference_quotient(lat: Lattice) -> tuple[tuple[int, ...], IntMatrix, IntMat
     saturation = Lattice(n, IntMatrix._of(u.sparse_rows[f:], n))
     divisors = (1,) * lat.rank if saturation == lat else snf(lat.canonical_form)[0]
     return divisors, projection, IntMatrix._of(u.sparse_rows[:f], n)
+
+
+def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentation]]:
+    """Oracle for ``LcsData.u_points``: per finite point, in ``index.p0`` order, U_p and A_p/U_p by reduction.
+
+    U_p is the ``Lattice`` of U's generator rows at p (``_u_generators``)
+    in p's A coordinates, and A_p/U_p is its ``quotient_presentation``.
+    """
+    at = {p: [] for p in data.index.p0}
+    for p, row in _u_generators(data.config):
+        at[p].append(row)
+    out = []
+    for p, (rows, _, _) in zip(data.index.p0, data.tau_blocks):
+        local = IntMatrix._of(at[p], data.a_rank).columns(rows.start, rows.stop)
+        u = Lattice(local.cols, local)
+        out.append((u, quotient_presentation(u)))
+    return out
 
 
 def swept_bracket(n: int) -> IntMatrix:

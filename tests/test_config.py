@@ -1,7 +1,6 @@
 """Configuration axioms, built-ins, gluing, and automorphism search."""
 
 import json
-import random
 from itertools import permutations
 
 import pytest
@@ -20,7 +19,7 @@ from arrlcs.config import (
     validate,
 )
 from arrlcs.lcs import transport_group
-from helpers import restrict
+from helpers import glue_copies, relabel, restrict
 
 MACLANE_POINTS = {
     "p012": (0, 1, 2),
@@ -236,41 +235,6 @@ def test_automorphism_order():
 # -- the one isomorphism search against oracles and pinned results ----------------
 
 
-def _relabel(config, seed):
-    """``config`` with line 0 fixed, lines 1..n permuted and points renamed, all from ``seed``."""
-    n = len(config.lines)
-    rng = random.Random(f"relabel:{seed}")
-    images = list(range(1, n))
-    rng.shuffle(images)
-    line_map = [0, *images]
-    names = [f"q{k:02d}" for k in range(len(config.points))]
-    rng.shuffle(names)
-    point_map = dict(zip(config.points, names))
-    lines = [f"l{j}" for j in range(n)]
-    incidence = [(lines[line_map[config.line_index(l)]], point_map[p]) for l, p in config.incidence]
-    return Configuration(lines, names, incidence)
-
-
-def _glue_copies(k):
-    """k MacLane copies glued along lines 0, 1, 2 and p012; copy c sends lines 3..7 to 3+5c..7+5c.
-
-    Lines of different copies cross at new double points.
-    """
-    base = maclane_c8()
-    points = {}
-    for c in range(k):
-        for p in base.points:
-            on = frozenset(i if i < 3 else i + 5 * c for i in base.lines_through(p))
-            points.setdefault(on, f"c{c}{p}")
-    n = 3 + 5 * k
-    for i in range(3, n):
-        for j in range(i + 1, n):
-            if (i - 3) // 5 != (j - 3) // 5:
-                points[frozenset((i, j))] = f"x{i}.{j}"
-    lines = [f"l{i}" for i in range(n)]
-    return Configuration(lines, list(points.values()), [(lines[i], p) for on, p in points.items() for i in on])
-
-
 def test_c8_automorphisms_are_the_brute_force_group(maclane_data):
     c8 = maclane_c8()
     brute = []
@@ -286,7 +250,7 @@ def test_c8_automorphisms_are_the_brute_force_group(maclane_data):
 
 def test_isomorphisms_from_a_relabeled_c8_are_incidence_bijections():
     c8 = maclane_c8()
-    relabeled = _relabel(c8, 41)
+    relabeled = relabel(c8, 41)
     isos = isomorphisms(relabeled, c8)
     assert len(isos) == 48
     assert len({tuple(iso["lines"].items()) for iso in isos}) == 48
@@ -299,13 +263,13 @@ def test_isomorphisms_from_a_relabeled_c8_are_incidence_bijections():
 
 
 def test_threefold_gluing_has_6_times_3_factorial_automorphisms():
-    c18 = _glue_copies(3)
+    c18 = glue_copies(3)
     assert validate(c18).ok
     assert (len(c18.lines), len(c18.points)) == (18, 109)
     autos = automorphisms(c18)
     assert len(autos) == 36
     assert partition_check(c18, autos)
-    assert [a.line_perm for a in automorphisms(_glue_copies(2))] == [a.line_perm for a in automorphisms(glue_c13())]
+    assert [a.line_perm for a in automorphisms(glue_copies(2))] == [a.line_perm for a in automorphisms(glue_c13())]
 
 
 def test_search_rejects_a_map_that_leaves_a_point_without_image():
@@ -348,7 +312,7 @@ C13_AT_41_AUTOMORPHISMS = (
 
 def test_automorphisms_are_pinned(asymmetric_config):
     assert tuple(a.line_perm for a in automorphisms(glue_c13())) == C13_AUTOMORPHISMS
-    assert tuple(a.line_perm for a in automorphisms(_relabel(glue_c13(), 41))) == C13_AT_41_AUTOMORPHISMS
+    assert tuple(a.line_perm for a in automorphisms(relabel(glue_c13(), 41))) == C13_AT_41_AUTOMORPHISMS
     assert [a.line_perm for a in automorphisms(asymmetric_config)] == [tuple(range(9))]
 
 

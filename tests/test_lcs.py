@@ -40,7 +40,7 @@ from arrlcs.lcs import (
     u_lattice,
 )
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
-from helpers import delta_kernel, swept_bracket, swept_l3_action
+from helpers import delta_kernel, glue_copies, reference_u_points, relabel, saturate, swept_bracket, swept_l3_action
 
 
 def random_abelian(rng: random.Random, data, bound: int = 2) -> AbelianGMap:
@@ -332,7 +332,7 @@ def test_point_defects_match_the_kernel_route(maclane_data, asymmetric_config, c
         for p, pt in zip(data.index.p0, data.u_points):
             assert pt.quotient.is_torsion_free
             defect = pt.quotient.free_rank - exactlin.hnf(pt.quotient.section @ pt.tau).rows
-            assert defect == Lattice(pt.u.cols, exactlin.kernel_basis(pt.tau)).rank - pt.u.rows
+            assert defect == Lattice(pt.u.cols, exactlin.kernel_basis(pt.tau)).rank - Lattice(pt.u.cols, pt.u).rank
             if defect:
                 defects[p] = defect
         assert defects == expected
@@ -346,6 +346,42 @@ def test_im_delta_rows_equal_the_delta_lift_route(maclane_data, asymmetric_confi
             for t in range(f2):
                 unit = IntMatrix([[int(j == i and s == t) for s in range(f2)] for j in range(n)], f2)
                 assert basis.row(i * f2 + t) == delta_bar(data, unit).flat
+
+
+def _assert_presents(q, u):
+    """``q`` presents ZZ^n/u: ker π is u's saturation, s·π = I, and rank and divisors are the reduced route's."""
+    n, ref = u.ambient_rank, exactlin.quotient_presentation(u)
+    assert Lattice(n, exactlin.kernel_basis(q.projection)) == saturate(u)
+    assert q.section @ q.projection == IntMatrix.identity(q.free_rank)
+    assert (q.free_rank, q.elementary_divisors) == (ref.free_rank, ref.elementary_divisors)
+
+
+def test_u_points_match_the_reference_route(maclane_data, c13_data, asymmetric_config):
+    datas = (maclane_data, c13_data, build_lcs(relabel(glue_c13(), 41)), build_lcs(asymmetric_config), build_lcs(glue_copies(3)))
+    for data in datas:
+        spread = []
+        for pt, (u, _) in zip(data.u_points, reference_u_points(data), strict=True):
+            assert pt.quotient.is_torsion_free
+            assert Lattice(u.ambient_rank, exactlin.kernel_basis(pt.quotient.projection)) == u
+            _assert_presents(pt.quotient, u)
+            spread += [{pt.rows.start + k: x for k, x in row.items()} for row in pt.u.sparse_rows]
+        assert Lattice(data.a_rank, IntMatrix._of(spread, data.a_rank)) == u_lattice(data.config)
+
+
+@pytest.mark.parametrize(
+    "dim, phi, gens, divisors",
+    [
+        # two flags of ZZ^2: U_1 = ZZ·e0 on the first, U_2 = 0 on the second; the
+        # cross-flag generator 2(e1 + e3) has image (2, 0, 2), Hermite pivot 2, divisor 2
+        (4, [{1: 1}, {2: 1}, {3: 1}], [{0: 1}, {1: 2, 3: 2}], (1, 2)),
+        # G = [[2, 1, 0], [0, 0, 1]] is its own Hermite form: pivot product 2, yet every divisor is 1
+        (2, [{0: 1}, {1: 1}], [{0: 2}, {0: 1}, {1: 1}], (1, 1)),
+    ],
+)
+def test_point_quotient_reads_torsion_off_non_unit_pivots(dim, phi, gens, divisors):
+    q = lcs._point_quotient(IntMatrix._of(phi, dim), IntMatrix._of(gens, dim))
+    assert q.elementary_divisors == divisors
+    _assert_presents(q, Lattice(dim, IntMatrix._of(gens, dim)))
 
 
 def test_tau_blocks_cover_the_dense_matrix(maclane_data):
@@ -458,9 +494,10 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
 
     monkeypatch.setattr(exactlin, "_hnf_core", counted_core)
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
-    # per point: U_p, perp(U_p)'s canonical form, the section's reduction and rank
-    # τ̃_p∘s_p, over 41 points; then Im δ̄, the joint kernel and the two lattices it compares
-    assert len(kernel_calls) == 41 * 4 + 4
+    # per point: G (the per-line functionals on the cross-flag generators), the
+    # section's reduction and rank τ̃_p∘s_p, over 41 points; U_p itself is never
+    # reduced; then Im δ̄, the joint kernel and the two lattices it compares
+    assert len(kernel_calls) == 41 * 3 + 4
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
     g_pp, g_pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
     assert kappa(data, g_pp, g_pp).zero and not kappa(data, g_pp, g_pm).zero
