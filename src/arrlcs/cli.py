@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -109,8 +110,20 @@ def _assemble(report_name: str, config: Configuration, checks: list[dict], verdi
 
 
 def _emit(args, payload: dict) -> None:
-    if not getattr(args, "quiet", False):
+    """Print ``payload`` as JSON unless ``--quiet``.
+
+    If the reader has closed stdout, stdout is pointed at ``os.devnull``, so
+    the command still exits with its own code and no traceback.
+    """
+    if getattr(args, "quiet", False):
+        return
+    try:
         print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # -- validate -----------------------------------------------------------------
@@ -409,16 +422,16 @@ def cmd_kappa(args) -> int:
 
 def cmd_dump_data(args) -> int:
     if args.name is None:
-        print(json.dumps({"datasets": list(_DUMPABLE)}, indent=2, sort_keys=True))
+        _emit(args, {"datasets": list(_DUMPABLE)})
         return EXIT_PASS
     if args.name in _BUILTIN_CONFIGS:
         payload = _BUILTIN_CONFIGS[args.name]().to_json_dict()
     elif args.name in _DUMPABLE:
         payload = _builtin_json(f"{args.name}.json")
     else:
-        print(json.dumps({"ok": False, "error": f"unknown dataset {args.name!r}"}, indent=2, sort_keys=True))
+        _emit(args, {"ok": False, "error": f"unknown dataset {args.name!r}"})
         return EXIT_INPUT
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(args, payload)
     return EXIT_PASS
 
 

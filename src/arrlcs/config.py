@@ -172,6 +172,8 @@ def load_configuration(data: dict) -> Configuration:
         name, on = entry["name"], entry["lines"]
         if not isinstance(name, str) or not isinstance(on, list):
             raise ConfigFormatError("each point needs a string 'name' and a list of 'lines'")
+        if not all(isinstance(l, str) for l in on):
+            raise ConfigFormatError(f"point {name!r}: 'lines' must hold line names (strings)")
         names.append(name)
         incidence.extend((l, name) for l in on)
     return Configuration(lines, names, incidence)

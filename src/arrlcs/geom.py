@@ -409,14 +409,6 @@ def _moved(adj, line: ProjLine) -> ProjLine:
     )
 
 
-def transform_line(psi, line: ProjLine) -> ProjLine:
-    """Image of a line under the point transformation with matrix ``psi``.
-
-    Covectors transform by the inverse transpose: c -> c . psi^{-T}.
-    """
-    return _moved(_covector_map(psi), line)
-
-
 def glue_realization(sign: str, psi) -> tuple[ProjLine, ...]:
     """Thirteen lines: the ``+`` realization plus psi-images of lines 3..7.
 

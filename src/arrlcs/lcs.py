@@ -464,23 +464,6 @@ def tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
     return HomR2P3(data.gens, data.p3.free_rank, tuple(flat))
 
 
-def _lift_rows(data: LcsData, lift) -> IntMatrix:
-    """Dense H⊗Λ²H rows, one per generator flag, of a sparse lift."""
-    rows = [[0] * data.hw_rank for _ in data.gens]
-    for g, s, c in lift:
-        rows[g][s] += c
-    return IntMatrix(rows, data.hw_rank)
-
-
-def tau_lift_rows(data: LcsData, a: GMap | AbelianGMap) -> IntMatrix:
-    """Left-normed H⊗Λ²H lift of τ̃a at each generator flag (row per flag)."""
-    a = _as_abelian(a)
-    if a.config != data.config:
-        raise ConfigMismatchError("conjugator data belongs to another configuration")
-    lift = [(g, s, x * c) for x, terms in zip(a.vector(), data.tau_lift) if x for g, s, c in terms]
-    return _lift_rows(data, lift)
-
-
 def delta_bar(data: LcsData, f: IntMatrix) -> HomR2P3:
     """δ̄f for f: H → P2 given as an n × rank(P2) coordinate matrix."""
     if f.shape != (data.n, data.p2.free_rank):
@@ -494,11 +477,6 @@ def delta_bar_from_lift(data: LcsData, fhat: IntMatrix) -> HomR2P3:
         raise ValueError("lift must be n x dim(L2)")
     width = len(data.gens) * data.p3.free_rank
     return HomR2P3(data.gens, data.p3.free_rank, densify(data._to_hom(data._delta_lift(fhat)), width))
-
-
-def delta_lift_rows(data: LcsData, fhat: IntMatrix) -> IntMatrix:
-    """Left-normed H⊗Λ²H lift of δ̄(fhat) at each generator flag."""
-    return _lift_rows(data, data._delta_lift(fhat))
 
 
 # -- the kernel lattices U and B ---------------------------------------------

@@ -261,6 +261,14 @@ def swept_l3_action(n: int, sigma: ConfigAutomorphism) -> IntMatrix:
     return IntMatrix._of(rows, len(basis))
 
 
+def lift_rows(data: LcsData, lift) -> list[list[int]]:
+    """Dense H⊗Λ²H rows, one per generator flag, of a sparse lift of (generator flag, slot, coefficient) terms."""
+    rows = [[0] * data.hw_rank for _ in data.gens]
+    for g, s, c in lift:
+        rows[g][s] += c
+    return rows
+
+
 def delta_kernel(data: LcsData) -> Lattice:
     """ker δ̄ inside Hom(H,P2) flat coordinates.  Computed, nothing asserted."""
     return Lattice(data.n * data.p2.free_rank, kernel_basis(data.im_delta.basis))

@@ -3,6 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,18 @@ def test_validate_disjoint_lines(capsys, tmp_path):
     code, payload = run_json(capsys, "validate", path)
     assert code == 1
     assert any("share no point" in v for v in payload["violations"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["kappa", "--g", "builtin:plus", "--gprime", "builtin:plus", "--config"]],
+    ids=["validate", "kappa"],
+)
+def test_point_listing_a_non_string_line_exits_2(capsys, tmp_path, argv):
+    bad = {"lines": ["a", "b", "c"], "infinity": "a", "points": [{"name": "p", "lines": [["a"], "b"]}]}
+    code, payload = run_json(capsys, *argv, write_json(tmp_path, "bad.json", bad))
+    assert code == 2
+    assert payload == {"ok": False, "error": "point 'p': 'lines' must hold line names (strings)"}
 
 
 def test_validate_malformed_json(capsys, tmp_path):
@@ -380,6 +396,32 @@ def test_quiet_suppresses_output(capsys):
     code, out = run(capsys, "maclane-report", "--quiet")
     assert code == 0
     assert out == ""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets the pipe size with F_SETPIPE_SZ")
+@pytest.mark.parametrize(
+    "argv",
+    [["kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:minus"], ["dump-data", "dual_basis_c8"]],
+    ids=["kappa", "dump-data"],
+)
+def test_reader_closing_stdout_leaves_no_traceback(argv):
+    import fcntl
+
+    cmd = [sys.executable, "-m", "arrlcs.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    full = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+    read_end, write_end = os.pipe()
+    # a one-page pipe holds less than the output, so the command is still writing when the reader leaves
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    assert len(full.stdout) > 4096 + 16
+    with subprocess.Popen(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(write_end)
+        head = os.read(read_end, 16)
+        os.close(read_end)
+        _, err = proc.communicate(timeout=120)
+    assert full.stdout.startswith(head) and head
+    assert err == b""
+    assert proc.returncode == full.returncode == 0
 
 
 # sha256 of stdout; a version bump changes every report, and re-pins these on purpose

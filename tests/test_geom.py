@@ -14,6 +14,8 @@ from arrlcs.geom import (
     DegenerateRealization,
     ProjLine,
     ProjPoint,
+    _covector_map,
+    _moved,
     check_realization,
     conjugate_realization,
     generic_glued_realization,
@@ -21,7 +23,6 @@ from arrlcs.geom import (
     intersection,
     phi_c8,
     psi_generic,
-    transform_line,
 )
 from helpers import clustered_realization, cyclo_from_str, divide_by_pivot, incident, line_through
 
@@ -271,15 +272,17 @@ def test_psi_generic_fixes_shared_pencil():
         assert psi == psi_generic(seed)
         assert psi[0][:2] == (1, 0) and psi[1][:2] == (0, 1) and psi[2][:2] == (0, 0)
         assert psi[0][2] != 0 and psi[1][2] != 0 and psi[2][2] != 0
+        assert glue_realization("+", psi)[:3] == first[:3]
         for i in range(3):
-            assert transform_line(psi, first[i]) == first[i]
+            assert _moved(_covector_map(psi), first[i]) == first[i]
 
 
 def test_transform_preserves_incidence():
     config = maclane_c8()
     for seed in range(5):
         psi = psi_generic(seed)
-        moved = tuple(transform_line(psi, l) for l in phi_c8("+"))
+        adj = _covector_map(psi)
+        moved = tuple(_moved(adj, l) for l in phi_c8("+"))
         assert check_realization(config, moved).ok
 
 
@@ -311,12 +314,12 @@ def test_integer_psi_gives_the_fraction_psi_lines():
         for sign in ("+", "-"):
             assert glue_realization(sign, int_psi) == glue_realization(sign, frac_psi)
             for line in phi_c8(sign):
-                assert transform_line(int_psi, line) == transform_line(frac_psi, line)
+                assert _moved(_covector_map(int_psi), line) == _moved(_covector_map(frac_psi), line)
     assert glue_realization("+", int_psis[0]) == glue_realization("+", IDENTITY_PSI)
     with pytest.raises(TypeError):
-        transform_line(((1.0, 0, 0), (0, 1, 0), (0, 0, 1)), phi_c8("+")[3])
-    with pytest.raises(ValueError):
-        transform_line(((1, 0, 0), (0, 1, 0), (0, 0, 0)), phi_c8("+")[3])
+        glue_realization("+", ((1.0, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="singular"):
+        glue_realization("+", ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
 
 
 def test_check_realization_matches_the_clustering_oracle():

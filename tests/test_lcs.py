@@ -24,14 +24,12 @@ from arrlcs.lcs import (
     class_of_glued,
     delta_bar,
     delta_bar_from_lift,
-    delta_lift_rows,
     glued_g_map,
     kappa,
     maclane_dual_basis,
     t_functional,
     tau_kernel,
     tau_kernel_equals_u,
-    tau_lift_rows,
     tau_preimage,
     tau_preimage_equals_u_plus_b,
     tau_star_identities,
@@ -40,7 +38,7 @@ from arrlcs.lcs import (
     u_lattice,
 )
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
-from helpers import delta_kernel, glue_copies, reference_u_points, relabel, saturate, swept_bracket, swept_l3_action
+from helpers import delta_kernel, glue_copies, lift_rows, reference_u_points, relabel, saturate, swept_bracket, swept_l3_action
 
 
 def random_abelian(rng: random.Random, data, bound: int = 2) -> AbelianGMap:
@@ -555,10 +553,10 @@ def test_tau_lift_rows_project_to_tau_value(maclane_data):
     for k in range(20):
         rng = random.Random(k)
         a = random_abelian(rng, data)
-        lift = tau_lift_rows(data, a)
+        lift = lift_rows(data, [(g, s, x * c) for x, terms in zip(a.vector(), data.tau_lift) for g, s, c in terms])
         flat = []
-        for g in range(len(data.gens)):
-            flat.extend(vec_mat(vec_mat(lift.row(g), data.bracket), proj))
+        for row in lift:
+            flat.extend(vec_mat(vec_mat(row, data.bracket), proj))
         assert tuple(flat) == tau_tilde(data, a).flat
 
 
@@ -590,10 +588,10 @@ def test_delta_lift_rows_project_to_delta_value(maclane_data):
             [[rng.randint(-2, 2) for _ in range(data.npairs)] for _ in range(data.n)],
             data.npairs,
         )
-        lift = delta_lift_rows(data, fhat)
+        lift = lift_rows(data, data._delta_lift(fhat))
         flat = []
-        for g in range(len(data.gens)):
-            flat.extend(vec_mat(vec_mat(lift.row(g), data.bracket), proj))
+        for row in lift:
+            flat.extend(vec_mat(vec_mat(row, data.bracket), proj))
         assert tuple(flat) == delta_bar_from_lift(data, fhat).flat
 
 
@@ -625,7 +623,7 @@ def test_pairing_identity_at_shared_points(maclane_data):
             data.p2.free_rank,
         )
         fhat = f @ data.p2.section
-        lift = delta_lift_rows(data, fhat)
+        lift = lift_rows(data, data._delta_lift(fhat))
         for label, e in duals.items():
             if e.tag != "S":
                 continue
@@ -643,7 +641,7 @@ def test_pairing_identity_at_shared_points(maclane_data):
                 for k in lines_p:
                     if k == i or (k, p) not in gp:
                         continue
-                    lhs = dot(e.coords, lift.row(gp[(k, p)]))
+                    lhs = dot(e.coords, lift[gp[(k, p)]])
                     assert lhs == -sign * fhat.row(k - 1)[w]
                     checked += 1
     assert checked == 60

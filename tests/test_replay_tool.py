@@ -1,0 +1,56 @@
+"""tools/replay.py: its sources, its table of old script names and its JSON writer; no source is run."""
+
+import functools
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def load_replay():
+    spec = importlib.util.spec_from_file_location("replay", ROOT / "tools" / "replay.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sources_are_the_six_layers():
+    assert list(load_replay().SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u"]
+
+
+def test_every_bench_record_names_a_source():
+    replay = load_replay()
+    benches = sorted(ROOT.glob("BENCH_*.json"))
+    assert benches
+    for path in benches:
+        _, script, *rest = json.loads(path.read_text())["command"].split()
+        name = script.removeprefix("tools/")
+        if name == "replay.py":
+            source = rest[0]
+        else:
+            source = replay.OLD_SCRIPTS[name]
+            assert f"``{name}``" in replay.__doc__ and path.stem in replay.__doc__, path.name
+        assert source in replay.SOURCES, path.name
+
+
+def test_dump_round_trips():
+    doc = {
+        "command": "python3 tools/replay.py u --label LABEL --out FILE",
+        "runs": {
+            "parent": {"repeat": 5, "total_s": {"c8": 0.002}, "inputs": [{"config": "c8", "identities": [True, True]}]},
+            "change": {"repeat": 5, "total_s": {}, "inputs": [{"digest": "ab\"c", "shape": [1, 2]}, {"x": None}]},
+        },
+    }
+    assert json.loads(load_replay().dump(doc)) == doc
+
+
+def test_best_of_rejects_repeats_that_disagree():
+    replay = load_replay()
+    calls = iter(range(replay.REPEAT))
+    assert replay.best_of("same", tuple, lambda _: 7)[1:] == (7, (), 7)
+    with pytest.raises(SystemExit, match="different results"):
+        replay.best_of("counter", tuple, lambda _: next(calls))

@@ -1,0 +1,480 @@
+"""Replay one layer of the exact pipeline input by input, timed and digested.
+
+    python3 tools/replay.py SOURCE --label LABEL --out FILE
+
+Each source times a fixed set of inputs, best of ``REPEAT``, and records
+a sha256 of each output, so runs of two commits can be checked for
+identical output as well as compared for speed.  A run also records
+``git describe`` and a sha256 of the ``src/`` tree it imported (next to
+this script).  An existing ``--out`` file keeps its other labels, so a
+copy of this script run in a second checkout adds its run to the same file.
+
+Each source replaces one older script and keeps its inputs, record fields
+and digests, so every committed record can be regenerated and compared
+digest by digest:
+
+=========================  ===========  ===============================================
+old script                 source       BENCH files
+=========================  ===========  ===============================================
+``kernel_replay.py``       kernel       BENCH_12, BENCH_13, BENCH_14, BENCH_20_kernel
+``realization_replay.py``  realization  BENCH_15
+``kappa_replay.py``        kappa        BENCH_16
+``lattice_replay.py``      lattice      BENCH_17
+``bracket_replay.py``      bracket      BENCH_19
+``u_replay.py``            u            BENCH_20
+=========================  ===========  ===============================================
+
+* ``kernel``: every ``exactlin._hnf_core`` input of a cold verification
+  of C13 (``c13-verify``) and of the canonical form of U on C13
+  (``u-lattice``), replayed on fresh copies.
+* ``lattice``: the first ``quotient_presentation`` and ``perp`` of each
+  lattice in a cold verification of c8 and C13, each also relabeled at
+  ``SEED``, and Im δ̄'s reduction, replayed on fresh lattices.
+* ``kappa``: ``QUERIES`` warm κ queries on c8 and C13 from ``KAPPA_SEED``,
+  ``g - g'`` in U+B or random, dense or sparse; the difference, τ̃, the
+  membership test and the whole κ are timed apart.
+* ``realization``: ``phi_c8``, ``check_realization`` on c8, and
+  ``glue_realization`` and ``check_realization`` on C13 for
+  ``REALIZATION_SEEDS``, both signs each.
+* ``bracket``: the cold ``bracket``, ``r3`` and ``p3`` of c8, C13 and C13
+  at ``SEED``, each timed with the earlier layers built and the Lyndon
+  basis cache cleared; ``total_s`` sums the three best times.
+* ``u``: the cold ``u_points`` of c8, C13, C13 at ``SEED``, the 9-line
+  test fixture and the 3- and 4-fold MacLane gluings, with both kernel
+  identities; its per-point digest does not depend on the basis that
+  presents A_p/U_p.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import gc
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))
+
+from arrlcs import config, exactlin, geom, lcs, words  # noqa: E402
+from helpers import ASYMMETRIC_9, glue_copies, relabel  # noqa: E402
+
+REPEAT = 5
+SEED = 41  # the relabeling of ``c8@41`` and ``c13@41``
+KAPPA_SEED = 16
+QUERIES = 64
+REALIZATION_SEEDS = range(40)
+
+CONFIGS = {
+    "c8": config.maclane_c8,
+    "c13": config.glue_c13,
+    f"c8@{SEED}": lambda: relabel(config.maclane_c8(), SEED),
+    f"c13@{SEED}": lambda: relabel(config.glue_c13(), SEED),
+    "fixture9": lambda: config.load_configuration(ASYMMETRIC_9),
+    "glued3": lambda: glue_copies(3),
+    "glued4": lambda: glue_copies(4),
+}
+
+
+# -- the shared core ---------------------------------------------------------------
+
+
+def best_of(what: str, prepare, timed, digest=lambda result: result):
+    """Best seconds of ``timed(prepare())`` over ``REPEAT`` runs, with the digest, argument and result of the last.
+
+    ``prepare`` runs untimed.  Raises if ``digest(result)`` differs
+    between the runs.
+    """
+    best, digests = float("inf"), []
+    for _ in range(REPEAT):
+        arg = prepare()
+        t0 = time.perf_counter()
+        result = timed(arg)
+        best = min(best, time.perf_counter() - t0)
+        digests.append(digest(result))
+    if any(d != digests[0] for d in digests):
+        raise SystemExit(f"{what}: equal inputs gave different results")
+    return round(best, 7), digests[0], arg, result
+
+
+def capture(work, targets, record):
+    """Run ``work()`` with each function ``module.name`` of ``targets`` recorded, and return its value.
+
+    Each call first runs ``record(name, caller, *args)``, ``caller`` being
+    the name of the calling function, then the replaced function.  The
+    functions are restored when ``work`` ends.
+    """
+    def recorder(name, real):
+        def call(*args):
+            record(name, sys._getframe(1).f_code.co_name, *args)
+            return real(*args)
+
+        return call
+
+    saved = [(module, name, getattr(module, name)) for module, name in targets]
+    for module, name, real in saved:
+        setattr(module, name, recorder(name, real))
+    try:
+        return work()
+    finally:
+        for module, name, real in saved:
+            setattr(module, name, real)
+
+
+def sha(*values) -> str:
+    """sha256 of the values, each matrix as its rows of sorted ``(column, entry)`` items."""
+    key = [[sorted(row.items()) for row in x.sparse_rows] if isinstance(x, exactlin.IntMatrix) else x for x in values]
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def sha_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def total_s(records, key, field="seconds") -> dict[str, float]:
+    totals: dict[str, float] = {}
+    for rec in records:
+        totals[key(rec)] = totals.get(key(rec), 0.0) + rec[field]
+    return {k: round(v, 6) for k, v in totals.items()}
+
+
+def kernel_identities(data: lcs.LcsData) -> tuple[bool, bool]:
+    return lcs.tau_kernel_equals_u(data), lcs.tau_preimage_equals_u_plus_b(data)
+
+
+# -- kernel: every input of the exact Hermite kernel ------------------------------------
+
+
+def c13_verify() -> None:
+    data = lcs.build_lcs(config.glue_c13())
+    data.r3, data.p3, data.r3perp, data.im_delta  # noqa: B018 - computed in order
+    plus, minus = lcs.builtin_g_map("plus"), lcs.builtin_g_map("minus")
+    g_pp, g_pm = lcs.glued_g_map(plus, plus), lcs.glued_g_map(plus, minus)
+    checks = (*kernel_identities(data), lcs.kappa(data, g_pp, g_pp).zero, not lcs.kappa(data, g_pp, g_pm).zero)
+    if not all(checks):
+        raise SystemExit(f"C13 verification failed: {checks}")
+
+
+def kernel_digest(result) -> str:
+    """sha256 of ``(a, u, pivots)``, each row as its sorted ``(column, entry)`` items, as ``IntMatrix.__eq__`` reads it."""
+    a, u, pivots = result
+
+    def rows(m):
+        return [sorted(row.items()) for row in m]
+
+    return sha_text(repr((rows(a), None if u is None else rows(u), pivots)))
+
+
+def kernel() -> dict:
+    sources = {"c13-verify": c13_verify, "u-lattice": lambda: lcs.u_lattice(config.glue_c13()).canonical_form}
+    records = []
+    for source, work in sources.items():
+        calls = []
+        capture(work, [(exactlin, "_hnf_core")],
+                lambda _, caller, a, ncols, u: calls.append((caller, copy.deepcopy(a), ncols, copy.deepcopy(u))))
+        if not calls:
+            raise SystemExit(f"no kernel input captured from source {source}")
+        for caller, rows, ncols, u in calls:
+            seconds, digest, _, (a, _, _) = best_of(
+                caller,
+                lambda: (copy.deepcopy(rows), copy.deepcopy(u)),
+                lambda arg: (arg[0], arg[1], exactlin._hnf_core(arg[0], ncols, arg[1])),
+                kernel_digest,
+            )
+            records.append({
+                "source": source, "caller": caller, "rows": len(rows), "cols": ncols, "nnz_in": sum(map(len, rows)),
+                "nnz_out": sum(map(len, a)), "transform": u is not None, "seconds": seconds, "digest": digest,
+            })
+    return {"total_s": total_s(records, lambda rec: rec["source"]), "inputs": records}
+
+
+# -- lattice: quotient presentations and orthogonal complements -------------------
+
+
+LATTICE_CALLS = {  # call: (timed function of a fresh lattice, digest of its value)
+    "quotient_presentation": (exactlin.quotient_presentation, lambda q: sha(q.elementary_divisors, q.projection, q.section)),
+    "perp": (lambda lat: exactlin.perp(lat).canonical_form, sha),
+    "im_delta_reduction": (lambda lat: lat._reduction_data()[:3], lambda r: sha(*r)),
+}
+
+
+def lattice() -> dict:
+    records, verdicts = [], {}
+    for name in ("c8", f"c8@{SEED}", "c13", f"c13@{SEED}"):
+        calls = {}  # the first call per lattice; ``perp`` caches
+
+        def record(call, caller, lat):
+            calls.setdefault((call, id(lat)), (call, caller, lat))
+
+        def verify(cfg=CONFIGS[name]()):
+            data = lcs.build_lcs(cfg)
+            data.r3, data.p3, data.r3perp, data.tau_matrix, data.im_delta  # noqa: B018 - computed in order
+            return data, kernel_identities(data)
+
+        targets = [(module, call) for call in ("quotient_presentation", "perp") for module in (exactlin, lcs)]
+        data, verdicts[name] = capture(verify, targets, record)
+        for call, caller, lat in [*calls.values(), ("im_delta_reduction", "im_delta", data.im_delta)]:
+            timed, digest = LATTICE_CALLS[call]
+            seconds, digest, _, _ = best_of(
+                f"{name} {call}", lambda: exactlin.Lattice(lat.ambient_rank, lat.basis), timed, digest
+            )
+            records.append({
+                "config": name, "call": call, "caller": caller, "rows": lat.basis.rows, "cols": lat.ambient_rank,
+                "rank": lat.rank, "seconds": seconds, "digest": digest,
+            })
+    return {
+        "verdicts": {name: list(v) for name, v in verdicts.items()},
+        "total_s": total_s(records, lambda rec: f"{rec['config']} {rec['call']}"),
+        "inputs": records,
+    }
+
+
+# -- kappa: warm κ queries part by part ------------------------------------------------
+
+
+KINDS = (("in_UB", False), ("random", False), ("in_UB", True), ("random", True))
+PARTS = ("difference", "tau_tilde", "member", "kappa")
+
+
+def kappa_query(cfg, ub_rows, name: str, k: int):
+    """The conjugator pair of query ``k`` on ``cfg``, with its kind.
+
+    A sparse U+B difference combines three U and B basis rows, a sparse random one two entries at three flags.
+    """
+    kind, sparse = KINDS[k % len(KINDS)]
+    rng = random.Random(f"kappa-replay:{KAPPA_SEED}:{name}:{k}")
+    n, dim = cfg.index.n, len(ub_rows[0])
+    base = [rng.randint(-3, 3) for _ in range(dim)]
+    diff = [0] * dim
+    if kind == "in_UB":
+        for row in rng.sample(ub_rows, 3) if sparse else ub_rows:
+            c = rng.choice((-2, -1, 1, 2))
+            for j, x in enumerate(row):
+                diff[j] += c * x
+    elif sparse:
+        for flag in rng.sample(range(dim // n), 3):
+            for j in rng.sample(range(n), 2):
+                diff[flag * n + j] = rng.choice((-1, 1))
+    else:
+        diff = [rng.randint(-2, 2) for _ in range(dim)]
+    g = words.AbelianGMap.from_vector(cfg, base)
+    gprime = words.AbelianGMap.from_vector(cfg, [a + d for a, d in zip(base, diff)])
+    return g, gprime, kind, sparse
+
+
+def kappa() -> dict:
+    records = []
+    for name in ("c8", "c13"):
+        cfg = CONFIGS[name]()
+        data, zero = lcs.build_lcs(cfg), words.AbelianGMap(cfg)
+        lcs.kappa(data, zero, zero)  # τ̃ blocks, Im δ̄ and its reduction
+        ub_rows = list(lcs.u_lattice(cfg).basis.entries) + list(lcs.b_lattice(cfg).basis.entries)
+        for k in range(QUERIES):
+            g, gprime, kind, sparse = kappa_query(cfg, ub_rows, name, k)
+            diff, value = g - gprime, lcs.tau_tilde(data, g - gprime)
+            thunks = {
+                "difference": lambda _: g - gprime,
+                "tau_tilde": lambda _: lcs.tau_tilde(data, diff),
+                "member": lambda _: exactlin.member(value.flat, data.im_delta),
+                "kappa": lambda _: lcs.kappa(data, g, gprime),
+            }
+            runs = {part: best_of(f"{name} query {k} {part}", tuple, thunks[part]) for part in PARTS}
+            report = runs["kappa"][3]
+            records.append({
+                "config": name, "query": k, "kind": kind, "sparse": sparse, "zero": report.zero,
+                "modulus": None if report.witness is None else report.witness.modulus,
+                **{f"{part}_s": runs[part][0] for part in PARTS},
+                "digest": sha_text(json.dumps(report.to_json_dict(), sort_keys=True)),
+            })
+    median_s = {
+        f"{name} {part}": round(statistics.median(rec[f"{part}_s"] for rec in records if rec["config"] == name), 7)
+        for name in ("c8", "c13")
+        for part in PARTS
+    }
+    return {"median_s": median_s, "inputs": records}
+
+
+# -- realization: every call of the Q(ω) realization check ------------------------------
+
+
+def realization_calls():
+    """(record fields, function, arguments) of every timed call, in order."""
+    c8, c13 = config.maclane_c8(), config.glue_c13()
+    for sign in ("+", "-"):
+        yield {"call": "phi_c8", "sign": sign}, geom.phi_c8, (sign,)
+    for sign in ("+", "-"):
+        yield {"call": "check_realization", "config": "c8", "sign": sign}, geom.check_realization, (c8, geom.phi_c8(sign))
+    for sign in ("+", "-"):
+        for seed in REALIZATION_SEEDS:
+            psi = geom.psi_generic(seed)
+            yield {"call": "glue_realization", "sign": sign, "seed": seed}, geom.glue_realization, (sign, psi)
+            lines = geom.glue_realization(sign, psi)
+            yield {"call": "check_realization", "config": "c13", "sign": sign, "seed": seed}, geom.check_realization, (c13, lines)
+
+
+def realization_json(result) -> str:
+    if isinstance(result, geom.RealizationReport):
+        return json.dumps(result.to_json_dict(), sort_keys=True)
+    return json.dumps([line.to_json() for line in result])
+
+
+def realization() -> dict:
+    records = []
+    for fields, function, args in realization_calls():
+        seconds, digest, _, result = best_of(
+            str(fields), lambda: args, lambda args: function(*args), lambda r: sha_text(realization_json(r))
+        )
+        ok = {"ok": result.ok} if isinstance(result, geom.RealizationReport) else {}
+        records.append({**fields, **ok, "seconds": seconds, "digest": digest})
+    key = lambda rec: rec["call"] if "config" not in rec else f"{rec['call']} {rec['config']}"  # noqa: E731
+    return {"total_s": total_s(records, key), "inputs": records}
+
+
+# -- bracket: the cold degree-3 build, layer by layer ------------------------------------
+
+
+BRACKET_LAYERS = {  # layer: digest of its value
+    "bracket": sha,
+    "r3": lambda r3: sha(r3.canonical_form),
+    "p3": lambda p3: sha(p3.projection),
+}
+
+
+def bracket() -> dict:
+    records = []
+    for name in ("c8", "c13", f"c13@{SEED}"):
+        cfg, seconds, digests = CONFIGS[name](), {}, {}
+        for k, layer in enumerate(BRACKET_LAYERS):
+
+            def prepare(earlier=tuple(BRACKET_LAYERS)[:k]):
+                words.lie_basis.cache_clear()
+                data = lcs.build_lcs(cfg)
+                for built in earlier:
+                    getattr(data, built)
+                return data
+
+            seconds[layer], digests[layer], data, _ = best_of(
+                f"{name} {layer}", prepare, lambda data: getattr(data, layer), BRACKET_LAYERS[layer]
+            )
+        records.append({
+            "config": name, "bracket_shape": list(data.bracket.shape), "r3_shape": list(data.r3.basis.shape),
+            "p3_rank": data.p3.free_rank,
+            **{f"{layer}_s": seconds[layer] for layer in BRACKET_LAYERS},
+            "total_s": round(sum(seconds.values()), 7),
+            **{f"{layer}_digest": digests[layer] for layer in BRACKET_LAYERS},
+        })
+    return {"total_s": total_s(records, lambda rec: rec["config"], "total_s"), "inputs": records}
+
+
+# -- u: the cold per-point U record -------------------------------------------------------
+
+
+def point_digest(pt: lcs.PointU) -> str:
+    q = pt.quotient
+    kernel = exactlin.Lattice(q.ambient_rank, exactlin.kernel_basis(q.projection))
+    torsion = tuple(d for d in q.elementary_divisors if d != 1)
+    return sha(q.free_rank, torsion, kernel.canonical_form, exactlin.hnf(q.section @ pt.tau).rows)
+
+
+def u() -> dict:
+    records = []
+    for name in ("c8", "c13", f"c13@{SEED}", "fixture9", "glued3", "glued4"):
+        cfg = CONFIGS[name]()
+
+        def prepare():
+            data = lcs.build_lcs(cfg)
+            data.tau_blocks  # noqa: B018 - built before timing
+            gc.collect()  # earlier builds' garbage is not collected inside the timed call
+            return data
+
+        seconds, digests, data, _ = best_of(
+            name, prepare, lambda data: data.u_points, lambda points: [point_digest(pt) for pt in points]
+        )
+        records.append({
+            "config": name, "points": len(data.u_points), "a_rank": data.a_rank, "u_points_s": seconds,
+            "identities": list(kernel_identities(data)), "point_digests": digests,
+        })
+    return {"total_s": total_s(records, lambda rec: rec["config"], "u_points_s"), "inputs": records}
+
+
+SOURCES = {"kernel": kernel, "lattice": lattice, "kappa": kappa, "realization": realization, "bracket": bracket, "u": u}
+OLD_SCRIPTS = {f"{source}_replay.py": source for source in SOURCES}
+
+
+# -- run records ----------------------------------------------------------------------
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), "unknown")
+    except OSError:
+        return platform.processor() or "unknown"
+
+
+def commit() -> str:
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True, text=True)
+    except OSError:
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
+def src_sha256() -> str:
+    """sha256 over the relative path and bytes of every file under ``src/``, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in (ROOT / "src").rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        h.update(f"{path.relative_to(ROOT).as_posix()}\0".encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def write_run(args: argparse.Namespace, fields: dict) -> dict:
+    """Write the run metadata and ``fields`` under ``args.label`` into ``args.out``, keeping other labels; return the run."""
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["command"] = f"python3 tools/replay.py {args.source} --label LABEL --out FILE"
+    run = doc.setdefault("runs", {})[args.label] = {
+        "commit": commit(),
+        "src_sha256": src_sha256(),
+        "python": platform.python_version(),
+        "machine": f"{cpu_model()}, {os.cpu_count()} CPUs",
+        "repeat": REPEAT,
+        **fields,
+    }
+    args.out.write_text(dump(doc))
+    return run
+
+
+def dump(doc: dict) -> str:
+    """``doc`` as indented JSON, with each input record on one line."""
+    runs = []
+    for label, run in doc["runs"].items():
+        head = "".join(f"   {json.dumps(k)}: {json.dumps(v)},\n" for k, v in run.items() if k != "inputs")
+        inputs = ",\n".join(f"    {json.dumps(rec)}" for rec in run["inputs"])
+        runs.append(f'  {json.dumps(label)}: {{\n{head}   "inputs": [\n{inputs}\n   ]\n  }}')
+    runs_text = ",\n".join(runs)
+    return f'{{\n "command": {json.dumps(doc["command"])},\n "runs": {{\n{runs_text}\n }}\n}}\n'
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("source", choices=SOURCES, help="what to replay")
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--out", required=True, type=Path, help="JSON file to write (other labels are kept)")
+    args = ap.parse_args(argv)
+    run = write_run(args, SOURCES[args.source]())
+    summary = {k: v for k, v in run.items() if k.endswith("_s") or k == "verdicts"}
+    print(f"{args.label}: {args.source}, {len(run['inputs'])} records, {summary}")
+
+
+if __name__ == "__main__":
+    main()
