@@ -40,11 +40,11 @@ of entries are nonzero).
 
 U splits over the finite points like τ̃, and both kernel identities read
 it from ``LcsData.u_points``.  U's generators are defined once
-(``_u_generators``); those at a flag of line i span a U_i ⊂ H that
-depends on i alone (``_u_line``), whose orthogonal complement is written
-down in closed form (``_line_perp``).  A_p/U_p is then the free
-⊕_{i∋p} H/U_i modulo the images of the generators that span more than
-one flag (``_point_quotient``), so no U_p is ever reduced.
+(``_u_generators``).  Once the unit rows (family 0) are dropped, the
+other generators at p are the unsigned incidence matrix of a bipartite
+graph, which is totally unimodular, so A_p/U_p is free and a spanning
+forest of that graph presents it (``_point_quotient``): no U_p is ever
+reduced.
 
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
@@ -54,7 +54,6 @@ on conjugator data constant in p exactly, not merely up to sign.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -80,12 +79,10 @@ from .exactlin import (
     densify,
     dot,
     hnf,
-    hnf_with_transform,
     kernel_basis,
     member,
     perp,
     quotient_presentation,
-    snf,
     vec_mat,
     vstack,
 )
@@ -119,14 +116,16 @@ class PointU:
 
     ``rows`` and ``cols`` are p's slices of A and of Hom(R2,P3), ``tau``
     is τ̃_p, ``u`` holds U's generator rows at p (in p's A coordinates,
-    not reduced) and ``quotient`` presents A_p/U_p (``_point_quotient``).
-    No Hermite form of U_p is built.
+    not reduced), ``u_tau`` = ``u @ tau`` holds their images under τ̃_p,
+    and ``quotient`` presents A_p/U_p (``_point_quotient``: a spanning
+    forest for U's own generators, so no Hermite form of U_p is built).
     """
 
     rows: slice
     cols: slice
     tau: IntMatrix
     u: IntMatrix
+    u_tau: IntMatrix
     quotient: QuotientPresentation
 
 
@@ -345,31 +344,26 @@ class LcsData:
     def u_points(self) -> tuple[PointU, ...]:
         """U at each finite point, in ``index.p0`` order, shared by both kernel identities.
 
-        U_p is never reduced.  Each line's U_i^⊥ is written down once
-        (``_line_perp``); at p the bases of the lines through p, placed at
-        their flags' A_p coordinates (``index.pair_pos``), form Φ, and
-        ``_point_quotient`` presents A_p/U_p from Φ and U's generator rows
-        at p (``_u_generators``).
+        U_p is never reduced: ``_point_quotient`` presents A_p/U_p from U's
+        generator rows at p (``_u_generators``) by a spanning forest, and
+        their images under τ̃_p are computed here once for both
+        identities.
         """
-        n, idx = self.n, self.index
-        perps = {i: _line_perp(n, _u_line(self.config, i)) for i in range(1, n + 1)}
-        at = {p: [] for p in idx.p0}
+        start = {p: rows.start for p, (rows, _, _) in zip(self.index.p0, self.tau_blocks)}
+        at = {p: [] for p in self.index.p0}
         for p, row in _u_generators(self.config):
-            at[p].append(row)
+            at[p].append({k - start[p]: x for k, x in row.items()})
         out = []
-        for p, (rows, cols, block) in zip(idx.p0, self.tau_blocks):
-            gens = IntMatrix._of(at[p], self.a_rank).columns(rows.start, rows.stop)
-            phi = []
-            for j in self.config.lines_through(p):
-                base = idx.pair_pos[(j, p)] * n - rows.start
-                phi += [{base + k: x for k, x in f.items()} for f in perps[j]]
-            out.append(PointU(rows, cols, block, gens, _point_quotient(IntMatrix._of(phi, gens.cols), gens)))
+        for p, (rows, cols, block) in zip(self.index.p0, self.tau_blocks):
+            gens = IntMatrix._of(at[p], rows.stop - rows.start)
+            out.append(PointU(rows, cols, block, gens, gens @ block, _point_quotient(gens)))
         return tuple(out)
 
     @cached_property
     def tau_matrix(self) -> IntMatrix:
-        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order; zero off the ``tau_blocks``."""
-        return IntMatrix._of([self._to_hom(lift) for lift in self.tau_lift], len(self.gens) * self.p3.free_rank)
+        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order: each of ``tau_blocks`` at its columns, zero elsewhere."""
+        rows = [{cols.start + t: x for t, x in row.items()} for _, cols, block in self.tau_blocks for row in block.sparse_rows]
+        return IntMatrix._of(rows, len(self.gens) * self.p3.free_rank)
 
     def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
         """Sparse left-normed lift of δ̄(fhat): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
@@ -482,100 +476,122 @@ def delta_bar_from_lift(data: LcsData, fhat: IntMatrix) -> HomR2P3:
 # -- the kernel lattices U and B ---------------------------------------------
 
 
-def _u_line(config: Configuration, i: int) -> list[tuple[int, ...]]:
-    """U's generators at any flag of line i (families 0 and 2), each as the lines k of its x_k terms.
-
-    Family 0 is x_i.  Family 2 is s_q = Σ_{k: q on l_k} x_k for every
-    finite point q on l_i.  Neither depends on the flag's point, so both
-    span the same U_i ⊂ H at every flag of l_i.
-    """
-    p0set = set(config.index.p0)
-    return [(i,), *(config.lines_through(q) for q in config.points_on(i) if q in p0set)]
-
-
 def _u_generators(config: Configuration):
     """The generator rows of U, each with the finite point whose flags carry it.
 
     Family 0: x_i at the single flag (i,p).  Family 1: x_i at every flag of
     one point, for every i.  Family 2: Σ_{k: p2 on l_k} x_k at the single
-    flag (i,p1), for every finite point p2 on l_i (p2 = p1 allowed).
-    Families 0 and 2 at a flag of line i are ``_u_line(config, i)``.  Rows
-    are sparse ``{A coordinate: entry}``.
+    flag (i,p1), for every finite point p2 on l_i (p2 = p1 allowed).  Rows
+    are sparse ``{A coordinate: entry}``.  Every entry is 1, and off the
+    family-0 coordinates each A coordinate lies in one family-1 row and
+    in at most one family-2 row (two lines meet once): the bipartite
+    shape that ``_point_quotient`` presents by a spanning forest.
     """
     idx = config.index
-    n = idx.n
-    line = {i: _u_line(config, i) for i in range(1, n + 1)}
+    n, p0set = idx.n, set(idx.p0)
+    stars = {i: [config.lines_through(q) for q in config.points_on(i) if q in p0set] for i in range(1, n + 1)}
     for pos, (i, p) in enumerate(idx.pairs):
-        yield p, {pos * n + k - 1: 1 for k in line[i][0]}
+        yield p, {pos * n + i - 1: 1}
     for p in idx.p0:
         for i in range(1, n + 1):
             yield p, {idx.pair_pos[(j, p)] * n + (i - 1): 1 for j in config.lines_through(p)}
     for pos, (i, p) in enumerate(idx.pairs):
-        for s in line[i][1:]:
+        for s in stars[i]:
             yield p, {pos * n + (k - 1): 1 for k in s}
 
 
-def _line_perp(n: int, gens: list[tuple[int, ...]]) -> list[dict[int, int]]:
-    """A basis of U_i^⊥ ⊂ H*, written down from ``gens`` = ``_u_line(config, i)``; no reduction.
+def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
+    """Present A_p/U_p, U_p spanned by the rows ``gens``, from a spanning forest; rows of other shapes are reduced.
 
-    With S_q the lines through q other than i, s_q ≡ t_q = Σ_{k∈S_q} x_k
-    mod x_i.  Two lines meet once, so the S_q of distinct q are disjoint
-    and miss i, and U_i = ZZ·x_i ⊕ ⊕_q ZZ·t_q.  Hence a functional φ
-    kills U_i iff φ(x_i) = 0 and Σ_{k∈S_q} φ(x_k) = 0 for every q.  Its
-    values are free at each line k that meets l_i on line 0 (in no S_q)
-    and at each k ∈ S_q but the least, r_q, where they fix φ(x_{r_q}).
-    The rows e*_k and e*_k - e*_{r_q} are φ for one free value 1 and the
-    others 0, so they are a basis.  U_i is saturated: x_i and the t_q
-    have disjoint 0/1 supports, so m·v ∈ U_i makes m divide every
-    coefficient of m·v.  So the map H → ZZ^{f_i} of these rows has kernel
-    exactly U_i, and it is onto, since each row takes the value 1 at its
-    own free x_k, where every other row is 0.  Rows are sparse
-    ``{H coordinate: entry}``.
+    Drop the coordinates of the unit rows (one entry, 1: family 0).  Say
+    every other row has all entries 1, each kept coordinate lies in at
+    most two of them, and the rows 2-colour (rows that share a kept
+    coordinate differ: family 1 against family 2).  On the kept
+    coordinates E those rows are then the incidence matrix M of a
+    bipartite graph: a vertex per row, an edge per coordinate in two
+    rows, and an edge to a ground vertex per coordinate in one row.
+
+    - A_p/U_p = ZZ^E/(rows of M), as the unit rows kill the dropped
+      coordinates.  M is totally unimodular (at most two 1s per column,
+      in rows of different colours; Schrijver, *Theory of Linear and
+      Integer Programming*, 1986, ch. 19), so every elementary divisor of
+      M is 1: the quotient is free and U_p is saturated.
+    - φ ∈ (ZZ^E)* kills the rows iff its values on the edges at each row
+      vertex sum to 0.  Take a spanning forest, rooted at the ground in
+      the ground's component.  For a non-tree edge e, the cycle C_e is 1
+      on e and -1, +1, -1, ... along the forest path from each end of e
+      up to where the two paths meet.  It sums to 0 at each row vertex
+      passed, and where the paths meet unless that is the ground, since
+      there the two paths have lengths of different parity (the rows
+      2-colour).  So C_e kills the rows; it is 1 on e and 0 on every other
+      non-tree edge.
+    - If φ kills the rows, so does ψ = φ - Σ_e φ(e)·C_e, which is 0 off
+      the forest.  A leaf that is not a root is a row vertex on one
+      forest edge, so ψ is 0 on that edge; peeling leaves gives ψ = 0.
+      Hence the C_e, with e*_c for each kept c in no row, are a ZZ-basis
+      of U_p^⊥.
+
+    They are the rows of π_p, and s_p is the unit vectors at their own
+    coordinates, so π_p·s_p = I.  U_p is saturated, so U_p = ker π_p and
+    every elementary divisor is 1.  Rows of any other shape, where
+    torsion is possible, take ``quotient_presentation``.
     """
-    (i,), *stars = gens
-    rows, met = [], {i}
-    for s in stars:
-        rest = [k for k in s if k != i]
-        met.update(rest)
-        rows += [{k - 1: 1, rest[0] - 1: -1} for k in rest[1:]]
-    return rows + [{k - 1: 1} for k in range(1, n + 1) if k not in met]
-
-
-def _point_quotient(phi: IntMatrix, gens: IntMatrix) -> QuotientPresentation:
-    """Present A_p/U_p from Φ, the per-line bases of U_i^⊥ at p's flags, and U_p's generator rows.
-
-    Φ (F × dim A_p, block diagonal) maps A_p onto ZZ^F with kernel
-    ⊕_i U_i (``_line_perp``), and ⊕_i U_i ⊆ U_p (families 0 and 2 at
-    p's flags).  So A_p/U_p ≅ ZZ^F/D, where D is spanned by the images
-    of the generators; those in ⊕_i U_i map to 0, the others (today
-    family 1, the generators that span more than one flag) are the
-    columns of G = Φ·genᵀ.  One ``hnf_with_transform(G)`` reads off
-    both halves of the quotient:
-
-    - U_p^⊥.  A functional on A_p that kills U_p kills ⊕_i U_i, so it is
-      c·Φ for one integer row c, and it kills U_p iff c·G = 0.  The tail
-      rows of the transform are a basis of that left kernel, so (tail·Φ)ᵀ
-      is the projection π_p.  One ``hnf_with_transform(π_p)`` checks that
-      its Hermite form is I_f (π_p is onto) and gives the section s_p.
-    - Torsion.  ZZ^F/D has the torsion of G's elementary divisors, which
-      are those of G's Hermite form H.  When the pivot product of H is 1,
-      H's pivot columns are a unit triangular minor of full rank, so the
-      gcd of those minors, and every divisor, is 1; any other product
-      takes the ``snf`` divisors of H.  ``elementary_divisors`` are then
-      those of U_p in A_p: rank U_p = dim A_p - F + rank G, and the first
-      dim A_p - F of them are 1.
-    """
-    dim, f_all = phi.cols, phi.rows
-    images = [row for row in (gens @ phi.transpose()).sparse_rows if row]
-    h, u, pivots = hnf_with_transform(IntMatrix._of(images, f_all).transpose())
-    projection = (IntMatrix._of(u.sparse_rows[len(pivots):], f_all) @ phi).transpose()
-    f = projection.cols
-    hs, us, _ = hnf_with_transform(projection)
-    if hs != IntMatrix.identity(f):
-        raise AssertionError("the orthogonal complement is not primitive")
-    det = math.prod(row[c] for row, c in zip(h.sparse_rows, pivots))
-    divisors = (1,) * (dim - f) if det == 1 else (1,) * (dim - f_all) + snf(h)[0]
-    return QuotientPresentation(dim, divisors, f, projection, IntMatrix._of(us.sparse_rows[:f], dim))
+    dim, rows = gens.cols, gens.sparse_rows
+    dropped = {c for row in rows if len(row) == 1 and 1 in row.values() for c in row}
+    rest = [row for row in rows if len(row) > 1 or 1 not in row.values()]
+    on = {c: [] for c in range(dim) if c not in dropped}  # the rows of ``rest`` through each kept coordinate
+    for r, row in enumerate(rest):
+        for c, x in row.items():
+            if x != 1:
+                return quotient_presentation(Lattice(dim, gens))
+            if c in on:
+                on[c].append(r)
+    ground = len(rest)
+    ends, adj, solo = {}, [[] for _ in range(ground)], {}  # solo: each row's first edge to the ground
+    for c, rs in on.items():
+        if len(rs) > 2:
+            return quotient_presentation(Lattice(dim, gens))
+        if len(rs) == 2:
+            u, v = ends[c] = rs
+            adj[u].append((v, c))
+            adj[v].append((u, c))
+        elif rs:
+            ends[c] = (rs[0], ground)
+            solo.setdefault(rs[0], c)
+    # one search per component of the rows, from a row on a ground edge if it has
+    # one (that edge joins the component to the ground), 2-colouring as it goes
+    parent, depth, colour = {}, {ground: 0}, {}
+    for root in (*solo, *range(ground)):
+        if root in depth:
+            continue
+        if root in solo:
+            parent[root], depth[root] = (ground, solo[root]), 1
+        else:
+            depth[root] = 0
+        colour[root], queue = 0, [root]
+        for u in queue:
+            for v, c in adj[u]:
+                if v not in depth:
+                    depth[v], parent[v], colour[v] = depth[u] + 1, (u, c), 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return quotient_presentation(Lattice(dim, gens))
+    tree = {c for _, c in parent.values()}
+    functionals = []
+    for c, rs in on.items():
+        if not rs:
+            functionals.append({c: 1})
+        elif c not in tree:
+            (a, b), sa, sb, cycle = ends[c], -1, -1, {c: 1}
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b, sa, sb = b, a, sb, sa
+                a, e = parent[a]
+                cycle[e], sa = sa, -sa
+            functionals.append(cycle)
+    f = len(functionals)
+    section = IntMatrix._of([{next(iter(phi)): 1} for phi in functionals], dim)
+    return QuotientPresentation(dim, (1,) * (dim - f), f, IntMatrix._of(functionals, dim).transpose(), section)
 
 
 def u_lattice(config: Configuration) -> Lattice:
@@ -583,22 +599,22 @@ def u_lattice(config: Configuration) -> Lattice:
 
     U = ker τ̃ is checked (``tau_kernel_equals_u``) on c8 and C13 only; on
     other configurations U may be smaller.  On the 9-line test fixture it
-    is, at point p578.
+    is, at point p578, and on Hesse (the 12 lines of AG(2,3)) at each of
+    its 6 finite quadruple points.
     """
     dim = len(config.index.pairs) * (len(config.lines) - 1)
     return Lattice(dim, IntMatrix._of([row for _, row in _u_generators(config)], dim))
 
 
 def b_lattice(config: Configuration) -> Lattice:
-    """Span of the conjugator data constant in p: a(j,q) = x_i for all q."""
+    """Span of the conjugator data constant in p: a(j,q) = x_i for all q, rows ordered by (j, i)."""
     idx = config.index
     n = idx.n
+    flags = {j: [] for j in range(1, n + 1)}  # each line's finite flags, in ``index.p0`` order
+    for pos, (j, _) in enumerate(idx.pairs):
+        flags[j].append(pos)
     dim = len(idx.pairs) * n
-    rows = [
-        {idx.pair_pos[(j, q)] * n + (i - 1): 1 for q in idx.p0 if (j, q) in idx.pair_pos}
-        for j in range(1, n + 1)
-        for i in range(1, n + 1)
-    ]
+    rows = [{pos * n + (i - 1): 1 for pos in flags[j]} for j in range(1, n + 1) for i in range(1, n + 1)]
     return Lattice(dim, IntMatrix._of(rows, dim))
 
 
@@ -615,14 +631,15 @@ def tau_kernel_equals_u(data: LcsData) -> bool:
     where π_p: A_p → ZZ^f_p and its section s_p present A_p/U_p.
 
     Proof: the target of τ̃_p is free, so ker τ̃_p is saturated, and a U_p
-    with torsion in A_p/U_p differs from it.  Otherwise U_p = ker π_p,
+    with torsion in A_p/U_p differs from it (only rows outside
+    ``_point_quotient``'s forest shape can have torsion).  Otherwise U_p = ker π_p,
     and π_p(a - s_p π_p(a)) = 0 puts a - s_p π_p(a) in U_p for every a.
     If τ̃_p kills U_p, then τ̃_p(a) = τ̃_p(s_p π_p(a)), so
     ker τ̃_p = π_p⁻¹(ker τ̃_p∘s_p); it equals U_p = π_p⁻¹(0) iff τ̃_p∘s_p
     is injective on ZZ^f_p, i.e. has rank f_p.
     """
     return all(
-        not any((pt.u @ pt.tau).sparse_rows)
+        not any(pt.u_tau.sparse_rows)
         and pt.quotient.is_torsion_free
         and hnf(pt.quotient.section @ pt.tau).rows == pt.quotient.free_rank
         for pt in data.u_points
@@ -643,14 +660,16 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     equality holds iff π(preimage), the left kernel of [τ̃∘s; Im δ̄] cut
     to its first block, equals π(B).  Im δ̄ enters that kernel by its
     canonical form: only its span matters there.  Raises TorsionError if
-    A/U has torsion, where no such section exists.
+    A/U has torsion, where no such section exists; U's own generators
+    never give torsion (``_point_quotient``'s forest proves each A_p/U_p
+    free), so only rows of another shape reach it.
     """
     width, points = len(data.gens) * data.p3.free_rank, data.u_points
 
     def spread(start, m):
         """The rows of ``m`` with every column shifted by ``start``."""
         return [{start + t: x for t, x in row.items()} for row in m.sparse_rows]
-    images = [v for pt in points for v in spread(pt.cols.start, pt.u @ pt.tau)]
+    images = [v for pt in points for v in spread(pt.cols.start, pt.u_tau)]
     if not all(member(densify(v, width), data.im_delta) for v in images if v):
         return False
     if not all(pt.quotient.is_torsion_free for pt in points):

@@ -60,6 +60,34 @@ def glue_copies(k):
     return Configuration(lines, list(points.values()), [(lines[i], p) for on, p in points.items() for i in on])
 
 
+def hesse():
+    """The 12 lines of AG(2,3), 9 quadruple and 12 double points; line 3d + c is a·(x, y) = c for direction d.
+
+    The directions a are (0,1), (1,0), (1,2) and (1,1) (y = c, x = c,
+    x + 2y = c and x + y = c).  The 3 lines of one direction pairwise meet
+    at double points; line 0 (y = 0) is the line at infinity, so 6
+    quadruple points are finite.
+    """
+    directions = ((0, 1), (1, 0), (1, 2), (1, 1))
+    lines = [f"l{i}" for i in range(12)]
+    incidence = [
+        (lines[3 * d + (a * x + b * y) % 3], f"q{x}{y}") for x in range(3) for y in range(3) for d, (a, b) in enumerate(directions)
+    ]
+    points = [f"q{x}{y}" for x in range(3) for y in range(3)]
+    for d in range(4):
+        for c, e in ((0, 1), (0, 2), (1, 2)):
+            points.append(f"d{3 * d + c}.{3 * d + e}")
+            incidence += [(lines[3 * d + c], points[-1]), (lines[3 * d + e], points[-1])]
+    return Configuration(lines, points, incidence)
+
+
+def pencil4():
+    """Four finite lines through one point p1234, each meeting the line at infinity l0 at its own double point."""
+    lines = [f"l{i}" for i in range(5)]
+    incidence = [(lines[i], "p1234") for i in range(1, 5)] + [(line, f"p0{i}") for i in range(1, 5) for line in (lines[0], lines[i])]
+    return Configuration(lines, ["p1234", *(f"p0{i}" for i in range(1, 5))], incidence)
+
+
 # a 9-line configuration with trivial automorphism group (found by search,
 # then frozen): eight triple points plus the forced double points
 ASYMMETRIC_9 = {
@@ -239,6 +267,24 @@ def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentatio
         u = Lattice(local.cols, local)
         out.append((u, quotient_presentation(u)))
     return out
+
+
+def dense_tau_matrix(data: LcsData) -> IntMatrix:
+    """Oracle for ``LcsData.tau_matrix``: the lift of every A coordinate sent through ``_to_hom`` on all generator flags."""
+    return IntMatrix._of([data._to_hom(lift) for lift in data.tau_lift], len(data.gens) * data.p3.free_rank)
+
+
+def scanned_b_rows(config: Configuration) -> IntMatrix:
+    """Oracle for ``b_lattice``'s basis: row (j, i) scans every finite point q for a flag (j, q)."""
+    idx = config.index
+    n = idx.n
+    dim = len(idx.pairs) * n
+    rows = [
+        {idx.pair_pos[(j, q)] * n + (i - 1): 1 for q in idx.p0 if (j, q) in idx.pair_pos}
+        for j in range(1, n + 1)
+        for i in range(1, n + 1)
+    ]
+    return IntMatrix._of(rows, dim)
 
 
 def swept_bracket(n: int) -> IntMatrix:

@@ -38,7 +38,20 @@ from arrlcs.lcs import (
     u_lattice,
 )
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
-from helpers import delta_kernel, glue_copies, lift_rows, reference_u_points, relabel, saturate, swept_bracket, swept_l3_action
+from helpers import (
+    dense_tau_matrix,
+    delta_kernel,
+    glue_copies,
+    hesse,
+    lift_rows,
+    pencil4,
+    reference_u_points,
+    relabel,
+    saturate,
+    scanned_b_rows,
+    swept_bracket,
+    swept_l3_action,
+)
 
 
 def random_abelian(rng: random.Random, data, bound: int = 2) -> AbelianGMap:
@@ -325,7 +338,22 @@ def test_predicates_match_the_global_route_on_c13(c13_data):
 
 def test_point_defects_match_the_kernel_route(maclane_data, asymmetric_config, c13_data):
     # f_p - rank τ̃_p∘s_p from the shared record, against rank ker τ̃_p - rank U_p
-    for data, expected in ((maclane_data, {}), (build_lcs(asymmetric_config), {"p578": 1}), (c13_data, {})):
+    hesse_data, pencil_data = build_lcs(hesse()), build_lcs(pencil4())
+    assert (hesse_data.p2.free_rank, hesse_data.p3.free_rank) == (27, 136)
+    # ker τ̃ ⊋ U at every finite quadruple point: Hesse's six, and the pencil's one, where the
+    # excess still lies in U + B
+    quadruple = {p: 2 for p in hesse_data.index.p0 if hesse_data.config.multiplicity(p) == 4}
+    assert len(quadruple) == 6
+    assert (tau_kernel_equals_u(hesse_data), tau_preimage_equals_u_plus_b(hesse_data)) == (False, False)
+    assert (tau_kernel_equals_u(pencil_data), tau_preimage_equals_u_plus_b(pencil_data)) == (False, True)
+    cases = (
+        (maclane_data, {}),
+        (build_lcs(asymmetric_config), {"p578": 1}),
+        (c13_data, {}),
+        (hesse_data, quadruple),
+        (pencil_data, {"p1234": 2}),
+    )
+    for data, expected in cases:
         defects = {}
         for p, pt in zip(data.index.p0, data.u_points):
             assert pt.quotient.is_torsion_free
@@ -366,29 +394,81 @@ def test_u_points_match_the_reference_route(maclane_data, c13_data, asymmetric_c
         assert Lattice(data.a_rank, IntMatrix._of(spread, data.a_rank)) == u_lattice(data.config)
 
 
+def test_cold_u_points_reduce_nothing(monkeypatch, asymmetric_config):
+    configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), asymmetric_config, glue_copies(3), hesse(), pencil4())
+    for config in configs:
+        data = build_lcs(config)  # fresh, so ``u_points`` is built here
+        data.tau_blocks  # noqa: B018 - τ̃ per point reduces P3 first
+        with monkeypatch.context() as m:
+            m.setattr(exactlin, "_hnf_core", lambda *args: pytest.fail("a cold u_points ran a Hermite reduction"))
+            points = data.u_points
+        for pt, (u, _) in zip(points, reference_u_points(data), strict=True):
+            _assert_presents(pt.quotient, u)
+
+
 @pytest.mark.parametrize(
-    "dim, phi, gens, divisors",
+    "dim, gens, divisors",
     [
-        # two flags of ZZ^2: U_1 = ZZ·e0 on the first, U_2 = 0 on the second; the
-        # cross-flag generator 2(e1 + e3) has image (2, 0, 2), Hermite pivot 2, divisor 2
-        (4, [{1: 1}, {2: 1}, {3: 1}], [{0: 1}, {1: 2, 3: 2}], (1, 2)),
-        # G = [[2, 1, 0], [0, 0, 1]] is its own Hermite form: pivot product 2, yet every divisor is 1
-        (2, [{0: 1}, {1: 1}], [{0: 2}, {0: 1}, {1: 1}], (1, 1)),
+        # two flags of ZZ^2: the unit row e0, and 2(e1 + e3), which has an entry 2 and
+        # so takes the reduction: divisor 2
+        (4, [{0: 1}, {1: 2, 3: 2}], (1, 2)),
+        # 2·e0 beside the unit rows e0 and e1: an entry 2 again, yet every divisor is 1
+        (2, [{0: 2}, {0: 1}, {1: 1}], (1, 1)),
     ],
 )
-def test_point_quotient_reads_torsion_off_non_unit_pivots(dim, phi, gens, divisors):
-    q = lcs._point_quotient(IntMatrix._of(phi, dim), IntMatrix._of(gens, dim))
+def test_point_quotient_reads_torsion_off_non_unit_pivots(dim, gens, divisors):
+    q = lcs._point_quotient(IntMatrix._of(gens, dim))
     assert q.elementary_divisors == divisors
     _assert_presents(q, Lattice(dim, IntMatrix._of(gens, dim)))
 
 
-def test_tau_blocks_cover_the_dense_matrix(maclane_data):
-    data = maclane_data
-    dense = [[0] * data.tau_matrix.cols for _ in range(data.a_rank)]
-    for rows, cols, block in data.tau_blocks:
-        for i, row in zip(range(rows.start, rows.stop), block.entries):
-            dense[i][cols] = row
-    assert IntMatrix(dense, data.tau_matrix.cols) == data.tau_matrix
+def _graph_rows(rng):
+    """Rows of 1s on up to 8 coordinates, each coordinate in at most two of them, among up to two unit rows.
+
+    Odd cycles, empty rows, repeated rows and coordinates in no row all occur.
+    """
+    dim, count = rng.randint(1, 8), rng.randint(1, 5)
+    rows = [{} for _ in range(count)]
+    for c in range(dim):
+        for r in rng.sample(range(count), min(count, rng.randint(0, 2))):
+            rows[r][c] = 1
+    rows += [{c: 1} for c in rng.sample(range(dim), min(dim, rng.randint(0, 2)))]
+    rng.shuffle(rows)
+    return IntMatrix._of(rows, dim)
+
+
+def test_point_quotient_presents_graph_shaped_rows(monkeypatch):
+    reduced = []
+
+    def counted(lat):
+        reduced.append(lat)
+        return exactlin.quotient_presentation(lat)
+
+    monkeypatch.setattr(lcs, "quotient_presentation", counted)
+    # a triangle: every entry 1 and each coordinate in two rows, but the rows do not 2-colour
+    triangle = IntMatrix._of([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3)
+    assert lcs._point_quotient(triangle).elementary_divisors == (1, 1, 2) and len(reduced) == 1
+    rng, cases = random.Random(0), 400
+    for _ in range(cases):
+        gens = _graph_rows(rng)
+        _assert_presents(lcs._point_quotient(gens), Lattice(gens.cols, gens))
+    # both routes ran: the forest on the bipartite draws, the reduction on the others
+    assert 1 < len(reduced) < cases
+
+
+def test_tau_blocks_cover_the_dense_matrix(maclane_data, c13_data):
+    for data in (maclane_data, c13_data):
+        oracle = dense_tau_matrix(data)
+        dense = [[0] * oracle.cols for _ in range(data.a_rank)]
+        for rows, cols, block in data.tau_blocks:
+            for i, row in zip(range(rows.start, rows.stop), block.entries):
+                dense[i][cols] = row
+        assert IntMatrix(dense, oracle.cols) == oracle == data.tau_matrix
+
+
+def test_b_lattice_rows_equal_the_point_scan(asymmetric_config):
+    for config in (maclane_c8(), glue_c13(), glue_copies(3), asymmetric_config):
+        assert b_lattice(config).basis == scanned_b_rows(config)
 
 
 def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch, maclane_data):
@@ -492,10 +572,10 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
 
     monkeypatch.setattr(exactlin, "_hnf_core", counted_core)
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
-    # per point: G (the per-line functionals on the cross-flag generators), the
-    # section's reduction and rank τ̃_p∘s_p, over 41 points; U_p itself is never
-    # reduced; then Im δ̄, the joint kernel and the two lattices it compares
-    assert len(kernel_calls) == 41 * 3 + 4
+    # per point only rank τ̃_p∘s_p, over 41 points: A_p/U_p comes from a spanning
+    # forest, so neither U_p nor its complement is reduced; then Im δ̄, the joint
+    # kernel and the two lattices it compares
+    assert len(kernel_calls) == 41 + 4
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
     g_pp, g_pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
     assert kappa(data, g_pp, g_pp).zero and not kappa(data, g_pp, g_pm).zero

@@ -40,8 +40,10 @@ old script                 source       BENCH files
   at ``SEED``, each timed with the earlier layers built and the Lyndon
   basis cache cleared; ``total_s`` sums the three best times.
 * ``u``: the cold ``u_points`` of c8, C13, C13 at ``SEED``, the 9-line
-  test fixture and the 3- and 4-fold MacLane gluings, with both kernel
-  identities; its per-point digest does not depend on the basis that
+  test fixture, the 3-, 4- and 6-fold MacLane gluings and Hesse (the 12
+  lines of AG(2,3)), with both kernel identities, timed apart
+  (``identities_s``) on data whose ``u_points`` and Im δ̄ reduction are
+  built; its per-point digest does not depend on the basis that
   presents A_p/U_p.
 """
 
@@ -66,7 +68,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
 from arrlcs import config, exactlin, geom, lcs, words  # noqa: E402
-from helpers import ASYMMETRIC_9, glue_copies, relabel  # noqa: E402
+from helpers import ASYMMETRIC_9, glue_copies, hesse, relabel  # noqa: E402
 
 REPEAT = 5
 SEED = 41  # the relabeling of ``c8@41`` and ``c13@41``
@@ -82,6 +84,8 @@ CONFIGS = {
     "fixture9": lambda: config.load_configuration(ASYMMETRIC_9),
     "glued3": lambda: glue_copies(3),
     "glued4": lambda: glue_copies(4),
+    "glued6": lambda: glue_copies(6),
+    "hesse": hesse,
 }
 
 
@@ -387,21 +391,24 @@ def point_digest(pt: lcs.PointU) -> str:
 
 def u() -> dict:
     records = []
-    for name in ("c8", "c13", f"c13@{SEED}", "fixture9", "glued3", "glued4"):
+    for name in ("c8", "c13", f"c13@{SEED}", "fixture9", "glued3", "glued4", "glued6", "hesse"):
         cfg = CONFIGS[name]()
 
-        def prepare():
+        def prepare(for_identities=False):
             data = lcs.build_lcs(cfg)
             data.tau_blocks  # noqa: B018 - built before timing
+            if for_identities:
+                data.im_delta.canonical_form, data.u_points  # noqa: B018 - Im δ̄ and its reduction are not timed
             gc.collect()  # earlier builds' garbage is not collected inside the timed call
             return data
 
         seconds, digests, data, _ = best_of(
             name, prepare, lambda data: data.u_points, lambda points: [point_digest(pt) for pt in points]
         )
+        identities_s, identities, _, _ = best_of(f"{name} identities", lambda: prepare(True), kernel_identities)
         records.append({
             "config": name, "points": len(data.u_points), "a_rank": data.a_rank, "u_points_s": seconds,
-            "identities": list(kernel_identities(data)), "point_digests": digests,
+            "identities_s": identities_s, "identities": list(identities), "point_digests": digests,
         })
     return {"total_s": total_s(records, lambda rec: rec["config"], "u_points_s"), "inputs": records}
 
