@@ -29,18 +29,19 @@ then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
 cached lift ``LcsData.tau_lift`` of each A coordinate and is stored per
 point (``LcsData.tau_blocks``); ``tau_matrix``, the whole A × Hom(R2,P3)
 matrix, serves the pinned digests, the one-identity equivariance check
-and the benchmark.  δ̄ lifts f̂ at each generator flag, and Im δ̄ is
-assembled from the same sums, one section image per line; R3perp pulls
-perp(R3) back along the bracket.  A lift is a sequence of (generator
-flag, slot, coefficient) terms.  An automorphism acts on A and on H⊗Λ²H
-by one sparse signed permutation each (``_line_action``), and on L3
-through the bracket (``_l3_action``).  Every matrix is built from
-sparse rows, so no layer reads or writes their zeros (on C13 under 2%
-of entries are nonzero).
+and the benchmark.  τ̃'s lift, the δ lift and Im δ̄ spread a value v at
+a flag (i,p) over p's generator flags by one signed pattern
+(``LcsData._flag_terms``): v = x_i∧x_m, f̂(x_i) and a section image ŝ_t
+of P2.  R3perp pulls perp(R3) back along the bracket.  A lift is a
+sequence of (generator flag, slot, coefficient) terms.  An automorphism
+acts on A and on H⊗Λ²H by one sparse signed permutation each
+(``_line_action``), and on L3 through the bracket (``_l3_action``).
+Every matrix is built from sparse rows, so no layer reads or writes
+their zeros (on C13 under 2% of entries are nonzero).
 
 U splits over the finite points like τ̃, and both kernel identities read
-it from ``LcsData.u_points``.  U's generators are defined once
-(``_u_generators``).  Once the unit rows (family 0) are dropped, the
+it from ``LcsData.u_points``.  U's generators are defined once, point by
+point (``_u_generators``).  Once the unit rows (family 0) are dropped, the
 other generators at p are the unsigned incidence matrix of a bipartite
 graph, which is totally unimodular, so A_p/U_p is free and a spanning
 forest of that graph presents it (``_point_quotient``): no U_p is ever
@@ -49,7 +50,9 @@ reduced.
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
 Λ²H-lift f̂ of f.  This is the unique sign for which δ̄ agrees with τ̃
-on conjugator data constant in p exactly, not merely up to sign.
+on conjugator data constant in p exactly, not merely up to sign: the
+data x_m at every flag of line j and f̂(x_j) = ±x_j∧x_m (+ when j < m,
+zero elsewhere) have one lift, the pattern with v = x_j∧x_m.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .config import (
     GLUE_LINE_MAP,
@@ -117,8 +120,9 @@ class PointU:
     ``rows`` and ``cols`` are p's slices of A and of Hom(R2,P3), ``tau``
     is τ̃_p, ``u`` holds U's generator rows at p (in p's A coordinates,
     not reduced), ``u_tau`` = ``u @ tau`` holds their images under τ̃_p,
-    and ``quotient`` presents A_p/U_p (``_point_quotient``: a spanning
-    forest for U's own generators, so no Hermite form of U_p is built).
+    ``quotient`` presents A_p/U_p (``_point_quotient``: a spanning forest
+    for U's own generators, so no Hermite form of U_p is built), and
+    ``s_tau`` = s_p·τ̃_p is τ̃_p on its section.
     """
 
     rows: slice
@@ -127,6 +131,7 @@ class PointU:
     u: IntMatrix
     u_tau: IntMatrix
     quotient: QuotientPresentation
+    s_tau: IntMatrix
 
 
 class LcsData:
@@ -281,31 +286,33 @@ class LcsData:
         return via_dstar
 
     @cached_property
+    def _flag_terms(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per finite flag (i,p), in ``index.pairs`` order: v at (i,p) spread as +x_k⊗v at (k,p), k ≠ i, and -Σ_{j on p, j≠i} x_j⊗v at (i,p), in (generator flag, line j, sign) terms."""
+        gp, out = self.index.gen_pos, []
+        for (i, p) in self.index.pairs:
+            lines_p, terms = self.config.lines_through(p), []
+            for k in lines_p:
+                if (k, p) in gp:
+                    terms += [(gp[k, p], k, 1)] if k != i else [(gp[k, p], j, -1) for j in lines_p if j != i]
+            out.append(tuple(terms))
+        return tuple(out)
+
+    @cached_property
     def tau_lift(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Sparse left-normed lift of τ̃, one entry per flat A coordinate.
 
         The entry of the x_m-coordinate at flag (i,p) lists the
         (generator flag, H⊗Λ²H slot, coefficient) terms of the lift of its
-        τ̃ value: x_k⊗(x_i∧x_m) at each generator flag (k,p) with k ≠ i,
-        and -Σ_{j on p, j≠i} x_j⊗(x_i∧x_m) at (i,p).
+        τ̃ value: ``_flag_terms`` of (i,p) with v = x_i∧x_m (none if m = i).
         """
-        np_, gp = self.npairs, self.index.gen_pos
-        out = []
-        for (i, p) in self.index.pairs:
-            lines_p = self.config.lines_through(p)
+        np_, wp, out = self.npairs, self.wedge_pos, []
+        for (i, _), terms in zip(self.index.pairs, self._flag_terms):
             for m in range(1, self.n + 1):
-                terms = []
-                if m != i:
-                    w = self.wedge_pos[(min(i, m), max(i, m))]
-                    sgn = 1 if i < m else -1
-                    for k in lines_p:
-                        if (k, p) not in gp:
-                            continue
-                        if k != i:
-                            terms.append((gp[(k, p)], (k - 1) * np_ + w, sgn))
-                        else:
-                            terms.extend((gp[(k, p)], (j - 1) * np_ + w, -sgn) for j in lines_p if j != i)
-                out.append(tuple(terms))
+                if m == i:
+                    out.append(())
+                    continue
+                w, sgn = wp[min(i, m), max(i, m)], 1 if i < m else -1
+                out.append(tuple((g, (j - 1) * np_ + w, sgn * s) for g, j, s in terms))
         return tuple(out)
 
     @cached_property
@@ -346,17 +353,13 @@ class LcsData:
 
         U_p is never reduced: ``_point_quotient`` presents A_p/U_p from U's
         generator rows at p (``_u_generators``) by a spanning forest, and
-        their images under τ̃_p are computed here once for both
-        identities.
+        ``u_tau`` and ``s_tau`` are computed here once for both identities.
         """
-        start = {p: rows.start for p, (rows, _, _) in zip(self.index.p0, self.tau_blocks)}
-        at = {p: [] for p in self.index.p0}
-        for p, row in _u_generators(self.config):
-            at[p].append({k - start[p]: x for k, x in row.items()})
         out = []
-        for p, (rows, cols, block) in zip(self.index.p0, self.tau_blocks):
-            gens = IntMatrix._of(at[p], rows.stop - rows.start)
-            out.append(PointU(rows, cols, block, gens, gens @ block, _point_quotient(gens)))
+        for (_, gen_rows), (rows, cols, block) in zip(_u_generators(self.config), self.tau_blocks, strict=True):
+            gens = IntMatrix._of(gen_rows, rows.stop - rows.start)
+            quotient = _point_quotient(gens)
+            out.append(PointU(rows, cols, block, gens, gens @ block, quotient, quotient.section @ block))
         return tuple(out)
 
     @cached_property
@@ -366,16 +369,10 @@ class LcsData:
         return IntMatrix._of(rows, len(self.gens) * self.p3.free_rank)
 
     def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
-        """Sparse left-normed lift of δ̄(fhat): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
-        np_ = self.npairs
-        nonzero = [list(row.items()) for row in fhat.sparse_rows]
-        terms = []
-        for g, (k, p) in enumerate(self.gens):
-            for j in self.config.lines_through(p):
-                if j != k:
-                    terms.extend((g, (k - 1) * np_ + w, c) for w, c in nonzero[j - 1])
-                    terms.extend((g, (j - 1) * np_ + w, -c) for w, c in nonzero[k - 1])
-        return terms
+        """Sparse left-normed lift of δ̄(fhat), ``_flag_terms`` with v = f̂(x_i) at each (i,p): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
+        np_, nonzero = self.npairs, [list(row.items()) for row in fhat.sparse_rows]
+        flags = zip(self.index.pairs, self._flag_terms)
+        return [(g, (j - 1) * np_ + w, s * c) for (i, _), terms in flags for g, j, s in terms for w, c in nonzero[i - 1]]
 
     @cached_property
     def im_delta(self) -> Lattice:
@@ -383,23 +380,19 @@ class LcsData:
 
         Built from one linear map per line: Y_m = ``p2.section`` followed by
         line m's block of ``_bracket_p3`` sends e_t to the P3 value of
-        x_m⊗ŝ_t.  At a generator flag g = (k,p) with i on p, row (i, t)
-        is +Y_k[t] when k ≠ i and -Σ_{j on p, j≠i} Y_j[t] when k = i: the
-        sum the δ-lift of that unit map (``_delta_lift``) reduces to.
-        ``delta_bar`` keeps the lift route, an independent check.
+        x_m⊗ŝ_t.  Row (i, t) sums ``_flag_terms`` with v = ŝ_t over the
+        flags of line i, reading each x_m⊗ŝ_t as Y_m[t]: the δ-lift of that
+        unit map (``_delta_lift``).  ``delta_bar`` keeps the lift route, an
+        independent check.
         """
         n, np_, f2, r = self.n, self.npairs, self.p2.free_rank, self.p3.free_rank
         bp = self._bracket_p3.sparse_rows
         # row (m-1)·f2 + t is Y_m[t]
         ys = vstack(*(self.p2.section @ IntMatrix._of(bp[m * np_ : (m + 1) * np_], r) for m in range(n)))
-        rows = []
-        for i in range(1, n + 1):
-            terms = []  # (generator flag, line m, sign) of each Y_m in the rows of line i
-            for g, (k, p) in enumerate(self.gens):
-                on_p = self.config.lines_through(p)
-                if i in on_p:
-                    terms += [(g, k, 1)] if k != i else [(g, j, -1) for j in on_p if j != i]
-            rows += [self._to_hom([(g, (m - 1) * f2 + t, c) for g, m, c in terms], images=ys) for t in range(f2)]
+        on_line = [[] for _ in range(n + 1)]  # ``_flag_terms`` of each line's flags
+        for (i, _), terms in zip(self.index.pairs, self._flag_terms):
+            on_line[i] += terms
+        rows = [self._to_hom([(g, (m - 1) * f2 + t, s) for g, m, s in on_line[i]], images=ys) for i in range(1, n + 1) for t in range(f2)]
         width = len(self.gens) * r
         return Lattice(width, IntMatrix._of(rows, width))
 
@@ -477,27 +470,26 @@ def delta_bar_from_lift(data: LcsData, fhat: IntMatrix) -> HomR2P3:
 
 
 def _u_generators(config: Configuration):
-    """The generator rows of U, each with the finite point whose flags carry it.
+    """U's generator rows, (p, rows) for each finite point p in ``index.p0`` order.
 
-    Family 0: x_i at the single flag (i,p).  Family 1: x_i at every flag of
-    one point, for every i.  Family 2: Σ_{k: p2 on l_k} x_k at the single
-    flag (i,p1), for every finite point p2 on l_i (p2 = p1 allowed).  Rows
-    are sparse ``{A coordinate: entry}``.  Every entry is 1, and off the
-    family-0 coordinates each A coordinate lies in one family-1 row and
-    in at most one family-2 row (two lines meet once): the bipartite
-    shape that ``_point_quotient`` presents by a spanning forest.
+    Rows are sparse ``{coordinate: entry}`` in p's A coordinates: x_m at
+    p's f-th flag (line order) is f*n + (m-1).  With k lines on p, family
+    0 is the first k rows, x_i at the single flag (i,p); family 1 the next
+    n, x_i at every flag of p; family 2 the rest, Σ_{j: q on l_j} x_j at
+    the single flag (i,p), for every finite point q on l_i (q = p allowed).
+    Every entry is 1, and off the family-0 coordinates each A coordinate
+    lies in one family-1 row and in at most one family-2 row (two lines
+    meet once): the bipartite shape that ``_point_quotient`` presents by a
+    spanning forest.
     """
-    idx = config.index
-    n, p0set = idx.n, set(idx.p0)
+    n, p0set = config.index.n, set(config.index.p0)
     stars = {i: [config.lines_through(q) for q in config.points_on(i) if q in p0set] for i in range(1, n + 1)}
-    for pos, (i, p) in enumerate(idx.pairs):
-        yield p, {pos * n + i - 1: 1}
-    for p in idx.p0:
-        for i in range(1, n + 1):
-            yield p, {idx.pair_pos[(j, p)] * n + (i - 1): 1 for j in config.lines_through(p)}
-    for pos, (i, p) in enumerate(idx.pairs):
-        for s in stars[i]:
-            yield p, {pos * n + (k - 1): 1 for k in s}
+    for p in config.index.p0:
+        lines_p = config.lines_through(p)
+        rows = [{f * n + i - 1: 1} for f, i in enumerate(lines_p)]
+        rows += [{f * n + i - 1: 1 for f in range(len(lines_p))} for i in range(1, n + 1)]
+        rows += [{f * n + j - 1: 1 for j in star} for f, i in enumerate(lines_p) for star in stars[i]]
+        yield p, rows
 
 
 def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
@@ -597,13 +589,19 @@ def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
 def u_lattice(config: Configuration) -> Lattice:
     """Span of the three generator families known to lie in ker τ̃ (see ``_u_generators``).
 
-    U = ker τ̃ is checked (``tau_kernel_equals_u``) on c8 and C13 only; on
-    other configurations U may be smaller.  On the 9-line test fixture it
-    is, at point p578, and on Hesse (the 12 lines of AG(2,3)) at each of
-    its 6 finite quadruple points.
+    Rows sit at their point's A offset, family-major.  U = ker τ̃ is checked
+    (``tau_kernel_equals_u``) on c8 and C13 only; on other configurations
+    U may be smaller.  On the 9-line test fixture it is, at point p578, and
+    on Hesse (the 12 lines of AG(2,3)) at each of its 6 finite quadruple
+    points.
     """
-    dim = len(config.index.pairs) * (len(config.lines) - 1)
-    return Lattice(dim, IntMatrix._of([row for _, row in _u_generators(config)], dim))
+    n, start, families = config.index.n, 0, ([], [], [])
+    for p, rows in _u_generators(config):
+        k = config.multiplicity(p)
+        for family, part in zip(families, (rows[:k], rows[k : k + n], rows[k + n :])):
+            family += ({start + c: x for c, x in row.items()} for row in part)
+        start += k * n
+    return Lattice(start, IntMatrix._of(families[0] + families[1] + families[2], start))
 
 
 def b_lattice(config: Configuration) -> Lattice:
@@ -641,7 +639,7 @@ def tau_kernel_equals_u(data: LcsData) -> bool:
     return all(
         not any(pt.u_tau.sparse_rows)
         and pt.quotient.is_torsion_free
-        and hnf(pt.quotient.section @ pt.tau).rows == pt.quotient.free_rank
+        and hnf(pt.s_tau).rows == pt.quotient.free_rank
         for pt in data.u_points
     )
 
@@ -674,7 +672,7 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
         return False
     if not all(pt.quotient.is_torsion_free for pt in points):
         raise TorsionError("A/U has torsion")
-    tau_s = [v for pt in points for v in spread(pt.cols.start, pt.quotient.section @ pt.tau)]
+    tau_s = [v for pt in points for v in spread(pt.cols.start, pt.s_tau)]
     joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.canonical_form))
     # π = ⊕_p π_p, block diagonal: the points' A rows run through A in order
     f, starts = len(tau_s), list(accumulate((pt.quotient.free_rank for pt in points), initial=0))

@@ -255,16 +255,13 @@ def reference_quotient(lat: Lattice) -> tuple[tuple[int, ...], IntMatrix, IntMat
 def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentation]]:
     """Oracle for ``LcsData.u_points``: per finite point, in ``index.p0`` order, U_p and A_p/U_p by reduction.
 
-    U_p is the ``Lattice`` of U's generator rows at p (``_u_generators``)
-    in p's A coordinates, and A_p/U_p is its ``quotient_presentation``.
+    U_p is the ``Lattice`` of U's generator rows at p (``_u_generators``,
+    already in p's A coordinates), and A_p/U_p is its ``quotient_presentation``.
     """
-    at = {p: [] for p in data.index.p0}
-    for p, row in _u_generators(data.config):
-        at[p].append(row)
     out = []
-    for p, (rows, _, _) in zip(data.index.p0, data.tau_blocks):
-        local = IntMatrix._of(at[p], data.a_rank).columns(rows.start, rows.stop)
-        u = Lattice(local.cols, local)
+    for (_, gens), (rows, _, _) in zip(_u_generators(data.config), data.tau_blocks, strict=True):
+        width = rows.stop - rows.start
+        u = Lattice(width, IntMatrix._of(gens, width))
         out.append((u, quotient_presentation(u)))
     return out
 

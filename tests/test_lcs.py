@@ -394,6 +394,31 @@ def test_u_points_match_the_reference_route(maclane_data, c13_data, asymmetric_c
         assert Lattice(data.a_rank, IntMatrix._of(spread, data.a_rank)) == u_lattice(data.config)
 
 
+# sha256 of ``u_lattice(c).basis`` row by row: perfbench's kappa-stream inputs and
+# ``tools/replay.py kernel``'s u-lattice records read these rows in this order
+U_LATTICE_ROW_DIGESTS = {
+    "c8": "9969033ce861d467b9779b226be9e4f5b2458b2661063b71f871d0e8ff5ddffd",
+    "c13": "b0076e3c6e2d9b5d8553c53cd0f0fd63cd27a51db6f19c74b04786534618b877",
+    "c13@41": "4590e58c70656e74d16e02d4255cbf1db48e259a48580058bfc8e878062534ba",
+    "glued3": "3c7c9d125960c687f0b1dd0af8ce66c32595f3bd03599b1e8b9269be5ec00e21",
+    "fixture9": "092151e49afced83b91f43033312fea380e74b37bc4a1affb736065d408a30df",
+}
+
+
+def test_u_lattice_rows_keep_their_order(asymmetric_config):
+    configs = {
+        "c8": maclane_c8(),
+        "c13": glue_c13(),
+        "c13@41": relabel(glue_c13(), 41),
+        "glued3": glue_copies(3),
+        "fixture9": asymmetric_config,
+    }
+    for name, config in configs.items():
+        basis = u_lattice(config).basis
+        rows = json.dumps([basis.cols, [sorted(row.items()) for row in basis.sparse_rows]])
+        assert hashlib.sha256(rows.encode()).hexdigest() == U_LATTICE_ROW_DIGESTS[name], name
+
+
 def test_cold_u_points_reduce_nothing(monkeypatch, asymmetric_config):
     configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), asymmetric_config, glue_copies(3), hesse(), pencil4())
     for config in configs:
@@ -481,10 +506,11 @@ def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch
     point = data.index.pairs[unit.index(1) // data.n][1]
     assert not member(unit, lcs.u_lattice(data.config))
     generators = lcs._u_generators
+    extra = {unit.index(1) - data.u_points[data.index.p0.index(point)].rows.start: 1}  # in the point's A coordinates
 
     def with_extra(config):
-        yield from generators(config)
-        yield point, {unit.index(1): 1}
+        for p, rows in generators(config):
+            yield p, rows + [extra] if p == point else rows
 
     monkeypatch.setattr(lcs, "_u_generators", with_extra)
     data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched generators
@@ -498,8 +524,8 @@ def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch):
     generators = lcs._u_generators
 
     def doubled_at_point(config):
-        for p, row in generators(config):
-            yield p, {k: 2 * x for k, x in row.items()} if p == point else row
+        for p, rows in generators(config):
+            yield p, [{k: 2 * x for k, x in row.items()} for row in rows] if p == point else rows
 
     monkeypatch.setattr(lcs, "_u_generators", doubled_at_point)
     data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched generators
@@ -638,6 +664,37 @@ def test_tau_lift_rows_project_to_tau_value(maclane_data):
         for row in lift:
             flat.extend(vec_mat(vec_mat(row, data.bracket), proj))
         assert tuple(flat) == tau_tilde(data, a).flat
+
+
+def test_tau_rows_equal_the_relator_route(maclane_data, asymmetric_config):
+    # a unit perturbation g(i,p) = 1 -> x_m changes only p's relators; at each generator flag of p,
+    # the P3 class of the degree-3 Magnus change is that flag's block of τ̃'s row (i,p,m)
+    for data in (maclane_data, build_lcs(asymmetric_config)):
+        config, n, r, proj = data.config, data.n, data.p3.free_rank, data.p3.projection
+        base = words.relators_from_g(config, GMap(config))
+        for pos, (i, p) in enumerate(data.index.pairs):
+            for m in range(1, n + 1):
+                moved = words.relators_from_g(config, GMap(config, {(i, p): Word.gen(m)}))
+                row = [0] * (len(data.gens) * r)
+                for k in config.lines_through(p):
+                    if (k, p) in data.index.gen_pos:
+                        g = data.index.gen_pos[k, p]
+                        change = words.magnus(moved[k, p]) - words.magnus(base[k, p])
+                        row[g * r : (g + 1) * r] = vec_mat(words.lie_coords(change, 3, n), proj)
+                assert tuple(row) == data.tau_matrix.row(pos * n + m - 1), (i, p, m)
+
+
+def test_delta_bar_equals_tau_on_constant_data(maclane_data, asymmetric_config, c13_data):
+    # B's row (j, m) is the data x_m at every flag of line j; its τ̃ value is δ̄ of the lift
+    # f̂(x_j) = ±x_j∧x_m (+ when j < m), zero elsewhere, exactly and not up to sign
+    for data in (maclane_data, build_lcs(asymmetric_config), c13_data):
+        n, b = data.n, b_lattice(data.config).basis
+        for j in range(1, n + 1):
+            for m in range(1, n + 1):
+                unit = {data.wedge_pos[min(j, m), max(j, m)]: 1 if j < m else -1} if j != m else {}
+                fhat = IntMatrix._of([unit if line == j else {} for line in range(1, n + 1)], data.npairs)
+                a = AbelianGMap.from_vector(data.config, b.row((j - 1) * n + m - 1))
+                assert tau_tilde(data, a).flat == delta_bar_from_lift(data, fhat).flat, (j, m)
 
 
 def test_delta_bar_is_lift_independent(maclane_data):
