@@ -36,7 +36,7 @@ from .config import (
     validate,
     _builtin_json,
 )
-from .exactlin import IntMatrix, Lattice, lattice_sum, perp
+from .exactlin import IntMatrix, Lattice
 from .geom import (
     DegenerateRealization,
     check_realization,
@@ -58,7 +58,6 @@ from .lcs import (
     tau_kernel_equals_u,
     tau_preimage_equals_u_plus_b,
     tau_star_identities,
-    u_lattice,
     _maclane_data,
     _t_vector,
 )
@@ -173,14 +172,14 @@ def _ranks_check(data) -> dict:
     return _check("ranks", computed == expected, {"computed": computed, "expected": expected})
 
 
-def _dual_basis_check(data, u) -> dict:
+def _dual_basis_check(data) -> dict:
     duals = maclane_dual_basis()
     st_rows = [e.coords for e in duals if e.tag in ("S", "T")]
     ijk_rows = [e.coords for e in duals if e.tag in ("I", "J", "K1", "K2")]
     st_span = Lattice(data.hw_rank, IntMatrix(st_rows, data.hw_rank))
     ijk_span = Lattice(data.a_rank, IntMatrix(ijk_rows, data.a_rank))
     st_ok = st_span == data.r3perp
-    ijk_ok = ijk_span == perp(u)
+    ijk_ok = ijk_span == Lattice(data.a_rank, data.u_projection.transpose())  # π's columns: a basis of U⊥
     return _check(
         "dual_basis_spans",
         st_ok and ijk_ok,
@@ -198,23 +197,26 @@ def _tau_star_check(data) -> dict:
     return _check("tau_star_identities", rep.all_ok, rep.to_json_dict())
 
 
-def _kernel_check(data, u, b) -> dict:
+def _kernel_check(data, b) -> dict:
     ker_ok = tau_kernel_equals_u(data)
     pre_ok = tau_preimage_equals_u_plus_b(data)
+    # rank U = dim A - rank U⊥, and U + B is U's rank plus that of π(B) in A/U
+    pi = data.u_projection
+    rank_u = data.a_rank - pi.cols
     return _check(
         "kernel_structure",
         ker_ok and pre_ok,
         {
-            "rank_U": u.rank,
+            "rank_U": rank_u,
             "rank_B": b.rank,
-            "rank_U_plus_B": lattice_sum(u, b).rank,
+            "rank_U_plus_B": rank_u + Lattice(pi.cols, b.basis @ pi).rank,
             "tau_kernel_equals_U": ker_ok,
             "tau_preimage_of_im_delta_equals_U_plus_B": pre_ok,
         },
     )
 
 
-def _t_check(u, b) -> dict:
+def _t_check(data, b) -> dict:
     diff = builtin_g_difference()
     expected_diff = {
         (4, "p45"): {3: -1, 6: -1, 7: 1},
@@ -225,7 +227,8 @@ def _t_check(u, b) -> dict:
     diff_ok = diff_vals == expected_diff
     t_diff = t_functional(diff)
     t, modulus = _t_vector()
-    t_on_u, t_on_b = ([sum(t[k] * x for k, x in row.items()) % modulus for row in lat.basis.sparse_rows] for lat in (u, b))
+    t_on_u = [sum(t[pt.rows.start + k] * x for k, x in row.items()) % modulus for pt in data.u_points for row in pt.u.sparse_rows]
+    t_on_b = [sum(t[k] * x for k, x in row.items()) % modulus for row in b.basis.sparse_rows]
     ok = diff_ok and t_diff == 1 and not any(t_on_u) and not any(t_on_b)
     return _check(
         "mod3_functional",
@@ -281,14 +284,14 @@ def _realization_check() -> dict:
 
 def cmd_maclane_report(args) -> int:
     data = _maclane_data()
-    u, b = u_lattice(data.config), b_lattice(data.config)
+    b = b_lattice(data.config)
     checks = [_ranks_check(data)]
     if not args.no_hardcoded:
-        checks.append(_dual_basis_check(data, u))
+        checks.append(_dual_basis_check(data))
         checks.append(_tau_star_check(data))
-    checks.append(_kernel_check(data, u, b))
+    checks.append(_kernel_check(data, b))
     if not args.no_hardcoded:
-        checks.append(_t_check(u, b))
+        checks.append(_t_check(data, b))
         checks.append(_transcription_check())
     checks.append(_kappa_check(data, args.swap_g))
     checks.append(_realization_check())

@@ -45,7 +45,9 @@ point (``_u_generators``).  Once the unit rows (family 0) are dropped, the
 other generators at p are the unsigned incidence matrix of a bipartite
 graph, which is totally unimodular, so A_p/U_p is free and a spanning
 forest of that graph presents it (``_point_quotient``): no U_p is ever
-reduced.
+reduced.  The block-diagonal π = ⊕_p π_p: A → A/U is built once
+(``LcsData.u_projection``); the preimage identity and ``maclane-report``'s
+ranks of U and U + B and its U⊥ comparison all read it.
 
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
@@ -57,9 +59,9 @@ zero elsewhere) have one lift, the pattern with v = x_j∧x_m.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Sequence
 
 from .config import (
@@ -139,10 +141,10 @@ class LcsData:
 
     Degree-2 objects are built eagerly.  The degree-3 objects (the
     bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, U per point
-    with A_p/U_p for both kernel identities, the whole τ̃ matrix for the
-    pinned digests, the one-identity equivariance check and the
-    benchmark, Im δ̄) are cached properties computed on first use, so
-    purely degree-2 work on large configurations stays cheap.  L3's
+    with A_p/U_p for both kernel identities, π = ⊕_p π_p, the whole τ̃
+    matrix for the pinned digests, the one-identity equivariance check
+    and the benchmark, Im δ̄) are cached properties computed on first
+    use, so purely degree-2 work on large configurations stays cheap.  L3's
     columns and the bracket map are written down in closed form
     (``l3_pos``, ``bracket``); no Lie basis is built.
     """
@@ -363,6 +365,19 @@ class LcsData:
         return tuple(out)
 
     @cached_property
+    def u_projection(self) -> IntMatrix:
+        """π = ⊕_p π_p: A → A/U = ⊕_p A_p/U_p, block diagonal (A × Σ f_p), read from ``u_points``.
+
+        Each π_p's columns are a ZZ-basis of U_p⊥ (``QuotientPresentation``),
+        so π's columns are a ZZ-basis of U⊥ and rank U = ``a_rank`` - π.cols.
+        """
+        rows, start = [], 0
+        for pt in self.u_points:
+            rows += ({start + t: x for t, x in row.items()} for row in pt.quotient.projection.sparse_rows)
+            start += pt.quotient.free_rank
+        return IntMatrix._of(rows, start)
+
+    @cached_property
     def tau_matrix(self) -> IntMatrix:
         """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order: each of ``tau_blocks`` at its columns, zero elsewhere."""
         rows = [{cols.start + t: x for t, x in row.items()} for _, cols, block in self.tau_blocks for row in block.sparse_rows]
@@ -425,15 +440,16 @@ class HomR2P3:
     def is_zero(self) -> bool:
         return not any(self.flat)
 
-    def __add__(self, other: "HomR2P3") -> "HomR2P3":
+    def _entrywise(self, op, other: "HomR2P3") -> "HomR2P3":
         if self.gens != other.gens:
             raise ConfigMismatchError("values on different generator sets")
-        return HomR2P3(self.gens, self.free_rank, tuple(a + b for a, b in zip(self.flat, other.flat)))
+        return HomR2P3(self.gens, self.free_rank, tuple(map(op, self.flat, other.flat)))
+
+    def __add__(self, other: "HomR2P3") -> "HomR2P3":
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "HomR2P3") -> "HomR2P3":
-        if self.gens != other.gens:
-            raise ConfigMismatchError("values on different generator sets")
-        return HomR2P3(self.gens, self.free_rank, tuple(a - b for a, b in zip(self.flat, other.flat)))
+        return self._entrywise(operator.sub, other)
 
 
 def _as_abelian(g: GMap | AbelianGMap) -> AbelianGMap:
@@ -589,7 +605,10 @@ def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
 def u_lattice(config: Configuration) -> Lattice:
     """Span of the three generator families known to lie in ker τ̃ (see ``_u_generators``).
 
-    Rows sit at their point's A offset, family-major.  U = ker τ̃ is checked
+    Rows sit at their point's A offset, family-major.  No CLI path reads
+    this global lattice: both kernel identities and ``maclane-report`` read
+    U per point (``LcsData.u_points``, ``LcsData.u_projection``).  It serves
+    perfbench, ``tools/replay.py`` and the tests.  U = ker τ̃ is checked
     (``tau_kernel_equals_u``) on c8 and C13 only; on other configurations
     U may be smaller.  On the 9-line test fixture it is, at point p578, and
     on Hesse (the 12 lines of AG(2,3)) at each of its 6 finite quadruple
@@ -653,7 +672,8 @@ def tau_preimage(data: LcsData) -> Lattice:
 def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     """τ̃⁻¹(Im δ̄) = U + B, decided in A/U = ⊕ A_p/U_p (rank 36 on C13), whether or not ker τ̃ = U.
 
-    Let π: A → A/U with section s, both read from ``LcsData.u_points``.
+    Let π: A → A/U be ``LcsData.u_projection``, with section s read from
+    ``LcsData.u_points``.
     Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff s(π(a)) does, so the
     equality holds iff π(preimage), the left kernel of [τ̃∘s; Im δ̄] cut
     to its first block, equals π(B).  Im δ̄ enters that kernel by its
@@ -674,11 +694,8 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
         raise TorsionError("A/U has torsion")
     tau_s = [v for pt in points for v in spread(pt.cols.start, pt.s_tau)]
     joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.canonical_form))
-    # π = ⊕_p π_p, block diagonal: the points' A rows run through A in order
-    f, starts = len(tau_s), list(accumulate((pt.quotient.free_rank for pt in points), initial=0))
-    pi = [v for pt, start in zip(points, starts) for v in spread(start, pt.quotient.projection)]
-    pi_b = b_lattice(data.config).basis @ IntMatrix._of(pi, f)
-    return Lattice(f, joint.columns(0, f)) == Lattice(f, pi_b)
+    pi = data.u_projection
+    return Lattice(pi.cols, joint.columns(0, pi.cols)) == Lattice(pi.cols, b_lattice(data.config).basis @ pi)
 
 
 # -- dual elements ------------------------------------------------------------
@@ -793,6 +810,8 @@ def _line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, I
     x_m at flag (i,p) goes to x_σm at (σi,σp), and x_m⊗(x_a∧x_b) to
     ±x_σm⊗(x_σa∧x_σb); so σ.compose(τ) acts by M_τ @ M_σ.
     """
+    if sigma.config != data.config:
+        raise ConfigMismatchError("automorphism of another configuration")
     if sigma.line_perm[0] != 0:
         raise ValueError("automorphism must fix the infinity line")
     s, n, np_, wp = sigma.line_perm, data.n, data.npairs, data.wedge_pos

@@ -327,7 +327,9 @@ def abelianize(g: GMap) -> AbelianGMap:
 
 
 def conjugated_generators(config: Configuration, g: GMap, p: str) -> list[tuple[int, Word]]:
-    """[(i, g(i,p)^-1 wi g(i,p))] for the lines through p, ascending."""
+    """[(i, g(i,p)^-1 wi g(i,p))] for the lines through p, ascending; ValueError if g belongs to another configuration."""
+    if g.config != config:
+        raise ValueError("g-map belongs to another configuration")
     return [
         (i, Word.gen(i).conjugated(g.value(i, p)))
         for i in config.lines_through(p)
@@ -351,10 +353,10 @@ def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Wor
     conjugated generators w(i) = g(i,p)^-1 wi g(i,p); the relator at
     the flag (i_a, p) is c_{a-1}^-1 c_a, which also equals
     [w(i_a), c_a].  The a = 1 relator is the redundant one and is
-    dropped.
+    dropped.  Raises ValueError if ``g`` belongs to another configuration.
     """
     out: dict[tuple[int, str], Word] = {}
-    for p in g.config.index.p0:
+    for p in config.index.p0:
         ws = conjugated_generators(config, g, p)
         k = len(ws)
         cs = [_cyclic_product(ws, a) for a in range(1, k + 1)]
@@ -364,7 +366,7 @@ def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Wor
 
 
 def relator_at_flag(config: Configuration, g: GMap, i: int, p: str) -> Word:
-    """[w(i), c_a] at the flag, defined for the minimal line too."""
+    """[w(i), c_a] at the flag, defined for the minimal line too; ValueError if ``g`` belongs to another configuration."""
     ws = conjugated_generators(config, g, p)
     lines = [j for j, _ in ws]
     a = lines.index(i) + 1
@@ -642,7 +644,9 @@ def rbar_coords(config: Configuration, i: int, p: str, idx: Mapping[tuple[int, i
 
 
 def admissibility_check(config: Configuration, relators: Mapping[tuple[int, str], Word]) -> bool:
-    """Each relator is in gamma_2 with degree-2 leading term [x_i, s_p]."""
+    """The relators sit at exactly ``config``'s generator flags, each in gamma_2 with degree-2 leading term [x_i, s_p]."""
+    if set(relators) != set(config.index.generator_pairs):
+        return False
     n = len(config.lines) - 1
     idx = wedge_index(n)
     for (i, p), w in relators.items():

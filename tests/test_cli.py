@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from arrlcs import cli, lcs
+from arrlcs import cli, exactlin, lcs
+from arrlcs.config import maclane_c8
 from arrlcs.lcs import TorsionError, builtin_g_map
 from arrlcs.words import lie_basis
 
@@ -175,14 +176,27 @@ def test_maclane_report_no_hardcoded(capsys):
     assert ranks["rank_R3perp"] == 21 and ranks["r3perp_routes_agree"] is True
 
 
-def test_maclane_report_builds_u_and_b_once(capsys, monkeypatch):
-    calls = []
-    for name in ("u_lattice", "b_lattice"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda config, name=name, real=real: calls.append(name) or real(config))
+def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
+    # U is read per point (``LcsData.u_points``, ``LcsData.u_projection``): no global
+    # U lattice, no U⊥ of it and no lattice sum U + B
+    calls, real_b, real_perp = [], cli.b_lattice, exactlin.perp
+    monkeypatch.setattr(cli, "b_lattice", lambda config: calls.append("b_lattice") or real_b(config))
+
+    def refuse(*args):
+        raise AssertionError("maclane-report builds a global U lattice or U + B")
+
+    def perp_off_a(lat):
+        if lat.ambient_rank == 147:  # A: 21 flags × 7 lines
+            raise AssertionError("maclane-report takes a perp in A")
+        return real_perp(lat)
+
+    for module in (cli, lcs, exactlin):
+        for name, stub in (("u_lattice", refuse), ("lattice_sum", refuse), ("perp", perp_off_a)):
+            monkeypatch.setattr(module, name, stub, raising=False)
+    monkeypatch.setattr(cli, "_maclane_data", lambda: lcs.build_lcs(maclane_c8()))  # cold: nothing cached
     code, _ = run(capsys, "maclane-report")
     assert code == 0
-    assert sorted(calls) == ["b_lattice", "u_lattice"]
+    assert calls == ["b_lattice"]
 
 
 # -- c13-report ---------------------------------------------------------------------

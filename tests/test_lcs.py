@@ -314,11 +314,16 @@ def test_kernel_callers_do_not_transpose(monkeypatch, maclane_data):
 
 
 def _agree_with_reference(data):
-    """Each predicate equals its global comparison, and τ̃ per point equals the dense matrix."""
+    """Each predicate equals its global comparison, π gives U⊥, rank U and rank U + B as the global lattices do, and τ̃ per point equals the dense matrix."""
     u, b = lcs.u_lattice(data.config), lcs.b_lattice(data.config)
-    kernel_ok, preimage_ok = tau_kernel(data) == u, tau_preimage(data) == lattice_sum(u, b)
+    u_plus_b = lattice_sum(u, b)
+    kernel_ok, preimage_ok = tau_kernel(data) == u, tau_preimage(data) == u_plus_b
     assert tau_kernel_equals_u(data) == kernel_ok
     assert tau_preimage_equals_u_plus_b(data) == preimage_ok
+    pi = data.u_projection
+    assert Lattice(data.a_rank, pi.transpose()) == perp(u)
+    assert data.a_rank - pi.cols == u.rank
+    assert u.rank + Lattice(pi.cols, b.basis @ pi).rank == u_plus_b.rank
     for k in range(3):
         a = random_abelian(random.Random(k), data)
         assert tau_tilde(data, a).flat == vec_mat(a.vector(), data.tau_matrix)
@@ -344,8 +349,8 @@ def test_point_defects_match_the_kernel_route(maclane_data, asymmetric_config, c
     # excess still lies in U + B
     quadruple = {p: 2 for p in hesse_data.index.p0 if hesse_data.config.multiplicity(p) == 4}
     assert len(quadruple) == 6
-    assert (tau_kernel_equals_u(hesse_data), tau_preimage_equals_u_plus_b(hesse_data)) == (False, False)
-    assert (tau_kernel_equals_u(pencil_data), tau_preimage_equals_u_plus_b(pencil_data)) == (False, True)
+    assert _agree_with_reference(hesse_data) == (False, False)
+    assert _agree_with_reference(pencil_data) == (False, True)
     cases = (
         (maclane_data, {}),
         (build_lcs(asymmetric_config), {"p578": 1}),
@@ -835,6 +840,25 @@ def test_equivariance_under_c13_automorphisms(c13_data):
         check_equivariance(c13_data, next(sigma for sigma in autos if sigma.line_perm[0] != 0))
 
 
+def test_line_action_refuses_an_automorphism_of_a_relabelled_config(maclane_data):
+    # its point names are not c8's, which read as a bare KeyError
+    sigma = ConfigAutomorphism.identity(relabel(maclane_c8(), 41))
+    for act in (lcs._line_action, lcs._l3_action, check_equivariance):
+        with pytest.raises(ConfigMismatchError):
+            act(maclane_data, sigma)
+
+
+def test_line_action_refuses_an_automorphism_of_c13(maclane_data):
+    # swapping C13's halves sends c8's flags to primed points; fixing them gave a
+    # silent answer from the wrong configuration
+    autos = [sigma for sigma in automorphisms(glue_c13()) if sigma.line_perm[0] == 0]
+    assert len(autos) == 4
+    for sigma in autos:
+        for act in (lcs._line_action, lcs._l3_action, check_equivariance):
+            with pytest.raises(ConfigMismatchError):
+                act(maclane_data, sigma)
+
+
 def test_equivariance_detects_a_changed_tau_entry(maclane_data):
     group = transport_group(maclane_data)
     tau = maclane_data.tau_matrix
@@ -1009,6 +1033,8 @@ def test_hom_r2p3_algebra(maclane_data):
     other = HomR2P3(((1, "q"),), 1, (0,))
     with pytest.raises(ConfigMismatchError):
         a + other
+    with pytest.raises(ConfigMismatchError):
+        a - other
 
 
 def test_kappa_report_json_shape(maclane_data):

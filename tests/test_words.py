@@ -501,6 +501,21 @@ def test_admissibility_check_accepts_and_rejects():
         assert not admissibility_check(config, shallow)
 
 
+def test_relators_refuse_a_g_map_of_another_configuration():
+    # a c8 g-map read against C13's lines gave 13 relators that C13's check accepted
+    c8, c13 = maclane_c8(), glue_c13()
+    g = GMap(c8, {(4, "p45"): Word.gen(3)})
+    with pytest.raises(ValueError):
+        relators_from_g(c13, g)
+    with pytest.raises(ValueError):
+        relator_at_flag(c13, g, 4, "p45")
+    rels = relators_from_g(c8, g)
+    assert len(rels) == 13 and admissibility_check(c8, rels)
+    assert not admissibility_check(c13, rels)
+    for flag in rels:
+        assert not admissibility_check(c8, {f: r for f, r in rels.items() if f != flag})
+
+
 def test_admissibility_on_asymmetric_config(asymmetric_config):
     config = asymmetric_config
     for k in range(5):
