@@ -46,7 +46,6 @@ from .geom import (
 )
 from .lcs import (
     TorsionError,
-    b_lattice,
     build_lcs,
     builtin_g_difference,
     builtin_g_map,
@@ -197,26 +196,25 @@ def _tau_star_check(data) -> dict:
     return _check("tau_star_identities", rep.all_ok, rep.to_json_dict())
 
 
-def _kernel_check(data, b) -> dict:
+def _kernel_check(data) -> dict:
     ker_ok = tau_kernel_equals_u(data)
     pre_ok = tau_preimage_equals_u_plus_b(data)
     # rank U = dim A - rank U⊥, and U + B is U's rank plus that of π(B) in A/U
-    pi = data.u_projection
-    rank_u = data.a_rank - pi.cols
+    rank_u = data.a_rank - data.u_projection.cols
     return _check(
         "kernel_structure",
         ker_ok and pre_ok,
         {
             "rank_U": rank_u,
-            "rank_B": b.rank,
-            "rank_U_plus_B": rank_u + Lattice(pi.cols, b.basis @ pi).rank,
+            "rank_B": data.b.rank,
+            "rank_U_plus_B": rank_u + data.pi_b.rank,
             "tau_kernel_equals_U": ker_ok,
             "tau_preimage_of_im_delta_equals_U_plus_B": pre_ok,
         },
     )
 
 
-def _t_check(data, b) -> dict:
+def _t_check(data) -> dict:
     diff = builtin_g_difference()
     expected_diff = {
         (4, "p45"): {3: -1, 6: -1, 7: 1},
@@ -228,7 +226,7 @@ def _t_check(data, b) -> dict:
     t_diff = t_functional(diff)
     t, modulus = _t_vector()
     t_on_u = [sum(t[pt.rows.start + k] * x for k, x in row.items()) % modulus for pt in data.u_points for row in pt.u.sparse_rows]
-    t_on_b = [sum(t[k] * x for k, x in row.items()) % modulus for row in b.basis.sparse_rows]
+    t_on_b = [sum(t[k] * x for k, x in row.items()) % modulus for row in data.b.basis.sparse_rows]
     ok = diff_ok and t_diff == 1 and not any(t_on_u) and not any(t_on_b)
     return _check(
         "mod3_functional",
@@ -284,14 +282,13 @@ def _realization_check() -> dict:
 
 def cmd_maclane_report(args) -> int:
     data = _maclane_data()
-    b = b_lattice(data.config)
     checks = [_ranks_check(data)]
     if not args.no_hardcoded:
         checks.append(_dual_basis_check(data))
         checks.append(_tau_star_check(data))
-    checks.append(_kernel_check(data, b))
+    checks.append(_kernel_check(data))
     if not args.no_hardcoded:
-        checks.append(_t_check(data, b))
+        checks.append(_t_check(data))
         checks.append(_transcription_check())
     checks.append(_kappa_check(data, args.swap_g))
     checks.append(_realization_check())

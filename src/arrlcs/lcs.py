@@ -46,8 +46,9 @@ other generators at p are the unsigned incidence matrix of a bipartite
 graph, which is totally unimodular, so A_p/U_p is free and a spanning
 forest of that graph presents it (``_point_quotient``): no U_p is ever
 reduced.  The block-diagonal π = ⊕_p π_p: A → A/U is built once
-(``LcsData.u_projection``); the preimage identity and ``maclane-report``'s
-ranks of U and U + B and its U⊥ comparison all read it.
+(``LcsData.u_projection``), and so are B and π(B) (``LcsData.b``,
+``LcsData.pi_b``); the preimage identity and ``maclane-report``'s ranks
+of U and U + B and its U⊥ comparison all read them.
 
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
@@ -378,6 +379,17 @@ class LcsData:
         return IntMatrix._of(rows, start)
 
     @cached_property
+    def b(self) -> Lattice:
+        """B (``b_lattice``), built once for the preimage identity and ``maclane-report``."""
+        return b_lattice(self.config)
+
+    @cached_property
+    def pi_b(self) -> Lattice:
+        """π(B) ⊆ A/U (``u_projection``), reduced at most once: rank(U + B) = rank U + rank π(B)."""
+        pi = self.u_projection
+        return Lattice(pi.cols, self.b.basis @ pi)
+
+    @cached_property
     def tau_matrix(self) -> IntMatrix:
         """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order: each of ``tau_blocks`` at its columns, zero elsewhere."""
         rows = [{cols.start + t: x for t, x in row.items()} for _, cols, block in self.tau_blocks for row in block.sparse_rows]
@@ -694,8 +706,8 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
         raise TorsionError("A/U has torsion")
     tau_s = [v for pt in points for v in spread(pt.cols.start, pt.s_tau)]
     joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.canonical_form))
-    pi = data.u_projection
-    return Lattice(pi.cols, joint.columns(0, pi.cols)) == Lattice(pi.cols, b_lattice(data.config).basis @ pi)
+    f = data.u_projection.cols
+    return Lattice(f, joint.columns(0, f)) == data.pi_b
 
 
 # -- dual elements ------------------------------------------------------------
@@ -715,8 +727,9 @@ class DualElement:
     coords: tuple[int, ...]
 
 
-def maclane_dual_basis() -> list[DualElement]:
-    """Hand-checkable dual bases for the 8-line MacLane configuration.
+@lru_cache(maxsize=None)
+def maclane_dual_basis() -> tuple[DualElement, ...]:
+    """Hand-checkable dual bases for the 8-line MacLane configuration, decoded once.
 
     Returns the S functionals (one per ordered pair of finite lines
     meeting at infinity, two per finite triple point), the five T
@@ -772,7 +785,14 @@ def maclane_dual_basis() -> list[DualElement]:
             for c, i, j in terms:
                 vec[idx.pair_pos[(i, p)] * n + (j - 1)] += c
             out.append(DualElement(f"{fam}({p})", fam, "aflags", tuple(vec)))
-    return out
+    return tuple(out)
+
+
+def _dual_combination(terms: Sequence[tuple[str, int]]) -> tuple[int, ...]:
+    """Σ c·coords over (label, c) in ``terms``, each label naming a ``maclane_dual_basis`` element of one space."""
+    duals = {e.label: e for e in maclane_dual_basis()}
+    rows = [(c, duals[label].coords) for label, c in terms]
+    return tuple(sum(c * v[s] for c, v in rows) for s in range(len(rows[0][1])))
 
 
 # -- τ̃* pullbacks and their transport under automorphisms --------------------
@@ -873,39 +893,29 @@ def tau_star_identities(data: LcsData | None = None) -> TauStarReport:
     Each base identity states that pulling one S/T functional back
     along τ̃ against r̄(1,p) reproduces a transcribed U-perp functional
     exactly; transporting them by the symmetry group must cover the
-    U-perp block of every finite point.
+    U-perp block of every finite point.  The base identities are the
+    identity σ's slice of the transport loop: 42 pullbacks in all.
     """
     data = data if data is not None else _maclane_data()
     duals = {e.label: e for e in maclane_dual_basis()}
-
-    def combo(*terms):
-        vec = [0] * data.hw_rank
-        for label, c in terms:
-            for s, x in enumerate(duals[label].coords):
-                vec[s] += c * x
-        return tuple(vec)
-
     base = (
-        ("I(p135)", (1, "p135"), combo(("S(1,3,5)", 1))),
-        ("I(p147)", (1, "p147"), combo(("S(1,4,7)", 1))),
-        ("J(p16)", (1, "p16"), combo(("T3", 1))),
-        ("K1(p135)", (1, "p135"), combo(("T0", 1), ("T3", -1))),
-        ("K2(p135)", (1, "p135"), combo(("T3", 1))),
-        ("K1(p147)", (1, "p147"), combo(("T0", -1))),
-        ("K2(p147)", (1, "p147"), combo(("T3", -1))),
+        ("I(p135)", (1, "p135"), _dual_combination([("S(1,3,5)", 1)])),
+        ("I(p147)", (1, "p147"), _dual_combination([("S(1,4,7)", 1)])),
+        ("J(p16)", (1, "p16"), _dual_combination([("T3", 1)])),
+        ("K1(p135)", (1, "p135"), _dual_combination([("T0", 1), ("T3", -1)])),
+        ("K2(p135)", (1, "p135"), _dual_combination([("T3", 1)])),
+        ("K1(p147)", (1, "p147"), _dual_combination([("T0", -1)])),
+        ("K2(p147)", (1, "p147"), _dual_combination([("T3", -1)])),
     )
-    identities = []
-    for label, (i, p), svec in base:
-        got = tau_star(data, rbar_gen_coeffs(data, i, p), svec)
-        identities.append((label, got == duals[label].coords))
-
-    transported_rows = []
-    consistent = True
+    identities, transported_rows, consistent = [], [], True
     for sigma in transport_group(data):
         on_a, on_hw = _line_action(data, sigma)
         for label, (i, p), svec in base:
             lhs = tau_star(data, rbar_gen_coeffs(data, sigma.line_perm[i], sigma.point_image(p)), vec_mat(svec, on_hw))
-            consistent &= lhs == vec_mat(duals[label].coords, on_a)
+            ok = lhs == vec_mat(duals[label].coords, on_a)
+            if sigma.is_identity():  # the base identities themselves
+                identities.append((label, ok))
+            consistent &= ok
             transported_rows.append(lhs)
     span = Lattice(data.a_rank, IntMatrix(transported_rows, data.a_rank))
     coverage = []
@@ -976,13 +986,7 @@ def builtin_g_difference() -> AbelianGMap:
 @lru_cache(maxsize=None)
 def _t_vector() -> tuple[tuple[int, ...], int]:
     raw = _builtin_json("dual_basis_c8.json")["mod3_functional"]
-    duals = {e.label: e for e in maclane_dual_basis()}
-    first = duals[f"{raw['terms'][0][1]}({raw['terms'][0][2]})"]
-    vec = [0] * len(first.coords)
-    for c, fam, p in raw["terms"]:
-        for s, x in enumerate(duals[f"{fam}({p})"].coords):
-            vec[s] += c * x
-    return tuple(vec), raw["modulus"]
+    return _dual_combination([(f"{fam}({p})", c) for c, fam, p in raw["terms"]]), raw["modulus"]
 
 
 def t_functional(a: GMap | AbelianGMap) -> int:

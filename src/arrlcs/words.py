@@ -7,8 +7,9 @@ tuples of signed indices: +i for wi, -i for its inverse.
 Group commutators follow [a, b] = a^-1 b^-1 a b; the Magnus expansion
 sends wi to 1 + Xi and wi^-1 to 1 - Xi + Xi^2 - Xi^3, truncated in
 degree 3, so commutator brackets match [x, y] = xy - yx on the graded
-pieces.  Degree-d components are sparse dicts keyed by words in the
-free associative algebra (tuples of generator indices).
+pieces.  A truncated series is one sparse map from words in the free
+associative algebra (tuples of generator indices, length at most 3)
+to their coefficients, the unit at the empty word.
 
 The Lie bases used for coordinates are Lyndon bases: for each Lyndon
 word the bracketing of its standard factorization.  Expansion of such a
@@ -337,12 +338,14 @@ def conjugated_generators(config: Configuration, g: GMap, p: str) -> list[tuple[
 
 
 def _cyclic_product(ws: list[tuple[int, Word]], a: int) -> Word:
-    """c_a = w(i_a) w(i_{a-1}) ... w(i_1) w(i_k) ... w(i_{a+1}) for ``ws`` from ``conjugated_generators``."""
+    """c_a = w(i_a) w(i_{a-1}) ... w(i_1) w(i_k) ... w(i_{a+1}) for ``ws`` from ``conjugated_generators``, reduced once."""
     k = len(ws)
-    prod = Word()
-    for t in range(k):
-        prod = prod * ws[(a - 1 - t) % k][1]
-    return prod
+    return Word(x for t in range(k) for x in ws[(a - 1 - t) % k][1].letters)
+
+
+def _relator(ws: list[tuple[int, Word]], a: int) -> Word:
+    """[w(i_a), c_a], the relator at the flag (i_a, p), for ``ws`` from ``conjugated_generators``."""
+    return commutator(ws[a - 1][1], _cyclic_product(ws, a))
 
 
 def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Word]:
@@ -351,51 +354,62 @@ def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Wor
     At a point p with lines i_1 < ... < i_k the cyclic products are
     c_a = w(i_a) w(i_{a-1}) ... w(i_1) w(i_k) ... w(i_{a+1}) with the
     conjugated generators w(i) = g(i,p)^-1 wi g(i,p); the relator at
-    the flag (i_a, p) is c_{a-1}^-1 c_a, which also equals
-    [w(i_a), c_a].  The a = 1 relator is the redundant one and is
-    dropped.  Raises ValueError if ``g`` belongs to another configuration.
+    the flag (i_a, p) is [w(i_a), c_a].  (It equals c_{a-1}^-1 c_a,
+    since c_{a-1} = w(i_a)^-1 c_a w(i_a).)  The a = 1 relator is the
+    redundant one and is dropped.  Raises ValueError if ``g`` belongs
+    to another configuration.
     """
     out: dict[tuple[int, str], Word] = {}
     for p in config.index.p0:
         ws = conjugated_generators(config, g, p)
-        k = len(ws)
-        cs = [_cyclic_product(ws, a) for a in range(1, k + 1)]
-        for a in range(2, k + 1):
-            out[(ws[a - 1][0], p)] = cs[a - 2].inverse() * cs[a - 1]
+        for a in range(2, len(ws) + 1):
+            out[(ws[a - 1][0], p)] = _relator(ws, a)
     return out
 
 
 def relator_at_flag(config: Configuration, g: GMap, i: int, p: str) -> Word:
     """[w(i), c_a] at the flag, defined for the minimal line too; ValueError if ``g`` belongs to another configuration."""
     ws = conjugated_generators(config, g, p)
-    lines = [j for j, _ in ws]
-    a = lines.index(i) + 1
-    return commutator(ws[a - 1][1], _cyclic_product(ws, a))
+    return _relator(ws, [j for j, _ in ws].index(i) + 1)
 
 
 # -- truncated Magnus expansion ---------------------------------------------
 
 
 class TruncatedSeries:
-    """Degree-<=3 part of a free associative series with integer coefficients."""
+    """Degree-<=3 part of a free associative series with integer coefficients.
 
-    __slots__ = ("unit", "terms")
+    ``terms`` maps each word of length <= 3 (a tuple of generator
+    indices) to its nonzero coefficient; the unit sits at the empty word.
+    The constructor takes the unit and ``{degree: {word: coefficient}}``.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, unit: int = 0, terms: Mapping[int, Mapping[tuple[int, ...], int]] | None = None):
-        clean: dict[int, dict[tuple[int, ...], int]] = {1: {}, 2: {}, 3: {}}
+        flat = {(): unit}
         for d, comp in (terms or {}).items():
             if d not in (1, 2, 3):
                 raise ValueError("degrees 1..3 only")
             for w, c in comp.items():
                 if len(w) != d:
                     raise ValueError("word length does not match degree")
-                if c:
-                    clean[d][tuple(w)] = int(c)
-        object.__setattr__(self, "unit", int(unit))
-        object.__setattr__(self, "terms", clean)
+                flat[tuple(w)] = c
+        object.__setattr__(self, "terms", {w: int(c) for w, c in flat.items() if c})
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], int]) -> "TruncatedSeries":
+        """Wrap a word -> coefficient map already truncated at degree 3, dropping zeros."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "terms", {w: c for w, c in terms.items() if c})
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    @property
+    def unit(self) -> int:
+        return self.terms.get((), 0)
 
     @staticmethod
     def one() -> "TruncatedSeries":
@@ -405,63 +419,40 @@ class TruncatedSeries:
     def letter(i: int, sign: int) -> "TruncatedSeries":
         """Expansion of a single group letter wi^(+-1)."""
         if sign > 0:
-            return TruncatedSeries(1, {1: {(i,): 1}})
-        return TruncatedSeries(
-            1, {1: {(i,): -1}, 2: {(i, i): 1}, 3: {(i, i, i): -1}}
-        )
+            return TruncatedSeries._of({(): 1, (i,): 1})
+        return TruncatedSeries._of({(i,) * d: (-1) ** d for d in range(4)})
 
     def component(self, d: int) -> dict[tuple[int, ...], int]:
-        return dict(self.terms[d])
+        return {w: c for w, c in self.terms.items() if len(w) == d}
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out: dict[int, dict[tuple[int, ...], int]] = {1: {}, 2: {}, 3: {}}
+        out: dict[tuple[int, ...], int] = {}
+        for u, a in self.terms.items():
+            for v, b in other.terms.items():
+                if len(u) + len(v) <= 3:
+                    out[u + v] = out.get(u + v, 0) + a * b
+        return TruncatedSeries._of(out)
 
-        def acc(d, w, c):
-            if c:
-                comp = out[d]
-                comp[w] = comp.get(w, 0) + c
-
-        for d in (1, 2, 3):
-            for w, c in self.terms[d].items():
-                acc(d, w, c * other.unit)
-            for w, c in other.terms[d].items():
-                acc(d, w, c * self.unit)
-        for d1 in (1, 2):
-            for d2 in range(1, 4 - d1):
-                for w1, c1 in self.terms[d1].items():
-                    for w2, c2 in other.terms[d2].items():
-                        acc(d1 + d2, w1 + w2, c1 * c2)
-        return TruncatedSeries(self.unit * other.unit, out)
+    def _entrywise(self, op, other: "TruncatedSeries") -> "TruncatedSeries":
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = op(out.get(w, 0), c)
+        return TruncatedSeries._of(out)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = {d: dict(self.terms[d]) for d in (1, 2, 3)}
-        for d in (1, 2, 3):
-            for w, c in other.terms[d].items():
-                out[d][w] = out[d].get(w, 0) + c
-        return TruncatedSeries(self.unit + other.unit, out)
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = {d: dict(self.terms[d]) for d in (1, 2, 3)}
-        for d in (1, 2, 3):
-            for w, c in other.terms[d].items():
-                out[d][w] = out[d].get(w, 0) - c
-        return TruncatedSeries(self.unit - other.unit, out)
+        return self._entrywise(operator.sub, other)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.unit == other.unit
-            and self.terms == other.terms
-        )
+        return isinstance(other, TruncatedSeries) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(
-            (self.unit, tuple(tuple(sorted(self.terms[d].items())) for d in (1, 2, 3)))
-        )
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
-        nterms = sum(len(self.terms[d]) for d in (1, 2, 3))
-        return f"TruncatedSeries(unit={self.unit}, {nterms} terms)"
+        return f"TruncatedSeries(unit={self.unit}, {sum(1 for w in self.terms if w)} terms)"
 
 
 def magnus(word: Word) -> TruncatedSeries:
@@ -595,9 +586,9 @@ def lie_coords(series: TruncatedSeries, degree: int, n: int) -> tuple[int, ...]:
     if series.unit not in (0, 1):
         raise NotInGamma(f"unit component is {series.unit}")
     for d in range(1, degree):
-        if series.terms[d]:
+        if series.component(d):
             raise NotInGamma(f"degree-{d} component is nonzero")
-    return lie_component_coords(series.terms[degree], lie_basis(n, degree))
+    return lie_component_coords(series.component(degree), lie_basis(n, degree))
 
 
 # -- degree-2 coordinates of the canonical relator classes -------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -140,6 +141,36 @@ def witt_dimension(n: int, k: int) -> int:
         if k % d == 0:
             total += mobius(d) * n ** (k // d)
     return total // k
+
+
+def magnus_coefficient(letters: Sequence[int], u: tuple[int, ...]) -> int:
+    """Oracle for the coefficient of the monomial ``u`` in the Magnus expansion of ``letters``, by brute force.
+
+    Each letter gives one power of its X: wi gives 1 + Xi, wi^-1 gives
+    1 - Xi + Xi^2 - Xi^3.  So the coefficient sums, over every split of
+    u into runs X_j^e and every strictly increasing choice of one
+    position of the word per run, each holding wj or wj^-1, the product
+    of those letters' coefficients of X_j^e.  No series is multiplied.
+    """
+
+    def coefficient(x: int, e: int) -> int:
+        return (-1) ** e if x < 0 else int(e == 1)
+
+    def splits(v):
+        if not v:
+            yield ()
+        for e in range(1, len(v) + 1):
+            if v[:e] == (v[0],) * e:
+                yield from (((v[0], e), *rest) for rest in splits(v[e:]))
+
+    total = 0
+    for runs in splits(u):
+        for positions in itertools.combinations(range(len(letters)), len(runs)):
+            term = 1
+            for (j, e), q in zip(runs, positions):
+                term *= coefficient(letters[q], e) if abs(letters[q]) == j else 0
+            total += term
+    return total
 
 
 _CYCLO_RE = re.compile(r"^(-?\d+(?:/\d+)?)([+-]\d+(?:/\d+)?)\*w$")

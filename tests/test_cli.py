@@ -178,9 +178,19 @@ def test_maclane_report_no_hardcoded(capsys):
 
 def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     # U is read per point (``LcsData.u_points``, ``LcsData.u_projection``): no global
-    # U lattice, no U⊥ of it and no lattice sum U + B
-    calls, real_b, real_perp = [], cli.b_lattice, exactlin.perp
-    monkeypatch.setattr(cli, "b_lattice", lambda config: calls.append("b_lattice") or real_b(config))
+    # U lattice, no U⊥ of it and no lattice sum U + B; B and π(B) are built once
+    # (``LcsData.b``, ``LcsData.pi_b``)
+    calls, real_b, real_perp = [], lcs.b_lattice, exactlin.perp
+    for module in (cli, lcs):
+        monkeypatch.setattr(module, "b_lattice", lambda config: calls.append("b_lattice") or real_b(config), raising=False)
+    shapes, real_core = [], exactlin._hnf_core
+    monkeypatch.setattr(exactlin, "_hnf_core", lambda a, ncols, u: shapes.append((len(a), ncols)) or real_core(a, ncols, u))
+    pullbacks, real_tau_star = [], lcs.tau_star
+    monkeypatch.setattr(lcs, "tau_star", lambda *args: pullbacks.append(1) or real_tau_star(*args))
+    reads, real_json = [], lcs._builtin_json
+    monkeypatch.setattr(lcs, "_builtin_json", lambda name: reads.append(name) or real_json(name))
+    lcs.maclane_dual_basis.cache_clear()  # cold: the dual basis is decoded once in here
+    lcs._t_vector.cache_clear()
 
     def refuse(*args):
         raise AssertionError("maclane-report builds a global U lattice or U + B")
@@ -197,6 +207,12 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     code, _ = run(capsys, "maclane-report")
     assert code == 0
     assert calls == ["b_lattice"]
+    # π(B), 49 × 18, is reduced once, for the preimage identity and rank U + B alike
+    assert len(shapes) == 26 and shapes.count((49, 18)) == 1
+    # 6 σ × 7 base identities, the identity σ's slice being the base identities themselves
+    assert len(pullbacks) == 42
+    # once for ``maclane_dual_basis``, once for the mod-3 functional's terms
+    assert reads.count("dual_basis_c8.json") == 2
 
 
 # -- c13-report ---------------------------------------------------------------------

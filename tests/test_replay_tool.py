@@ -18,8 +18,10 @@ def load_replay():
     return module
 
 
-def test_sources_are_the_six_layers():
-    assert list(load_replay().SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u"]
+def test_sources_are_the_seven_layers():
+    replay = load_replay()
+    assert list(replay.SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u", "words"]
+    assert list(replay.OLD_SCRIPTS.values()) == ["kernel", "lattice", "kappa", "realization", "bracket", "u"]
 
 
 def test_every_bench_record_names_a_source():

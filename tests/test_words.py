@@ -1,5 +1,6 @@
 """Free-group words, Magnus expansions, Lyndon bases, and relator construction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from arrlcs.words import (
     standard_bracketing,
     wedge_index,
 )
-from helpers import witt_dimension
+from helpers import magnus_coefficient, witt_dimension
 
 
 def random_word(rng: random.Random, n: int, maxlen: int = 6) -> Word:
@@ -169,6 +170,22 @@ def test_magnus_single_letters():
     assert t.component(2) == {(1, 1): 1}
     assert t.component(3) == {(1, 1, 1): -1}
     assert magnus(Word.identity()) == TruncatedSeries.one()
+
+
+def test_magnus_matches_the_brute_force_oracle():
+    n = 3
+    monomials = [u for d in range(4) for u in itertools.product(range(1, n + 1), repeat=d)]
+    for k in range(40):
+        rng = random.Random(k)
+        length, letters = rng.randint(0, 12), []
+        while len(letters) < length:  # runs of up to three equal letters, either sign
+            letters += [rng.choice((1, -1)) * rng.randint(1, n)] * rng.randint(1, 3)
+        w = Word(letters[:length])
+        s = magnus(w)
+        expected = {u: c for u in monomials if (c := magnus_coefficient(w.letters, u))}
+        assert s.unit == expected.get((), 0)
+        for d in (1, 2, 3):
+            assert s.component(d) == {u: c for u, c in expected.items() if len(u) == d}
 
 
 def test_magnus_is_multiplicative():
@@ -436,6 +453,8 @@ def test_double_point_relator_is_commutator():
 
 
 def test_relators_match_flag_commutators():
+    # both functions write [w(i_a), c_a]; the oracle is c_{a-1}^-1 c_a, cyclically, with
+    # c_a = w(i_a) w(i_{a-1}) ... w(i_1) w(i_k) ... w(i_{a+1}) multiplied out word by word
     configs = [maclane_c8(), glue_c13()]
     for base, config in enumerate(configs):
         for k in range(5):
@@ -444,6 +463,18 @@ def test_relators_match_flag_commutators():
             rels = relators_from_g(config, g)
             for (i, p), r in rels.items():
                 assert r == relator_at_flag(config, g, i, p)
+            for p in config.index.p0:
+                ws = conjugated_generators(config, g, p)
+                cs = []
+                for a in range(len(ws)):
+                    c = Word()
+                    for t in range(len(ws)):
+                        c = c * ws[(a - t) % len(ws)][1]
+                    cs.append(c)
+                for a, (i, _) in enumerate(ws):
+                    oracle = cs[a - 1].inverse() * cs[a]
+                    assert relator_at_flag(config, g, i, p) == oracle
+                    assert a == 0 or rels[(i, p)] == oracle
 
 
 def test_relator_flags_cover_nonminimal_finite_flags():

@@ -9,9 +9,9 @@ identical output as well as compared for speed.  A run also records
 this script).  An existing ``--out`` file keeps its other labels, so a
 copy of this script run in a second checkout adds its run to the same file.
 
-Each source replaces one older script and keeps its inputs, record fields
-and digests, so every committed record can be regenerated and compared
-digest by digest:
+The first six sources each replace one older script and keep its inputs,
+record fields and digests, so every committed record can be regenerated
+and compared digest by digest:
 
 =========================  ===========  ===============================================
 old script                 source       BENCH files
@@ -45,6 +45,14 @@ old script                 source       BENCH files
   (``identities_s``) on data whose ``u_points`` and Im δ̄ reduction are
   built; its per-point digest does not depend on the basis that
   presents A_p/U_p.
+* ``words``: on c8, C13, C13 at ``SEED`` and the 3- and 4-fold MacLane
+  gluings, ``G_MAPS`` g-maps from ``WORDS_SEED`` each: ``relators_from_g``,
+  ``magnus`` of every relator, and the relator route to degree-3
+  coordinates, ``lie_coords(magnus(r) - magnus(r0), 3, n)`` at each flag
+  against the relator r0 of the identity g-map (whose expansions, like
+  the Lyndon basis, are built untimed).  Its digests read the relator
+  letters and the Magnus coefficients through ``component``, so they do
+  not depend on how a series is stored.
 """
 
 from __future__ import annotations
@@ -75,6 +83,8 @@ SEED = 41  # the relabeling of ``c8@41`` and ``c13@41``
 KAPPA_SEED = 16
 QUERIES = 64
 REALIZATION_SEEDS = range(40)
+WORDS_SEED = 25
+G_MAPS = 4
 
 CONFIGS = {
     "c8": config.maclane_c8,
@@ -413,8 +423,60 @@ def u() -> dict:
     return {"total_s": total_s(records, lambda rec: rec["config"], "u_points_s"), "inputs": records}
 
 
-SOURCES = {"kernel": kernel, "lattice": lattice, "kappa": kappa, "realization": realization, "bracket": bracket, "u": u}
-OLD_SCRIPTS = {f"{source}_replay.py": source for source in SOURCES}
+# -- words: relators, their Magnus expansions and the relator route ----------------------
+
+
+def seeded_g_map(cfg, name: str, k: int) -> words.GMap:
+    """g-map ``k`` on ``cfg``: each finite flag, with odds 1/2, gets a word of 0 to 3 letters w_j^(+-1)."""
+    rng = random.Random(f"words-replay:{WORDS_SEED}:{name}:{k}")
+    n, assignments = cfg.index.n, {}
+    for flag in cfg.index.pairs:
+        if rng.random() < 0.5:
+            assignments[flag] = words.Word(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3)))
+    return words.GMap(cfg, assignments)
+
+
+def series_key(s) -> list:
+    """The unit and each degree's coefficients, sorted by word."""
+    return [s.unit, *(sorted(s.component(d).items()) for d in (1, 2, 3))]
+
+
+def words_source() -> dict:
+    records = []
+    for name in ("c8", "c13", f"c13@{SEED}", "glued3", "glued4"):
+        cfg = CONFIGS[name]()
+        n, base = cfg.index.n, words.relators_from_g(cfg, words.GMap(cfg))
+        base_series = {flag: words.magnus(r) for flag, r in base.items()}
+        words.lie_basis(n, 3)
+        for k in range(G_MAPS):
+            g = seeded_g_map(cfg, name, k)
+            relators_s, relator_digest, _, rels = best_of(
+                f"{name} g-map {k} relators", tuple, lambda _: words.relators_from_g(cfg, g),
+                lambda rels: sha([(flag, r.letters) for flag, r in rels.items()]),
+            )
+            magnus_s, magnus_digest, _, _ = best_of(
+                f"{name} g-map {k} magnus", tuple, lambda _: [words.magnus(r) for r in rels.values()],
+                lambda series: sha([series_key(s) for s in series]),
+            )
+            route_s, route_digest, _, _ = best_of(
+                f"{name} g-map {k} route", tuple,
+                lambda _: [words.lie_coords(words.magnus(r) - base_series[flag], 3, n) for flag, r in rels.items()],
+                sha,
+            )
+            records.append({
+                "config": name, "g_map": k, "relators": len(rels), "letters": sum(map(len, rels.values())),
+                "relators_s": relators_s, "magnus_s": magnus_s, "route_s": route_s,
+                "total_s": round(relators_s + magnus_s + route_s, 7),
+                "relator_digest": relator_digest, "magnus_digest": magnus_digest, "route_digest": route_digest,
+            })
+    return {"total_s": total_s(records, lambda rec: rec["config"], "total_s"), "inputs": records}
+
+
+SOURCES = {
+    "kernel": kernel, "lattice": lattice, "kappa": kappa, "realization": realization, "bracket": bracket, "u": u,
+    "words": words_source,
+}
+OLD_SCRIPTS = {f"{source}_replay.py": source for source in ("kernel", "lattice", "kappa", "realization", "bracket", "u")}
 
 
 # -- run records ----------------------------------------------------------------------
