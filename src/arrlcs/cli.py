@@ -381,8 +381,13 @@ def cmd_c13_report(args) -> int:
 
 
 def _load_g(config: Configuration, source: str) -> GMap:
-    """A g-map from ``builtin:plus``/``builtin:minus`` or a JSON file path."""
+    """A g-map from ``builtin:plus``/``builtin:minus`` (maclane8 only) or a JSON file path."""
     if source.startswith("builtin:"):
+        if config != maclane_c8():
+            raise ValueError(
+                f"{source!r} names the bundled MacLane conjugator data, which holds only for maclane8; "
+                "for this configuration pass a g-map JSON file"
+            )
         return builtin_g_map(source.split(":", 1)[1])
     with open(source, encoding="utf-8") as fh:
         return GMap.from_json_dict(config, json.load(fh))
@@ -393,10 +398,9 @@ def cmd_kappa(args) -> int:
     if config is None:
         return EXIT_INPUT
     try:
-        data = build_lcs(config)
         g = _load_g(config, args.g)
         gprime = _load_g(config, args.gprime)
-        report = kappa(data, g, gprime)
+        report = kappa(build_lcs(config), g, gprime)
     except TorsionError as exc:
         _emit(
             args,
@@ -475,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     csrc = p_kap.add_mutually_exclusive_group(required=True)
     csrc.add_argument("--config", help="configuration JSON file")
     csrc.add_argument("--builtin", choices=_BUILTIN_CONFIGS, help="use an embedded configuration")
-    p_kap.add_argument("--g", required=True, help="first g-map: JSON file or builtin:plus / builtin:minus")
-    p_kap.add_argument("--gprime", required=True, help="second g-map: JSON file or builtin:plus / builtin:minus")
+    builtin_g = "JSON file or builtin:plus / builtin:minus (maclane8 only)"
+    p_kap.add_argument("--g", required=True, help=f"first g-map: {builtin_g}")
+    p_kap.add_argument("--gprime", required=True, help=f"second g-map: {builtin_g}")
     common(p_kap)
     p_kap.set_defaults(func=cmd_kappa)
 

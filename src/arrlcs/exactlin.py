@@ -34,14 +34,14 @@ once, on first use, by ``hnf_with_transform``: the Hermite form is its
 canonical form, and the transform and the pivot block serve membership,
 so comparing a lattice and testing membership in it cost one reduction.
 ``kernel_basis(m)`` returns a plain basis of the left kernel
-{v : v·m = 0}, read off the transform that reduces ``m``;
-``lattice_sum`` stacks two canonical forms.  ``perp`` caches the
-orthogonal complement on the lattice; when every Hermite pivot is 1 it
-reads the complement's basis off the canonical form, and otherwise
-takes the left kernel of its transpose.  Membership reduces a vector by
-the Hermite form; on failure, one back-substitution on its pivot block
-gives the witness, so a warm failed query reads only the pivot entries
-and pairs the witness with the vector over the witness's support.
+{v : v·m = 0}, read off the transform that reduces ``m``.  ``perp``
+caches the orthogonal complement on the lattice; when every Hermite
+pivot is 1 it reads the complement's basis off the canonical form, and
+otherwise takes the left kernel of its transpose.  Membership reduces a
+vector by the Hermite form; on failure, one back-substitution on its
+pivot block gives the witness, so a warm failed query reads only the
+pivot entries and pairs the witness with the vector over the witness's
+support.
 
 ``quotient_presentation`` presents a quotient ``ZZ^n / lattice`` from
 the lattice alone: the projection is Kᵀ for K the canonical form of
@@ -560,13 +560,6 @@ def _pivot_witness(h: IntMatrix, pivots: list[int], block, v: Sequence[int], *, 
     if c is None:
         return Witness(tuple(f), det, pairing % det)
     return Witness(tuple(f), 0, pairing)
-
-
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    """Smallest lattice containing both; basis is the two canonical forms stacked."""
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    return Lattice(a.ambient_rank, vstack(a.canonical_form, b.canonical_form))
 
 
 def perp(lat: Lattice) -> Lattice:

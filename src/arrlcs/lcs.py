@@ -28,16 +28,15 @@ H⊗Λ²H, then the bracketing matrix ``LcsData.bracket`` (H⊗Λ²H → L3),
 then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
 cached lift ``LcsData.tau_lift`` of each A coordinate and is stored per
 point (``LcsData.tau_blocks``); ``tau_matrix``, the whole A × Hom(R2,P3)
-matrix, serves the pinned digests, the one-identity equivariance check
-and the benchmark.  τ̃'s lift, the δ lift and Im δ̄ spread a value v at
-a flag (i,p) over p's generator flags by one signed pattern
-(``LcsData._flag_terms``): v = x_i∧x_m, f̂(x_i) and a section image ŝ_t
-of P2.  R3perp pulls perp(R3) back along the bracket.  A lift is a
-sequence of (generator flag, slot, coefficient) terms.  An automorphism
-acts on A and on H⊗Λ²H by one sparse signed permutation each
-(``_line_action``), and on L3 through the bracket (``_l3_action``).
-Every matrix is built from sparse rows, so no layer reads or writes
-their zeros (on C13 under 2% of entries are nonzero).
+matrix, serves the pinned digests and the benchmark.  τ̃'s lift, the δ
+lift and Im δ̄ spread a value v at a flag (i,p) over p's generator flags
+by one signed pattern (``LcsData._flag_terms``): v = x_i∧x_m, f̂(x_i)
+and a section image ŝ_t of P2.  R3perp pulls perp(R3) back along the
+bracket.  A lift is a sequence of (generator flag, slot, coefficient)
+terms.  An automorphism acts on A and on H⊗Λ²H by one sparse signed
+permutation each (``_line_action``).  Every matrix is built from sparse
+rows, so no layer reads or writes their zeros (on C13 under 2% of
+entries are nonzero).
 
 U splits over the finite points like τ̃, and both kernel identities read
 it from ``LcsData.u_points``.  U's generators are defined once, point by
@@ -143,11 +142,11 @@ class LcsData:
     Degree-2 objects are built eagerly.  The degree-3 objects (the
     bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, U per point
     with A_p/U_p for both kernel identities, π = ⊕_p π_p, the whole τ̃
-    matrix for the pinned digests, the one-identity equivariance check
-    and the benchmark, Im δ̄) are cached properties computed on first
-    use, so purely degree-2 work on large configurations stays cheap.  L3's
-    columns and the bracket map are written down in closed form
-    (``l3_pos``, ``bracket``); no Lie basis is built.
+    matrix for the pinned digests and the benchmark, Im δ̄) are cached
+    properties computed on first use, so purely degree-2 work on large
+    configurations stays cheap.  L3's columns and the bracket map are
+    written down in closed form (``l3_pos``, ``bracket``); no Lie basis
+    is built.
     """
 
     def __init__(self, config: Configuration):
@@ -218,20 +217,6 @@ class LcsData:
                 else:
                     rows.append({at[a, b, m]: -1, at[a, m, b]: -1})
         return IntMatrix._of(rows, self.dim3)
-
-    @cached_property
-    def _bracket_section(self) -> IntMatrix:
-        """E: L3 → H⊗Λ²H with E·``bracket`` = I, one signed unit row per Lyndon word.
-
-        e(i,j,k) is row slot(i, (j,k)) of ``bracket`` when j < k, and
-        minus row slot(k, (i,j)) when k ≤ j (the first two cases there).
-        """
-        np_, wp = self.npairs, self.wedge_pos
-        rows = [
-            {(i - 1) * np_ + wp[j, k]: 1} if j < k else {(k - 1) * np_ + wp[i, j]: -1}
-            for (i, j, k) in self.l3_pos
-        ]
-        return IntMatrix._of(rows, self.hw_rank)
 
     @cached_property
     def r3(self) -> Lattice:
@@ -841,15 +826,6 @@ def _line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, I
     return IntMatrix._of(on_a, data.a_rank), IntMatrix._of(on_hw, data.hw_rank)
 
 
-def _l3_action(data: LcsData, sigma: ConfigAutomorphism) -> IntMatrix:
-    """σ acting on L3 row vectors: E·(σ on H⊗Λ²H)·bracket, with E = ``_bracket_section``.
-
-    Row k lifts the k-th basis element through E, moves the lift by σ and
-    brackets it back; the bracket commutes with σ, so this is σ on L3.
-    """
-    return data._bracket_section @ _line_action(data, sigma)[1] @ data.bracket
-
-
 @dataclass(frozen=True)
 class TauStarReport:
     """Outcome of the τ̃* pullback identities and their orbit transport."""
@@ -887,7 +863,7 @@ def transport_group(data: LcsData) -> list[ConfigAutomorphism]:
     return [sigma for sigma in automorphisms(data.config) if sigma.line_perm[0] == 0]
 
 
-def tau_star_identities(data: LcsData | None = None) -> TauStarReport:
+def tau_star_identities(data: LcsData) -> TauStarReport:
     """The seven pullback identities pinning U-perp, plus orbit transport.
 
     Each base identity states that pulling one S/T functional back
@@ -896,7 +872,6 @@ def tau_star_identities(data: LcsData | None = None) -> TauStarReport:
     U-perp block of every finite point.  The base identities are the
     identity σ's slice of the transport loop: 42 pullbacks in all.
     """
-    data = data if data is not None else _maclane_data()
     duals = {e.label: e for e in maclane_dual_basis()}
     base = (
         ("I(p135)", (1, "p135"), _dual_combination([("S(1,3,5)", 1)])),
@@ -923,27 +898,6 @@ def tau_star_identities(data: LcsData | None = None) -> TauStarReport:
         labels = [e.label for e in duals.values() if e.space == "aflags" and e.label.endswith(f"({p})")]
         coverage.append((p, all(member(duals[l].coords, span).ok for l in labels)))
     return TauStarReport(tuple(identities), consistent, tuple(coverage))
-
-
-def check_equivariance(data: LcsData, sigma: ConfigAutomorphism) -> bool:
-    """τ̃(σ·a) = σ ∘ τ̃a ∘ σ⁻¹ for every a, as the one sparse identity P_σ·τ̃ = τ̃·K_σ, on any configuration.
-
-    P_σ is σ's action on A (``_line_action``), and K_σ sends a flat
-    Hom(R2,P3) value f to R·f·P3_σ, where row g of R is r̄ at the σ⁻¹-image
-    of generator flag g and P3_σ is σ's action on P3 (``_l3_action``
-    between the P3 section and projection).
-    """
-    on_a, _ = _line_action(data, sigma)
-    inv, r, ngens = sigma.inverse(), data.p3.free_rank, len(data.gens)
-    p3sigma = (data.p3.section @ _l3_action(data, sigma) @ data.p3.projection).sparse_rows
-    r_t = IntMatrix([rbar_gen_coeffs(data, inv.line_perm[k], inv.point_image(p)) for k, p in data.gens], ngens).transpose()
-    # K_σ = Rᵀ ⊗ P3_σ: row (h, q) holds R[g][h]·P3_σ[q][t] at column (g, t)
-    k_sigma = [
-        {g * r + t: c * y for g, c in r_t.sparse_rows[h].items() for t, y in p3sigma[q].items()}
-        for h in range(ngens)
-        for q in range(r)
-    ]
-    return on_a @ data.tau_matrix == data.tau_matrix @ IntMatrix._of(k_sigma, ngens * r)
 
 
 # -- bundled conjugator data and the mod-3 separating functional -------------

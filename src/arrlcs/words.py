@@ -43,6 +43,11 @@ class NotLieElement(ValueError):
 # -- words ------------------------------------------------------------------
 
 
+def _inverse_letters(w: "Word") -> tuple[int, ...]:
+    """The letters of w^-1, already reduced."""
+    return tuple(-x for x in reversed(w.letters))
+
+
 class Word:
     """Freely reduced word in the free group on w1, w2, ..."""
 
@@ -79,11 +84,11 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word([-x for x in reversed(self.letters)])
+        return Word(_inverse_letters(self))
 
     def conjugated(self, g: "Word") -> "Word":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
+        """g^-1 * self * g, reduced once."""
+        return Word(_inverse_letters(g) + self.letters + g.letters)
 
     def relabeled(self, line_map: Mapping[int, int]) -> "Word":
         """Rename generators by a line relabeling (identity where unmapped)."""
@@ -95,12 +100,8 @@ class Word:
         return Word(out)
 
     def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
+        """self^k, reduced once."""
+        return Word((self.letters if k >= 0 else _inverse_letters(self)) * abs(k))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -164,7 +165,8 @@ def parse_word(text: str) -> Word:
 
 
 def commutator(a: Word, b: Word) -> Word:
-    return a.inverse() * b.inverse() * a * b
+    """[a, b] = a^-1 b^-1 a b, reduced once."""
+    return Word(_inverse_letters(a) + _inverse_letters(b) + a.letters + b.letters)
 
 
 # -- conjugator maps --------------------------------------------------------

@@ -20,10 +20,11 @@ from arrlcs.exactlin import (
     perp,
     quotient_presentation,
     snf,
+    vstack,
 )
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.lcs import LcsData, _u_generators
-from arrlcs.words import lie_basis, lie_sparse_coords, wedge_index
+from arrlcs.lcs import LcsData, _line_action, _u_generators, rbar_gen_coeffs
+from arrlcs.words import GMap, Word, lie_basis, lie_sparse_coords, wedge_index
 
 
 def relabel(config, seed):
@@ -39,6 +40,21 @@ def relabel(config, seed):
     lines = [f"l{j}" for j in range(n)]
     incidence = [(lines[line_map[config.line_index(l)]], point_map[p]) for l, p in config.incidence]
     return Configuration(lines, names, incidence)
+
+
+def seeded_word(rng: random.Random, n: int, maxlen: int = 6) -> Word:
+    """A word of 0 to ``maxlen`` letters w_j^(+-1), 1 ≤ j ≤ n, drawn from ``rng``."""
+    length = rng.randint(0, maxlen)
+    return Word(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(length))
+
+
+def seeded_g_map(rng: random.Random, config: Configuration, maxlen: int = 3) -> GMap:
+    """Each finite flag, in ``index.pairs`` order and with odds 1/2, gets a ``seeded_word`` of up to ``maxlen`` letters."""
+    n, assignments = config.index.n, {}
+    for flag in config.index.pairs:
+        if rng.random() < 0.5:
+            assignments[flag] = seeded_word(rng, n, maxlen)
+    return GMap(config, assignments)
 
 
 def glue_copies(k):
@@ -260,6 +276,13 @@ def saturate(lat: Lattice) -> Lattice:
     return perp(perp(lat))
 
 
+def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
+    """Smallest lattice containing both; basis is the two canonical forms stacked."""
+    if a.ambient_rank != b.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    return Lattice(a.ambient_rank, vstack(a.canonical_form, b.canonical_form))
+
+
 def kernel_perp(lat: Lattice) -> Lattice:
     """Oracle for ``perp``: the left kernel of the canonical form transposed, for any lattice."""
     return Lattice(lat.ambient_rank, kernel_basis(lat.canonical_form.transpose()))
@@ -328,11 +351,33 @@ def swept_bracket(n: int) -> IntMatrix:
 
 
 def swept_l3_action(n: int, sigma: ConfigAutomorphism) -> IntMatrix:
-    """Oracle for ``lcs._l3_action``: σ's letters substituted in each Lyndon expansion, swept back into the basis."""
+    """σ acting on L3 row vectors: σ's letters substituted in each Lyndon expansion, swept back into the basis."""
     basis, lp = lie_basis(n, 3), sigma.line_perm
     # lp is a bijection, so the permuted words of one expansion stay distinct
     rows = [lie_sparse_coords({tuple(lp[x] for x in u): c for u, c in e.items()}, basis) for e in basis.expansions]
     return IntMatrix._of(rows, len(basis))
+
+
+def check_equivariance(data: LcsData, sigma: ConfigAutomorphism) -> bool:
+    """τ̃(σ·a) = σ ∘ τ̃a ∘ σ⁻¹ for every a, as the one sparse identity P_σ·τ̃ = τ̃·K_σ, on any configuration.
+
+    P_σ is σ's action on A (``lcs._line_action``, which refuses a σ of
+    another configuration or one that moves line 0), and K_σ sends a flat
+    Hom(R2,P3) value f to R·f·P3_σ, where row g of R is r̄ at the σ⁻¹-image
+    of generator flag g and P3_σ is σ's action on P3 (``swept_l3_action``
+    between the P3 section and projection).
+    """
+    on_a, _ = _line_action(data, sigma)
+    inv, r, ngens = sigma.inverse(), data.p3.free_rank, len(data.gens)
+    p3sigma = (data.p3.section @ swept_l3_action(data.n, sigma) @ data.p3.projection).sparse_rows
+    r_t = IntMatrix([rbar_gen_coeffs(data, inv.line_perm[k], inv.point_image(p)) for k, p in data.gens], ngens).transpose()
+    # K_σ = Rᵀ ⊗ P3_σ: row (h, q) holds R[g][h]·P3_σ[q][t] at column (g, t)
+    k_sigma = [
+        {g * r + t: c * y for g, c in r_t.sparse_rows[h].items() for t, y in p3sigma[q].items()}
+        for h in range(ngens)
+        for q in range(r)
+    ]
+    return on_a @ data.tau_matrix == data.tau_matrix @ IntMatrix._of(k_sigma, ngens * r)
 
 
 def lift_rows(data: LcsData, lift) -> list[list[int]]:

@@ -19,7 +19,6 @@ from arrlcs.exactlin import (
     Lattice,
     dot,
     hnf,
-    lattice_sum,
     member,
     perp,
     snf,
@@ -46,8 +45,6 @@ from arrlcs.lcs import (
 )
 from arrlcs.words import (
     AbelianGMap,
-    GMap,
-    Word,
     abelianize,
     lie_coords,
     magnus,
@@ -55,7 +52,7 @@ from arrlcs.words import (
     relator_at_flag,
     relators_from_g,
 )
-from helpers import saturate
+from helpers import lattice_sum, saturate, seeded_g_map, seeded_word
 
 
 @pytest.fixture
@@ -68,26 +65,6 @@ def announce(capsys):
         assert ok, f"criterion {num} failed: {failed}"
 
     return _announce
-
-
-def random_word(rng, n, maxlen=6):
-    return Word(
-        rng.choice((1, -1)) * rng.randint(1, n)
-        for _ in range(rng.randint(0, maxlen))
-    )
-
-
-def random_gmap(rng, config, maxlen=3):
-    n = len(config.lines) - 1
-    assignments = {}
-    for p in config.points:
-        lines = config.lines_through(p)
-        if 0 in lines:
-            continue
-        for i in lines:
-            if rng.random() < 0.5:
-                assignments[(i, p)] = random_word(rng, n, maxlen)
-    return GMap(config, assignments)
 
 
 def test_criterion_1_graded_ranks(maclane_data, announce):
@@ -137,13 +114,13 @@ def test_criterion_3_kernel_inclusions(maclane_data, announce):
     )
     diag_ok = True
     for k in range(10):
-        g = random_gmap(random.Random(k), data.config)
+        g = seeded_g_map(random.Random(k), data.config)
         rep = kappa(data, g, g)
         diag_ok = diag_ok and rep.zero and rep.difference.is_zero()
     additive_ok = True
     for k in range(100):
         rng = random.Random(1000 + k)
-        a, b, c = (abelianize(random_gmap(rng, data.config)) for _ in range(3))
+        a, b, c = (abelianize(seeded_g_map(rng, data.config)) for _ in range(3))
         lhs = tau_tilde(data, a + b + c)
         rhs = tau_tilde(data, a) + tau_tilde(data, b) + tau_tilde(data, c)
         additive_ok = additive_ok and lhs == rhs
@@ -259,14 +236,14 @@ def test_criterion_9_property_suites(asymmetric_config, announce):
     magnus_ok = True
     for k in range(500):
         rng = random.Random(k)
-        u, v = random_word(rng, 4), random_word(rng, 4)
+        u, v = seeded_word(rng, 4), seeded_word(rng, 4)
         magnus_ok = magnus_ok and magnus(u * v) == magnus(u) * magnus(v)
 
     relator_ok = True
     for config in (maclane_c8(), glue_c13(), asymmetric_config):
         n = len(config.lines) - 1
         for k in range(3):
-            g = random_gmap(random.Random(k), config)
+            g = seeded_g_map(random.Random(k), config)
             rels = relators_from_g(config, g)
             for p in config.points:
                 lines = config.lines_through(p)

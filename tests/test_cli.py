@@ -14,6 +14,7 @@ from arrlcs import cli, exactlin, lcs
 from arrlcs.config import maclane_c8
 from arrlcs.lcs import TorsionError, builtin_g_map
 from arrlcs.words import lie_basis
+from helpers import relabel
 
 
 def run(capsys, *argv):
@@ -336,12 +337,18 @@ def test_kappa_rejects_malformed_g_file(capsys, tmp_path, doc):
     assert payload["ok"] is False
 
 
-def test_kappa_rejects_mismatched_builtin_g(capsys):
-    code, payload = run_json(
-        capsys, "kappa", "--builtin", "glued13", "--g", "builtin:plus", "--gprime", "builtin:minus"
-    )
-    assert code == 2
-    assert payload["ok"] is False
+def test_kappa_rejects_mismatched_builtin_g(capsys, tmp_path, monkeypatch):
+    def no_build(config):
+        raise AssertionError("kappa builds LcsData before it has both g-maps")
+
+    monkeypatch.setattr(cli, "build_lcs", no_build)
+    relabelled = write_json(tmp_path, "c8.json", relabel(maclane_c8(), 41).to_json_dict())
+    for where in (["--builtin", "glued13"], ["--config", relabelled]):
+        code, payload = run_json(capsys, "kappa", *where, "--g", "builtin:plus", "--gprime", "builtin:minus")
+        assert code == 2
+        assert payload["ok"] is False
+        assert "bundled MacLane conjugator data" in payload["error"]
+        assert "g-map JSON file" in payload["error"]
 
 
 def test_kappa_reports_torsion_as_input_error(capsys, monkeypatch):

@@ -16,7 +16,6 @@ from arrlcs.exactlin import (
     hnf,
     hnf_with_transform,
     kernel_basis,
-    lattice_sum,
     member,
     perp,
     quotient_presentation,
@@ -26,7 +25,7 @@ from arrlcs.exactlin import (
 )
 from arrlcs.lcs import tau_tilde, u_lattice
 from arrlcs.words import AbelianGMap
-from helpers import kernel_perp, reference_quotient, reference_witness, saturate
+from helpers import kernel_perp, lattice_sum, reference_quotient, reference_witness, saturate
 
 
 @st.composite

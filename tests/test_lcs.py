@@ -9,7 +9,7 @@ import pytest
 
 from arrlcs import cli, config, exactlin, geom, lcs, words
 from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, glue_c13, maclane_c8
-from arrlcs.exactlin import IntMatrix, Lattice, dot, lattice_sum, member, perp, vec_mat
+from arrlcs.exactlin import IntMatrix, Lattice, dot, member, perp, vec_mat
 from arrlcs.lcs import (
     ConfigMismatchError,
     HomR2P3,
@@ -20,7 +20,6 @@ from arrlcs.lcs import (
     builtin_g_map,
     builtin_generator_lists,
     generator_lists_consistent,
-    check_equivariance,
     class_of_glued,
     delta_bar,
     delta_bar_from_lift,
@@ -39,10 +38,12 @@ from arrlcs.lcs import (
 )
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
 from helpers import (
+    check_equivariance,
     dense_tau_matrix,
     delta_kernel,
     glue_copies,
     hesse,
+    lattice_sum,
     lift_rows,
     pencil4,
     reference_u_points,
@@ -218,16 +219,17 @@ def test_closed_form_bracket_equals_the_lyndon_sweep():
         data = build_lcs(generic_arrangement(n))
         assert data.dim3 == (n**3 - n) // 3
         assert data.bracket == swept_bracket(n)
-        assert data._bracket_section @ data.bracket == IntMatrix.identity(data.dim3)
 
 
-def test_l3_action_equals_the_lyndon_sweep(maclane_data, c13_data):
+def test_line_action_commutes_with_the_bracket(maclane_data, c13_data):
+    # σ on H⊗Λ²H, then bracketing, equals bracketing, then σ on L3 (the Lyndon sweep)
     c13_fixing = [sigma for sigma in automorphisms(c13_data.config) if sigma.line_perm[0] == 0]
     cases = [(maclane_data, transport_group(maclane_data)), (c13_data, c13_fixing)]
     assert [len(group) for _, group in cases] == [6, 4]
     for data, group in cases:
         for sigma in group:
-            assert lcs._l3_action(data, sigma) == swept_l3_action(data.n, sigma)
+            _, on_hw = lcs._line_action(data, sigma)
+            assert on_hw @ data.bracket == data.bracket @ swept_l3_action(data.n, sigma)
 
 
 def test_cold_verification_builds_no_degree_three_lie_basis(monkeypatch, capsys):
@@ -847,7 +849,7 @@ def test_equivariance_under_c13_automorphisms(c13_data):
 def test_line_action_refuses_an_automorphism_of_a_relabelled_config(maclane_data):
     # its point names are not c8's, which read as a bare KeyError
     sigma = ConfigAutomorphism.identity(relabel(maclane_c8(), 41))
-    for act in (lcs._line_action, lcs._l3_action, check_equivariance):
+    for act in (lcs._line_action, check_equivariance):
         with pytest.raises(ConfigMismatchError):
             act(maclane_data, sigma)
 
@@ -858,7 +860,7 @@ def test_line_action_refuses_an_automorphism_of_c13(maclane_data):
     autos = [sigma for sigma in automorphisms(glue_c13()) if sigma.line_perm[0] == 0]
     assert len(autos) == 4
     for sigma in autos:
-        for act in (lcs._line_action, lcs._l3_action, check_equivariance):
+        for act in (lcs._line_action, check_equivariance):
             with pytest.raises(ConfigMismatchError):
                 act(maclane_data, sigma)
 

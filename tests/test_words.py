@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrlcs.config import Configuration, glue_c13, maclane_c8
+from arrlcs.config import glue_c13, maclane_c8
 from arrlcs.words import (
     AbelianGMap,
     GMap,
@@ -33,27 +33,7 @@ from arrlcs.words import (
     standard_bracketing,
     wedge_index,
 )
-from helpers import magnus_coefficient, witt_dimension
-
-
-def random_word(rng: random.Random, n: int, maxlen: int = 6) -> Word:
-    length = rng.randint(0, maxlen)
-    return Word(
-        rng.choice((1, -1)) * rng.randint(1, n) for _ in range(length)
-    )
-
-
-def random_gmap(rng: random.Random, config: Configuration, maxlen: int = 3) -> GMap:
-    n = len(config.lines) - 1
-    assignments = {}
-    for p in config.points:
-        lines = config.lines_through(p)
-        if 0 in lines:
-            continue  # conjugators live on flags off the infinity line
-        for i in lines:
-            if rng.random() < 0.5:
-                assignments[(i, p)] = random_word(rng, n, maxlen)
-    return GMap(config, assignments)
+from helpers import magnus_coefficient, seeded_g_map, seeded_word, witt_dimension
 
 
 # -- free group ---------------------------------------------------------------
@@ -65,9 +45,9 @@ def test_word_free_reduction():
     assert Word([1, 2, -2, 3]) == Word([1, 3])
     for k in range(300):
         rng = random.Random(k)
-        u = random_word(rng, 5)
-        v = random_word(rng, 5)
-        w = random_word(rng, 5)
+        u = seeded_word(rng, 5)
+        v = seeded_word(rng, 5)
+        w = seeded_word(rng, 5)
         i = rng.randint(1, 5)
         e = rng.choice((1, -1))
         assert u * Word.gen(i, e) * Word.gen(i, -e) * v == u * v
@@ -85,6 +65,13 @@ def test_word_identity_and_pow():
     assert w**3 == w * w * w
     assert w**-2 == (w.inverse()) ** 2
     assert Word.gen(4, 0) == e
+    for k in range(100):  # the power reduces once; the product of |j| factors reduces at each step
+        rng = random.Random(k)
+        w, j = seeded_word(rng, 3), rng.randint(-4, 4)
+        product = e
+        for _ in range(abs(j)):
+            product = product * (w if j > 0 else w.inverse())
+        assert w**j == product
 
 
 def test_word_rejects_index_zero():
@@ -108,7 +95,7 @@ def test_word_relabeled():
     assert w.relabeled({8: 9}) == Word.gen(3) * Word.gen(9, -1)
     for k in range(100):
         rng = random.Random(k)
-        w = random_word(rng, 5)
+        w = seeded_word(rng, 5)
         fwd = {1: 4, 2: 5, 3: 1, 4: 2, 5: 3}
         back = {v: u for u, v in fwd.items()}
         assert w.relabeled(fwd).relabeled(back) == w
@@ -120,8 +107,9 @@ def test_word_conjugation():
     assert w.conjugated(g) == g.inverse() * w * g
     for k in range(100):
         rng = random.Random(k)
-        w = random_word(rng, 4)
-        g = random_word(rng, 4)
+        w = seeded_word(rng, 4)
+        g = seeded_word(rng, 4)
+        assert w.conjugated(g) == g.inverse() * w * g
         assert w.conjugated(g).conjugated(g.inverse()) == w
 
 
@@ -134,7 +122,7 @@ def test_word_str_parse_roundtrip():
     assert str(w) == "w2^3 w1^-2"
     for k in range(200):
         rng = random.Random(k)
-        w = random_word(rng, 9, maxlen=10)
+        w = seeded_word(rng, 9, maxlen=10)
         assert parse_word(str(w)) == w
 
 
@@ -151,8 +139,9 @@ def test_commutator_basics():
     assert commutator(a, a).is_identity()
     for k in range(100):
         rng = random.Random(k)
-        u = random_word(rng, 4)
-        v = random_word(rng, 4)
+        u = seeded_word(rng, 4)
+        v = seeded_word(rng, 4)
+        assert commutator(u, v) == u.inverse() * v.inverse() * u * v
         assert commutator(u, v).inverse() == commutator(v, u)
 
 
@@ -191,15 +180,15 @@ def test_magnus_matches_the_brute_force_oracle():
 def test_magnus_is_multiplicative():
     for k in range(500):
         rng = random.Random(k)
-        u = random_word(rng, 4)
-        v = random_word(rng, 4)
+        u = seeded_word(rng, 4)
+        v = seeded_word(rng, 4)
         assert magnus(u * v) == magnus(u) * magnus(v)
 
 
 def test_magnus_inverse_cancels():
     for k in range(200):
         rng = random.Random(k)
-        w = random_word(rng, 4)
+        w = seeded_word(rng, 4)
         assert magnus(w) * magnus(w.inverse()) == TruncatedSeries.one()
 
 
@@ -225,7 +214,7 @@ def test_magnus_iterated_commutator_degree_three():
 def test_truncated_series_ring_laws():
     for k in range(150):
         rng = random.Random(k)
-        a, b, c = (magnus(random_word(rng, 3)) for _ in range(3))
+        a, b, c = (magnus(seeded_word(rng, 3)) for _ in range(3))
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a + b) - b == a
@@ -339,7 +328,7 @@ def test_gmap_json_roundtrip():
     config = maclane_c8()
     for k in range(50):
         rng = random.Random(k)
-        g = random_gmap(rng, config)
+        g = seeded_g_map(rng, config)
         assert GMap.from_json_dict(config, g.to_json_dict()) == g
 
 
@@ -356,7 +345,7 @@ def test_abelian_gmap_vector_roundtrip():
     config = maclane_c8()
     for k in range(50):
         rng = random.Random(k)
-        a = abelianize(random_gmap(rng, config))
+        a = abelianize(seeded_g_map(rng, config))
         b = AbelianGMap.from_vector(config, a.vector())
         assert b.vector() == a.vector() and (a - b).is_zero()
 
@@ -365,8 +354,8 @@ def test_abelianize_is_additive():
     config = maclane_c8()
     for k in range(50):
         rng = random.Random(k)
-        g = random_gmap(rng, config)
-        h = random_gmap(rng, config)
+        g = seeded_g_map(rng, config)
+        h = seeded_g_map(rng, config)
         prod = GMap(
             config,
             {
@@ -459,7 +448,7 @@ def test_relators_match_flag_commutators():
     for base, config in enumerate(configs):
         for k in range(5):
             rng = random.Random(100 * base + k)
-            g = random_gmap(rng, config)
+            g = seeded_g_map(rng, config)
             rels = relators_from_g(config, g)
             for (i, p), r in rels.items():
                 assert r == relator_at_flag(config, g, i, p)
@@ -495,7 +484,7 @@ def test_relator_product_telescopes_to_identity():
     for base, config in enumerate(configs):
         for k in range(5):
             rng = random.Random(200 * base + k)
-            g = random_gmap(rng, config)
+            g = seeded_g_map(rng, config)
             rels = relators_from_g(config, g)
             for p in config.points:
                 lines = config.lines_through(p)
@@ -512,7 +501,7 @@ def test_relator_degree_two_class_ignores_g():
     n = len(config.lines) - 1
     for k in range(20):
         rng = random.Random(k)
-        g = random_gmap(rng, config)
+        g = seeded_g_map(rng, config)
         for (i, p), r in relators_from_g(config, g).items():
             assert lie_coords(magnus(r), 2, n) == rbar_coords(config, i, p)
 
@@ -521,7 +510,7 @@ def test_admissibility_check_accepts_and_rejects():
     config = maclane_c8()
     for k in range(10):
         rng = random.Random(k)
-        rels = relators_from_g(config, random_gmap(rng, config))
+        rels = relators_from_g(config, seeded_g_map(rng, config))
         assert admissibility_check(config, rels)
         flag = sorted(rels)[rng.randrange(len(rels))]
         flipped = dict(rels)
@@ -551,7 +540,7 @@ def test_admissibility_on_asymmetric_config(asymmetric_config):
     config = asymmetric_config
     for k in range(5):
         rng = random.Random(k)
-        g = random_gmap(rng, config)
+        g = seeded_g_map(rng, config)
         rels = relators_from_g(config, g)
         assert admissibility_check(config, rels)
         for (i, p), r in rels.items():

@@ -76,6 +76,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
 from arrlcs import config, exactlin, geom, lcs, words  # noqa: E402
+import helpers  # noqa: E402
 from helpers import ASYMMETRIC_9, glue_copies, hesse, relabel  # noqa: E402
 
 REPEAT = 5
@@ -428,12 +429,7 @@ def u() -> dict:
 
 def seeded_g_map(cfg, name: str, k: int) -> words.GMap:
     """g-map ``k`` on ``cfg``: each finite flag, with odds 1/2, gets a word of 0 to 3 letters w_j^(+-1)."""
-    rng = random.Random(f"words-replay:{WORDS_SEED}:{name}:{k}")
-    n, assignments = cfg.index.n, {}
-    for flag in cfg.index.pairs:
-        if rng.random() < 0.5:
-            assignments[flag] = words.Word(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3)))
-    return words.GMap(cfg, assignments)
+    return helpers.seeded_g_map(random.Random(f"words-replay:{WORDS_SEED}:{name}:{k}"), cfg)
 
 
 def series_key(s) -> list:
