@@ -377,7 +377,7 @@ class ConfigAutomorphism:
         return self.config.point_of(frozenset(self.line_perm[i] for i in self.config.lines_through(point)))
 
 
-def _line_maps(a: Configuration, b: Configuration) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
+def _line_maps(a: Configuration, b: Configuration, _fix_line_0: bool = False) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
     """Every incidence isomorphism a -> b as (line permutation, point images in ``a.points`` order).
 
     One backtracking search over line indices builds both maps.  Line k
@@ -391,13 +391,13 @@ def _line_maps(a: Configuration, b: Configuration) -> list[tuple[tuple[int, ...]
     injective and the flag counts equal, so the flags then correspond one
     to one.  The check is not redundant on input that fails ``validate``:
     a point that no pair of its lines names (one on a single line, say)
-    gets no image, and the map is rejected.
+    gets no image, and the map is rejected.  ``_fix_line_0`` pins 0 → 0.
     """
     nl = len(a.lines)
     if (nl, len(a.points), len(a.incidence)) != (len(b.lines), len(b.points), len(b.incidence)):
         return []
     prof_a, prof_b = ([tuple(sorted(c.multiplicity(p) for p in c.points_on(i))) for i in range(nl)] for c in (a, b))
-    cand = [[j for j in range(nl) if prof_b[j] == prof_a[i]] for i in range(nl)]
+    cand = [[j for j in range(nl) if prof_b[j] == prof_a[i] and (i or j == 0 or not _fix_line_0)] for i in range(nl)]
     meet_a, meet_b = ([[c.common_point(i, k) for i in range(nl)] for k in range(nl)] for c in (a, b))
     mult_a, mult_b = ({p: c.multiplicity(p) for p in c.points} for c in (a, b))
     flags_a, flags_b = [(a.line_index(l), p) for l, p in a.incidence], {(b.line_index(l), q) for l, q in b.incidence}

@@ -18,14 +18,14 @@ Normal form conventions:
 ``IntMatrix`` stores sparse rows ``{column: entry}`` and nothing else;
 its dense ``entries`` is a view built when read.  All elimination,
 Hermite and Smith, runs on copies of those rows in one kernel, and its
-result rows are wrapped as they are.  The kernel's forward pass keeps
-the unfinished rows in buckets by leading column, so a pivot step
-touches only the rows led by its column; one back-substitution then
-reduces each finished row by the rows below it, visiting only the pivot
-columns the row holds.  No step scans every row.  The echelon rows are
-the dense Hermite algorithm's, and the Hermite form of their span and
-its transform are unique, so ``(h, u, pivots)`` are deterministic and
-equal to a dense reduction's.  The Smith form alternates that kernel
+result rows are wrapped as they are.  Its forward pass (``_hnf_forward``)
+keeps the unfinished rows in buckets by leading column, so a pivot step
+touches only the rows led by its column; one back-substitution
+(``_hnf_back``) then reduces each finished row by the rows below it,
+visiting only the pivot columns the row holds.  No step scans every row.
+The echelon rows are the dense Hermite algorithm's, and the Hermite form
+of their span and its transform are unique, so ``(h, u, pivots)`` are
+deterministic and equal to a dense reduction's.  The Smith form alternates that kernel
 over the rows and the columns.  Products, ``vec_mat`` and membership
 touch only nonzero entries.
 
@@ -34,7 +34,7 @@ once, on first use, by ``hnf_with_transform``: the Hermite form is its
 canonical form, and the transform and the pivot block serve membership,
 so comparing a lattice and testing membership in it cost one reduction.
 ``kernel_basis(m)`` returns a plain basis of the left kernel
-{v : v·m = 0}, read off the transform that reduces ``m``.  ``perp``
+{v : v·m = 0}, read off the forward pass's transform.  ``perp``
 caches the orthogonal complement on the lattice; when every Hermite
 pivot is 1 it reads the complement's basis off the canonical form, and
 otherwise takes the left kernel of its transpose.  Membership reduces a
@@ -205,10 +205,10 @@ def _sparse_sub(ri: dict[int, int], rj: dict[int, int], q: int) -> None:
             del ri[k]
 
 
-def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | None) -> list[int]:
-    """Reduce sparse rows ``{column: entry}`` to row HNF in place, mirroring ops on ``u``.
+def _hnf_forward(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | None) -> list[int]:
+    """Bring sparse rows ``{column: entry}`` to echelon form in place, mirroring ops on ``u``; return the pivot columns.
 
-    A forward pass brings the rows to echelon form.  Per column, the pivot
+    This is the forward pass of every reduction.  Per column, the pivot
     is the smallest |entry| at or below row ``r`` (lowest row on ties), the
     rows below are reduced by floor quotients until the column is clean,
     and the pivot is made positive; row ``r`` is then finished.  Rows at
@@ -220,27 +220,6 @@ def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | Non
     index to the pivot's old one in the bucket of its own leading column.
     Each row of a bucket receives the dense run's operations in its order,
     so the order in which the bucket's rows are visited changes no result.
-
-    One back-substitution then reduces the entries above each pivot into
-    ``[0, pivot)``, from the last finished row up.  Row i walks its entries
-    at pivot columns right of its own pivot in increasing column order,
-    from a heap of those columns, and at column c_j subtracts
-    ⌊a[i][c_j] / p_j⌋ times row j, already reduced; the pivot columns of
-    row j that the subtraction brings into row i join the heap.  Row j is
-    zero left of c_j, so later steps leave column c_j alone.  Only entries
-    the rows hold are visited; no step scans every row.
-
-    The result is the dense algorithm's, which reduces the rows above at
-    each pivot instead.  The forward pass never reads a finished row, so
-    the echelon rows a⁰ (full row rank), their transform rows u⁰, the
-    pivots and the zero rows of ``a`` with their rows of ``u`` (the
-    kernel tail) do not depend on when the rows above are reduced.  Every
-    such reduction subtracts a finished row from a finished row, so the
-    head ends as T·a⁰ and its transform as T·u⁰ for one integer T.  The
-    HNF T·a⁰ is unique, and so is T since a⁰ has full row rank: ``a``,
-    ``u`` and the pivots equal a dense run's, up to the insertion order of
-    entries within a row, which ``IntMatrix`` equality ignores.
-    Returns the pivot columns.
     """
     lead = [min(row, default=ncols) for row in a]
     at: dict[int, set[int]] = {}
@@ -295,6 +274,31 @@ def _hnf_core(a: list[dict[int, int]], ncols: int, u: list[dict[int, int]] | Non
             left.add(r)
             bucket = left
         pivots.append(c)
+    return pivots
+
+
+def _hnf_back(a: list[dict[int, int]], pivots: list[int], u: list[dict[int, int]] | None) -> list[int]:
+    """Finish the row HNF of ``_hnf_forward``'s echelon rows in place, mirroring ops on ``u``; return ``pivots``.
+
+    One back-substitution reduces the entries above each pivot into
+    ``[0, pivot)``, from the last finished row up.  Row i walks its entries
+    at pivot columns right of its own pivot in increasing column order,
+    from a heap of those columns, and at column c_j subtracts
+    ⌊a[i][c_j] / p_j⌋ times row j, already reduced; the pivot columns of
+    row j that the subtraction brings into row i join the heap.  Row j is
+    zero left of c_j, so later steps leave column c_j alone.
+
+    The result is the dense algorithm's, which reduces the rows above at
+    each pivot instead.  The forward pass never reads a finished row, so
+    the echelon rows a⁰ (full row rank), their transform rows u⁰, the
+    pivots and the zero rows of ``a`` with their rows of ``u`` (the
+    kernel tail) do not depend on when the rows above are reduced.  Every
+    such reduction subtracts a finished row from a finished row, so the
+    head ends as T·a⁰ and its transform as T·u⁰ for one integer T.  The
+    HNF T·a⁰ is unique, and so is T since a⁰ has full row rank: ``a``,
+    ``u`` and the pivots equal a dense run's, up to the insertion order of
+    entries within a row, which ``IntMatrix`` equality ignores.
+    """
     row_of = {c: j for j, c in enumerate(pivots)}
     later: list[list[int]] = [[]] * len(pivots)  # each reduced row's pivot columns but its own
     for i in reversed(range(len(pivots))):
@@ -330,7 +334,7 @@ def _transpose(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int
 def hnf(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form with zero rows dropped (canonical)."""
     a = [dict(row) for row in m.sparse_rows]
-    pivots = _hnf_core(a, m.cols, None)
+    pivots = _hnf_back(a, _hnf_forward(a, m.cols, None), None)
     return IntMatrix._of(a[: len(pivots)], m.cols)
 
 
@@ -340,19 +344,19 @@ def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, list[int]]:
     ``u`` is square unimodular of size ``m.rows``; ``h`` has the zero rows
     dropped, so ``len(pivots) == h.rows`` is the rank.
     """
-    a = [dict(row) for row in m.sparse_rows]
-    u = [{i: 1} for i in range(m.rows)]
-    pivots = _hnf_core(a, m.cols, u)
+    a, u = [dict(row) for row in m.sparse_rows], [{i: 1} for i in range(m.rows)]
+    pivots = _hnf_back(a, _hnf_forward(a, m.cols, u), u)
     return IntMatrix._of(a[: len(pivots)], m.cols), IntMatrix._of(u, m.rows), pivots
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """A basis of the left kernel ``{v in ZZ^rows : v·m = 0}``; ``Lattice`` canonicalizes.
 
-    The rows are the tail of the unimodular transform that reduces ``m``.
+    The rows are the tail of the unimodular transform of the forward pass, which fixes it.
     """
-    _, u, pivots = hnf_with_transform(m)
-    return IntMatrix._of(u.sparse_rows[len(pivots):], m.rows)
+    a, u = [dict(row) for row in m.sparse_rows], [{i: 1} for i in range(m.rows)]
+    pivots = _hnf_forward(a, m.cols, u)
+    return IntMatrix._of(u[len(pivots):], m.rows)
 
 
 def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
@@ -370,7 +374,7 @@ def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
     ops = [[{i: 1} for i in range(m.rows)], [{j: 1} for j in range(m.cols)]]
     side = 0
     while True:
-        _hnf_core(a, ncols, ops[side])
+        _hnf_back(a, _hnf_forward(a, ncols, ops[side]), ops[side])
         if all(len(row) < 2 for row in a):
             diag = sorted((x, i, c) for i, row in enumerate(a) for c, x in row.items())
             bad = next(((i, j) for (x, i, _), (y, j, _) in zip(diag, diag[1:]) if y % x), None)

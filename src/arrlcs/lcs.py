@@ -27,7 +27,8 @@ Every degree-3 object is one route: a sparse left-normed lift into
 H⊗Λ²H, then the bracketing matrix ``LcsData.bracket`` (H⊗Λ²H → L3),
 then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
 cached lift ``LcsData.tau_lift`` of each A coordinate and is stored per
-point (``LcsData.tau_blocks``); ``tau_matrix``, the whole A × Hom(R2,P3)
+point (``LcsData.tau_blocks``), and τ̃* is that lift transposed
+(``LcsData.tau_lift_transpose``); ``tau_matrix``, the whole A × Hom(R2,P3)
 matrix, serves the pinned digests and the benchmark.  τ̃'s lift, the δ
 lift and Im δ̄ spread a value v at a flag (i,p) over p's generator flags
 by one signed pattern (``LcsData._flag_terms``): v = x_i∧x_m, f̂(x_i)
@@ -69,7 +70,7 @@ from .config import (
     ConfigAutomorphism,
     Configuration,
     _builtin_json,
-    automorphisms,
+    _line_maps,
     glue_c13,
     glue_point,
     maclane_c8,
@@ -302,6 +303,15 @@ class LcsData:
                 w, sgn = wp[min(i, m), max(i, m)], 1 if i < m else -1
                 out.append(tuple((g, (j - 1) * np_ + w, sgn * s) for g, j, s in terms))
         return tuple(out)
+
+    @cached_property
+    def tau_lift_transpose(self) -> dict[tuple[int, int], dict[int, int]]:
+        """``tau_lift`` transposed for τ̃*: (generator flag, H⊗Λ²H slot) → {A coordinate: coefficient}, keys of lift terms only."""
+        out: dict[tuple[int, int], dict[int, int]] = {}
+        for a, terms in enumerate(self.tau_lift):
+            for g, s, c in terms:
+                out.setdefault((g, s), {})[a] = c
+        return out
 
     @cached_property
     def _bracket_p3(self) -> IntMatrix:
@@ -776,8 +786,7 @@ def maclane_dual_basis() -> tuple[DualElement, ...]:
 def _dual_combination(terms: Sequence[tuple[str, int]]) -> tuple[int, ...]:
     """Σ c·coords over (label, c) in ``terms``, each label naming a ``maclane_dual_basis`` element of one space."""
     duals = {e.label: e for e in maclane_dual_basis()}
-    rows = [(c, duals[label].coords) for label, c in terms]
-    return tuple(sum(c * v[s] for c, v in rows) for s in range(len(rows[0][1])))
+    return tuple(map(sum, zip(*([c * x for x in duals[label].coords] for label, c in terms))))
 
 
 # -- τ̃* pullbacks and their transport under automorphisms --------------------
@@ -802,11 +811,18 @@ def rbar_gen_coeffs(data: LcsData, i: int, p: str) -> tuple[int, ...]:
 def tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:
     """Pull an (H⊗Λ²H)* functional back along τ̃ against a fixed R2 class.
 
-    Returns the A* functional a ↦ ⟨functional, τ̃a(class)⟩, evaluated
-    through left-normed lifts; well defined on P3 values whenever the
-    functional lies in R3perp.
+    Returns the A* functional a ↦ ⟨functional, τ̃a(class)⟩, well defined on
+    P3 values whenever the functional lies in R3perp, as Σ_g class_g·φ·Λ_gᵀ
+    over the transposed lift (``LcsData.tau_lift_transpose``) where φ ≠ 0.
     """
-    return tuple(sum(gen_coeffs[g] * c * functional[s] for g, s, c in terms) for terms in data.tau_lift)
+    if len(gen_coeffs) != len(data.gens) or len(functional) != data.hw_rank:
+        raise ValueError(f"tau_star takes {len(data.gens)} class coefficients and a functional of length {data.hw_rank}")
+    gens, lift, out = [(g, x) for g, x in enumerate(gen_coeffs) if x], data.tau_lift_transpose, [0] * data.a_rank
+    for s, phi in enumerate(functional):
+        for g, x in gens if phi else ():
+            for a, c in lift.get((g, s), {}).items():
+                out[a] += x * phi * c
+    return tuple(out)
 
 
 def _line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, IntMatrix]:
@@ -856,11 +872,11 @@ def transport_group(data: LcsData) -> list[ConfigAutomorphism]:
 
     Line 0 carries no generator, so only these σ act on A and H⊗Λ²H
     (``_line_action``); they carry the seven base τ̃* identities to every
-    finite point.
+    finite point.  The search pins line 0 and lists σ in line order.
     """
     if data.config != maclane_c8():
         raise ConfigMismatchError("transport group is defined for the MacLane configuration")
-    return [sigma for sigma in automorphisms(data.config) if sigma.line_perm[0] == 0]
+    return [ConfigAutomorphism(data.config, perm) for perm, _ in _line_maps(data.config, data.config, True)]
 
 
 def tau_star_identities(data: LcsData) -> TauStarReport:
@@ -882,21 +898,21 @@ def tau_star_identities(data: LcsData) -> TauStarReport:
         ("K1(p147)", (1, "p147"), _dual_combination([("T0", -1)])),
         ("K2(p147)", (1, "p147"), _dual_combination([("T3", -1)])),
     )
+    functionals = IntMatrix([svec for *_, svec in base], data.hw_rank)
+    targets = IntMatrix([duals[label].coords for label, *_ in base], data.a_rank)
     identities, transported_rows, consistent = [], [], True
     for sigma in transport_group(data):
         on_a, on_hw = _line_action(data, sigma)
-        for label, (i, p), svec in base:
-            lhs = tau_star(data, rbar_gen_coeffs(data, sigma.line_perm[i], sigma.point_image(p)), vec_mat(svec, on_hw))
-            ok = lhs == vec_mat(duals[label].coords, on_a)
+        for (label, (i, p), _), moved, target in zip(base, (functionals @ on_hw).sparse_rows, (targets @ on_a).sparse_rows):
+            lhs = tau_star(data, rbar_gen_coeffs(data, sigma.line_perm[i], sigma.point_image(p)), densify(moved, data.hw_rank))
+            ok = lhs == densify(target, data.a_rank)
             if sigma.is_identity():  # the base identities themselves
                 identities.append((label, ok))
             consistent &= ok
             transported_rows.append(lhs)
     span = Lattice(data.a_rank, IntMatrix(transported_rows, data.a_rank))
-    coverage = []
-    for p in data.index.p0:
-        labels = [e.label for e in duals.values() if e.space == "aflags" and e.label.endswith(f"({p})")]
-        coverage.append((p, all(member(duals[l].coords, span).ok for l in labels)))
+    uperp = [e for e in duals.values() if e.space == "aflags"]
+    coverage = [(p, all(member(e.coords, span).ok for e in uperp if e.label.endswith(f"({p})"))) for p in data.index.p0]
     return TauStarReport(tuple(identities), consistent, tuple(coverage))
 
 

@@ -325,6 +325,11 @@ def dense_tau_matrix(data: LcsData) -> IntMatrix:
     return IntMatrix._of([data._to_hom(lift) for lift in data.tau_lift], len(data.gens) * data.p3.free_rank)
 
 
+def dense_tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:
+    """Oracle for ``lcs.tau_star``: ⟨functional, τ̃a(class)⟩ summed over every lift term of every A coordinate a."""
+    return tuple(sum(gen_coeffs[g] * c * functional[s] for g, s, c in terms) for terms in data.tau_lift)
+
+
 def scanned_b_rows(config: Configuration) -> IntMatrix:
     """Oracle for ``b_lattice``'s basis: row (j, i) scans every finite point q for a flag (j, q)."""
     idx = config.index

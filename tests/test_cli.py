@@ -184,8 +184,8 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     calls, real_b, real_perp = [], lcs.b_lattice, exactlin.perp
     for module in (cli, lcs):
         monkeypatch.setattr(module, "b_lattice", lambda config: calls.append("b_lattice") or real_b(config), raising=False)
-    shapes, real_core = [], exactlin._hnf_core
-    monkeypatch.setattr(exactlin, "_hnf_core", lambda a, ncols, u: shapes.append((len(a), ncols)) or real_core(a, ncols, u))
+    shapes, real_forward = [], exactlin._hnf_forward
+    monkeypatch.setattr(exactlin, "_hnf_forward", lambda a, ncols, u: shapes.append((len(a), ncols)) or real_forward(a, ncols, u))
     pullbacks, real_tau_star = [], lcs.tau_star
     monkeypatch.setattr(lcs, "tau_star", lambda *args: pullbacks.append(1) or real_tau_star(*args))
     reads, real_json = [], lcs._builtin_json

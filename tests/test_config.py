@@ -9,6 +9,7 @@ from arrlcs.config import (
     ConfigAutomorphism,
     ConfigFormatError,
     Configuration,
+    _line_maps,
     automorphisms,
     glue_c13,
     is_s3_times_z2,
@@ -246,6 +247,18 @@ def test_c8_automorphisms_are_the_brute_force_group(maclane_data):
     assert len(brute) == 48
     assert automorphisms(c8) == brute
     assert transport_group(maclane_data) == [s for s in brute if s.line_perm[0] == 0]
+
+
+def test_pinned_line_0_search_is_the_line_0_stabiliser(asymmetric_config):
+    sizes = {}
+    cases = {"c8": maclane_c8(), "c13": glue_c13(), "fixture9": asymmetric_config}
+    cases |= {f"{name}@{seed}": relabel(cases[name], seed) for name in ("c8", "c13") for seed in range(5)}
+    for name, config in cases.items():
+        pinned = _line_maps(config, config, True)
+        assert pinned == [m for m in _line_maps(config, config) if m[0][0] == 0], name
+        sizes[name] = len(pinned)
+    assert sizes["c8"] == 6 and sizes["c13"] == 4
+    assert all(sizes[f"{name}@{seed}"] == sizes[name] for name in ("c8", "c13") for seed in range(5))
 
 
 def test_isomorphisms_from_a_relabeled_c8_are_incidence_bijections():

@@ -40,6 +40,7 @@ from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
 from helpers import (
     check_equivariance,
     dense_tau_matrix,
+    dense_tau_star,
     delta_kernel,
     glue_copies,
     hesse,
@@ -432,7 +433,7 @@ def test_cold_u_points_reduce_nothing(monkeypatch, asymmetric_config):
         data = build_lcs(config)  # fresh, so ``u_points`` is built here
         data.tau_blocks  # noqa: B018 - τ̃ per point reduces P3 first
         with monkeypatch.context() as m:
-            m.setattr(exactlin, "_hnf_core", lambda *args: pytest.fail("a cold u_points ran a Hermite reduction"))
+            m.setattr(exactlin, "_hnf_forward", lambda *args: pytest.fail("a cold u_points ran a Hermite reduction"))
             points = data.u_points
         for pt, (u, _) in zip(points, reference_u_points(data), strict=True):
             _assert_presents(pt.quotient, u)
@@ -596,14 +597,14 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
 
     monkeypatch.setattr(lcs, "u_lattice", no_u_lattice)
     rows = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"])
-    core, kernel_calls = exactlin._hnf_core, []
+    forward, kernel_calls = exactlin._hnf_forward, []
     im_delta_rows = list(data.im_delta.basis.sparse_rows)
 
-    def counted_core(a, *args):
+    def counted_forward(a, *args):
         kernel_calls.append(a == im_delta_rows)
-        return core(a, *args)
+        return forward(a, *args)
 
-    monkeypatch.setattr(exactlin, "_hnf_core", counted_core)
+    monkeypatch.setattr(exactlin, "_hnf_forward", counted_forward)
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
     # per point only rank τ̃_p∘s_p, over 41 points: A_p/U_p comes from a spanning
     # forest, so neither U_p nor its complement is reduced; then Im δ̄, the joint
@@ -823,6 +824,32 @@ def test_tau_star_identities(maclane_data, monkeypatch):
     assert len(rep.point_coverage) == 8
     assert all(ok for _, ok in rep.point_coverage)
     assert rep.all_ok
+
+
+def test_tau_star_equals_the_dense_pullback(maclane_data, c13_data, asymmetric_config, monkeypatch):
+    # every pullback of the transport loop on c8: 6 σ × 7 base identities
+    calls, real = [], lcs.tau_star
+    monkeypatch.setattr(lcs, "tau_star", lambda *args: calls.append(args) or real(*args))
+    assert tau_star_identities(maclane_data).all_ok
+    assert len(calls) == 42
+    for args in calls:
+        assert real(*args) == dense_tau_star(*args)
+    # seeded classes and functionals, outside R3perp too: τ̃* is linear either way
+    for data in (maclane_data, c13_data, build_lcs(asymmetric_config)):
+        rng, outside = random.Random(f"tau-star:{data.n}"), 0
+        for _ in range(5):
+            gen_coeffs = [rng.choice((0, 0, 1, -1, 2)) for _ in data.gens]
+            functional = [rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(data.hw_rank)]
+            assert real(data, gen_coeffs, functional) == dense_tau_star(data, gen_coeffs, functional)
+            outside += not member(functional, data.r3perp).ok
+        assert outside
+
+
+def test_tau_star_refuses_arguments_of_the_wrong_length(maclane_data):
+    gens, functional = [1] * len(maclane_data.gens), [1] * maclane_data.hw_rank
+    for bad_gens, bad_functional in ((gens[1:], functional), (gens + [0], functional), (gens, functional[1:]), (gens, functional + [0])):
+        with pytest.raises(ValueError, match="tau_star takes"):
+            lcs.tau_star(maclane_data, bad_gens, bad_functional)
 
 
 def test_transport_group_and_equivariance(maclane_data):

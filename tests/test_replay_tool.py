@@ -1,4 +1,4 @@
-"""tools/replay.py: its sources, its table of old script names and its JSON writer; no source is run."""
+"""tools/replay.py: its sources, its table of old script names and its JSON writer; only the small ``taustar`` source is run."""
 
 import functools
 import importlib.util
@@ -18,9 +18,9 @@ def load_replay():
     return module
 
 
-def test_sources_are_the_seven_layers():
+def test_sources_are_the_eight_layers():
     replay = load_replay()
-    assert list(replay.SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u", "words"]
+    assert list(replay.SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u", "words", "taustar"]
     assert list(replay.OLD_SCRIPTS.values()) == ["kernel", "lattice", "kappa", "realization", "bracket", "u"]
 
 
@@ -56,3 +56,16 @@ def test_best_of_rejects_repeats_that_disagree():
     assert replay.best_of("same", tuple, lambda _: 7)[1:] == (7, (), 7)
     with pytest.raises(SystemExit, match="different results"):
         replay.best_of("counter", tuple, lambda _: next(calls))
+
+
+def test_taustar_times_the_transport_check_cold_and_warm(monkeypatch):
+    replay = load_replay()
+    monkeypatch.setattr(replay, "REPEAT", 1)
+    records = replay.taustar()["inputs"]
+    by_state = {state: [rec for rec in records if rec["state"] == state] for state in ("cold", "warm")}
+    for runs in by_state.values():
+        assert [rec["call"] for rec in runs] == ["transport_group", *["pullback"] * 42, "tau_star_identities"]
+    # cold and warm compute the same values from the same arguments
+    strip = lambda rec: {k: v for k, v in rec.items() if k not in ("state", "seconds")}  # noqa: E731
+    assert list(map(strip, by_state["cold"])) == list(map(strip, by_state["warm"]))
+    assert len({rec["arguments"] for rec in by_state["cold"] if rec["call"] == "pullback"}) == 42

@@ -24,9 +24,12 @@ old script                 source       BENCH files
 ``u_replay.py``            u            BENCH_20
 =========================  ===========  ===============================================
 
-* ``kernel``: every ``exactlin._hnf_core`` input of a cold verification
+* ``kernel``: every Hermite kernel input of a cold verification
   of C13 (``c13-verify``) and of the canonical form of U on C13
-  (``u-lattice``), replayed on fresh copies.
+  (``u-lattice``), replayed on fresh copies.  Each input is captured at
+  ``_hnf_forward``, which every reduction runs, and replayed through the
+  back-substitution too, so the digests of every committed record still
+  compare; ``kernel_basis`` runs the forward pass alone.
 * ``lattice``: the first ``quotient_presentation`` and ``perp`` of each
   lattice in a cold verification of c8 and C13, each also relabeled at
   ``SEED``, and Im δ̄'s reduction, replayed on fresh lattices.
@@ -53,6 +56,12 @@ old script                 source       BENCH files
   the Lyndon basis, are built untimed).  Its digests read the relator
   letters and the Magnus coefficients through ``component``, so they do
   not depend on how a series is stored.
+* ``taustar``: on c8, ``transport_group``, each of the 42 τ̃* pullbacks
+  that ``tau_star_identities`` makes (σ's action on the base functionals
+  is not timed) and the whole ``tau_star_identities``, cold (a fresh
+  ``LcsData`` and ``maclane_dual_basis`` cache) and warm (the data of a
+  finished call).  It digests the group's line permutations, each
+  pullback's arguments and value, and the report JSON.
 """
 
 from __future__ import annotations
@@ -194,7 +203,7 @@ def kernel() -> dict:
     records = []
     for source, work in sources.items():
         calls = []
-        capture(work, [(exactlin, "_hnf_core")],
+        capture(work, [(exactlin, "_hnf_forward")],
                 lambda _, caller, a, ncols, u: calls.append((caller, copy.deepcopy(a), ncols, copy.deepcopy(u))))
         if not calls:
             raise SystemExit(f"no kernel input captured from source {source}")
@@ -202,7 +211,7 @@ def kernel() -> dict:
             seconds, digest, _, (a, _, _) = best_of(
                 caller,
                 lambda: (copy.deepcopy(rows), copy.deepcopy(u)),
-                lambda arg: (arg[0], arg[1], exactlin._hnf_core(arg[0], ncols, arg[1])),
+                lambda arg: (arg[0], arg[1], exactlin._hnf_back(arg[0], exactlin._hnf_forward(arg[0], ncols, arg[1]), arg[1])),
                 kernel_digest,
             )
             records.append({
@@ -468,9 +477,37 @@ def words_source() -> dict:
     return {"total_s": total_s(records, lambda rec: rec["config"], "total_s"), "inputs": records}
 
 
+# -- taustar: the τ̃* transport check on c8 ------------------------------------------------
+
+
+def taustar() -> dict:
+    cfg = config.maclane_c8()
+
+    def fresh():
+        lcs.maclane_dual_basis.cache_clear()
+        return lcs.build_lcs(cfg)
+
+    warm, pullbacks = fresh(), []
+    capture(lambda: lcs.tau_star_identities(warm), [(lcs, "tau_star")], lambda _, caller, data, *args: pullbacks.append(args))
+    calls = [  # (call, its record fields, timed function of the data, digest of its value)
+        ("transport_group", {}, lcs.transport_group, lambda group: sha([sigma.line_perm for sigma in group])),
+        *(
+            ("pullback", {"pullback": k, "arguments": sha(*args)}, lambda data, args=args: lcs.tau_star(data, *args), sha)
+            for k, args in enumerate(pullbacks)
+        ),
+        ("tau_star_identities", {}, lcs.tau_star_identities, lambda rep: sha_text(json.dumps(rep.to_json_dict(), sort_keys=True))),
+    ]
+    records = []
+    for state, prepare in (("cold", fresh), ("warm", lambda: warm)):
+        for call, fields, timed, digest_of in calls:
+            seconds, digest, _, _ = best_of(f"{call} {fields} {state}", prepare, timed, digest_of)
+            records.append({"call": call, **fields, "state": state, "seconds": seconds, "digest": digest})
+    return {"total_s": total_s(records, lambda rec: f"{rec['call']} {rec['state']}"), "inputs": records}
+
+
 SOURCES = {
     "kernel": kernel, "lattice": lattice, "kappa": kappa, "realization": realization, "bracket": bracket, "u": u,
-    "words": words_source,
+    "words": words_source, "taustar": taustar,
 }
 OLD_SCRIPTS = {f"{source}_replay.py": source for source in ("kernel", "lattice", "kappa", "realization", "bracket", "u")}
 
