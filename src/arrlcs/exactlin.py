@@ -30,18 +30,18 @@ over the rows and the columns.  Products, ``vec_mat`` and membership
 touch only nonzero entries.
 
 Linear maps act on row vectors (v ↦ v·m).  A lattice reduces its basis
-once, on first use, by ``hnf_with_transform``: the Hermite form is its
-canonical form, and the transform and the pivot block serve membership,
-so comparing a lattice and testing membership in it cost one reduction.
+only as far as its readers need, each stage once: a forward pass with
+its transform gives the echelon rows (for ``rank`` and membership), the
+back-substitution of their pivot columns the Hermite pivot block (for a
+witness), and their back-substitution without a transform the Hermite
+form, the canonical form that comparison and ``perp`` read.
 ``kernel_basis(m)`` returns a plain basis of the left kernel
-{v : v·m = 0}, read off the forward pass's transform.  ``perp``
-caches the orthogonal complement on the lattice; when every Hermite
-pivot is 1 it reads the complement's basis off the canonical form, and
-otherwise takes the left kernel of its transpose.  Membership reduces a
-vector by the Hermite form; on failure, one back-substitution on its
-pivot block gives the witness, so a warm failed query reads only the
-pivot entries and pairs the witness with the vector over the witness's
-support.
+{v : v·m = 0}, read off the forward pass's transform.  ``perp`` caches
+the orthogonal complement; when every Hermite pivot is 1 it reads its
+basis off the canonical form, and otherwise takes the left kernel of its
+transpose.  Membership reduces a vector by the echelon rows; a warm
+failed query reads only the pivot block and pairs the witness with the
+vector over the witness's support.
 
 ``quotient_presentation`` presents a quotient ``ZZ^n / lattice`` from
 the lattice alone: the projection is Kᵀ for K the canonical form of
@@ -401,12 +401,13 @@ def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
 class Lattice:
     """Integer row span of ``basis`` inside ZZ^ambient_rank.
 
-    Building one reduces nothing: the canonical form, and with it the
-    transform and pivot block that ``member`` reads, come from one
-    reduction of the basis the first time any of them is asked for.
+    Building one reduces nothing.  Each stage of the basis's reduction,
+    ``echelon``, ``_pivot_block`` and ``canonical_form``, and ``perp`` are
+    computed on first use and cached, so a reader pays only for the stages
+    it reads; no stage back-substitutes a transform.
     """
 
-    __slots__ = ("ambient_rank", "basis", "_reduction", "_perp")
+    __slots__ = ("ambient_rank", "basis", "_cache")
 
     def __init__(self, ambient_rank: int, basis: IntMatrix | Iterable[Sequence[int]]):
         if not isinstance(basis, IntMatrix):
@@ -415,20 +416,49 @@ class Lattice:
             raise ValueError("basis width does not match ambient rank")
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_reduction", None)
-        object.__setattr__(self, "_perp", None)
+        object.__setattr__(self, "_cache", {})  # the stages by name, and ``perp``
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
 
+    def echelon(self):
+        """The echelon stage ``(e, keep, pivots, det)``: one ``_hnf_forward`` of the basis, ``keep @ basis == e``.
+
+        ``det``, the pivot product, is the Hermite form's too: back-substitution never changes a pivot.
+        """
+        if "echelon" not in self._cache:
+            a, u = [dict(row) for row in self.basis.sparse_rows], [{i: 1} for i in range(self.basis.rows)]
+            pivots = _hnf_forward(a, self.ambient_rank, u)
+            r, det = len(pivots), math.prod(row[p] for row, p in zip(a, pivots))
+            self._cache["echelon"] = IntMatrix._of(a[:r], self.ambient_rank), IntMatrix._of(u[:r], self.basis.rows), pivots, det
+        return self._cache["echelon"]
+
+    def _pivot_block(self):
+        """Per row of the Hermite form H, its ``(pivot index, entry)`` pairs at the other pivot columns.
+
+        Each quotient of ``_hnf_back`` reads only pivot-column entries, so
+        the echelon rows cut to the pivot columns back-substitute to H's.
+        """
+        if "block" not in self._cache:
+            e, _, pivots, _ = self.echelon()
+            pos = {p: j for j, p in enumerate(pivots)}
+            rows = [{col: x for col, x in row.items() if col in pos} for row in e.sparse_rows]
+            _hnf_back(rows, pivots, None)
+            self._cache["block"] = tuple(tuple((pos[col], x) for col, x in row.items() if col != p) for row, p in zip(rows, pivots))
+        return self._cache["block"]
+
     @property
     def canonical_form(self) -> IntMatrix:
-        """The Hermite form of the basis, from the lattice's one reduction (``_reduction_data``)."""
-        return self._reduction_data()[0]
+        """The Hermite form: the echelon rows back-substituted without a transform."""
+        if "canonical" not in self._cache:
+            a = [dict(row) for row in self.echelon()[0].sparse_rows]
+            _hnf_back(a, self.echelon()[2], None)
+            self._cache["canonical"] = IntMatrix._of(a, self.ambient_rank)
+        return self._cache["canonical"]
 
     @property
     def rank(self) -> int:
-        return self.canonical_form.rows
+        return len(self.echelon()[2])
 
     def __eq__(self, other) -> bool:
         return (
@@ -442,29 +472,6 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice(rank {self.rank} in ZZ^{self.ambient_rank})"
-
-    def _reduction_data(self):
-        """``(h, keep, pivots, block)``, from one ``hnf_with_transform`` of the basis on first use.
-
-        ``h`` is the Hermite form of the basis, ``keep`` the transform rows
-        that make it, and ``block`` the pivot block P of ``h`` for
-        ``_pivot_witness``: per row of ``h``, its ``(pivot index, entry)``
-        pairs at the other pivot columns, and the pivot product d = det P.
-        It is the lattice's only reduction: ``canonical_form`` is this
-        ``h``, so comparing a lattice and then testing membership in it
-        reduces its basis once.  d = 1 iff every pivot is 1.
-        """
-        if self._reduction is None:
-            h, u, pivots = hnf_with_transform(self.basis)
-            keep = IntMatrix._of(u.sparse_rows[: len(pivots)], u.cols)
-            pos = {p: j for j, p in enumerate(pivots)}
-            above = tuple(
-                tuple((pos[col], x) for col, x in row.items() if col in pos and col != p)
-                for row, p in zip(h.sparse_rows, pivots)
-            )
-            det = math.prod(row[p] for row, p in zip(h.sparse_rows, pivots))
-            object.__setattr__(self, "_reduction", (h, keep, pivots, (above, det)))
-        return self._reduction
 
 
 @dataclass(frozen=True)
@@ -498,58 +505,66 @@ def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
 
     On success ``coefficients`` expresses ``v`` over ``lat.basis`` rows.
     On failure the witness has ``modulus == 0`` (rational failure) or a
-    positive modulus dividing the pivot product (divisibility failure);
-    either comes from the Hermite pivot block alone, which the lattice
-    prepares once with its Hermite form.  Entries of ``v`` must be Python
-    ``int``s; they are used as given, without coercion.
+    positive modulus dividing the pivot product (divisibility failure).
+    Entries of ``v`` must be Python ``int``s, used as given.
+
+    ``v`` is walked down the echelon rows E (``Lattice.echelon``); the
+    Hermite form H = T·E (T unit upper triangular) gives the same first
+    failing pivot, rational column and final residue.  With L_k the span
+    of rows k, k+1, … (the same for E and H): if the two residues before
+    row k differ by Σ_{j≥k} α_j·E_j, their entries at pivot c_k differ by
+    α_k·p_k (E and H share each pivot p_k), so both divide or neither
+    does, the quotients differ by α_k, and as H_k - E_k ∈ L_{k+1} the
+    residues after row k differ within L_{k+1}, which is 0 after the last
+    row.  So q·E = q′·H = q′T·E, and E has full row rank: q = q′T, and
+    over the forward transform u⁰ (``keep``) q·u⁰ = q′·(T·u⁰), the
+    coefficients over H's own transform.  Certificates do not move.
     """
     if len(v) != lat.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
-    h, keep, pivots, block = lat._reduction_data()
+    e, keep, pivots, _ = lat.echelon()
     rem = dict(compress(enumerate(v), v))
     coeffs: list[int] = []
-    for k, (hk, c) in enumerate(zip(h.sparse_rows, pivots)):
-        q, r = divmod(rem.get(c, 0), hk[c])
+    for k, (ek, c) in enumerate(zip(e.sparse_rows, pivots)):
+        q, r = divmod(rem.get(c, 0), ek[c])
         if r:
-            return MembershipResult(False, witness=_pivot_witness(h, pivots, block, v, k=k))
+            return MembershipResult(False, witness=_pivot_witness(lat, v, k=k))
         coeffs.append(q)
         if q:
-            _sparse_sub(rem, hk, q)
+            _sparse_sub(rem, ek, q)
     if rem:
-        return MembershipResult(False, witness=_pivot_witness(h, pivots, block, v, c=min(rem)))
+        return MembershipResult(False, witness=_pivot_witness(lat, v, c=min(rem)))
     return MembershipResult(True, coefficients=vec_mat(coeffs, keep))
 
 
-def _pivot_witness(h: IntMatrix, pivots: list[int], block, v: Sequence[int], *, k=None, c=None) -> Witness:
-    """Witness from one back-substitution on the pivot block P of ``h``.
+def _pivot_witness(lat: Lattice, v: Sequence[int], *, k=None, c=None) -> Witness:
+    """Witness from one back-substitution on the pivot block P of the Hermite form H.
 
-    P, the pivot columns of ``h``, is upper triangular with determinant
-    d, the pivot product, so y = d·P⁻¹b is integral (the adjugate).  A
+    P, the pivot columns of H, is upper triangular with determinant d,
+    the pivot product, so y = d·P⁻¹b is integral (the adjugate).  A
     divisibility failure at pivot row ``k`` solves for b = e_k: y on the
-    pivot coordinates maps every row of ``h`` into dZZ and ``v`` outside
-    it.  A rational failure at the non-pivot column ``c`` solves for
-    b = -h[:, c] and sets f_c = d, so f kills every row of ``h`` exactly
-    but not ``v``, whose residue is nonzero at ``c`` and zero at every
-    pivot; f is then divided by the gcd of its entries.
+    pivot coordinates maps every row of H into dZZ and ``v`` outside it.
+    A rational failure at the non-pivot column ``c`` solves for
+    b = -H[:, c] and sets f_c = d, so f kills every row of H exactly but
+    not ``v``, whose residue is nonzero at ``c`` and zero at every pivot;
+    f is then divided by the gcd of its entries.
 
-    ``block`` is the lattice's pivot block, prepared once by
-    ``Lattice._reduction_data``: each row's ``(pivot index, entry)`` pairs
-    right of its pivot, and d.  The back-substitution reads only those,
-    and the pairing f·v runs over the support of f, at most rank + 1
-    entries.
+    A divisibility witness reads only P (``Lattice._pivot_block``), a
+    rational one H's column c too (``canonical_form``); the pairing f·v
+    runs over the support of f, at most rank + 1 entries.
     """
-    above, det = block
-    rank, rows = len(pivots), h.sparse_rows
+    e, _, pivots, det = lat.echelon()
+    above, rank = lat._pivot_block(), len(pivots)
     if c is None:
         b = [det if i == k else 0 for i in range(rank)]
         top = k  # b and so y vanish below row k
     else:
-        b = [-det * row.get(c, 0) for row in rows]
+        b = [-det * row.get(c, 0) for row in lat.canonical_form.sparse_rows]
         top = rank - 1
     y = [0] * rank
     for i in range(top, -1, -1):
         s = b[i] - sum(x * y[j] for j, x in above[i])
-        y[i], r = divmod(s, rows[i][pivots[i]])
+        y[i], r = divmod(s, e.sparse_rows[i][pivots[i]])
         if r:
             raise AssertionError("adjugate witness is not integral")
     if c is None:
@@ -557,7 +572,7 @@ def _pivot_witness(h: IntMatrix, pivots: list[int], block, v: Sequence[int], *, 
     else:
         g = math.gcd(*y, det)
         support, coeffs = [*pivots, c], [x // g for x in (*y, det)]
-    f = [0] * h.cols
+    f = [0] * lat.ambient_rank
     for p, x in zip(support, coeffs):
         f[p] = x
     pairing = sum(x * v[p] for p, x in zip(support, coeffs))
@@ -570,24 +585,24 @@ def perp(lat: Lattice) -> Lattice:
     """Integer functionals vanishing on the lattice (ambient dual, same coords).
 
     The right kernel {x : Hx = 0} of the canonical form H: it depends
-    only on the span.  When every pivot of H is 1, the pivot columns p_k
-    of H are the identity columns (zeros below a pivot, entries above it
-    reduced into [0, 1)), so row k of Hx = 0 reads
+    only on the span.  When the pivot product (the echelon stage's) is 1,
+    the pivot columns p_k of H are the identity columns (zeros below a
+    pivot, entries above it in [0, 1)), so row k of Hx = 0 reads
     x_{p_k} = -Σ_c H[k][c]·x_c over the non-pivot columns c, which are
     free: the rows e_c - Σ_k H[k][c]·e_{p_k}, one per non-pivot column,
     are a basis, and no reduction builds them.  Any other lattice takes
-    the left kernel of Hᵀ.  Computed once per lattice and cached on it,
-    so ``perp(lat) is perp(lat)``.
+    the left kernel of Hᵀ.  Computed once per lattice and cached with its
+    stages, so ``perp(lat) is perp(lat)``.
     """
-    if lat._perp is None:
-        n, (h, _, pivots, (_, det)) = lat.ambient_rank, lat._reduction_data()
+    if "perp" not in lat._cache:
+        n, h, (_, _, pivots, det) = lat.ambient_rank, lat.canonical_form, lat.echelon()
         if det == 1:
             cols, free = _transpose(h.sparse_rows, n), sorted(set(range(n)).difference(pivots))
             basis = IntMatrix._of([{c: 1, **{pivots[k]: -x for k, x in cols[c].items()}} for c in free], n)
         else:
             basis = kernel_basis(h.transpose())
-        object.__setattr__(lat, "_perp", Lattice(n, basis))
-    return lat._perp
+        lat._cache["perp"] = Lattice(n, basis)
+    return lat._cache["perp"]
 
 
 @dataclass(frozen=True)
@@ -635,8 +650,7 @@ def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     h, u, _ = hnf_with_transform(projection)
     if h != IntMatrix.identity(f):
         raise AssertionError("the orthogonal complement is not primitive")
-    _, _, _, (_, det) = lat._reduction_data()
-    divisors = (1,) * lat.rank if det == 1 else snf(lat.canonical_form)[0]
+    divisors = (1,) * lat.rank if lat.echelon()[3] == 1 else snf(lat.canonical_form)[0]
     return QuotientPresentation(
         ambient_rank=n,
         elementary_divisors=divisors,

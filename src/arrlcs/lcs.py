@@ -34,10 +34,10 @@ lift and Im δ̄ spread a value v at a flag (i,p) over p's generator flags
 by one signed pattern (``LcsData._flag_terms``): v = x_i∧x_m, f̂(x_i)
 and a section image ŝ_t of P2.  R3perp pulls perp(R3) back along the
 bracket.  A lift is a sequence of (generator flag, slot, coefficient)
-terms.  An automorphism acts on A and on H⊗Λ²H by one sparse signed
-permutation each (``_line_action``).  Every matrix is built from sparse
-rows, so no layer reads or writes their zeros (on C13 under 2% of
-entries are nonzero).
+terms.  An automorphism acts on A and on H⊗Λ²H by one signed
+permutation each, read entry by entry (``_line_entries``).  Every matrix
+is built from sparse rows, so no layer reads or writes their zeros (on
+C13 under 2% of entries are nonzero).
 
 U splits over the finite points like τ̃, and both kernel identities read
 it from ``LcsData.u_points``.  U's generators are defined once, point by
@@ -680,14 +680,14 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     """τ̃⁻¹(Im δ̄) = U + B, decided in A/U = ⊕ A_p/U_p (rank 36 on C13), whether or not ker τ̃ = U.
 
     Let π: A → A/U be ``LcsData.u_projection``, with section s read from
-    ``LcsData.u_points``.
-    Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff s(π(a)) does, so the
-    equality holds iff π(preimage), the left kernel of [τ̃∘s; Im δ̄] cut
-    to its first block, equals π(B).  Im δ̄ enters that kernel by its
-    canonical form: only its span matters there.  Raises TorsionError if
-    A/U has torsion, where no such section exists; U's own generators
-    never give torsion (``_point_quotient``'s forest proves each A_p/U_p
-    free), so only rows of another shape reach it.
+    ``LcsData.u_points``.  Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff
+    s(π(a)) does, so the equality holds iff π(preimage), the left kernel
+    of [τ̃∘s; Im δ̄] cut to its first block, equals π(B).  Im δ̄ enters
+    that kernel by the echelon rows κ reads (``Lattice.echelon``): only
+    its span matters there.  Raises TorsionError if A/U has torsion,
+    where no such section exists; U's own generators never give torsion
+    (``_point_quotient``'s forest proves each A_p/U_p free), so only rows
+    of another shape reach it.
     """
     width, points = len(data.gens) * data.p3.free_rank, data.u_points
 
@@ -700,7 +700,7 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     if not all(pt.quotient.is_torsion_free for pt in points):
         raise TorsionError("A/U has torsion")
     tau_s = [v for pt in points for v in spread(pt.cols.start, pt.s_tau)]
-    joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.canonical_form))
+    joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.echelon()[0]))
     f = data.u_projection.cols
     return Lattice(f, joint.columns(0, f)) == data.pi_b
 
@@ -825,11 +825,11 @@ def tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]
     return tuple(out)
 
 
-def _line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, IntMatrix]:
-    """σ acting on row vectors (v ↦ v·M) of A and of H⊗Λ²H: two signed permutation matrices.
+def _line_entries(data: LcsData, sigma: ConfigAutomorphism):
+    """σ acting on row vectors of A and of H⊗Λ²H, entry by entry: two maps, coordinate ↦ (image coordinate, sign).
 
     x_m at flag (i,p) goes to x_σm at (σi,σp), and x_m⊗(x_a∧x_b) to
-    ±x_σm⊗(x_σa∧x_σb); so σ.compose(τ) acts by M_τ @ M_σ.
+    ±x_σm⊗(x_σa∧x_σb).
     """
     if sigma.config != data.config:
         raise ConfigMismatchError("automorphism of another configuration")
@@ -837,9 +837,12 @@ def _line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, I
         raise ValueError("automorphism must fix the infinity line")
     s, n, np_, wp = sigma.line_perm, data.n, data.npairs, data.wedge_pos
     flags = [data.index.pair_pos[(s[i], sigma.point_image(p))] for i, p in data.index.pairs]
-    on_a = [{f * n + s[m] - 1: 1} for f in flags for m in range(1, n + 1)]
-    on_hw = [{(s[m] - 1) * np_ + wp[min(s[a], s[b]), max(s[a], s[b])]: 1 if s[a] < s[b] else -1} for m in range(1, n + 1) for a, b in wp]
-    return IntMatrix._of(on_a, data.a_rank), IntMatrix._of(on_hw, data.hw_rank)
+    wedges = [(wp[min(s[a], s[b]), max(s[a], s[b])], 1 if s[a] < s[b] else -1) for a, b in wp]
+
+    def on_hw(k):
+        m, (t, sign) = k // np_, wedges[k % np_]
+        return (s[m + 1] - 1) * np_ + t, sign
+    return lambda k: (flags[k // n] * n + s[k % n + 1] - 1, 1), on_hw
 
 
 @dataclass(frozen=True)
@@ -871,7 +874,7 @@ def transport_group(data: LcsData) -> list[ConfigAutomorphism]:
     """The stabiliser of line 0 in ``automorphisms(maclane_c8())``: 6 of its 48 elements, sorted.
 
     Line 0 carries no generator, so only these σ act on A and H⊗Λ²H
-    (``_line_action``); they carry the seven base τ̃* identities to every
+    (``_line_entries``); they carry the seven base τ̃* identities to every
     finite point.  The search pins line 0 and lists σ in line order.
     """
     if data.config != maclane_c8():
@@ -898,12 +901,15 @@ def tau_star_identities(data: LcsData) -> TauStarReport:
         ("K1(p147)", (1, "p147"), _dual_combination([("T0", -1)])),
         ("K2(p147)", (1, "p147"), _dual_combination([("T3", -1)])),
     )
-    functionals = IntMatrix([svec for *_, svec in base], data.hw_rank)
-    targets = IntMatrix([duals[label].coords for label, *_ in base], data.a_rank)
+    functionals = [{k: x for k, x in enumerate(svec) if x} for *_, svec in base]
+    targets = [{k: x for k, x in enumerate(duals[label].coords) if x} for label, *_ in base]
+
+    def act_on(rows, act):  # σ on sparse rows, read through ``act`` at their nonzero entries
+        return [{t: sign * x for k, x in row.items() for t, sign in [act(k)]} for row in rows]
     identities, transported_rows, consistent = [], [], True
     for sigma in transport_group(data):
-        on_a, on_hw = _line_action(data, sigma)
-        for (label, (i, p), _), moved, target in zip(base, (functionals @ on_hw).sparse_rows, (targets @ on_a).sparse_rows):
+        on_a, on_hw = _line_entries(data, sigma)
+        for (label, (i, p), _), moved, target in zip(base, act_on(functionals, on_hw), act_on(targets, on_a)):
             lhs = tau_star(data, rbar_gen_coeffs(data, sigma.line_perm[i], sigma.point_image(p)), densify(moved, data.hw_rank))
             ok = lhs == densify(target, data.a_rank)
             if sigma.is_identity():  # the base identities themselves

@@ -13,6 +13,7 @@ from arrlcs.config import ConfigAutomorphism, Configuration, maclane_c8
 from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
+    MembershipResult,
     QuotientPresentation,
     Witness,
     hnf_with_transform,
@@ -20,10 +21,11 @@ from arrlcs.exactlin import (
     perp,
     quotient_presentation,
     snf,
+    vec_mat,
     vstack,
 )
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.lcs import LcsData, _line_action, _u_generators, rbar_gen_coeffs
+from arrlcs.lcs import LcsData, _line_entries, _u_generators, rbar_gen_coeffs
 from arrlcs.words import GMap, Word, lie_basis, lie_sparse_coords, wedge_index
 
 
@@ -363,16 +365,25 @@ def swept_l3_action(n: int, sigma: ConfigAutomorphism) -> IntMatrix:
     return IntMatrix._of(rows, len(basis))
 
 
+def line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, IntMatrix]:
+    """σ on row vectors (v ↦ v·M) of A and of H⊗Λ²H: the signed permutation matrices of ``lcs._line_entries``.
+
+    σ.compose(τ) acts by M_τ @ M_σ.
+    """
+    acts, sizes = _line_entries(data, sigma), (data.a_rank, data.hw_rank)
+    return tuple(IntMatrix._of([dict([act(k)]) for k in range(size)], size) for act, size in zip(acts, sizes))
+
+
 def check_equivariance(data: LcsData, sigma: ConfigAutomorphism) -> bool:
     """τ̃(σ·a) = σ ∘ τ̃a ∘ σ⁻¹ for every a, as the one sparse identity P_σ·τ̃ = τ̃·K_σ, on any configuration.
 
-    P_σ is σ's action on A (``lcs._line_action``, which refuses a σ of
+    P_σ is σ's action on A (``line_action``, which refuses a σ of
     another configuration or one that moves line 0), and K_σ sends a flat
     Hom(R2,P3) value f to R·f·P3_σ, where row g of R is r̄ at the σ⁻¹-image
     of generator flag g and P3_σ is σ's action on P3 (``swept_l3_action``
     between the P3 section and projection).
     """
-    on_a, _ = _line_action(data, sigma)
+    on_a, _ = line_action(data, sigma)
     inv, r, ngens = sigma.inverse(), data.p3.free_rank, len(data.gens)
     p3sigma = (data.p3.section @ swept_l3_action(data.n, sigma) @ data.p3.projection).sparse_rows
     r_t = IntMatrix([rbar_gen_coeffs(data, inv.line_perm[k], inv.point_image(p)) for k, p in data.gens], ngens).transpose()
@@ -419,6 +430,48 @@ def _solve(a: list[list[Fraction]], b: list[Fraction]) -> tuple[list[Fraction], 
                 q = m[i][j]
                 m[i] = [x - q * y if y else x for x, y in zip(m[i], m[j])]
     return [row[n] for row in m], det
+
+
+def reference_member(v: Sequence[int], lat: Lattice) -> MembershipResult:
+    """Oracle for ``member``: the single-reduction route, one ``hnf_with_transform`` of the basis.
+
+    ``v`` is walked down the Hermite form H; on success its coefficients
+    over H are carried to the basis by H's own transform rows.  A failure
+    solves y = d·P⁻¹b by back-substitution on the full pivot block P of H
+    (d the pivot product): b = e_k for a divisibility failure at row k,
+    b = -(column c of H) with f_c = d, divided by the gcd of the entries,
+    for a rational failure at column c.
+    """
+    h, u, pivots = hnf_with_transform(lat.basis)
+    rows, rank = h.sparse_rows, len(pivots)
+    rem, coeffs, k = {j: x for j, x in enumerate(v) if x}, [], None
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        q, r = divmod(rem.get(p, 0), row[p])
+        if r:
+            k = i
+            break
+        coeffs.append(q)
+        for j, x in row.items():
+            rem[j] = rem.get(j, 0) - q * x
+        rem = {j: x for j, x in rem.items() if x}
+    if k is None and not rem:
+        return MembershipResult(True, coefficients=vec_mat(coeffs, IntMatrix._of(u.sparse_rows[:rank], u.cols)))
+    c, det = None if k is not None else min(rem), math.prod(row[p] for row, p in zip(rows, pivots))
+    b = [det * (i == k) for i in range(rank)] if k is not None else [-det * row.get(c, 0) for row in rows]
+    y = [0] * rank
+    for i in reversed(range(rank)):
+        y[i], r = divmod(b[i] - sum(rows[i].get(pj, 0) * y[j] for j, pj in enumerate(pivots) if j > i), rows[i][pivots[i]])
+        if r:
+            raise ValueError("the adjugate solution is not integral")
+    f = [0] * lat.ambient_rank
+    if k is not None:
+        for p, x in zip(pivots, y):
+            f[p] = x
+        return MembershipResult(False, witness=Witness(tuple(f), det, sum(x * v[p] for p, x in zip(pivots, y)) % det))
+    g = math.gcd(*y, det)
+    for p, x in zip([*pivots, c], [*y, det]):
+        f[p] = x // g
+    return MembershipResult(False, witness=Witness(tuple(f), 0, sum(a * b for a, b in zip(f, v))))
 
 
 def reference_witness(lat: Lattice, v: Sequence[int]) -> Witness | None:

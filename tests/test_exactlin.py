@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from arrlcs import exactlin
 from arrlcs.config import maclane_c8
 from arrlcs.exactlin import (
     IntMatrix,
@@ -25,7 +27,7 @@ from arrlcs.exactlin import (
 )
 from arrlcs.lcs import tau_tilde, u_lattice
 from arrlcs.words import AbelianGMap
-from helpers import kernel_perp, lattice_sum, reference_quotient, reference_witness, saturate
+from helpers import kernel_perp, lattice_sum, reference_member, reference_quotient, reference_witness, saturate
 
 
 @st.composite
@@ -521,6 +523,44 @@ def test_member_witness_equals_the_fraction_reference_on_c13(c13_data):
     assert not any(wanted.values())
 
 
+@st.composite
+def lattices_and_probes(draw):
+    """A lattice of any shape above and a vector: arbitrary, in the lattice, or one unit off it."""
+    m = draw(st.one_of(matrices(), wide_sparse(), tall_sparse()))
+    kind, n = draw(st.sampled_from(["any", "in", "off"])), m.cols
+    if kind == "any":
+        return Lattice(n, m), tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    v = list(vec_mat(draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows)), m))
+    if kind == "off":
+        v[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
+    return Lattice(n, m), tuple(v)
+
+
+# echelon rows [[1, 5, 0], [0, 2, 1]] against Hermite rows [[1, 1, -1], [0, 2, 1]], plus a dependent row
+STAGED = Lattice(3, [[1, 5, 0], [0, 2, 1], [1, 7, 1]])
+STAGED_CASES = [(STAGED, (1, 5, 0)), (STAGED, (0, 1, 0)), (STAGED, (0, 0, 1)), (Lattice(3, [[2, 4, 6], [0, 3, 3], [2, 1, 3]]), (1, 0, 0))]
+
+
+def test_staged_cases_cover_every_outcome():
+    assert STAGED.echelon()[0] != STAGED.canonical_form and STAGED.basis.rows > STAGED.rank
+    outcomes = [(r.ok, r.witness and r.witness.modulus) for r in (member(v, lat) for lat, v in STAGED_CASES)]
+    assert outcomes == [(True, None), (False, 2), (False, 0), (False, 6)]
+
+
+@settings(max_examples=300)
+@given(lattices_and_probes())
+@example(STAGED_CASES[0])  # in the lattice: coefficients over the echelon rows differ from the Hermite rows'
+@example(STAGED_CASES[1])  # divisibility failure at the non-unit pivot 2
+@example(STAGED_CASES[2])  # rational failure
+@example(STAGED_CASES[3])  # dependent rows, divisibility failure modulo 6
+def test_staged_lattice_equals_the_single_reduction_route(case):
+    lat, v = case
+    assert member(v, lat) == reference_member(v, lat)
+    e, keep, _, _ = lat.echelon()
+    assert keep @ lat.basis == e
+    assert lat.canonical_form == hnf(lat.basis)
+
+
 def test_member_rational_failure_needs_no_orthogonal_complement(monkeypatch, c13_data):
     im_delta = c13_data.im_delta
     pivots = {next(j for j, x in enumerate(row) if x) for row in im_delta.canonical_form.entries}
@@ -621,8 +661,8 @@ def assert_quotient_matches_the_oracles(lat: Lattice) -> None:
 @settings(max_examples=200)
 @given(unit_pivot_lattices())
 def test_unit_pivot_perp_and_quotient_equal_the_kernel_route(lat):
-    _, _, _, (_, det) = lat._reduction_data()
-    assert det == 1
+    _, _, pivots, det = lat.echelon()
+    assert det == 1 == math.prod(row[p] for row, p in zip(lat.canonical_form.sparse_rows, pivots))
     assert_quotient_matches_the_oracles(lat)
     assert quotient_presentation(lat).is_torsion_free
 
@@ -648,13 +688,21 @@ def test_unit_pivot_quotient_needs_no_kernel_and_no_saturation(monkeypatch):
 @settings(max_examples=200)
 @given(st.one_of(matrices(), wide_sparse(), tall_sparse()), st.booleans())
 def test_one_reduction_serves_canonical_form_and_member(m, member_first):
-    lat = Lattice(m.cols, m)
-    if member_first:
-        member((0,) * m.cols, lat)
-    h = lat.canonical_form
+    # one forward pass, with the transform, serves every stage; back-substitutions carry none
+    lat, probe = Lattice(m.cols, m), tuple(range(1, m.cols + 1))
+    with mock.patch.object(exactlin, "_hnf_forward", wraps=exactlin._hnf_forward) as forward, \
+            mock.patch.object(exactlin, "_hnf_back", wraps=exactlin._hnf_back) as back:
+        if member_first:
+            member(probe, lat)
+        h = lat.canonical_form
+        res = member(probe, lat)
+        assert lat.canonical_form is h and lat.rank == h.rows
+    # the canonical form's back-substitution, and the pivot block's when a witness is built
+    assert forward.call_count == 1 and back.call_count == 1 + (not res.ok)
+    assert all(call.args[2] is None for call in back.call_args_list)
     assert h == hnf(m)
-    h_again, keep, _, _ = lat._reduction_data()
-    assert h_again is h and keep @ m == h
+    e, keep, pivots, _ = lat.echelon()
+    assert keep @ m == e and e.rows == len(pivots) == h.rows
 
 
 def test_quotient_presentation_divisors():

@@ -46,6 +46,7 @@ from helpers import (
     hesse,
     lattice_sum,
     lift_rows,
+    line_action,
     pencil4,
     reference_u_points,
     relabel,
@@ -229,7 +230,7 @@ def test_line_action_commutes_with_the_bracket(maclane_data, c13_data):
     assert [len(group) for _, group in cases] == [6, 4]
     for data, group in cases:
         for sigma in group:
-            _, on_hw = lcs._line_action(data, sigma)
+            _, on_hw = line_action(data, sigma)
             assert on_hw @ data.bracket == data.bracket @ swept_l3_action(data.n, sigma)
 
 
@@ -597,14 +598,21 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
 
     monkeypatch.setattr(lcs, "u_lattice", no_u_lattice)
     rows = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"])
-    forward, kernel_calls = exactlin._hnf_forward, []
+    forward, back, kernel_calls, backs = exactlin._hnf_forward, exactlin._hnf_back, [], []
     im_delta_rows = list(data.im_delta.basis.sparse_rows)
 
     def counted_forward(a, *args):
         kernel_calls.append(a == im_delta_rows)
+        rows.setdefault("forward", []).append(len(a))
         return forward(a, *args)
 
+    def counted_back(a, pivots, u):
+        # a full back-substitution of Im δ̄ holds its non-pivot columns; its pivot block does not
+        backs.append((u is not None, len(pivots), len(pivots) == 168 and any(set(row) - set(pivots) for row in a)))
+        return back(a, pivots, u)
+
     monkeypatch.setattr(exactlin, "_hnf_forward", counted_forward)
+    monkeypatch.setattr(exactlin, "_hnf_back", counted_back)
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
     # per point only rank τ̃_p∘s_p, over 41 points: A_p/U_p comes from a spanning
     # forest, so neither U_p nor its complement is reduced; then Im δ̄, the joint
@@ -613,11 +621,15 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
     g_pp, g_pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
     assert kappa(data, g_pp, g_pp).zero and not kappa(data, g_pp, g_pm).zero
-    # the joint kernel reads Im δ̄'s canonical form and κ its transform: one reduction
-    assert data.im_delta.basis.shape == (180, 2040) and kernel_calls.count(True) == 1
+    # the joint kernel reads Im δ̄'s echelon rows, κ walks them and its witness
+    # back-substitutes only their pivot block: one forward pass, no full back-substitution
+    assert data.im_delta.basis.shape == (180, 2040) and data.im_delta.rank == 168
+    assert kernel_calls.count(True) == 1 and len(kernel_calls) == 41 + 4
+    assert (False, 168, False) in backs and not any(full for *_, full in backs)
+    # no back-substitution carries a transform: no lattice calls hnf_with_transform
+    assert not any(transform for transform, *_ in backs) and rows.pop("hnf_with_transform") == []
     tau_tilde(data, random_abelian(random.Random(0), data))
     assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
-
 
 
 def test_verdict_path_builds_no_dense_view(monkeypatch, asymmetric_config):
@@ -876,7 +888,7 @@ def test_equivariance_under_c13_automorphisms(c13_data):
 def test_line_action_refuses_an_automorphism_of_a_relabelled_config(maclane_data):
     # its point names are not c8's, which read as a bare KeyError
     sigma = ConfigAutomorphism.identity(relabel(maclane_c8(), 41))
-    for act in (lcs._line_action, check_equivariance):
+    for act in (line_action, check_equivariance):
         with pytest.raises(ConfigMismatchError):
             act(maclane_data, sigma)
 
@@ -887,7 +899,7 @@ def test_line_action_refuses_an_automorphism_of_c13(maclane_data):
     autos = [sigma for sigma in automorphisms(glue_c13()) if sigma.line_perm[0] == 0]
     assert len(autos) == 4
     for sigma in autos:
-        for act in (lcs._line_action, check_equivariance):
+        for act in (line_action, check_equivariance):
             with pytest.raises(ConfigMismatchError):
                 act(maclane_data, sigma)
 
@@ -897,7 +909,7 @@ def test_equivariance_detects_a_changed_tau_entry(maclane_data):
     tau = maclane_data.tau_matrix
     # the twist K_σ matters: σ moves τ̃ itself for every σ but the identity
     for sigma in group:
-        on_a, _ = lcs._line_action(maclane_data, sigma)
+        on_a, _ = line_action(maclane_data, sigma)
         assert (on_a @ tau == tau) == sigma.is_identity()
     data = build_lcs(maclane_c8())
     rows = [dict(row) for row in tau.sparse_rows]
@@ -911,12 +923,12 @@ def test_equivariance_detects_a_changed_tau_entry(maclane_data):
 def test_line_action_group_laws(maclane_data):
     data = maclane_data
     group = transport_group(data)
-    act = {sigma: lcs._line_action(data, sigma) for sigma in group}
+    act = {sigma: line_action(data, sigma) for sigma in group}
     identity = ConfigAutomorphism.identity(data.config)
     assert act[identity] == (IntMatrix.identity(data.a_rank), IntMatrix.identity(data.hw_rank))
     order_matters = False
     for sigma in group:
-        for m, m_inv in zip(act[sigma], lcs._line_action(data, sigma.inverse())):
+        for m, m_inv in zip(act[sigma], line_action(data, sigma.inverse())):
             assert m @ m_inv == IntMatrix.identity(m.rows)
         for tau in group:
             # σ.compose(τ) is σ after τ; on row vectors it acts by M_τ @ M_σ

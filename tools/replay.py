@@ -32,7 +32,12 @@ old script                 source       BENCH files
   compare; ``kernel_basis`` runs the forward pass alone.
 * ``lattice``: the first ``quotient_presentation`` and ``perp`` of each
   lattice in a cold verification of c8 and C13, each also relabeled at
-  ``SEED``, and Im δ̄'s reduction, replayed on fresh lattices.
+  ``SEED``, replayed on fresh lattices, and Im δ̄'s reduction stage by
+  stage through its readers: ``rank`` cold (``im_delta_echelon``), then
+  a divisibility failure's witness (``im_delta_witness``) and the
+  canonical form (``im_delta_canonical``), each after ``rank``.  Records
+  before ``BENCH_28.json`` time the whole reduction as
+  ``im_delta_reduction`` instead.
 * ``kappa``: ``QUERIES`` warm κ queries on c8 and C13 from ``KAPPA_SEED``,
   ``g - g'`` in U+B or random, dense or sparse; the difference, τ̃, the
   membership test and the whole κ are timed apart.
@@ -227,8 +232,33 @@ def kernel() -> dict:
 LATTICE_CALLS = {  # call: (timed function of a fresh lattice, digest of its value)
     "quotient_presentation": (exactlin.quotient_presentation, lambda q: sha(q.elementary_divisors, q.projection, q.section)),
     "perp": (lambda lat: exactlin.perp(lat).canonical_form, sha),
-    "im_delta_reduction": (lambda lat: lat._reduction_data()[:3], lambda r: sha(*r)),
 }
+
+
+def im_delta_stages(im_delta: exactlin.Lattice) -> list[tuple[str, object, object, object]]:
+    """Im δ̄'s reduction stage by stage, each read cold through the public API: ``(call, prepare, timed, digest)``.
+
+    ``rank`` is the first reader (the echelon stage); a failed ``member`` of
+    the unit vector at the first pivot above 1, a divisibility failure, and
+    ``canonical_form`` each run on a fresh lattice whose rank was read.
+    """
+    h = im_delta.canonical_form
+    col = next(min(row) for row in h.sparse_rows if row[min(row)] > 1)
+    probe = tuple(int(j == col) for j in range(im_delta.ambient_rank))
+
+    def fresh():
+        return exactlin.Lattice(im_delta.ambient_rank, im_delta.basis)
+
+    def echelon_read():
+        lat = fresh()
+        lat.rank  # noqa: B018 - the echelon stage, untimed
+        return lat
+
+    return [
+        ("im_delta_echelon", fresh, lambda lat: lat.rank, sha),
+        ("im_delta_witness", echelon_read, lambda lat: exactlin.member(probe, lat).witness, lambda w: sha(w.functional, w.modulus, w.pairing)),
+        ("im_delta_canonical", echelon_read, lambda lat: lat.canonical_form, sha),
+    ]
 
 
 def lattice() -> dict:
@@ -246,11 +276,13 @@ def lattice() -> dict:
 
         targets = [(module, call) for call in ("quotient_presentation", "perp") for module in (exactlin, lcs)]
         data, verdicts[name] = capture(verify, targets, record)
-        for call, caller, lat in [*calls.values(), ("im_delta_reduction", "im_delta", data.im_delta)]:
-            timed, digest = LATTICE_CALLS[call]
-            seconds, digest, _, _ = best_of(
-                f"{name} {call}", lambda: exactlin.Lattice(lat.ambient_rank, lat.basis), timed, digest
-            )
+        inputs = [
+            (call, caller, lat, lambda lat=lat: exactlin.Lattice(lat.ambient_rank, lat.basis), *LATTICE_CALLS[call])
+            for call, caller, lat in calls.values()
+        ]
+        inputs += [(call, "im_delta", data.im_delta, *how) for call, *how in im_delta_stages(data.im_delta)]
+        for call, caller, lat, prepare, timed, digest in inputs:
+            seconds, digest, _, _ = best_of(f"{name} {call}", prepare, timed, digest)
             records.append({
                 "config": name, "call": call, "caller": caller, "rows": lat.basis.rows, "cols": lat.ambient_rank,
                 "rank": lat.rank, "seconds": seconds, "digest": digest,
