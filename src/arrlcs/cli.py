@@ -33,6 +33,7 @@ from .config import (
     load_configuration_file,
     maclane_c8,
     partition_check,
+    unique_keys,
     validate,
     _builtin_json,
 )
@@ -390,7 +391,7 @@ def _load_g(config: Configuration, source: str) -> GMap:
             )
         return builtin_g_map(source.split(":", 1)[1])
     with open(source, encoding="utf-8") as fh:
-        return GMap.from_json_dict(config, json.load(fh))
+        return GMap.from_json_dict(config, json.load(fh, object_pairs_hook=unique_keys))
 
 
 def cmd_kappa(args) -> int:

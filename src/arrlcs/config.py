@@ -7,9 +7,10 @@ point lies on at least two lines.  Line index 0 plays the role of the
 line at infinity for everything downstream (it carries no group
 generator).
 
-The two built-in configurations are the MacLane arrangement
-combinatorics on 8 lines and the 13-line configuration obtained by
-gluing two copies along three shared lines and their common point.
+The built-in configurations are the MacLane arrangement combinatorics
+on 8 lines and its k-fold gluings ``glue_copies(k)``: k copies sharing
+lines 0, 1, 2 and their common point, each copy's lines placed by
+``copy_line``.  Rybnikov's 13-line C13 is the case k = 2 (``glue_c13``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 
@@ -101,12 +103,8 @@ class Configuration:
         if self._common is None:
             table: dict[tuple[int, int], str | None] = {}
             for p in self.points:
-                ls = self._point_lines[p]
-                for a in range(len(ls)):
-                    for b in range(a + 1, len(ls)):
-                        key = (ls[a], ls[b])
-                        # keep the first; validate() reports duplicates
-                        table.setdefault(key, p)
+                for key in combinations(self._point_lines[p], 2):
+                    table.setdefault(key, p)  # keep the first; validate() reports duplicates
             object.__setattr__(self, "_common", table)
         key = (i, j) if i < j else (j, i)
         return self._common.get(key)
@@ -179,10 +177,20 @@ def load_configuration(data: dict) -> Configuration:
     return Configuration(lines, names, incidence)
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.load`` that refuses an object repeating a key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigFormatError(f"JSON object repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_configuration_file(path: str) -> Configuration:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigFormatError(f"invalid JSON: {exc}") from exc
     return load_configuration(data)
@@ -223,20 +231,14 @@ def validate(config: Configuration) -> ValidationReport:
         ls = config.lines_through(p)
         if len(ls) < 2:
             violations.append(f"point {p!r} lies on fewer than two lines")
-        for a in range(len(ls)):
-            for b in range(a + 1, len(ls)):
-                seen.setdefault((ls[a], ls[b]), []).append(p)
-    for i in range(nlines):
-        for j in range(i + 1, nlines):
-            hits = seen.get((i, j), [])
-            if not hits:
-                violations.append(
-                    f"lines {config.lines[i]!r} and {config.lines[j]!r} share no point"
-                )
-            elif len(hits) > 1:
-                violations.append(
-                    f"lines {config.lines[i]!r} and {config.lines[j]!r} share points {hits}"
-                )
+        for key in combinations(ls, 2):
+            seen.setdefault(key, []).append(p)
+    for i, j in combinations(range(nlines), 2):
+        hits = seen.get((i, j), [])
+        if not hits:
+            violations.append(f"lines {config.lines[i]!r} and {config.lines[j]!r} share no point")
+        elif len(hits) > 1:
+            violations.append(f"lines {config.lines[i]!r} and {config.lines[j]!r} share points {hits}")
     degenerate = len(config.points) <= 1
     return ValidationReport(ok=not violations, violations=tuple(violations), degenerate=degenerate)
 
@@ -250,39 +252,34 @@ def maclane_c8() -> Configuration:
     return load_configuration(_builtin_json("maclane8.json"))
 
 
-# The gluing relabels the second copy: its lines 3..7 become 8..12 (lines
-# 0, 1, 2 are shared) and its point pX becomes p'X.
-GLUE_LINE_MAP = {i: i + 5 for i in range(3, 8)}
-
-
-def glue_point(p: str) -> str:
-    return "p'" + p[1:]
+def copy_line(c: int, i: int) -> int:
+    """Line i of MacLane copy c in ``glue_copies``: 0, 1, 2 are shared, and 3..7 become 3+5c..7+5c."""
+    return i if i < 3 else i + 5 * c
 
 
 @lru_cache(maxsize=None)
-def glue_c13() -> Configuration:
-    """Two MacLane copies glued along lines 0,1,2 and their common triple point.
+def glue_copies(k: int) -> Configuration:
+    """k MacLane copies glued along lines 0, 1, 2 and their triple point p012.
 
-    The second copy is relabeled by ``GLUE_LINE_MAP`` and ``glue_point``,
-    except that its shared point merges with the first copy's; the 25 new
-    crossings between old and new lines are double points named ``p''ij``
-    for the intersection of line i with line j+5 (i, j between 3 and 7).
+    Copy c sends line i to ``copy_line(c, i)``, and a point keeps the name
+    the first copy gives its line set, so the copies share p012.  Copy c
+    writes pX as p, 2c - 1 primes (none for copy 0), X.  Line i of copy a
+    meets line j of copy b > a at a double point p, 2b primes, ``{i}{j - 5b}``.
     """
-    base = maclane_c8()
-    lines = [f"l{i}" for i in range(13)]
-    points: dict[str, set[int]] = {}
-    for p in base.points:
-        points[p] = set(base.lines_through(p))
-    for p in base.points:
-        img = {GLUE_LINE_MAP.get(i, i) for i in base.lines_through(p)}
-        if img == set(base.lines_through(p)):
-            continue  # the shared triple point merges with its twin
-        points[glue_point(p)] = img
-    for i in GLUE_LINE_MAP:
-        for j, image in GLUE_LINE_MAP.items():
-            points[f"p''{i}{j}"] = {i, image}
-    incidence = [(lines[i], p) for p, ls in points.items() for i in ls]
-    return Configuration(lines, list(points), incidence)
+    base, points = maclane_c8(), {}
+    for c in range(k):
+        for p in base.points:
+            on = frozenset(copy_line(c, i) for i in base.lines_through(p))
+            points.setdefault(on, "p" + "'" * (2 * c - 1) + p[1:])
+        for i, j in product(range(3, copy_line(c, 3)), range(3, 8)):
+            points[frozenset((i, copy_line(c, j)))] = "p" + "'" * (2 * c) + f"{i}{j}"
+    lines = [f"l{i}" for i in range(copy_line(k - 1, 7) + 1)]
+    return Configuration(lines, list(points.values()), [(lines[i], p) for on, p in points.items() for i in on])
+
+
+def glue_c13() -> Configuration:
+    """Rybnikov's C13, ``glue_copies(2)``: 13 lines and 48 points, named p'X and p''ij past the first copy."""
+    return glue_copies(2)
 
 
 # -- incidence bookkeeping used by the group-theoretic layer ---------------

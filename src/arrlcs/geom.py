@@ -20,8 +20,9 @@ Provided realizations:
   realization together with the image of lines 3..7 of the ``sign``
   realization under a projective transformation ``psi`` fixing the
   three shared lines.  For generic ``psi`` the incidence pattern is
-  exactly the glued 13-line configuration; genericity is certified
-  per seed by the incidence comparison, never argued symbolically.
+  exactly C13, ``config.glue_c13`` (the two-copy case of
+  ``glue_copies``); genericity is certified per seed by the incidence
+  comparison, never argued symbolically.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .config import GLUE_LINE_MAP, Configuration, glue_c13
+from .config import Configuration, glue_c13
 
 
 class DegenerateRealization(ValueError):
@@ -413,15 +414,13 @@ def glue_realization(sign: str, psi) -> tuple[ProjLine, ...]:
     """Thirteen lines: the ``+`` realization plus psi-images of lines 3..7.
 
     The second copy uses the ``sign`` realization; its lines 3..7
-    become lines 8..12 (``GLUE_LINE_MAP``).  ``psi`` must fix the three shared lines.
+    become lines 8..12 of ``glue_c13``.  ``psi`` must fix the three shared lines.
     """
     adj = _covector_map(psi)
-    first = phi_c8("+")
-    second = phi_c8(sign)
-    for i in range(3):
-        if _moved(adj, first[i]) != first[i]:
-            raise ValueError("psi must fix the three shared lines")
-    return first + tuple(_moved(adj, second[i]) for i in GLUE_LINE_MAP)
+    first, second = phi_c8("+"), phi_c8(sign)
+    if any(_moved(adj, line) != line for line in first[:3]):
+        raise ValueError("psi must fix the three shared lines")
+    return first + tuple(_moved(adj, line) for line in second[3:])
 
 
 @dataclass
@@ -462,14 +461,7 @@ def generic_glued_realization(
         lines = glue_realization(sign, psi)
         report = check_realization(glue_c13(), lines)
         if report.ok:
-            return GluedRealization(
-                sign=sign,
-                lines=lines,
-                psi=psi,
-                seed=s,
-                rejected_seeds=tuple(rejected),
-                report=report,
-            )
+            return GluedRealization(sign, lines, psi, s, tuple(rejected), report)
         rejected.append(s)
     raise DegenerateRealization(
         f"no generic gluing in {max_attempts} attempts starting from seed {seed}"

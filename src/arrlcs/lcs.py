@@ -66,13 +66,13 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .config import (
-    GLUE_LINE_MAP,
     ConfigAutomorphism,
     Configuration,
     _builtin_json,
     _line_maps,
+    copy_line,
     glue_c13,
-    glue_point,
+    glue_copies,
     maclane_c8,
     validate,
 )
@@ -1041,20 +1041,22 @@ def kappa(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | AbelianGMap) -> K
 # -- glued configurations ------------------------------------------------------
 
 
-def glued_g_map(g_first: GMap, g_second: GMap) -> GMap:
-    """Conjugator data on the glued 13-line configuration.
+def glued_g_map(*maps: GMap) -> GMap:
+    """Conjugator data on ``glue_copies(k)`` from one MacLane g-map per copy, trivial where copies cross.
 
-    The first copy keeps its flags verbatim; the second copy's lines
-    3..7 become 8..12 and its points gain a prime; the 25 new double
-    points get trivial conjugators.
+    Copy c's flag (i, p) and its word move by the line map ``copy_line(c, ·)``,
+    and p goes to the point on the images of its lines.
     """
     c8 = maclane_c8()
-    if g_first.config != c8 or g_second.config != c8:
-        raise ConfigMismatchError("both halves must live on the MacLane configuration")
-    assignments = dict(g_first.assignments)
-    for (i, p), w in g_second.assignments.items():
-        assignments[(GLUE_LINE_MAP.get(i, i), glue_point(p))] = w.relabeled(GLUE_LINE_MAP)
-    return GMap(glue_c13(), assignments)
+    if any(g.config != c8 for g in maps):
+        raise ConfigMismatchError("every copy must live on the MacLane configuration")
+    glued, assignments = glue_copies(len(maps)), {}
+    for c, g in enumerate(maps):
+        line_map = {i: copy_line(c, i) for i in range(len(c8.lines))}
+        for (i, p), w in g.assignments.items():
+            point = glued.point_of(frozenset(line_map[j] for j in c8.lines_through(p)))
+            assignments[(line_map[i], point)] = w.relabeled(line_map)
+    return GMap(glued, assignments)
 
 
 def class_of_glued(c13: Configuration, g_first: GMap | AbelianGMap, g_second: GMap | AbelianGMap) -> int:

@@ -224,7 +224,10 @@ class GMap:
                 raise ValueError(f"bad flag key {key!r}; expected '(i,point)'")
             if not isinstance(text, str):
                 raise ValueError(f"word at {key!r} must be a string")
-            assignments[(int(m.group(1)), m.group(2).strip())] = parse_word(text)
+            flag = (int(m.group(1)), m.group(2).strip())
+            if flag in assignments:
+                raise ValueError(f"flag key {key!r} names the flag ({flag[0]},{flag[1]}) a second time")
+            assignments[flag] = parse_word(text)
         return GMap(config, assignments)
 
 

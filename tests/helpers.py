@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from arrlcs.config import ConfigAutomorphism, Configuration, maclane_c8
+from arrlcs.config import ConfigAutomorphism, Configuration
 from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
@@ -57,26 +57,6 @@ def seeded_g_map(rng: random.Random, config: Configuration, maxlen: int = 3) -> 
         if rng.random() < 0.5:
             assignments[flag] = seeded_word(rng, n, maxlen)
     return GMap(config, assignments)
-
-
-def glue_copies(k):
-    """k MacLane copies glued along lines 0, 1, 2 and p012; copy c sends lines 3..7 to 3+5c..7+5c.
-
-    Lines of different copies cross at new double points.
-    """
-    base = maclane_c8()
-    points = {}
-    for c in range(k):
-        for p in base.points:
-            on = frozenset(i if i < 3 else i + 5 * c for i in base.lines_through(p))
-            points.setdefault(on, f"c{c}{p}")
-    n = 3 + 5 * k
-    for i in range(3, n):
-        for j in range(i + 1, n):
-            if (i - 3) // 5 != (j - 3) // 5:
-                points[frozenset((i, j))] = f"x{i}.{j}"
-    lines = [f"l{i}" for i in range(n)]
-    return Configuration(lines, list(points.values()), [(lines[i], p) for on, p in points.items() for i in on])
 
 
 def hesse():

@@ -337,6 +337,32 @@ def test_kappa_rejects_malformed_g_file(capsys, tmp_path, doc):
     assert payload["ok"] is False
 
 
+def test_validate_rejects_a_repeated_key(capsys, tmp_path):
+    # the second "lines" would win silently; the point list names l3, which only it holds
+    text = json.dumps(TRIANGLE)[:-1] + ', "lines": ["l0", "l1", "l2", "l3"]}'
+    (tmp_path / "twice.json").write_text(text)
+    code, payload = run_json(capsys, "validate", str(tmp_path / "twice.json"))
+    assert code == 2
+    assert payload == {"ok": False, "error": "JSON object repeats the key 'lines'"}
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"(4,p45)": "w3", "(4,p45)": "w1"}', "repeats the key '(4,p45)'"),
+        ('{"(4,p45)": "w3", "(4, p45)": "w1"}', "flag key '(4, p45)' names the flag (4,p45) a second time"),
+    ],
+    ids=["same-key", "same-flag"],
+)
+def test_kappa_rejects_a_flag_given_twice(capsys, tmp_path, text, named):
+    (tmp_path / "g.json").write_text(text)
+    code, payload = run_json(
+        capsys, "kappa", "--builtin", "maclane8", "--g", str(tmp_path / "g.json"), "--gprime", "builtin:plus"
+    )
+    assert code == 2
+    assert payload["ok"] is False and named in payload["error"]
+
+
 def test_kappa_rejects_mismatched_builtin_g(capsys, tmp_path, monkeypatch):
     def no_build(config):
         raise AssertionError("kappa builds LcsData before it has both g-maps")

@@ -1,6 +1,8 @@
 """Configuration axioms, built-ins, gluing, and automorphism search."""
 
+import hashlib
 import json
+import math
 from itertools import permutations
 
 import pytest
@@ -12,6 +14,7 @@ from arrlcs.config import (
     _line_maps,
     automorphisms,
     glue_c13,
+    glue_copies,
     is_s3_times_z2,
     isomorphisms,
     load_configuration,
@@ -20,7 +23,7 @@ from arrlcs.config import (
     validate,
 )
 from arrlcs.lcs import transport_group
-from helpers import glue_copies, relabel, restrict
+from helpers import relabel, restrict
 
 MACLANE_POINTS = {
     "p012": (0, 1, 2),
@@ -154,6 +157,33 @@ def test_glued_copies_restrict_to_maclane():
     second = restrict(c13, [0, 1, 2, 8, 9, 10, 11, 12])
     assert isomorphisms(first, maclane_c8())
     assert isomorphisms(second, maclane_c8())
+
+
+# sha256 of ``glue_c13().canonical_json()``, the configuration every C13 report digests
+C13_CANONICAL_SHA256 = "09ce2b410e81a38a9a12632282bf840acbe47b234628981552369b4c7fd8e1a0"
+
+
+def test_one_and_two_copies_are_maclane_and_c13():
+    assert glue_copies(1) == maclane_c8()
+    assert glue_copies(2) == glue_c13()
+    assert hashlib.sha256(glue_c13().canonical_json().encode()).hexdigest() == C13_CANONICAL_SHA256
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_k_copies_count_their_lines_and_points(k):
+    c = glue_copies(k)
+    assert validate(c).ok
+    assert len(set(c.points)) == len(c.points)
+    # 12 points per copy, p012 shared, and a double point for each pair of lines from different copies
+    assert (len(c.lines), len(c.points)) == (3 + 5 * k, 12 * k - (k - 1) + 25 * math.comb(k, 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_k_copies_have_6_times_k_factorial_automorphisms(k):
+    c = glue_copies(k)
+    autos = automorphisms(c)
+    assert len(autos) == 6 * math.factorial(k)
+    assert partition_check(c, autos)
 
 
 # -- automorphisms ------------------------------------------------------------------

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from arrlcs import cli, config, exactlin, geom, lcs, words
-from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, glue_c13, maclane_c8
+from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, copy_line, glue_c13, glue_copies, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, dot, member, perp, vec_mat
 from arrlcs.lcs import (
     ConfigMismatchError,
@@ -42,7 +42,6 @@ from helpers import (
     dense_tau_matrix,
     dense_tau_star,
     delta_kernel,
-    glue_copies,
     hesse,
     lattice_sum,
     lift_rows,
@@ -409,7 +408,7 @@ U_LATTICE_ROW_DIGESTS = {
     "c8": "9969033ce861d467b9779b226be9e4f5b2458b2661063b71f871d0e8ff5ddffd",
     "c13": "b0076e3c6e2d9b5d8553c53cd0f0fd63cd27a51db6f19c74b04786534618b877",
     "c13@41": "4590e58c70656e74d16e02d4255cbf1db48e259a48580058bfc8e878062534ba",
-    "glued3": "3c7c9d125960c687f0b1dd0af8ce66c32595f3bd03599b1e8b9269be5ec00e21",
+    "glued3": "39b411f13d26e6fe4f5a3d26a7c10b06691e05e9c619864c002ce82c3691a372",
     "fixture9": "092151e49afced83b91f43033312fea380e74b37bc4a1affb736065d408a30df",
 }
 
@@ -1111,6 +1110,28 @@ def test_glued_g_map_transports_assignments():
                 assert glued.value(i, p) == Word.identity()
     with pytest.raises(ConfigMismatchError):
         glued_g_map(GMap(glue_c13()), plus)
+
+
+def test_glued_g_map_puts_each_copys_words_at_its_flags():
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    maps = (plus, minus, plus)
+    glued, c8, c18 = glued_g_map(*maps), maclane_c8(), glue_copies(3)
+    assert glued.config == c18
+    # copy 2 sends lines 3..7 to 13..17 and writes pX as p'''X
+    to_copy_2 = {3: 13, 4: 14, 5: 15, 6: 16, 7: 17}
+    assert glued.value(14, "p'''45") == plus.value(4, "p45").relabeled(to_copy_2)
+    assert glued.value(1, "p'''135") == plus.value(1, "p135").relabeled(to_copy_2)
+    for c, g in enumerate(maps):
+        line_map = {i: copy_line(c, i) for i in range(8)}
+        for i, p in c8.index.pairs:
+            on = tuple(sorted(line_map[j] for j in c8.lines_through(p)))
+            (q,) = [q for q in c18.points if c18.lines_through(q) == on]
+            assert glued.value(line_map[i], q) == g.value(i, p).relabeled(line_map)
+    crossings = [p for p in c18.points if p.count("'") in (2, 4)]
+    assert len(crossings) == 75
+    for p in crossings:
+        for i in c18.lines_through(p):
+            assert glued.value(i, p) == Word.identity()
 
 
 def test_kappa_on_c13_builds_no_incidence_index(c13_data, monkeypatch):
