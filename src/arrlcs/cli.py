@@ -31,9 +31,9 @@ from .config import (
     glue_c13,
     is_s3_times_z2,
     load_configuration_file,
+    load_json_file,
     maclane_c8,
     partition_check,
-    unique_keys,
     validate,
     _builtin_json,
 )
@@ -390,8 +390,7 @@ def _load_g(config: Configuration, source: str) -> GMap:
                 "for this configuration pass a g-map JSON file"
             )
         return builtin_g_map(source.split(":", 1)[1])
-    with open(source, encoding="utf-8") as fh:
-        return GMap.from_json_dict(config, json.load(fh, object_pairs_hook=unique_keys))
+    return GMap.from_json_dict(config, load_json_file(source))
 
 
 def cmd_kappa(args) -> int:

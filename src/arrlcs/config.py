@@ -187,13 +187,17 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def load_configuration_file(path: str) -> Configuration:
+def load_json_file(path: str):
+    """The JSON document at ``path``, read with ``unique_keys``; a parse error is a ``ConfigFormatError`` starting ``invalid JSON: ``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, object_pairs_hook=unique_keys)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigFormatError(f"invalid JSON: {exc}") from exc
-    return load_configuration(data)
+
+
+def load_configuration_file(path: str) -> Configuration:
+    return load_configuration(load_json_file(path))
 
 
 def _builtin_json(name: str) -> dict:
@@ -266,6 +270,8 @@ def glue_copies(k: int) -> Configuration:
     writes pX as p, 2c - 1 primes (none for copy 0), X.  Line i of copy a
     meets line j of copy b > a at a double point p, 2b primes, ``{i}{j - 5b}``.
     """
+    if k < 1:
+        raise ValueError(f"a gluing needs at least one MacLane copy, got k = {k}")
     base, points = maclane_c8(), {}
     for c in range(k):
         for p in base.points:

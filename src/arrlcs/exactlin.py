@@ -39,9 +39,10 @@ form, the canonical form that comparison and ``perp`` read.
 {v : v·m = 0}, read off the forward pass's transform.  ``perp`` caches
 the orthogonal complement; when every Hermite pivot is 1 it reads its
 basis off the canonical form, and otherwise takes the left kernel of its
-transpose.  Membership reduces a vector by the echelon rows; a warm
-failed query reads only the pivot block and pairs the witness with the
-vector over the witness's support.
+transpose.  Membership reduces a vector by the echelon rows.  A failure's
+witness functional depends only on the failing pivot row or rational
+column, so it is solved once per such key and cached with the stages; a
+warm failed query only pairs it with the vector over its support.
 
 ``quotient_presentation`` presents a quotient ``ZZ^n / lattice`` from
 the lattice alone: the projection is Kᵀ for K the canonical form of
@@ -402,9 +403,10 @@ class Lattice:
     """Integer row span of ``basis`` inside ZZ^ambient_rank.
 
     Building one reduces nothing.  Each stage of the basis's reduction,
-    ``echelon``, ``_pivot_block`` and ``canonical_form``, and ``perp`` are
-    computed on first use and cached, so a reader pays only for the stages
-    it reads; no stage back-substitutes a transform.
+    ``echelon``, ``_pivot_block`` and ``canonical_form``, ``perp`` and
+    each witness functional of ``member`` are computed on first use and
+    cached, so a reader pays only for the stages it reads; no stage
+    back-substitutes a transform.
     """
 
     __slots__ = ("ambient_rank", "basis", "_cache")
@@ -416,7 +418,7 @@ class Lattice:
             raise ValueError("basis width does not match ambient rank")
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_cache", {})  # the stages by name, and ``perp``
+        object.__setattr__(self, "_cache", {})  # the stages by name, ``perp`` and the witness functionals
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -519,6 +521,10 @@ def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
     row.  So q·E = q′·H = q′T·E, and E has full row rank: q = q′T, and
     over the forward transform u⁰ (``keep``) q·u⁰ = q′·(T·u⁰), the
     coefficients over H's own transform.  Certificates do not move.
+
+    A failure's witness is ``_pivot_witness``: the functional of its
+    failing row or column is solved on the first failure there and
+    cached, and each failure pairs it with ``v``.
     """
     if len(v) != lat.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
@@ -538,20 +544,38 @@ def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
 
 
 def _pivot_witness(lat: Lattice, v: Sequence[int], *, k=None, c=None) -> Witness:
-    """Witness from one back-substitution on the pivot block P of the Hermite form H.
+    """The witness at divisibility row ``k`` or rational column ``c``: a cached functional paired with ``v``.
+
+    The functional depends on the lattice and on k or c alone, never on
+    ``v`` (``_witness_functional``), so it is solved on the first failure
+    at its key and kept in ``lat._cache["witness"]``, beside the echelon,
+    block and canonical stages it was read from.  Each query pairs it with
+    ``v`` over its support, at most rank + 1 entries.
+    """
+    cache = lat._cache.setdefault("witness", {})
+    if (k, c) not in cache:
+        cache[k, c] = _witness_functional(lat, k, c)
+    f, modulus, support = cache[k, c]
+    pairing = sum(x * v[p] for p, x in support)
+    return Witness(f, modulus, pairing % modulus if modulus else pairing)
+
+
+def _witness_functional(lat: Lattice, k: int | None, c: int | None):
+    """``(functional, modulus, support pairs)`` from one back-substitution on the pivot block P of the Hermite form H.
 
     P, the pivot columns of H, is upper triangular with determinant d,
     the pivot product, so y = d·P⁻¹b is integral (the adjugate).  A
     divisibility failure at pivot row ``k`` solves for b = e_k: y on the
-    pivot coordinates maps every row of H into dZZ and ``v`` outside it.
+    pivot coordinates maps every row of H into dZZ, and the modulus is d.
     A rational failure at the non-pivot column ``c`` solves for
-    b = -H[:, c] and sets f_c = d, so f kills every row of H exactly but
-    not ``v``, whose residue is nonzero at ``c`` and zero at every pivot;
-    f is then divided by the gcd of its entries.
+    b = -H[:, c] and sets f_c = d, so f kills every row of H exactly (the
+    modulus is 0); f is then divided by the gcd of its entries.  Neither b
+    reads the failing vector: a vector fails at row k when its residue's
+    entry at pivot k is not a multiple of it, and at column c when its
+    residue is nonzero at c and zero at every pivot, so f·v ≢ 0 for it.
 
     A divisibility witness reads only P (``Lattice._pivot_block``), a
-    rational one H's column c too (``canonical_form``); the pairing f·v
-    runs over the support of f, at most rank + 1 entries.
+    rational one H's column c too (``canonical_form``).
     """
     e, _, pivots, det = lat.echelon()
     above, rank = lat._pivot_block(), len(pivots)
@@ -568,17 +592,14 @@ def _pivot_witness(lat: Lattice, v: Sequence[int], *, k=None, c=None) -> Witness
         if r:
             raise AssertionError("adjugate witness is not integral")
     if c is None:
-        support, coeffs = pivots, y
+        support, coeffs, modulus = pivots, y, det
     else:
         g = math.gcd(*y, det)
-        support, coeffs = [*pivots, c], [x // g for x in (*y, det)]
+        support, coeffs, modulus = [*pivots, c], [x // g for x in (*y, det)], 0
     f = [0] * lat.ambient_rank
     for p, x in zip(support, coeffs):
         f[p] = x
-    pairing = sum(x * v[p] for p, x in zip(support, coeffs))
-    if c is None:
-        return Witness(tuple(f), det, pairing % det)
-    return Witness(tuple(f), 0, pairing)
+    return tuple(f), modulus, tuple((p, x) for p, x in zip(support, coeffs) if x)
 
 
 def perp(lat: Lattice) -> Lattice:

@@ -25,8 +25,8 @@ from arrlcs.exactlin import (
     vstack,
 )
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.lcs import LcsData, _line_entries, _u_generators, rbar_gen_coeffs
-from arrlcs.words import GMap, Word, lie_basis, lie_sparse_coords, wedge_index
+from arrlcs.lcs import HomR2P3, LcsData, _as_abelian, _line_entries, _u_generators, rbar_gen_coeffs
+from arrlcs.words import AbelianGMap, GMap, Word, lie_basis, lie_sparse_coords, wedge_index
 
 
 def relabel(config, seed):
@@ -305,6 +305,14 @@ def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentatio
 def dense_tau_matrix(data: LcsData) -> IntMatrix:
     """Oracle for ``LcsData.tau_matrix``: the lift of every A coordinate sent through ``_to_hom`` on all generator flags."""
     return IntMatrix._of([data._to_hom(lift) for lift in data.tau_lift], len(data.gens) * data.p3.free_rank)
+
+
+def blockwise_tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
+    """Oracle for ``lcs.tau_tilde``: each point's τ̃_p (``LcsData.tau_blocks``) applied to its rows of A, the values concatenated."""
+    vec, flat = _as_abelian(a).vector(), []
+    for rows, _, b in data.tau_blocks:
+        flat += vec_mat(vec[rows], b)
+    return HomR2P3(data.gens, data.p3.free_rank, tuple(flat))
 
 
 def dense_tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:

@@ -337,6 +337,18 @@ def test_kappa_rejects_malformed_g_file(capsys, tmp_path, doc):
     assert payload["ok"] is False
 
 
+def test_kappa_reports_a_truncated_g_file_as_validate_does(capsys, tmp_path):
+    # one truncated text, read once as a g-map and once as a configuration
+    text = json.dumps(builtin_g_map("plus").to_json_dict())[:-7]
+    (tmp_path / "g.json").write_text(text)
+    code, payload = run_json(
+        capsys, "kappa", "--builtin", "maclane8", "--g", str(tmp_path / "g.json"), "--gprime", "builtin:plus"
+    )
+    assert code == 2
+    assert payload["ok"] is False and payload["error"].startswith("invalid JSON: ")
+    assert run_json(capsys, "validate", str(tmp_path / "g.json")) == (2, payload)
+
+
 def test_validate_rejects_a_repeated_key(capsys, tmp_path):
     # the second "lines" would win silently; the point list names l3, which only it holds
     text = json.dumps(TRIANGLE)[:-1] + ', "lines": ["l0", "l1", "l2", "l3"]}'

@@ -178,6 +178,12 @@ def test_k_copies_count_their_lines_and_points(k):
     assert (len(c.lines), len(c.points)) == (3 + 5 * k, 12 * k - (k - 1) + 25 * math.comb(k, 2))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_glue_copies_refuses_fewer_than_one_copy(k):
+    with pytest.raises(ValueError, match=f"k = {k}$"):
+        glue_copies(k)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_k_copies_have_6_times_k_factorial_automorphisms(k):
     c = glue_copies(k)

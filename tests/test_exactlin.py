@@ -561,6 +561,65 @@ def test_staged_lattice_equals_the_single_reduction_route(case):
     assert lat.canonical_form == hnf(lat.basis)
 
 
+def shifted(lat, v, combos):
+    """``v`` and ``v`` plus lattice elements: if ``v`` fails, each fails at its pivot row or rational column."""
+    return [tuple(v), *(tuple(x + y for x, y in zip(v, vec_mat(c, lat.basis))) for c in combos)]
+
+
+@st.composite
+def lattices_and_shared_failures(draw):
+    """A lattice, and probes that share a failing key: a vector shifted by lattice elements, then two more."""
+    m = draw(st.one_of(matrices(), wide_sparse()))
+    n, lat = m.cols, Lattice(m.cols, m)
+    vector = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows), min_size=1, max_size=3))
+    return lat, shifted(lat, draw(vector), combos) + [tuple(draw(vector)) for _ in range(2)]
+
+
+SHARED_FAILURES = [(lat, shifted(lat, v, [[1, 0, 0], [0, -1, 0], [2, 1, -1]])) for lat, v in STAGED_CASES[1:]]
+
+
+@settings(max_examples=300)
+@given(lattices_and_shared_failures())
+@example(SHARED_FAILURES[0])  # divisibility failures at the non-unit pivot 2
+@example(SHARED_FAILURES[1])  # rational failures
+@example(SHARED_FAILURES[2])  # dependent rows, divisibility failures modulo 6
+def test_a_warm_witness_cache_changes_no_result(case):
+    lat, probes = case
+    for v in probes:
+        assert member(v, lat) == member(v, Lattice(lat.ambient_rank, lat.basis)) == reference_member(v, lat)
+
+
+def test_a_second_failure_at_one_key_solves_nothing(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("_hnf_back", "_witness_functional"):
+        monkeypatch.setattr(exactlin, name, counted(name, getattr(exactlin, name)))
+    for (lat, probes), modulus in zip(SHARED_FAILURES, (2, 0, 6)):
+        lat = Lattice(lat.ambient_rank, lat.basis)  # cold
+        first = member(probes[0], lat).witness
+        assert first.modulus == modulus and calls.count("_witness_functional") == 1
+        calls.clear()
+        for v in probes[1:]:
+            w = member(v, lat).witness
+            assert (w.functional, w.modulus) == (first.functional, first.modulus)
+        assert calls == []
+    # another key of a warm lattice solves once
+    lat, (v, *_) = SHARED_FAILURES[0]
+    lat = Lattice(lat.ambient_rank, lat.basis)
+    member(v, lat)
+    calls.clear()
+    assert member(SHARED_FAILURES[1][1][0], lat).witness.modulus == 0
+    assert calls.count("_witness_functional") == 1
+
+
 def test_member_rational_failure_needs_no_orthogonal_complement(monkeypatch, c13_data):
     im_delta = c13_data.im_delta
     pivots = {next(j for j, x in enumerate(row) if x) for row in im_delta.canonical_form.entries}

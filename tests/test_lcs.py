@@ -38,6 +38,7 @@ from arrlcs.lcs import (
 )
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
 from helpers import (
+    blockwise_tau_tilde,
     check_equivariance,
     dense_tau_matrix,
     dense_tau_star,
@@ -51,6 +52,7 @@ from helpers import (
     relabel,
     saturate,
     scanned_b_rows,
+    seeded_g_map,
     swept_bracket,
     swept_l3_action,
 )
@@ -497,6 +499,22 @@ def test_tau_blocks_cover_the_dense_matrix(maclane_data, c13_data):
             for i, row in zip(range(rows.start, rows.stop), block.entries):
                 dense[i][cols] = row
         assert IntMatrix(dense, oracle.cols) == oracle == data.tau_matrix
+
+
+def test_tau_tilde_equals_the_blockwise_route(maclane_data, c13_data, asymmetric_config):
+    rng = random.Random(30)
+    datas = (maclane_data, c13_data, build_lcs(relabel(glue_c13(), 41)), build_lcs(asymmetric_config), build_lcs(glue_copies(3)))
+    for data in datas:
+        oracle = dense_tau_matrix(data)
+        assert list(data.tau_support) == [(a, row) for a, row in enumerate(oracle.sparse_rows) if row]
+        for _ in range(4):
+            dense = seeded_g_map(rng, data.config)
+            sparse = GMap(data.config, dict(rng.sample(sorted(dense.assignments.items()), 3)))
+            for g in (dense, sparse):
+                assert tau_tilde(data, g) == blockwise_tau_tilde(data, g)
+                assert tau_tilde(data, g).flat == vec_mat(abelianize(g).vector(), oracle)
+        with pytest.raises(ConfigMismatchError):
+            tau_tilde(data, GMap(maclane_c8() if data is not maclane_data else glue_c13()))
 
 
 def test_b_lattice_rows_equal_the_point_scan(asymmetric_config):
@@ -1110,6 +1128,11 @@ def test_glued_g_map_transports_assignments():
                 assert glued.value(i, p) == Word.identity()
     with pytest.raises(ConfigMismatchError):
         glued_g_map(GMap(glue_c13()), plus)
+
+
+def test_glued_g_map_refuses_no_maps():
+    with pytest.raises(ValueError, match="k = 0"):
+        glued_g_map()
 
 
 def test_glued_g_map_puts_each_copys_words_at_its_flags():
