@@ -172,6 +172,9 @@ def load_configuration(data: dict) -> Configuration:
             raise ConfigFormatError("each point needs a string 'name' and a list of 'lines'")
         if not all(isinstance(l, str) for l in on):
             raise ConfigFormatError(f"point {name!r}: 'lines' must hold line names (strings)")
+        twice = next((l for k, l in enumerate(on) if l in on[:k]), None)
+        if twice is not None:
+            raise ConfigFormatError(f"point {name!r} names line {twice!r} twice")
         names.append(name)
         incidence.extend((l, name) for l in on)
     return Configuration(lines, names, incidence)

@@ -445,17 +445,19 @@ class GluedRealization:
         }
 
 
-def generic_glued_realization(
-    sign: str, seed: int, max_attempts: int = 64
-) -> GluedRealization:
+# seeds ``generic_glued_realization`` tries before it gives up
+MAX_GLUING_ATTEMPTS = 64
+
+
+def generic_glued_realization(sign: str, seed: int) -> GluedRealization:
     """Search seed, seed+1, ... for a gluing transformation that is generic.
 
     Each candidate is certified by ``check_realization`` against the
     glued 13-line configuration; degenerate candidates are recorded
-    and the next seed is tried.
+    and the next seed is tried, up to ``MAX_GLUING_ATTEMPTS`` seeds.
     """
     rejected: list[int] = []
-    for k in range(max_attempts):
+    for k in range(MAX_GLUING_ATTEMPTS):
         s = seed + k
         psi = psi_generic(s)
         lines = glue_realization(sign, psi)
@@ -464,5 +466,5 @@ def generic_glued_realization(
             return GluedRealization(sign, lines, psi, s, tuple(rejected), report)
         rejected.append(s)
     raise DegenerateRealization(
-        f"no generic gluing in {max_attempts} attempts starting from seed {seed}"
+        f"no generic gluing in {MAX_GLUING_ATTEMPTS} attempts starting from seed {seed}"
     )

@@ -25,21 +25,22 @@ Coordinate conventions, shared with the bundled data files:
 
 Every degree-3 object is one route: a sparse left-normed lift into
 H⊗Λ²H, then the bracketing matrix ``LcsData.bracket`` (H⊗Λ²H → L3),
-then the P3 projection.  R3 brackets H against the R2 rows; τ̃ reads the
-cached lift ``LcsData.tau_lift`` of each A coordinate and is stored per
-point (``LcsData.tau_blocks``), and τ̃* is that lift transposed
-(``LcsData.tau_lift_transpose``).  ``tau_tilde`` reads only τ̃'s nonzero
-rows, re-keyed once to global columns (``LcsData.tau_support``), and
-``tau_matrix``, the whole A × Hom(R2,P3) matrix built from the same rows,
-serves the pinned digests and the benchmark.  τ̃'s lift, the δ
-lift and Im δ̄ spread a value v at a flag (i,p) over p's generator flags
-by one signed pattern (``LcsData._flag_terms``): v = x_i∧x_m, f̂(x_i)
-and a section image ŝ_t of P2.  R3perp pulls perp(R3) back along the
-bracket.  A lift is a sequence of (generator flag, slot, coefficient)
-terms.  An automorphism acts on A and on H⊗Λ²H by one signed
-permutation each, read entry by entry (``_line_entries``).  Every matrix
-is built from sparse rows, so no layer reads or writes their zeros (on
-C13 under 2% of entries are nonzero).
+then the P3 projection.  R3 brackets H against the R2 rows; τ̃ is one
+sparse A × Hom(R2,P3) matrix (``LcsData.tau_matrix``), the cached lift
+``LcsData.tau_lift`` of each A coordinate sent through that route, and τ̃*
+is that lift transposed (``LcsData.tau_lift_transpose``).  Every other
+form of τ̃ is a view of the matrix's rows, sharing their dicts:
+``tau_tilde`` reads only its nonzero rows (``LcsData.tau_support``), and
+each finite point's τ̃_p is its slice of rows (``LcsData.u_points``).
+τ̃'s lift, the δ lift and Im δ̄ spread a value v at a flag (i,p) over
+p's generator flags by one signed pattern (``LcsData._flag_terms``):
+v = x_i∧x_m, f̂(x_i) and a section image ŝ_t of P2.  R3perp pulls
+perp(R3) back along the bracket.  A lift is a sequence of (generator
+flag, slot, coefficient) terms.  An automorphism acts on A and on
+H⊗Λ²H by one signed permutation each, read entry by entry
+(``_line_entries``).  Every matrix is built from sparse rows, so no
+layer reads or writes their zeros (on C13 under 2% of entries are
+nonzero).
 
 U splits over the finite points like τ̃, and both kernel identities read
 it from ``LcsData.u_points``.  U's generators are defined once, point by
@@ -121,16 +122,16 @@ class ConfigMismatchError(ValueError):
 class PointU:
     """U at one finite point p, as both kernel identities read it.
 
-    ``rows`` and ``cols`` are p's slices of A and of Hom(R2,P3), ``tau``
-    is τ̃_p, ``u`` holds U's generator rows at p (in p's A coordinates,
-    not reduced), ``u_tau`` = ``u @ tau`` holds their images under τ̃_p,
+    ``rows`` is p's slice of A, ``tau`` is τ̃_p, those rows of
+    ``LcsData.tau_matrix`` (the same dicts, in Hom(R2,P3)'s columns), ``u``
+    holds U's generator rows at p (in p's A coordinates, not reduced),
+    ``u_tau`` = ``u @ tau`` holds their images under τ̃_p,
     ``quotient`` presents A_p/U_p (``_point_quotient``: a spanning forest
     for U's own generators, so no Hermite form of U_p is built), and
     ``s_tau`` = s_p·τ̃_p is τ̃_p on its section.
     """
 
     rows: slice
-    cols: slice
     tau: IntMatrix
     u: IntMatrix
     u_tau: IntMatrix
@@ -142,10 +143,9 @@ class LcsData:
     """Degree-2 and degree-3 graded data of one configuration.
 
     Degree-2 objects are built eagerly.  The degree-3 objects (the
-    bracket map, R3, P3, R3perp, the τ̃ lift, τ̃ per point, τ̃'s nonzero
-    rows for ``tau_tilde``, U per point with A_p/U_p for both kernel
-    identities, π = ⊕_p π_p, the whole τ̃ matrix for the pinned digests
-    and the benchmark, Im δ̄) are cached
+    bracket map, R3, P3, R3perp, the τ̃ lift, the τ̃ matrix and its
+    nonzero rows for ``tau_tilde``, U per point with τ̃_p and A_p/U_p for
+    both kernel identities, π = ⊕_p π_p, Im δ̄) are cached
     properties computed on first use, so purely degree-2 work on large
     configurations stays cheap.  L3's columns and the bracket map are
     written down in closed form (``l3_pos``, ``bracket``); no Lie basis
@@ -320,46 +320,53 @@ class LcsData:
         """The bracketing map followed by the P3 projection, H⊗Λ²H → P3."""
         return self.bracket @ self.p3.projection
 
-    def _to_hom(self, lift, gens: range | None = None, images: IntMatrix | None = None) -> dict[int, int]:
-        """Sparse flat Hom(R2,P3) coordinates of a sparse lift on the generator flags ``gens`` (default all).
+    def _to_hom(self, lift, images: IntMatrix | None = None) -> dict[int, int]:
+        """Sparse flat Hom(R2,P3) coordinates of a sparse lift.
 
         A term (g, s, c) adds c times row s of ``images`` (default the
         H⊗Λ²H → P3 map ``_bracket_p3``) at generator flag g.
         """
-        r, start = self.p3.free_rank, gens.start if gens else 0
+        r = self.p3.free_rank
         bp = (self._bracket_p3 if images is None else images).sparse_rows
         out: dict[int, int] = {}
         for g, s, c in lift:
-            base = (g - start) * r
+            base = g * r
             for t, x in bp[s].items():
                 out[base + t] = out.get(base + t, 0) + c * x
         return {t: x for t, x in out.items() if x}
 
     @cached_property
-    def tau_blocks(self) -> tuple[tuple[slice, slice, IntMatrix], ...]:
-        """τ̃ = ⊕_p τ̃_p: (A rows, Hom(R2,P3) columns, τ̃_p) for each finite point p, in ``index.p0`` order."""
-        n, r, out, flag, gen = self.n, self.p3.free_rank, [], 0, 0
-        for p in self.index.p0:
-            k = self.config.multiplicity(p)
-            rows, gens = slice(flag * n, (flag + k) * n), range(gen, gen + k - 1)
-            block = IntMatrix._of([self._to_hom(lift, gens) for lift in self.tau_lift[rows]], len(gens) * r)
-            out.append((rows, slice(gen * r, gens.stop * r), block))
-            flag, gen = flag + k, gen + k - 1
-        return tuple(out)
+    def tau_matrix(self) -> IntMatrix:
+        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order: ``tau_lift`` through ``_to_hom``, never reduced.
+
+        Every other form of τ̃ shares its row dicts: ``tau_support`` and
+        each point's τ̃_p in ``u_points``.
+        """
+        return IntMatrix._of([self._to_hom(lift) for lift in self.tau_lift], len(self.gens) * self.p3.free_rank)
+
+    @cached_property
+    def tau_support(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """τ̃'s nonzero rows as (A coordinate, {Hom(R2,P3) column: coefficient}), in flat A order: the rows of ``tau_matrix`` themselves."""
+        return tuple((a, row) for a, row in enumerate(self.tau_matrix.sparse_rows) if row)
 
     @cached_property
     def u_points(self) -> tuple[PointU, ...]:
         """U at each finite point, in ``index.p0`` order, shared by both kernel identities.
 
-        U_p is never reduced: ``_point_quotient`` presents A_p/U_p from U's
-        generator rows at p (``_u_generators``) by a spanning forest, and
-        ``u_tau`` and ``s_tau`` are computed here once for both identities.
+        τ̃ = ⊕_p τ̃_p: τ̃_p is p's slice of rows of ``tau_matrix`` (k·n rows
+        for k lines on p), so ``u_tau`` and ``s_tau``, computed here once
+        for both identities, come out in Hom(R2,P3)'s columns.  U_p is
+        never reduced: ``_point_quotient`` presents A_p/U_p from U's
+        generator rows at p (``_u_generators``) by a spanning forest.
         """
-        out = []
-        for (_, gen_rows), (rows, cols, block) in zip(_u_generators(self.config), self.tau_blocks, strict=True):
+        tau, out, stop = self.tau_matrix, [], 0
+        for p, gen_rows in _u_generators(self.config):
+            rows = slice(stop, stop + self.config.multiplicity(p) * self.n)
+            block = IntMatrix._of(tau.sparse_rows[rows], tau.cols)
             gens = IntMatrix._of(gen_rows, rows.stop - rows.start)
             quotient = _point_quotient(gens)
-            out.append(PointU(rows, cols, block, gens, gens @ block, quotient, quotient.section @ block))
+            out.append(PointU(rows, block, gens, gens @ block, quotient, quotient.section @ block))
+            stop = rows.stop
         return tuple(out)
 
     @cached_property
@@ -385,24 +392,6 @@ class LcsData:
         """π(B) ⊆ A/U (``u_projection``), reduced at most once: rank(U + B) = rank U + rank π(B)."""
         pi = self.u_projection
         return Lattice(pi.cols, self.b.basis @ pi)
-
-    @cached_property
-    def tau_support(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """τ̃'s nonzero rows as (A coordinate, {Hom(R2,P3) column: coefficient}), in flat A order, read once from ``tau_blocks``."""
-        return tuple(
-            (rows.start + a, {cols.start + t: x for t, x in row.items()})
-            for rows, cols, block in self.tau_blocks
-            for a, row in enumerate(block.sparse_rows)
-            if row
-        )
-
-    @cached_property
-    def tau_matrix(self) -> IntMatrix:
-        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order: the rows of ``tau_support``, zero elsewhere."""
-        rows: list[dict[int, int]] = [{} for _ in range(self.a_rank)]
-        for a, row in self.tau_support:
-            rows[a] = row
-        return IntMatrix._of(rows, len(self.gens) * self.p3.free_rank)
 
     def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
         """Sparse left-normed lift of δ̄(fhat), ``_flag_terms`` with v = f̂(x_i) at each (i,p): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
@@ -480,9 +469,9 @@ def _as_abelian(g: GMap | AbelianGMap) -> AbelianGMap:
 def tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
     """τ̃a(r̄(i,p)) = [[x_i,a(i,p)], s_p] + [x_i, Σ_j [x_j,a(j,p)]] + R3.
 
-    One accumulation over τ̃'s nonzero rows (``LcsData.tau_support``): only
-    the A coordinates with a nonzero row are read (216 of 1104 on C13, 648
-    of 28 032 on ``glue_copies(6)``), and κ never builds ``tau_matrix``.
+    One accumulation over τ̃'s nonzero rows (``LcsData.tau_support``, the
+    nonzero rows of ``tau_matrix``): only the A coordinates with a nonzero
+    row are read (216 of 1104 on C13, 648 of 28 032 on ``glue_copies(6)``).
     """
     a = _as_abelian(a)
     if a.config != data.config:
@@ -712,17 +701,11 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     of another shape reach it.
     """
     width, points = len(data.gens) * data.p3.free_rank, data.u_points
-
-    def spread(start, m):
-        """The rows of ``m`` with every column shifted by ``start``."""
-        return [{start + t: x for t, x in row.items()} for row in m.sparse_rows]
-    images = [v for pt in points for v in spread(pt.cols.start, pt.u_tau)]
-    if not all(member(densify(v, width), data.im_delta) for v in images if v):
+    if not all(member(densify(v, width), data.im_delta) for pt in points for v in pt.u_tau.sparse_rows if v):
         return False
     if not all(pt.quotient.is_torsion_free for pt in points):
         raise TorsionError("A/U has torsion")
-    tau_s = [v for pt in points for v in spread(pt.cols.start, pt.s_tau)]
-    joint = kernel_basis(vstack(IntMatrix._of(tau_s, width), data.im_delta.echelon()[0]))
+    joint = kernel_basis(vstack(*(pt.s_tau for pt in points), data.im_delta.echelon()[0]))
     f = data.u_projection.cols
     return Lattice(f, joint.columns(0, f)) == data.pi_b
 

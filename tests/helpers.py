@@ -295,23 +295,28 @@ def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentatio
     already in p's A coordinates), and A_p/U_p is its ``quotient_presentation``.
     """
     out = []
-    for (_, gens), (rows, _, _) in zip(_u_generators(data.config), data.tau_blocks, strict=True):
-        width = rows.stop - rows.start
+    for p, gens in _u_generators(data.config):
+        width = data.config.multiplicity(p) * data.n
         u = Lattice(width, IntMatrix._of(gens, width))
         out.append((u, quotient_presentation(u)))
     return out
 
 
 def dense_tau_matrix(data: LcsData) -> IntMatrix:
-    """Oracle for ``LcsData.tau_matrix``: the lift of every A coordinate sent through ``_to_hom`` on all generator flags."""
+    """The lift of every A coordinate sent through ``_to_hom``, as ``LcsData.tau_matrix`` builds it.
+
+    This repeats the library's construction, so it pins the matrix's
+    shape and its views, not its values: ``test_tau_rows_equal_the_relator_route``
+    and ``test_tau_lift_rows_project_to_tau_value`` check τ̃'s rows by
+    independent routes.
+    """
     return IntMatrix._of([data._to_hom(lift) for lift in data.tau_lift], len(data.gens) * data.p3.free_rank)
 
 
 def blockwise_tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
-    """Oracle for ``lcs.tau_tilde``: each point's τ̃_p (``LcsData.tau_blocks``) applied to its rows of A, the values concatenated."""
-    vec, flat = _as_abelian(a).vector(), []
-    for rows, _, b in data.tau_blocks:
-        flat += vec_mat(vec[rows], b)
+    """Oracle for ``lcs.tau_tilde``: each point's τ̃_p (``LcsData.u_points``) applied to its rows of A, the values summed."""
+    vec = _as_abelian(a).vector()
+    flat = map(sum, zip(*(vec_mat(vec[pt.rows], pt.tau) for pt in data.u_points)))
     return HomR2P3(data.gens, data.p3.free_rank, tuple(flat))
 
 

@@ -66,8 +66,9 @@ def test_validate_builtin_configs(capsys):
         {**TRIANGLE, "points": [{"name": "a", "lines": 7}]},
         {**TRIANGLE, "points": [{"name": ["p"], "lines": ["l0", "l1"]}]},
         {**TRIANGLE, "lines": ["l0", "l1", "l2", "l0"]},
+        {**TRIANGLE, "points": TRIANGLE["points"][:2] + [{"name": "c", "lines": ["l1", "l2", "l1"]}]},
     ],
-    ids=["points-not-a-list", "lines-not-a-list", "name-not-a-string", "repeated-infinity-line"],
+    ids=["points-not-a-list", "lines-not-a-list", "name-not-a-string", "repeated-infinity-line", "line-twice-at-a-point"],
 )
 def test_validate_rejects_malformed_shapes(capsys, tmp_path, bad):
     code, payload = run_json(capsys, "validate", write_json(tmp_path, "bad.json", bad))

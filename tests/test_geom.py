@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from arrlcs import geom
 from arrlcs.config import glue_c13, maclane_c8, validate
 from arrlcs.geom import (
     OMEGA,
@@ -368,6 +369,7 @@ def test_glued_realization_json():
     assert d["seed"] == gr.seed
 
 
-def test_degenerate_search_raises():
+def test_degenerate_search_raises(monkeypatch):
+    monkeypatch.setattr(geom, "MAX_GLUING_ATTEMPTS", 0)
     with pytest.raises(DegenerateRealization):
-        generic_glued_realization("+", 0, max_attempts=0)
+        generic_glued_realization("+", 0)

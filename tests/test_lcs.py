@@ -433,7 +433,7 @@ def test_cold_u_points_reduce_nothing(monkeypatch, asymmetric_config):
     configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), asymmetric_config, glue_copies(3), hesse(), pencil4())
     for config in configs:
         data = build_lcs(config)  # fresh, so ``u_points`` is built here
-        data.tau_blocks  # noqa: B018 - τ̃ per point reduces P3 first
+        data.tau_matrix  # noqa: B018 - τ̃ reduces P3 first
         with monkeypatch.context() as m:
             m.setattr(exactlin, "_hnf_forward", lambda *args: pytest.fail("a cold u_points ran a Hermite reduction"))
             points = data.u_points
@@ -491,14 +491,26 @@ def test_point_quotient_presents_graph_shaped_rows(monkeypatch):
     assert 1 < len(reduced) < cases
 
 
-def test_tau_blocks_cover_the_dense_matrix(maclane_data, c13_data):
+def test_point_tau_slices_cover_the_dense_matrix(maclane_data, c13_data):
     for data in (maclane_data, c13_data):
         oracle = dense_tau_matrix(data)
         dense = [[0] * oracle.cols for _ in range(data.a_rank)]
-        for rows, cols, block in data.tau_blocks:
-            for i, row in zip(range(rows.start, rows.stop), block.entries):
-                dense[i][cols] = row
+        for pt in data.u_points:
+            assert pt.tau.cols == oracle.cols
+            dense[pt.rows] = map(list, pt.tau.entries)
         assert IntMatrix(dense, oracle.cols) == oracle == data.tau_matrix
+
+
+def test_point_tau_rows_are_the_tau_matrix_rows(maclane_data, c13_data, asymmetric_config):
+    # one τ̃: each point's τ̃_p and τ̃'s support hold the matrix's own row dicts
+    for data in (maclane_data, c13_data, build_lcs(asymmetric_config)):
+        tau, stop = data.tau_matrix.sparse_rows, 0
+        for pt in data.u_points:
+            assert pt.rows.start == stop and pt.tau.rows == pt.rows.stop - pt.rows.start
+            assert all(row is tau[pt.rows.start + i] for i, row in enumerate(pt.tau.sparse_rows))
+            stop = pt.rows.stop
+        assert stop == data.a_rank
+        assert all(row is tau[a] for a, row in data.tau_support)
 
 
 def test_tau_tilde_equals_the_blockwise_route(maclane_data, c13_data, asymmetric_config):
@@ -597,10 +609,11 @@ def _row_counter(monkeypatch, names):
 def test_verdict_path_never_builds_the_dense_tau(monkeypatch):
     data = build_lcs(maclane_c8())
     data.p3, data.im_delta  # noqa: B018 - built before counting
-    rows = _row_counter(monkeypatch, ["kernel_basis"])
+    rows = _row_counter(monkeypatch, ["hnf", "kernel_basis"])
     assert not kappa(data, builtin_g_map("plus"), builtin_g_map("minus")).zero
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
-    assert "tau_matrix" not in vars(data)
+    # τ̃ is built but never reduced whole: no reduction gets all 147 of A's rows
+    assert data.a_rank == 147 and data.a_rank not in rows["hnf"] + rows["kernel_basis"]
     # rank Im τ̃ + Im δ̄ basis rows = 18 + 56; the dense route reduces 147 and 203
     assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 56
 
@@ -659,7 +672,7 @@ def test_verdict_path_builds_no_dense_view(monkeypatch, asymmetric_config):
     outcomes = []
     for config in (maclane_c8(), asymmetric_config):
         data = build_lcs(config)
-        data.r3, data.p3, data.r3perp, data.tau_blocks, data.im_delta  # noqa: B018 - R3⊥ runs both routes
+        data.r3, data.p3, data.r3perp, data.tau_matrix, data.im_delta  # noqa: B018 - R3⊥ runs both routes
         outcomes.append((tau_kernel_equals_u(data), tau_preimage_equals_u_plus_b(data)))
         if config == maclane_c8():
             assert not kappa(data, builtin_g_map("plus"), builtin_g_map("minus")).zero
@@ -1160,7 +1173,7 @@ def test_glued_g_map_puts_each_copys_words_at_its_flags():
 def test_kappa_on_c13_builds_no_incidence_index(c13_data, monkeypatch):
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
     pp, pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
-    c13_data.im_delta, c13_data.tau_blocks  # the lazy degree-3 build runs before counting
+    c13_data.im_delta, c13_data.tau_matrix  # the lazy degree-3 build runs before counting
     built = []
     init = IncidenceIndex.__init__
 

@@ -62,7 +62,8 @@ compare with later runs.
   lines of AG(2,3)), with both kernel identities, timed apart
   (``identities_s``) on data whose ``u_points`` and Im δ̄ reduction are
   built; its per-point digest does not depend on the basis that
-  presents A_p/U_p.
+  presents A_p/U_p.  τ̃ (``tau_matrix``) is built untimed; records
+  before ``BENCH_31.json`` built τ̃ per point instead.
 * ``words``: on c8, C13, C13 at ``SEED`` and the 3- and 4-fold MacLane
   gluings, ``G_MAPS`` g-maps from ``WORDS_SEED`` each: ``relators_from_g``,
   ``magnus`` of every relator, and the relator route to degree-3
@@ -460,7 +461,7 @@ def u() -> dict:
 
         def prepare(for_identities=False):
             data = lcs.build_lcs(cfg)
-            data.tau_blocks  # noqa: B018 - built before timing
+            data.tau_matrix  # noqa: B018 - built before timing
             if for_identities:
                 data.im_delta.canonical_form, data.u_points  # noqa: B018 - Im δ̄ and its reduction are not timed
             gc.collect()  # earlier builds' garbage is not collected inside the timed call
