@@ -26,8 +26,7 @@ visiting only the pivot columns the row holds.  No step scans every row.
 The echelon rows are the dense Hermite algorithm's, and the Hermite form
 of their span and its transform are unique, so ``(h, u, pivots)`` are
 deterministic and equal to a dense reduction's.  The Smith form alternates that kernel
-over the rows and the columns.  Products, ``vec_mat`` and membership
-touch only nonzero entries.
+over the rows and the columns.  Products touch only nonzero entries.
 
 Linear maps act on row vectors (v ↦ v·m).  A lattice reduces its basis
 only as far as its readers need, each stage once: a forward pass with
@@ -39,10 +38,11 @@ form, the canonical form that comparison and ``perp`` read.
 {v : v·m = 0}, read off the forward pass's transform.  ``perp`` caches
 the orthogonal complement; when every Hermite pivot is 1 it reads its
 basis off the canonical form, and otherwise takes the left kernel of its
-transpose.  Membership reduces a vector by the echelon rows.  A failure's
-witness functional depends only on the failing pivot row or rational
-column, so it is solved once per such key and cached with the stages; a
-warm failed query only pairs it with the vector over its support.
+transpose.  Membership reduces a vector's sparse residue (a dense vector
+or a ``{column: entry}`` dict) by the echelon rows whose pivots it holds.
+A failure's witness functional depends only on the failing pivot row or
+rational column, so it is solved once per such key and cached with the
+stages; a warm failed query pairs it with the vector over its support.
 
 ``quotient_presentation`` presents a quotient ``ZZ^n / lattice`` from
 the lattice alone: the projection is Kᵀ for K the canonical form of
@@ -179,18 +179,6 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     return sum(x * y for x, y in zip(u, v))
-
-
-def vec_mat(v: Sequence[int], m: IntMatrix) -> tuple[int, ...]:
-    """Row vector times matrix."""
-    if len(v) != m.rows:
-        raise ValueError("length mismatch")
-    out = [0] * m.cols
-    for x, row in zip(v, m.sparse_rows):
-        if x:
-            for j, y in row.items():
-                out[j] += x * y
-    return tuple(out)
 
 
 # -- row operation helpers ------------------------------------------------
@@ -502,8 +490,8 @@ class MembershipResult:
         return self.ok
 
 
-def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
-    """Decide ``v in lat``; return combination coefficients or a witness.
+def member(v: Sequence[int] | dict[int, int], lat: Lattice) -> MembershipResult:
+    """Decide ``v in lat``, ``v`` dense or a sparse ``{column: entry}`` dict; return combination coefficients or a witness.
 
     On success ``coefficients`` expresses ``v`` over ``lat.basis`` rows.
     On failure the witness has ``modulus == 0`` (rational failure) or a
@@ -522,29 +510,42 @@ def member(v: Sequence[int], lat: Lattice) -> MembershipResult:
     over the forward transform u⁰ (``keep``) q·u⁰ = q′·(T·u⁰), the
     coefficients over H's own transform.  Certificates do not move.
 
+    The residue is sparse, zeros never stored, and the walk skips row k
+    when c_k is not among its columns.  There the dense step reads entry
+    0: quotient 0, remainder 0, no failure and no change.  So the same
+    rows fail or subtract with the same quotients, the first failing row,
+    the rational column and q are the dense walk's, and q·u⁰ sums only the
+    rows of ``keep`` with q_k ≠ 0.
+
     A failure's witness is ``_pivot_witness``: the functional of its
     failing row or column is solved on the first failure there and
     cached, and each failure pairs it with ``v``.
     """
-    if len(v) != lat.ambient_rank:
+    n = lat.ambient_rank
+    if isinstance(v, dict):
+        if v and not 0 <= min(v) <= max(v) < n:
+            raise ValueError(f"sparse vector key outside [0, {n})")
+        v = dict(compress(v.items(), v.values()))
+    elif len(v) != n:
         raise ValueError("vector length does not match ambient rank")
+    else:
+        v = dict(compress(enumerate(v), v))
     e, keep, pivots, _ = lat.echelon()
-    rem = dict(compress(enumerate(v), v))
-    coeffs: list[int] = []
-    for k, (ek, c) in enumerate(zip(e.sparse_rows, pivots)):
-        q, r = divmod(rem.get(c, 0), ek[c])
-        if r:
-            return MembershipResult(False, witness=_pivot_witness(lat, v, k=k))
-        coeffs.append(q)
-        if q:
-            _sparse_sub(rem, ek, q)
+    rows, rem, quotients = e.sparse_rows, dict(v), []
+    for k, c in enumerate(pivots):
+        if c in rem:
+            q, r = divmod(rem[c], rows[k][c])
+            if r:
+                return MembershipResult(False, witness=_pivot_witness(lat, v, k=k))
+            quotients.append((k, q))
+            _sparse_sub(rem, rows[k], q)
     if rem:
         return MembershipResult(False, witness=_pivot_witness(lat, v, c=min(rem)))
-    return MembershipResult(True, coefficients=vec_mat(coeffs, keep))
+    return MembershipResult(True, coefficients=densify(combine(quotients, keep), keep.cols))
 
 
-def _pivot_witness(lat: Lattice, v: Sequence[int], *, k=None, c=None) -> Witness:
-    """The witness at divisibility row ``k`` or rational column ``c``: a cached functional paired with ``v``.
+def _pivot_witness(lat: Lattice, v: dict[int, int], *, k=None, c=None) -> Witness:
+    """The witness at divisibility row ``k`` or rational column ``c``: a cached functional paired with the sparse ``v``.
 
     The functional depends on the lattice and on k or c alone, never on
     ``v`` (``_witness_functional``), so it is solved on the first failure
@@ -556,7 +557,7 @@ def _pivot_witness(lat: Lattice, v: Sequence[int], *, k=None, c=None) -> Witness
     if (k, c) not in cache:
         cache[k, c] = _witness_functional(lat, k, c)
     f, modulus, support = cache[k, c]
-    pairing = sum(x * v[p] for p, x in support)
+    pairing = sum(x * v.get(p, 0) for p, x in support)
     return Witness(f, modulus, pairing % modulus if modulus else pairing)
 
 

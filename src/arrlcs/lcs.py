@@ -64,7 +64,7 @@ zero elsewhere) have one lift, the pattern with v = x_j∧x_m.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -435,25 +435,53 @@ def _maclane_data() -> LcsData:
 # -- Hom(R2,P3) values -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomR2P3:
-    """Element of Hom(R2,P3): one row of P3 coordinates per generator flag."""
+    """Element of Hom(R2,P3): one row of P3 coordinates per generator flag.
+
+    Stored sparse, like ``IntMatrix.sparse_rows``: ``sparse`` maps flat
+    column g·free_rank + t to a nonzero coefficient, and ``==``, ``+``,
+    ``-``, ``is_zero`` and ``matrix()`` read it alone.  ``flat``, the dense
+    row-major tuple that ``HomR2P3(gens, free_rank, flat)`` takes, is a
+    view built each time it is read.
+    """
 
     gens: tuple[tuple[int, str], ...]
     free_rank: int
-    flat: tuple[int, ...]
+    sparse: dict[int, int] = field(hash=False)
+
+    def __init__(self, gens: tuple[tuple[int, str], ...], free_rank: int, flat: Sequence[int]):
+        flat = tuple(flat)
+        if len(flat) != len(gens) * free_rank:
+            raise ValueError(f"{len(gens)} generator flags of P3 rank {free_rank} take {len(gens) * free_rank} entries, not {len(flat)}")
+        self.__dict__.update(gens=gens, free_rank=free_rank, sparse={j: x for j, x in enumerate(flat) if x})
+
+    @classmethod
+    def _of(cls, gens: tuple[tuple[int, str], ...], free_rank: int, sparse: dict[int, int]) -> "HomR2P3":
+        """Wrap sparse entries without copying; the caller hands them over, zeros dropped."""
+        h = object.__new__(cls)
+        h.__dict__.update(gens=gens, free_rank=free_rank, sparse=sparse)
+        return h
+
+    @property
+    def flat(self) -> tuple[int, ...]:
+        return densify(self.sparse, len(self.gens) * self.free_rank)
 
     def matrix(self) -> IntMatrix:
-        r = self.free_rank
-        return IntMatrix([self.flat[g * r : (g + 1) * r] for g in range(len(self.gens))], r)
+        r, rows = self.free_rank, [{} for _ in self.gens]
+        for j, x in self.sparse.items():
+            rows[j // r][j % r] = x
+        return IntMatrix._of(rows, r)
 
     def is_zero(self) -> bool:
-        return not any(self.flat)
+        return not self.sparse
 
     def _entrywise(self, op, other: "HomR2P3") -> "HomR2P3":
         if self.gens != other.gens:
             raise ConfigMismatchError("values on different generator sets")
-        return HomR2P3(self.gens, self.free_rank, tuple(map(op, self.flat, other.flat)))
+        a, b = self.sparse, other.sparse
+        out = {j: op(a.get(j, 0), b.get(j, 0)) for j in a.keys() | b.keys()}
+        return HomR2P3._of(self.gens, self.free_rank, {j: x for j, x in out.items() if x})
 
     def __add__(self, other: "HomR2P3") -> "HomR2P3":
         return self._entrywise(operator.add, other)
@@ -466,23 +494,24 @@ def _as_abelian(g: GMap | AbelianGMap) -> AbelianGMap:
     return abelianize(g) if isinstance(g, GMap) else g
 
 
-def tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
-    """τ̃a(r̄(i,p)) = [[x_i,a(i,p)], s_p] + [x_i, Σ_j [x_j,a(j,p)]] + R3.
+def tau_tilde(data: LcsData, a: GMap | AbelianGMap, b: GMap | AbelianGMap | None = None) -> HomR2P3:
+    """τ̃(a - b), or τ̃a when ``b`` is None: τ̃a(r̄(i,p)) = [[x_i,a(i,p)], s_p] + [x_i, Σ_j [x_j,a(j,p)]] + R3.
 
     One accumulation over τ̃'s nonzero rows (``LcsData.tau_support``, the
-    nonzero rows of ``tau_matrix``): only the A coordinates with a nonzero
-    row are read (216 of 1104 on C13, 648 of 28 032 on ``glue_copies(6)``).
+    nonzero rows of ``tau_matrix``): ``a`` and ``b`` are read only at the A
+    coordinates with a nonzero row (216 of 1104 on C13, 648 of 28 032 on
+    ``glue_copies(6)``), so a - b is never built.  The value is sparse.
     """
-    a = _as_abelian(a)
-    if a.config != data.config:
+    a, b = _as_abelian(a), AbelianGMap(data.config) if b is None else _as_abelian(b)
+    if a.config != data.config or b.config != data.config:
         raise ConfigMismatchError("conjugator data belongs to another configuration")
-    vec, flat = a.vector(), [0] * (len(data.gens) * data.p3.free_rank)
+    va, vb, out = a.vector(), b.vector(), {}
     for k, row in data.tau_support:
-        x = vec[k]
+        x = va[k] - vb[k]
         if x:
             for j, y in row.items():
-                flat[j] += x * y
-    return HomR2P3(data.gens, data.p3.free_rank, tuple(flat))
+                out[j] = out.get(j, 0) + x * y
+    return HomR2P3._of(data.gens, data.p3.free_rank, {j: z for j, z in out.items() if z})
 
 
 def delta_bar(data: LcsData, f: IntMatrix) -> HomR2P3:
@@ -496,8 +525,7 @@ def delta_bar_from_lift(data: LcsData, fhat: IntMatrix) -> HomR2P3:
     """δ̄ from an explicit Λ²H-lift matrix; independent of the lift mod R2."""
     if fhat.shape != (data.n, data.npairs):
         raise ValueError("lift must be n x dim(L2)")
-    width = len(data.gens) * data.p3.free_rank
-    return HomR2P3(data.gens, data.p3.free_rank, densify(data._to_hom(data._delta_lift(fhat)), width))
+    return HomR2P3._of(data.gens, data.p3.free_rank, data._to_hom(data._delta_lift(fhat)))
 
 
 # -- the kernel lattices U and B ---------------------------------------------
@@ -700,8 +728,8 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     (``_point_quotient``'s forest proves each A_p/U_p free), so only rows
     of another shape reach it.
     """
-    width, points = len(data.gens) * data.p3.free_rank, data.u_points
-    if not all(member(densify(v, width), data.im_delta) for pt in points for v in pt.u_tau.sparse_rows if v):
+    points = data.u_points
+    if not all(member(v, data.im_delta) for pt in points for v in pt.u_tau.sparse_rows if v):
         return False
     if not all(pt.quotient.is_torsion_free for pt in points):
         raise TorsionError("A/U has torsion")
@@ -988,19 +1016,26 @@ def t_functional(a: GMap | AbelianGMap) -> int:
 
 @dataclass(frozen=True)
 class KappaReport:
-    """κ verdict for one pair of conjugator assignments.
+    """κ verdict for one pair of conjugator assignments ``g``, ``gprime``, abelianized.
 
+    ``tau_value`` = τ̃(ḡ - ḡ′) is sparse, and ``to_json_dict`` builds its
+    ``flat``; ``difference`` = ḡ - ḡ′ is built on its first read.
     ``certificate`` (on zero) is the n × rank(P2) matrix of an f with
     δ̄f = τ̃(difference); ``witness`` (on nonzero) is a functional
     separating the τ̃ value from Im δ̄ in flat Hom(R2,P3) coordinates.
     """
 
     zero: bool
-    difference: AbelianGMap
+    g: AbelianGMap
+    gprime: AbelianGMap
     tau_value: HomR2P3
     certificate: IntMatrix | None
     witness: Witness | None
     t_value: int | None
+
+    @cached_property
+    def difference(self) -> AbelianGMap:
+        return self.g - self.gprime
 
     def to_json_dict(self) -> dict:
         return {
@@ -1021,26 +1056,12 @@ class KappaReport:
 
 def kappa(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | AbelianGMap) -> KappaReport:
     """Decide whether τ̃(ḡ - ḡ') ∈ Im δ̄, with an exact certificate either way."""
-    diff = _as_abelian(g) - _as_abelian(gprime)
-    if diff.config != data.config:
-        raise ConfigMismatchError("conjugator data belongs to another configuration")
-    value = tau_tilde(data, diff)
-    res = member(value.flat, data.im_delta)
-    certificate = None
-    if res.ok:
-        r = data.p2.free_rank
-        certificate = IntMatrix(
-            [res.coefficients[i * r : (i + 1) * r] for i in range(data.n)], r
-        )
-    t_val = t_functional(diff) if data.config == maclane_c8() else None
-    return KappaReport(
-        zero=res.ok,
-        difference=diff,
-        tau_value=value,
-        certificate=certificate,
-        witness=res.witness,
-        t_value=t_val,
-    )
+    g, gprime = _as_abelian(g), _as_abelian(gprime)
+    value, r = tau_tilde(data, g, gprime), data.p2.free_rank
+    res = member(value.sparse, data.im_delta)
+    certificate = IntMatrix([res.coefficients[i * r : (i + 1) * r] for i in range(data.n)], r) if res.ok else None
+    t_val = t_functional(g - gprime) if data.config == maclane_c8() else None
+    return KappaReport(zero=res.ok, g=g, gprime=gprime, tau_value=value, certificate=certificate, witness=res.witness, t_value=t_val)
 
 
 # -- glued configurations ------------------------------------------------------

@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from arrlcs.config import ConfigAutomorphism, Configuration
+from arrlcs.config import ConfigAutomorphism, Configuration, maclane_c8
 from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
@@ -21,12 +21,23 @@ from arrlcs.exactlin import (
     perp,
     quotient_presentation,
     snf,
-    vec_mat,
     vstack,
 )
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.lcs import HomR2P3, LcsData, _as_abelian, _line_entries, _u_generators, rbar_gen_coeffs
+from arrlcs.lcs import HomR2P3, LcsData, _as_abelian, _line_entries, _u_generators, rbar_gen_coeffs, t_functional
 from arrlcs.words import AbelianGMap, GMap, Word, lie_basis, lie_sparse_coords, wedge_index
+
+
+def vec_mat(v: Sequence[int], m: IntMatrix) -> tuple[int, ...]:
+    """Row vector times matrix, dense: the tests' product (``member`` combines only the rows it uses)."""
+    if len(v) != m.rows:
+        raise ValueError("length mismatch")
+    out = [0] * m.cols
+    for x, row in zip(v, m.sparse_rows):
+        if x:
+            for j, y in row.items():
+                out[j] += x * y
+    return tuple(out)
 
 
 def relabel(config, seed):
@@ -318,6 +329,22 @@ def blockwise_tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
     vec = _as_abelian(a).vector()
     flat = map(sum, zip(*(vec_mat(vec[pt.rows], pt.tau) for pt in data.u_points)))
     return HomR2P3(data.gens, data.p3.free_rank, tuple(flat))
+
+
+def dense_kappa_json(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | AbelianGMap) -> dict:
+    """Oracle for ``kappa(data, g, gprime).to_json_dict()``: the full difference, ``blockwise_tau_tilde``'s dense value and ``reference_member``."""
+    diff = _as_abelian(g) - _as_abelian(gprime)
+    value = blockwise_tau_tilde(data, diff).flat
+    res, r = reference_member(value, data.im_delta), data.p2.free_rank
+    w = res.witness
+    return {
+        "zero": res.ok,
+        "difference": {f"({i},{p})": list(v) for (i, p), v in sorted(diff.values.items(), key=lambda kv: (kv[0][1], kv[0][0]))},
+        "tau_value": list(value),
+        "certificate": [list(res.coefficients[i * r : (i + 1) * r]) for i in range(data.n)] if res.ok else None,
+        "witness": None if w is None else {"functional": list(w.functional), "modulus": w.modulus, "pairing": w.pairing},
+        "t_value": t_functional(diff) if data.config == maclane_c8() else None,
+    }
 
 
 def dense_tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:

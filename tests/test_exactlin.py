@@ -14,6 +14,7 @@ from arrlcs.config import maclane_c8
 from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
+    MembershipResult,
     dot,
     hnf,
     hnf_with_transform,
@@ -22,12 +23,11 @@ from arrlcs.exactlin import (
     perp,
     quotient_presentation,
     snf,
-    vec_mat,
     vstack,
 )
 from arrlcs.lcs import tau_tilde, u_lattice
 from arrlcs.words import AbelianGMap
-from helpers import kernel_perp, lattice_sum, reference_member, reference_quotient, reference_witness, saturate
+from helpers import kernel_perp, lattice_sum, reference_member, reference_quotient, reference_witness, saturate, vec_mat
 
 
 @st.composite
@@ -588,6 +588,33 @@ def test_a_warm_witness_cache_changes_no_result(case):
     lat, probes = case
     for v in probes:
         assert member(v, lat) == member(v, Lattice(lat.ambient_rank, lat.basis)) == reference_member(v, lat)
+
+
+@settings(max_examples=300)
+@given(lattices_and_probes())
+@example(STAGED_CASES[0])  # in the lattice
+@example(STAGED_CASES[1])  # divisibility failure at the non-unit pivot 2
+@example(STAGED_CASES[2])  # rational failure
+@example(STAGED_CASES[3])  # dependent rows, divisibility failure modulo 6
+def test_a_sparse_vector_walks_like_its_dense_form(case):
+    lat, v = case
+    sparse = {j: x for j, x in enumerate(v) if x}
+    padded = {j: v[j] for j in reversed(range(len(v)))}  # zeros stored, keys out of order
+    reference = reference_member(v, lat)
+    # a sparse and a dense form each first on a fresh lattice (cold), then the others on its warm stages and witness cache
+    for first, *rest in ((sparse, v, padded), (v, padded, sparse)):
+        fresh = Lattice(lat.ambient_rank, lat.basis)
+        assert member(first, fresh) == reference
+        assert all(member(w, fresh) == reference for w in rest)
+    assert sparse == {j: x for j, x in enumerate(v) if x}  # the walk copies its residue
+
+
+def test_member_refuses_a_sparse_key_outside_the_ambient_rank():
+    for key in (-1, 3, 10):
+        for v in ({key: 1}, {0: 1, key: 0}):
+            with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+                member(v, STAGED)
+    assert member({}, STAGED) == member((0, 0, 0), STAGED) == MembershipResult(True, (0, 0, 0))
 
 
 def test_a_second_failure_at_one_key_solves_nothing(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from arrlcs import cli, config, exactlin, geom, lcs, words
 from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, copy_line, glue_c13, glue_copies, maclane_c8
-from arrlcs.exactlin import IntMatrix, Lattice, dot, member, perp, vec_mat
+from arrlcs.exactlin import IntMatrix, Lattice, dot, member, perp
 from arrlcs.lcs import (
     ConfigMismatchError,
     HomR2P3,
@@ -39,6 +39,7 @@ from arrlcs.lcs import (
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
 from helpers import (
     blockwise_tau_tilde,
+    dense_kappa_json,
     check_equivariance,
     dense_tau_matrix,
     dense_tau_star,
@@ -53,8 +54,10 @@ from helpers import (
     saturate,
     scanned_b_rows,
     seeded_g_map,
+    seeded_word,
     swept_bracket,
     swept_l3_action,
+    vec_mat,
 )
 
 
@@ -1092,10 +1095,19 @@ def test_kappa_ignores_kernel_shifts(maclane_data):
 
 
 def test_kappa_rejects_foreign_config(maclane_data):
-    with pytest.raises(ConfigMismatchError):
-        tau_tilde(maclane_data, abelianize(GMap(glue_c13())))
-    with pytest.raises(ConfigMismatchError):
-        kappa(maclane_data, abelianize(GMap(glue_c13())), abelianize(GMap(glue_c13())))
+    c13, relabelled = abelianize(GMap(glue_c13())), abelianize(GMap(relabel(maclane_c8(), 41)))
+    plus = builtin_g_map("plus")
+    assert len(relabelled.vector()) == maclane_data.a_rank  # as long as c8's: only a check of its configuration refuses it
+    mixed = [(g, gprime) for foreign in (c13, relabelled) for g, gprime in ((foreign, foreign), (plus, foreign), (foreign, plus))]
+    for g, gprime in mixed:
+        with pytest.raises(ConfigMismatchError):
+            kappa(maclane_data, g, gprime)
+    for foreign in (c13, relabelled):
+        with pytest.raises(ConfigMismatchError):
+            tau_tilde(maclane_data, foreign)
+    for g, gprime in mixed:
+        with pytest.raises(ConfigMismatchError):
+            tau_tilde(maclane_data, g, gprime)
 
 
 def test_hom_r2p3_algebra(maclane_data):
@@ -1104,12 +1116,43 @@ def test_hom_r2p3_algebra(maclane_data):
     b = tau_tilde(data, abelianize(builtin_g_map("minus")))
     assert (a - b) + b == a
     assert (a - a).is_zero()
+    for flat in ((0, 5, 7), ()):
+        with pytest.raises(ValueError, match="take 1 entries"):
+            HomR2P3(((1, "q"),), 1, flat)
     assert a.matrix().shape == (13, 21)
+    r = a.free_rank
+    assert a.matrix() == IntMatrix([a.flat[g * r : (g + 1) * r] for g in range(len(a.gens))], r)
+    assert HomR2P3(a.gens, r, a.flat) == a and a.sparse == {j: x for j, x in enumerate(a.flat) if x}
+    assert tau_tilde(data, builtin_g_map("plus"), builtin_g_map("minus")) == a - b
     other = HomR2P3(((1, "q"),), 1, (0,))
     with pytest.raises(ConfigMismatchError):
         a + other
     with pytest.raises(ConfigMismatchError):
         a - other
+
+
+def test_kappa_json_equals_the_dense_oracle(maclane_data, c13_data, asymmetric_config):
+    # the full difference, blockwise τ̃ and the single-reduction member, against kappa's sparse route
+    datas = {
+        "c8": maclane_data, "c13": c13_data, "c13@41": build_lcs(relabel(glue_c13(), 41)),
+        "fixture9": build_lcs(asymmetric_config), "glued3": build_lcs(glue_copies(3)),
+    }
+    kinds = {name: [] for name in datas}
+    for name, data in datas.items():
+        cfg, rng = data.config, random.Random(f"kappa-oracle:{name}")
+        g = seeded_g_map(rng, cfg)
+        near = GMap(cfg, {**g.assignments, **{flag: seeded_word(rng, data.n, 3) for flag in rng.sample(cfg.index.pairs, 2)}})
+        b_row = rng.choice(b_lattice(cfg).basis.sparse_rows)
+        shifted = abelianize(g) + AbelianGMap.from_vector(cfg, [2 * b_row.get(j, 0) for j in range(data.a_rank)])
+        pairs = [(g, seeded_g_map(rng, cfg)), (g, near), (near, g), (g, g), (g, shifted)]
+        if name == "c8":
+            pairs.append((builtin_g_map("plus"), builtin_g_map("minus")))
+        for pair in pairs:
+            rep = kappa(data, *pair)
+            assert json.dumps(rep.to_json_dict(), sort_keys=True) == json.dumps(dense_kappa_json(data, *pair), sort_keys=True), name
+            kinds[name].append("zero" if rep.zero else "divisibility" if rep.witness.modulus else "rational")
+    # every outcome is covered: certificates, divisibility witnesses and a rational one (fixture9's first pair)
+    assert {kind for seen in kinds.values() for kind in seen} == {"zero", "divisibility", "rational"}
 
 
 def test_kappa_report_json_shape(maclane_data):
@@ -1168,6 +1211,22 @@ def test_glued_g_map_puts_each_copys_words_at_its_flags():
     for p in crossings:
         for i in c18.lines_through(p):
             assert glued.value(i, p) == Word.identity()
+
+
+def test_warm_c13_kappa_builds_no_difference_and_no_dense_value(c13_data, monkeypatch):
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    pp, pm = abelianize(glued_g_map(plus, plus)), abelianize(glued_g_map(plus, minus))
+    kappa(c13_data, pp, pm)  # warm: τ̃'s support, Im δ̄'s echelon stage and the witness
+    calls, difference = [], pp - pm
+    sub, densify = AbelianGMap.__sub__, exactlin.densify
+    monkeypatch.setattr(AbelianGMap, "__sub__", lambda a, b: calls.append("sub") or sub(a, b))
+    for module in (exactlin, lcs):
+        monkeypatch.setattr(module, "densify", lambda row, n: calls.append(n) or densify(row, n))
+    rep = kappa(c13_data, pp, pm)
+    assert not rep.zero and calls == []
+    assert kappa(c13_data, pp, pp).zero and calls == [180]  # only the certificate's coefficients, one per Im δ̄ basis row
+    assert rep.difference == difference and calls == [180, "sub"]  # built when read
+    assert len(rep.tau_value.sparse) < len(rep.tau_value.flat) == 2040 and calls[-1] == 2040
 
 
 def test_kappa_on_c13_builds_no_incidence_index(c13_data, monkeypatch):

@@ -69,3 +69,25 @@ def test_taustar_times_the_transport_check_cold_and_warm(monkeypatch):
     strip = lambda rec: {k: v for k, v in rec.items() if k not in ("state", "seconds")}  # noqa: E731
     assert list(map(strip, by_state["cold"])) == list(map(strip, by_state["warm"]))
     assert len({rec["arguments"] for rec in by_state["cold"] if rec["call"] == "pullback"}) == 42
+
+
+def test_a_run_records_the_commit_it_is_given(tmp_path, monkeypatch):
+    replay = load_replay()
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(replay, "SOURCES", {**replay.SOURCES, "taustar": lambda: {"inputs": [{"call": "none"}]}})
+    replay.main(["taustar", "--label", "parent", "--out", str(out), "--commit", "2fb6335"])
+    replay.main(["taustar", "--label", "change", "--out", str(out)])
+    runs = json.loads(out.read_text())["runs"]
+    assert runs["parent"]["commit"] == "2fb6335" and runs["change"]["commit"] == replay.commit()
+
+
+def test_kappa_times_the_parts_kappa_runs(monkeypatch):
+    replay = load_replay()
+    assert replay.PARTS == ("tau_tilde", "member", "kappa") and replay.KAPPA_CONFIGS == ("c8", "c13", "glued4", "glued6")
+    monkeypatch.setattr(replay, "REPEAT", 1)
+    monkeypatch.setattr(replay, "QUERIES", 4)
+    monkeypatch.setattr(replay, "KAPPA_CONFIGS", ("c8",))
+    run = replay.kappa()
+    assert run["shapes"] == {"c8": {"im_delta_basis": [56, 273], "im_delta_echelon": [49, 273], "a_rank": 147, "tau_support_rows": 108}}
+    assert [rec["kind"] for rec in run["inputs"]] == ["in_UB", "random", "in_UB", "random"]
+    assert [rec["zero"] for rec in run["inputs"]] == [True, False, True, False] and set(run["median_s"]) == {"c8 tau_tilde", "c8 member", "c8 kappa"}

@@ -1,13 +1,14 @@
 """Replay one layer of the exact pipeline input by input, timed and digested.
 
-    python3 tools/replay.py SOURCE --label LABEL --out FILE
+    python3 tools/replay.py SOURCE --label LABEL --out FILE [--commit COMMIT]
 
 Each source times a fixed set of inputs, best of ``REPEAT``, and records
 a sha256 of each output, so runs of two commits can be checked for
 identical output as well as compared for speed.  A run also records
-``git describe`` and a sha256 of the ``src/`` tree it imported (next to
-this script).  An existing ``--out`` file keeps its other labels, so a
-copy of this script run in a second checkout adds its run to the same file.
+``git describe`` (or ``--commit``, for a run in a ``git archive`` copy,
+which has no git history) and a sha256 of the ``src/`` tree it imported
+(next to this script).  An existing ``--out`` file keeps its other labels,
+so a copy of this script run in a second checkout adds its run to the same file.
 
 The first six sources each replace one older script and keep its inputs,
 record fields and digests, so every committed record can be regenerated
@@ -44,13 +45,19 @@ compare with later runs.
   canonical form (``im_delta_canonical``), each after ``rank``.  Records
   before ``BENCH_28.json`` time the whole reduction as
   ``im_delta_reduction`` instead.
-* ``kappa``: ``QUERIES`` warm κ queries on c8, C13 and ``glued4`` from
-  ``KAPPA_SEED``, ``g - g'`` in U+B or random, dense or sparse; the
-  difference, τ̃, the membership test and the whole κ are timed apart.
-  A failed query solves its witness functional once per failing pivot row
-  or column and caches it with Im δ̄, so every best-of repeat after the
-  first, and every later query failing at the same key, meets a warm
-  witness cache.  Records before ``BENCH_30.json`` hold c8 and C13 only.
+* ``kappa``: ``QUERIES`` warm κ queries on c8, C13, ``glued4`` and
+  ``glued6`` from ``KAPPA_SEED``, ``g - g'`` in U+B or random, dense or
+  sparse; the parts κ runs, τ̃ of the pair and the membership test of its
+  value, and the whole κ are timed apart, and the shapes of Im δ̄ and τ̃'s
+  support are recorded per configuration.  A failed query solves its
+  witness functional once per failing pivot row or column and caches it
+  with Im δ̄, so every best-of repeat after the first, and every later
+  query failing at the same key, meets a warm witness cache.  Records
+  before ``BENCH_30.json`` hold c8 and C13 only; records before
+  ``BENCH_32.json`` hold no ``glued6`` and time the difference g - g' as
+  a part of its own, then τ̃ of it and ``member`` of its dense value.  A
+  run of a src from before ``BENCH_32.json`` still times it that way
+  (``PAIR_TAU``), with the subtraction inside its ``tau_tilde`` part.
 * ``realization``: ``phi_c8``, ``check_realization`` on c8, and
   ``glue_realization`` and ``check_realization`` on C13 for
   ``REALIZATION_SEEDS``, both signs each.
@@ -86,6 +93,7 @@ import argparse
 import copy
 import gc
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -309,8 +317,10 @@ def lattice() -> dict:
 
 
 KINDS = (("in_UB", False), ("random", False), ("in_UB", True), ("random", True))
-PARTS = ("difference", "tau_tilde", "member", "kappa")
-KAPPA_CONFIGS = ("c8", "c13", "glued4")
+PARTS = ("tau_tilde", "member", "kappa")
+KAPPA_CONFIGS = ("c8", "c13", "glued4", "glued6")
+# whether τ̃ takes the pair and returns a sparse value, as κ runs it from BENCH_32.json on
+PAIR_TAU = "b" in inspect.signature(lcs.tau_tilde).parameters
 
 
 def kappa_query(cfg, ub_rows, name: str, k: int):
@@ -341,19 +351,23 @@ def kappa_query(cfg, ub_rows, name: str, k: int):
 
 
 def kappa() -> dict:
-    records = []
+    records, shapes = [], {}
     for name in KAPPA_CONFIGS:
         cfg = CONFIGS[name]()
         data, zero = lcs.build_lcs(cfg), words.AbelianGMap(cfg)
-        lcs.kappa(data, zero, zero)  # τ̃ blocks, Im δ̄ and its reduction
+        lcs.kappa(data, zero, zero)  # τ̃'s support, Im δ̄ and its reduction
+        shapes[name] = {
+            "im_delta_basis": list(data.im_delta.basis.shape), "im_delta_echelon": list(data.im_delta.echelon()[0].shape),
+            "a_rank": data.a_rank, "tau_support_rows": len(data.tau_support),
+        }
         ub_rows = [*lcs.u_lattice(cfg).basis.sparse_rows, *lcs.b_lattice(cfg).basis.sparse_rows]
         for k in range(QUERIES):
             g, gprime, kind, sparse = kappa_query(cfg, ub_rows, name, k)
-            diff, value = g - gprime, lcs.tau_tilde(data, g - gprime)
+            tau = (lambda: lcs.tau_tilde(data, g, gprime)) if PAIR_TAU else (lambda: lcs.tau_tilde(data, g - gprime))
+            vector = tau().sparse if PAIR_TAU else tau().flat
             thunks = {
-                "difference": lambda _: g - gprime,
-                "tau_tilde": lambda _: lcs.tau_tilde(data, diff),
-                "member": lambda _: exactlin.member(value.flat, data.im_delta),
+                "tau_tilde": lambda _: tau(),
+                "member": lambda _: exactlin.member(vector, data.im_delta),
                 "kappa": lambda _: lcs.kappa(data, g, gprime),
             }
             runs = {part: best_of(f"{name} query {k} {part}", tuple, thunks[part]) for part in PARTS}
@@ -369,7 +383,7 @@ def kappa() -> dict:
         for name in KAPPA_CONFIGS
         for part in PARTS
     }
-    return {"median_s": median_s, "inputs": records}
+    return {"shapes": shapes, "median_s": median_s, "inputs": records}
 
 
 # -- realization: every call of the Q(ω) realization check ------------------------------
@@ -590,7 +604,7 @@ def write_run(args: argparse.Namespace, fields: dict) -> dict:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["command"] = f"python3 tools/replay.py {args.source} --label LABEL --out FILE"
     run = doc.setdefault("runs", {})[args.label] = {
-        "commit": commit(),
+        "commit": args.commit or commit(),
         "src_sha256": src_sha256(),
         "python": platform.python_version(),
         "machine": f"{cpu_model()}, {os.cpu_count()} CPUs",
@@ -617,6 +631,7 @@ def main(argv=None) -> None:
     ap.add_argument("source", choices=SOURCES, help="what to replay")
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write (other labels are kept)")
+    ap.add_argument("--commit", help="commit to record instead of git describe, for a run in a git archive copy")
     args = ap.parse_args(argv)
     run = write_run(args, SOURCES[args.source]())
     summary = {k: v for k, v in run.items() if k.endswith("_s") or k == "verdicts"}
