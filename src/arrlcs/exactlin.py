@@ -46,10 +46,13 @@ stages; a warm failed query pairs it with the vector over its support.
 
 ``quotient_presentation`` presents a quotient ``ZZ^n / lattice`` from
 the lattice alone: the projection is Kᵀ for K the canonical form of
-``perp(lattice)``, and the section comes from the transform of one
-``hnf_with_transform(Kᵀ)``.  Unit pivots prove the lattice saturated;
-any other lattice takes the Smith divisors of its canonical form, which
-are all 1 exactly when it is saturated and otherwise name the torsion.
+``perp(lattice)``.  When K's pivots are all 1 its pivot columns are
+identity columns, so the unit rows at them are a section and nothing is
+reduced (as in ``perp``); any other K takes the section from the
+transform of one ``hnf_with_transform(Kᵀ)``.  Unit pivots of the
+lattice's own Hermite form prove it saturated; any other lattice takes
+the Smith divisors of its canonical form, which are all 1 exactly when it
+is saturated and otherwise name the torsion.
 A caller that knows K from the lattice's structure builds the same
 ``QuotientPresentation`` from these functions without reducing the
 lattice (``lcs`` does so for U at each point).
@@ -634,8 +637,9 @@ class QuotientPresentation:
     ``projection`` (ambient x free_rank) is Kᵀ for K a basis of
     ``perp(lattice)``, the functionals vanishing on it, so it kills the
     lattice; ``quotient_presentation`` takes K as the canonical form.
-    ``section`` (free_rank x ambient) is a right inverse, read off the
-    transform that reduces Kᵀ to its Hermite form ``I``.
+    ``section`` (free_rank x ambient) is a right inverse: the unit rows at
+    K's pivot columns when those are identity columns, otherwise read off
+    the transform that reduces Kᵀ to its Hermite form ``I``.
     ``elementary_divisors`` are the lattice's: the ``snf`` divisors of
     its canonical form, as many as its rank, however they were found
     (``quotient_presentation`` needs no Smith form when every Hermite
@@ -665,18 +669,32 @@ def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     v ∈ lat.  Any other lattice takes the ``snf`` divisors of H; the
     torsion of the quotient is ⊕ Z/d over them, so they are all 1
     exactly when ``lat`` is saturated.
+
+    The section reads K = ``perp(lat).canonical_form``.  When K's pivot
+    product is 1, its pivot columns p_1 < … < p_f are the identity
+    columns (zeros below a pivot, entries above it in [0, 1)), so the unit
+    rows e_{p_k} satisfy section·Kᵀ = I: K is primitive, and no
+    ``hnf_with_transform`` runs.  They are the rows that reduction's
+    transform would give: row p_k of Kᵀ is e_k and is the lowest row with
+    a nonzero entry in column k, so the forward pass takes it as the k-th
+    pivot unchanged, and the back-substitution has nothing to reduce.  Any
+    other K takes the transform and checks that its Hermite form is I.
     """
-    n = lat.ambient_rank
-    projection = perp(lat).canonical_form.transpose()
+    n, comp = lat.ambient_rank, perp(lat)
+    projection, (_, _, pivots, det) = comp.canonical_form.transpose(), comp.echelon()
     f = projection.cols
-    h, u, _ = hnf_with_transform(projection)
-    if h != IntMatrix.identity(f):
-        raise AssertionError("the orthogonal complement is not primitive")
+    if det == 1:
+        section = IntMatrix._of([{c: 1} for c in pivots], n)
+    else:
+        h, u, _ = hnf_with_transform(projection)
+        if h != IntMatrix.identity(f):
+            raise AssertionError("the orthogonal complement is not primitive")
+        section = IntMatrix._of(u.sparse_rows[:f], n)
     divisors = (1,) * lat.rank if lat.echelon()[3] == 1 else snf(lat.canonical_form)[0]
     return QuotientPresentation(
         ambient_rank=n,
         elementary_divisors=divisors,
         free_rank=f,
         projection=projection,
-        section=IntMatrix._of(u.sparse_rows[:f], n),
+        section=section,
     )

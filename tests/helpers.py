@@ -314,12 +314,13 @@ def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentatio
 
 
 def dense_tau_matrix(data: LcsData) -> IntMatrix:
-    """The lift of every A coordinate sent through ``_to_hom``, as ``LcsData.tau_matrix`` builds it.
+    """Oracle for ``LcsData.tau_matrix``: the lift of every A coordinate (``LcsData.tau_lift``) sent through ``_to_hom``.
 
-    This repeats the library's construction, so it pins the matrix's
-    shape and its views, not its values: ``test_tau_rows_equal_the_relator_route``
-    and ``test_tau_lift_rows_project_to_tau_value`` check τ̃'s rows by
-    independent routes.
+    It skips no row, so it checks the library's rule that a row reading
+    only zero rows of ``_bracket_p3`` is zero.  It shares the lift's term
+    rule and ``_to_hom`` with the library, so τ̃'s values themselves are
+    checked by independent routes: ``test_tau_rows_equal_the_relator_route``
+    and ``test_tau_lift_rows_project_to_tau_value``.
     """
     return IntMatrix._of([data._to_hom(lift) for lift in data.tau_lift], len(data.gens) * data.p3.free_rank)
 

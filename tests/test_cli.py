@@ -209,8 +209,9 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     code, _ = run(capsys, "maclane-report")
     assert code == 0
     assert calls == ["b_lattice"]
-    # π(B), 49 × 18, is reduced once, for the preimage identity and rank U + B alike
-    assert len(shapes) == 26 and shapes.count((49, 18)) == 1
+    # π(B), 49 × 18, is reduced once, for the preimage identity and rank U + B alike; the
+    # P2 and P3 sections are read off unit pivots, so neither projection is reduced
+    assert len(shapes) == 24 and shapes.count((49, 18)) == 1
     # 6 σ × 7 base identities, the identity σ's slice being the base identities themselves
     assert len(pullbacks) == 42
     # once for ``maclane_dual_basis``, once for the mod-3 functional's terms

@@ -762,6 +762,18 @@ def test_perp_and_quotient_equal_the_kernel_route(lat):
     assert_quotient_matches_the_oracles(lat)
 
 
+@settings(max_examples=200)
+@given(st.one_of(lattices(), permuted_identity_lattices(), unit_pivot_lattices()))
+@example(Lattice(2, [[2, 3]]))  # perp spanned by (3, -2): Hermite pivot 3
+@example(Lattice(4, [[1, 2, 0, -3], [2, 4, 1, 0]]))  # perp's Hermite pivots are 1
+def test_only_a_non_unit_pivot_perp_reduces_for_the_section(lat):
+    # unit pivots of perp's Hermite form K make the section the unit rows at K's pivots
+    with mock.patch.object(exactlin, "hnf_with_transform", wraps=exactlin.hnf_with_transform) as transform:
+        q = quotient_presentation(lat)
+    assert transform.call_count == (perp(lat).echelon()[3] != 1)
+    assert (q.elementary_divisors, q.projection, q.section) == reference_quotient(lat)
+
+
 def test_unit_pivot_quotient_needs_no_kernel_and_no_saturation(monkeypatch):
     lat = Lattice(4, [[1, 2, 0, -3], [2, 4, 1, 0]])  # Hermite form [[1, 2, 0, -3], [0, 0, 1, 6]]
     monkeypatch.setattr("arrlcs.exactlin.kernel_basis", lambda m: pytest.fail("perp reduced Hᵀ"))

@@ -494,14 +494,21 @@ def test_point_quotient_presents_graph_shaped_rows(monkeypatch):
     assert 1 < len(reduced) < cases
 
 
-def test_point_tau_slices_cover_the_dense_matrix(maclane_data, c13_data):
-    for data in (maclane_data, c13_data):
+def test_point_tau_slices_cover_the_dense_matrix(asymmetric_config):
+    # ``tau_matrix`` sends only the rows with a live slot through ``_to_hom``; the oracle sends every row
+    configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), asymmetric_config, hesse(), pencil4(), glue_copies(3))
+    for config in configs:
+        data = build_lcs(config)
+        tau = data.tau_matrix
+        assert "tau_lift" not in vars(data)
+        # every zero row is one shared dict
+        assert len({id(row) for row in tau.sparse_rows if not row}) == 1
         oracle = dense_tau_matrix(data)
         dense = [[0] * oracle.cols for _ in range(data.a_rank)]
         for pt in data.u_points:
             assert pt.tau.cols == oracle.cols
             dense[pt.rows] = map(list, pt.tau.entries)
-        assert IntMatrix(dense, oracle.cols) == oracle == data.tau_matrix
+        assert IntMatrix(dense, oracle.cols) == oracle == tau
 
 
 def test_point_tau_rows_are_the_tau_matrix_rows(maclane_data, c13_data, asymmetric_config):
@@ -619,6 +626,8 @@ def test_verdict_path_never_builds_the_dense_tau(monkeypatch):
     assert data.a_rank == 147 and data.a_rank not in rows["hnf"] + rows["kernel_basis"]
     # rank Im τ̃ + Im δ̄ basis rows = 18 + 56; the dense route reduces 147 and 203
     assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 56
+    # τ̃'s rows are built from its live slots, not from the lift of every A coordinate
+    assert "tau_lift" not in vars(data)
 
 
 def test_c13_verdict_reductions_stay_small(monkeypatch):
@@ -663,6 +672,7 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     assert not any(transform for transform, *_ in backs) and rows.pop("hnf_with_transform") == []
     tau_tilde(data, random_abelian(random.Random(0), data))
     assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
+    assert "tau_lift" not in vars(data)
 
 
 def test_verdict_path_builds_no_dense_view(monkeypatch, asymmetric_config):

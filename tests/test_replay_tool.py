@@ -91,3 +91,14 @@ def test_kappa_times_the_parts_kappa_runs(monkeypatch):
     assert run["shapes"] == {"c8": {"im_delta_basis": [56, 273], "im_delta_echelon": [49, 273], "a_rank": 147, "tau_support_rows": 108}}
     assert [rec["kind"] for rec in run["inputs"]] == ["in_UB", "random", "in_UB", "random"]
     assert [rec["zero"] for rec in run["inputs"]] == [True, False, True, False] and set(run["median_s"]) == {"c8 tau_tilde", "c8 member", "c8 kappa"}
+
+
+def test_u_times_the_cold_tau_matrix_and_records_its_support(monkeypatch):
+    replay = load_replay()
+    assert replay.U_CONFIGS[-2:] == ("glued12", "hesse")
+    monkeypatch.setattr(replay, "REPEAT", 1)
+    monkeypatch.setattr(replay, "U_CONFIGS", ("c8",))
+    run = replay.u()
+    (rec,) = run["inputs"]
+    assert (rec["a_rank"], rec["tau_support_rows"], rec["bracket_p3_rows"]) == (147, 108, [126, 147])
+    assert rec["identities"] == [True, True] and set(run["tau_matrix_s"]) == set(run["total_s"]) == {"c8"}

@@ -65,12 +65,18 @@ compare with later runs.
   at ``SEED``, each timed with the earlier layers built and the Lyndon
   basis cache cleared; ``total_s`` sums the three best times.
 * ``u``: the cold ``u_points`` of c8, C13, C13 at ``SEED``, the 9-line
-  test fixture, the 3-, 4- and 6-fold MacLane gluings and Hesse (the 12
-  lines of AG(2,3)), with both kernel identities, timed apart
+  test fixture, the 3-, 4-, 6- and 12-fold MacLane gluings and Hesse (the
+  12 lines of AG(2,3)), with both kernel identities, timed apart
   (``identities_s``) on data whose ``u_points`` and Im δ̄ reduction are
   built; its per-point digest does not depend on the basis that
-  presents A_p/U_p.  τ̃ (``tau_matrix``) is built untimed; records
-  before ``BENCH_31.json`` built τ̃ per point instead.
+  presents A_p/U_p.  ``points_digest`` is sha256 of the JSON list of those
+  digests; records before ``BENCH_33.json`` hold the list itself
+  (``point_digests``), so hashing it the same way compares them.  τ̃ (``tau_matrix``) is built untimed there, and
+  timed cold on its own (``tau_matrix_s``, digest ``tau_digest``) with P3
+  and the map ``_bracket_p3`` built; each record holds τ̃'s nonzero rows
+  and the nonzero and total rows of ``_bracket_p3``.  Records before
+  ``BENCH_31.json`` built τ̃ per point instead; records before
+  ``BENCH_33.json`` hold no ``glued12`` and no τ̃ timing.
 * ``words``: on c8, C13, C13 at ``SEED`` and the 3- and 4-fold MacLane
   gluings, ``G_MAPS`` g-maps from ``WORDS_SEED`` each: ``relators_from_g``,
   ``magnus`` of every relator, and the relator route to degree-3
@@ -129,6 +135,7 @@ CONFIGS = {
     "glued3": lambda: config.glue_copies(3),
     "glued4": lambda: config.glue_copies(4),
     "glued6": lambda: config.glue_copies(6),
+    "glued12": lambda: config.glue_copies(12),
     "hesse": hesse,
 }
 
@@ -468,10 +475,22 @@ def point_digest(pt: lcs.PointU) -> str:
     return sha(q.free_rank, torsion, kernel.canonical_form, exactlin.hnf(q.section @ pt.tau).rows)
 
 
+U_CONFIGS = ("c8", "c13", f"c13@{SEED}", "fixture9", "glued3", "glued4", "glued6", "glued12", "hesse")
+
+
 def u() -> dict:
     records = []
-    for name in ("c8", "c13", f"c13@{SEED}", "fixture9", "glued3", "glued4", "glued6", "hesse"):
+    for name in U_CONFIGS:
         cfg = CONFIGS[name]()
+
+        def prepare_tau():
+            data = lcs.build_lcs(cfg)
+            data._bracket_p3  # noqa: B018 - P3 and the map τ̃'s rows read are built before timing
+            gc.collect()
+            return data
+
+        tau_s, tau_digest, data, tau = best_of(f"{name} tau_matrix", prepare_tau, lambda data: data.tau_matrix, sha)
+        bp = data._bracket_p3
 
         def prepare(for_identities=False):
             data = lcs.build_lcs(cfg)
@@ -486,10 +505,14 @@ def u() -> dict:
         )
         identities_s, identities, _, _ = best_of(f"{name} identities", lambda: prepare(True), kernel_identities)
         records.append({
-            "config": name, "points": len(data.u_points), "a_rank": data.a_rank, "u_points_s": seconds,
-            "identities_s": identities_s, "identities": list(identities), "point_digests": digests,
+            "config": name, "points": len(data.u_points), "a_rank": data.a_rank,
+            "tau_support_rows": sum(1 for row in tau.sparse_rows if row), "bracket_p3_rows": [sum(1 for row in bp.sparse_rows if row), bp.rows],
+            "tau_matrix_s": tau_s, "tau_digest": tau_digest, "u_points_s": seconds,
+            "identities_s": identities_s, "identities": list(identities),
+            "points_digest": sha_text(json.dumps(digests)),
         })
-    return {"total_s": total_s(records, lambda rec: rec["config"], "u_points_s"), "inputs": records}
+    by_config = lambda rec: rec["config"]  # noqa: E731
+    return {"total_s": total_s(records, by_config, "u_points_s"), "tau_matrix_s": total_s(records, by_config, "tau_matrix_s"), "inputs": records}
 
 
 # -- words: relators, their Magnus expansions and the relator route ----------------------
