@@ -29,13 +29,12 @@ then the P3 projection.  R3 brackets H against the R2 rows; τ̃ is one
 sparse A × Hom(R2,P3) matrix (``LcsData.tau_matrix``), the lift of each A
 coordinate (``LcsData._tau_terms``) sent through that route.  Only the
 rows whose lift meets a nonzero row of the H⊗Λ²H → P3 map (a live slot)
-are sent; the others are zero and share one empty dict.  τ̃* is the lift
-of every coordinate, cached (``LcsData.tau_lift``), transposed
-(``LcsData.tau_lift_transpose``); neither κ nor the kernel identities
-build it.  Every other form of τ̃ is a view of the matrix's rows, sharing
-their dicts: ``tau_tilde`` reads only its nonzero rows
-(``LcsData.tau_support``), and each finite point's τ̃_p is its slice of
-rows (``LcsData.u_points``).
+are sent; the others are zero and share one empty dict.  τ̃* reads the
+lift of every coordinate transposed (``LcsData.tau_lift_transpose``);
+neither κ nor the kernel identities build it.  Every other form of τ̃ is
+a view of the matrix's rows, sharing their dicts: ``tau_tilde`` reads
+only its nonzero rows (``LcsData.tau_support``), and each finite point's
+τ̃_p is its slice of rows (``LcsData.u_points``).
 τ̃'s lift, the δ lift and Im δ̄ spread a value v at a flag (i,p) over
 p's generator flags by one signed pattern (``LcsData._flag_terms``):
 v = x_i∧x_m, f̂(x_i) and a section image ŝ_t of P2.  R3perp pulls
@@ -147,7 +146,7 @@ class LcsData:
     """Degree-2 and degree-3 graded data of one configuration.
 
     Degree-2 objects are built eagerly.  The degree-3 objects (the
-    bracket map, R3, P3, R3perp, the τ̃ lift for τ̃*, the τ̃ matrix and its
+    bracket map, R3, P3, R3perp, τ̃*'s transposed lift, the τ̃ matrix and its
     nonzero rows for ``tau_tilde``, U per point with τ̃_p and A_p/U_p for
     both kernel identities, π = ⊕_p π_p, Im δ̄) are cached
     properties computed on first use, so purely degree-2 work on large
@@ -298,26 +297,13 @@ class LcsData:
         return tuple((g, (j - 1) * self.npairs + w, sgn * s) for g, j, s in terms)
 
     @cached_property
-    def tau_lift(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Sparse left-normed lift of τ̃, one entry per flat A coordinate, for τ̃* and the tests.
-
-        The entry of the x_m-coordinate at flag (i,p) lists the
-        (generator flag, H⊗Λ²H slot, coefficient) terms of the lift of its
-        τ̃ value (``_tau_terms``; none if m = i).  ``tau_matrix`` does not
-        read it.
-        """
-        out = []
-        for (i, _), terms in zip(self.index.pairs, self._flag_terms):
-            out += (self._tau_terms(i, m, terms) if m != i else () for m in range(1, self.n + 1))
-        return tuple(out)
-
-    @cached_property
     def tau_lift_transpose(self) -> dict[tuple[int, int], dict[int, int]]:
-        """``tau_lift`` transposed for τ̃*: (generator flag, H⊗Λ²H slot) → {A coordinate: coefficient}, keys of lift terms only."""
+        """τ̃*'s lift: the lift of every A coordinate (``_tau_terms``; none for x_i at (i,p)) transposed, (generator flag, H⊗Λ²H slot) → {A coordinate: coefficient}."""
         out: dict[tuple[int, int], dict[int, int]] = {}
-        for a, terms in enumerate(self.tau_lift):
-            for g, s, c in terms:
-                out.setdefault((g, s), {})[a] = c
+        for f, ((i, _), terms) in enumerate(zip(self.index.pairs, self._flag_terms)):
+            for m in range(1, self.n + 1):
+                for g, s, c in self._tau_terms(i, m, terms) if m != i else ():
+                    out.setdefault((g, s), {})[f * self.n + m - 1] = c
         return out
 
     @cached_property
@@ -382,9 +368,8 @@ class LcsData:
 
         τ̃ = ⊕_p τ̃_p: τ̃_p is p's slice of rows of ``tau_matrix`` (k·n rows
         for k lines on p), so ``u_tau`` and ``s_tau``, computed here once
-        for both identities, come out in Hom(R2,P3)'s columns; where τ̃_p
-        has no nonzero row both are zero matrices and no product is formed.
-        U_p is never reduced: ``_point_quotient`` presents A_p/U_p from U's
+        for both identities, come out in Hom(R2,P3)'s columns.  U_p is
+        never reduced: ``_point_quotient`` presents A_p/U_p from U's
         generator rows at p (``_u_generators``) by a spanning forest.
         """
         tau, out, stop = self.tau_matrix, [], 0
@@ -393,11 +378,7 @@ class LcsData:
             block = IntMatrix._of(tau.sparse_rows[rows], tau.cols)
             gens = IntMatrix._of(gen_rows, rows.stop - rows.start)
             quotient = _point_quotient(gens)
-            if any(block.sparse_rows):
-                u_tau, s_tau = gens @ block, quotient.section @ block
-            else:
-                u_tau, s_tau = IntMatrix.zeros(gens.rows, tau.cols), IntMatrix.zeros(quotient.free_rank, tau.cols)
-            out.append(PointU(rows, block, gens, u_tau, quotient, s_tau))
+            out.append(PointU(rows, block, gens, gens @ block, quotient, quotient.section @ block))
             stop = rows.stop
         return tuple(out)
 

@@ -313,8 +313,14 @@ def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentatio
     return out
 
 
+def tau_lift(data: LcsData) -> list[tuple[tuple[int, int, int], ...]]:
+    """The left-normed lift of τ̃, one entry per flat A coordinate: ``LcsData._tau_terms`` of x_m at each flag (i,p), none if m = i."""
+    flags = zip(data.index.pairs, data._flag_terms)
+    return [data._tau_terms(i, m, terms) if m != i else () for (i, _), terms in flags for m in range(1, data.n + 1)]
+
+
 def dense_tau_matrix(data: LcsData) -> IntMatrix:
-    """Oracle for ``LcsData.tau_matrix``: the lift of every A coordinate (``LcsData.tau_lift``) sent through ``_to_hom``.
+    """Oracle for ``LcsData.tau_matrix``: the lift of every A coordinate (``tau_lift``) sent through ``_to_hom``.
 
     It skips no row, so it checks the library's rule that a row reading
     only zero rows of ``_bracket_p3`` is zero.  It shares the lift's term
@@ -322,7 +328,7 @@ def dense_tau_matrix(data: LcsData) -> IntMatrix:
     checked by independent routes: ``test_tau_rows_equal_the_relator_route``
     and ``test_tau_lift_rows_project_to_tau_value``.
     """
-    return IntMatrix._of([data._to_hom(lift) for lift in data.tau_lift], len(data.gens) * data.p3.free_rank)
+    return IntMatrix._of([data._to_hom(lift) for lift in tau_lift(data)], len(data.gens) * data.p3.free_rank)
 
 
 def blockwise_tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
@@ -350,7 +356,7 @@ def dense_kappa_json(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | Abelia
 
 def dense_tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:
     """Oracle for ``lcs.tau_star``: ⟨functional, τ̃a(class)⟩ summed over every lift term of every A coordinate a."""
-    return tuple(sum(gen_coeffs[g] * c * functional[s] for g, s, c in terms) for terms in data.tau_lift)
+    return tuple(sum(gen_coeffs[g] * c * functional[s] for g, s, c in terms) for terms in tau_lift(data))
 
 
 def scanned_b_rows(config: Configuration) -> IntMatrix:

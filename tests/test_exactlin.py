@@ -739,13 +739,17 @@ def test_quotient_presentation_laws(lat):
 
 
 def assert_quotient_matches_the_oracles(lat: Lattice) -> None:
-    q = quotient_presentation(lat)
+    with mock.patch.object(exactlin, "hnf_with_transform", wraps=exactlin.hnf_with_transform) as transform:
+        q = quotient_presentation(lat)
+    # unit pivots of perp's Hermite form K make the section the unit rows at K's pivots
+    assert transform.call_count == (perp(lat).echelon()[3] != 1)
     assert perp(lat).canonical_form == kernel_perp(lat).canonical_form
     assert (q.elementary_divisors, q.projection, q.section) == reference_quotient(lat)
 
 
 @settings(max_examples=200)
 @given(unit_pivot_lattices())
+@example(Lattice(4, [[1, 2, 0, -3], [2, 4, 1, 0]]))  # perp's Hermite pivots are 1 too
 def test_unit_pivot_perp_and_quotient_equal_the_kernel_route(lat):
     _, _, pivots, det = lat.echelon()
     assert det == 1 == math.prod(row[p] for row, p in zip(lat.canonical_form.sparse_rows, pivots))
@@ -755,23 +759,11 @@ def test_unit_pivot_perp_and_quotient_equal_the_kernel_route(lat):
 
 @settings(max_examples=200)
 @given(st.one_of(lattices(), permuted_identity_lattices()))
-@example(Lattice(2, [[2, 3]]))  # saturated although its Hermite pivot is 2
+@example(Lattice(2, [[2, 3]]))  # saturated although its Hermite pivot is 2; perp's, (3, -2), is 3
 @example(Lattice(3, [[2, 0, 0], [0, 3, 0]]))  # torsion Z/6
 @example(Lattice(3, [[0, 2, 1]]))  # [I | B] permuted: pivot 2
 def test_perp_and_quotient_equal_the_kernel_route(lat):
     assert_quotient_matches_the_oracles(lat)
-
-
-@settings(max_examples=200)
-@given(st.one_of(lattices(), permuted_identity_lattices(), unit_pivot_lattices()))
-@example(Lattice(2, [[2, 3]]))  # perp spanned by (3, -2): Hermite pivot 3
-@example(Lattice(4, [[1, 2, 0, -3], [2, 4, 1, 0]]))  # perp's Hermite pivots are 1
-def test_only_a_non_unit_pivot_perp_reduces_for_the_section(lat):
-    # unit pivots of perp's Hermite form K make the section the unit rows at K's pivots
-    with mock.patch.object(exactlin, "hnf_with_transform", wraps=exactlin.hnf_with_transform) as transform:
-        q = quotient_presentation(lat)
-    assert transform.call_count == (perp(lat).echelon()[3] != 1)
-    assert (q.elementary_divisors, q.projection, q.section) == reference_quotient(lat)
 
 
 def test_unit_pivot_quotient_needs_no_kernel_and_no_saturation(monkeypatch):

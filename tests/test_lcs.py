@@ -43,6 +43,7 @@ from helpers import (
     check_equivariance,
     dense_tau_matrix,
     dense_tau_star,
+    tau_lift,
     delta_kernel,
     hesse,
     lattice_sum,
@@ -499,16 +500,11 @@ def test_point_tau_slices_cover_the_dense_matrix(asymmetric_config):
     configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), asymmetric_config, hesse(), pencil4(), glue_copies(3))
     for config in configs:
         data = build_lcs(config)
-        tau = data.tau_matrix
-        assert "tau_lift" not in vars(data)
+        tau, oracle = data.tau_matrix, dense_tau_matrix(data)
         # every zero row is one shared dict
         assert len({id(row) for row in tau.sparse_rows if not row}) == 1
-        oracle = dense_tau_matrix(data)
-        dense = [[0] * oracle.cols for _ in range(data.a_rank)]
-        for pt in data.u_points:
-            assert pt.tau.cols == oracle.cols
-            dense[pt.rows] = map(list, pt.tau.entries)
-        assert IntMatrix(dense, oracle.cols) == oracle == tau
+        assert all(pt.tau.cols == oracle.cols for pt in data.u_points)
+        assert tuple(row for pt in data.u_points for row in pt.tau.sparse_rows) == oracle.sparse_rows == tau.sparse_rows
 
 
 def test_point_tau_rows_are_the_tau_matrix_rows(maclane_data, c13_data, asymmetric_config):
@@ -616,18 +612,31 @@ def _row_counter(monkeypatch, names):
     return rows
 
 
+def _lift_counter(monkeypatch):
+    """Wrap ``LcsData._tau_terms`` to record the (line, x_m) of each lift of τ̃ it builds."""
+    lifts, real = [], lcs.LcsData._tau_terms
+
+    def counted(self, i, m, terms):
+        lifts.append((i, m))
+        return real(self, i, m, terms)
+
+    monkeypatch.setattr(lcs.LcsData, "_tau_terms", counted)
+    return lifts
+
+
 def test_verdict_path_never_builds_the_dense_tau(monkeypatch):
     data = build_lcs(maclane_c8())
     data.p3, data.im_delta  # noqa: B018 - built before counting
-    rows = _row_counter(monkeypatch, ["hnf", "kernel_basis"])
+    rows, lifts = _row_counter(monkeypatch, ["hnf", "kernel_basis"]), _lift_counter(monkeypatch)
     assert not kappa(data, builtin_g_map("plus"), builtin_g_map("minus")).zero
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
     # τ̃ is built but never reduced whole: no reduction gets all 147 of A's rows
     assert data.a_rank == 147 and data.a_rank not in rows["hnf"] + rows["kernel_basis"]
     # rank Im τ̃ + Im δ̄ basis rows = 18 + 56; the dense route reduces 147 and 203
     assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 56
-    # τ̃'s rows are built from its live slots, not from the lift of every A coordinate
-    assert "tau_lift" not in vars(data)
+    # τ̃'s rows are built from its live slots: one lift per nonzero row, not one for
+    # each of the 126 A coordinates x_m at (i,p), m ≠ i; τ̃*'s lift is not built
+    assert len(lifts) == len(data.tau_support) == 108 and "tau_lift_transpose" not in vars(data)
 
 
 def test_c13_verdict_reductions_stay_small(monkeypatch):
@@ -639,7 +648,7 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
         raise AssertionError("the verdict path builds no global U")
 
     monkeypatch.setattr(lcs, "u_lattice", no_u_lattice)
-    rows = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"])
+    rows, lifts = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"]), _lift_counter(monkeypatch)
     forward, back, kernel_calls, backs = exactlin._hnf_forward, exactlin._hnf_back, [], []
     im_delta_rows = list(data.im_delta.basis.sparse_rows)
 
@@ -672,7 +681,8 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     assert not any(transform for transform, *_ in backs) and rows.pop("hnf_with_transform") == []
     tau_tilde(data, random_abelian(random.Random(0), data))
     assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
-    assert "tau_lift" not in vars(data)
+    # one lift per nonzero row of τ̃, of 1104 − 92 A coordinates x_m at (i,p), m ≠ i
+    assert len(lifts) == len(data.tau_support) == 216 and "tau_lift_transpose" not in vars(data)
 
 
 def test_verdict_path_builds_no_dense_view(monkeypatch, asymmetric_config):
@@ -722,7 +732,7 @@ def test_tau_lift_rows_project_to_tau_value(maclane_data):
     for k in range(20):
         rng = random.Random(k)
         a = random_abelian(rng, data)
-        lift = lift_rows(data, [(g, s, x * c) for x, terms in zip(a.vector(), data.tau_lift) for g, s, c in terms])
+        lift = lift_rows(data, [(g, s, x * c) for x, terms in zip(a.vector(), tau_lift(data)) for g, s, c in terms])
         flat = []
         for row in lift:
             flat.extend(vec_mat(vec_mat(row, data.bracket), proj))
