@@ -25,22 +25,22 @@ Coordinate conventions, shared with the bundled data files:
 
 Every degree-3 object is one route: a sparse left-normed lift into
 H⊗Λ²H, then the bracketing matrix ``LcsData.bracket`` (H⊗Λ²H → L3),
-then the P3 projection.  R3 brackets H against the R2 rows; τ̃ is one
-sparse A × Hom(R2,P3) matrix (``LcsData.tau_matrix``), the lift of each A
-coordinate (``LcsData._tau_terms``) sent through that route.  Only the
-rows whose lift meets a nonzero row of the H⊗Λ²H → P3 map (a live slot)
-are sent; the others are zero and share one empty dict.  τ̃* reads the
-lift of every coordinate transposed (``LcsData.tau_lift_transpose``);
-neither κ nor the kernel identities build it.  Every other form of τ̃ is
-a view of the matrix's rows, sharing their dicts: ``tau_tilde`` reads
-only its nonzero rows (``LcsData.tau_support``), and each finite point's
-τ̃_p is its slice of rows (``LcsData.u_points``).
-τ̃'s lift, the δ lift and Im δ̄ spread a value v at a flag (i,p) over
-p's generator flags by one signed pattern (``LcsData._flag_terms``):
-v = x_i∧x_m, f̂(x_i) and a section image ŝ_t of P2.  R3perp pulls
-perp(R3) back along the bracket.  A lift is a sequence of (generator
-flag, slot, coefficient) terms.  An automorphism acts on A and on
-H⊗Λ²H by one signed permutation each, read entry by entry
+then the P3 projection (``LcsData._bracket_p3``).  R3 brackets H against
+the R2 rows.  τ̃, δ̄ and Im δ̄ lift by one rule (``LcsData._lift``): a
+Λ²H value v at a flag (i,p) spread over p's generator flags by one
+signed pattern (``LcsData._flag_terms``), v = x_i∧x_m, f̂(x_i), or a
+section row ŝ_t of P2 over line i's flags, into (generator flag, slot,
+coefficient) terms that ``_to_hom`` sends through ``_bracket_p3``.  τ̃ is
+one sparse A × Hom(R2,P3) matrix (``LcsData.tau_matrix``); only rows
+whose lift meets a nonzero row of ``_bracket_p3`` (a live slot) are
+sent, the others are zero and share one empty dict.  τ̃* reads every
+lift transposed (``LcsData.tau_lift_transpose``); neither κ nor the
+kernel identities build it.  Every other form of τ̃ is a view of the
+matrix's rows, sharing their dicts: ``tau_tilde`` reads only its nonzero
+rows (``LcsData.tau_support``), and each finite point's τ̃_p is its
+slice of rows (``LcsData.u_points``).  R3perp is ker d* ∩ H*⊗R2perp,
+checked against the columns of ``_bracket_p3``.  An automorphism acts on
+A and on H⊗Λ²H by one signed permutation each, read entry by entry
 (``_line_entries``).  Every matrix is built from sparse rows, so no
 layer reads or writes their zeros (on C13 under 2% of entries are
 nonzero).
@@ -107,6 +107,7 @@ from .words import (
     parse_word,
     rbar_coords,
     wedge_index,
+    wedge_slot,
 )
 
 
@@ -174,7 +175,6 @@ class LcsData:
         self.p2 = quotient_presentation(self.r2)
         if not self.p2.is_torsion_free:
             raise TorsionError("degree-2 quotient has torsion")
-        self.r2perp = perp(self.r2)
 
     def __repr__(self) -> str:
         return f"LcsData({self.n} lines, {len(self.gens)} relators)"
@@ -245,7 +245,7 @@ class LcsData:
     def _r3perp_via_dstar(self) -> Lattice:
         """ker d* restricted to H*⊗R2perp, pushed into (H⊗Λ²H)* coordinates."""
         np_, n, pairs = self.npairs, self.n, list(self.wedge_pos)
-        fs = [(m, phi) for m in range(1, n + 1) for phi in self.r2perp.canonical_form.sparse_rows]
+        fs = [(m, phi) for m in range(1, n + 1) for phi in perp(self.r2).canonical_form.sparse_rows]
         triples = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
         at = {t: k for k, t in enumerate(triples)}
         # d*f(i∧j∧k) = f_i(j∧k) - f_j(i∧k) + f_k(i∧j); f = x_m*⊗φ meets only the
@@ -263,16 +263,16 @@ class LcsData:
         return Lattice(self.hw_rank, combos @ e_mat)
 
     def _r3perp_via_lie(self) -> Lattice:
-        """perp(R3) in L3*, pulled back through the bracketing map: perp(R3)·bracketᵀ."""
-        return Lattice(self.hw_rank, perp(self.r3).canonical_form @ self.bracket.transpose())
+        """perp(R3) pulled back through the bracketing map: ``_bracket_p3``ᵀ, as P3's projection is Kᵀ for K = perp(R3)'s canonical form, so (bracket·Kᵀ)ᵀ = K·bracketᵀ."""
+        return Lattice(self.hw_rank, self._bracket_p3.transpose())
 
     @cached_property
     def r3perp(self) -> Lattice:
         """Functionals on H⊗Λ²H vanishing on every left-normed lift of R3.
 
-        Computed as ker d* ∩ H*⊗R2perp and cross-checked against the
-        independent route perp(R3) ∘ bracketing; the exact sequence
-        Λ³H → H⊗L2 → L3 → 0 makes the two agree over ZZ.
+        Computed as ker d* ∩ H*⊗R2perp and cross-checked against perp(R3) ∘
+        bracketing, the columns of the P3 map ``_bracket_p3`` τ̃ and Im δ̄
+        read; the exact sequence Λ³H → H⊗L2 → L3 → 0 makes them agree over ZZ.
         """
         via_dstar = self._r3perp_via_dstar()
         if via_dstar != self._r3perp_via_lie():
@@ -291,18 +291,21 @@ class LcsData:
             out.append(tuple(terms))
         return tuple(out)
 
-    def _tau_terms(self, i: int, m: int, terms) -> tuple[tuple[int, int, int], ...]:
-        """The lift of the x_m-coordinate at a flag (i,p), m ≠ i, given p's ``_flag_terms``: v = x_i∧x_m spread over them."""
-        w, sgn = self.wedge_pos[min(i, m), max(i, m)], 1 if i < m else -1
-        return tuple((g, (j - 1) * self.npairs + w, sgn * s) for g, j, s in terms)
+    def _lift(self, terms, v) -> list[tuple[int, int, int]]:
+        """The lift of a Λ²H value v, (wedge position w, coefficient c) pairs, over ``terms``, the ``_flag_terms`` of one flag or of every flag on one line: (g, (j-1)·C(n,2) + w, s·c) per term (g, j, s).
+
+        τ̃'s rows lift v = x_i∧x_m, ``_delta_lift`` f̂(x_i) at each flag, and Im δ̄'s row (i, t) ŝ_t over line i's flags.
+        """
+        np_ = self.npairs
+        return [(g, (j - 1) * np_ + w, s * c) for w, c in v for g, j, s in terms]
 
     @cached_property
     def tau_lift_transpose(self) -> dict[tuple[int, int], dict[int, int]]:
-        """τ̃*'s lift: the lift of every A coordinate (``_tau_terms``; none for x_i at (i,p)) transposed, (generator flag, H⊗Λ²H slot) → {A coordinate: coefficient}."""
+        """τ̃*'s lift: the lift of every A coordinate (``_lift`` of x_i∧x_m; none for x_i at (i,p)) transposed, (generator flag, H⊗Λ²H slot) → {A coordinate: coefficient}."""
         out: dict[tuple[int, int], dict[int, int]] = {}
         for f, ((i, _), terms) in enumerate(zip(self.index.pairs, self._flag_terms)):
             for m in range(1, self.n + 1):
-                for g, s, c in self._tau_terms(i, m, terms) if m != i else ():
+                for g, s, c in self._lift(terms, [wedge_slot(self.wedge_pos, i, m)]) if m != i else ():
                     out.setdefault((g, s), {})[f * self.n + m - 1] = c
         return out
 
@@ -311,15 +314,9 @@ class LcsData:
         """The bracketing map followed by the P3 projection, H⊗Λ²H → P3."""
         return self.bracket @ self.p3.projection
 
-    def _to_hom(self, lift, images: IntMatrix | None = None) -> dict[int, int]:
-        """Sparse flat Hom(R2,P3) coordinates of a sparse lift.
-
-        A term (g, s, c) adds c times row s of ``images`` (default the
-        H⊗Λ²H → P3 map ``_bracket_p3``) at generator flag g.
-        """
-        r = self.p3.free_rank
-        bp = (self._bracket_p3 if images is None else images).sparse_rows
-        out: dict[int, int] = {}
+    def _to_hom(self, lift) -> dict[int, int]:
+        """Sparse flat Hom(R2,P3) coordinates of a lift (``_lift``): a term (g, s, c) adds c times row s of ``_bracket_p3`` at generator flag g."""
+        r, bp, out = self.p3.free_rank, self._bracket_p3.sparse_rows, {}
         for g, s, c in lift:
             base = g * r
             for t, x in bp[s].items():
@@ -328,7 +325,7 @@ class LcsData:
 
     @cached_property
     def tau_matrix(self) -> IntMatrix:
-        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order: each row's lift (``_tau_terms``) through ``_to_hom``, never reduced.
+        """Matrix of τ̃: A → Hom(R2,P3), rows in flat A order: each row's lift (``_lift`` of x_i∧x_m) through ``_to_hom``, never reduced.
 
         The row of x_m at flag (i,p) reads only the rows of ``_bracket_p3``
         at its lift's slots (j, w), w the wedge position of {i, m} and j a
@@ -353,7 +350,7 @@ class LcsData:
             lines, flag_rows = {j for _, j, _ in terms}, [empty] * self.n
             for m, js in live[i].items():
                 if not lines.isdisjoint(js):
-                    flag_rows[m - 1] = self._to_hom(self._tau_terms(i, m, terms)) or empty
+                    flag_rows[m - 1] = self._to_hom(self._lift(terms, [wedge_slot(self.wedge_pos, i, m)])) or empty
             rows += flag_rows
         return IntMatrix._of(rows, len(self.gens) * self.p3.free_rank)
 
@@ -407,31 +404,24 @@ class LcsData:
         return Lattice(pi.cols, self.b.basis @ pi)
 
     def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
-        """Sparse left-normed lift of δ̄(fhat), ``_flag_terms`` with v = f̂(x_i) at each (i,p): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
-        np_, nonzero = self.npairs, [list(row.items()) for row in fhat.sparse_rows]
-        flags = zip(self.index.pairs, self._flag_terms)
-        return [(g, (j - 1) * np_ + w, s * c) for (i, _), terms in flags for g, j, s in terms for w, c in nonzero[i - 1]]
+        """Sparse left-normed lift of δ̄(fhat), ``_lift`` of v = f̂(x_i) at each flag (i,p): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
+        rows = fhat.sparse_rows
+        return [t for (i, _), terms in zip(self.index.pairs, self._flag_terms) for t in self._lift(terms, rows[i - 1].items())]
 
     @cached_property
     def im_delta(self) -> Lattice:
         """Image of δ̄; basis row (i, t) is δ̄ of the unit map x_i ↦ e_t (H → P2), rows ordered by (line i, t).
 
-        Built from one linear map per line: Y_m = ``p2.section`` followed by
-        line m's block of ``_bracket_p3`` sends e_t to the P3 value of
-        x_m⊗ŝ_t.  Row (i, t) sums ``_flag_terms`` with v = ŝ_t over the
-        flags of line i, reading each x_m⊗ŝ_t as Y_m[t]: the δ-lift of that
-        unit map (``_delta_lift``).  ``delta_bar`` keeps the lift route, an
-        independent check.
+        That map's δ-lift (``_delta_lift``) has v = ŝ_t, row t of
+        ``p2.section``, at each flag of line i and zero elsewhere, so row
+        (i, t) is ``_to_hom`` of ``_lift`` of ŝ_t over line i's flags.
         """
-        n, np_, f2, r = self.n, self.npairs, self.p2.free_rank, self.p3.free_rank
-        bp = self._bracket_p3.sparse_rows
-        # row (m-1)·f2 + t is Y_m[t]
-        ys = vstack(*(self.p2.section @ IntMatrix._of(bp[m * np_ : (m + 1) * np_], r) for m in range(n)))
-        on_line = [[] for _ in range(n + 1)]  # ``_flag_terms`` of each line's flags
+        on_line = [[] for _ in range(self.n + 1)]  # ``_flag_terms`` of each line's flags
         for (i, _), terms in zip(self.index.pairs, self._flag_terms):
             on_line[i] += terms
-        rows = [self._to_hom([(g, (m - 1) * f2 + t, s) for g, m, s in on_line[i]], images=ys) for i in range(1, n + 1) for t in range(f2)]
-        width = len(self.gens) * r
+        sections = [row.items() for row in self.p2.section.sparse_rows]
+        rows = [self._to_hom(self._lift(on_line[i], v)) for i in range(1, self.n + 1) for v in sections]
+        width = len(self.gens) * self.p3.free_rank
         return Lattice(width, IntMatrix._of(rows, width))
 
 
@@ -786,10 +776,9 @@ def maclane_dual_basis() -> tuple[DualElement, ...]:
     out: list[DualElement] = []
 
     def add_wedge(vec, m, a, b, c):
-        if a == b:
-            return
-        lo, hi = (a, b) if a < b else (b, a)
-        vec[(m - 1) * np_ + wp[(lo, hi)]] += c if a < b else -c
+        if a != b:
+            w, sign = wedge_slot(wp, a, b)
+            vec[(m - 1) * np_ + w] += sign * c
 
     for q in config.points_on(0):
         finite = [i for i in config.lines_through(q) if i != 0]
@@ -883,7 +872,7 @@ def _line_entries(data: LcsData, sigma: ConfigAutomorphism):
         raise ValueError("automorphism must fix the infinity line")
     s, n, np_, wp = sigma.line_perm, data.n, data.npairs, data.wedge_pos
     flags = [data.index.pair_pos[(s[i], sigma.point_image(p))] for i, p in data.index.pairs]
-    wedges = [(wp[min(s[a], s[b]), max(s[a], s[b])], 1 if s[a] < s[b] else -1) for a, b in wp]
+    wedges = [wedge_slot(wp, s[a], s[b]) for a, b in wp]
 
     def on_hw(k):
         m, (t, sign) = k // np_, wedges[k % np_]

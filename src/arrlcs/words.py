@@ -610,6 +610,11 @@ def wedge_index(n: int) -> dict[tuple[int, int], int]:
     return out
 
 
+def wedge_slot(idx: Mapping[tuple[int, int], int], a: int, b: int) -> tuple[int, int]:
+    """x_a∧x_b as (position in ``idx``, sign), a ≠ b: the sign is -1 when a > b, as x_a∧x_b = -x_b∧x_a."""
+    return (idx[a, b], 1) if a < b else (idx[b, a], -1)
+
+
 def lyndon3_index(n: int) -> dict[tuple[int, int, int], int]:
     """Position of each degree-3 Lyndon word over 1..n in lexicographic order.
 
@@ -630,12 +635,9 @@ def rbar_coords(config: Configuration, i: int, p: str, idx: Mapping[tuple[int, i
         idx = wedge_index(len(config.lines) - 1)
     out = [0] * len(idx)
     for j in config.lines_through(p):
-        if j == i or j == 0:
-            continue
-        if i < j:
-            out[idx[(i, j)]] += 1
-        else:
-            out[idx[(j, i)]] -= 1
+        if j != i and j != 0:
+            w, sign = wedge_slot(idx, i, j)
+            out[w] += sign
     return tuple(out)
 
 

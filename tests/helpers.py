@@ -314,9 +314,21 @@ def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentatio
 
 
 def tau_lift(data: LcsData) -> list[tuple[tuple[int, int, int], ...]]:
-    """The left-normed lift of τ̃, one entry per flat A coordinate: ``LcsData._tau_terms`` of x_m at each flag (i,p), none if m = i."""
-    flags = zip(data.index.pairs, data._flag_terms)
-    return [data._tau_terms(i, m, terms) if m != i else () for (i, _), terms in flags for m in range(1, data.n + 1)]
+    """The left-normed lift of τ̃, one entry per flat A coordinate: x_i∧x_m spread over its flag (i,p)'s ``_flag_terms``, none if m = i.
+
+    The slot rule is written out here rather than read from ``LcsData._lift``:
+    a flag term (g, j, s) gives (g, (j-1)·C(n,2) + w, ±s), w the position of
+    {i, m} and - when i > m.
+    """
+    np_, wp, out = data.npairs, data.wedge_pos, []
+    for (i, _), terms in zip(data.index.pairs, data._flag_terms):
+        for m in range(1, data.n + 1):
+            if m == i:
+                out.append(())
+                continue
+            w, sign = (wp[i, m], 1) if i < m else (wp[m, i], -1)
+            out.append(tuple((g, (j - 1) * np_ + w, sign * s) for g, j, s in terms))
+    return out
 
 
 def dense_tau_matrix(data: LcsData) -> IntMatrix:

@@ -95,6 +95,27 @@ def test_r3perp_routes_agree(maclane_data):
     assert maclane_data._r3perp_via_dstar() == maclane_data._r3perp_via_lie()
 
 
+def test_im_delta_and_r3perp_read_the_p3_map_without_products(monkeypatch):
+    """Im δ̄ lifts each section row through ``_bracket_p3``, and R3⊥'s Lie route is its transpose: only the d* route multiplies."""
+    data = build_lcs(maclane_c8())
+    data.p3, data._bracket_p3  # noqa: B018 - built before counting
+    products, stacks, matmul, stack = [], [], IntMatrix.__matmul__, lcs.vstack
+
+    def counted_matmul(a, b):
+        products.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    def counted_vstack(*mats):
+        stacks.append(len(mats))
+        return stack(*mats)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(lcs, "vstack", counted_vstack)
+    assert data.im_delta.basis.shape == (56, 273) and products == stacks == []
+    # the d* route's combos @ e_mat, whose columns are H⊗Λ²H's 147 slots
+    assert data.r3perp.rank == 21 and len(products) == 1 and products[0][1][1] == data.hw_rank
+
+
 def test_glued_degree_two(c13_data):
     data = c13_data
     assert data.n == 12
@@ -613,14 +634,14 @@ def _row_counter(monkeypatch, names):
 
 
 def _lift_counter(monkeypatch):
-    """Wrap ``LcsData._tau_terms`` to record the (line, x_m) of each lift of τ̃ it builds."""
-    lifts, real = [], lcs.LcsData._tau_terms
+    """Wrap ``LcsData._lift`` to record the Λ²H value of each lift it builds."""
+    lifts, real = [], lcs.LcsData._lift
 
-    def counted(self, i, m, terms):
-        lifts.append((i, m))
-        return real(self, i, m, terms)
+    def counted(self, terms, v):
+        lifts.append(v)
+        return real(self, terms, v)
 
-    monkeypatch.setattr(lcs.LcsData, "_tau_terms", counted)
+    monkeypatch.setattr(lcs.LcsData, "_lift", counted)
     return lifts
 
 

@@ -102,3 +102,18 @@ def test_u_times_the_cold_tau_matrix_and_records_its_support(monkeypatch):
     (rec,) = run["inputs"]
     assert (rec["a_rank"], rec["tau_support_rows"], rec["bracket_p3_rows"]) == (147, 108, [126, 147])
     assert rec["identities"] == [True, True] and set(run["tau_matrix_s"]) == set(run["total_s"]) == {"c8"}
+
+
+def test_bracket_times_the_p3_map_r3perp_and_im_delta_cold(monkeypatch):
+    replay = load_replay()
+    assert list(replay.BRACKET_LAYERS) == ["bracket", "r3", "p3", "_bracket_p3", "r3perp", "im_delta"]
+    assert replay.BRACKET_CONFIGS == ("c8", "c13", f"c13@{replay.SEED}", "glued6")
+    monkeypatch.setattr(replay, "REPEAT", 1)
+    monkeypatch.setattr(replay, "BRACKET_CONFIGS", ("c8",))
+    run = replay.bracket()
+    (rec,) = run["inputs"]
+    data = replay.lcs.build_lcs(replay.config.maclane_c8())
+    assert (rec["config"], rec["p3_rank"]) == ("c8", 21) and set(run["total_s"]) == {"c8"}
+    assert all(rec[f"{layer}_s"] > 0 for layer in ("bracket", "r3", "p3", "bracket_p3", "r3perp", "im_delta"))
+    assert rec["bracket_p3_digest"] == replay.sha(data._bracket_p3)
+    assert rec["r3perp_digest"] == replay.sha(data.r3perp.canonical_form) and rec["im_delta_digest"] == replay.sha(data.im_delta.basis)

@@ -61,9 +61,12 @@ compare with later runs.
 * ``realization``: ``phi_c8``, ``check_realization`` on c8, and
   ``glue_realization`` and ``check_realization`` on C13 for
   ``REALIZATION_SEEDS``, both signs each.
-* ``bracket``: the cold ``bracket``, ``r3`` and ``p3`` of c8, C13 and C13
-  at ``SEED``, each timed with the earlier layers built and the Lyndon
-  basis cache cleared; ``total_s`` sums the three best times.
+* ``bracket``: the cold ``bracket``, ``r3``, ``p3``, the P3 map
+  ``_bracket_p3`` (as ``bracket_p3``), ``r3perp`` and ``im_delta`` of c8,
+  C13, C13 at ``SEED`` and ``glued6``, each timed with the earlier layers
+  built and the Lyndon basis cache cleared; ``total_s`` sums the best
+  times.  Records before ``BENCH_34.json`` hold the first three layers
+  only, and no ``glued6``.
 * ``u``: the cold ``u_points`` of c8, C13, C13 at ``SEED``, the 9-line
   test fixture, the 3-, 4-, 6- and 12-fold MacLane gluings and Hesse (the
   12 lines of AG(2,3)), with both kernel identities, timed apart
@@ -436,12 +439,16 @@ BRACKET_LAYERS = {  # layer: digest of its value
     "bracket": sha,
     "r3": lambda r3: sha(r3.canonical_form),
     "p3": lambda p3: sha(p3.projection),
+    "_bracket_p3": sha,
+    "r3perp": lambda r3perp: sha(r3perp.canonical_form),
+    "im_delta": lambda im_delta: sha(im_delta.basis),
 }
+BRACKET_CONFIGS = ("c8", "c13", f"c13@{SEED}", "glued6")
 
 
 def bracket() -> dict:
     records = []
-    for name in ("c8", "c13", f"c13@{SEED}"):
+    for name in BRACKET_CONFIGS:
         cfg, seconds, digests = CONFIGS[name](), {}, {}
         for k, layer in enumerate(BRACKET_LAYERS):
 
@@ -458,9 +465,9 @@ def bracket() -> dict:
         records.append({
             "config": name, "bracket_shape": list(data.bracket.shape), "r3_shape": list(data.r3.basis.shape),
             "p3_rank": data.p3.free_rank,
-            **{f"{layer}_s": seconds[layer] for layer in BRACKET_LAYERS},
+            **{f"{layer.lstrip('_')}_s": seconds[layer] for layer in BRACKET_LAYERS},
             "total_s": round(sum(seconds.values()), 7),
-            **{f"{layer}_digest": digests[layer] for layer in BRACKET_LAYERS},
+            **{f"{layer.lstrip('_')}_digest": digests[layer] for layer in BRACKET_LAYERS},
         })
     return {"total_s": total_s(records, lambda rec: rec["config"], "total_s"), "inputs": records}
 
