@@ -176,8 +176,8 @@ def _dual_basis_check(data) -> dict:
     duals = maclane_dual_basis()
     st_rows = [e.coords for e in duals if e.tag in ("S", "T")]
     ijk_rows = [e.coords for e in duals if e.tag in ("I", "J", "K1", "K2")]
-    st_span = Lattice(data.hw_rank, IntMatrix(st_rows, data.hw_rank))
-    ijk_span = Lattice(data.a_rank, IntMatrix(ijk_rows, data.a_rank))
+    st_span = Lattice(data.hw_rank, IntMatrix._of(st_rows, data.hw_rank))
+    ijk_span = Lattice(data.a_rank, IntMatrix._of(ijk_rows, data.a_rank))
     st_ok = st_span == data.r3perp
     ijk_ok = ijk_span == Lattice(data.a_rank, data.u_projection.transpose())  # π's columns: a basis of U⊥
     return _check(
@@ -226,8 +226,8 @@ def _t_check(data) -> dict:
     diff_ok = diff_vals == expected_diff
     t_diff = t_functional(diff)
     t, modulus = _t_vector()
-    t_on_u = [sum(t[pt.rows.start + k] * x for k, x in row.items()) % modulus for pt in data.u_points for row in pt.u.sparse_rows]
-    t_on_b = [sum(t[k] * x for k, x in row.items()) % modulus for row in data.b.basis.sparse_rows]
+    t_on_u = [sum(t.get(pt.rows.start + k, 0) * x for k, x in row.items()) % modulus for pt in data.u_points for row in pt.u.sparse_rows]
+    t_on_b = [sum(t.get(k, 0) * x for k, x in row.items()) % modulus for row in data.b.basis.sparse_rows]
     ok = diff_ok and t_diff == 1 and not any(t_on_u) and not any(t_on_b)
     return _check(
         "mod3_functional",

@@ -178,12 +178,6 @@ def combine(terms: Iterable[tuple[int, int]], m: IntMatrix) -> dict[int, int]:
     return {j: z for j, z in out.items() if z}
 
 
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    return sum(x * y for x, y in zip(u, v))
-
-
 # -- row operation helpers ------------------------------------------------
 
 

@@ -33,9 +33,11 @@ section row ŝ_t of P2 over line i's flags, into (generator flag, slot,
 coefficient) terms that ``_to_hom`` sends through ``_bracket_p3``.  τ̃ is
 one sparse A × Hom(R2,P3) matrix (``LcsData.tau_matrix``); only rows
 whose lift meets a nonzero row of ``_bracket_p3`` (a live slot) are
-sent, the others are zero and share one empty dict.  τ̃* reads every
-lift transposed (``LcsData.tau_lift_transpose``); neither κ nor the
-kernel identities build it.  Every other form of τ̃ is a view of the
+sent, the others are zero and share one empty dict.  τ̃* is one product
+Φ·Λᵀ: a functional Φ on ⊕_g H⊗Λ²H, a sparse row like each MacLane dual
+functional, times the transposed lift Λᵀ (``LcsData.tau_lift_transpose``),
+its rows keyed g·``hw_rank`` + s as Hom(R2,P3)'s are g·r + t; neither κ
+nor the kernel identities build Λᵀ.  Every other form of τ̃ is a view of the
 matrix's rows, sharing their dicts: ``tau_tilde`` reads only its nonzero
 rows (``LcsData.tau_support``), and each finite point's τ̃_p is its
 slice of rows (``LcsData.u_points``).  R3perp is ker d* ∩ H*⊗R2perp,
@@ -89,7 +91,6 @@ from .exactlin import (
     Witness,
     combine,
     densify,
-    dot,
     hnf,
     kernel_basis,
     member,
@@ -300,13 +301,13 @@ class LcsData:
         return [(g, (j - 1) * np_ + w, s * c) for w, c in v for g, j, s in terms]
 
     @cached_property
-    def tau_lift_transpose(self) -> dict[tuple[int, int], dict[int, int]]:
-        """τ̃*'s lift: the lift of every A coordinate (``_lift`` of x_i∧x_m; none for x_i at (i,p)) transposed, (generator flag, H⊗Λ²H slot) → {A coordinate: coefficient}."""
-        out: dict[tuple[int, int], dict[int, int]] = {}
+    def tau_lift_transpose(self) -> dict[int, dict[int, int]]:
+        """Λᵀ, τ̃*'s lift: the lift of every A coordinate (``_lift`` of x_i∧x_m; none for x_i at (i,p)) transposed, its nonzero rows only (1 542 of C13's gens·``hw_rank`` = 40 392), g·``hw_rank`` + s → {A coordinate: coefficient} for generator flag g and H⊗Λ²H slot s."""
+        hw, out = self.hw_rank, {}
         for f, ((i, _), terms) in enumerate(zip(self.index.pairs, self._flag_terms)):
             for m in range(1, self.n + 1):
                 for g, s, c in self._lift(terms, [wedge_slot(self.wedge_pos, i, m)]) if m != i else ():
-                    out.setdefault((g, s), {})[f * self.n + m - 1] = c
+                    out.setdefault(g * hw + s, {})[f * self.n + m - 1] = c
         return out
 
     @cached_property
@@ -746,16 +747,15 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
 
 @dataclass(frozen=True)
 class DualElement:
-    """A named functional; ``space`` says which coordinates ``coords`` use.
+    """A named functional: ``coords`` is a sparse row, shared and never mutated like ``IntMatrix.sparse_rows``.
 
-    space = "hwedge" for (H⊗Λ²H)* (dimension n·C(n,2)), "aflags" for
-    A* (dimension n·#flags).
+    Tags S and T are functionals on H⊗Λ²H (dimension n·C(n,2)), and I,
+    J, K1 and K2 on A (dimension n·#flags).
     """
 
     label: str
     tag: str
-    space: str
-    coords: tuple[int, ...]
+    coords: dict[int, int] = field(hash=False)
 
 
 @lru_cache(maxsize=None)
@@ -773,7 +773,7 @@ def maclane_dual_basis() -> tuple[DualElement, ...]:
     wp = wedge_index(n)
     np_ = len(wp)
     raw = _builtin_json("dual_basis_c8.json")
-    out: list[DualElement] = []
+    out: list[tuple[str, str, list[int]]] = []  # (label, tag, dense coordinates), sparsified once at the end
 
     def add_wedge(vec, m, a, b, c):
         if a != b:
@@ -788,7 +788,7 @@ def maclane_dual_basis() -> tuple[DualElement, ...]:
                     continue
                 vec = [0] * (n * np_)
                 add_wedge(vec, i, i, j, 1)
-                out.append(DualElement(f"S({i},{j})", "S", "hwedge", tuple(vec)))
+                out.append((f"S({i},{j})", "S", vec))
     for p in idx.p0:
         ls = config.lines_through(p)
         if len(ls) != 3:
@@ -800,7 +800,7 @@ def maclane_dual_basis() -> tuple[DualElement, ...]:
                 add_wedge(vec, m, i, j, s)
                 add_wedge(vec, m, j, k, s)
                 add_wedge(vec, m, k, i, s)
-            out.append(DualElement(f"S({i},{j},{k})", "S", "hwedge", tuple(vec)))
+            out.append((f"S({i},{j},{k})", "S", vec))
     for t_idx, terms in enumerate(raw["T"]):
         vec = [0] * (n * np_)
         for coef, hform, uform, vform in terms:
@@ -808,56 +808,58 @@ def maclane_dual_basis() -> tuple[DualElement, ...]:
                 for cv, iv in vform:
                     for ch, ih in hform:
                         add_wedge(vec, ih, iu, iv, coef * ch * cu * cv)
-        out.append(DualElement(f"T{t_idx}", "T", "hwedge", tuple(vec)))
+        out.append((f"T{t_idx}", "T", vec))
     for fam in ("I", "J", "K1", "K2"):
         for p, terms in raw["U_perp"][fam].items():
             vec = [0] * (len(idx.pairs) * n)
             for c, i, j in terms:
                 vec[idx.pair_pos[(i, p)] * n + (j - 1)] += c
-            out.append(DualElement(f"{fam}({p})", fam, "aflags", tuple(vec)))
-    return tuple(out)
+            out.append((f"{fam}({p})", fam, vec))
+    return tuple(DualElement(label, tag, {k: x for k, x in enumerate(vec) if x}) for label, tag, vec in out)
 
 
-def _dual_combination(terms: Sequence[tuple[str, int]]) -> tuple[int, ...]:
-    """Σ c·coords over (label, c) in ``terms``, each label naming a ``maclane_dual_basis`` element of one space."""
-    duals = {e.label: e for e in maclane_dual_basis()}
-    return tuple(map(sum, zip(*([c * x for x in duals[label].coords] for label, c in terms))))
+def _dual_combination(terms: Sequence[tuple[str, int]]) -> dict[int, int]:
+    """Σ c·coords over (label, c) in ``terms``, each label naming a ``maclane_dual_basis`` element of one space, as a sparse row."""
+    duals, out = {e.label: e for e in maclane_dual_basis()}, {}
+    for label, c in terms:
+        for k, x in duals[label].coords.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 # -- τ̃* pullbacks and their transport under automorphisms --------------------
 
 
 def rbar_gen_coeffs(data: LcsData, i: int, p: str) -> tuple[int, ...]:
-    """Coefficients of r̄(i,p) over the generator flags (min flag = -sum)."""
+    """Coefficients of r̄(i,p) over the generator flags (min flag = -sum); a flag that is not finite raises ValueError."""
+    if (i, p) not in data.index.pair_pos:
+        raise ValueError(f"({i},{p}) is not a finite flag")
     out = [0] * len(data.gens)
     gp = data.index.gen_pos
     if (i, p) in gp:
         out[gp[(i, p)]] = 1
         return tuple(out)
-    lines_p = data.config.lines_through(p)
-    if i not in lines_p or i == 0:
-        raise ValueError(f"({i},{p}) is not a finite flag")
-    for k in lines_p:
+    for k in data.config.lines_through(p):
         if (k, p) in gp:
             out[gp[(k, p)]] = -1
     return tuple(out)
 
 
-def tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:
-    """Pull an (H⊗Λ²H)* functional back along τ̃ against a fixed R2 class.
+def tau_star(data: LcsData, functional: dict[int, int]) -> dict[int, int]:
+    """Pull a sparse functional Φ on ⊕_g H⊗Λ²H, keyed g·``hw_rank`` + s, back along τ̃: the sparse A* row Φ·Λᵀ.
 
-    Returns the A* functional a ↦ ⟨functional, τ̃a(class)⟩, well defined on
-    P3 values whenever the functional lies in R3perp, as Σ_g class_g·φ·Λ_gᵀ
-    over the transposed lift (``LcsData.tau_lift_transpose``) where φ ≠ 0.
+    One accumulation over Φ's entries and the transposed lift Λᵀ
+    (``LcsData.tau_lift_transpose``); a key outside [0, gens·``hw_rank``)
+    raises ValueError.  For Φ = class ⊗ φ it is a ↦ ⟨φ, τ̃a(class)⟩, well
+    defined on P3 values whenever φ lies in R3perp.
     """
-    if len(gen_coeffs) != len(data.gens) or len(functional) != data.hw_rank:
-        raise ValueError(f"tau_star takes {len(data.gens)} class coefficients and a functional of length {data.hw_rank}")
-    gens, lift, out = [(g, x) for g, x in enumerate(gen_coeffs) if x], data.tau_lift_transpose, [0] * data.a_rank
-    for s, phi in enumerate(functional):
-        for g, x in gens if phi else ():
-            for a, c in lift.get((g, s), {}).items():
-                out[a] += x * phi * c
-    return tuple(out)
+    width, lift, out = len(data.gens) * data.hw_rank, data.tau_lift_transpose, {}
+    if functional and not 0 <= min(functional) <= max(functional) < width:
+        raise ValueError(f"tau_star's functional has a key outside [0, {width})")
+    for k, x in functional.items():
+        for a, c in lift.get(k, {}).items():
+            out[a] = out.get(a, 0) + x * c
+    return {a: y for a, y in out.items() if y}
 
 
 def _line_entries(data: LcsData, sigma: ConfigAutomorphism):
@@ -936,8 +938,8 @@ def tau_star_identities(data: LcsData) -> TauStarReport:
         ("K1(p147)", (1, "p147"), _dual_combination([("T0", -1)])),
         ("K2(p147)", (1, "p147"), _dual_combination([("T3", -1)])),
     )
-    functionals = [{k: x for k, x in enumerate(svec) if x} for *_, svec in base]
-    targets = [{k: x for k, x in enumerate(duals[label].coords) if x} for label, *_ in base]
+    functionals = [phi for *_, phi in base]
+    targets = [duals[label].coords for label, *_ in base]
 
     def act_on(rows, act):  # σ on sparse rows, read through ``act`` at their nonzero entries
         return [{t: sign * x for k, x in row.items() for t, sign in [act(k)]} for row in rows]
@@ -945,14 +947,15 @@ def tau_star_identities(data: LcsData) -> TauStarReport:
     for sigma in transport_group(data):
         on_a, on_hw = _line_entries(data, sigma)
         for (label, (i, p), _), moved, target in zip(base, act_on(functionals, on_hw), act_on(targets, on_a)):
-            lhs = tau_star(data, rbar_gen_coeffs(data, sigma.line_perm[i], sigma.point_image(p)), densify(moved, data.hw_rank))
-            ok = lhs == densify(target, data.a_rank)
+            rbar = rbar_gen_coeffs(data, sigma.line_perm[i], sigma.point_image(p))
+            lhs = tau_star(data, {g * data.hw_rank + s: c * x for g, c in enumerate(rbar) if c for s, x in moved.items()})  # Φ = r̄ ⊗ φ
+            ok = lhs == target
             if sigma.is_identity():  # the base identities themselves
                 identities.append((label, ok))
             consistent &= ok
             transported_rows.append(lhs)
-    span = Lattice(data.a_rank, IntMatrix(transported_rows, data.a_rank))
-    uperp = [e for e in duals.values() if e.space == "aflags"]
+    span = Lattice(data.a_rank, IntMatrix._of(transported_rows, data.a_rank))
+    uperp = [e for e in duals.values() if e.tag not in ("S", "T")]
     coverage = [(p, all(member(e.coords, span).ok for e in uperp if e.label.endswith(f"({p})"))) for p in data.index.p0]
     return TauStarReport(tuple(identities), consistent, tuple(coverage))
 
@@ -995,7 +998,7 @@ def builtin_g_difference() -> AbelianGMap:
 
 
 @lru_cache(maxsize=None)
-def _t_vector() -> tuple[tuple[int, ...], int]:
+def _t_vector() -> tuple[dict[int, int], int]:
     raw = _builtin_json("dual_basis_c8.json")["mod3_functional"]
     return _dual_combination([(f"{fam}({p})", c) for c, fam, p in raw["terms"]]), raw["modulus"]
 
@@ -1009,8 +1012,8 @@ def t_functional(a: GMap | AbelianGMap) -> int:
     a = _as_abelian(a)
     if a.config != maclane_c8():
         raise ConfigMismatchError("the mod-3 functional is defined for the MacLane configuration")
-    vec, modulus = _t_vector()
-    return dot(vec, a.vector()) % modulus
+    (t, modulus), vec = _t_vector(), a.vector()
+    return sum(x * vec[k] for k, x in t.items()) % modulus
 
 
 # -- the isomorphism obstruction ----------------------------------------------

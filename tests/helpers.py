@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from arrlcs.config import ConfigAutomorphism, Configuration, maclane_c8
+from arrlcs.config import ConfigAutomorphism, Configuration, copy_line, maclane_c8
 from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
@@ -26,6 +26,13 @@ from arrlcs.exactlin import (
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
 from arrlcs.lcs import HomR2P3, LcsData, _as_abelian, _line_entries, _u_generators, rbar_gen_coeffs, t_functional
 from arrlcs.words import AbelianGMap, GMap, Word, lie_basis, lie_sparse_coords, wedge_index
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Dense dot product of two vectors of one length: the witness tests' pairing."""
+    if len(u) != len(v):
+        raise ValueError("length mismatch")
+    return sum(x * y for x, y in zip(u, v))
 
 
 def vec_mat(v: Sequence[int], m: IntMatrix) -> tuple[int, ...]:
@@ -367,8 +374,71 @@ def dense_kappa_json(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | Abelia
 
 
 def dense_tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:
-    """Oracle for ``lcs.tau_star``: ⟨functional, τ̃a(class)⟩ summed over every lift term of every A coordinate a."""
+    """Oracle for ``lcs.tau_star`` of Φ = class ⊗ φ (``class_tensor``): ⟨φ, τ̃a(class)⟩ summed over every lift term of every A coordinate a, dense."""
     return tuple(sum(gen_coeffs[g] * c * functional[s] for g, s, c in terms) for terms in tau_lift(data))
+
+
+def class_tensor(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> dict[int, int]:
+    """Φ = class ⊗ φ, the sparse functional on ⊕_g H⊗Λ²H that ``lcs.tau_star`` takes: class_g·φ_s at g·``hw_rank`` + s."""
+    return {g * data.hw_rank + s: c * x for g, c in enumerate(gen_coeffs) if c for s, x in enumerate(functional) if x}
+
+
+def pulled_back_functional(data: LcsData, c8: LcsData, copy: int, functional: Sequence[int]) -> dict[int, int]:
+    """Φ on ⊕_g H⊗Λ²H of ``glue_copies(k)``'s ``data`` from a functional on c8's flat Hom(R2,P3), through MacLane copy c = ``copy``.
+
+    Block g_S of ``functional`` (c8's generator flag (i, p)) composed with
+    c8's ``_bracket_p3`` is a functional W[g_S] on c8's H⊗Λ²H.  It is
+    placed at the image generator flag g_C = (copy_line(c, i), the point of
+    the image lines of p), slot x_m⊗(x_a∧x_b) going to the slot of the
+    image lines.  ``copy_line(c, ·)`` is monotone, so a < b stays a′ < b′
+    and every sign is +1.  Keys are g_C·``hw_rank`` + slot, as
+    ``lcs.tau_star`` takes them.  This is the reference for a certificate
+    checker built on C13 (ROADMAP items 9 and 19).
+    """
+    r8, np8, pairs8 = c8.p3.free_rank, c8.npairs, list(c8.wedge_pos)
+    line = [copy_line(copy, i) for i in range(c8.n + 1)]
+    out = {}
+    for g8, (i, p) in enumerate(c8.gens):
+        block = functional[g8 * r8 : (g8 + 1) * r8]
+        point = data.config.point_of(frozenset(line[j] for j in c8.config.lines_through(p)))
+        base = data.index.gen_pos[line[i], point] * data.hw_rank
+        for s8, row in enumerate(c8._bracket_p3.sparse_rows):
+            x = sum(block[t] * y for t, y in row.items())
+            if x:
+                m, (a, b) = s8 // np8 + 1, pairs8[s8 % np8]
+                out[base + (line[m] - 1) * data.npairs + data.wedge_pos[line[a], line[b]]] = x
+    return out
+
+
+def certificate_failures(data: LcsData, phi: dict[int, int], modulus: int) -> tuple[int, int]:
+    """Failures of checks (a) and (b) of a κ ≠ 0 certificate Φ on ⊕_g H⊗Λ²H (keyed as ``lcs.tau_star``'s), by products alone.
+
+    (a) counts the pairs of a generator flag g where Φ_g ≠ 0 and an
+    element that Φ_g must kill exactly: x_m⊗r for each R2 basis row r,
+    the lift of the R3 generator [x_m, r], and each Jacobi element
+    x_a⊗(x_b∧x_c) + x_b⊗(x_c∧x_a) + x_c⊗(x_a∧x_b), a < b < c, which span
+    the kernel of the bracket H⊗Λ²H → L3.  So each Φ_g descends to L3/R3 =
+    P3, and Φ to a functional on Hom(R2,P3).  (b) counts the unit maps
+    E_{i,t}: H → P2 whose δ-lift (``LcsData._delta_lift``) Φ pairs to
+    nonzero mod ``modulus``; those values span Im δ̄.  With no failures, a
+    value whose τ̃-lift Φ pairs to nonzero mod ``modulus`` (check (c),
+    through ``lcs.tau_star``) lies outside Im δ̄.
+    """
+    hw, np_, wp, blocks = data.hw_rank, data.npairs, data.wedge_pos, {}
+    for k, x in phi.items():
+        blocks.setdefault(k // hw, {})[k % hw] = x
+    bad_a = 0
+    for f in blocks.values():
+        for m in range(data.n):
+            bad_a += sum(1 for r in data.r2.basis.sparse_rows if sum(f.get(m * np_ + w, 0) * x for w, x in r.items()))
+        for a, b, c in itertools.combinations(range(1, data.n + 1), 3):
+            bad_a += bool(f.get((a - 1) * np_ + wp[b, c], 0) - f.get((b - 1) * np_ + wp[a, c], 0) + f.get((c - 1) * np_ + wp[a, b], 0))
+    r2, bad_b = data.p2.free_rank, 0
+    for i in range(data.n):
+        for t in range(r2):
+            fhat = IntMatrix._of([{t: 1} if k == i else {} for k in range(data.n)], r2) @ data.p2.section
+            bad_b += sum(c * phi.get(g * hw + s, 0) for g, s, c in data._delta_lift(fhat)) % modulus != 0
+    return bad_a, bad_b
 
 
 def scanned_b_rows(config: Configuration) -> IntMatrix:

@@ -17,7 +17,6 @@ from arrlcs.config import automorphisms, glue_c13, is_s3_times_z2, maclane_c8
 from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
-    dot,
     hnf,
     member,
     perp,
@@ -52,7 +51,7 @@ from arrlcs.words import (
     relator_at_flag,
     relators_from_g,
 )
-from helpers import lattice_sum, saturate, seeded_g_map, seeded_word
+from helpers import dot, lattice_sum, saturate, seeded_g_map, seeded_word
 
 
 @pytest.fixture
@@ -91,9 +90,9 @@ def test_criterion_2_dual_bases(maclane_data, announce):
     ijk = [e.coords for e in duals if e.tag in ("I", "J", "K1", "K2")]
     rep = tau_star_identities(data)
     checks = {
-        "S_T_span_R3perp": Lattice(data.hw_rank, IntMatrix(st, data.hw_rank)) == data.r3perp,
+        "S_T_span_R3perp": Lattice(data.hw_rank, IntMatrix._of(st, data.hw_rank)) == data.r3perp,
         "18_functionals": len(ijk) == 18,
-        "I_J_K_span_U_perp": Lattice(data.a_rank, IntMatrix(ijk, data.a_rank))
+        "I_J_K_span_U_perp": Lattice(data.a_rank, IntMatrix._of(ijk, data.a_rank))
         == perp(u_lattice(data.config)),
         "seven_identities": len(rep.identities) == 7 and all(ok for _, ok in rep.identities),
         "transport_consistent": rep.transport_consistent,

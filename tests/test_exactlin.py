@@ -15,7 +15,6 @@ from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
     MembershipResult,
-    dot,
     hnf,
     hnf_with_transform,
     kernel_basis,
@@ -27,7 +26,7 @@ from arrlcs.exactlin import (
 )
 from arrlcs.lcs import tau_tilde, u_lattice
 from arrlcs.words import AbelianGMap
-from helpers import kernel_perp, lattice_sum, reference_member, reference_quotient, reference_witness, saturate, vec_mat
+from helpers import dot, kernel_perp, lattice_sum, reference_member, reference_quotient, reference_witness, saturate, vec_mat
 
 
 @st.composite

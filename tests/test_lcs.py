@@ -2,14 +2,16 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import random
+import re
 
 import pytest
 
 from arrlcs import cli, config, exactlin, geom, lcs, words
 from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, copy_line, glue_c13, glue_copies, maclane_c8
-from arrlcs.exactlin import IntMatrix, Lattice, dot, member, perp
+from arrlcs.exactlin import IntMatrix, Lattice, densify, member, perp, snf
 from arrlcs.lcs import (
     ConfigMismatchError,
     HomR2P3,
@@ -26,6 +28,7 @@ from arrlcs.lcs import (
     glued_g_map,
     kappa,
     maclane_dual_basis,
+    rbar_gen_coeffs,
     t_functional,
     tau_kernel,
     tau_kernel_equals_u,
@@ -39,10 +42,14 @@ from arrlcs.lcs import (
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
 from helpers import (
     blockwise_tau_tilde,
+    certificate_failures,
+    class_tensor,
+    dot,
     dense_kappa_json,
     check_equivariance,
     dense_tau_matrix,
     dense_tau_star,
+    pulled_back_functional,
     tau_lift,
     delta_kernel,
     hesse,
@@ -872,7 +879,7 @@ def test_pairing_identity_at_shared_points(maclane_data):
                 for k in lines_p:
                     if k == i or (k, p) not in gp:
                         continue
-                    lhs = dot(e.coords, lift[gp[(k, p)]])
+                    lhs = sum(x * lift[gp[(k, p)]][s] for s, x in e.coords.items())
                     assert lhs == -sign * fhat.row(k - 1)[w]
                     checked += 1
     assert checked == 60
@@ -890,10 +897,14 @@ def test_dual_basis_spans(maclane_data):
     assert len(by_tag["S"]) == 16  # 6 ordered infinity pairs + 2 per finite triple point
     assert len(by_tag["T"]) == 5
     assert sum(len(by_tag[t]) for t in ("I", "J", "K1", "K2")) == 18
-    st_rows = [e.coords for e in duals if e.space == "hwedge"]
-    assert Lattice(data.hw_rank, IntMatrix(st_rows, data.hw_rank)) == data.r3perp
-    ijk_rows = [e.coords for e in duals if e.space == "aflags"]
-    assert Lattice(data.a_rank, IntMatrix(ijk_rows, data.a_rank)) == perp(
+    # each functional is a sparse row, zeros never stored; the tag names its space
+    assert all(type(e.coords) is dict and all(e.coords.values()) and not hasattr(e, "space") for e in duals)
+    st_rows = [e.coords for e in duals if e.tag in ("S", "T")]
+    assert all(0 <= k < data.hw_rank for row in st_rows for k in row)
+    assert Lattice(data.hw_rank, IntMatrix._of(st_rows, data.hw_rank)) == data.r3perp
+    ijk_rows = [e.coords for e in duals if e.tag in ("I", "J", "K1", "K2")]
+    assert all(0 <= k < data.a_rank for row in ijk_rows for k in row)
+    assert Lattice(data.a_rank, IntMatrix._of(ijk_rows, data.a_rank)) == perp(
         u_lattice(data.config)
     )
 
@@ -913,29 +924,71 @@ def test_tau_star_identities(maclane_data, monkeypatch):
 
 
 def test_tau_star_equals_the_dense_pullback(maclane_data, c13_data, asymmetric_config, monkeypatch):
-    # every pullback of the transport loop on c8: 6 σ × 7 base identities
-    calls, real = [], lcs.tau_star
-    monkeypatch.setattr(lcs, "tau_star", lambda *args: calls.append(args) or real(*args))
+    # every pullback of the transport loop on c8, 6 σ × 7 base identities, is Φ = class ⊗ φ
+    # for the class of r̄ that the loop read just before it
+    classes, calls, real, real_class = [], [], lcs.tau_star, lcs.rbar_gen_coeffs
+    monkeypatch.setattr(lcs, "rbar_gen_coeffs", lambda *args: classes.append(real_class(*args)) or classes[-1])
+    monkeypatch.setattr(lcs, "tau_star", lambda data, phi: calls.append((classes[-1], phi)) or real(data, phi))
     assert tau_star_identities(maclane_data).all_ok
     assert len(calls) == 42
-    for args in calls:
-        assert real(*args) == dense_tau_star(*args)
+    hw, a_rank = maclane_data.hw_rank, maclane_data.a_rank
+    for gen_coeffs, phi in calls:
+        g = next(g for g, c in enumerate(gen_coeffs) if c)  # the class's entries are ±1
+        functional = [phi.get(g * hw + s, 0) // gen_coeffs[g] for s in range(hw)]
+        assert phi == class_tensor(maclane_data, gen_coeffs, functional)
+        assert densify(real(maclane_data, phi), a_rank) == dense_tau_star(maclane_data, gen_coeffs, functional)
     # seeded classes and functionals, outside R3perp too: τ̃* is linear either way
     for data in (maclane_data, c13_data, build_lcs(asymmetric_config)):
-        rng, outside = random.Random(f"tau-star:{data.n}"), 0
+        rng, outside, ngens = random.Random(f"tau-star:{data.n}"), 0, len(data.gens)
         for _ in range(5):
             gen_coeffs = [rng.choice((0, 0, 1, -1, 2)) for _ in data.gens]
             functional = [rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(data.hw_rank)]
-            assert real(data, gen_coeffs, functional) == dense_tau_star(data, gen_coeffs, functional)
+            value = real(data, class_tensor(data, gen_coeffs, functional))
+            assert all(value.values()) and densify(value, data.a_rank) == dense_tau_star(data, gen_coeffs, functional)
             outside += not member(functional, data.r3perp).ok
         assert outside
+        # a Φ that differs at each generator flag is Σ_g e_g ⊗ φ_g
+        blocks = [[rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(data.hw_rank)] for _ in data.gens]
+        units = [[int(h == g) for h in range(ngens)] for g in range(ngens)]
+        phi = {k: x for unit, block in zip(units, blocks) for k, x in class_tensor(data, unit, block).items()}
+        expected = [sum(col) for col in zip(*(dense_tau_star(data, unit, block) for unit, block in zip(units, blocks)))]
+        assert densify(real(data, phi), data.a_rank) == tuple(expected)
 
 
-def test_tau_star_refuses_arguments_of_the_wrong_length(maclane_data):
-    gens, functional = [1] * len(maclane_data.gens), [1] * maclane_data.hw_rank
-    for bad_gens, bad_functional in ((gens[1:], functional), (gens + [0], functional), (gens, functional[1:]), (gens, functional + [0])):
-        with pytest.raises(ValueError, match="tau_star takes"):
-            lcs.tau_star(maclane_data, bad_gens, bad_functional)
+def test_tau_star_refuses_a_key_out_of_range(maclane_data):
+    data = maclane_data
+    width = len(data.gens) * data.hw_rank
+    assert lcs.tau_star(data, {}) == {}
+    assert densify(lcs.tau_star(data, {width - 1: 2}), data.a_rank) == dense_tau_star(data, [0] * (len(data.gens) - 1) + [1], [0] * (data.hw_rank - 1) + [2])
+    for key in (-1, width, width + 5):
+        with pytest.raises(ValueError, match=f"outside \\[0, {width}\\)"):
+            lcs.tau_star(data, {0: 1, key: 2})
+
+
+def test_rbar_gen_coeffs_refuses_flags_that_are_not_finite(maclane_data):
+    data = maclane_data
+    # p012 lies on the line at infinity, "p999" on no line, and line 2 misses p135
+    for i, p in ((1, "p012"), (0, "p012"), (1, "p999"), (2, "p135")):
+        with pytest.raises(ValueError, match=re.escape(f"({i},{p}) is not a finite flag")):
+            rbar_gen_coeffs(data, i, p)
+    # a generator flag is its unit class; the minimal line's flag is minus the point's others
+    gp = data.index.gen_pos
+    assert rbar_gen_coeffs(data, 3, "p135") == tuple(int(g == gp[3, "p135"]) for g in range(len(data.gens)))
+    assert rbar_gen_coeffs(data, 1, "p135") == tuple(-int(g in (gp[3, "p135"], gp[5, "p135"])) for g in range(len(data.gens)))
+
+
+def test_tau_star_layer_builds_no_dense_row(monkeypatch):
+    # cold: R2 is built first, as LcsData() takes its dense rows; Λᵀ, P3, U, B and
+    # the decoded dual basis are built inside the count
+    data = build_lcs(maclane_c8())
+    lcs.maclane_dual_basis.cache_clear()
+    lcs._t_vector.cache_clear()
+    calls, real_densify, real_init = [], lcs.densify, IntMatrix.__init__
+    monkeypatch.setattr(lcs, "densify", lambda *args: calls.append("densify") or real_densify(*args))
+    monkeypatch.setattr(IntMatrix, "__init__", lambda self, *args: calls.append("IntMatrix") or real_init(self, *args))
+    assert tau_star_identities(data).all_ok
+    assert cli._dual_basis_check(data)["status"] == "pass" and cli._t_check(data)["status"] == "pass"
+    assert calls == []
 
 
 def test_transport_group_and_equivariance(maclane_data):
@@ -1298,3 +1351,65 @@ def test_class_of_glued_sign_combinations(maclane_data):
     assert class_of_glued(c13, abelianize(plus), abelianize(minus)) == 1
     with pytest.raises(ConfigMismatchError):
         class_of_glued(maclane_c8(), plus, minus)
+
+
+# -- c8's κ witness pulled back to a gluing through one copy -------------------
+
+
+def _pairing(data, phi, g, gprime, modulus):
+    """Check (c): τ̃*Φ, one ``tau_star`` product, paired with ḡ − ḡ′, mod ``modulus``."""
+    diff = (abelianize(g) - abelianize(gprime)).vector()
+    return sum(x * diff[a] for a, x in lcs.tau_star(data, phi).items()) % modulus
+
+
+def test_c8_witness_pulled_back_certifies_every_unequal_c13_pair(maclane_data, c13_data):
+    w = kappa(maclane_data, builtin_g_map("plus"), builtin_g_map("minus")).witness
+    assert (w.modulus, w.pairing) == (12, 4)
+    phis = [pulled_back_functional(c13_data, maclane_data, c, w.functional) for c in range(2)]
+    # (a) and (b) read Φ alone, not the pair
+    assert [certificate_failures(c13_data, phi, w.modulus) for phi in phis] == [(0, 0), (0, 0)]
+    halves = {"+": builtin_g_map("plus"), "-": builtin_g_map("minus")}
+    maps = {a + b: glued_g_map(halves[a], halves[b]) for a in halves for b in halves}
+    certified = 0
+    for (signs, g), (signs2, g2) in itertools.product(maps.items(), repeat=2):
+        pairings = [_pairing(c13_data, phi, g, g2, w.modulus) for phi in phis]
+        # copy c pairs to 0 where the halves agree, and to ±4 mod 12 where they differ
+        assert pairings == [{"+-": 4, "-+": 8}.get(signs[c] + signs2[c], 0) for c in range(2)]
+        certified += any(pairings)
+        # the full route on C13 agrees: κ ≠ 0 on exactly the certified pairs
+        assert kappa(c13_data, g, g2).zero == (not any(pairings)) == (signs == signs2)
+    assert certified == 12
+
+
+def test_c8_witness_pulled_back_certifies_a_three_copy_gluing(maclane_data):
+    data = build_lcs(glue_copies(3))
+    w = kappa(maclane_data, builtin_g_map("plus"), builtin_g_map("minus")).witness
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    g, g2 = glued_g_map(plus, plus, plus), glued_g_map(plus, minus, minus)
+    for c, expected in enumerate((0, 4, 4)):
+        phi = pulled_back_functional(data, maclane_data, c, w.functional)
+        assert certificate_failures(data, phi, w.modulus) == (0, 0)
+        assert _pairing(data, phi, g, g2, w.modulus) == expected
+
+
+def test_pulled_back_certificate_rejects_mutants(maclane_data, c13_data):
+    w = kappa(maclane_data, builtin_g_map("plus"), builtin_g_map("minus")).witness
+    # a witness one off at one entry still factors through P3, so (a) holds, but one δ̄ row fails (b)
+    bumped = list(w.functional)
+    bumped[0] += 1
+    assert certificate_failures(c13_data, pulled_back_functional(c13_data, maclane_data, 0, bumped), w.modulus) == (0, 1)
+    # Φ one off at a slot x_m⊗(x_a∧x_b), m ∉ {a, b}, meets a Jacobi element: (a) fails
+    phi, pairs, hw, np_ = pulled_back_functional(c13_data, maclane_data, 0, w.functional), list(c13_data.wedge_pos), c13_data.hw_rank, c13_data.npairs
+    k = next(k for k in sorted(phi) if k % hw // np_ + 1 not in pairs[k % np_])
+    assert certificate_failures(c13_data, {**phi, k: phi[k] + 1}, w.modulus)[0]
+    # the pair differs in copy 1 only: through copy 0 it pairs to 0, so (c) fails
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    g, g2 = glued_g_map(plus, plus), glued_g_map(plus, minus)
+    assert _pairing(c13_data, pulled_back_functional(c13_data, maclane_data, 0, w.functional), g, g2, w.modulus) == 0
+    assert _pairing(c13_data, pulled_back_functional(c13_data, maclane_data, 1, w.functional), g, g2, w.modulus) == 4
+
+
+def test_im_delta_torsion_divisors(maclane_data, c13_data):
+    # T, the torsion of Hom(R2,P3)/Im δ̄, has one Z/3 per MacLane copy
+    for data, expected in ((maclane_data, [3]), (c13_data, [3, 3]), (build_lcs(glue_copies(3)), [3, 3, 3])):
+        assert [d for d in snf(data.im_delta.canonical_form)[0] if d != 1] == expected

@@ -71,6 +71,17 @@ def test_taustar_times_the_transport_check_cold_and_warm(monkeypatch):
     assert len({rec["arguments"] for rec in by_state["cold"] if rec["call"] == "pullback"}) == 42
 
 
+def test_taustar_digests_a_class_and_a_dense_functional_as_their_tensor():
+    replay = load_replay()
+    data = replay.lcs.build_lcs(replay.config.maclane_c8())
+    gen_coeffs, functional = [0] * len(data.gens), [0] * data.hw_rank
+    gen_coeffs[2], functional[5], functional[40] = -1, 3, -2
+    phi = replay.pullback_functional(data, (gen_coeffs, functional))
+    assert phi == {2 * data.hw_rank + 5: -3, 2 * data.hw_rank + 40: 2}
+    assert replay.pullback_functional(data, (phi,)) is phi
+    assert replay.sparse_items((0, 4, 0, -1)) == replay.sparse_items({3: -1, 1: 4, 2: 0}) == [(1, 4), (3, -1)]
+
+
 def test_a_run_records_the_commit_it_is_given(tmp_path, monkeypatch):
     replay = load_replay()
     out = tmp_path / "bench.json"
