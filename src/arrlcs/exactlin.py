@@ -30,7 +30,8 @@ over the rows and the columns.  Products touch only nonzero entries.
 
 Linear maps act on row vectors (v ↦ v·m).  A lattice reduces its basis
 only as far as its readers need, each stage once: a forward pass with
-its transform gives the echelon rows (for ``rank`` and membership), the
+its transform gives the echelon rows (for ``rank`` and membership, which
+walks them by an index of their pivot columns), the
 back-substitution of their pivot columns the Hermite pivot block (for a
 witness), and their back-substitution without a transform the Hermite
 form, the canonical form that comparison and ``perp`` read.
@@ -39,7 +40,8 @@ form, the canonical form that comparison and ``perp`` read.
 the orthogonal complement; when every Hermite pivot is 1 it reads its
 basis off the canonical form, and otherwise takes the left kernel of its
 transpose.  Membership reduces a vector's sparse residue (a dense vector
-or a ``{column: entry}`` dict) by the echelon rows whose pivots it holds.
+or a ``{column: entry}`` dict) by the echelon rows whose pivots it holds,
+met in column order from a heap of those pivots.
 A failure's witness functional depends only on the failing pivot row or
 rational column, so it is solved once per such key and cached with the
 stages; a warm failed query pairs it with the vector over its support.
@@ -166,6 +168,17 @@ def densify(row: dict[int, int], n: int) -> tuple[int, ...]:
     for k, x in row.items():
         out[k] = x
     return tuple(out)
+
+
+def used_columns(rows: Sequence[dict[int, int]]) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
+    """``(cols, support)``: the columns that sparse rows use, increasing, and each nonzero row i as (i, its (position in cols, entry) pairs).
+
+    A product v·m summed over ``support`` fills a list of ``len(cols)`` and
+    maps back to m's columns once, through ``cols``.
+    """
+    cols = sorted(set().union(*rows))
+    at = {c: j for j, c in enumerate(cols)}
+    return tuple(cols), tuple((i, tuple((at[c], x) for c, x in row.items())) for i, row in enumerate(rows) if row)
 
 
 def combine(terms: Iterable[tuple[int, int]], m: IntMatrix) -> dict[int, int]:
@@ -388,7 +401,8 @@ class Lattice:
     """Integer row span of ``basis`` inside ZZ^ambient_rank.
 
     Building one reduces nothing.  Each stage of the basis's reduction,
-    ``echelon``, ``_pivot_block`` and ``canonical_form``, ``perp`` and
+    ``echelon``, ``_pivot_rows`` (the echelon's pivot index, which holds
+    no rows), ``_pivot_block`` and ``canonical_form``, ``perp`` and
     each witness functional of ``member`` are computed on first use and
     cached, so a reader pays only for the stages it reads; no stage
     back-substitutes a transform.
@@ -420,6 +434,12 @@ class Lattice:
             self._cache["echelon"] = IntMatrix._of(a[:r], self.ambient_rank), IntMatrix._of(u[:r], self.basis.rows), pivots, det
         return self._cache["echelon"]
 
+    def _pivot_rows(self) -> dict[int, int]:
+        """The index ``member`` walks by: each pivot column of the echelon stage → its echelon row."""
+        if "pivot_rows" not in self._cache:
+            self._cache["pivot_rows"] = {c: k for k, c in enumerate(self.echelon()[2])}
+        return self._cache["pivot_rows"]
+
     def _pivot_block(self):
         """Per row of the Hermite form H, its ``(pivot index, entry)`` pairs at the other pivot columns.
 
@@ -428,7 +448,7 @@ class Lattice:
         """
         if "block" not in self._cache:
             e, _, pivots, _ = self.echelon()
-            pos = {p: j for j, p in enumerate(pivots)}
+            pos = self._pivot_rows()
             rows = [{col: x for col, x in row.items() if col in pos} for row in e.sparse_rows]
             _hnf_back(rows, pivots, None)
             self._cache["block"] = tuple(tuple((pos[col], x) for col, x in row.items() if col != p) for row, p in zip(rows, pivots))
@@ -507,12 +527,20 @@ def member(v: Sequence[int] | dict[int, int], lat: Lattice) -> MembershipResult:
     over the forward transform u⁰ (``keep``) q·u⁰ = q′·(T·u⁰), the
     coefficients over H's own transform.  Certificates do not move.
 
-    The residue is sparse, zeros never stored, and the walk skips row k
-    when c_k is not among its columns.  There the dense step reads entry
-    0: quotient 0, remainder 0, no failure and no change.  So the same
-    rows fail or subtract with the same quotients, the first failing row,
-    the rational column and q are the dense walk's, and q·u⁰ sums only the
-    rows of ``keep`` with q_k ≠ 0.
+    The residue is sparse and is walked from a heap of the pivot columns
+    it holds (``Lattice._pivot_rows``), as ``_hnf_back`` walks a row, so
+    it visits only the rows it subtracts (over ``tools/replay.py kappa``'s
+    queries a median 9 of Im δ̄'s 168 on C13, 5 of 1 344 at k = 6).
+    Columns leave the heap in increasing order.  A row subtracted at pivot
+    c has no entry left of c, so every column it adds is greater than c
+    and enters the heap when it is added; the subtraction is in place, and
+    an entry that cancels stays a stored 0 until one final scan.  A column
+    that leaves the heap with entry 0 is skipped, as the linear walk down
+    every row skips a pivot whose entry is 0 (quotient 0, remainder 0, no
+    change).  So the walk meets the same rows, finds the same quotients
+    and fails at the same first row k; a rational failure's column c is
+    the least column with a nonzero entry; and q·u⁰ sums only the rows of
+    ``keep`` with q_k ≠ 0.
 
     A failure's witness is ``_pivot_witness``: the functional of its
     failing row or column is solved on the first failure there and
@@ -527,17 +555,29 @@ def member(v: Sequence[int] | dict[int, int], lat: Lattice) -> MembershipResult:
         raise ValueError("vector length does not match ambient rank")
     else:
         v = dict(compress(enumerate(v), v))
-    e, keep, pivots, _ = lat.echelon()
-    rows, rem, quotients = e.sparse_rows, dict(v), []
-    for k, c in enumerate(pivots):
-        if c in rem:
-            q, r = divmod(rem[c], rows[k][c])
+    e, keep, _, _ = lat.echelon()
+    rows, row_of, rem, quotients = e.sparse_rows, lat._pivot_rows(), dict(v), []
+    todo = [c for c in rem if c in row_of]
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        x = rem[c]
+        if x:
+            k = row_of[c]
+            q, r = divmod(x, rows[k][c])
             if r:
                 return MembershipResult(False, witness=_pivot_witness(lat, v, k=k))
             quotients.append((k, q))
-            _sparse_sub(rem, rows[k], q)
-    if rem:
-        return MembershipResult(False, witness=_pivot_witness(lat, v, c=min(rem)))
+            for j, y in rows[k].items():
+                z = rem.get(j)
+                if z is None:
+                    rem[j] = -q * y
+                    if j in row_of:
+                        heappush(todo, j)
+                else:
+                    rem[j] = z - q * y
+    if any(rem.values()):
+        return MembershipResult(False, witness=_pivot_witness(lat, v, c=min(j for j, x in rem.items() if x)))
     return MembershipResult(True, coefficients=densify(combine(quotients, keep), keep.cols))
 
 

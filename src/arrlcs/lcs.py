@@ -37,10 +37,11 @@ sent, the others are zero and share one empty dict.  τ̃* is one product
 Φ·Λᵀ: a functional Φ on ⊕_g H⊗Λ²H, a sparse row like each MacLane dual
 functional, times the transposed lift Λᵀ (``LcsData.tau_lift_transpose``),
 its rows keyed g·``hw_rank`` + s as Hom(R2,P3)'s are g·r + t; neither κ
-nor the kernel identities build Λᵀ.  Every other form of τ̃ is a view of the
-matrix's rows, sharing their dicts: ``tau_tilde`` reads only its nonzero
-rows (``LcsData.tau_support``), and each finite point's τ̃_p is its
-slice of rows (``LcsData.u_points``).  R3perp is ker d* ∩ H*⊗R2perp,
+nor the kernel identities build Λᵀ.  Each finite point's τ̃_p is its slice
+of the matrix's rows, sharing their dicts (``LcsData.u_points``);
+``tau_tilde`` reads the nonzero rows re-keyed to the columns τ̃'s image
+uses (``LcsData.tau_support``: 120 of 2 040 on C13), sums into a list of
+that length and maps back once.  R3perp is ker d* ∩ H*⊗R2perp,
 checked against the columns of ``_bracket_p3``.  An automorphism acts on
 A and on H⊗Λ²H by one signed permutation each, read entry by entry
 (``_line_entries``).  Every matrix is built from sparse rows, so no
@@ -96,6 +97,7 @@ from .exactlin import (
     member,
     perp,
     quotient_presentation,
+    used_columns,
     vstack,
 )
 from .words import (
@@ -336,8 +338,8 @@ class LcsData:
         for line a with m = b and for line b with m = a, and a flag sends
         through ``_to_hom`` only the m whose live lines j meet its terms'
         lines.  Every other row is one shared empty dict (on C13, 216 of
-        1104 rows are nonzero).  Every other form of τ̃ shares its row
-        dicts: ``tau_support`` and each point's τ̃_p in ``u_points``.
+        1104 rows are nonzero).  Each point's τ̃_p in ``u_points`` shares
+        its row dicts; ``tau_support`` re-keys the nonzero rows.
         """
         np_, pairs = self.npairs, list(self.wedge_pos)
         live: list[dict[int, set[int]]] = [{} for _ in range(self.n + 1)]  # line i → {m: live lines j}
@@ -356,9 +358,9 @@ class LcsData:
         return IntMatrix._of(rows, len(self.gens) * self.p3.free_rank)
 
     @cached_property
-    def tau_support(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """τ̃'s nonzero rows as (A coordinate, {Hom(R2,P3) column: coefficient}), in flat A order: the rows of ``tau_matrix`` themselves."""
-        return tuple((a, row) for a, row in enumerate(self.tau_matrix.sparse_rows) if row)
+    def tau_support(self) -> tuple:
+        """``(cols, rows)``: the Hom(R2,P3) columns of τ̃'s image, and its nonzero rows in flat A order as (A coordinate, (position in cols, coefficient) pairs), ``used_columns`` of ``tau_matrix`` (C13: 216 rows over 120 of 2 040 columns)."""
+        return used_columns(self.tau_matrix.sparse_rows)
 
     @cached_property
     def u_points(self) -> tuple[PointU, ...]:
@@ -501,21 +503,24 @@ def _as_abelian(g: GMap | AbelianGMap) -> AbelianGMap:
 def tau_tilde(data: LcsData, a: GMap | AbelianGMap, b: GMap | AbelianGMap | None = None) -> HomR2P3:
     """τ̃(a - b), or τ̃a when ``b`` is None: τ̃a(r̄(i,p)) = [[x_i,a(i,p)], s_p] + [x_i, Σ_j [x_j,a(j,p)]] + R3.
 
-    One accumulation over τ̃'s nonzero rows (``LcsData.tau_support``, the
-    nonzero rows of ``tau_matrix``): ``a`` and ``b`` are read only at the A
-    coordinates with a nonzero row (216 of 1104 on C13, 648 of 28 032 on
-    ``glue_copies(6)``), so a - b is never built.  The value is sparse.
+    One accumulation over τ̃'s nonzero rows (``LcsData.tau_support``): ``a``
+    and ``b`` are read only at the A coordinates with a nonzero row (216 of
+    1104 on C13, 648 of 28 032 on ``glue_copies(6)``), so a - b is never
+    built, and the sums go into a list over the columns of τ̃'s image (120
+    of 2 040 on C13, 360 of 52 548 at k = 6), mapped back to Hom(R2,P3)'s
+    columns once.  The value is sparse.
     """
     a, b = _as_abelian(a), AbelianGMap(data.config) if b is None else _as_abelian(b)
     if a.config != data.config or b.config != data.config:
         raise ConfigMismatchError("conjugator data belongs to another configuration")
-    va, vb, out = a.vector(), b.vector(), {}
-    for k, row in data.tau_support:
+    (cols, rows), va, vb = data.tau_support, a.vector(), b.vector()
+    out = [0] * len(cols)
+    for k, row in rows:
         x = va[k] - vb[k]
         if x:
-            for j, y in row.items():
-                out[j] = out.get(j, 0) + x * y
-    return HomR2P3._of(data.gens, data.p3.free_rank, {j: z for j, z in out.items() if z})
+            for j, y in row:
+                out[j] += x * y
+    return HomR2P3._of(data.gens, data.p3.free_rank, {cols[j]: z for j, z in enumerate(out) if z})
 
 
 def delta_bar(data: LcsData, f: IntMatrix) -> HomR2P3:

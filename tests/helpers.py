@@ -350,6 +350,12 @@ def dense_tau_matrix(data: LcsData) -> IntMatrix:
     return IntMatrix._of([data._to_hom(lift) for lift in tau_lift(data)], len(data.gens) * data.p3.free_rank)
 
 
+def tau_support_rows(data: LcsData) -> list[tuple[int, dict[int, int]]]:
+    """``LcsData.tau_support`` mapped back to Hom(R2,P3)'s columns: each nonzero row of τ̃ as (A coordinate, {column: coefficient})."""
+    cols, rows = data.tau_support
+    return [(a, {cols[j]: x for j, x in row}) for a, row in rows]
+
+
 def blockwise_tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
     """Oracle for ``lcs.tau_tilde``: each point's τ̃_p (``LcsData.u_points``) applied to its rows of A, the values summed."""
     vec = _as_abelian(a).vector()

@@ -21,7 +21,9 @@ from arrlcs.exactlin import (
     member,
     perp,
     quotient_presentation,
+    Witness,
     snf,
+    used_columns,
     vstack,
 )
 from arrlcs.lcs import tau_tilde, u_lattice
@@ -540,6 +542,39 @@ STAGED = Lattice(3, [[1, 5, 0], [0, 2, 1], [1, 7, 1]])
 STAGED_CASES = [(STAGED, (1, 5, 0)), (STAGED, (0, 1, 0)), (STAGED, (0, 0, 1)), (Lattice(3, [[2, 4, 6], [0, 3, 3], [2, 1, 3]]), (1, 0, 0))]
 
 
+def test_used_columns_re_keys_the_nonzero_rows():
+    rows = [{}, {5: 2, 1: -1}, {}, {3: 4}]
+    assert used_columns(rows) == ((1, 3, 5), ((1, ((2, 2), (0, -1))), (3, ((1, 4),))))
+    assert used_columns([{}, {}]) == ((), ())
+
+
+# the heap walk's edge cases; each lattice's basis is its echelon and Hermite form
+WALK_L3 = Lattice(3, [[1, 0, 1], [0, 1, 1], [0, 0, 2]])  # every column a pivot, the last 2
+WALK_L4 = Lattice(4, [[1, 1, 1, 1], [0, 2, 0, 1]])  # pivots 0 and 1
+WALK_CASES = [
+    (WALK_L3, (1, 1, 2)),  # pivot 2's entry cancels to 0 before the walk reaches it: in the lattice
+    (WALK_L3, (1, 1, 1)),  # pivot 2's entry cancels, then row 1 brings it back as -1: divisibility failure mod 2
+    (WALK_L3, (2, 0, 0)),  # pivot 2 enters the residue only through row 0's subtraction: in the lattice
+    (WALK_L4, (1, 1, 1, 3)),  # final residue {0: 0, 1: 0, 2: 0, 3: 2}: cancelled zeros beside the rational column 3
+    (WALK_L4, (0, 0, 1, 0)),  # no pivot column in the support: nothing subtracted, rational failure at column 2
+]
+
+
+def test_the_heap_walk_edge_cases_equal_the_reference():
+    outcomes = []
+    for lat, v in WALK_CASES:
+        res = member({j: x for j, x in enumerate(v) if x}, Lattice(lat.ambient_rank, lat.basis))
+        assert res == member(v, lat) == reference_member(v, lat)
+        outcomes.append((res.coefficients, res.witness))
+    assert outcomes == [
+        ((1, 1, 0), None),
+        (None, Witness((-1, -1, 1), 2, 1)),
+        ((2, 0, -1), None),
+        (None, Witness((-1, -1, 0, 2), 0, 4)),
+        (None, Witness((-1, 0, 1, 0), 0, 1)),
+    ]
+
+
 def test_staged_cases_cover_every_outcome():
     assert STAGED.echelon()[0] != STAGED.canonical_form and STAGED.basis.rows > STAGED.rank
     outcomes = [(r.ok, r.witness and r.witness.modulus) for r in (member(v, lat) for lat, v in STAGED_CASES)]
@@ -552,6 +587,9 @@ def test_staged_cases_cover_every_outcome():
 @example(STAGED_CASES[1])  # divisibility failure at the non-unit pivot 2
 @example(STAGED_CASES[2])  # rational failure
 @example(STAGED_CASES[3])  # dependent rows, divisibility failure modulo 6
+@example(WALK_CASES[0])  # a later pivot's entry cancels before the walk reaches it
+@example(WALK_CASES[3])  # cancelled zeros beside the rational column
+@example(WALK_CASES[4])  # no pivot column in the support
 def test_staged_lattice_equals_the_single_reduction_route(case):
     lat, v = case
     assert member(v, lat) == reference_member(v, lat)
@@ -595,6 +633,11 @@ def test_a_warm_witness_cache_changes_no_result(case):
 @example(STAGED_CASES[1])  # divisibility failure at the non-unit pivot 2
 @example(STAGED_CASES[2])  # rational failure
 @example(STAGED_CASES[3])  # dependent rows, divisibility failure modulo 6
+@example(WALK_CASES[0])  # a later pivot's entry cancels before the walk reaches it
+@example(WALK_CASES[1])  # a cancelled pivot entry brought back by a later row
+@example(WALK_CASES[2])  # a pivot column that only a subtraction brings in
+@example(WALK_CASES[3])  # cancelled zeros beside the rational column
+@example(WALK_CASES[4])  # no pivot column in the support
 def test_a_sparse_vector_walks_like_its_dense_form(case):
     lat, v = case
     sparse = {j: x for j, x in enumerate(v) if x}

@@ -65,6 +65,7 @@ from helpers import (
     seeded_word,
     swept_bracket,
     swept_l3_action,
+    tau_support_rows,
     vec_mat,
 )
 
@@ -536,7 +537,7 @@ def test_point_tau_slices_cover_the_dense_matrix(asymmetric_config):
 
 
 def test_point_tau_rows_are_the_tau_matrix_rows(maclane_data, c13_data, asymmetric_config):
-    # one τ̃: each point's τ̃_p and τ̃'s support hold the matrix's own row dicts
+    # one τ̃: each point's τ̃_p holds the matrix's own row dicts, and τ̃'s support its nonzero rows re-keyed
     for data in (maclane_data, c13_data, build_lcs(asymmetric_config)):
         tau, stop = data.tau_matrix.sparse_rows, 0
         for pt in data.u_points:
@@ -544,7 +545,9 @@ def test_point_tau_rows_are_the_tau_matrix_rows(maclane_data, c13_data, asymmetr
             assert all(row is tau[pt.rows.start + i] for i, row in enumerate(pt.tau.sparse_rows))
             stop = pt.rows.stop
         assert stop == data.a_rank
-        assert all(row is tau[a] for a, row in data.tau_support)
+        cols, rows = data.tau_support
+        assert cols == tuple(sorted(set().union(*tau))) and all(0 <= j < len(cols) for _, row in rows for j, _ in row)
+        assert tau_support_rows(data) == [(a, row) for a, row in enumerate(tau) if row]
 
 
 def test_tau_tilde_equals_the_blockwise_route(maclane_data, c13_data, asymmetric_config):
@@ -552,13 +555,27 @@ def test_tau_tilde_equals_the_blockwise_route(maclane_data, c13_data, asymmetric
     datas = (maclane_data, c13_data, build_lcs(relabel(glue_c13(), 41)), build_lcs(asymmetric_config), build_lcs(glue_copies(3)))
     for data in datas:
         oracle = dense_tau_matrix(data)
-        assert list(data.tau_support) == [(a, row) for a, row in enumerate(oracle.sparse_rows) if row]
+        assert tau_support_rows(data) == [(a, row) for a, row in enumerate(oracle.sparse_rows) if row]
         for _ in range(4):
             dense = seeded_g_map(rng, data.config)
             sparse = GMap(data.config, dict(rng.sample(sorted(dense.assignments.items()), 3)))
             for g in (dense, sparse):
                 assert tau_tilde(data, g) == blockwise_tau_tilde(data, g)
                 assert tau_tilde(data, g).flat == vec_mat(abelianize(g).vector(), oracle)
+            # τ̃ of a pair is τ̃ of its difference
+            for a, b in ((dense, seeded_g_map(rng, data.config)), (sparse, dense)):
+                assert tau_tilde(data, a, b) == blockwise_tau_tilde(data, abelianize(a) - abelianize(b))
+        # a pair equal at every A coordinate with a nonzero row of τ̃ but not elsewhere
+        a = abelianize(seeded_g_map(rng, data.config))
+        off = [k for k, row in enumerate(oracle.sparse_rows) if not row]
+        vec = list(a.vector())
+        for k in rng.sample(off, 3):
+            vec[k] += rng.choice((-2, -1, 1, 2))
+        b = AbelianGMap.from_vector(data.config, vec)
+        assert a != b and tau_tilde(data, a, b).is_zero() and blockwise_tau_tilde(data, a - b).is_zero()
+        report = kappa(data, a, b)
+        assert report.zero and report.tau_value.is_zero() and report.witness is None
+        assert report.certificate.shape == (data.n, data.p2.free_rank) and not any(report.certificate.sparse_rows)
         with pytest.raises(ConfigMismatchError):
             tau_tilde(data, GMap(maclane_c8() if data is not maclane_data else glue_c13()))
 
@@ -664,7 +681,8 @@ def test_verdict_path_never_builds_the_dense_tau(monkeypatch):
     assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 56
     # τ̃'s rows are built from its live slots: one lift per nonzero row, not one for
     # each of the 126 A coordinates x_m at (i,p), m ≠ i; τ̃*'s lift is not built
-    assert len(lifts) == len(data.tau_support) == 108 and "tau_lift_transpose" not in vars(data)
+    assert len(lifts) == len(tau_support_rows(data)) == 108 and "tau_lift_transpose" not in vars(data)
+    assert tau_support_rows(data) == [(a, row) for a, row in enumerate(data.tau_matrix.sparse_rows) if row]
 
 
 def test_c13_verdict_reductions_stay_small(monkeypatch):
@@ -710,7 +728,8 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     tau_tilde(data, random_abelian(random.Random(0), data))
     assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
     # one lift per nonzero row of τ̃, of 1104 − 92 A coordinates x_m at (i,p), m ≠ i
-    assert len(lifts) == len(data.tau_support) == 216 and "tau_lift_transpose" not in vars(data)
+    assert len(lifts) == len(tau_support_rows(data)) == 216 and "tau_lift_transpose" not in vars(data)
+    assert tau_support_rows(data) == [(a, row) for a, row in enumerate(data.tau_matrix.sparse_rows) if row]
 
 
 def test_verdict_path_builds_no_dense_view(monkeypatch, asymmetric_config):

@@ -99,7 +99,12 @@ def test_kappa_times_the_parts_kappa_runs(monkeypatch):
     monkeypatch.setattr(replay, "QUERIES", 4)
     monkeypatch.setattr(replay, "KAPPA_CONFIGS", ("c8",))
     run = replay.kappa()
-    assert run["shapes"] == {"c8": {"im_delta_basis": [56, 273], "im_delta_echelon": [49, 273], "a_rank": 147, "tau_support_rows": 108}}
+    shape = {"im_delta_basis": [56, 273], "im_delta_echelon": [49, 273], "a_rank": 147, "tau_support_rows": 108, "tau_image_cols": 60}
+    assert run["shapes"] == {"c8": shape}
+    # the counts are of τ̃'s own nonzero rows and the columns they use
+    data = replay.lcs.build_lcs(replay.config.maclane_c8())
+    rows = [row for row in data.tau_matrix.sparse_rows if row]
+    assert replay.tau_shape(data) == (len(rows), len(set().union(*rows))) == (108, 60)
     assert [rec["kind"] for rec in run["inputs"]] == ["in_UB", "random", "in_UB", "random"]
     assert [rec["zero"] for rec in run["inputs"]] == [True, False, True, False] and set(run["median_s"]) == {"c8 tau_tilde", "c8 member", "c8 kappa"}
 

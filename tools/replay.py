@@ -49,10 +49,12 @@ compare with later runs.
   ``glued6`` from ``KAPPA_SEED``, ``g - g'`` in U+B or random, dense or
   sparse; the parts κ runs, τ̃ of the pair and the membership test of its
   value, and the whole κ are timed apart, and the shapes of Im δ̄ and τ̃'s
-  support are recorded per configuration.  A failed query solves its
-  witness functional once per failing pivot row or column and caches it
-  with Im δ̄, so every best-of repeat after the first, and every later
-  query failing at the same key, meets a warm witness cache.  Records
+  support (its nonzero rows and, from ``BENCH_36.json`` on, the columns of
+  its image, ``tau_image_cols``) are recorded per configuration.  A failed
+  query solves its witness functional once per failing pivot row or
+  column and caches it with Im δ̄, so every best-of repeat after the
+  first, and every later query failing at the same key, meets a warm
+  witness cache.  Records
   before ``BENCH_30.json`` hold c8 and C13 only; records before
   ``BENCH_32.json`` hold no ``glued6`` and time the difference g - g' as
   a part of its own, then τ̃ of it and ``member`` of its dense value.  A
@@ -338,6 +340,12 @@ KAPPA_CONFIGS = ("c8", "c13", "glued4", "glued6")
 PAIR_TAU = "b" in inspect.signature(lcs.tau_tilde).parameters
 
 
+def tau_shape(data) -> tuple[int, int]:
+    """τ̃'s nonzero rows and the Hom(R2,P3) columns they use, counted on ``tau_matrix``."""
+    rows = [row for row in data.tau_matrix.sparse_rows if row]
+    return len(rows), len(set().union(*rows))
+
+
 def kappa_query(cfg, ub_rows, name: str, k: int):
     """The conjugator pair of query ``k`` on ``cfg``, with its kind; ``ub_rows`` are the sparse U and B basis rows.
 
@@ -371,9 +379,10 @@ def kappa() -> dict:
         cfg = CONFIGS[name]()
         data, zero = lcs.build_lcs(cfg), words.AbelianGMap(cfg)
         lcs.kappa(data, zero, zero)  # τ̃'s support, Im δ̄ and its reduction
+        rows, cols = tau_shape(data)
         shapes[name] = {
             "im_delta_basis": list(data.im_delta.basis.shape), "im_delta_echelon": list(data.im_delta.echelon()[0].shape),
-            "a_rank": data.a_rank, "tau_support_rows": len(data.tau_support),
+            "a_rank": data.a_rank, "tau_support_rows": rows, "tau_image_cols": cols,
         }
         ub_rows = [*lcs.u_lattice(cfg).basis.sparse_rows, *lcs.b_lattice(cfg).basis.sparse_rows]
         for k in range(QUERIES):
