@@ -110,7 +110,7 @@ class Configuration:
         return self._common.get(key)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Configuration)
             and self.lines == other.lines
             and self.points == other.points

@@ -48,15 +48,19 @@ A and on H⊗Λ²H by one signed permutation each, read entry by entry
 layer reads or writes their zeros (on C13 under 2% of entries are
 nonzero).
 
-U splits over the finite points like τ̃, and both kernel identities read
-it from ``LcsData.u_points``.  U's generators are defined once, point by
-point (``_u_generators``).  Once the unit rows (family 0) are dropped, the
+U splits over the finite points like τ̃, and both kernel identities
+(module ``kernels``, with U's and B's generators) read it from
+``LcsData.u_points``.  U's generators are defined once, point by point
+(``_u_generators``).  Once the unit rows (family 0) are dropped, the
 other generators at p are the unsigned incidence matrix of a bipartite
 graph, which is totally unimodular, so A_p/U_p is free and a spanning
-forest of that graph presents it (``_point_quotient``): no U_p is ever
-reduced.  The block-diagonal π = ⊕_p π_p: A → A/U is built once
-(``LcsData.u_projection``), and so are B and π(B) (``LcsData.b``,
-``LcsData.pi_b``); the preimage identity and ``maclane-report``'s ranks
+forest of that graph, searched on flat lists, presents it
+(``_point_quotient``): no U_p is ever reduced.  τ̃_p's products are taken
+at its nonzero rows only, so the points whose τ̃_p is zero (25 of 41 on
+C13) take none.  The block-diagonal π = ⊕_p π_p: A → A/U is built once
+(``LcsData.u_projection``, its zero rows one shared dict), and so are B
+and π(B) (``LcsData.b``, ``LcsData.pi_b``, reduced from B·π's distinct
+rows up to sign); the preimage identity and ``maclane-report``'s ranks
 of U and U + B and its U⊥ comparison all read them.
 
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
@@ -92,13 +96,23 @@ from .exactlin import (
     Witness,
     combine,
     densify,
-    hnf,
     kernel_basis,
     member,
     perp,
     quotient_presentation,
     used_columns,
-    vstack,
+)
+from . import kernels
+from .kernels import (  # the U and B layer, importable from here too
+    TorsionError,
+    _point_quotient,
+    _u_generators,
+    b_lattice,
+    tau_kernel,
+    tau_kernel_equals_u,
+    tau_preimage,
+    tau_preimage_equals_u_plus_b,
+    u_lattice,
 )
 from .words import (
     AbelianGMap,
@@ -112,10 +126,6 @@ from .words import (
     wedge_index,
     wedge_slot,
 )
-
-
-class TorsionError(ValueError):
-    """A graded quotient has torsion; the dual calculus needs freeness."""
 
 
 class ConfigMismatchError(ValueError):
@@ -132,7 +142,8 @@ class PointU:
     ``rows`` is p's slice of A, ``tau`` is τ̃_p, those rows of
     ``LcsData.tau_matrix`` (the same dicts, in Hom(R2,P3)'s columns), ``u``
     holds U's generator rows at p (in p's A coordinates, not reduced),
-    ``u_tau`` = ``u @ tau`` holds their images under τ̃_p,
+    ``u_tau`` = ``u @ tau`` holds their images under τ̃_p (rows that meet
+    no nonzero row of τ̃_p share one empty dict),
     ``quotient`` presents A_p/U_p (``_point_quotient``: a spanning forest
     for U's own generators, so no Hermite form of U_p is built), and
     ``s_tau`` = s_p·τ̃_p is τ̃_p on its section.
@@ -229,10 +240,17 @@ class LcsData:
 
     @cached_property
     def r3(self) -> Lattice:
-        """[H, R2] in L3 Lyndon coordinates (n rows per R2 generator)."""
-        np_ = self.npairs
+        """[H, R2] in L3 Lyndon coordinates (n rows per R2 generator).
+
+        Row (m, r) is Σ_w r_w·(``bracket`` row slot(m, w)), one dict
+        comprehension with no sums to collect: bracket row slot(m, (a, b))
+        lies on the Lyndon words of the multiset {m, a, b}, and for a
+        fixed m distinct wedges {a, b} give distinct multisets, so the
+        scaled rows never share a column.
+        """
+        np_, bracket = self.npairs, self.bracket.sparse_rows
         rows = [
-            combine(((m * np_ + w, x) for w, x in r.items()), self.bracket)
+            {j: x * y for w, x in r.items() for j, y in bracket[m * np_ + w].items()}
             for m in range(self.n)
             for r in self.r2.basis.sparse_rows
         ]
@@ -368,17 +386,20 @@ class LcsData:
 
         τ̃ = ⊕_p τ̃_p: τ̃_p is p's slice of rows of ``tau_matrix`` (k·n rows
         for k lines on p), so ``u_tau`` and ``s_tau``, computed here once
-        for both identities, come out in Hom(R2,P3)'s columns.  U_p is
-        never reduced: ``_point_quotient`` presents A_p/U_p from U's
-        generator rows at p (``_u_generators``) by a spanning forest.
+        for both identities, come out in Hom(R2,P3)'s columns.  Both
+        products read τ̃_p's nonzero rows alone (``_live_product``): a
+        point whose τ̃_p is zero (25 of C13's 41, 375 of 423 at k = 6)
+        takes no product at all.  U_p is never reduced: ``_point_quotient``
+        presents A_p/U_p from U's generator rows at p (``_u_generators``)
+        by a spanning forest.
         """
         tau, out, stop = self.tau_matrix, [], 0
-        for p, gen_rows in _u_generators(self.config):
+        for p, gen_rows in kernels._u_generators(self.config):  # through its module, the one definition ``u_lattice`` reads too
             rows = slice(stop, stop + self.config.multiplicity(p) * self.n)
             block = IntMatrix._of(tau.sparse_rows[rows], tau.cols)
             gens = IntMatrix._of(gen_rows, rows.stop - rows.start)
-            quotient = _point_quotient(gens)
-            out.append(PointU(rows, block, gens, gens @ block, quotient, quotient.section @ block))
+            quotient, live = _point_quotient(gens), {k for k, row in enumerate(block.sparse_rows) if row}
+            out.append(PointU(rows, block, gens, _live_product(gens, block, live), quotient, _live_product(quotient.section, block, live)))
             stop = rows.stop
         return tuple(out)
 
@@ -388,10 +409,12 @@ class LcsData:
 
         Each π_p's columns are a ZZ-basis of U_p⊥ (``QuotientPresentation``),
         so π's columns are a ZZ-basis of U⊥ and rank U = ``a_rank`` - π.cols.
+        Every zero row is one shared empty dict, as in ``tau_matrix``: at a
+        point with f_p = 0 that is every row.
         """
-        rows, start = [], 0
+        rows, start, empty = [], 0, {}
         for pt in self.u_points:
-            rows += ({start + t: x for t, x in row.items()} for row in pt.quotient.projection.sparse_rows)
+            rows += ({start + t: x for t, x in row.items()} if row else empty for row in pt.quotient.projection.sparse_rows)
             start += pt.quotient.free_rank
         return IntMatrix._of(rows, start)
 
@@ -402,9 +425,19 @@ class LcsData:
 
     @cached_property
     def pi_b(self) -> Lattice:
-        """π(B) ⊆ A/U (``u_projection``), reduced at most once: rank(U + B) = rank U + rank π(B)."""
-        pi = self.u_projection
-        return Lattice(pi.cols, self.b.basis @ pi)
+        """π(B) ⊆ A/U (``u_projection``), reduced at most once: rank(U + B) = rank U + rank π(B).
+
+        It reads B·π, but spans it by the distinct nonzero rows up to sign,
+        as ±r span the same lattice: 40 of 144 rows on C13, 21 of 49 on
+        c8, 116 of 1 024 at k = 6.
+        """
+        pi, seen, rows = self.u_projection, set(), []
+        for row in (self.b.basis @ pi).sparse_rows:
+            key = frozenset(row.items())
+            if row and key not in seen:
+                seen.update((key, frozenset((t, -x) for t, x in row.items())))
+                rows.append(row)
+        return Lattice(pi.cols, IntMatrix._of(rows, pi.cols))
 
     def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
         """Sparse left-normed lift of δ̄(fhat), ``_lift`` of v = f̂(x_i) at each flag (i,p): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
@@ -426,6 +459,15 @@ class LcsData:
         rows = [self._to_hom(self._lift(on_line[i], v)) for i in range(1, self.n + 1) for v in sections]
         width = len(self.gens) * self.p3.free_rank
         return Lattice(width, IntMatrix._of(rows, width))
+
+
+def _live_product(m: IntMatrix, block: IntMatrix, live: set[int]) -> IntMatrix:
+    """m·``block`` read at ``live``, the indices of ``block``'s nonzero rows: a row of m that meets none of them is one shared empty dict, with no ``combine``."""
+    empty = {}
+    return IntMatrix._of(
+        [combine(row.items(), block) if not live.isdisjoint(row) else empty for row in m.sparse_rows],
+        block.cols,
+    )
 
 
 def build_lcs(config: Configuration) -> LcsData:
@@ -535,216 +577,6 @@ def delta_bar_from_lift(data: LcsData, fhat: IntMatrix) -> HomR2P3:
     if fhat.shape != (data.n, data.npairs):
         raise ValueError("lift must be n x dim(L2)")
     return HomR2P3._of(data.gens, data.p3.free_rank, data._to_hom(data._delta_lift(fhat)))
-
-
-# -- the kernel lattices U and B ---------------------------------------------
-
-
-def _u_generators(config: Configuration):
-    """U's generator rows, (p, rows) for each finite point p in ``index.p0`` order.
-
-    Rows are sparse ``{coordinate: entry}`` in p's A coordinates: x_m at
-    p's f-th flag (line order) is f*n + (m-1).  With k lines on p, family
-    0 is the first k rows, x_i at the single flag (i,p); family 1 the next
-    n, x_i at every flag of p; family 2 the rest, Σ_{j: q on l_j} x_j at
-    the single flag (i,p), for every finite point q on l_i (q = p allowed).
-    Every entry is 1, and off the family-0 coordinates each A coordinate
-    lies in one family-1 row and in at most one family-2 row (two lines
-    meet once): the bipartite shape that ``_point_quotient`` presents by a
-    spanning forest.
-    """
-    n, p0set = config.index.n, set(config.index.p0)
-    stars = {i: [config.lines_through(q) for q in config.points_on(i) if q in p0set] for i in range(1, n + 1)}
-    for p in config.index.p0:
-        lines_p = config.lines_through(p)
-        rows = [{f * n + i - 1: 1} for f, i in enumerate(lines_p)]
-        rows += [{f * n + i - 1: 1 for f in range(len(lines_p))} for i in range(1, n + 1)]
-        rows += [{f * n + j - 1: 1 for j in star} for f, i in enumerate(lines_p) for star in stars[i]]
-        yield p, rows
-
-
-def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
-    """Present A_p/U_p, U_p spanned by the rows ``gens``, from a spanning forest; rows of other shapes are reduced.
-
-    Drop the coordinates of the unit rows (one entry, 1: family 0).  Say
-    every other row has all entries 1, each kept coordinate lies in at
-    most two of them, and the rows 2-colour (rows that share a kept
-    coordinate differ: family 1 against family 2).  On the kept
-    coordinates E those rows are then the incidence matrix M of a
-    bipartite graph: a vertex per row, an edge per coordinate in two
-    rows, and an edge to a ground vertex per coordinate in one row.
-
-    - A_p/U_p = ZZ^E/(rows of M), as the unit rows kill the dropped
-      coordinates.  M is totally unimodular (at most two 1s per column,
-      in rows of different colours; Schrijver, *Theory of Linear and
-      Integer Programming*, 1986, ch. 19), so every elementary divisor of
-      M is 1: the quotient is free and U_p is saturated.
-    - φ ∈ (ZZ^E)* kills the rows iff its values on the edges at each row
-      vertex sum to 0.  Take a spanning forest, rooted at the ground in
-      the ground's component.  For a non-tree edge e, the cycle C_e is 1
-      on e and -1, +1, -1, ... along the forest path from each end of e
-      up to where the two paths meet.  It sums to 0 at each row vertex
-      passed, and where the paths meet unless that is the ground, since
-      there the two paths have lengths of different parity (the rows
-      2-colour).  So C_e kills the rows; it is 1 on e and 0 on every other
-      non-tree edge.
-    - If φ kills the rows, so does ψ = φ - Σ_e φ(e)·C_e, which is 0 off
-      the forest.  A leaf that is not a root is a row vertex on one
-      forest edge, so ψ is 0 on that edge; peeling leaves gives ψ = 0.
-      Hence the C_e, with e*_c for each kept c in no row, are a ZZ-basis
-      of U_p^⊥.
-
-    They are the rows of π_p, and s_p is the unit vectors at their own
-    coordinates, so π_p·s_p = I.  U_p is saturated, so U_p = ker π_p and
-    every elementary divisor is 1.  Rows of any other shape, where
-    torsion is possible, take ``quotient_presentation``.
-    """
-    dim, rows = gens.cols, gens.sparse_rows
-    dropped = {c for row in rows if len(row) == 1 and 1 in row.values() for c in row}
-    rest = [row for row in rows if len(row) > 1 or 1 not in row.values()]
-    on = {c: [] for c in range(dim) if c not in dropped}  # the rows of ``rest`` through each kept coordinate
-    for r, row in enumerate(rest):
-        for c, x in row.items():
-            if x != 1:
-                return quotient_presentation(Lattice(dim, gens))
-            if c in on:
-                on[c].append(r)
-    ground = len(rest)
-    ends, adj, solo = {}, [[] for _ in range(ground)], {}  # solo: each row's first edge to the ground
-    for c, rs in on.items():
-        if len(rs) > 2:
-            return quotient_presentation(Lattice(dim, gens))
-        if len(rs) == 2:
-            u, v = ends[c] = rs
-            adj[u].append((v, c))
-            adj[v].append((u, c))
-        elif rs:
-            ends[c] = (rs[0], ground)
-            solo.setdefault(rs[0], c)
-    # one search per component of the rows, from a row on a ground edge if it has
-    # one (that edge joins the component to the ground), 2-colouring as it goes
-    parent, depth, colour = {}, {ground: 0}, {}
-    for root in (*solo, *range(ground)):
-        if root in depth:
-            continue
-        if root in solo:
-            parent[root], depth[root] = (ground, solo[root]), 1
-        else:
-            depth[root] = 0
-        colour[root], queue = 0, [root]
-        for u in queue:
-            for v, c in adj[u]:
-                if v not in depth:
-                    depth[v], parent[v], colour[v] = depth[u] + 1, (u, c), 1 - colour[u]
-                    queue.append(v)
-                elif colour[v] == colour[u]:
-                    return quotient_presentation(Lattice(dim, gens))
-    tree = {c for _, c in parent.values()}
-    functionals = []
-    for c, rs in on.items():
-        if not rs:
-            functionals.append({c: 1})
-        elif c not in tree:
-            (a, b), sa, sb, cycle = ends[c], -1, -1, {c: 1}
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b, sa, sb = b, a, sb, sa
-                a, e = parent[a]
-                cycle[e], sa = sa, -sa
-            functionals.append(cycle)
-    f = len(functionals)
-    section = IntMatrix._of([{next(iter(phi)): 1} for phi in functionals], dim)
-    return QuotientPresentation(dim, (1,) * (dim - f), f, IntMatrix._of(functionals, dim).transpose(), section)
-
-
-def u_lattice(config: Configuration) -> Lattice:
-    """Span of the three generator families known to lie in ker τ̃ (see ``_u_generators``).
-
-    Rows sit at their point's A offset, family-major.  No CLI path reads
-    this global lattice: both kernel identities and ``maclane-report`` read
-    U per point (``LcsData.u_points``, ``LcsData.u_projection``).  It serves
-    perfbench, ``tools/replay.py`` and the tests.  U = ker τ̃ is checked
-    (``tau_kernel_equals_u``) on c8 and C13 only; on other configurations
-    U may be smaller.  On the 9-line test fixture it is, at point p578, and
-    on Hesse (the 12 lines of AG(2,3)) at each of its 6 finite quadruple
-    points.
-    """
-    n, start, families = config.index.n, 0, ([], [], [])
-    for p, rows in _u_generators(config):
-        k = config.multiplicity(p)
-        for family, part in zip(families, (rows[:k], rows[k : k + n], rows[k + n :])):
-            family += ({start + c: x for c, x in row.items()} for row in part)
-        start += k * n
-    return Lattice(start, IntMatrix._of(families[0] + families[1] + families[2], start))
-
-
-def b_lattice(config: Configuration) -> Lattice:
-    """Span of the conjugator data constant in p: a(j,q) = x_i for all q, rows ordered by (j, i)."""
-    idx = config.index
-    n = idx.n
-    flags = {j: [] for j in range(1, n + 1)}  # each line's finite flags, in ``index.p0`` order
-    for pos, (j, _) in enumerate(idx.pairs):
-        flags[j].append(pos)
-    dim = len(idx.pairs) * n
-    rows = [{pos * n + (i - 1): 1 for pos in flags[j]} for j in range(1, n + 1) for i in range(1, n + 1)]
-    return Lattice(dim, IntMatrix._of(rows, dim))
-
-
-def tau_kernel(data: LcsData) -> Lattice:
-    return Lattice(data.a_rank, kernel_basis(data.tau_matrix))
-
-
-def tau_kernel_equals_u(data: LcsData) -> bool:
-    """ker τ̃ = U, decided point by point from the quotients A_p/U_p of ``LcsData.u_points``.
-
-    Both lattices are direct sums over the finite points p, so the
-    equality holds iff ker τ̃_p = U_p at every p, and that holds iff
-    τ̃_p kills U_p, A_p/U_p is torsion-free, and τ̃_p∘s_p has rank f_p,
-    where π_p: A_p → ZZ^f_p and its section s_p present A_p/U_p.
-
-    Proof: the target of τ̃_p is free, so ker τ̃_p is saturated, and a U_p
-    with torsion in A_p/U_p differs from it (only rows outside
-    ``_point_quotient``'s forest shape can have torsion).  Otherwise U_p = ker π_p,
-    and π_p(a - s_p π_p(a)) = 0 puts a - s_p π_p(a) in U_p for every a.
-    If τ̃_p kills U_p, then τ̃_p(a) = τ̃_p(s_p π_p(a)), so
-    ker τ̃_p = π_p⁻¹(ker τ̃_p∘s_p); it equals U_p = π_p⁻¹(0) iff τ̃_p∘s_p
-    is injective on ZZ^f_p, i.e. has rank f_p.
-    """
-    return all(
-        not any(pt.u_tau.sparse_rows)
-        and pt.quotient.is_torsion_free
-        and hnf(pt.s_tau).rows == pt.quotient.free_rank
-        for pt in data.u_points
-    )
-
-
-def tau_preimage(data: LcsData) -> Lattice:
-    """{a : τ̃a ∈ Im δ̄}, via the joint kernel of [τ̃ | δ̄] projected to A."""
-    joint = kernel_basis(vstack(data.tau_matrix, data.im_delta.basis))
-    return Lattice(data.a_rank, joint.columns(0, data.a_rank))
-
-
-def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
-    """τ̃⁻¹(Im δ̄) = U + B, decided in A/U = ⊕ A_p/U_p (rank 36 on C13), whether or not ker τ̃ = U.
-
-    Let π: A → A/U be ``LcsData.u_projection``, with section s read from
-    ``LcsData.u_points``.  Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff
-    s(π(a)) does, so the equality holds iff π(preimage), the left kernel
-    of [τ̃∘s; Im δ̄] cut to its first block, equals π(B).  Im δ̄ enters
-    that kernel by the echelon rows κ reads (``Lattice.echelon``): only
-    its span matters there.  Raises TorsionError if A/U has torsion,
-    where no such section exists; U's own generators never give torsion
-    (``_point_quotient``'s forest proves each A_p/U_p free), so only rows
-    of another shape reach it.
-    """
-    points = data.u_points
-    if not all(member(v, data.im_delta) for pt in points for v in pt.u_tau.sparse_rows if v):
-        return False
-    if not all(pt.quotient.is_torsion_free for pt in points):
-        raise TorsionError("A/U has torsion")
-    joint = kernel_basis(vstack(*(pt.s_tau for pt in points), data.im_delta.echelon()[0]))
-    f = data.u_projection.cols
-    return Lattice(f, joint.columns(0, f)) == data.pi_b
 
 
 # -- dual elements ------------------------------------------------------------

@@ -320,6 +320,71 @@ def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentatio
     return out
 
 
+def dict_point_quotient(gens: IntMatrix) -> QuotientPresentation:
+    """Oracle for ``_point_quotient``: the same spanning forest built on dicts keyed by coordinate and a set of dropped coordinates.
+
+    The search and the cycle functionals are those of the flat-list
+    version, in the same order, so the two presentations compare equal
+    field for field.
+    """
+    dim, rows = gens.cols, gens.sparse_rows
+    dropped = {c for row in rows if len(row) == 1 and 1 in row.values() for c in row}
+    rest = [row for row in rows if len(row) > 1 or 1 not in row.values()]
+    on = {c: [] for c in range(dim) if c not in dropped}  # the rows of ``rest`` through each kept coordinate
+    for r, row in enumerate(rest):
+        for c, x in row.items():
+            if x != 1:
+                return quotient_presentation(Lattice(dim, gens))
+            if c in on:
+                on[c].append(r)
+    ground = len(rest)
+    ends, adj, solo = {}, [[] for _ in range(ground)], {}  # solo: each row's first edge to the ground
+    for c, rs in on.items():
+        if len(rs) > 2:
+            return quotient_presentation(Lattice(dim, gens))
+        if len(rs) == 2:
+            u, v = ends[c] = rs
+            adj[u].append((v, c))
+            adj[v].append((u, c))
+        elif rs:
+            ends[c] = (rs[0], ground)
+            solo.setdefault(rs[0], c)
+    # one search per component of the rows, from a row on a ground edge if it has
+    # one (that edge joins the component to the ground), 2-colouring as it goes
+    parent, depth, colour = {}, {ground: 0}, {}
+    for root in (*solo, *range(ground)):
+        if root in depth:
+            continue
+        if root in solo:
+            parent[root], depth[root] = (ground, solo[root]), 1
+        else:
+            depth[root] = 0
+        colour[root], queue = 0, [root]
+        for u in queue:
+            for v, c in adj[u]:
+                if v not in depth:
+                    depth[v], parent[v], colour[v] = depth[u] + 1, (u, c), 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return quotient_presentation(Lattice(dim, gens))
+    tree = {c for _, c in parent.values()}
+    functionals = []
+    for c, rs in on.items():
+        if not rs:
+            functionals.append({c: 1})
+        elif c not in tree:
+            (a, b), sa, sb, cycle = ends[c], -1, -1, {c: 1}
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b, sa, sb = b, a, sb, sa
+                a, e = parent[a]
+                cycle[e], sa = sa, -sa
+            functionals.append(cycle)
+    f = len(functionals)
+    section = IntMatrix._of([{next(iter(phi)): 1} for phi in functionals], dim)
+    return QuotientPresentation(dim, (1,) * (dim - f), f, IntMatrix._of(functionals, dim).transpose(), section)
+
+
 def tau_lift(data: LcsData) -> list[tuple[tuple[int, int, int], ...]]:
     """The left-normed lift of τ̃, one entry per flat A coordinate: x_i∧x_m spread over its flag (i,p)'s ``_flag_terms``, none if m = i.
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arrlcs import cli, exactlin, lcs
+from arrlcs import cli, exactlin, kernels, lcs
 from arrlcs.config import maclane_c8
 from arrlcs.lcs import TorsionError, builtin_g_map
 from arrlcs.words import lie_basis
@@ -202,16 +202,17 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
             raise AssertionError("maclane-report takes a perp in A")
         return real_perp(lat)
 
-    for module in (cli, lcs, exactlin):
+    for module in (cli, lcs, kernels, exactlin):
         for name, stub in (("u_lattice", refuse), ("lattice_sum", refuse), ("perp", perp_off_a)):
             monkeypatch.setattr(module, name, stub, raising=False)
     monkeypatch.setattr(cli, "_maclane_data", lambda: lcs.build_lcs(maclane_c8()))  # cold: nothing cached
     code, _ = run(capsys, "maclane-report")
     assert code == 0
     assert calls == ["b_lattice"]
-    # π(B), 49 × 18, is reduced once, for the preimage identity and rank U + B alike; the
-    # P2 and P3 sections are read off unit pivots, so neither projection is reduced
-    assert len(shapes) == 24 and shapes.count((49, 18)) == 1
+    # π(B), B·π's 21 distinct nonzero rows up to sign over 18 columns, is reduced once, for the
+    # preimage identity and rank U + B alike; the P2 and P3 sections are read off unit pivots,
+    # so neither projection is reduced
+    assert len(shapes) == 24 and shapes.count((21, 18)) == 1
     # 6 σ × 7 base identities, the identity σ's slice being the base identities themselves
     assert len(pullbacks) == 42
     # once for ``maclane_dual_basis``, once for the mod-3 functional's terms

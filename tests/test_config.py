@@ -91,6 +91,23 @@ def test_every_line_pair_has_unique_common_point():
 # -- built-in MacLane data ---------------------------------------------------------
 
 
+def test_self_comparison_reads_no_tuples():
+    reads = []
+
+    class Watched(Configuration):
+        def __getattribute__(self, name):
+            if name in ("lines", "points", "incidence"):
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    c13 = glue_c13()
+    watched = Watched(c13.lines, c13.points, c13.incidence)
+    reads.clear()
+    assert watched == watched and reads == []
+    # another object, even an equal one, is compared tuple by tuple
+    assert watched == c13 and reads
+
+
 def test_maclane_counts_and_points():
     c = maclane_c8()
     assert len(c.lines) == 8

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from arrlcs import cli, config, exactlin, geom, lcs, words
+from arrlcs import cli, config, exactlin, geom, kernels, lcs, words
 from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, copy_line, glue_c13, glue_copies, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, densify, member, perp, snf
 from arrlcs.lcs import (
@@ -49,6 +49,7 @@ from helpers import (
     check_equivariance,
     dense_tau_matrix,
     dense_tau_star,
+    dict_point_quotient,
     pulled_back_functional,
     tau_lift,
     delta_kernel,
@@ -107,7 +108,7 @@ def test_im_delta_and_r3perp_read_the_p3_map_without_products(monkeypatch):
     """Im δ̄ lifts each section row through ``_bracket_p3``, and R3⊥'s Lie route is its transpose: only the d* route multiplies."""
     data = build_lcs(maclane_c8())
     data.p3, data._bracket_p3  # noqa: B018 - built before counting
-    products, stacks, matmul, stack = [], [], IntMatrix.__matmul__, lcs.vstack
+    products, stacks, matmul, stack = [], [], IntMatrix.__matmul__, exactlin.vstack
 
     def counted_matmul(a, b):
         products.append((a.shape, b.shape))
@@ -118,7 +119,7 @@ def test_im_delta_and_r3perp_read_the_p3_map_without_products(monkeypatch):
         return stack(*mats)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
-    monkeypatch.setattr(lcs, "vstack", counted_vstack)
+    monkeypatch.setattr(exactlin, "vstack", counted_vstack)
     assert data.im_delta.basis.shape == (56, 273) and products == stacks == []
     # the d* route's combos @ e_mat, whose columns are H⊗Λ²H's 147 slots
     assert data.r3perp.rank == 21 and len(products) == 1 and products[0][1][1] == data.hw_rank
@@ -512,7 +513,7 @@ def test_point_quotient_presents_graph_shaped_rows(monkeypatch):
         reduced.append(lat)
         return exactlin.quotient_presentation(lat)
 
-    monkeypatch.setattr(lcs, "quotient_presentation", counted)
+    monkeypatch.setattr(kernels, "quotient_presentation", counted)
     # a triangle: every entry 1 and each coordinate in two rows, but the rows do not 2-colour
     triangle = IntMatrix._of([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3)
     assert lcs._point_quotient(triangle).elementary_divisors == (1, 1, 2) and len(reduced) == 1
@@ -522,6 +523,68 @@ def test_point_quotient_presents_graph_shaped_rows(monkeypatch):
         _assert_presents(lcs._point_quotient(gens), Lattice(gens.cols, gens))
     # both routes ran: the forest on the bipartite draws, the reduction on the others
     assert 1 < len(reduced) < cases
+
+
+def test_point_quotient_equals_the_dict_forest(asymmetric_config):
+    # the flat lists find the dict version's forest and cycle functionals, in its order, and fall back where it does
+    rng = random.Random(0)
+    for _ in range(400):
+        gens = _graph_rows(rng)
+        assert lcs._point_quotient(gens) == dict_point_quotient(gens)
+    configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), glue_copies(3), asymmetric_config, hesse(), pencil4())
+    for config in configs:
+        for p, rows in kernels._u_generators(config):
+            gens = IntMatrix._of(rows, config.multiplicity(p) * config.index.n)
+            assert lcs._point_quotient(gens) == dict_point_quotient(gens), p
+
+
+def test_cold_u_points_multiply_only_at_live_rows(monkeypatch):
+    data = build_lcs(glue_c13())  # fresh, so ``u_points`` is built here
+    data.tau_matrix  # noqa: B018 - built before counting
+    blocks, real = [], lcs.combine
+    monkeypatch.setattr(lcs, "combine", lambda terms, m: blocks.append(m) or real(terms, m))
+    points = data.u_points
+    zero = [pt for pt in points if not any(pt.tau.sparse_rows)]
+    assert (len(points), len(zero)) == (41, 25)
+    # no combine at a point whose τ̃_p is zero; elsewhere one per generator or section row meeting a nonzero row of τ̃_p
+    assert blocks and all(any(m.sparse_rows) for m in blocks)
+    meeting = [
+        row
+        for pt in points
+        for row in (*pt.u.sparse_rows, *pt.quotient.section.sparse_rows)
+        if any(pt.tau.sparse_rows[k] for k in row)
+    ]
+    assert len(blocks) == len(meeting)
+    monkeypatch.undo()
+    for pt in points:
+        assert pt.u_tau == pt.u @ pt.tau and pt.s_tau == pt.quotient.section @ pt.tau
+
+
+def test_pi_b_spans_b_projected_from_its_distinct_rows(asymmetric_config):
+    configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), glue_copies(3), asymmetric_config, hesse(), pencil4())
+    shapes = {}
+    for config in configs:
+        data = build_lcs(config)
+        pi = data.u_projection
+        assert data.pi_b == Lattice(pi.cols, data.b.basis @ pi)
+        rows = data.pi_b.basis.sparse_rows
+        keys = [frozenset(row.items()) for row in rows] + [frozenset((t, -x) for t, x in row.items()) for row in rows]
+        assert all(rows) and len(set(keys)) == len(keys)
+        shapes[config.index.n] = data.pi_b.basis.shape
+    assert shapes[7] == (21, 18) and shapes[12] == (40, 36)
+
+
+def test_r3_rows_equal_the_combine_route(asymmetric_config):
+    # for a fixed m the scaled bracket rows never share a column, so the union is the sum
+    for config in (maclane_c8(), glue_c13(), asymmetric_config, hesse(), glue_copies(3)):
+        data = build_lcs(config)
+        np_, rows = data.npairs, data.r3.basis.sparse_rows
+        summed = [
+            exactlin.combine(((m * np_ + w, x) for w, x in r.items()), data.bracket)
+            for m in range(data.n)
+            for r in data.r2.basis.sparse_rows
+        ]
+        assert list(rows) == summed
 
 
 def test_point_tau_slices_cover_the_dense_matrix(asymmetric_config):
@@ -601,7 +664,7 @@ def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch
         for p, rows in generators(config):
             yield p, rows + [extra] if p == point else rows
 
-    monkeypatch.setattr(lcs, "_u_generators", with_extra)
+    monkeypatch.setattr(kernels, "_u_generators", with_extra)
     data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched generators
     u, b = lcs.u_lattice(data.config), lcs.b_lattice(data.config)
     assert tau_kernel(data) != u and not tau_kernel_equals_u(data)
@@ -616,7 +679,7 @@ def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch):
         for p, rows in generators(config):
             yield p, [{k: 2 * x for k, x in row.items()} for row in rows] if p == point else rows
 
-    monkeypatch.setattr(lcs, "_u_generators", doubled_at_point)
+    monkeypatch.setattr(kernels, "_u_generators", doubled_at_point)
     data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched generators
     u = lcs.u_lattice(data.config)
     assert u.rank == 129 and tau_kernel(data) != u and not tau_kernel_equals_u(data)
@@ -642,7 +705,7 @@ def test_preimage_predicate_fails_when_b_gains_the_builtin_difference(monkeypatc
 
 
 def _row_counter(monkeypatch, names):
-    """Wrap exactlin reductions (and the names lcs imported) to record the rows of each call."""
+    """Wrap exactlin reductions (and the names lcs and kernels imported) to record the rows of each call."""
     rows = {name: [] for name in names}
     for name in names:
         real = getattr(exactlin, name)
@@ -652,8 +715,9 @@ def _row_counter(monkeypatch, names):
             return _real(m)
 
         monkeypatch.setattr(exactlin, name, counted)
-        if hasattr(lcs, name):
-            monkeypatch.setattr(lcs, name, counted)
+        for module in (lcs, kernels):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return rows
 
 
@@ -693,7 +757,8 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     def no_u_lattice(config):
         raise AssertionError("the verdict path builds no global U")
 
-    monkeypatch.setattr(lcs, "u_lattice", no_u_lattice)
+    for module in (lcs, kernels):
+        monkeypatch.setattr(module, "u_lattice", no_u_lattice)
     rows, lifts = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"]), _lift_counter(monkeypatch)
     forward, back, kernel_calls, backs = exactlin._hnf_forward, exactlin._hnf_back, [], []
     im_delta_rows = list(data.im_delta.basis.sparse_rows)

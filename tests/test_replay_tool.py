@@ -120,6 +120,17 @@ def test_u_times_the_cold_tau_matrix_and_records_its_support(monkeypatch):
     assert rec["identities"] == [True, True] and set(run["tau_matrix_s"]) == set(run["total_s"]) == {"c8"}
 
 
+def test_u_times_pi_b_and_records_the_live_points_and_its_shapes(monkeypatch):
+    replay = load_replay()
+    monkeypatch.setattr(replay, "REPEAT", 1)
+    monkeypatch.setattr(replay, "U_CONFIGS", ("c8",))
+    run = replay.u()
+    (rec,) = run["inputs"]
+    # every c8 point is live; π(B) is built from B·π's 21 distinct rows up to sign
+    assert (rec["points"], rec["live_points"], rec["pi_b_shape"]) == (8, 8, [[49, 18], [21, 18]])
+    assert set(run["pi_b_s"]) == {"c8"} and rec["pi_b_s"] > 0
+
+
 def test_bracket_times_the_p3_map_r3perp_and_im_delta_cold(monkeypatch):
     replay = load_replay()
     assert list(replay.BRACKET_LAYERS) == ["bracket", "r3", "p3", "_bracket_p3", "r3perp", "im_delta"]

@@ -81,7 +81,12 @@ compare with later runs.
   and the map ``_bracket_p3`` built; each record holds τ̃'s nonzero rows
   and the nonzero and total rows of ``_bracket_p3``.  Records before
   ``BENCH_31.json`` built τ̃ per point instead; records before
-  ``BENCH_33.json`` hold no ``glued12`` and no τ̃ timing.
+  ``BENCH_33.json`` hold no ``glued12`` and no τ̃ timing.  From
+  ``BENCH_37.json`` on, each record also times π(B) cold with its
+  canonical form (``pi_b_s``, digest ``pi_b_digest``) on data whose π
+  and B are built, and holds ``live_points``, the points with τ̃_p ≠ 0
+  and f_p > 0, and ``pi_b_shape``, the shape of B·π and of the basis
+  π(B) is built from.
 * ``words``: on c8, C13, C13 at ``SEED`` and the 3- and 4-fold MacLane
   gluings, ``G_MAPS`` g-maps from ``WORDS_SEED`` each: ``relators_from_g``,
   ``magnus`` of every relator, and the relator route to degree-3
@@ -525,15 +530,29 @@ def u() -> dict:
             name, prepare, lambda data: data.u_points, lambda points: [point_digest(pt) for pt in points]
         )
         identities_s, identities, _, _ = best_of(f"{name} identities", lambda: prepare(True), kernel_identities)
+
+        def prepare_pi_b():
+            data = prepare()
+            data.u_projection, data.b  # noqa: B018 - π and B are built before timing
+            gc.collect()
+            return data
+
+        pi_b_s, pi_b_digest, data, _ = best_of(f"{name} pi_b", prepare_pi_b, lambda data: data.pi_b.canonical_form, sha)
+        live = sum(1 for pt in data.u_points if pt.quotient.free_rank and any(pt.tau.sparse_rows))
         records.append({
-            "config": name, "points": len(data.u_points), "a_rank": data.a_rank,
+            "config": name, "points": len(data.u_points), "live_points": live, "a_rank": data.a_rank,
             "tau_support_rows": sum(1 for row in tau.sparse_rows if row), "bracket_p3_rows": [sum(1 for row in bp.sparse_rows if row), bp.rows],
             "tau_matrix_s": tau_s, "tau_digest": tau_digest, "u_points_s": seconds,
             "identities_s": identities_s, "identities": list(identities),
             "points_digest": sha_text(json.dumps(digests)),
+            "pi_b_s": pi_b_s, "pi_b_digest": pi_b_digest,
+            "pi_b_shape": [list((data.b.basis @ data.u_projection).shape), list(data.pi_b.basis.shape)],
         })
     by_config = lambda rec: rec["config"]  # noqa: E731
-    return {"total_s": total_s(records, by_config, "u_points_s"), "tau_matrix_s": total_s(records, by_config, "tau_matrix_s"), "inputs": records}
+    return {
+        "total_s": total_s(records, by_config, "u_points_s"), "tau_matrix_s": total_s(records, by_config, "tau_matrix_s"),
+        "pi_b_s": total_s(records, by_config, "pi_b_s"), "inputs": records,
+    }
 
 
 # -- words: relators, their Magnus expansions and the relator route ----------------------
