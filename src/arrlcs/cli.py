@@ -48,17 +48,19 @@ from .geom import (
 from .lcs import (
     TorsionError,
     build_lcs,
-    builtin_g_difference,
-    builtin_g_map,
     class_of_glued,
-    generator_lists_consistent,
     kappa,
-    maclane_dual_basis,
-    t_functional,
     tau_kernel_equals_u,
     tau_preimage_equals_u_plus_b,
-    tau_star_identities,
     _maclane_data,
+)
+from .maclane import (
+    builtin_g_difference,
+    builtin_g_map,
+    generator_lists_consistent,
+    maclane_dual_basis,
+    t_functional,
+    tau_star_identities,
     _t_vector,
 )
 from .words import GMap

@@ -27,6 +27,10 @@ class ConfigFormatError(ValueError):
     """Structurally malformed configuration data (bad JSON shape, bad names)."""
 
 
+class ConfigMismatchError(ValueError):
+    """Arguments built over different (or unexpected) configurations."""
+
+
 class Configuration:
     """Immutable incidence structure; axioms are checked by ``validate``."""
 

@@ -329,6 +329,10 @@ def abelianize(g: GMap) -> AbelianGMap:
     return AbelianGMap(g.config, {flag: w.exponent_sums(n) for flag, w in g.assignments.items()})
 
 
+def _as_abelian(g: GMap | AbelianGMap) -> AbelianGMap:
+    return abelianize(g) if isinstance(g, GMap) else g
+
+
 # -- relators ---------------------------------------------------------------
 
 

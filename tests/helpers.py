@@ -24,7 +24,8 @@ from arrlcs.exactlin import (
     vstack,
 )
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.lcs import HomR2P3, LcsData, _as_abelian, _line_entries, _u_generators, rbar_gen_coeffs, t_functional
+from arrlcs.lcs import HomR2P3, LcsData, _as_abelian, _u_generators
+from arrlcs.maclane import _line_entries, rbar_gen_coeffs, t_functional
 from arrlcs.words import AbelianGMap, GMap, Word, lie_basis, lie_sparse_coords, wedge_index
 
 
@@ -445,12 +446,12 @@ def dense_kappa_json(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | Abelia
 
 
 def dense_tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:
-    """Oracle for ``lcs.tau_star`` of Φ = class ⊗ φ (``class_tensor``): ⟨φ, τ̃a(class)⟩ summed over every lift term of every A coordinate a, dense."""
+    """Oracle for ``maclane.tau_star`` of Φ = class ⊗ φ (``class_tensor``): ⟨φ, τ̃a(class)⟩ summed over every lift term of every A coordinate a, dense."""
     return tuple(sum(gen_coeffs[g] * c * functional[s] for g, s, c in terms) for terms in tau_lift(data))
 
 
 def class_tensor(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> dict[int, int]:
-    """Φ = class ⊗ φ, the sparse functional on ⊕_g H⊗Λ²H that ``lcs.tau_star`` takes: class_g·φ_s at g·``hw_rank`` + s."""
+    """Φ = class ⊗ φ, the sparse functional on ⊕_g H⊗Λ²H that ``maclane.tau_star`` takes: class_g·φ_s at g·``hw_rank`` + s."""
     return {g * data.hw_rank + s: c * x for g, c in enumerate(gen_coeffs) if c for s, x in enumerate(functional) if x}
 
 
@@ -463,7 +464,7 @@ def pulled_back_functional(data: LcsData, c8: LcsData, copy: int, functional: Se
     the image lines of p), slot x_m⊗(x_a∧x_b) going to the slot of the
     image lines.  ``copy_line(c, ·)`` is monotone, so a < b stays a′ < b′
     and every sign is +1.  Keys are g_C·``hw_rank`` + slot, as
-    ``lcs.tau_star`` takes them.  This is the reference for a certificate
+    ``maclane.tau_star`` takes them.  This is the reference for a certificate
     checker built on C13 (ROADMAP items 9 and 19).
     """
     r8, np8, pairs8 = c8.p3.free_rank, c8.npairs, list(c8.wedge_pos)
@@ -482,7 +483,7 @@ def pulled_back_functional(data: LcsData, c8: LcsData, copy: int, functional: Se
 
 
 def certificate_failures(data: LcsData, phi: dict[int, int], modulus: int) -> tuple[int, int]:
-    """Failures of checks (a) and (b) of a κ ≠ 0 certificate Φ on ⊕_g H⊗Λ²H (keyed as ``lcs.tau_star``'s), by products alone.
+    """Failures of checks (a) and (b) of a κ ≠ 0 certificate Φ on ⊕_g H⊗Λ²H (keyed as ``maclane.tau_star``'s), by products alone.
 
     (a) counts the pairs of a generator flag g where Φ_g ≠ 0 and an
     element that Φ_g must kill exactly: x_m⊗r for each R2 basis row r,
@@ -493,7 +494,7 @@ def certificate_failures(data: LcsData, phi: dict[int, int], modulus: int) -> tu
     E_{i,t}: H → P2 whose δ-lift (``LcsData._delta_lift``) Φ pairs to
     nonzero mod ``modulus``; those values span Im δ̄.  With no failures, a
     value whose τ̃-lift Φ pairs to nonzero mod ``modulus`` (check (c),
-    through ``lcs.tau_star``) lies outside Im δ̄.
+    through ``maclane.tau_star``) lies outside Im δ̄.
     """
     hw, np_, wp, blocks = data.hw_rank, data.npairs, data.wedge_pos, {}
     for k, x in phi.items():
@@ -546,7 +547,7 @@ def swept_l3_action(n: int, sigma: ConfigAutomorphism) -> IntMatrix:
 
 
 def line_action(data: LcsData, sigma: ConfigAutomorphism) -> tuple[IntMatrix, IntMatrix]:
-    """σ on row vectors (v ↦ v·M) of A and of H⊗Λ²H: the signed permutation matrices of ``lcs._line_entries``.
+    """σ on row vectors (v ↦ v·M) of A and of H⊗Λ²H: the signed permutation matrices of ``maclane._line_entries``.
 
     σ.compose(τ) acts by M_τ @ M_σ.
     """

@@ -31,16 +31,18 @@ from arrlcs.geom import (
 )
 from arrlcs.lcs import (
     b_lattice,
-    builtin_g_difference,
-    builtin_g_map,
     kappa,
-    maclane_dual_basis,
-    t_functional,
     tau_kernel,
     tau_preimage,
-    tau_star_identities,
     tau_tilde,
     u_lattice,
+)
+from arrlcs.maclane import (
+    builtin_g_difference,
+    builtin_g_map,
+    maclane_dual_basis,
+    t_functional,
+    tau_star_identities,
 )
 from arrlcs.words import (
     AbelianGMap,

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from arrlcs import cli, exactlin, kernels, lcs
+from arrlcs import cli, exactlin, kernels, lcs, maclane
 from arrlcs.config import maclane_c8
-from arrlcs.lcs import TorsionError, builtin_g_map
+from arrlcs.lcs import TorsionError
+from arrlcs.maclane import builtin_g_map
 from arrlcs.words import lie_basis
 from helpers import relabel
 
@@ -187,12 +188,12 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
         monkeypatch.setattr(module, "b_lattice", lambda config: calls.append("b_lattice") or real_b(config), raising=False)
     shapes, real_forward = [], exactlin._hnf_forward
     monkeypatch.setattr(exactlin, "_hnf_forward", lambda a, ncols, u: shapes.append((len(a), ncols)) or real_forward(a, ncols, u))
-    pullbacks, real_tau_star = [], lcs.tau_star
-    monkeypatch.setattr(lcs, "tau_star", lambda *args: pullbacks.append(1) or real_tau_star(*args))
-    reads, real_json = [], lcs._builtin_json
-    monkeypatch.setattr(lcs, "_builtin_json", lambda name: reads.append(name) or real_json(name))
-    lcs.maclane_dual_basis.cache_clear()  # cold: the dual basis is decoded once in here
-    lcs._t_vector.cache_clear()
+    pullbacks, real_tau_star = [], maclane.tau_star
+    monkeypatch.setattr(maclane, "tau_star", lambda *args: pullbacks.append(1) or real_tau_star(*args))
+    reads, real_json = [], maclane._builtin_json
+    monkeypatch.setattr(maclane, "_builtin_json", lambda name: reads.append(name) or real_json(name))
+    maclane.maclane_dual_basis.cache_clear()  # cold: the dual basis is decoded once in here
+    maclane._t_vector.cache_clear()
 
     def refuse(*args):
         raise AssertionError("maclane-report builds a global U lattice or U + B")

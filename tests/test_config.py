@@ -22,7 +22,7 @@ from arrlcs.config import (
     partition_check,
     validate,
 )
-from arrlcs.lcs import transport_group
+from arrlcs.maclane import transport_group
 from helpers import relabel, restrict
 
 MACLANE_POINTS = {

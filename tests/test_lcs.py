@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from arrlcs import cli, config, exactlin, geom, kernels, lcs, words
+from arrlcs import cli, config, exactlin, geom, kernels, lcs, maclane, words
 from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, copy_line, glue_c13, glue_copies, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, densify, member, perp, snf
 from arrlcs.lcs import (
@@ -18,26 +18,28 @@ from arrlcs.lcs import (
     TorsionError,
     b_lattice,
     build_lcs,
-    builtin_g_difference,
-    builtin_g_map,
-    builtin_generator_lists,
-    generator_lists_consistent,
     class_of_glued,
     delta_bar,
     delta_bar_from_lift,
     glued_g_map,
     kappa,
-    maclane_dual_basis,
-    rbar_gen_coeffs,
-    t_functional,
     tau_kernel,
     tau_kernel_equals_u,
     tau_preimage,
     tau_preimage_equals_u_plus_b,
-    tau_star_identities,
     tau_tilde,
-    transport_group,
     u_lattice,
+)
+from arrlcs.maclane import (
+    builtin_g_difference,
+    builtin_g_map,
+    builtin_generator_lists,
+    generator_lists_consistent,
+    maclane_dual_basis,
+    rbar_gen_coeffs,
+    t_functional,
+    tau_star_identities,
+    transport_group,
 )
 from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
 from helpers import (
@@ -994,8 +996,8 @@ def test_dual_basis_spans(maclane_data):
 
 
 def test_tau_star_identities(maclane_data, monkeypatch):
-    pullbacks, real = [], lcs.tau_star
-    monkeypatch.setattr(lcs, "tau_star", lambda *args: pullbacks.append(1) or real(*args))
+    pullbacks, real = [], maclane.tau_star
+    monkeypatch.setattr(maclane, "tau_star", lambda *args: pullbacks.append(1) or real(*args))
     rep = tau_star_identities(maclane_data)
     # 6 σ × 7 base identities; the base identities are the identity σ's slice, not run again
     assert len(pullbacks) == 42
@@ -1010,9 +1012,9 @@ def test_tau_star_identities(maclane_data, monkeypatch):
 def test_tau_star_equals_the_dense_pullback(maclane_data, c13_data, asymmetric_config, monkeypatch):
     # every pullback of the transport loop on c8, 6 σ × 7 base identities, is Φ = class ⊗ φ
     # for the class of r̄ that the loop read just before it
-    classes, calls, real, real_class = [], [], lcs.tau_star, lcs.rbar_gen_coeffs
-    monkeypatch.setattr(lcs, "rbar_gen_coeffs", lambda *args: classes.append(real_class(*args)) or classes[-1])
-    monkeypatch.setattr(lcs, "tau_star", lambda data, phi: calls.append((classes[-1], phi)) or real(data, phi))
+    classes, calls, real, real_class = [], [], maclane.tau_star, maclane.rbar_gen_coeffs
+    monkeypatch.setattr(maclane, "rbar_gen_coeffs", lambda *args: classes.append(real_class(*args)) or classes[-1])
+    monkeypatch.setattr(maclane, "tau_star", lambda data, phi: calls.append((classes[-1], phi)) or real(data, phi))
     assert tau_star_identities(maclane_data).all_ok
     assert len(calls) == 42
     hw, a_rank = maclane_data.hw_rank, maclane_data.a_rank
@@ -1042,11 +1044,11 @@ def test_tau_star_equals_the_dense_pullback(maclane_data, c13_data, asymmetric_c
 def test_tau_star_refuses_a_key_out_of_range(maclane_data):
     data = maclane_data
     width = len(data.gens) * data.hw_rank
-    assert lcs.tau_star(data, {}) == {}
-    assert densify(lcs.tau_star(data, {width - 1: 2}), data.a_rank) == dense_tau_star(data, [0] * (len(data.gens) - 1) + [1], [0] * (data.hw_rank - 1) + [2])
+    assert maclane.tau_star(data, {}) == {}
+    assert densify(maclane.tau_star(data, {width - 1: 2}), data.a_rank) == dense_tau_star(data, [0] * (len(data.gens) - 1) + [1], [0] * (data.hw_rank - 1) + [2])
     for key in (-1, width, width + 5):
         with pytest.raises(ValueError, match=f"outside \\[0, {width}\\)"):
-            lcs.tau_star(data, {0: 1, key: 2})
+            maclane.tau_star(data, {0: 1, key: 2})
 
 
 def test_rbar_gen_coeffs_refuses_flags_that_are_not_finite(maclane_data):
@@ -1065,10 +1067,11 @@ def test_tau_star_layer_builds_no_dense_row(monkeypatch):
     # cold: R2 is built first, as LcsData() takes its dense rows; Λᵀ, P3, U, B and
     # the decoded dual basis are built inside the count
     data = build_lcs(maclane_c8())
-    lcs.maclane_dual_basis.cache_clear()
-    lcs._t_vector.cache_clear()
-    calls, real_densify, real_init = [], lcs.densify, IntMatrix.__init__
-    monkeypatch.setattr(lcs, "densify", lambda *args: calls.append("densify") or real_densify(*args))
+    maclane.maclane_dual_basis.cache_clear()
+    maclane._t_vector.cache_clear()
+    calls, real_densify, real_init = [], exactlin.densify, IntMatrix.__init__
+    for module in (lcs, maclane, words):  # the layer's modules, maclane should it bind densify; exactlin's own, member's coefficients, is not counted
+        monkeypatch.setattr(module, "densify", lambda *args: calls.append("densify") or real_densify(*args), raising=False)
     monkeypatch.setattr(IntMatrix, "__init__", lambda self, *args: calls.append("IntMatrix") or real_init(self, *args))
     assert tau_star_identities(data).all_ok
     assert cli._dual_basis_check(data)["status"] == "pass" and cli._t_check(data)["status"] == "pass"
@@ -1201,10 +1204,10 @@ def test_t_functional_values(maclane_data):
 
 def test_t_functional_reads_its_data_file_once(monkeypatch):
     diff = builtin_g_difference()
-    lcs._t_vector.cache_clear()
+    maclane._t_vector.cache_clear()
     reads = []
-    real = lcs._builtin_json
-    monkeypatch.setattr("arrlcs.lcs._builtin_json", lambda name: reads.append(name) or real(name))
+    real = maclane._builtin_json
+    monkeypatch.setattr("arrlcs.maclane._builtin_json", lambda name: reads.append(name) or real(name))
     assert t_functional(diff) == 1
     first = len(reads)
     assert "dual_basis_c8.json" in reads
@@ -1443,7 +1446,7 @@ def test_class_of_glued_sign_combinations(maclane_data):
 def _pairing(data, phi, g, gprime, modulus):
     """Check (c): τ̃*Φ, one ``tau_star`` product, paired with ḡ − ḡ′, mod ``modulus``."""
     diff = (abelianize(g) - abelianize(gprime)).vector()
-    return sum(x * diff[a] for a, x in lcs.tau_star(data, phi).items()) % modulus
+    return sum(x * diff[a] for a, x in maclane.tau_star(data, phi).items()) % modulus
 
 
 def test_c8_witness_pulled_back_certifies_every_unequal_c13_pair(maclane_data, c13_data):

@@ -129,7 +129,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
-from arrlcs import config, exactlin, geom, lcs, words  # noqa: E402
+from arrlcs import config, exactlin, geom, lcs, maclane, words  # noqa: E402
 import helpers  # noqa: E402
 from helpers import ASYMMETRIC_9, hesse, relabel  # noqa: E402
 
@@ -227,7 +227,7 @@ def kernel_identities(data: lcs.LcsData) -> tuple[bool, bool]:
 def c13_verify() -> None:
     data = lcs.build_lcs(config.glue_c13())
     data.r3, data.p3, data.r3perp, data.im_delta  # noqa: B018 - computed in order
-    plus, minus = lcs.builtin_g_map("plus"), lcs.builtin_g_map("minus")
+    plus, minus = maclane.builtin_g_map("plus"), maclane.builtin_g_map("minus")
     g_pp, g_pm = lcs.glued_g_map(plus, plus), lcs.glued_g_map(plus, minus)
     checks = (*kernel_identities(data), lcs.kappa(data, g_pp, g_pp).zero, not lcs.kappa(data, g_pp, g_pm).zero)
     if not all(checks):
@@ -616,21 +616,21 @@ def taustar() -> dict:
     cfg = config.maclane_c8()
 
     def fresh():
-        lcs.maclane_dual_basis.cache_clear()
+        maclane.maclane_dual_basis.cache_clear()
         return lcs.build_lcs(cfg)
 
     warm, pullbacks = fresh(), []
-    capture(lambda: lcs.tau_star_identities(warm), [(lcs, "tau_star")], lambda _, caller, data, *args: pullbacks.append(args))
+    capture(lambda: maclane.tau_star_identities(warm), [(maclane, "tau_star")], lambda _, caller, data, *args: pullbacks.append(args))
     calls = [  # (call, its record fields, timed function of the data, digest of its value)
-        ("transport_group", {}, lcs.transport_group, lambda group: sha([sigma.line_perm for sigma in group])),
+        ("transport_group", {}, maclane.transport_group, lambda group: sha([sigma.line_perm for sigma in group])),
         *(
             (
                 "pullback", {"pullback": k, "arguments": sha(sparse_items(pullback_functional(warm, args)))},
-                lambda data, args=args: lcs.tau_star(data, *args), lambda value: sha(sparse_items(value)),
+                lambda data, args=args: maclane.tau_star(data, *args), lambda value: sha(sparse_items(value)),
             )
             for k, args in enumerate(pullbacks)
         ),
-        ("tau_star_identities", {}, lcs.tau_star_identities, lambda rep: sha_text(json.dumps(rep.to_json_dict(), sort_keys=True))),
+        ("tau_star_identities", {}, maclane.tau_star_identities, lambda rep: sha_text(json.dumps(rep.to_json_dict(), sort_keys=True))),
     ]
     records = []
     for state, prepare in (("cold", fresh), ("warm", lambda: warm)):
