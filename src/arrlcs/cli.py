@@ -150,9 +150,9 @@ def _ranks_check(data) -> dict:
     computed = {
         "dim_L2": data.npairs,
         "dim_L3": data.dim3,
-        "rank_R2": data.r2.rank,
+        "rank_R2": len(data.p2.elementary_divisors),
         "rank_P2": data.p2.free_rank,
-        "rank_R3": data.r3.rank,
+        "rank_R3": len(data.p3.elementary_divisors),
         "rank_P3": data.p3.free_rank,
         "rank_R3perp": data.r3perp.rank,
         "P2_torsion_free": data.p2.is_torsion_free,

@@ -34,12 +34,28 @@ its transform gives the echelon rows (for ``rank`` and membership, which
 walks them by an index of their pivot columns), the
 back-substitution of their pivot columns the Hermite pivot block (for a
 witness), and their back-substitution without a transform the Hermite
-form, the canonical form that comparison and ``perp`` read.
+form, the canonical form that comparison reads.
 ``kernel_basis(m)`` returns a plain basis of the left kernel
-{v : v·m = 0}, read off the forward pass's transform.  ``perp`` caches
-the orthogonal complement; when every Hermite pivot is 1 it reads its
-basis off the canonical form, and otherwise takes the left kernel of its
-transpose.  Membership reduces a vector's sparse residue (a dense vector
+{v : v·m = 0}, read off the forward pass's transform.
+
+``perp`` and ``quotient_presentation`` read one more cached stage,
+``Lattice._unit_split``, which reduces less than the whole basis.  It
+peels unit rows first, as structured Gaussian elimination does
+(LaMacchia–Odlyzko, CRYPTO '90): a row ±e_c records c in D and is
+subtracted from every other row holding c, which deletes c there; a row
+left as ±e_d is peeled next, and a row left empty is dropped.  These are
+row operations, so the span is L = Z^D ⊕ L′ with L′ the span of what is
+left on the columns C′ = [0, n) ∖ D.  Hence L⊥ = 0 ⊕ L′⊥ and
+Zⁿ/L ≅ Z^{C′}/L′: the orthogonal complement is L′'s spread back over C′
+by zeros, rank L = |D| + rank L′, and L is saturated iff L′ is.  Only L′
+is reduced (612 × 572 rows and columns of R3 on C13 leave 147 × 187 at
+the relabeling seed 41), and only the scalars and the complement are kept.
+A lattice with no unit row is its own L′: it pays one scan, and its
+stages are the ones every other reader shares.  The orthogonal
+complement of L′ is read off its canonical form when every Hermite pivot
+is 1, and is otherwise the left kernel of that form's transpose.
+
+Membership reduces a vector's sparse residue (a dense vector
 or a ``{column: entry}`` dict) by the echelon rows whose pivots it holds,
 met in column order from a heap of those pivots.
 A failure's witness functional depends only on the failing pivot row or
@@ -52,9 +68,10 @@ the lattice alone: the projection is Kᵀ for K the canonical form of
 identity columns, so the unit rows at them are a section and nothing is
 reduced (as in ``perp``); any other K takes the section from the
 transform of one ``hnf_with_transform(Kᵀ)``.  Unit pivots of the
-lattice's own Hermite form prove it saturated; any other lattice takes
-the Smith divisors of its canonical form, which are all 1 exactly when it
-is saturated and otherwise name the torsion.
+lattice's Hermite form (L′'s, which are L's) prove it saturated; any
+other lattice takes the Smith divisors of its own canonical form, which
+are all 1 exactly when it is saturated and otherwise name the torsion.
+So P2, P3 and every presentation equal those of reducing the whole basis.
 A caller that knows K from the lattice's structure builds the same
 ``QuotientPresentation`` from these functions without reducing the
 lattice (``lcs`` does so for U at each point).
@@ -330,6 +347,54 @@ def _transpose(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int
     return out
 
 
+def _peel_unit_rows(rows: Sequence[dict[int, int]], ncols: int) -> tuple[list[int] | None, list[dict[int, int]]]:
+    """``(kept, rest)``: the columns C′ that no cascade of unit rows ±e_c removes, and the other rows cut to C′ and renumbered along it.
+
+    A row ±e_c is taken, c is recorded in D and deleted from every other
+    row, which is the row operation subtracting a multiple of ±e_c; a row
+    left as ±e_d is taken next, and a row left empty is dropped.  So the
+    span is Z^D ⊕ L′ for L′ the span of ``rest``.  A row only loses
+    entries, so D is the same in any order.  Only the other rows are
+    indexed by column, and each counts its entries outside D instead of
+    losing them.  With no unit row ``kept`` is None and nothing is built.
+    """
+    todo, other = [], []  # the columns of the unit rows, and the other nonzero rows
+    for row in rows:
+        if len(row) == 1:
+            ((c, x),) = row.items()
+            if x == 1 or x == -1:
+                todo.append(c)
+                continue
+        if row:
+            other.append(row)
+    if not todo:
+        return None, []
+    on: dict[int, list[int]] = {}  # the other rows through each column
+    for j, row in enumerate(other):
+        for c in row:
+            if c in on:
+                on[c].append(j)
+            else:
+                on[c] = [j]
+    left, peeled = [len(row) for row in other], set()
+    while todo:
+        c = todo.pop()
+        if c in peeled:  # a second ±e_c
+            continue
+        peeled.add(c)
+        for j in on.get(c, ()):
+            left[j] -= 1
+            if left[j] == 1:  # the row is x·e_d for its one column d outside D
+                for d, x in other[j].items():
+                    if d not in peeled:
+                        if x == 1 or x == -1:
+                            todo.append(d)
+                        break
+    kept = [c for c in range(ncols) if c not in peeled]
+    at = {c: k for k, c in enumerate(kept)}
+    return kept, [{at[c]: x for c, x in row.items() if c not in peeled} for row, k in zip(other, left) if k]
+
+
 def hnf(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form with zero rows dropped (canonical)."""
     a = [dict(row) for row in m.sparse_rows]
@@ -402,10 +467,10 @@ class Lattice:
 
     Building one reduces nothing.  Each stage of the basis's reduction,
     ``echelon``, ``_pivot_rows`` (the echelon's pivot index, which holds
-    no rows), ``_pivot_block`` and ``canonical_form``, ``perp`` and
-    each witness functional of ``member`` are computed on first use and
-    cached, so a reader pays only for the stages it reads; no stage
-    back-substitutes a transform.
+    no rows), ``_pivot_block`` and ``canonical_form``, the unit-row split
+    ``_unit_split`` with ``perp``, and each witness functional of
+    ``member`` are computed on first use and cached, so a reader pays
+    only for the stages it reads; no stage back-substitutes a transform.
     """
 
     __slots__ = ("ambient_rank", "basis", "_cache")
@@ -462,6 +527,28 @@ class Lattice:
             _hnf_back(a, self.echelon()[2], None)
             self._cache["canonical"] = IntMatrix._of(a, self.ambient_rank)
         return self._cache["canonical"]
+
+    def _unit_split(self):
+        """The unit-row stage ``(rank, det, perp)``, read off L′ after peeling L = Z^D ⊕ L′ (``_peel_unit_rows``).
+
+        ``det`` is L′'s echelon pivot product, which is L's: the Hermite
+        form of L is its rows e_d for d ∈ D with L′'s spread back over C′.
+        Only these scalars and ``perp`` are kept, never L′'s stages; a
+        lattice with no unit row is its own L′ and keeps its stages.
+        """
+        if "split" not in self._cache:
+            n, (kept, rows) = self.ambient_rank, _peel_unit_rows(self.basis.sparse_rows, self.ambient_rank)
+            rest = self if kept is None else Lattice(len(kept), IntMatrix._of(rows, len(kept)))
+            m, h, (_, _, pivots, det) = rest.ambient_rank, rest.canonical_form, rest.echelon()
+            if det == 1:
+                cols, free = _transpose(h.sparse_rows, m), sorted(set(range(m)).difference(pivots))
+                basis = [{c: 1, **{pivots[k]: -x for k, x in cols[c].items()}} for c in free]
+            else:
+                basis = kernel_basis(h.transpose()).sparse_rows
+            if kept is not None:
+                basis = [{kept[c]: x for c, x in row.items()} for row in basis]
+            self._cache["split"] = n - m + rest.rank, det, Lattice(n, IntMatrix._of(basis, n))
+        return self._cache["split"]
 
     @property
     def rank(self) -> int:
@@ -643,25 +730,23 @@ def _witness_functional(lat: Lattice, k: int | None, c: int | None):
 def perp(lat: Lattice) -> Lattice:
     """Integer functionals vanishing on the lattice (ambient dual, same coords).
 
-    The right kernel {x : Hx = 0} of the canonical form H: it depends
-    only on the span.  When the pivot product (the echelon stage's) is 1,
-    the pivot columns p_k of H are the identity columns (zeros below a
-    pivot, entries above it in [0, 1)), so row k of Hx = 0 reads
-    x_{p_k} = -Σ_c H[k][c]·x_c over the non-pivot columns c, which are
-    free: the rows e_c - Σ_k H[k][c]·e_{p_k}, one per non-pivot column,
-    are a basis, and no reduction builds them.  Any other lattice takes
-    the left kernel of Hᵀ.  Computed once per lattice and cached with its
-    stages, so ``perp(lat) is perp(lat)``.
+    The lattice is first split as L = Z^D ⊕ L′ by peeling its unit rows
+    (``_peel_unit_rows``): L′ lies on the columns C′ outside D.  A
+    functional x vanishes on L iff x_d = 0 for d ∈ D (as e_d ∈ L) and x
+    restricted to C′ vanishes on L′, so L⊥ = 0 ⊕ L′⊥: the basis of L′⊥
+    spread back over C′ by zeros.  With no unit row L′ is L.
+
+    L′⊥ is the right kernel {x : Hx = 0} of L′'s canonical form H: it
+    depends only on the span.  When the pivot product (the echelon
+    stage's) is 1, the pivot columns p_k of H are the identity columns
+    (zeros below a pivot, entries above it in [0, 1)), so row k of Hx = 0
+    reads x_{p_k} = -Σ_c H[k][c]·x_c over the non-pivot columns c, which
+    are free: the rows e_c - Σ_k H[k][c]·e_{p_k}, one per non-pivot column,
+    are a basis, and no reduction builds them.  Any other L′ takes the
+    left kernel of Hᵀ.  Computed once per lattice and cached with its
+    stages (``Lattice._unit_split``), so ``perp(lat) is perp(lat)``.
     """
-    if "perp" not in lat._cache:
-        n, h, (_, _, pivots, det) = lat.ambient_rank, lat.canonical_form, lat.echelon()
-        if det == 1:
-            cols, free = _transpose(h.sparse_rows, n), sorted(set(range(n)).difference(pivots))
-            basis = IntMatrix._of([{c: 1, **{pivots[k]: -x for k, x in cols[c].items()}} for c in free], n)
-        else:
-            basis = kernel_basis(h.transpose())
-        lat._cache["perp"] = Lattice(n, basis)
-    return lat._cache["perp"]
+    return lat._unit_split()[2]
 
 
 @dataclass(frozen=True)
@@ -695,14 +780,18 @@ class QuotientPresentation:
 def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     """Present ``ZZ^n / lat``; see ``QuotientPresentation``.
 
-    The torsion of the quotient is decided once.  When every Hermite
-    pivot of ``lat`` is 1, ``lat`` is saturated and the divisors are all
-    1 without a Smith form: if m·v ∈ lat, the coefficients of m·v over
-    the rows of the canonical form H are its entries at H's pivot
-    columns, which are identity columns, so each is divisible by m and
-    v ∈ lat.  Any other lattice takes the ``snf`` divisors of H; the
-    torsion of the quotient is ⊕ Z/d over them, so they are all 1
-    exactly when ``lat`` is saturated.
+    Rank and torsion are read off L′, where ``perp`` splits L = Z^D ⊕ L′
+    by peeling unit rows: rank L = |D| + rank L′, and ZZ^n/L ≅ ZZ^{C′}/L′,
+    so L is saturated iff L′ is.  The torsion is decided once.  When
+    every Hermite pivot of L′ is 1 (so every pivot of L, whose Hermite
+    form is the rows e_d with L′'s spread over C′), L′ is saturated and
+    the divisors are all 1 without a Smith form: if m·v ∈ L′, the
+    coefficients of m·v over the rows of the canonical form H are its
+    entries at H's pivot columns, which are identity columns, so each is
+    divisible by m and v ∈ L′.  Any other lattice takes the ``snf``
+    divisors of the canonical form of ``lat`` itself; the torsion of the
+    quotient is ⊕ Z/d over them, so they are all 1 exactly when ``lat``
+    is saturated.
 
     The section reads K = ``perp(lat).canonical_form``.  When K's pivot
     product is 1, its pivot columns p_1 < … < p_f are the identity
@@ -714,7 +803,7 @@ def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     pivot unchanged, and the back-substitution has nothing to reduce.  Any
     other K takes the transform and checks that its Hermite form is I.
     """
-    n, comp = lat.ambient_rank, perp(lat)
+    n, (rank, rest_det, comp) = lat.ambient_rank, lat._unit_split()
     projection, (_, _, pivots, det) = comp.canonical_form.transpose(), comp.echelon()
     f = projection.cols
     if det == 1:
@@ -724,7 +813,7 @@ def quotient_presentation(lat: Lattice) -> QuotientPresentation:
         if h != IntMatrix.identity(f):
             raise AssertionError("the orthogonal complement is not primitive")
         section = IntMatrix._of(u.sparse_rows[:f], n)
-    divisors = (1,) * lat.rank if lat.echelon()[3] == 1 else snf(lat.canonical_form)[0]
+    divisors = (1,) * rank if rest_det == 1 else snf(lat.canonical_form)[0]
     return QuotientPresentation(
         ambient_rank=n,
         elementary_divisors=divisors,

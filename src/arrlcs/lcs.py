@@ -184,9 +184,9 @@ class LcsData:
         self.gens = self.index.generator_pairs
         rows = [rbar_coords(config, i, p, self.wedge_pos) for (i, p) in self.gens]
         self.r2 = Lattice(self.npairs, IntMatrix(rows, self.npairs))
-        if self.r2.rank != len(self.gens):
-            raise ValueError("degree-2 relator classes are not independent")
         self.p2 = quotient_presentation(self.r2)
+        if len(self.p2.elementary_divisors) != len(self.gens):  # rank R2, as many divisors as it has
+            raise ValueError("degree-2 relator classes are not independent")
         if not self.p2.is_torsion_free:
             raise TorsionError("degree-2 quotient has torsion")
 
@@ -258,6 +258,15 @@ class LcsData:
 
     @cached_property
     def p3(self) -> QuotientPresentation:
+        """P3 = L3/R3; raises ``TorsionError`` if it has torsion.
+
+        ``quotient_presentation`` peels R3's unit rows first, so only the
+        residual L′ is reduced: 91 × 112 leaves 77 × 98 on c8, 612 × 572
+        leaves 154 × 194 on C13 (147 × 187 relabeled at seed 41), and
+        ``glue_copies(6)`` and ``(12)`` leave 462 × 578 of 14 496 × 10 912
+        and 924 × 1 154 of 111 972 × 79 422.  R3's rank is
+        ``len(p3.elementary_divisors)``; nothing reduces R3 whole.
+        """
         pres = quotient_presentation(self.r3)
         if not pres.is_torsion_free:
             raise TorsionError("degree-3 quotient has torsion")

@@ -307,6 +307,55 @@ def reference_quotient(lat: Lattice) -> tuple[tuple[int, ...], IntMatrix, IntMat
     return divisors, projection, IntMatrix._of(u.sparse_rows[:f], n)
 
 
+def unpeeled_quotient(lat: Lattice) -> QuotientPresentation:
+    """``quotient_presentation`` as it ran before unit rows were peeled: the whole basis is reduced.
+
+    perp is read off the canonical form of ``lat`` itself (free columns
+    when every pivot is 1, else the left kernel of its transpose), the
+    section is the unit rows at perp's pivots or the head of the transform
+    that reduces Kᵀ, and the divisors are ones when ``lat``'s own pivots
+    are 1, else the ``snf`` divisors of its canonical form.
+    """
+    n, h, (_, _, pivots, det) = lat.ambient_rank, lat.canonical_form, lat.echelon()
+    if det == 1:
+        cols, free = [dict() for _ in range(n)], sorted(set(range(n)).difference(pivots))
+        for k, row in enumerate(h.sparse_rows):
+            for c, x in row.items():
+                cols[c][k] = x
+        comp = Lattice(n, IntMatrix._of([{c: 1, **{pivots[k]: -x for k, x in cols[c].items()}} for c in free], n))
+    else:
+        comp = Lattice(n, kernel_basis(h.transpose()))
+    projection, (_, _, comp_pivots, comp_det) = comp.canonical_form.transpose(), comp.echelon()
+    f = projection.cols
+    if comp_det == 1:
+        section = IntMatrix._of([{c: 1} for c in comp_pivots], n)
+    else:
+        section = IntMatrix._of(hnf_with_transform(projection)[1].sparse_rows[:f], n)
+    divisors = (1,) * lat.rank if det == 1 else snf(h)[0]
+    return QuotientPresentation(ambient_rank=n, elementary_divisors=divisors, free_rank=f, projection=projection, section=section)
+
+
+def rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Rank of ``m``'s rows over F_p by plain Gaussian elimination on sparse rows."""
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> a reduced row, led by 1
+    for row in m.sparse_rows:
+        v = {c: x % p for c, x in row.items() if x % p}
+        while v:
+            c = min(v)
+            if c not in pivots:
+                inv = pow(v[c], -1, p)
+                pivots[c] = {k: x * inv % p for k, x in v.items()}
+                break
+            q = v[c]
+            for k, x in pivots[c].items():
+                y = (v.get(k, 0) - q * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    v.pop(k, None)
+    return len(pivots)
+
+
 def reference_u_points(data: LcsData) -> list[tuple[Lattice, QuotientPresentation]]:
     """Oracle for ``LcsData.u_points``: per finite point, in ``index.p0`` order, U_p and A_p/U_p by reduction.
 

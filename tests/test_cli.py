@@ -214,6 +214,10 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     # preimage identity and rank U + B alike; the P2 and P3 sections are read off unit pivots,
     # so neither projection is reduced
     assert len(shapes) == 24 and shapes.count((21, 18)) == 1
+    # R2 (13 × 21) and R3 (91 × 112) are never reduced whole: P2 and P3 reduce what is left of
+    # them once their unit rows are peeled, and their ranks are read off those presentations
+    assert shapes[:3] == [(10, 18), (8, 21), (77, 98)]
+    assert (13, 21) not in shapes and (91, 112) not in shapes
     # 6 σ × 7 base identities, the identity σ's slice being the base identities themselves
     assert len(pullbacks) == 42
     # once for ``maclane_dual_basis``, once for the mod-3 functional's terms

@@ -847,3 +847,66 @@ def test_quotient_presentation_divisors():
     assert q.elementary_divisors == (1,)
     assert q.free_rank == 1
     assert q.is_torsion_free
+
+
+# -- the unit-row split ------------------------------------------------------------
+
+
+@st.composite
+def peeled_lattices(draw, max_cols=8):
+    """Planted unit rows ±e_c, each plus entries at columns planted before it (a cascade:
+    it is ±e_c only once those are peeled), over residual rows that may hold torsion,
+    zero rows and rows 2·e_c, which must not peel; the rows are shuffled."""
+    n = draw(st.integers(1, max_cols))
+    order = draw(st.permutations(range(n)))
+    planted = order[: draw(st.integers(0, n))]
+    rows = []
+    for i, c in enumerate(planted):
+        earlier = draw(st.dictionaries(st.sampled_from(planted[:i]), st.integers(-3, 3).filter(bool), max_size=2)) if i else {}
+        rows.append({**earlier, c: draw(st.sampled_from((1, -1)))})
+    entry = st.dictionaries(st.integers(0, n - 1), st.integers(-6, 6).filter(bool), max_size=3)
+    rows += draw(st.lists(entry, max_size=4))
+    rows += [{c: 2} for c in draw(st.lists(st.integers(0, n - 1), max_size=2))]
+    rows += [{}] * draw(st.integers(0, 2))
+    rows = draw(st.permutations(rows))
+    return Lattice(n, IntMatrix([[row.get(j, 0) for j in range(n)] for row in rows], n))
+
+
+@settings(max_examples=300)
+@given(peeled_lattices())
+@example(Lattice(3, [[2, 0, 0], [0, 1, 0]]))  # 2·e_0 does not peel: Z/2 survives
+@example(Lattice(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))  # a cascade peels everything
+@example(Lattice(3, [[1, 0, 0], [1, 0, 0], [3, 2, 0]]))  # a second e_0 empties; 2·e_1 is left
+@example(Lattice(4, [[0, 0, 0, 0], [0, 1, 0, 0], [2, 1, 4, 0]]))  # torsion residual (2, 4) on columns 0 and 2
+def test_peeled_perp_and_quotient_equal_the_kernel_route(lat):
+    assert_quotient_matches_the_oracles(lat)
+    kept, rest = exactlin._peel_unit_rows(lat.basis.sparse_rows, lat.ambient_rank)
+    if kept is not None:
+        # the span is Z^D ⊕ L′: the unit rows at the peeled columns and the rest spread back over the kept ones
+        n, peeled = lat.ambient_rank, set(range(lat.ambient_rank)).difference(kept)
+        split = [{d: 1} for d in peeled] + [{kept[c]: x for c, x in row.items()} for row in rest]
+        assert Lattice(n, IntMatrix._of(split, n)) == lat
+        assert lat._unit_split()[1] == lat.echelon()[3]  # L′'s pivot product is L's
+
+
+def test_a_row_two_e_c_does_not_peel():
+    lat = Lattice(3, [[2, 0, 0], [0, 1, 0], [0, 1, 1]])  # e_1 peels, then e_1 + e_2 as e_2; 2·e_0 stays
+    assert exactlin._peel_unit_rows(lat.basis.sparse_rows, 3) == ([0], [{0: 2}])
+    q = quotient_presentation(lat)
+    assert q.elementary_divisors == (1, 1, 2) and q.free_rank == 0
+    # once e_0 peels by a cascade of its own, 2·e_0 is emptied
+    assert exactlin._peel_unit_rows(IntMatrix([[2, 0, 0], [1, 1, 0], [0, 1, 0]], 3).sparse_rows, 3) == ([2], [])
+
+
+@settings(max_examples=100)
+@given(peeled_lattices())
+def test_a_split_keeps_no_stage_of_the_residual(lat):
+    # a lattice with a unit row is never reduced itself, and keeps only the scalars and perp;
+    # a lattice with none is its own L′: one forward pass, whose stages it keeps
+    has_unit = any(len(row) == 1 and abs(*row.values()) == 1 for row in lat.basis.sparse_rows)
+    with mock.patch.object(exactlin, "_hnf_forward", wraps=exactlin._hnf_forward) as forward:
+        rank, det, comp = lat._unit_split()
+    assert set(lat._cache) == ({"split"} if has_unit else {"split", "echelon", "canonical"})
+    # the residual's (or the lattice's) pass, and one for the left kernel when a pivot exceeds 1
+    assert forward.call_count == 1 + (det != 1)
+    assert rank == lat.rank and comp is perp(lat)

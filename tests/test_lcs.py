@@ -53,6 +53,7 @@ from helpers import (
     dense_tau_star,
     dict_point_quotient,
     pulled_back_functional,
+    rank_mod_p,
     tau_lift,
     delta_kernel,
     hesse,
@@ -69,6 +70,7 @@ from helpers import (
     swept_bracket,
     swept_l3_action,
     tau_support_rows,
+    unpeeled_quotient,
     vec_mat,
 )
 
@@ -1496,7 +1498,58 @@ def test_pulled_back_certificate_rejects_mutants(maclane_data, c13_data):
     assert _pairing(c13_data, pulled_back_functional(c13_data, maclane_data, 1, w.functional), g, g2, w.modulus) == 4
 
 
-def test_im_delta_torsion_divisors(maclane_data, c13_data):
+@pytest.fixture(scope="module")
+def glued3_data():
+    return build_lcs(glue_copies(3))
+
+
+def test_im_delta_torsion_divisors(maclane_data, c13_data, glued3_data):
     # T, the torsion of Hom(R2,P3)/Im δ̄, has one Z/3 per MacLane copy
-    for data, expected in ((maclane_data, [3]), (c13_data, [3, 3]), (build_lcs(glue_copies(3)), [3, 3, 3])):
+    for data, expected in ((maclane_data, [3]), (c13_data, [3, 3]), (glued3_data, [3, 3, 3])):
         assert [d for d in snf(data.im_delta.canonical_form)[0] if d != 1] == expected
+
+
+def test_im_delta_rank_drops_mod_3_by_its_divisors_divisible_by_3(maclane_data, c13_data, glued3_data):
+    # rank_Z - rank_F3 of a lattice counts its elementary divisors divisible by 3, so a mod-3
+    # elimination reads the 3-rank of T off Im δ̄ without a Smith form
+    for data, expected in ((maclane_data, 1), (c13_data, 2), (glued3_data, 3)):
+        divisors = snf(data.im_delta.canonical_form)[0]
+        assert data.im_delta.rank - rank_mod_p(data.im_delta.basis, 3) == sum(1 for d in divisors if d % 3 == 0) == expected
+
+
+def test_peeled_p2_and_p3_equal_the_whole_reduction(asymmetric_config):
+    configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), asymmetric_config, hesse(), pencil4(), glue_copies(3))
+    for config in configs:
+        data = build_lcs(config)
+        assert data.p2 == unpeeled_quotient(Lattice(data.r2.ambient_rank, data.r2.basis))
+        assert data.p3 == unpeeled_quotient(Lattice(data.r3.ambient_rank, data.r3.basis))
+
+
+def test_a_cold_p3_reduces_only_the_residual_of_r3(monkeypatch):
+    shapes, forward = [], exactlin._hnf_forward
+    monkeypatch.setattr(exactlin, "_hnf_forward", lambda a, ncols, u: shapes.append((len(a), ncols)) or forward(a, ncols, u))
+    for config, residual in ((glue_c13(), (154, 194)), (relabel(glue_c13(), 41), (147, 187))):
+        data = build_lcs(config)
+        data.r3  # noqa: B018 - built, not reduced
+        shapes.clear()
+        data.p3  # noqa: B018
+        # R3 is 612 × 572; the residual's pass comes first and is the largest, then perp's (40 rows)
+        assert shapes[0] == residual and max(rows for rows, _ in shapes) == residual[0]
+        assert all(rows != 612 for rows, _ in shapes) and len(data.p3.elementary_divisors) == 532
+        assert "echelon" not in data.r3._cache
+
+
+def test_dependent_r2_is_refused_before_its_torsion(monkeypatch):
+    # the first two relator rows both become 2·r̄_0: R2 is dependent and ZZ^21/R2 has torsion,
+    # and the dependence is what is reported
+    rows = []
+
+    def doubled(config, i, p, idx=None):
+        rows.append(words.rbar_coords(config, i, p, idx))
+        return tuple(2 * x for x in rows[0]) if len(rows) <= 2 else rows[-1]
+
+    monkeypatch.setattr(lcs, "rbar_coords", doubled)
+    with pytest.raises(ValueError, match="not independent"):
+        build_lcs(maclane_c8())
+    doubled_rows = [tuple(2 * x for x in rows[0])] * 2 + rows[2:]
+    assert not exactlin.quotient_presentation(Lattice(21, doubled_rows)).is_torsion_free

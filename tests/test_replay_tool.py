@@ -141,6 +141,8 @@ def test_bracket_times_the_p3_map_r3perp_and_im_delta_cold(monkeypatch):
     (rec,) = run["inputs"]
     data = replay.lcs.build_lcs(replay.config.maclane_c8())
     assert (rec["config"], rec["p3_rank"]) == ("c8", 21) and set(run["total_s"]) == {"c8"}
+    # P3 is presented from R3's residual: 77 × 98 of its 91 × 112 once unit rows are peeled
+    assert (rec["r3_shape"], rec["p3_reduction_shape"]) == ([91, 112], [77, 98])
     assert all(rec[f"{layer}_s"] > 0 for layer in ("bracket", "r3", "p3", "bracket_p3", "r3perp", "im_delta"))
     assert rec["bracket_p3_digest"] == replay.sha(data._bracket_p3)
     assert rec["r3perp_digest"] == replay.sha(data.r3perp.canonical_form) and rec["im_delta_digest"] == replay.sha(data.im_delta.basis)

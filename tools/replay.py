@@ -68,7 +68,10 @@ compare with later runs.
   C13, C13 at ``SEED`` and ``glued6``, each timed with the earlier layers
   built and the Lyndon basis cache cleared; ``total_s`` sums the best
   times.  Records before ``BENCH_34.json`` hold the first three layers
-  only, and no ``glued6``.
+  only, and no ``glued6``.  From ``BENCH_39.json`` on, each record also
+  holds ``p3_reduction_shape``, the rows and columns of the first
+  reduction a cold ``p3`` runs: R3's residual after its unit rows are
+  peeled, or R3 itself where the src reduces it whole.
 * ``u``: the cold ``u_points`` of c8, C13, C13 at ``SEED``, the 9-line
   test fixture, the 3-, 4-, 6- and 12-fold MacLane gluings and Hesse (the
   12 lines of AG(2,3)), with both kernel identities, timed apart
@@ -465,6 +468,18 @@ BRACKET_LAYERS = {  # layer: digest of its value
 BRACKET_CONFIGS = ("c8", "c13", f"c13@{SEED}", "glued6")
 
 
+def p3_reduction_shape(cfg) -> list[int]:
+    """Rows and columns of the first forward pass of a cold ``p3`` with R3 built: the reduction P3 is presented from.
+
+    That is R3's residual once its unit rows are peeled, or R3 itself on
+    a src that reduces it whole.
+    """
+    data, shapes = lcs.build_lcs(cfg), []
+    data.r3  # noqa: B018 - built before the capture
+    capture(lambda: data.p3, [(exactlin, "_hnf_forward")], lambda name, caller, a, ncols, u: shapes.append([len(a), ncols]))
+    return shapes[0]
+
+
 def bracket() -> dict:
     records = []
     for name in BRACKET_CONFIGS:
@@ -483,7 +498,7 @@ def bracket() -> dict:
             )
         records.append({
             "config": name, "bracket_shape": list(data.bracket.shape), "r3_shape": list(data.r3.basis.shape),
-            "p3_rank": data.p3.free_rank,
+            "p3_rank": data.p3.free_rank, "p3_reduction_shape": p3_reduction_shape(cfg),
             **{f"{layer.lstrip('_')}_s": seconds[layer] for layer in BRACKET_LAYERS},
             "total_s": round(sum(seconds.values()), 7),
             **{f"{layer.lstrip('_')}_digest": digests[layer] for layer in BRACKET_LAYERS},
