@@ -467,25 +467,14 @@ def is_s3_times_z2(autos: Sequence[ConfigAutomorphism]) -> bool:
     of order 2 and exactly seven involutions (the dicyclic group shares
     the center but has a single involution; A4 has trivial center).
     """
-    if len(autos) != 12:
+    key = {s.line_perm: k for k, s in enumerate(autos)}
+    if len(autos) != 12 or len(key) != 12:
         return False
-    elems = list(autos)
-    key = {s.line_perm: s for s in elems}
-    if len(key) != 12:
+    table = [[key.get(s.compose(t).line_perm) for t in autos] for s in autos]
+    if any(None in row for row in table):
         return False
-    for s in elems:
-        for t in elems:
-            if s.compose(t).line_perm not in key:
-                return False
-    abelian = all(
-        s.compose(t).line_perm == t.compose(s).line_perm for s in elems for t in elems
-    )
-    if abelian:
-        return False
-    center = [
-        s
-        for s in elems
-        if all(s.compose(t).line_perm == t.compose(s).line_perm for t in elems)
-    ]
-    involutions = [s for s in elems if not s.is_identity() and s.order() == 2]
+    # a finite set of permutations closed under composition is a group
+    e = key[ConfigAutomorphism.identity(autos[0].config).line_perm]
+    center = [s for s in range(12) if all(table[s][t] == table[t][s] for t in range(12))]
+    involutions = [s for s in range(12) if s != e and table[s][s] == e]
     return len(center) == 2 and len(involutions) == 7

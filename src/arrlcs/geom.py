@@ -1,15 +1,15 @@
 """Exact projective geometry over Q(w) with w^2 + w + 1 = 0.
 
 Verifies that explicit homogeneous line coordinates realize a
-configuration.  Each line's covector is scaled into Z[w] once, as
-(a, b) int pairs for a + b*w, by clearing its denominators.  For each
-pair of distinct lines whose meeting point is not yet known, the
-integral cross product P of their covectors is taken, and the lines
-through P are those whose covector has Z[w] dot product 0 with P; every
-pair among them then meets at P.  The resulting incidence structure
-must match the configured one line set for line set.  Only the
-configured points are normalized, one ``ProjPoint`` each.  No floating
-point appears anywhere.
+configuration.  A ``ProjLine`` or ``ProjPoint`` holds the Z[w] triple
+it was built from, as (a, b) int pairs for a + b*w, and is normalized
+to ``Fraction`` coordinates only when ``coords`` is read; two are equal
+when their cross product vanishes.  For each pair of distinct lines not
+yet known to meet, the integral cross product P of their covectors is
+taken, and the lines through P are those with Z[w] dot product 0 with
+P; every pair among them then meets at P.  The resulting incidence
+structure must match the configured one line set for line set.  No
+floating point appears anywhere.
 
 Provided realizations:
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
@@ -137,13 +138,14 @@ class CycloRational:
 ZERO = CycloRational(0)
 ONE = CycloRational(1)
 OMEGA = CycloRational(0, 1)
+_ZERO3 = ((0, 0),) * 3
 
 # -- integral coordinates ----------------------------------------------------
 #
 # A triple over Q(w) scaled by the common denominator of its rational parts
 # is a triple over Z[w], stored as (a, b) int pairs for a + b*w.  Scaling
 # changes no projective answer, so incidence and coincidence are decided on
-# these int pairs, and only a point that is reported becomes Fractions.
+# these int pairs, and a triple becomes Fractions only when it is read.
 
 
 def _integral(coords) -> tuple[tuple[int, int], ...]:
@@ -156,35 +158,33 @@ def _integral(coords) -> tuple[tuple[int, int], ...]:
 
 def _zcross(u, v) -> tuple[tuple[int, int], ...]:
     """Cross product of two Z[w] triples."""
-
-    def minor(i, j):
-        # u_i v_j - u_j v_i, with (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd)*w
-        (a, b), (c, d), (e, f), (g, h) = u[i], v[j], u[j], v[i]
-        return (a * c - b * d - e * g + f * h, a * d + b * c - b * d - e * h - f * g + f * h)
-
-    return (minor(1, 2), minor(2, 0), minor(0, 1))
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, d0), (c1, d1), (c2, d2) = v
+    # u_i v_j - u_j v_i, with (a + b*w)(c + d*w) = ac - bd + (ad + bc - bd)*w
+    return (
+        (a1 * c2 - b1 * d2 - a2 * c1 + b2 * d1, a1 * d2 + b1 * c2 - b1 * d2 - a2 * d1 - b2 * c1 + b2 * d1),
+        (a2 * c0 - b2 * d0 - a0 * c2 + b0 * d2, a2 * d0 + b2 * c0 - b2 * d0 - a0 * d2 - b0 * c2 + b0 * d2),
+        (a0 * c1 - b0 * d1 - a1 * c0 + b1 * d0, a0 * d1 + b0 * c1 - b0 * d1 - a1 * d0 - b1 * c0 + b1 * d0),
+    )
 
 
 def _incident(line, point) -> bool:
     """Whether the Z[w] dot product of a covector and a point vanishes."""
-    re = im = 0
-    for (a, b), (c, d) in zip(line, point):
-        re += a * c - b * d
-        im += a * d + b * c - b * d
-    return not re and not im
+    (a0, b0), (a1, b1), (a2, b2) = line
+    (c0, d0), (c1, d1), (c2, d2) = point
+    return not (a0 * c0 - b0 * d0 + a1 * c1 - b1 * d1 + a2 * c2 - b2 * d2) and not (
+        a0 * d0 + b0 * c0 - b0 * d0 + a1 * d1 + b1 * c1 - b1 * d1 + a2 * d2 + b2 * c2 - b2 * d2
+    )
 
 
 def _canonical(z) -> tuple[CycloRational, ...]:
-    """A Z[w] triple divided by its first nonzero entry p.
+    """A nonzero Z[w] triple divided by its first nonzero entry p.
 
     Each entry x becomes x * conj(p) / N(p), with the norm N(p) =
     p * conj(p) a positive integer, so every ``Fraction`` is built once,
     already in lowest terms.
     """
-    pivot = next((p for p in z if p != (0, 0)), None)
-    if pivot is None:
-        raise ValueError("homogeneous coordinates must not all vanish")
-    pa, pb = pivot
+    pa, pb = next(p for p in z if p != (0, 0))
     ca, cb = pa - pb, -pb
     n = pa * pa - pa * pb + pb * pb
     return tuple(
@@ -197,26 +197,33 @@ def _canonical(z) -> tuple[CycloRational, ...]:
 
 
 class _ProjTriple:
-    """Homogeneous coordinate triple, scaled so the first nonzero entry is 1."""
+    """Homogeneous coordinate triple held as the Z[w] triple ``z``; equal when cross products vanish.
 
-    __slots__ = ("coords",)
+    ``coords``, scaled so the first nonzero entry is 1, is built on first read and kept.
+    """
 
     def __init__(self, c0, c1, c2):
-        coords = [CycloRational.coerce(c) for c in (c0, c1, c2)]
-        object.__setattr__(self, "coords", _canonical(_integral(coords)))
+        z = _integral([CycloRational.coerce(c) for c in (c0, c1, c2)])
+        if z == _ZERO3:
+            raise ValueError("homogeneous coordinates must not all vanish")
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def _from_integral(cls, z):
-        """The triple with Z[w] coordinates ``z``, normalized."""
+        """The triple with Z[w] coordinates ``z``, which must not all vanish."""
         t = object.__new__(cls)
-        object.__setattr__(t, "coords", _canonical(z))
+        object.__setattr__(t, "z", z)
         return t
+
+    @cached_property
+    def coords(self) -> tuple[CycloRational, ...]:
+        return _canonical(self.z)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coords == other.coords
+        return type(other) is type(self) and _zcross(self.z, other.z) == _ZERO3
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.coords))
@@ -238,8 +245,8 @@ class ProjLine(_ProjTriple):
 
 
 def intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    c = _zcross(_integral(l1.coords), _integral(l2.coords))
-    if c == ((0, 0),) * 3:
+    c = _zcross(l1.z, l2.z)
+    if c == _ZERO3:
         raise ValueError("coincident lines have no unique intersection")
     return ProjPoint._from_integral(c)
 
@@ -257,22 +264,25 @@ def phi_c8(sign: str) -> tuple[ProjLine, ...]:
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    w = OMEGA if sign == "+" else OMEGA.conjugate()
-    return (
-        ProjLine(1, 0, 0),           # z0 = 0
-        ProjLine(0, 1, 0),           # z1 = 0
-        ProjLine(-1, 1, 0),          # z1 = z0
-        ProjLine(0, 0, 1),           # z2 = 0
-        ProjLine(-1, 0, 1),          # z2 = z0
-        ProjLine(0, w, 1),           # z2 + w*z1 = 0
-        ProjLine(-(w + 1), w, 1),    # z2 + w*z1 = (w+1)*z0
-        ProjLine(-1, w + 1, 1),      # (w+1)*z1 + z2 = z0
+    # w, w + 1 and -(w + 1) as (a, b) pairs for a + b*w; "-" reads w as -1 - w
+    w, w1, mw1 = ((0, 1), (1, 1), (-1, -1)) if sign == "+" else ((-1, -1), (0, -1), (0, 1))
+    o, i, m = (0, 0), (1, 0), (-1, 0)
+    rows = (
+        (i, o, o),      # z0 = 0
+        (o, i, o),      # z1 = 0
+        (m, i, o),      # z1 = z0
+        (o, o, i),      # z2 = 0
+        (m, o, i),      # z2 = z0
+        (o, w, i),      # z2 + w*z1 = 0
+        (mw1, w, i),    # z2 + w*z1 = (w+1)*z0
+        (m, w1, i),     # (w+1)*z1 + z2 = z0
     )
+    return tuple(ProjLine._from_integral(z) for z in rows)
 
 
 def conjugate_realization(lines) -> tuple[ProjLine, ...]:
-    """Apply complex conjugation to every line coefficient."""
-    return tuple(ProjLine(*(c.conjugate() for c in l.coords)) for l in lines)
+    """Apply complex conjugation, a + b*w -> (a - b) - b*w, to every line coefficient."""
+    return tuple(ProjLine._from_integral(tuple((a - b, -b) for a, b in l.z)) for l in lines)
 
 
 # -- incidence check against a configuration --------------------------------
@@ -315,22 +325,21 @@ def check_realization(config: Configuration, lines) -> RealizationReport:
     sets must equal the set of configured point line sets.  This
     certifies both that every configured point is realized and that no
     unconfigured concurrence (or coincidence of two configured points)
-    occurs.  Each matched configured point is normalized once, for
-    ``locations``.
+    occurs.  Two lines with zero cross product are duplicates.  Each
+    matched point in ``locations`` is its integral cross product.
     """
     lines = tuple(lines)
     if len(lines) != len(config.lines):
         raise ValueError(f"expected {len(config.lines)} lines, got {len(lines)}")
-    # Lines are normalized, so two are equal exactly when their scaled covectors are.
-    covectors = [_integral(l.coords) for l in lines]
+    covectors = [l.z for l in lines]
     realized: dict[frozenset[int], tuple] = {}
     met: set[tuple[int, int]] = set()
     duplicates: list[tuple[int, int]] = []
     for i, j in combinations(range(len(lines)), 2):
-        if covectors[i] == covectors[j]:
+        point = _zcross(covectors[i], covectors[j])
+        if point == _ZERO3:
             duplicates.append((i, j))
         elif (i, j) not in met:
-            point = _zcross(covectors[i], covectors[j])
             on = [k for k, cov in enumerate(covectors) if _incident(cov, point)]
             met.update(combinations(on, 2))
             realized[frozenset(on)] = point
@@ -401,7 +410,7 @@ def _covector_map(psi) -> tuple[tuple[int, ...], ...]:
 
 def _moved(adj, line: ProjLine) -> ProjLine:
     """Image of ``line`` under the covector map ``adj`` from ``_covector_map``."""
-    z = _integral(line.coords)
+    z = line.z
     return ProjLine._from_integral(
         tuple(
             (sum(a * m for (a, _), m in zip(z, row)), sum(b * m for (_, b), m in zip(z, row)))

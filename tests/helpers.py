@@ -7,7 +7,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from arrlcs.config import ConfigAutomorphism, Configuration, copy_line, maclane_c8
 from arrlcs.exactlin import (
@@ -247,6 +247,37 @@ def clustered_realization(config: Configuration, lines) -> RealizationReport:
     )
 
 
+def random_real_arrangement(n: int, bound: int, seed: int) -> tuple[Configuration, tuple[ProjLine, ...]]:
+    """n distinct real lines and the configuration they realize.
+
+    Line 0 is z0 = 0, covector (1, 0, 0); lines 1..n-1 are drawn from
+    ``random.Random(seed)`` with integer coefficients in [-bound, bound],
+    redrawn while proportional to an earlier line.  Points and their line
+    sets are read off the integer cross product of every pair, scaled to
+    a primitive vector whose first nonzero entry is positive.
+    """
+    rng = random.Random(seed)
+
+    def primitive(v):
+        g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+        return tuple(x // g for x in v)
+
+    covectors = [(1, 0, 0)]
+    while len(covectors) < n:
+        v = tuple(rng.randint(-bound, bound) for _ in range(3))
+        if any(v) and primitive(v) not in {primitive(c) for c in covectors}:
+            covectors.append(v)
+    clusters: dict[tuple[int, ...], set[int]] = {}
+    for i, j in itertools.combinations(range(n), 2):
+        (a0, a1, a2), (b0, b1, b2) = covectors[i], covectors[j]
+        point = primitive((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+        clusters.setdefault(point, set()).update((i, j))
+    names = [f"l{i}" for i in range(n)]
+    points = {"p" + "_".join(map(str, sorted(ls))): ls for ls in clusters.values()}
+    incidence = [(names[i], p) for p, ls in points.items() for i in ls]
+    return Configuration(names, points, incidence), tuple(ProjLine(*v) for v in covectors)
+
+
 def incident(line: ProjLine, point: ProjPoint) -> bool:
     return not sum((a * z for a, z in zip(line.coords, point.coords)), ZERO)
 
@@ -335,10 +366,10 @@ def unpeeled_quotient(lat: Lattice) -> QuotientPresentation:
     return QuotientPresentation(ambient_rank=n, elementary_divisors=divisors, free_rank=f, projection=projection, section=section)
 
 
-def rank_mod_p(m: IntMatrix, p: int) -> int:
-    """Rank of ``m``'s rows over F_p by plain Gaussian elimination on sparse rows."""
+def rank_mod_p(rows: Iterable[dict[int, int]], p: int) -> int:
+    """Rank over F_p of sparse ``{column: entry}`` rows, by plain Gaussian elimination."""
     pivots: dict[int, dict[int, int]] = {}  # leading column -> a reduced row, led by 1
-    for row in m.sparse_rows:
+    for row in rows:
         v = {c: x % p for c, x in row.items() if x % p}
         while v:
             c = min(v)

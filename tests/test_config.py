@@ -259,6 +259,48 @@ def test_glued_automorphism_group():
     assert partition_check(glue_c13(), autos)
 
 
+def _generated(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The group of permutations that ``gens`` generate."""
+    group = {tuple(range(len(gens[0])))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def test_is_s3_times_z2_rejects_the_other_groups_of_order_12():
+    def cycles(*cs):  # a permutation of 8 points from disjoint cycles
+        p = list(range(8))
+        for c in cs:
+            for a, b in zip(c, c[1:] + c[:1]):
+                p[a] = b
+        return tuple(p)
+
+    groups = {
+        "Z12": [cycles((0, 1, 2), (3, 4, 5, 6))],
+        "Z6xZ2": [cycles((0, 1, 2, 3, 4, 5)), cycles((6, 7))],
+        "A4": [cycles((0, 1, 2)), cycles((0, 1), (2, 3))],
+        # (1 2)(3 4 5 6) has order 4 and inverts (0 1 2): Z3 ⋊ Z4
+        "Dic3": [cycles((0, 1, 2)), cycles((1, 2), (3, 4, 5, 6))],
+        "S3xZ2": [cycles((0, 1, 2)), cycles((1, 2)), cycles((3, 4))],
+    }
+    c13 = glue_c13()
+    for name, gens in groups.items():
+        group = _generated(gens)
+        assert len(group) == 12
+        # lines 1..8 carry the permutation; lines 0 and 9..12 stay fixed
+        autos = [ConfigAutomorphism(c13, (0, *(1 + i for i in p), 9, 10, 11, 12)) for p in sorted(group)]
+        assert is_s3_times_z2(autos) == (name == "S3xZ2"), name
+    # S3 x Z2 (the last group) short of one element, and with it swapped for one outside the group
+    assert not is_s3_times_z2(autos[:11])
+    assert not is_s3_times_z2(autos[:11] + [ConfigAutomorphism(c13, (*range(11), 12, 11))])
+
+
 def test_partition_preserved_by_every_automorphism():
     c13 = glue_c13()
     pairs = {frozenset((i, i + 5)) for i in range(3, 8)}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrlcs import geom
+from arrlcs import cli, geom
 from arrlcs.config import glue_c13, maclane_c8, validate
 from arrlcs.geom import (
     OMEGA,
@@ -25,7 +25,7 @@ from arrlcs.geom import (
     phi_c8,
     psi_generic,
 )
-from helpers import clustered_realization, cyclo_from_str, divide_by_pivot, incident, line_through
+from helpers import clustered_realization, cyclo_from_str, divide_by_pivot, incident, line_through, random_real_arrangement
 
 IDENTITY_PSI = (
     (Fraction(1), Fraction(0), Fraction(0)),
@@ -161,6 +161,33 @@ def test_normalization_rejects_floats_and_zero_triples():
             ProjPoint(*zero)
         with pytest.raises(ValueError):
             ProjLine(*zero)
+
+
+def test_coordinates_are_normalized_once_and_equality_is_projective():
+    t = phi_c8("+")[6]
+    assert t.coords is t.coords
+    scale = CycloRational(3, -2)
+    for line in phi_c8("+") + phi_c8("-"):
+        scaled = ProjLine(*(scale * CycloRational(a, b) for a, b in line.z))
+        assert scaled.z != line.z
+        assert scaled == line and hash(scaled) == hash(line)
+        assert scaled.coords == line.coords
+
+
+def test_a_realization_verdict_normalizes_no_coordinates(monkeypatch):
+    def refuse(z):
+        raise AssertionError(f"normalized {z}")
+
+    monkeypatch.setattr(geom, "_canonical", refuse)
+    check = cli._realization_check()
+    assert check["status"] == "pass" and check["details"]["clusters"] == 12
+    for sign in ("+", "-"):
+        glued = generic_glued_realization(sign, 41)
+        assert glued.report.ok and len(glued.report.locations) == 48
+        rep = check_realization(glue_c13(), glued.lines)
+        assert rep.ok and len(rep.locations) == 48
+        rep = check_realization(maclane_c8(), phi_c8(sign))
+        assert rep.ok and len(rep.locations) == 12
 
 
 def test_incidence_and_duality():
@@ -342,6 +369,24 @@ def test_check_realization_matches_the_clustering_oracle():
             not_ok.append(k)
     degenerate_seeds = [17, 20, 24, 28, 36]
     assert not_ok == [2, 3] + [4 + s for s in degenerate_seeds] + [44 + s for s in degenerate_seeds]
+
+
+def test_random_real_arrangements_realize_their_combinatorics():
+    for seed in range(20):
+        config, lines = random_real_arrangement(9, 2, seed)
+        assert validate(config).ok
+        assert lines[0] == ProjLine(1, 0, 0)
+        rep = check_realization(config, lines)
+        assert rep.ok
+        assert rep.to_json_dict() == clustered_realization(config, lines).to_json_dict()
+        # line k becomes a multiple of line j, so (j, k) is the only coincident pair
+        j, k = random.Random(seed).sample(range(9), 2)
+        for scale in (2, OMEGA):
+            moved = list(lines)
+            moved[k] = ProjLine(*(scale * c for c in lines[j].coords))
+            rep = check_realization(config, moved)
+            assert rep.duplicate_lines == (tuple(sorted((j, k))),) and not rep.ok
+            assert rep.to_json_dict() == clustered_realization(config, moved).to_json_dict()
 
 
 def test_generic_glued_realizations_certify():
