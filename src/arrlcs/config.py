@@ -465,16 +465,21 @@ def is_s3_times_z2(autos: Sequence[ConfigAutomorphism]) -> bool:
 
     A group of order 12 is S3 x Z2 iff it is nonabelian with a center
     of order 2 and exactly seven involutions (the dicyclic group shares
-    the center but has a single involution; A4 has trivial center).
+    the center but has a single involution; A4 has trivial center).  The
+    12 × 12 table composes the line permutations directly, each ordered
+    pair once, with the configurations compared once up front.
     """
     key = {s.line_perm: k for k, s in enumerate(autos)}
     if len(autos) != 12 or len(key) != 12:
         return False
-    table = [[key.get(s.compose(t).line_perm) for t in autos] for s in autos]
+    if any(s.config != autos[0].config for s in autos):
+        raise ValueError("automorphisms of different configurations")
+    perms = list(key)
+    table = [[key.get(tuple([p[j] for j in q])) for q in perms] for p in perms]
     if any(None in row for row in table):
         return False
     # a finite set of permutations closed under composition is a group
-    e = key[ConfigAutomorphism.identity(autos[0].config).line_perm]
+    e = key[tuple(range(len(perms[0])))]
     center = [s for s in range(12) if all(table[s][t] == table[t][s] for t in range(12))]
     involutions = [s for s in range(12) if s != e and table[s][s] == e]
     return len(center) == 2 and len(involutions) == 7

@@ -62,6 +62,13 @@ A failure's witness functional depends only on the failing pivot row or
 rational column, so it is solved once per such key and cached with the
 stages; a warm failed query pairs it with the vector over its support.
 
+A vector known to lie on a set of columns C needs only part of a basis:
+a row that is the only one left with an entry at a column outside C has
+coefficient 0 in every element of the lattice on C, so such rows are
+peeled in a cascade (``_peel_owned_rows``, the column mirror of the
+unit-row peel below) and only the rest need be reduced; ``lcs`` does so
+for Im δ̄ (``lcs.SupportCore``).
+
 ``quotient_presentation`` presents a quotient ``ZZ^n / lattice`` from
 the lattice alone: the projection is Kᵀ for K the canonical form of
 ``perp(lattice)``.  When K's pivots are all 1 its pivot columns are
@@ -395,6 +402,46 @@ def _peel_unit_rows(rows: Sequence[dict[int, int]], ncols: int) -> tuple[list[in
     return kept, [{at[c]: x for c, x in row.items() if c not in peeled} for row, k in zip(other, left) if k]
 
 
+def _peel_owned_rows(rows: Sequence[dict[int, int]], inside: set[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """``(core, peeled)``: the nonzero rows that no cascade of owned columns removes, and each removed row with its own column, in peel order.
+
+    The column mirror of ``_peel_unit_rows``.  A row owns a column c
+    outside ``inside`` when it is the only remaining row with an entry at
+    c; it is peeled with c as its own column, and a column it leaves with
+    one remaining row is peeled next.  Each column outside ``inside``
+    counts its remaining rows and sums their indices, so a count of 1
+    names the owner.  A row that owns a column still owns it once other
+    rows leave, so the peeled rows are the same in any order; the order
+    fixes only which owned column is a row's own.
+    """
+    on: dict[int, list[int]] = {}  # each column outside ``inside``: [remaining rows, sum of their indices]
+    for j, row in enumerate(rows):
+        for c in row:
+            if c not in inside:
+                if c in on:
+                    e = on[c]
+                    e[0] += 1
+                    e[1] += j
+                else:
+                    on[c] = [1, j]
+    todo, peeled, gone = [c for c, (k, _) in on.items() if k == 1], [], set()
+    while todo:
+        c = todo.pop()
+        k, j = on[c]
+        if k != 1:  # its owner left at another column
+            continue
+        peeled.append((j, c))
+        gone.add(j)
+        for d in rows[j]:
+            if d in on:
+                e = on[d]
+                e[0] -= 1
+                e[1] -= j
+                if e[0] == 1:
+                    todo.append(d)
+    return [j for j, row in enumerate(rows) if row and j not in gone], peeled
+
+
 def hnf(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form with zero rows dropped (canonical)."""
     a = [dict(row) for row in m.sparse_rows]
@@ -576,7 +623,11 @@ class Witness:
     while ``functional . v`` is not.  ``modulus == 0`` means honest
     integer orthogonality: the functional kills the lattice exactly but
     not the vector, so the failure is already rational; such a functional
-    is primitive (its entries have gcd 1).
+    is primitive (its entries have gcd 1).  From ``member`` a positive
+    modulus divides the lattice's pivot product.  A witness read off the
+    unpeeled rows of a basis (``lcs.SupportCore``) and extended along the
+    peel divides their pivot product times the extension's factors: 6 on
+    c8 and 36 on C13 for Im δ̄'s core, where all of Im δ̄ gives 12 and 144.
     """
 
     functional: tuple[int, ...]

@@ -8,6 +8,15 @@ are decided point by point from ``LcsData.u_points``, whose quotients
 A_p/U_p come from a spanning forest (``_point_quotient``).  The global
 lattices ``u_lattice``, ``tau_kernel`` and ``tau_preimage`` are the
 reference route; no CLI path reads them.
+
+Every vector the preimage identity tests against Im δ̄ is τ̃ of something,
+so it lies on τ̃'s image columns C (``LcsData.tau_support``).  An element
+Σ λ_i B_i of Im δ̄ on C has λ = 0 on each basis row B_j that is the only
+remaining row with an entry at a column outside C, in a cascade: by
+induction every other row there already has λ = 0, and the element is 0
+there.  So both the membership tests and the joint kernel read only the
+rows left, ``LcsData.im_delta_core`` (40 rows on 120 columns on C13, of
+180 × 2 040), and ``tau_preimage`` does too.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from .exactlin import (
     QuotientPresentation,
     hnf,
     kernel_basis,
-    member,
     quotient_presentation,
     vstack,
 )
@@ -222,8 +230,8 @@ def tau_kernel_equals_u(data: LcsData) -> bool:
 
 
 def tau_preimage(data: LcsData) -> Lattice:
-    """{a : τ̃a ∈ Im δ̄}, via the joint kernel of [τ̃ | δ̄] projected to A."""
-    joint = kernel_basis(vstack(data.tau_matrix, data.im_delta.basis))
+    """{a : τ̃a ∈ Im δ̄}, via the joint kernel of [τ̃; core of Im δ̄] projected to A: τ̃a lies on C, so it is in Im δ̄ iff in the core's span."""
+    joint = kernel_basis(vstack(data.tau_matrix, data.im_delta_core.lattice.basis))
     return Lattice(data.a_rank, joint.columns(0, data.a_rank))
 
 
@@ -233,18 +241,22 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     Let π: A → A/U be ``LcsData.u_projection``, with section s read from
     ``LcsData.u_points``.  Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff
     s(π(a)) does, so the equality holds iff π(preimage), the left kernel
-    of [τ̃∘s; Im δ̄] cut to its first block, equals π(B).  Im δ̄ enters
-    that kernel by the echelon rows κ reads (``Lattice.echelon``): only
-    its span matters there.  Raises TorsionError if A/U has torsion,
+    of [τ̃∘s; Im δ̄] cut to its first block, equals π(B).  Every row of
+    τ̃(U) and of τ̃∘s lies on τ̃'s image columns C, and an element of Im δ̄
+    on C has coefficient 0 on each row the core peels (the only remaining
+    row with an entry at a column outside C; see the module docstring), so
+    Im δ̄ enters both the membership tests and that kernel by the core's
+    rows alone (``LcsData.im_delta_core``: [τ̃∘s; core] is 76 × 120 on C13,
+    not 204 × 2 040).  Raises TorsionError if A/U has torsion,
     where no such section exists; U's own generators never give torsion
     (``_point_quotient``'s forest proves each A_p/U_p free), so only rows
     of another shape reach it.
     """
-    points = data.u_points
-    if not all(member(v, data.im_delta) for pt in points for v in pt.u_tau.sparse_rows if v):
+    points, core = data.u_points, data.im_delta_core
+    if not all(core.member(v) for pt in points for v in pt.u_tau.sparse_rows if v):
         return False
     if not all(pt.quotient.is_torsion_free for pt in points):
         raise TorsionError("A/U has torsion")
-    joint = kernel_basis(vstack(*(pt.s_tau for pt in points), data.im_delta.echelon()[0]))
+    joint = kernel_basis(vstack(*(pt.s_tau for pt in points), core.lattice.basis))
     f = data.u_projection.cols
     return Lattice(f, joint.columns(0, f)) == data.pi_b

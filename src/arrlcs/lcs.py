@@ -59,6 +59,15 @@ and π(B) (``LcsData.b``, ``LcsData.pi_b``, reduced from B·π's distinct
 rows up to sign); the preimage identity and ``maclane-report``'s ranks
 of U and U + B and its U⊥ comparison all read them.
 
+Im δ̄ is built as a flat basis and never reduced whole.  Every vector κ
+and the preimage identity test against it is τ̃ of something, so it lies
+on τ̃'s image columns C, and an element of Im δ̄ on C has coefficient 0 on
+each basis row that is the only remaining one with an entry at a column
+outside C, peeled in a cascade.  Both read only the rows left
+(``LcsData.im_delta_core``, a ``SupportCore``: 40 of C13's 180 rows, on
+120 of its 2 040 columns), and a κ witness found there is extended along
+the peel so that it vanishes on all of Im δ̄ (``_extend_witness``).
+
 Sign conventions: [a,b] = a^-1 b^-1 a b in the group, [x,y] = xy - yx
 on graded pieces, and δf(x∧y) = [x,f̂(y)] - [y,f̂(x)] mod R3 for any
 Λ²H-lift f̂ of f.  This is the unique sign for which δ̄ agrees with τ̃
@@ -76,10 +85,11 @@ four of its names: ``t_functional`` for κ's ``t_value`` on c8, and
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .config import (
     ConfigMismatchError,
@@ -93,8 +103,10 @@ from .config import (
 from .exactlin import (
     IntMatrix,
     Lattice,
+    MembershipResult,
     QuotientPresentation,
     Witness,
+    _peel_owned_rows,
     combine,
     densify,
     kernel_basis,
@@ -163,7 +175,7 @@ class LcsData:
     Degree-2 objects are built eagerly.  The degree-3 objects (the
     bracket map, R3, P3, R3perp, τ̃*'s transposed lift, the τ̃ matrix and its
     nonzero rows for ``tau_tilde``, U per point with τ̃_p and A_p/U_p for
-    both kernel identities, π = ⊕_p π_p, Im δ̄) are cached
+    both kernel identities, π = ⊕_p π_p, Im δ̄ and its core) are cached
     properties computed on first use, so purely degree-2 work on large
     configurations stays cheap.  L3's columns and the bracket map are
     written down in closed form (``l3_pos``, ``bracket``); no Lie basis
@@ -460,6 +472,13 @@ class LcsData:
         That map's δ-lift (``_delta_lift``) has v = ŝ_t, row t of
         ``p2.section``, at each flag of line i and zero elsewhere, so row
         (i, t) is ``_to_hom`` of ``_lift`` of ŝ_t over line i's flags.
+
+        This flat basis is built, never reduced, on every CLI path: κ and
+        both kernel identities test only vectors on τ̃'s image columns C,
+        and an element of Im δ̄ on C has coefficient 0 on each row that
+        ``im_delta_core`` peels (the only remaining row at a column outside
+        C, in a cascade), so they reduce only the core.  perfbench and the
+        tests read the flat basis, and check each witness against it.
         """
         on_line = [[] for _ in range(self.n + 1)]  # ``_flag_terms`` of each line's flags
         for (i, _), terms in zip(self.index.pairs, self._flag_terms):
@@ -469,6 +488,21 @@ class LcsData:
         width = len(self.gens) * self.p3.free_rank
         return Lattice(width, IntMatrix._of(rows, width))
 
+    @cached_property
+    def im_delta_core(self) -> SupportCore:
+        """The rows of ``im_delta`` that an element on τ̃'s image columns C (``tau_support``) can need, the only part of Im δ̄ any CLI path reduces.
+
+        A row that is the only remaining one with an entry at a column
+        outside C has coefficient 0 in every element of Im δ̄ on C, so
+        such rows are peeled in a cascade (``SupportCore``, which proves
+        it), and the rest meet Z^C in Im δ̄ ∩ Z^C.  On every MacLane gluing
+        the rest lies on C, so it spans Im δ̄ ∩ Z^C: 56 × 273 leaves 21 rows
+        on 60 columns on c8,
+        180 × 2 040 leaves 40 on 120 (rank 28) on C13, and
+        ``glue_copies(6)``'s 1 376 × 52 548 leaves 116 on 360.
+        """
+        return SupportCore(self.im_delta, self.tau_support[0])
+
 
 def _live_product(m: IntMatrix, block: IntMatrix, live: set[int]) -> IntMatrix:
     """m·``block`` read at ``live``, the indices of ``block``'s nonzero rows: a row of m that meets none of them is one shared empty dict, with no ``combine``."""
@@ -477,6 +511,82 @@ def _live_product(m: IntMatrix, block: IntMatrix, live: set[int]) -> IntMatrix:
         [combine(row.items(), block) if not live.isdisjoint(row) else empty for row in m.sparse_rows],
         block.cols,
     )
+
+
+# -- Im δ̄'s core ----------------------------------------------------------------
+
+
+class SupportCore:
+    """The rows of a lattice L's basis B that a vector on the columns C (``support``) can need.
+
+    Rows are peeled in a cascade (``_peel_owned_rows``): row j_t goes
+    when it is the only remaining row with an entry at a column c_t ∉ C.
+    The rest, ``lattice``, span exactly the elements of L on C: if
+    v = Σ λ_i B_i is zero off C, then at step t every other row with an
+    entry at c_t left earlier and has λ = 0 (by induction), so
+    0 = v[c_t] = λ_{j_t}·B_{j_t}[c_t] and λ_{j_t} = 0.  Hence v ∈ L iff
+    v ∈ span(core), and L ∩ Z^C = span(core) ∩ Z^C, which is span(core)
+    when the core lies on C.  ``member`` decides a vector on C from the
+    core alone, in L's coordinates: coefficients over all of B (0 on a
+    peeled row) and a witness on L's ambient columns (``_extend_witness``).
+    """
+
+    __slots__ = ("source", "inside", "rows", "peeled", "lattice", "_witnesses")
+
+    def __init__(self, lat: Lattice, support: Iterable[int]):
+        self.source, self.inside, basis = lat, set(support), lat.basis.sparse_rows
+        self.rows, self.peeled = _peel_owned_rows(basis, self.inside)
+        self.lattice = Lattice(lat.ambient_rank, IntMatrix._of([basis[j] for j in self.rows], lat.ambient_rank))
+        self._witnesses: dict[int, tuple] = {}  # id of a core functional → (it, its extension, modulus)
+
+    def member(self, v: dict[int, int]) -> MembershipResult:
+        """``member`` of a sparse ``v`` on C in the source lattice, read off the core; raises ValueError off C."""
+        if not self.inside.issuperset(v):
+            raise ValueError("vector outside the core's support")
+        res = member(v, self.lattice)
+        if res.ok:
+            coeffs = [0] * self.source.basis.rows
+            for j, x in zip(self.rows, res.coefficients):
+                coeffs[j] = x
+            return MembershipResult(True, coefficients=tuple(coeffs))
+        w = res.witness
+        hit = self._witnesses.get(id(w.functional))
+        if hit is None or hit[0] is not w.functional:  # the core lattice caches each functional, so its id names it
+            hit = self._witnesses[id(w.functional)] = (w.functional, *_extend_witness(w.functional, w.modulus, self.source.basis.sparse_rows, self.peeled))
+        _, f, modulus = hit
+        pairing = sum(f[c] * x for c, x in v.items())
+        return MembershipResult(False, witness=Witness(f, modulus, pairing % modulus if modulus else pairing))
+
+
+def _extend_witness(f: Sequence[int], modulus: int, rows: Sequence[dict[int, int]], peeled: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """A core witness ``f`` mod ``modulus`` extended along the peel in reverse, so it vanishes on every row mod the returned modulus.
+
+    At peeled row j with own column c, a = B_j[c] and s = f·B_j (f_c is
+    still 0); where a ∤ s, f and the modulus are first multiplied by
+    h = |a|/gcd(a, s), and then f_c = -s/a makes f·B_j = 0 exactly.
+    This holds to the end: B_j has no entry at the own column of a row
+    peeled before it (that row was then the only one there), and later
+    steps set only those columns or scale f.  The core's rows have no
+    entry at any own column, and the core's witness lives on their pivot
+    columns and a column of C, so it starts at 0 on every own column; with
+    H the product of the h's the core's rows pair to H·(f·core row) ≡ 0
+    mod H·modulus, while a vector on C pairs to H times its core pairing,
+    not ≡ 0.  The modulus thus divides H times
+    the core's pivot product.  A rational witness (modulus 0) is divided
+    by its gcd at the end, so it stays primitive.
+    """
+    f = list(f)
+    for j, c in reversed(peeled):
+        row = rows[j]
+        a, s = row[c], sum(x * f[k] for k, x in row.items())
+        if s % a:
+            h = abs(a) // math.gcd(a, s)
+            f, modulus, s = [x * h for x in f], modulus * h, s * h
+        f[c] = -s // a
+    if not modulus:
+        g = math.gcd(*f)
+        f = [x // g for x in f]
+    return tuple(f), modulus
 
 
 def build_lcs(config: Configuration) -> LcsData:
@@ -594,8 +704,12 @@ class KappaReport:
     ``tau_value`` = τ̃(ḡ - ḡ′) is sparse, and ``to_json_dict`` builds its
     ``flat``; ``difference`` = ḡ - ḡ′ is built on its first read.
     ``certificate`` (on zero) is the n × rank(P2) matrix of an f with
-    δ̄f = τ̃(difference); ``witness`` (on nonzero) is a functional
-    separating the τ̃ value from Im δ̄ in flat Hom(R2,P3) coordinates.
+    δ̄f = τ̃(difference), 0 at every row of Im δ̄'s basis that the core
+    peels (``LcsData.im_delta_core``); ``witness`` (on nonzero) is a
+    dense functional separating the τ̃ value from Im δ̄ in flat
+    Hom(R2,P3) coordinates: the core's witness extended along the peel,
+    so it vanishes on every basis row of Im δ̄ mod its modulus, which
+    divides the core's pivot product times the extension's factors.
     """
 
     zero: bool
@@ -628,10 +742,26 @@ class KappaReport:
 
 
 def kappa(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | AbelianGMap) -> KappaReport:
-    """Decide whether τ̃(ḡ - ḡ') ∈ Im δ̄, with an exact certificate either way."""
+    """Decide whether τ̃(ḡ - ḡ') ∈ Im δ̄, with an exact certificate either way, from the core of Im δ̄ alone.
+
+    The value lies on τ̃'s image columns C.  Let the core peel rows
+    j_1, j_2, … of Im δ̄'s basis B, j_t the only remaining row with an
+    entry at its own column c_t ∉ C.  If the value is Σ λ_i B_i, then by
+    induction on t every other row with an entry at c_t has λ = 0, so
+    λ_{j_t}·B_{j_t}[c_t] = 0 and λ_{j_t} = 0: the value is in Im δ̄ iff it
+    is in the span of the core's rows, and their coefficients, with 0 on
+    each peeled row, are the certificate.  A core witness f, zero at every
+    c_t, is extended in reverse peel order: at j_t, f and the modulus are
+    first scaled by B_{j_t}[c_t]/gcd(B_{j_t}[c_t], f·B_{j_t}) if
+    B_{j_t}[c_t] does not divide f·B_{j_t}, then f at c_t is set to make
+    f·B_{j_t} = 0.  B_{j_t} has no entry at an earlier own column, so later
+    steps keep it 0; the core's rows and the value keep their pairings
+    times the scale, so f still separates them mod the scaled modulus.  A
+    rational witness is divided by its gcd (``exactlin._extend_witness``).
+    """
     g, gprime = _as_abelian(g), _as_abelian(gprime)
     value, r = tau_tilde(data, g, gprime), data.p2.free_rank
-    res = member(value.sparse, data.im_delta)
+    res = data.im_delta_core.member(value.sparse)
     certificate = IntMatrix([res.coefficients[i * r : (i + 1) * r] for i in range(data.n)], r) if res.ok else None
     t_val = t_functional(g - gprime) if data.config == maclane_c8() else None
     return KappaReport(zero=res.ok, g=g, gprime=gprime, tau_value=value, certificate=certificate, witness=res.witness, t_value=t_val)

@@ -16,15 +16,17 @@ from arrlcs.exactlin import (
     MembershipResult,
     QuotientPresentation,
     Witness,
+    hnf,
     hnf_with_transform,
     kernel_basis,
+    member,
     perp,
     quotient_presentation,
     snf,
     vstack,
 )
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.lcs import HomR2P3, LcsData, _as_abelian, _u_generators
+from arrlcs.lcs import HomR2P3, LcsData, TorsionError, _as_abelian, _u_generators, tau_tilde
 from arrlcs.maclane import _line_entries, rbar_gen_coeffs, t_functional
 from arrlcs.words import AbelianGMap, GMap, Word, lie_basis, lie_sparse_coords, wedge_index
 
@@ -510,10 +512,10 @@ def blockwise_tau_tilde(data: LcsData, a: GMap | AbelianGMap) -> HomR2P3:
 
 
 def dense_kappa_json(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | AbelianGMap) -> dict:
-    """Oracle for ``kappa(data, g, gprime).to_json_dict()``: the full difference, ``blockwise_tau_tilde``'s dense value and ``reference_member``."""
+    """Oracle for ``kappa(data, g, gprime).to_json_dict()``: the full difference, ``blockwise_tau_tilde``'s dense value and ``reference_core_member``."""
     diff = _as_abelian(g) - _as_abelian(gprime)
     value = blockwise_tau_tilde(data, diff).flat
-    res, r = reference_member(value, data.im_delta), data.p2.free_rank
+    res, r = reference_core_member(value, data), data.p2.free_rank
     w = res.witness
     return {
         "zero": res.ok,
@@ -523,6 +525,86 @@ def dense_kappa_json(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | Abelia
         "witness": None if w is None else {"functional": list(w.functional), "modulus": w.modulus, "pairing": w.pairing},
         "t_value": t_functional(diff) if data.config == maclane_c8() else None,
     }
+
+
+def reference_core_member(value: Sequence[int], data: LcsData) -> MembershipResult:
+    """Oracle for ``data.im_delta_core.member``: ``reference_member`` on the core's rows, read back in Im δ̄'s basis.
+
+    Coefficients over the core's rows are placed at those rows of Im δ̄'s
+    basis, 0 elsewhere; a witness is extended by ``extend_along_peel``
+    and paired with the dense ``value``.
+    """
+    core = data.im_delta_core
+    res = reference_member(value, core.lattice)
+    if res.ok:
+        coeffs = [0] * data.im_delta.basis.rows
+        for j, x in zip(core.rows, res.coefficients):
+            coeffs[j] = x
+        return MembershipResult(True, coefficients=tuple(coeffs))
+    f, modulus = extend_along_peel(res.witness.functional, res.witness.modulus, data.im_delta.basis, core.peeled)
+    pairing = dot(f, value)
+    return MembershipResult(False, witness=Witness(f, modulus, pairing % modulus if modulus else pairing))
+
+
+def extend_along_peel(f: Sequence[int], modulus: int, basis: IntMatrix, peeled: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Oracle for ``exactlin._extend_witness``: at each peeled row j with its own column c, last peeled first, scale by h = |B_j[c]|/gcd(B_j[c], f·B_j) (1 when B_j[c] divides f·B_j) and solve f_c; a rational result is divided by its gcd."""
+    f = list(f)
+    for j, c in reversed(peeled):
+        row = basis.sparse_rows[j]
+        a, s = row[c], sum(f[k] * x for k, x in row.items())
+        h = abs(a) // math.gcd(a, s)
+        f, modulus = [x * h for x in f], modulus * h
+        f[c] = -(s * h) // a
+    g = math.gcd(*f) if not modulus else 1
+    return tuple(x // g for x in f), modulus
+
+
+def peeled_core_rows(rows: Sequence[dict[int, int]], inside: set[int]) -> list[int]:
+    """Oracle for the core of ``exactlin._peel_owned_rows``: drop a row alone at a column outside ``inside``, rescanning every remaining row after each drop, until none is; the nonzero rows left."""
+    left = {j for j, row in enumerate(rows) if row}
+    while True:
+        holders: dict[int, list[int]] = {}
+        for j in sorted(left):
+            for c in rows[j]:
+                if c not in inside:
+                    holders.setdefault(c, []).append(j)
+        alone = next((js[0] for js in holders.values() if len(js) == 1), None)
+        if alone is None:
+            return sorted(left)
+        left.remove(alone)
+
+
+def on_columns(lat: Lattice, cols: Iterable[int]) -> Lattice:
+    """L ∩ Z^C for the columns C = ``cols``, read off the Hermite form of L with C's columns moved last: its rows led by a column of C."""
+    n, inside = lat.ambient_rank, set(cols)
+    order = [c for c in range(n) if c not in inside] + sorted(inside)
+    at = {c: k for k, c in enumerate(order)}
+    h = hnf(IntMatrix._of([{at[c]: x for c, x in row.items()} for row in lat.basis.sparse_rows], n))
+    first = n - len(inside)
+    return Lattice(n, IntMatrix._of([{order[k]: x for k, x in row.items()} for row in h.sparse_rows if min(row) >= first], n))
+
+
+def flat_kappa_member(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | AbelianGMap) -> MembershipResult:
+    """The flat route of κ: ``member`` of τ̃(ḡ − ḡ′) in all of Im δ̄, reduced whole."""
+    return member(tau_tilde(data, g, gprime).sparse, data.im_delta)
+
+
+def flat_preimage_equals_u_plus_b(data: LcsData) -> bool:
+    """The flat route of ``kernels.tau_preimage_equals_u_plus_b``: membership in all of Im δ̄ and the joint kernel of [τ̃∘s; Im δ̄'s echelon rows]."""
+    points = data.u_points
+    if not all(member(v, data.im_delta) for pt in points for v in pt.u_tau.sparse_rows if v):
+        return False
+    if not all(pt.quotient.is_torsion_free for pt in points):
+        raise TorsionError("A/U has torsion")
+    joint = kernel_basis(vstack(*(pt.s_tau for pt in points), data.im_delta.echelon()[0]))
+    f = data.u_projection.cols
+    return Lattice(f, joint.columns(0, f)) == data.pi_b
+
+
+def flat_tau_preimage(data: LcsData) -> Lattice:
+    """The flat route of ``kernels.tau_preimage``: the joint kernel of [τ̃; Im δ̄'s basis] projected to A."""
+    joint = kernel_basis(vstack(data.tau_matrix, data.im_delta.basis))
+    return Lattice(data.a_rank, joint.columns(0, data.a_rank))
 
 
 def dense_tau_star(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[int]) -> tuple[int, ...]:

@@ -211,9 +211,12 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     assert code == 0
     assert calls == ["b_lattice"]
     # π(B), B·π's 21 distinct nonzero rows up to sign over 18 columns, is reduced once, for the
-    # preimage identity and rank U + B alike; the P2 and P3 sections are read off unit pivots,
-    # so neither projection is reduced
-    assert len(shapes) == 24 and shapes.count((21, 18)) == 1
+    # preimage identity and rank U + B alike; the other 21 × 18 is the preimage's projection, the
+    # left kernel of [τ̃∘s; core of Im δ̄] (18 + 21 rows) cut to its first 18 columns.  The P2 and P3
+    # sections are read off unit pivots, so neither projection is reduced
+    assert len(shapes) == 24 and shapes.count((21, 18)) == 2 and shapes.count((18 + 21, 273)) == 1
+    # Im δ̄ (56 × 273) is never reduced whole: the identity and κ read its 21-row core
+    assert (56, 273) not in shapes and shapes.count((21, 273)) == 1
     # R2 (13 × 21) and R3 (91 × 112) are never reduced whole: P2 and P3 reduce what is left of
     # them once their unit rows are peeled, and their ranks are read off those presentations
     assert shapes[:3] == [(10, 18), (8, 21), (77, 98)]
@@ -509,12 +512,12 @@ def test_reader_closing_stdout_leaves_no_traceback(argv):
 
 # sha256 of stdout; a version bump changes every report, and re-pins these on purpose
 PINNED_STDOUT = {
-    ("maclane-report",): "78b4dbac1b9ff47993f364bb44ab2cd097af5fa4dff5fd901026e688999ecfb6",
+    ("maclane-report",): "2b59f721e970039292a18a754eb8bc10f105a1bd7dbb59fa57b9fc5d2743a2f2",
     ("maclane-report", "--swap-g"): "8467dcb4c236aae0591a1ea41c4bf45f9e6c0dd83c3c5a3cefb7896130e87e53",
-    ("maclane-report", "--no-hardcoded"): "799c210dce83c945f25b7a927073769611686a979f10e5d4f987af73f8b272e2",
+    ("maclane-report", "--no-hardcoded"): "577add21cdaeb6fb45f3ab9b11a7a6311871bd7d4ddd434d15e8e8b4d7d1a5ab",
     ("c13-report", "--seed", "0"): "79f6926c305dad96bb392e5cb4e75adeac97c16489b50f53b9d37b423c7fb4fb",
     ("kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:minus"): (
-        "4db513fad7c5c7b6d6b83d616a187c57dba6403410d676759e5d7f0db71f0865"
+        "ed7be1ee7a3cf1428847bbbc458a1bc287efda93bfd86d5a8b8965c20c65e42f"
     ),
     ("kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:plus"): (
         "3c9fb689edadf0c1e27809be57385def3843824962f7fd1ee93fdadd498a1c55"

@@ -301,6 +301,18 @@ def test_is_s3_times_z2_rejects_the_other_groups_of_order_12():
     assert not is_s3_times_z2(autos[:11] + [ConfigAutomorphism(c13, (*range(11), 12, 11))])
 
 
+def test_is_s3_times_z2_composes_line_permutations_without_compose(monkeypatch):
+    autos = automorphisms(glue_c13())
+
+    def refuse(self, other):
+        raise AssertionError("ConfigAutomorphism.compose compares configurations and builds an object per call")
+
+    monkeypatch.setattr(ConfigAutomorphism, "compose", refuse)
+    assert is_s3_times_z2(autos)
+    with pytest.raises(ValueError, match="different configurations"):
+        is_s3_times_z2(autos[:11] + [ConfigAutomorphism.identity(maclane_c8())])
+
+
 def test_partition_preserved_by_every_automorphism():
     c13 = glue_c13()
     pairs = {frozenset((i, i + 5)) for i in range(3, 8)}

@@ -745,8 +745,8 @@ def test_verdict_path_never_builds_the_dense_tau(monkeypatch):
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
     # τ̃ is built but never reduced whole: no reduction gets all 147 of A's rows
     assert data.a_rank == 147 and data.a_rank not in rows["hnf"] + rows["kernel_basis"]
-    # rank Im τ̃ + Im δ̄ basis rows = 18 + 56; the dense route reduces 147 and 203
-    assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 56
+    # rank Im τ̃ + rows of Im δ̄'s core = 18 + 21; the dense route reduces 147 and 203
+    assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 21
     # τ̃'s rows are built from its live slots: one lift per nonzero row, not one for
     # each of the 126 A coordinates x_m at (i,p), m ≠ i; τ̃*'s lift is not built
     assert len(lifts) == len(tau_support_rows(data)) == 108 and "tau_lift_transpose" not in vars(data)
@@ -766,32 +766,35 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     rows, lifts = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"]), _lift_counter(monkeypatch)
     forward, back, kernel_calls, backs = exactlin._hnf_forward, exactlin._hnf_back, [], []
     im_delta_rows = list(data.im_delta.basis.sparse_rows)
+    core_rows = list(data.im_delta_core.lattice.basis.sparse_rows)
 
     def counted_forward(a, *args):
-        kernel_calls.append(a == im_delta_rows)
+        kernel_calls.append("im_delta" if a == im_delta_rows else "core" if a == core_rows else None)
         rows.setdefault("forward", []).append(len(a))
         return forward(a, *args)
 
     def counted_back(a, pivots, u):
-        # a full back-substitution of Im δ̄ holds its non-pivot columns; its pivot block does not
-        backs.append((u is not None, len(pivots), len(pivots) == 168 and any(set(row) - set(pivots) for row in a)))
+        # a full back-substitution of the core holds its non-pivot columns; its pivot block does not
+        backs.append((u is not None, tuple(pivots), any(set(row) - set(pivots) for row in a)))
         return back(a, pivots, u)
 
     monkeypatch.setattr(exactlin, "_hnf_forward", counted_forward)
     monkeypatch.setattr(exactlin, "_hnf_back", counted_back)
     assert tau_kernel_equals_u(data) and tau_preimage_equals_u_plus_b(data)
     # per point only rank τ̃_p∘s_p, over 41 points: A_p/U_p comes from a spanning
-    # forest, so neither U_p nor its complement is reduced; then Im δ̄, the joint
-    # kernel and the two lattices it compares
-    assert len(kernel_calls) == 41 + 4
+    # forest, so neither U_p nor its complement is reduced; then the joint kernel
+    # [τ̃∘s; core of Im δ̄] and the two lattices it compares.  τ̃(U) is 0, so no
+    # membership test reduces the core
+    assert len(kernel_calls) == 41 + 3 and not any(kernel_calls)
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
     g_pp, g_pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
     assert kappa(data, g_pp, g_pp).zero and not kappa(data, g_pp, g_pm).zero
-    # the joint kernel reads Im δ̄'s echelon rows, κ walks them and its witness
-    # back-substitutes only their pivot block: one forward pass, no full back-substitution
-    assert data.im_delta.basis.shape == (180, 2040) and data.im_delta.rank == 168
-    assert kernel_calls.count(True) == 1 and len(kernel_calls) == 41 + 4
-    assert (False, 168, False) in backs and not any(full for *_, full in backs)
+    # κ walks the echelon rows of Im δ̄'s core (40 of its 180 rows, rank 28 of 168), and its
+    # witness back-substitutes only their pivot block: one forward pass, no full back-substitution
+    assert data.im_delta.basis.shape == (180, 2040) and data.im_delta_core.lattice.rank == 28
+    assert kernel_calls.count("core") == 1 and "im_delta" not in kernel_calls and len(kernel_calls) == 41 + 4
+    core_pivots = tuple(data.im_delta_core.lattice.echelon()[2])
+    assert (False, core_pivots, False) in backs and not any(full for _, pivots, full in backs if pivots == core_pivots)
     # no back-substitution carries a transform: no lattice calls hnf_with_transform
     assert not any(transform for transform, *_ in backs) and rows.pop("hnf_with_transform") == []
     tau_tilde(data, random_abelian(random.Random(0), data))
@@ -1407,8 +1410,9 @@ def test_warm_c13_kappa_builds_no_difference_and_no_dense_value(c13_data, monkey
         monkeypatch.setattr(module, "densify", lambda row, n: calls.append(n) or densify(row, n))
     rep = kappa(c13_data, pp, pm)
     assert not rep.zero and calls == []
-    assert kappa(c13_data, pp, pp).zero and calls == [180]  # only the certificate's coefficients, one per Im δ̄ basis row
-    assert rep.difference == difference and calls == [180, "sub"]  # built when read
+    # only the certificate's coefficients, one per row of Im δ̄'s core; its 140 peeled rows take 0
+    assert kappa(c13_data, pp, pp).zero and calls == [40]
+    assert rep.difference == difference and calls == [40, "sub"]  # built when read
     assert len(rep.tau_value.sparse) < len(rep.tau_value.flat) == 2040 and calls[-1] == 2040
 
 
@@ -1453,7 +1457,7 @@ def _pairing(data, phi, g, gprime, modulus):
 
 def test_c8_witness_pulled_back_certifies_every_unequal_c13_pair(maclane_data, c13_data):
     w = kappa(maclane_data, builtin_g_map("plus"), builtin_g_map("minus")).witness
-    assert (w.modulus, w.pairing) == (12, 4)
+    assert (w.modulus, w.pairing) == (6, 2)
     phis = [pulled_back_functional(c13_data, maclane_data, c, w.functional) for c in range(2)]
     # (a) and (b) read Φ alone, not the pair
     assert [certificate_failures(c13_data, phi, w.modulus) for phi in phis] == [(0, 0), (0, 0)]
@@ -1462,8 +1466,8 @@ def test_c8_witness_pulled_back_certifies_every_unequal_c13_pair(maclane_data, c
     certified = 0
     for (signs, g), (signs2, g2) in itertools.product(maps.items(), repeat=2):
         pairings = [_pairing(c13_data, phi, g, g2, w.modulus) for phi in phis]
-        # copy c pairs to 0 where the halves agree, and to ±4 mod 12 where they differ
-        assert pairings == [{"+-": 4, "-+": 8}.get(signs[c] + signs2[c], 0) for c in range(2)]
+        # copy c pairs to 0 where the halves agree, and to ±2 mod 6 where they differ
+        assert pairings == [{"+-": 2, "-+": 4}.get(signs[c] + signs2[c], 0) for c in range(2)]
         certified += any(pairings)
         # the full route on C13 agrees: κ ≠ 0 on exactly the certified pairs
         assert kappa(c13_data, g, g2).zero == (not any(pairings)) == (signs == signs2)
@@ -1475,7 +1479,7 @@ def test_c8_witness_pulled_back_certifies_a_three_copy_gluing(maclane_data):
     w = kappa(maclane_data, builtin_g_map("plus"), builtin_g_map("minus")).witness
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
     g, g2 = glued_g_map(plus, plus, plus), glued_g_map(plus, minus, minus)
-    for c, expected in enumerate((0, 4, 4)):
+    for c, expected in enumerate((0, 2, 2)):
         phi = pulled_back_functional(data, maclane_data, c, w.functional)
         assert certificate_failures(data, phi, w.modulus) == (0, 0)
         assert _pairing(data, phi, g, g2, w.modulus) == expected
@@ -1495,7 +1499,7 @@ def test_pulled_back_certificate_rejects_mutants(maclane_data, c13_data):
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
     g, g2 = glued_g_map(plus, plus), glued_g_map(plus, minus)
     assert _pairing(c13_data, pulled_back_functional(c13_data, maclane_data, 0, w.functional), g, g2, w.modulus) == 0
-    assert _pairing(c13_data, pulled_back_functional(c13_data, maclane_data, 1, w.functional), g, g2, w.modulus) == 4
+    assert _pairing(c13_data, pulled_back_functional(c13_data, maclane_data, 1, w.functional), g, g2, w.modulus) == 2
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,9 @@ def load_replay():
     return module
 
 
-def test_sources_are_the_eight_layers():
+def test_sources_are_the_nine_layers():
     replay = load_replay()
-    assert list(replay.SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u", "words", "taustar"]
+    assert list(replay.SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u", "words", "taustar", "core"]
     assert list(replay.OLD_SCRIPTS.values()) == ["kernel", "lattice", "kappa", "realization", "bracket", "u"]
 
 
@@ -146,3 +146,19 @@ def test_bracket_times_the_p3_map_r3perp_and_im_delta_cold(monkeypatch):
     assert all(rec[f"{layer}_s"] > 0 for layer in ("bracket", "r3", "p3", "bracket_p3", "r3perp", "im_delta"))
     assert rec["bracket_p3_digest"] == replay.sha(data._bracket_p3)
     assert rec["r3perp_digest"] == replay.sha(data.r3perp.canonical_form) and rec["im_delta_digest"] == replay.sha(data.im_delta.basis)
+
+
+def test_core_times_the_flat_route_against_the_core_on_c8(monkeypatch):
+    replay = load_replay()
+    assert replay.CORE_CONFIGS == ("c8", "c13", "glued3", "glued4", "glued6") and replay.CORE
+    monkeypatch.setattr(replay, "REPEAT", 1)
+    monkeypatch.setattr(replay, "CORE_CONFIGS", ("c8",))
+    run = replay.core()
+    (rec,) = run["inputs"]
+    # Im δ̄ is 56 × 273; 35 rows peel and the other 21 lie on τ̃'s 60 image columns, of rank 14
+    assert (rec["im_delta_shape"], rec["core_shape"], rec["core_rank"], rec["peeled"]) == ([56, 273], [21, 60], 14, 35)
+    # the identity holds and κ(plus, plus) = 0 by both routes; κ(plus, minus)'s witness modulus is 12 flat, 6 on the core
+    assert (rec["verdicts"], rec["flat_modulus"], rec["core_modulus"]) == ([True, True], 12, 6)
+    assert set(run["flat_s"]) == set(run["core_s"]) == {"c8"} and rec["flat_s"] > 0 and rec["core_s"] > 0
+    plus, minus = replay.core_pair("glued3")
+    assert plus.config == minus.config == replay.config.glue_copies(3) and plus.config != replay.core_pair("c13")[0].config

@@ -60,6 +60,10 @@ compare with later runs.
   a part of its own, then τ̃ of it and ``member`` of its dense value.  A
   run of a src from before ``BENCH_32.json`` still times it that way
   (``PAIR_TAU``), with the subtraction inside its ``tau_tilde`` part.
+  From ``BENCH_41.json`` on, κ reads only Im δ̄'s core, and ``member`` times
+  the core's membership test (``CORE``); the witness of a κ ≠ 0 report moved
+  with it, so the digests of those reports in earlier records do not
+  regenerate on this src.
 * ``realization``: ``phi_c8``, ``check_realization`` on c8, and
   ``glue_realization`` and ``check_realization`` on C13 for
   ``REALIZATION_SEEDS``, both signs each.
@@ -109,6 +113,15 @@ compare with later runs.
   its digests compare with a src that takes Φ.  Records before
   ``BENCH_35.json`` digest those two dense arguments and the dense value
   instead.
+* ``core``: on c8, C13 and the 3-, 4- and 6-fold MacLane gluings, Im δ̄
+  plus the preimage identity plus κ of a zero and a nonzero pair
+  (``core_pair``), cold on data whose τ̃, U per point, π(B) and Im δ̄'s
+  basis are built: by the flat route, which reduces all of Im δ̄
+  (``helpers.flat_preimage_equals_u_plus_b``, ``helpers.flat_kappa_member``;
+  ``flat_s``), and by the core (``LcsData.im_delta_core``; ``core_s``, the
+  peel included).  Each record holds Im δ̄'s shape, the core's rows and
+  the columns they use, its rank, the rows peeled, both routes' verdicts
+  (which must agree) and the nonzero pair's witness modulus by each route.
 """
 
 from __future__ import annotations
@@ -346,6 +359,8 @@ PARTS = ("tau_tilde", "member", "kappa")
 KAPPA_CONFIGS = ("c8", "c13", "glued4", "glued6")
 # whether τ̃ takes the pair and returns a sparse value, as κ runs it from BENCH_32.json on
 PAIR_TAU = "b" in inspect.signature(lcs.tau_tilde).parameters
+# whether κ tests membership in Im δ̄'s core, as it does from BENCH_41.json on
+CORE = hasattr(lcs.LcsData, "im_delta_core")
 
 
 def tau_shape(data) -> tuple[int, int]:
@@ -399,7 +414,7 @@ def kappa() -> dict:
             vector = tau().sparse if PAIR_TAU else tau().flat
             thunks = {
                 "tau_tilde": lambda _: tau(),
-                "member": lambda _: exactlin.member(vector, data.im_delta),
+                "member": (lambda _: data.im_delta_core.member(vector)) if CORE else (lambda _: exactlin.member(vector, data.im_delta)),
                 "kappa": lambda _: lcs.kappa(data, g, gprime),
             }
             runs = {part: best_of(f"{name} query {k} {part}", tuple, thunks[part]) for part in PARTS}
@@ -655,9 +670,61 @@ def taustar() -> dict:
     return {"total_s": total_s(records, lambda rec: f"{rec['call']} {rec['state']}"), "inputs": records}
 
 
+# -- core: Im δ̄'s core against the flat reduction -----------------------------------------
+
+
+CORE_CONFIGS = ("c8", "c13", "glued3", "glued4", "glued6")
+
+
+def core_pair(name: str) -> tuple[words.GMap, words.GMap]:
+    """The bundled plus and minus maps on c8; on a k-fold gluing, plus in every copy against plus then minus in the others."""
+    plus, minus = maclane.builtin_g_map("plus"), maclane.builtin_g_map("minus")
+    if name == "c8":
+        return plus, minus
+    k = (len(CONFIGS[name]().lines) - 3) // 5  # glue_copies(k) has 3 + 5k lines; C13 is k = 2
+    return lcs.glued_g_map(*[plus] * k), lcs.glued_g_map(plus, *[minus] * (k - 1))
+
+
+def core() -> dict:
+    """Im δ̄ plus the preimage identity plus κ of a zero and a nonzero pair, cold, by the flat route and by the core."""
+    records = []
+    for name in CORE_CONFIGS:
+        cfg, (g, gprime) = CONFIGS[name](), core_pair(name)
+
+        def prepare():
+            data = lcs.build_lcs(cfg)
+            data.tau_matrix, data.u_points, data.pi_b, data.im_delta.basis  # noqa: B018 - built before timing, Im δ̄ unreduced
+            gc.collect()
+            return data
+
+        def flat(data):
+            return (
+                helpers.flat_preimage_equals_u_plus_b(data),
+                helpers.flat_kappa_member(data, g, g).ok,
+                helpers.flat_kappa_member(data, g, gprime).witness.modulus,
+            )
+
+        def by_core(data):
+            return lcs.tau_preimage_equals_u_plus_b(data), lcs.kappa(data, g, g).zero, lcs.kappa(data, g, gprime).witness.modulus
+
+        flat_s, (*flat_verdicts, flat_modulus), data, _ = best_of(f"{name} flat", prepare, flat)
+        core_s, (*core_verdicts, core_modulus), data, _ = best_of(f"{name} core", prepare, by_core)
+        if flat_verdicts != core_verdicts:
+            raise SystemExit(f"{name}: the flat route gives {flat_verdicts}, the core {core_verdicts}")
+        basis = data.im_delta_core.lattice.basis
+        records.append({
+            "config": name, "im_delta_shape": list(data.im_delta.basis.shape),
+            "core_shape": [basis.rows, len(set().union(*basis.sparse_rows))], "core_rank": data.im_delta_core.lattice.rank,
+            "peeled": len(data.im_delta_core.peeled), "verdicts": flat_verdicts,
+            "flat_modulus": flat_modulus, "core_modulus": core_modulus, "flat_s": flat_s, "core_s": core_s,
+        })
+    by_config = lambda rec: rec["config"]  # noqa: E731
+    return {"flat_s": total_s(records, by_config, "flat_s"), "core_s": total_s(records, by_config, "core_s"), "inputs": records}
+
+
 SOURCES = {
     "kernel": kernel, "lattice": lattice, "kappa": kappa, "realization": realization, "bracket": bracket, "u": u,
-    "words": words_source, "taustar": taustar,
+    "words": words_source, "taustar": taustar, "core": core,
 }
 OLD_SCRIPTS = {f"{source}_replay.py": source for source in ("kernel", "lattice", "kappa", "realization", "bracket", "u")}
 
