@@ -228,7 +228,7 @@ def _t_check(data) -> dict:
     diff_ok = diff_vals == expected_diff
     t_diff = t_functional(diff)
     t, modulus = _t_vector()
-    t_on_u = [sum(t.get(pt.rows.start + k, 0) * x for k, x in row.items()) % modulus for pt in data.u_points for row in pt.u.sparse_rows]
+    t_on_u = [sum(t.get(pt.rows.start + k, 0) * x for k, x in row.items()) % modulus for pt in data.u_points for row in pt.generators()]
     t_on_b = [sum(t.get(k, 0) * x for k, x in row.items()) % modulus for row in data.b.basis.sparse_rows]
     ok = diff_ok and t_diff == 1 and not any(t_on_u) and not any(t_on_b)
     return _check(

@@ -34,7 +34,7 @@ class ConfigMismatchError(ValueError):
 class Configuration:
     """Immutable incidence structure; axioms are checked by ``validate``."""
 
-    __slots__ = ("lines", "points", "incidence", "_line_index", "_point_lines", "_point_of", "_common", "_index")
+    __slots__ = ("lines", "points", "incidence", "_line_index", "_point_lines", "_line_points", "_point_of", "_common", "_index")
 
     def __init__(
         self,
@@ -56,9 +56,12 @@ class Configuration:
                 raise ConfigFormatError(f"incidence references unknown line {l!r}")
             if p not in point_set:
                 raise ConfigFormatError(f"incidence references unknown point {p!r}")
-        point_lines = {p: [] for p in points}
+        point_lines, line_points = {p: [] for p in points}, [[] for _ in lines]
         for l, p in inc:
             point_lines[p].append(line_index[l])
+        for p in points:  # sorted, so each line's points come in ``points`` order
+            for i in point_lines[p]:
+                line_points[i].append(p)
         object.__setattr__(self, "lines", lines)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "incidence", inc)
@@ -66,6 +69,7 @@ class Configuration:
         object.__setattr__(
             self, "_point_lines", {p: tuple(sorted(ls)) for p, ls in point_lines.items()}
         )
+        object.__setattr__(self, "_line_points", tuple(map(tuple, line_points)))
         object.__setattr__(self, "_point_of", None)
         object.__setattr__(self, "_common", None)
         object.__setattr__(self, "_index", None)
@@ -83,8 +87,8 @@ class Configuration:
         return self._point_lines[point]
 
     def points_on(self, line: int) -> tuple[str, ...]:
-        name = self.lines[line]
-        return tuple(p for p in self.points if (name, p) in self.incidence)
+        """The points on a line, in ``points`` order."""
+        return self._line_points[line]
 
     def multiplicity(self, point: str) -> int:
         return len(self._point_lines[point])

@@ -29,9 +29,10 @@ deterministic and equal to a dense reduction's.  The Smith form alternates that 
 over the rows and the columns.  Products touch only nonzero entries.
 
 Linear maps act on row vectors (v ↦ v·m).  A lattice reduces its basis
-only as far as its readers need, each stage once: a forward pass with
-its transform gives the echelon rows (for ``rank`` and membership, which
-walks them by an index of their pivot columns), the
+only as far as its readers need, each stage once: a forward pass gives
+the echelon rows (for ``rank`` and membership, which walks them by an
+index of their pivot columns), a second one with its transform the
+coefficients of a successful membership, the
 back-substitution of their pivot columns the Hermite pivot block (for a
 witness), and their back-substitution without a transform the Hermite
 form, the canonical form that comparison reads.
@@ -513,8 +514,9 @@ class Lattice:
     """Integer row span of ``basis`` inside ZZ^ambient_rank.
 
     Building one reduces nothing.  Each stage of the basis's reduction,
-    ``echelon``, ``_pivot_rows`` (the echelon's pivot index, which holds
-    no rows), ``_pivot_block`` and ``canonical_form``, the unit-row split
+    ``echelon``, ``_keep`` (its transform), ``_pivot_rows`` (the echelon's
+    pivot index, which holds no rows), ``_pivot_block`` and
+    ``canonical_form``, the unit-row split
     ``_unit_split`` with ``perp``, and each witness functional of
     ``member`` are computed on first use and cached, so a reader pays
     only for the stages it reads; no stage back-substitutes a transform.
@@ -535,21 +537,34 @@ class Lattice:
         raise AttributeError("Lattice is immutable")
 
     def echelon(self):
-        """The echelon stage ``(e, keep, pivots, det)``: one ``_hnf_forward`` of the basis, ``keep @ basis == e``.
+        """The echelon stage ``(e, pivots, det)``: one ``_hnf_forward`` of the basis, without a transform.
 
         ``det``, the pivot product, is the Hermite form's too: back-substitution never changes a pivot.
         """
         if "echelon" not in self._cache:
-            a, u = [dict(row) for row in self.basis.sparse_rows], [{i: 1} for i in range(self.basis.rows)]
-            pivots = _hnf_forward(a, self.ambient_rank, u)
-            r, det = len(pivots), math.prod(row[p] for row, p in zip(a, pivots))
-            self._cache["echelon"] = IntMatrix._of(a[:r], self.ambient_rank), IntMatrix._of(u[:r], self.basis.rows), pivots, det
+            a = [dict(row) for row in self.basis.sparse_rows]
+            pivots = _hnf_forward(a, self.ambient_rank, None)
+            det = math.prod(row[p] for row, p in zip(a, pivots))
+            self._cache["echelon"] = IntMatrix._of(a[: len(pivots)], self.ambient_rank), pivots, det
         return self._cache["echelon"]
+
+    def _keep(self) -> IntMatrix:
+        """The transform stage ``keep``, ``keep @ basis == e``: the forward pass again, with the transform, for a ``member`` that succeeds with a nonzero value.
+
+        ``_hnf_forward`` never reads the transform, so the second pass must reproduce the echelon stage.
+        """
+        if "keep" not in self._cache:
+            e, pivots, _ = self.echelon()
+            a, u = [dict(row) for row in self.basis.sparse_rows], [{i: 1} for i in range(self.basis.rows)]
+            if _hnf_forward(a, self.ambient_rank, u) != pivots or IntMatrix._of(a[: len(pivots)], self.ambient_rank) != e:
+                raise AssertionError("the transform's forward pass left another echelon")
+            self._cache["keep"] = IntMatrix._of(u[: len(pivots)], self.basis.rows)
+        return self._cache["keep"]
 
     def _pivot_rows(self) -> dict[int, int]:
         """The index ``member`` walks by: each pivot column of the echelon stage → its echelon row."""
         if "pivot_rows" not in self._cache:
-            self._cache["pivot_rows"] = {c: k for k, c in enumerate(self.echelon()[2])}
+            self._cache["pivot_rows"] = {c: k for k, c in enumerate(self.echelon()[1])}
         return self._cache["pivot_rows"]
 
     def _pivot_block(self):
@@ -559,7 +574,7 @@ class Lattice:
         the echelon rows cut to the pivot columns back-substitute to H's.
         """
         if "block" not in self._cache:
-            e, _, pivots, _ = self.echelon()
+            e, pivots, _ = self.echelon()
             pos = self._pivot_rows()
             rows = [{col: x for col, x in row.items() if col in pos} for row in e.sparse_rows]
             _hnf_back(rows, pivots, None)
@@ -571,7 +586,7 @@ class Lattice:
         """The Hermite form: the echelon rows back-substituted without a transform."""
         if "canonical" not in self._cache:
             a = [dict(row) for row in self.echelon()[0].sparse_rows]
-            _hnf_back(a, self.echelon()[2], None)
+            _hnf_back(a, self.echelon()[1], None)
             self._cache["canonical"] = IntMatrix._of(a, self.ambient_rank)
         return self._cache["canonical"]
 
@@ -586,7 +601,7 @@ class Lattice:
         if "split" not in self._cache:
             n, (kept, rows) = self.ambient_rank, _peel_unit_rows(self.basis.sparse_rows, self.ambient_rank)
             rest = self if kept is None else Lattice(len(kept), IntMatrix._of(rows, len(kept)))
-            m, h, (_, _, pivots, det) = rest.ambient_rank, rest.canonical_form, rest.echelon()
+            m, h, (_, pivots, det) = rest.ambient_rank, rest.canonical_form, rest.echelon()
             if det == 1:
                 cols, free = _transpose(h.sparse_rows, m), sorted(set(range(m)).difference(pivots))
                 basis = [{c: 1, **{pivots[k]: -x for k, x in cols[c].items()}} for c in free]
@@ -599,7 +614,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return len(self.echelon()[2])
+        return len(self.echelon()[1])
 
     def __eq__(self, other) -> bool:
         return (
@@ -662,7 +677,8 @@ def member(v: Sequence[int] | dict[int, int], lat: Lattice) -> MembershipResult:
     does, the quotients differ by α_k, and as H_k - E_k ∈ L_{k+1} the
     residues after row k differ within L_{k+1}, which is 0 after the last
     row.  So q·E = q′·H = q′T·E, and E has full row rank: q = q′T, and
-    over the forward transform u⁰ (``keep``) q·u⁰ = q′·(T·u⁰), the
+    over the forward transform u⁰ (``Lattice._keep``, built by the first
+    success with q ≠ 0; v = 0 gets q = 0) q·u⁰ = q′·(T·u⁰), the
     coefficients over H's own transform.  Certificates do not move.
 
     The residue is sparse and is walked from a heap of the pivot columns
@@ -693,8 +709,7 @@ def member(v: Sequence[int] | dict[int, int], lat: Lattice) -> MembershipResult:
         raise ValueError("vector length does not match ambient rank")
     else:
         v = dict(compress(enumerate(v), v))
-    e, keep, _, _ = lat.echelon()
-    rows, row_of, rem, quotients = e.sparse_rows, lat._pivot_rows(), dict(v), []
+    rows, row_of, rem, quotients = lat.echelon()[0].sparse_rows, lat._pivot_rows(), dict(v), []
     todo = [c for c in rem if c in row_of]
     heapify(todo)
     while todo:
@@ -716,7 +731,7 @@ def member(v: Sequence[int] | dict[int, int], lat: Lattice) -> MembershipResult:
                     rem[j] = z - q * y
     if any(rem.values()):
         return MembershipResult(False, witness=_pivot_witness(lat, v, c=min(j for j, x in rem.items() if x)))
-    return MembershipResult(True, coefficients=densify(combine(quotients, keep), keep.cols))
+    return MembershipResult(True, coefficients=densify(combine(quotients, lat._keep()) if quotients else {}, lat.basis.rows))
 
 
 def _pivot_witness(lat: Lattice, v: dict[int, int], *, k=None, c=None) -> Witness:
@@ -753,7 +768,7 @@ def _witness_functional(lat: Lattice, k: int | None, c: int | None):
     A divisibility witness reads only P (``Lattice._pivot_block``), a
     rational one H's column c too (``canonical_form``).
     """
-    e, _, pivots, det = lat.echelon()
+    e, pivots, det = lat.echelon()
     above, rank = lat._pivot_block(), len(pivots)
     if c is None:
         b = [det if i == k else 0 for i in range(rank)]
@@ -855,7 +870,7 @@ def quotient_presentation(lat: Lattice) -> QuotientPresentation:
     other K takes the transform and checks that its Hermite form is I.
     """
     n, (rank, rest_det, comp) = lat.ambient_rank, lat._unit_split()
-    projection, (_, _, pivots, det) = comp.canonical_form.transpose(), comp.echelon()
+    projection, (_, pivots, det) = comp.canonical_form.transpose(), comp.echelon()
     f = projection.cols
     if det == 1:
         section = IntMatrix._of([{c: 1} for c in pivots], n)

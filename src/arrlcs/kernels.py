@@ -4,10 +4,19 @@ U is spanned by three families of conjugator data that τ̃ kills
 (``_u_generators``), B by the data constant in p (``b_lattice``).  κ is a
 class of the group only if ker τ̃ = U (``tau_kernel_equals_u``) and
 τ̃⁻¹(Im δ̄) = U + B (``tau_preimage_equals_u_plus_b``).  Both identities
-are decided point by point from ``LcsData.u_points``, whose quotients
-A_p/U_p come from a spanning forest (``_point_quotient``).  The global
-lattices ``u_lattice``, ``tau_kernel`` and ``tau_preimage`` are the
-reference route; no CLI path reads them.
+are decided point by point from ``LcsData.u_points``.  There U_p is
+read in a peeled form (``_peeled_u``): family 0 and each family-2 row at
+a double point are unit rows once family 0 is subtracted, the first step
+of structured Gaussian elimination (LaMacchia–Odlyzko, CRYPTO '90) done
+in closed form from one per-line table of meeting classes
+(``_meeting_classes``), so U_p = Z^K ⊕ U′_p.  The rows of U′_p stay 0/1
+and 2-colour, so they stay totally unimodular and A_p/U_p = Z^S/U′_p
+comes from a spanning forest on the surviving coordinates S alone
+(``_point_quotient``, ``_point_presentation``: 524 of C13's 1 104
+coordinates, 21 624 of 220 224 at k = 12).  U itself stays defined once,
+by ``_u_generators``; the tests tie the peeled form to it point by
+point.  The global lattices ``u_lattice``, ``tau_kernel`` and
+``tau_preimage`` are the reference route; no CLI path reads them.
 
 Every vector the preimage identity tests against Im δ̄ is τ̃ of something,
 so it lies on τ̃'s image columns C (``LcsData.tau_support``).  An element
@@ -21,7 +30,7 @@ rows left, ``LcsData.im_delta_core`` (40 rows on 120 columns on C13, of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .config import Configuration
 from .exactlin import (
@@ -53,7 +62,9 @@ def _u_generators(config: Configuration):
     Every entry is 1, and off the family-0 coordinates each A coordinate
     lies in one family-1 row and in at most one family-2 row (two lines
     meet once): the bipartite shape that ``_point_quotient`` presents by a
-    spanning forest.
+    spanning forest.  These rows define U: ``u_lattice`` reads them as
+    they are, and ``LcsData.u_points`` reads the same U_p peeled
+    (``_peeled_u``).
     """
     n, p0set = config.index.n, set(config.index.p0)
     stars = {i: [config.lines_through(q) for q in config.points_on(i) if q in p0set] for i in range(1, n + 1)}
@@ -65,10 +76,78 @@ def _u_generators(config: Configuration):
         yield p, rows
 
 
+_KILLED, _GROUND = -1, -2  # ``_meeting_classes``: a unit row kills the coordinate; the coordinate is a ground edge
+
+
+def _meeting_classes(config: Configuration) -> list[list[int]]:
+    """How the finite lines meet, the one table ``_peeled_u`` reads: ``table[i][m - 1]`` for finite lines l_i, l_m.
+
+    It is the position of their meeting point among the finite points of
+    multiplicity ≥ 3 on l_i (in ``points_on`` order) when they meet at
+    one, ``_KILLED`` when they meet at a finite double point and for
+    m = i, and ``_GROUND`` when they are parallel (meet on line 0).
+    ``table[0]`` is unused.
+    """
+    n, p0set, table = config.index.n, set(config.index.p0), [[]]
+    for i in range(1, n + 1):
+        row, star = [_GROUND] * n, 0
+        for q in config.points_on(i):
+            if q in p0set:
+                lines = config.lines_through(q)
+                tag = _KILLED if len(lines) == 2 else star
+                for m in lines:
+                    row[m - 1] = tag
+                star += tag != _KILLED
+        row[i - 1] = _KILLED
+        table.append(row)
+    return table
+
+
+def _peeled_u(config: Configuration):
+    """U at each finite point p after its unit rows are peeled in closed form: (p, kept, rows) in ``index.p0`` order.
+
+    In p's A coordinates (``_u_generators``) write e(i,m) for x_m at the
+    flag (i,p).  Family 0 is the unit rows e(i,i), and for every line l_m
+    meeting l_i at a finite double point q, the family-2 row at q is
+    e(i,i) + e(i,m), a unit row once family 0 is subtracted.  So
+    U_p = Z^K ⊕ U′_p, K the diagonal and every such (i,m), and U′_p is
+    spanned by the other generators cut to the surviving coordinates S:
+    family 1 (x_m at every flag of p) and family 2 at the points of
+    multiplicity ≥ 3 on l_i (p itself when p has ≥ 3 lines).  A line
+    parallel to l_i lies in no family-2 row at (i,p): its coordinate is in
+    family 1 alone, a ground edge.  The cut rows are still 0/1, and each
+    coordinate of S lies in one family-1 row and at most one family-2 row
+    (two lines meet once), so ``_point_quotient``'s forest presents
+    Z^S/U′_p = A_p/U_p unchanged (C13: 524 of 1 104 coordinates survive).
+
+    ``kept`` lists S in increasing order, and ``rows`` holds U′_p's nonzero
+    generators on S renumbered along ``kept``, family 1 before family 2
+    (the order of ``_u_generators``).  Nothing is built for K.
+    """
+    n, table = config.index.n, _meeting_classes(config)
+    alive = [[(m, s) for m, s in enumerate(row) if s != _KILLED] for row in table]  # each line's surviving x_m, 0-based m
+    stars = [max(row, default=-1) + 1 for row in table]
+    for p in config.index.p0:
+        kept, family1, family2 = [], [{} for _ in range(n)], []
+        for f, i in enumerate(config.lines_through(p)):
+            own = len(family2)
+            family2 += ({} for _ in range(stars[i]))
+            for m, s in alive[i]:
+                c = len(kept)
+                kept.append(f * n + m)
+                family1[m][c] = 1
+                if s >= 0:
+                    family2[own + s][c] = 1
+        yield p, tuple(kept), [row for row in family1 if row] + family2
+
+
 def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
     """Present A_p/U_p, U_p spanned by the rows ``gens``, from a spanning forest; rows of other shapes are reduced.
 
-    Drop the coordinates of the unit rows (one entry, 1: family 0).  Say
+    ``u_points`` passes U′_p's rows on the surviving coordinates S
+    (``_peeled_u``), where K's unit rows are already gone, but the proof
+    drops any unit row it meets: a family-1 row cut to S can be one.
+    Drop the coordinates of the unit rows (one entry, 1).  Say
     every other row has all entries 1, each kept coordinate lies in at
     most two of them, and the rows 2-colour (rows that share a kept
     coordinate differ: family 1 against family 2).  On the kept
@@ -168,6 +247,24 @@ def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
     return QuotientPresentation(dim, (1,) * (dim - f), f, IntMatrix._of(functionals, dim).transpose(), section)
 
 
+def _point_presentation(width: int, kept: Sequence[int], gens: IntMatrix) -> QuotientPresentation:
+    """A_p/U_p on p's ``width`` A coordinates from U_p = Z^K ⊕ U′_p (``_peeled_u``): U′_p's rows ``gens`` on ``kept``, presented and spread back.
+
+    A_p/U_p = Z^S/U′_p, so π_p is ``_point_quotient``'s projection on the
+    kept coordinates and 0 on K (one shared empty row), s_p is its section
+    with each column sent to its kept coordinate, and the elementary
+    divisors are U′_p's after |K| ones.
+    """
+    q, empty = _point_quotient(gens), {}
+    projection = [empty] * width
+    if q.free_rank:
+        for c, row in zip(kept, q.projection.sparse_rows):
+            projection[c] = row
+    section = IntMatrix._of([{kept[c]: x for c, x in row.items()} for row in q.section.sparse_rows], width)
+    divisors = (1,) * (width - len(kept)) + q.elementary_divisors
+    return QuotientPresentation(width, divisors, q.free_rank, IntMatrix._of(projection, q.free_rank), section)
+
+
 def u_lattice(config: Configuration) -> Lattice:
     """Span of the three generator families known to lie in ker τ̃ (see ``_u_generators``).
 
@@ -212,6 +309,9 @@ def tau_kernel_equals_u(data: LcsData) -> bool:
     equality holds iff ker τ̃_p = U_p at every p, and that holds iff
     τ̃_p kills U_p, A_p/U_p is torsion-free, and τ̃_p∘s_p has rank f_p,
     where π_p: A_p → ZZ^f_p and its section s_p present A_p/U_p.
+    U_p = Z^K ⊕ U′_p (``_peeled_u``), so τ̃_p kills U_p iff its rows at K,
+    τ̃_p of the unit generators e_c, are zero and it kills U′_p's rows:
+    ``PointU.u_tau`` holds the nonzero ones among both.
 
     Proof: the target of τ̃_p is free, so ker τ̃_p is saturated, and a U_p
     with torsion in A_p/U_p differs from it (only rows outside
@@ -239,7 +339,10 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     """τ̃⁻¹(Im δ̄) = U + B, decided in A/U = ⊕ A_p/U_p (rank 36 on C13), whether or not ker τ̃ = U.
 
     Let π: A → A/U be ``LcsData.u_projection``, with section s read from
-    ``LcsData.u_points``.  Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff
+    ``LcsData.u_points``.  τ̃(U) ⊆ Im δ̄ is tested on a generating set of
+    each U_p = Z^K ⊕ U′_p (``_peeled_u``): τ̃_p's rows at K, which are τ̃
+    of the unit generators e_c, and τ̃_p of U′_p's rows, the nonzero ones
+    of both in ``PointU.u_tau``.  Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff
     s(π(a)) does, so the equality holds iff π(preimage), the left kernel
     of [τ̃∘s; Im δ̄] cut to its first block, equals π(B).  Every row of
     τ̃(U) and of τ̃∘s lies on τ̃'s image columns C, and an element of Im δ̄
@@ -249,11 +352,11 @@ def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     rows alone (``LcsData.im_delta_core``: [τ̃∘s; core] is 76 × 120 on C13,
     not 204 × 2 040).  Raises TorsionError if A/U has torsion,
     where no such section exists; U's own generators never give torsion
-    (``_point_quotient``'s forest proves each A_p/U_p free), so only rows
-    of another shape reach it.
+    (``_point_quotient``'s forest proves each A_p/U_p = Z^S/U′_p free), so
+    only rows of another shape reach it.
     """
     points, core = data.u_points, data.im_delta_core
-    if not all(core.member(v) for pt in points for v in pt.u_tau.sparse_rows if v):
+    if not all(core.member(v) for pt in points for v in pt.u_tau.sparse_rows):
         return False
     if not all(pt.quotient.is_torsion_free for pt in points):
         raise TorsionError("A/U has torsion")

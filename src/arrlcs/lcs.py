@@ -47,13 +47,17 @@ of entries are nonzero).
 U splits over the finite points like τ̃, and both kernel identities
 (module ``kernels``, with U's and B's generators) read it from
 ``LcsData.u_points``.  U's generators are defined once, point by point
-(``_u_generators``).  Once the unit rows (family 0) are dropped, the
-other generators at p are the unsigned incidence matrix of a bipartite
-graph, which is totally unimodular, so A_p/U_p is free and a spanning
-forest of that graph, searched on flat lists, presents it
-(``_point_quotient``): no U_p is ever reduced.  τ̃_p's products are taken
-at its nonzero rows only, so the points whose τ̃_p is zero (25 of 41 on
-C13) take none.  The block-diagonal π = ⊕_p π_p: A → A/U is built once
+(``_u_generators``).  ``u_points`` reads them peeled (``_peeled_u``):
+family 0 and the family-2 rows at double points are unit rows once
+family 0 is subtracted, so U_p = Z^K ⊕ U′_p, and nothing is built for K.
+The generators of U′_p, on the surviving coordinates S, are the unsigned
+incidence matrix of a bipartite graph, which is totally unimodular, so
+A_p/U_p = Z^S/U′_p is free and a spanning forest of that graph, searched
+on flat lists over S alone, presents it (``_point_quotient``; 524 of
+C13's 1 104 coordinates): no U_p is ever reduced.  τ̃_p's products are
+taken at its nonzero rows only, so the points whose τ̃_p is zero (25 of
+41 on C13) take none, and τ̃_p of a unit generator e_c is its own row.
+The block-diagonal π = ⊕_p π_p: A → A/U is built once
 (``LcsData.u_projection``, its zero rows one shared dict), and so are B
 and π(B) (``LcsData.b``, ``LcsData.pi_b``, reduced from B·π's distinct
 rows up to sign); the preimage identity and ``maclane-report``'s ranks
@@ -87,6 +91,8 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
+from itertools import compress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -149,24 +155,34 @@ from .words import (
 
 @dataclass(frozen=True)
 class PointU:
-    """U at one finite point p, as both kernel identities read it.
+    """U at one finite point p, as both kernel identities read it, with U_p = Z^K ⊕ U′_p (``_peeled_u``).
 
     ``rows`` is p's slice of A, ``tau`` is τ̃_p, those rows of
-    ``LcsData.tau_matrix`` (the same dicts, in Hom(R2,P3)'s columns), ``u``
-    holds U's generator rows at p (in p's A coordinates, not reduced),
-    ``u_tau`` = ``u @ tau`` holds their images under τ̃_p (rows that meet
-    no nonzero row of τ̃_p share one empty dict),
-    ``quotient`` presents A_p/U_p (``_point_quotient``: a spanning forest
-    for U's own generators, so no Hermite form of U_p is built), and
-    ``s_tau`` = s_p·τ̃_p is τ̃_p on its section.
+    ``LcsData.tau_matrix`` (the same dicts, in Hom(R2,P3)'s columns),
+    ``kept`` the surviving coordinates S of p's A coordinates (K is the
+    rest), ``u`` holds U′_p's generator rows on S renumbered along
+    ``kept`` (not reduced; ``generators`` spreads U_p whole), ``u_tau``
+    the nonzero images under τ̃_p of U_p's generators in ``generators``
+    order: τ̃_p's nonzero rows at K (τ̃ of the unit generators e_c), then
+    those of ``u``'s rows (no rows where τ̃_p is zero),
+    ``quotient`` presents A_p/U_p (``_point_presentation``: a spanning
+    forest on S for U's own generators, so no Hermite form of U_p is
+    built), and ``s_tau`` = s_p·τ̃_p is τ̃_p on its section.
     """
 
     rows: slice
     tau: IntMatrix
+    kept: tuple[int, ...]
     u: IntMatrix
     u_tau: IntMatrix
     quotient: QuotientPresentation
     s_tau: IntMatrix
+
+    def generators(self) -> list[dict[int, int]]:
+        """U_p's generator rows in p's A coordinates: e_c for each c in K, increasing, then ``u``'s rows spread over ``kept``."""
+        kept = self.kept
+        units = sorted(set(range(self.tau.rows)).difference(kept))
+        return [{c: 1} for c in units] + [{kept[c]: x for c, x in row.items()} for row in self.u.sparse_rows]
 
 
 class LcsData:
@@ -408,19 +424,24 @@ class LcsData:
         τ̃ = ⊕_p τ̃_p: τ̃_p is p's slice of rows of ``tau_matrix`` (k·n rows
         for k lines on p), so ``u_tau`` and ``s_tau``, computed here once
         for both identities, come out in Hom(R2,P3)'s columns.  Both
-        products read τ̃_p's nonzero rows alone (``_live_product``): a
-        point whose τ̃_p is zero (25 of C13's 41, 375 of 423 at k = 6)
-        takes no product at all.  U_p is never reduced: ``_point_quotient``
-        presents A_p/U_p from U's generator rows at p (``_u_generators``)
-        by a spanning forest.
+        products read τ̃_p's nonzero rows alone (``_u_images``,
+        ``_live_product``), found in one pass over τ̃'s rows: a point
+        whose τ̃_p is zero (25 of C13's 41, 375 of 423 at k = 6) takes no
+        product at all.  U_p is never reduced: ``_peeled_u`` peels
+        its unit rows in closed form, U_p = Z^K ⊕ U′_p, and
+        ``_point_presentation`` presents A_p/U_p = Z^S/U′_p by a spanning
+        forest on the surviving coordinates S alone (524 of C13's 1 104,
+        21 624 of 220 224 at k = 12), π_p spread back by shared empty rows.
         """
-        tau, out, stop = self.tau_matrix, [], 0
-        for p, gen_rows in kernels._u_generators(self.config):  # through its module, the one definition ``u_lattice`` reads too
+        tau, out, stop = self.tau_matrix.sparse_rows, [], 0
+        nonzero = list(compress(range(len(tau)), tau))
+        for p, kept, gen_rows in kernels._peeled_u(self.config):  # through its module, where the tests replace it
             rows = slice(stop, stop + self.config.multiplicity(p) * self.n)
-            block = IntMatrix._of(tau.sparse_rows[rows], tau.cols)
-            gens = IntMatrix._of(gen_rows, rows.stop - rows.start)
-            quotient, live = _point_quotient(gens), {k for k, row in enumerate(block.sparse_rows) if row}
-            out.append(PointU(rows, block, gens, _live_product(gens, block, live), quotient, _live_product(quotient.section, block, live)))
+            block = IntMatrix._of(tau[rows], self.tau_matrix.cols)
+            live = {a - stop for a in nonzero[bisect_left(nonzero, stop) : bisect_left(nonzero, rows.stop)]}
+            gens = IntMatrix._of(gen_rows, len(kept))
+            quotient = kernels._point_presentation(rows.stop - stop, kept, gens)
+            out.append(PointU(rows, block, kept, gens, _u_images(block, kept, gens, live), quotient, _live_product(quotient.section, block, live)))
             stop = rows.stop
         return tuple(out)
 
@@ -511,6 +532,17 @@ def _live_product(m: IntMatrix, block: IntMatrix, live: set[int]) -> IntMatrix:
         [combine(row.items(), block) if not live.isdisjoint(row) else empty for row in m.sparse_rows],
         block.cols,
     )
+
+
+def _u_images(block: IntMatrix, kept: Sequence[int], gens: IntMatrix, live: set[int]) -> IntMatrix:
+    """The nonzero images under τ̃_p (``block``) of U_p's generators in ``PointU.generators`` order: ``block``'s rows at K, then ``gens`` (on ``kept``) through it."""
+    if not live:
+        return IntMatrix._of((), block.cols)
+    rows = block.sparse_rows
+    cut = IntMatrix._of([rows[c] for c in kept], block.cols)  # τ̃_p's rows at S, in ``gens``' coordinates
+    images = [rows[c] for c in sorted(live.difference(kept))]
+    images += _live_product(gens, cut, {j for j, row in enumerate(cut.sparse_rows) if row}).sparse_rows
+    return IntMatrix._of(filter(None, images), block.cols)
 
 
 # -- Im δ̄'s core ----------------------------------------------------------------

@@ -349,7 +349,7 @@ def unpeeled_quotient(lat: Lattice) -> QuotientPresentation:
     that reduces Kᵀ, and the divisors are ones when ``lat``'s own pivots
     are 1, else the ``snf`` divisors of its canonical form.
     """
-    n, h, (_, _, pivots, det) = lat.ambient_rank, lat.canonical_form, lat.echelon()
+    n, h, (_, pivots, det) = lat.ambient_rank, lat.canonical_form, lat.echelon()
     if det == 1:
         cols, free = [dict() for _ in range(n)], sorted(set(range(n)).difference(pivots))
         for k, row in enumerate(h.sparse_rows):
@@ -358,7 +358,7 @@ def unpeeled_quotient(lat: Lattice) -> QuotientPresentation:
         comp = Lattice(n, IntMatrix._of([{c: 1, **{pivots[k]: -x for k, x in cols[c].items()}} for c in free], n))
     else:
         comp = Lattice(n, kernel_basis(h.transpose()))
-    projection, (_, _, comp_pivots, comp_det) = comp.canonical_form.transpose(), comp.echelon()
+    projection, (_, comp_pivots, comp_det) = comp.canonical_form.transpose(), comp.echelon()
     f = projection.cols
     if comp_det == 1:
         section = IntMatrix._of([{c: 1} for c in comp_pivots], n)
@@ -592,7 +592,7 @@ def flat_kappa_member(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | Abeli
 def flat_preimage_equals_u_plus_b(data: LcsData) -> bool:
     """The flat route of ``kernels.tau_preimage_equals_u_plus_b``: membership in all of Im δ̄ and the joint kernel of [τ̃∘s; Im δ̄'s echelon rows]."""
     points = data.u_points
-    if not all(member(v, data.im_delta) for pt in points for v in pt.u_tau.sparse_rows if v):
+    if not all(member(v, data.im_delta) for pt in points for v in pt.u_tau.sparse_rows):
         return False
     if not all(pt.quotient.is_torsion_free for pt in points):
         raise TorsionError("A/U has torsion")

@@ -186,8 +186,15 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     calls, real_b, real_perp = [], lcs.b_lattice, exactlin.perp
     for module in (cli, lcs):
         monkeypatch.setattr(module, "b_lattice", lambda config: calls.append("b_lattice") or real_b(config), raising=False)
-    shapes, real_forward = [], exactlin._hnf_forward
-    monkeypatch.setattr(exactlin, "_hnf_forward", lambda a, ncols, u: shapes.append((len(a), ncols)) or real_forward(a, ncols, u))
+    shapes, transforms, real_forward = [], [], exactlin._hnf_forward
+
+    def forward(a, ncols, u):
+        shapes.append((len(a), ncols))
+        if u is not None:
+            transforms.append((len(a), ncols))
+        return real_forward(a, ncols, u)
+
+    monkeypatch.setattr(exactlin, "_hnf_forward", forward)
     pullbacks, real_tau_star = [], maclane.tau_star
     monkeypatch.setattr(maclane, "tau_star", lambda *args: pullbacks.append(1) or real_tau_star(*args))
     reads, real_json = [], maclane._builtin_json
@@ -214,7 +221,11 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     # preimage identity and rank U + B alike; the other 21 × 18 is the preimage's projection, the
     # left kernel of [τ̃∘s; core of Im δ̄] (18 + 21 rows) cut to its first 18 columns.  The P2 and P3
     # sections are read off unit pivots, so neither projection is reduced
-    assert len(shapes) == 24 and shapes.count((21, 18)) == 2 and shapes.count((18 + 21, 273)) == 1
+    assert len(shapes) == 25 and shapes.count((21, 18)) == 2 and shapes.count((18 + 21, 273)) == 1
+    # three passes carry a transform: two left kernels (R3perp's d* route, 56 × 35, and the
+    # preimage's 39 × 273) and the second pass over the 42 × 147 lattice that τ̃*'s identities test
+    # membership in, once one succeeds with a nonzero value; κ's failed membership builds none
+    assert transforms == [(56, 35), (42, 147), (18 + 21, 273)] and shapes.count((42, 147)) == 2
     # Im δ̄ (56 × 273) is never reduced whole: the identity and κ read its 21-row core
     assert (56, 273) not in shapes and shapes.count((21, 273)) == 1
     # R2 (13 × 21) and R3 (91 × 112) are never reduced whole: P2 and P3 reduce what is left of

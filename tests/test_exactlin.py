@@ -593,8 +593,7 @@ def test_staged_cases_cover_every_outcome():
 def test_staged_lattice_equals_the_single_reduction_route(case):
     lat, v = case
     assert member(v, lat) == reference_member(v, lat)
-    e, keep, _, _ = lat.echelon()
-    assert keep @ lat.basis == e
+    assert lat._keep() @ lat.basis == lat.echelon()[0]
     assert lat.canonical_form == hnf(lat.basis)
 
 
@@ -784,7 +783,7 @@ def assert_quotient_matches_the_oracles(lat: Lattice) -> None:
     with mock.patch.object(exactlin, "hnf_with_transform", wraps=exactlin.hnf_with_transform) as transform:
         q = quotient_presentation(lat)
     # unit pivots of perp's Hermite form K make the section the unit rows at K's pivots
-    assert transform.call_count == (perp(lat).echelon()[3] != 1)
+    assert transform.call_count == (perp(lat).echelon()[2] != 1)
     assert perp(lat).canonical_form == kernel_perp(lat).canonical_form
     assert (q.elementary_divisors, q.projection, q.section) == reference_quotient(lat)
 
@@ -793,7 +792,7 @@ def assert_quotient_matches_the_oracles(lat: Lattice) -> None:
 @given(unit_pivot_lattices())
 @example(Lattice(4, [[1, 2, 0, -3], [2, 4, 1, 0]]))  # perp's Hermite pivots are 1 too
 def test_unit_pivot_perp_and_quotient_equal_the_kernel_route(lat):
-    _, _, pivots, det = lat.echelon()
+    _, pivots, det = lat.echelon()
     assert det == 1 == math.prod(row[p] for row, p in zip(lat.canonical_form.sparse_rows, pivots))
     assert_quotient_matches_the_oracles(lat)
     assert quotient_presentation(lat).is_torsion_free
@@ -820,7 +819,8 @@ def test_unit_pivot_quotient_needs_no_kernel_and_no_saturation(monkeypatch):
 @settings(max_examples=200)
 @given(st.one_of(matrices(), wide_sparse(), tall_sparse()), st.booleans())
 def test_one_reduction_serves_canonical_form_and_member(m, member_first):
-    # one forward pass, with the transform, serves every stage; back-substitutions carry none
+    # one forward pass, without a transform, serves every stage; a second one, with the
+    # transform, runs once a membership succeeds with a nonzero value; back-substitutions carry none
     lat, probe = Lattice(m.cols, m), tuple(range(1, m.cols + 1))
     with mock.patch.object(exactlin, "_hnf_forward", wraps=exactlin._hnf_forward) as forward, \
             mock.patch.object(exactlin, "_hnf_back", wraps=exactlin._hnf_back) as back:
@@ -829,12 +829,13 @@ def test_one_reduction_serves_canonical_form_and_member(m, member_first):
         h = lat.canonical_form
         res = member(probe, lat)
         assert lat.canonical_form is h and lat.rank == h.rows
+        assert member((0,) * m.cols, lat).coefficients == (0,) * m.rows
     # the canonical form's back-substitution, and the pivot block's when a witness is built
-    assert forward.call_count == 1 and back.call_count == 1 + (not res.ok)
-    assert all(call.args[2] is None for call in back.call_args_list)
+    assert forward.call_count == 1 + res.ok and back.call_count == 1 + (not res.ok)
+    assert forward.call_args_list[0].args[2] is None and all(call.args[2] is None for call in back.call_args_list)
     assert h == hnf(m)
-    e, keep, pivots, _ = lat.echelon()
-    assert keep @ m == e and e.rows == len(pivots) == h.rows
+    e, pivots, _ = lat.echelon()
+    assert lat._keep() @ m == e and e.rows == len(pivots) == h.rows
 
 
 def test_quotient_presentation_divisors():
@@ -886,7 +887,7 @@ def test_peeled_perp_and_quotient_equal_the_kernel_route(lat):
         n, peeled = lat.ambient_rank, set(range(lat.ambient_rank)).difference(kept)
         split = [{d: 1} for d in peeled] + [{kept[c]: x for c, x in row.items()} for row in rest]
         assert Lattice(n, IntMatrix._of(split, n)) == lat
-        assert lat._unit_split()[1] == lat.echelon()[3]  # L′'s pivot product is L's
+        assert lat._unit_split()[1] == lat.echelon()[2]  # L′'s pivot product is L's
 
 
 def test_a_row_two_e_c_does_not_peel():

@@ -123,10 +123,10 @@ def test_core_shapes_on_the_maclane_gluings(maclane_data, c13_data):
 def test_witness_moduli_are_the_cores_pivot_products(maclane_data, c13_data):
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
     w = kappa(maclane_data, plus, minus).witness
-    assert (w.modulus, w.pairing) == (6, 2) and maclane_data.im_delta_core.lattice.echelon()[3] == 6
-    assert flat_kappa_member(maclane_data, plus, minus).witness.modulus == maclane_data.im_delta.echelon()[3] == 12
+    assert (w.modulus, w.pairing) == (6, 2) and maclane_data.im_delta_core.lattice.echelon()[2] == 6
+    assert flat_kappa_member(maclane_data, plus, minus).witness.modulus == maclane_data.im_delta.echelon()[2] == 12
     w = kappa(c13_data, glued_g_map(plus, plus), glued_g_map(plus, minus)).witness
-    assert w.modulus == c13_data.im_delta_core.lattice.echelon()[3] == 36
+    assert w.modulus == c13_data.im_delta_core.lattice.echelon()[2] == 36
 
 
 def test_the_core_refuses_a_vector_off_its_support(maclane_data):

@@ -61,6 +61,7 @@ from helpers import (
     lift_rows,
     line_action,
     pencil4,
+    random_real_arrangement,
     reference_u_points,
     relabel,
     saturate,
@@ -405,8 +406,8 @@ def test_point_defects_match_the_kernel_route(maclane_data, asymmetric_config, c
         defects = {}
         for p, pt in zip(data.index.p0, data.u_points):
             assert pt.quotient.is_torsion_free
-            defect = pt.quotient.free_rank - exactlin.hnf(pt.quotient.section @ pt.tau).rows
-            assert defect == Lattice(pt.u.cols, exactlin.kernel_basis(pt.tau)).rank - Lattice(pt.u.cols, pt.u).rank
+            defect, width = pt.quotient.free_rank - exactlin.hnf(pt.quotient.section @ pt.tau).rows, pt.tau.rows
+            assert defect == Lattice(width, exactlin.kernel_basis(pt.tau)).rank - Lattice(width, IntMatrix._of(pt.generators(), width)).rank
             if defect:
                 defects[p] = defect
         assert defects == expected
@@ -438,8 +439,83 @@ def test_u_points_match_the_reference_route(maclane_data, c13_data, asymmetric_c
             assert pt.quotient.is_torsion_free
             assert Lattice(u.ambient_rank, exactlin.kernel_basis(pt.quotient.projection)) == u
             _assert_presents(pt.quotient, u)
-            spread += [{pt.rows.start + k: x for k, x in row.items()} for row in pt.u.sparse_rows]
+            spread += [{pt.rows.start + k: x for k, x in row.items()} for row in pt.generators()]
         assert Lattice(data.a_rank, IntMatrix._of(spread, data.a_rank)) == u_lattice(data.config)
+
+
+def _assert_peel_matches_the_generators(data):
+    """Each point's Z^K ⊕ U′_p against U's generator rows at p (``_u_generators``), read as the closed form reads them.
+
+    K must be the coordinates of family 0 and of each family-2 row left with
+    one coordinate once family 0's are dropped (a double point), Z^K ⊕ U′_p
+    must have the canonical form of the rows, and π_p the kernel and
+    divisors of ``reference_u_points``.
+    """
+    n = data.n
+    for pt, (p, rows), (u, q) in zip(data.u_points, kernels._u_generators(data.config), reference_u_points(data), strict=True):
+        k, width = data.config.multiplicity(p), pt.tau.rows
+        diag = {c for row in rows[:k] for c in row}
+        left = [set(row).difference(diag) for row in rows[k + n :]]
+        assert set(range(width)).difference(pt.kept) == diag.union(*(c for c in left if len(c) == 1)), p
+        assert Lattice(width, IntMatrix._of(pt.generators(), width)) == u, p
+        assert Lattice(width, exactlin.kernel_basis(pt.quotient.projection)) == u, p
+        assert pt.quotient.elementary_divisors == q.elementary_divisors and pt.quotient.section @ pt.quotient.projection == IntMatrix.identity(q.free_rank)
+
+
+PEEL_CONFIGS = {
+    "c8": maclane_c8,
+    "c13": glue_c13,
+    "c13@41": lambda: relabel(glue_c13(), 41),
+    "glued3": lambda: glue_copies(3),
+    "hesse": hesse,
+    "pencil4": pencil4,
+    **{f"random{seed}": lambda seed=seed: random_real_arrangement(9, 2, seed)[0] for seed in range(20)},
+}
+
+
+def test_peeled_u_equals_the_generators_at_every_point(asymmetric_config):
+    kept = {}
+    for name, make in {**PEEL_CONFIGS, "fixture9": lambda: asymmetric_config}.items():
+        data = build_lcs(make())
+        _assert_peel_matches_the_generators(data)
+        kept[name] = (sum(len(pt.kept) for pt in data.u_points), data.a_rank)
+    # the forest runs on the surviving coordinates alone
+    assert (kept["c8"], kept["c13"], kept["c13@41"], kept["glued3"]) == ((108, 147), (524, 1104), (524, 1104), (1248, 3621))
+
+
+def _mutated_meetings(monkeypatch, mutate):
+    real = kernels._meeting_classes
+
+    def table(config):
+        out = real(config)
+        mutate(out)
+        return out
+
+    monkeypatch.setattr(kernels, "_meeting_classes", table)
+
+
+def test_the_peel_oracle_catches_a_double_point_read_as_a_triple_point(monkeypatch):
+    def triple(table):
+        # l_i and l_m meet at a double point; each reads it as a new point of multiplicity ≥ 3
+        i, m = next((i, m) for i in range(1, len(table)) for m, s in enumerate(table[i], 1) if s == kernels._KILLED and m != i)
+        for a, b in ((i, m), (m, i)):
+            table[a][b - 1] = max(table[a]) + 1
+
+    _mutated_meetings(monkeypatch, triple)
+    # U_p is unchanged (the new family-2 row is a unit row the forest drops), but K shrinks
+    with pytest.raises(AssertionError):
+        _assert_peel_matches_the_generators(build_lcs(maclane_c8()))
+
+
+def test_the_peel_oracle_catches_a_parallel_line_read_as_meeting(monkeypatch):
+    def meeting(table):
+        # l_m is parallel to l_i; l_i reads it as meeting at its first point of multiplicity ≥ 3
+        i, m = next((i, m) for i in range(1, len(table)) for m, s in enumerate(table[i], 1) if s == kernels._GROUND and max(table[i]) >= 0)
+        table[i][m - 1] = 0
+
+    _mutated_meetings(monkeypatch, meeting)
+    with pytest.raises(AssertionError):
+        _assert_peel_matches_the_generators(build_lcs(maclane_c8()))
 
 
 # sha256 of ``u_lattice(c).basis`` row by row: perfbench's kappa-stream inputs and
@@ -540,6 +616,9 @@ def test_point_quotient_equals_the_dict_forest(asymmetric_config):
         for p, rows in kernels._u_generators(config):
             gens = IntMatrix._of(rows, config.multiplicity(p) * config.index.n)
             assert lcs._point_quotient(gens) == dict_point_quotient(gens), p
+        for p, kept, rows in kernels._peeled_u(config):
+            gens = IntMatrix._of(rows, len(kept))
+            assert lcs._point_quotient(gens) == dict_point_quotient(gens), p
 
 
 def test_cold_u_points_multiply_only_at_live_rows(monkeypatch):
@@ -549,19 +628,23 @@ def test_cold_u_points_multiply_only_at_live_rows(monkeypatch):
     monkeypatch.setattr(lcs, "combine", lambda terms, m: blocks.append(m) or real(terms, m))
     points = data.u_points
     zero = [pt for pt in points if not any(pt.tau.sparse_rows)]
-    assert (len(points), len(zero)) == (41, 25)
-    # no combine at a point whose τ̃_p is zero; elsewhere one per generator or section row meeting a nonzero row of τ̃_p
+    assert (len(points), len(zero)) == (41, 25) and not any(pt.u_tau.rows for pt in zero)
+    # no combine at a point whose τ̃_p is zero; elsewhere one per U′_p or section row meeting a
+    # nonzero row of τ̃_p, and none for a unit generator at K, whose image is τ̃_p's own row
     assert blocks and all(any(m.sparse_rows) for m in blocks)
     meeting = [
         row
         for pt in points
-        for row in (*pt.u.sparse_rows, *pt.quotient.section.sparse_rows)
+        for row in (*({pt.kept[c] for c in r} for r in pt.u.sparse_rows), *pt.quotient.section.sparse_rows)
         if any(pt.tau.sparse_rows[k] for k in row)
     ]
     assert len(blocks) == len(meeting)
     monkeypatch.undo()
     for pt in points:
-        assert pt.u_tau == pt.u @ pt.tau and pt.s_tau == pt.quotient.section @ pt.tau
+        images = (IntMatrix._of(pt.generators(), pt.tau.rows) @ pt.tau).sparse_rows
+        assert pt.u_tau.sparse_rows == tuple(filter(None, images)) and pt.s_tau == pt.quotient.section @ pt.tau
+        at_k = [row for c, row in enumerate(pt.tau.sparse_rows) if row and c not in pt.kept]
+        assert all(a is b for a, b in zip(pt.u_tau.sparse_rows, at_k))
 
 
 def test_pi_b_spans_b_projected_from_its_distinct_rows(asymmetric_config):
@@ -652,6 +735,12 @@ def test_b_lattice_rows_equal_the_point_scan(asymmetric_config):
         assert b_lattice(config).basis == scanned_b_rows(config)
 
 
+def _point_u_lattice(data) -> Lattice:
+    """U read back from ``u_points``: each point's ``generators`` spread over its rows of A."""
+    rows = [{pt.rows.start + k: x for k, x in row.items()} for pt in data.u_points for row in pt.generators()]
+    return Lattice(data.a_rank, IntMatrix._of(rows, data.a_rank))
+
+
 def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch, maclane_data):
     data = maclane_data
     unit = next(
@@ -661,32 +750,37 @@ def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch
     )
     point = data.index.pairs[unit.index(1) // data.n][1]
     assert not member(unit, lcs.u_lattice(data.config))
-    generators = lcs._u_generators
-    extra = {unit.index(1) - data.u_points[data.index.p0.index(point)].rows.start: 1}  # in the point's A coordinates
+    peeled = kernels._peeled_u
+    local = unit.index(1) - data.u_points[data.index.p0.index(point)].rows.start  # in the point's A coordinates
 
     def with_extra(config):
-        for p, rows in generators(config):
-            yield p, rows + [extra] if p == point else rows
+        for p, kept, rows in peeled(config):
+            # τ̃ kills K's unit generators, so the coordinate survives the peel
+            yield p, kept, rows + [{kept.index(local): 1}] if p == point else rows
 
-    monkeypatch.setattr(kernels, "_u_generators", with_extra)
-    data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched generators
-    u, b = lcs.u_lattice(data.config), lcs.b_lattice(data.config)
+    monkeypatch.setattr(kernels, "_peeled_u", with_extra)
+    data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched source
+    u, b = _point_u_lattice(data), lcs.b_lattice(data.config)
+    assert member(unit, u) and u != lcs.u_lattice(data.config)
     assert tau_kernel(data) != u and not tau_kernel_equals_u(data)
     assert tau_preimage(data) != lattice_sum(u, b) and not tau_preimage_equals_u_plus_b(data)
 
 
 def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch):
     point = maclane_c8().index.p0[0]
-    generators = lcs._u_generators
+    peeled = kernels._peeled_u
 
     def doubled_at_point(config):
-        for p, rows in generators(config):
-            yield p, [{k: 2 * x for k, x in row.items()} for row in rows] if p == point else rows
+        for p, kept, rows in peeled(config):
+            yield p, kept, [{k: 2 * x for k, x in row.items()} for row in rows] if p == point else rows
 
-    monkeypatch.setattr(kernels, "_u_generators", doubled_at_point)
-    data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched generators
-    u = lcs.u_lattice(data.config)
-    assert u.rank == 129 and tau_kernel(data) != u and not tau_kernel_equals_u(data)
+    monkeypatch.setattr(kernels, "_peeled_u", doubled_at_point)
+    data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched source
+    u = _point_u_lattice(data)
+    # Z^K ⊕ 2·U′_p has U_p's rank, but is not saturated: ``_point_quotient`` reduces rows of 2s
+    assert u.rank == lcs.u_lattice(data.config).rank == 129 and u != lcs.u_lattice(data.config)
+    assert not data.u_points[0].quotient.is_torsion_free
+    assert tau_kernel(data) != u and not tau_kernel_equals_u(data)
     # A/U has torsion, so the preimage route has no section to work with
     with pytest.raises(TorsionError):
         tau_preimage_equals_u_plus_b(data)
@@ -793,7 +887,7 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     # witness back-substitutes only their pivot block: one forward pass, no full back-substitution
     assert data.im_delta.basis.shape == (180, 2040) and data.im_delta_core.lattice.rank == 28
     assert kernel_calls.count("core") == 1 and "im_delta" not in kernel_calls and len(kernel_calls) == 41 + 4
-    core_pivots = tuple(data.im_delta_core.lattice.echelon()[2])
+    core_pivots = tuple(data.im_delta_core.lattice.echelon()[1])
     assert (False, core_pivots, False) in backs and not any(full for _, pivots, full in backs if pivots == core_pivots)
     # no back-substitution carries a transform: no lattice calls hnf_with_transform
     assert not any(transform for transform, *_ in backs) and rows.pop("hnf_with_transform") == []

@@ -117,6 +117,8 @@ def test_u_times_the_cold_tau_matrix_and_records_its_support(monkeypatch):
     run = replay.u()
     (rec,) = run["inputs"]
     assert (rec["a_rank"], rec["tau_support_rows"], rec["bracket_p3_rows"]) == (147, 108, [126, 147])
+    # the forests run on the 108 of A's 147 coordinates that no unit row of U kills
+    assert rec["kept_coordinates"] == 108
     assert rec["identities"] == [True, True] and set(run["tau_matrix_s"]) == set(run["total_s"]) == {"c8"}
 
 

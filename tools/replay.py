@@ -93,7 +93,9 @@ compare with later runs.
   canonical form (``pi_b_s``, digest ``pi_b_digest``) on data whose π
   and B are built, and holds ``live_points``, the points with τ̃_p ≠ 0
   and f_p > 0, and ``pi_b_shape``, the shape of B·π and of the basis
-  π(B) is built from.
+  π(B) is built from.  From ``BENCH_42.json`` on, each record also holds
+  ``kept_coordinates``, the A coordinates that survive the closed-form
+  unit-row peel of U (``kernels._peeled_u``), where the forests run.
 * ``words``: on c8, C13, C13 at ``SEED`` and the 3- and 4-fold MacLane
   gluings, ``G_MAPS`` g-maps from ``WORDS_SEED`` each: ``relators_from_g``,
   ``magnus`` of every relator, and the relator route to degree-3
@@ -571,6 +573,7 @@ def u() -> dict:
         live = sum(1 for pt in data.u_points if pt.quotient.free_rank and any(pt.tau.sparse_rows))
         records.append({
             "config": name, "points": len(data.u_points), "live_points": live, "a_rank": data.a_rank,
+            "kept_coordinates": sum(len(pt.kept) for pt in data.u_points),
             "tau_support_rows": sum(1 for row in tau.sparse_rows if row), "bracket_p3_rows": [sum(1 for row in bp.sparse_rows if row), bp.rows],
             "tau_matrix_s": tau_s, "tau_digest": tau_digest, "u_points_s": seconds,
             "identities_s": identities_s, "identities": list(identities),
