@@ -12,9 +12,10 @@ in closed form from one per-line table of meeting classes
 (``_meeting_classes``), so U_p = Z^K ⊕ U′_p.  The rows of U′_p stay 0/1
 and 2-colour, so they stay totally unimodular and A_p/U_p = Z^S/U′_p
 comes from a spanning forest on the surviving coordinates S alone
-(``_point_quotient``, ``_point_presentation``: 524 of C13's 1 104
-coordinates, 21 624 of 220 224 at k = 12).  U itself stays defined once,
-by ``_u_generators``; the tests tie the peeled form to it point by
+(``_point_quotient``: 524 of C13's 1 104 coordinates, 21 624 of 220 224
+at k = 12).  A_p/U_p stays presented on S; ``LcsData.u_projection`` is
+the one place that spreads π_p from S into A.  U itself stays defined
+once, by ``_u_generators``; the tests tie the peeled form to it point by
 point.  The global lattices ``u_lattice``, ``tau_kernel`` and
 ``tau_preimage`` are the reference route; no CLI path reads them.
 
@@ -30,7 +31,7 @@ rows left, ``LcsData.im_delta_core`` (40 rows on 120 columns on C13, of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .config import Configuration
 from .exactlin import (
@@ -247,24 +248,6 @@ def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
     return QuotientPresentation(dim, (1,) * (dim - f), f, IntMatrix._of(functionals, dim).transpose(), section)
 
 
-def _point_presentation(width: int, kept: Sequence[int], gens: IntMatrix) -> QuotientPresentation:
-    """A_p/U_p on p's ``width`` A coordinates from U_p = Z^K ⊕ U′_p (``_peeled_u``): U′_p's rows ``gens`` on ``kept``, presented and spread back.
-
-    A_p/U_p = Z^S/U′_p, so π_p is ``_point_quotient``'s projection on the
-    kept coordinates and 0 on K (one shared empty row), s_p is its section
-    with each column sent to its kept coordinate, and the elementary
-    divisors are U′_p's after |K| ones.
-    """
-    q, empty = _point_quotient(gens), {}
-    projection = [empty] * width
-    if q.free_rank:
-        for c, row in zip(kept, q.projection.sparse_rows):
-            projection[c] = row
-    section = IntMatrix._of([{kept[c]: x for c, x in row.items()} for row in q.section.sparse_rows], width)
-    divisors = (1,) * (width - len(kept)) + q.elementary_divisors
-    return QuotientPresentation(width, divisors, q.free_rank, IntMatrix._of(projection, q.free_rank), section)
-
-
 def u_lattice(config: Configuration) -> Lattice:
     """Span of the three generator families known to lie in ker τ̃ (see ``_u_generators``).
 
@@ -311,7 +294,9 @@ def tau_kernel_equals_u(data: LcsData) -> bool:
     where π_p: A_p → ZZ^f_p and its section s_p present A_p/U_p.
     U_p = Z^K ⊕ U′_p (``_peeled_u``), so τ̃_p kills U_p iff its rows at K,
     τ̃_p of the unit generators e_c, are zero and it kills U′_p's rows:
-    ``PointU.u_tau`` holds the nonzero ones among both.
+    ``PointU.u_tau`` holds the nonzero ones among both.  A_p/U_p = Z^S/U′_p,
+    so π_p and s_p are read on S (``PointU.quotient``) and s_p·τ̃_p is s_p
+    times τ̃_p's rows at S (``PointU.s_tau``).
 
     Proof: the target of τ̃_p is free, so ker τ̃_p is saturated, and a U_p
     with torsion in A_p/U_p differs from it (only rows outside
@@ -338,9 +323,10 @@ def tau_preimage(data: LcsData) -> Lattice:
 def tau_preimage_equals_u_plus_b(data: LcsData) -> bool:
     """τ̃⁻¹(Im δ̄) = U + B, decided in A/U = ⊕ A_p/U_p (rank 36 on C13), whether or not ker τ̃ = U.
 
-    Let π: A → A/U be ``LcsData.u_projection``, with section s read from
-    ``LcsData.u_points``.  τ̃(U) ⊆ Im δ̄ is tested on a generating set of
-    each U_p = Z^K ⊕ U′_p (``_peeled_u``): τ̃_p's rows at K, which are τ̃
+    Let π: A → A/U be ``LcsData.u_projection``, each π_p spread from S
+    into A, with section s read from ``LcsData.u_points`` (s_p·τ̃_p is
+    ``PointU.s_tau``, taken on S).  τ̃(U) ⊆ Im δ̄ is tested on a
+    generating set of each U_p = Z^K ⊕ U′_p (``_peeled_u``): τ̃_p's rows at K, which are τ̃
     of the unit generators e_c, and τ̃_p of U′_p's rows, the nonzero ones
     of both in ``PointU.u_tau``.  Once τ̃(U) ⊆ Im δ̄, a lies in the preimage iff
     s(π(a)) does, so the equality holds iff π(preimage), the left kernel

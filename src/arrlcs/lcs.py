@@ -54,14 +54,15 @@ The generators of U′_p, on the surviving coordinates S, are the unsigned
 incidence matrix of a bipartite graph, which is totally unimodular, so
 A_p/U_p = Z^S/U′_p is free and a spanning forest of that graph, searched
 on flat lists over S alone, presents it (``_point_quotient``; 524 of
-C13's 1 104 coordinates): no U_p is ever reduced.  τ̃_p's products are
-taken at its nonzero rows only, so the points whose τ̃_p is zero (25 of
-41 on C13) take none, and τ̃_p of a unit generator e_c is its own row.
-The block-diagonal π = ⊕_p π_p: A → A/U is built once
-(``LcsData.u_projection``, its zero rows one shared dict), and so are B
-and π(B) (``LcsData.b``, ``LcsData.pi_b``, reduced from B·π's distinct
-rows up to sign); the preimage identity and ``maclane-report``'s ranks
-of U and U + B and its U⊥ comparison all read them.
+C13's 1 104 coordinates): no U_p is ever reduced, and A_p/U_p stays
+presented on S.  τ̃_p's products read its rows at S, and a point whose
+τ̃_p is zero (25 of 41 on C13) takes none; τ̃_p of a unit generator e_c
+is its own row.  The block-diagonal π = ⊕_p π_p: A → A/U is built once
+(``LcsData.u_projection``, the one place each π_p is spread from S into
+A, its zero rows one shared dict), and so are B and π(B) = span of B·π
+(``LcsData.b``, ``LcsData.pi_b``); the preimage identity and
+``maclane-report``'s ranks of U and U + B and its U⊥ comparison all read
+them.
 
 Im δ̄ is built as a flat basis and never reduced whole.  Every vector κ
 and the preimage identity test against it is τ̃ of something, so it lies
@@ -91,8 +92,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
-from itertools import compress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -113,7 +112,6 @@ from .exactlin import (
     QuotientPresentation,
     Witness,
     _peel_owned_rows,
-    combine,
     densify,
     kernel_basis,
     member,
@@ -124,8 +122,6 @@ from .exactlin import (
 from . import kernels
 from .kernels import (  # the U and B layer, importable from here too
     TorsionError,
-    _point_quotient,
-    _u_generators,
     b_lattice,
     tau_kernel,
     tau_kernel_equals_u,
@@ -164,10 +160,12 @@ class PointU:
     ``kept`` (not reduced; ``generators`` spreads U_p whole), ``u_tau``
     the nonzero images under τ̃_p of U_p's generators in ``generators``
     order: τ̃_p's nonzero rows at K (τ̃ of the unit generators e_c), then
-    those of ``u``'s rows (no rows where τ̃_p is zero),
-    ``quotient`` presents A_p/U_p (``_point_presentation``: a spanning
-    forest on S for U's own generators, so no Hermite form of U_p is
-    built), and ``s_tau`` = s_p·τ̃_p is τ̃_p on its section.
+    those of ``u``'s rows (no rows where τ̃_p is zero).  ``quotient``
+    presents A_p/U_p = Z^S/U′_p on S, as ``_point_quotient`` returns it (a
+    spanning forest for U's own generators, so no Hermite form of U_p is
+    built): its π_p and s_p are indexed along ``kept``, and
+    ``LcsData.u_projection`` spreads π_p into A.  ``s_tau`` = s_p·τ̃_p is
+    τ̃_p on its section, s_p times τ̃_p's rows at S.
     """
 
     rows: slice
@@ -423,25 +421,30 @@ class LcsData:
 
         τ̃ = ⊕_p τ̃_p: τ̃_p is p's slice of rows of ``tau_matrix`` (k·n rows
         for k lines on p), so ``u_tau`` and ``s_tau``, computed here once
-        for both identities, come out in Hom(R2,P3)'s columns.  Both
-        products read τ̃_p's nonzero rows alone (``_u_images``,
-        ``_live_product``), found in one pass over τ̃'s rows: a point
+        for both identities, come out in Hom(R2,P3)'s columns.  U_p is
+        never reduced: ``_peeled_u`` peels its unit rows in closed form,
+        U_p = Z^K ⊕ U′_p, and ``_point_quotient`` presents
+        A_p/U_p = Z^S/U′_p by a spanning forest on the surviving
+        coordinates S alone (524 of C13's 1 104, 21 624 of 220 224 at
+        k = 12), which is where it stays.  So both products read τ̃_p's
+        rows at S (``cut``): ``s_tau`` = s_p·cut and ``u_tau`` = τ̃_p's
+        nonzero rows at K, then the nonzero rows of U′_p·cut.  A point
         whose τ̃_p is zero (25 of C13's 41, 375 of 423 at k = 6) takes no
-        product at all.  U_p is never reduced: ``_peeled_u`` peels
-        its unit rows in closed form, U_p = Z^K ⊕ U′_p, and
-        ``_point_presentation`` presents A_p/U_p = Z^S/U′_p by a spanning
-        forest on the surviving coordinates S alone (524 of C13's 1 104,
-        21 624 of 220 224 at k = 12), π_p spread back by shared empty rows.
+        product at all.
         """
-        tau, out, stop = self.tau_matrix.sparse_rows, [], 0
-        nonzero = list(compress(range(len(tau)), tau))
+        tau, cols, out, stop = self.tau_matrix.sparse_rows, self.tau_matrix.cols, [], 0
         for p, kept, gen_rows in kernels._peeled_u(self.config):  # through its module, where the tests replace it
             rows = slice(stop, stop + self.config.multiplicity(p) * self.n)
-            block = IntMatrix._of(tau[rows], self.tau_matrix.cols)
-            live = {a - stop for a in nonzero[bisect_left(nonzero, stop) : bisect_left(nonzero, rows.stop)]}
-            gens = IntMatrix._of(gen_rows, len(kept))
-            quotient = kernels._point_presentation(rows.stop - stop, kept, gens)
-            out.append(PointU(rows, block, kept, gens, _u_images(block, kept, gens, live), quotient, _live_product(quotient.section, block, live)))
+            block, gens = IntMatrix._of(tau[rows], cols), IntMatrix._of(gen_rows, len(kept))
+            quotient = kernels._point_quotient(gens)
+            if any(block.sparse_rows):
+                cut, at_s = IntMatrix._of([block.sparse_rows[c] for c in kept], cols), set(kept)
+                images = [row for c, row in enumerate(block.sparse_rows) if row and c not in at_s]  # τ̃ of K's unit generators
+                images += filter(None, (gens @ cut).sparse_rows)
+                u_tau, s_tau = IntMatrix._of(images, cols), quotient.section @ cut
+            else:
+                u_tau, s_tau = IntMatrix._of((), cols), IntMatrix._of([{}] * quotient.free_rank, cols)
+            out.append(PointU(rows, block, kept, gens, u_tau, quotient, s_tau))
             stop = rows.stop
         return tuple(out)
 
@@ -449,14 +452,21 @@ class LcsData:
     def u_projection(self) -> IntMatrix:
         """π = ⊕_p π_p: A → A/U = ⊕_p A_p/U_p, block diagonal (A × Σ f_p), read from ``u_points``.
 
-        Each π_p's columns are a ZZ-basis of U_p⊥ (``QuotientPresentation``),
-        so π's columns are a ZZ-basis of U⊥ and rank U = ``a_rank`` - π.cols.
+        The one place each π_p is spread into A from the surviving
+        coordinates S, where ``PointU.quotient`` presents A_p/U_p = Z^S/U′_p:
+        row c of π_p goes to ``kept[c]``, re-keyed to π's columns, and π_p is
+        0 on K.  So π_p's columns are a ZZ-basis of U_p⊥ = 0 ⊕ U′_p⊥, π's a
+        ZZ-basis of U⊥, and rank U = ``a_rank`` - π.cols.
         Every zero row is one shared empty dict, as in ``tau_matrix``: at a
         point with f_p = 0 that is every row.
         """
         rows, start, empty = [], 0, {}
         for pt in self.u_points:
-            rows += ({start + t: x for t, x in row.items()} if row else empty for row in pt.quotient.projection.sparse_rows)
+            block = [empty] * pt.tau.rows
+            for c, row in zip(pt.kept, pt.quotient.projection.sparse_rows):
+                if row:
+                    block[c] = {start + t: x for t, x in row.items()}
+            rows += block
             start += pt.quotient.free_rank
         return IntMatrix._of(rows, start)
 
@@ -467,19 +477,9 @@ class LcsData:
 
     @cached_property
     def pi_b(self) -> Lattice:
-        """π(B) ⊆ A/U (``u_projection``), reduced at most once: rank(U + B) = rank U + rank π(B).
-
-        It reads B·π, but spans it by the distinct nonzero rows up to sign,
-        as ±r span the same lattice: 40 of 144 rows on C13, 21 of 49 on
-        c8, 116 of 1 024 at k = 6.
-        """
-        pi, seen, rows = self.u_projection, set(), []
-        for row in (self.b.basis @ pi).sparse_rows:
-            key = frozenset(row.items())
-            if row and key not in seen:
-                seen.update((key, frozenset((t, -x) for t, x in row.items())))
-                rows.append(row)
-        return Lattice(pi.cols, IntMatrix._of(rows, pi.cols))
+        """π(B) ⊆ A/U (``u_projection``), the span of B·π, reduced at most once: rank(U + B) = rank U + rank π(B)."""
+        pi = self.u_projection
+        return Lattice(pi.cols, self.b.basis @ pi)
 
     def _delta_lift(self, fhat: IntMatrix) -> list[tuple[int, int, int]]:
         """Sparse left-normed lift of δ̄(fhat), ``_lift`` of v = f̂(x_i) at each flag (i,p): Σ_{j on p, j≠k} x_k⊗f̂(x_j) - x_j⊗f̂(x_k) at (k,p)."""
@@ -523,26 +523,6 @@ class LcsData:
         ``glue_copies(6)``'s 1 376 × 52 548 leaves 116 on 360.
         """
         return SupportCore(self.im_delta, self.tau_support[0])
-
-
-def _live_product(m: IntMatrix, block: IntMatrix, live: set[int]) -> IntMatrix:
-    """m·``block`` read at ``live``, the indices of ``block``'s nonzero rows: a row of m that meets none of them is one shared empty dict, with no ``combine``."""
-    empty = {}
-    return IntMatrix._of(
-        [combine(row.items(), block) if not live.isdisjoint(row) else empty for row in m.sparse_rows],
-        block.cols,
-    )
-
-
-def _u_images(block: IntMatrix, kept: Sequence[int], gens: IntMatrix, live: set[int]) -> IntMatrix:
-    """The nonzero images under τ̃_p (``block``) of U_p's generators in ``PointU.generators`` order: ``block``'s rows at K, then ``gens`` (on ``kept``) through it."""
-    if not live:
-        return IntMatrix._of((), block.cols)
-    rows = block.sparse_rows
-    cut = IntMatrix._of([rows[c] for c in kept], block.cols)  # τ̃_p's rows at S, in ``gens``' coordinates
-    images = [rows[c] for c in sorted(live.difference(kept))]
-    images += _live_product(gens, cut, {j for j, row in enumerate(cut.sparse_rows) if row}).sparse_rows
-    return IntMatrix._of(filter(None, images), block.cols)
 
 
 # -- Im δ̄'s core ----------------------------------------------------------------

@@ -26,7 +26,8 @@ from arrlcs.exactlin import (
     vstack,
 )
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.lcs import HomR2P3, LcsData, TorsionError, _as_abelian, _u_generators, tau_tilde
+from arrlcs.kernels import _u_generators
+from arrlcs.lcs import HomR2P3, LcsData, TorsionError, _as_abelian, tau_tilde
 from arrlcs.maclane import _line_entries, rbar_gen_coeffs, t_functional
 from arrlcs.words import AbelianGMap, GMap, Word, lie_basis, lie_sparse_coords, wedge_index
 

@@ -217,11 +217,11 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
     code, _ = run(capsys, "maclane-report")
     assert code == 0
     assert calls == ["b_lattice"]
-    # π(B), B·π's 21 distinct nonzero rows up to sign over 18 columns, is reduced once, for the
-    # preimage identity and rank U + B alike; the other 21 × 18 is the preimage's projection, the
-    # left kernel of [τ̃∘s; core of Im δ̄] (18 + 21 rows) cut to its first 18 columns.  The P2 and P3
-    # sections are read off unit pivots, so neither projection is reduced
-    assert len(shapes) == 25 and shapes.count((21, 18)) == 2 and shapes.count((18 + 21, 273)) == 1
+    # π(B), the span of B·π (49 × 18), is reduced once, for the preimage identity and rank U + B
+    # alike; the 21 × 18 is the preimage's projection, the left kernel of [τ̃∘s; core of Im δ̄]
+    # (18 + 21 rows) cut to its first 18 columns.  The P2 and P3 sections are read off unit
+    # pivots, so neither projection is reduced
+    assert len(shapes) == 25 and shapes.count((49, 18)) == 1 and shapes.count((21, 18)) == 1 and shapes.count((18 + 21, 273)) == 1
     # three passes carry a transform: two left kernels (R3perp's d* route, 56 × 35, and the
     # preimage's 39 × 273) and the second pass over the 42 × 147 lattice that τ̃*'s identities test
     # membership in, once one succeeds with a nonzero value; κ's failed membership builds none

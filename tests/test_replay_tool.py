@@ -119,6 +119,9 @@ def test_u_times_the_cold_tau_matrix_and_records_its_support(monkeypatch):
     assert (rec["a_rank"], rec["tau_support_rows"], rec["bracket_p3_rows"]) == (147, 108, [126, 147])
     # the forests run on the 108 of A's 147 coordinates that no unit row of U kills
     assert rec["kept_coordinates"] == 108
+    # the per-point digest reads U_p and rank τ̃_p∘s_p, not the basis presenting A_p/U_p on those
+    # coordinates, so it is the one BENCH_42.json records for c8, where A_p/U_p was spread over A
+    assert rec["points_digest"] == "9050d440bffd322b807f2cc70d6e0c18556fde17c64cb020dde8ef987f367e3a"
     assert rec["identities"] == [True, True] and set(run["tau_matrix_s"]) == set(run["total_s"]) == {"c8"}
 
 
@@ -128,8 +131,8 @@ def test_u_times_pi_b_and_records_the_live_points_and_its_shapes(monkeypatch):
     monkeypatch.setattr(replay, "U_CONFIGS", ("c8",))
     run = replay.u()
     (rec,) = run["inputs"]
-    # every c8 point is live; π(B) is built from B·π's 21 distinct rows up to sign
-    assert (rec["points"], rec["live_points"], rec["pi_b_shape"]) == (8, 8, [[49, 18], [21, 18]])
+    # every c8 point is live; π(B) is built from B·π itself
+    assert (rec["points"], rec["live_points"], rec["pi_b_shape"]) == (8, 8, [[49, 18], [49, 18]])
     assert set(run["pi_b_s"]) == {"c8"} and rec["pi_b_s"] > 0
 
 

@@ -96,6 +96,10 @@ compare with later runs.
   π(B) is built from.  From ``BENCH_42.json`` on, each record also holds
   ``kept_coordinates``, the A coordinates that survive the closed-form
   unit-row peel of U (``kernels._peeled_u``), where the forests run.
+  From ``BENCH_43.json`` on, π(B) is built from B·π itself, so both
+  shapes are equal, and A_p/U_p is presented on those coordinates alone:
+  the per-point digest reads U_p from ``PointU.generators`` and τ̃_p∘s_p
+  from ``PointU.s_tau``, the values earlier records hashed.
 * ``words``: on c8, C13, C13 at ``SEED`` and the 3- and 4-fold MacLane
   gluings, ``G_MAPS`` g-maps from ``WORDS_SEED`` each: ``relators_from_g``,
   ``magnus`` of every relator, and the relator route to degree-3
@@ -527,10 +531,11 @@ def bracket() -> dict:
 
 
 def point_digest(pt: lcs.PointU) -> str:
-    q = pt.quotient
-    kernel = exactlin.Lattice(q.ambient_rank, exactlin.kernel_basis(q.projection))
+    """f_p, A_p/U_p's torsion, U_p's canonical form over p's A coordinates and rank τ̃_p∘s_p, whatever basis presents A_p/U_p."""
+    q, width = pt.quotient, pt.tau.rows
+    u = exactlin.Lattice(width, exactlin.IntMatrix._of(pt.generators(), width))
     torsion = tuple(d for d in q.elementary_divisors if d != 1)
-    return sha(q.free_rank, torsion, kernel.canonical_form, exactlin.hnf(q.section @ pt.tau).rows)
+    return sha(q.free_rank, torsion, u.canonical_form, exactlin.hnf(pt.s_tau).rows)
 
 
 U_CONFIGS = ("c8", "c13", f"c13@{SEED}", "fixture9", "glued3", "glued4", "glued6", "glued12", "hesse")
