@@ -30,12 +30,10 @@ over the rows and the columns.  Products touch only nonzero entries.
 
 Linear maps act on row vectors (v ↦ v·m).  A lattice reduces its basis
 only as far as its readers need, each stage once: a forward pass gives
-the echelon rows (for ``rank`` and membership, which walks them by an
-index of their pivot columns), a second one with its transform the
-coefficients of a successful membership, the
-back-substitution of their pivot columns the Hermite pivot block (for a
-witness), and their back-substitution without a transform the Hermite
-form, the canonical form that comparison reads.
+the echelon rows (for ``rank`` and membership, which walks them in
+order), a second one with its transform the coefficients of a successful
+membership, and their back-substitution without a transform the Hermite
+form, the canonical form that comparison and every witness read.
 ``kernel_basis(m)`` returns a plain basis of the left kernel
 {v : v·m = 0}, read off the forward pass's transform.
 
@@ -57,11 +55,11 @@ complement of L′ is read off its canonical form when every Hermite pivot
 is 1, and is otherwise the left kernel of that form's transpose.
 
 Membership reduces a vector's sparse residue (a dense vector
-or a ``{column: entry}`` dict) by the echelon rows whose pivots it holds,
-met in column order from a heap of those pivots.
-A failure's witness functional depends only on the failing pivot row or
-rational column, so it is solved once per such key and cached with the
-stages; a warm failed query pairs it with the vector over its support.
+or a ``{column: entry}`` dict) by the echelon rows in order, subtracting
+those whose pivots it holds.  A failure's witness functional is read off
+the Hermite form and depends only on the failing pivot row or rational
+column, so it is solved once per such key and cached with the stages; a
+warm failed query pairs it with the vector over its support.
 
 A vector known to lie on a set of columns C needs only part of a basis:
 a row that is the only one left with an entry at a column outside C has
@@ -513,13 +511,12 @@ def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
 class Lattice:
     """Integer row span of ``basis`` inside ZZ^ambient_rank.
 
-    Building one reduces nothing.  Each stage of the basis's reduction,
-    ``echelon``, ``_keep`` (its transform), ``_pivot_rows`` (the echelon's
-    pivot index, which holds no rows), ``_pivot_block`` and
-    ``canonical_form``, the unit-row split
-    ``_unit_split`` with ``perp``, and each witness functional of
-    ``member`` are computed on first use and cached, so a reader pays
-    only for the stages it reads; no stage back-substitutes a transform.
+    Building one reduces nothing.  Each stage, the echelon rows
+    (``echelon``), their transform (``_keep``), the Hermite form
+    (``canonical_form``), the unit-row split (``_unit_split``, with
+    ``perp``) and each witness functional of ``member``, is computed on
+    first use and cached, so a reader pays only for the stages it reads;
+    no stage back-substitutes a transform.
     """
 
     __slots__ = ("ambient_rank", "basis", "_cache")
@@ -560,26 +557,6 @@ class Lattice:
                 raise AssertionError("the transform's forward pass left another echelon")
             self._cache["keep"] = IntMatrix._of(u[: len(pivots)], self.basis.rows)
         return self._cache["keep"]
-
-    def _pivot_rows(self) -> dict[int, int]:
-        """The index ``member`` walks by: each pivot column of the echelon stage → its echelon row."""
-        if "pivot_rows" not in self._cache:
-            self._cache["pivot_rows"] = {c: k for k, c in enumerate(self.echelon()[1])}
-        return self._cache["pivot_rows"]
-
-    def _pivot_block(self):
-        """Per row of the Hermite form H, its ``(pivot index, entry)`` pairs at the other pivot columns.
-
-        Each quotient of ``_hnf_back`` reads only pivot-column entries, so
-        the echelon rows cut to the pivot columns back-substitute to H's.
-        """
-        if "block" not in self._cache:
-            e, pivots, _ = self.echelon()
-            pos = self._pivot_rows()
-            rows = [{col: x for col, x in row.items() if col in pos} for row in e.sparse_rows]
-            _hnf_back(rows, pivots, None)
-            self._cache["block"] = tuple(tuple((pos[col], x) for col, x in row.items() if col != p) for row, p in zip(rows, pivots))
-        return self._cache["block"]
 
     @property
     def canonical_form(self) -> IntMatrix:
@@ -681,20 +658,14 @@ def member(v: Sequence[int] | dict[int, int], lat: Lattice) -> MembershipResult:
     success with q ≠ 0; v = 0 gets q = 0) q·u⁰ = q′·(T·u⁰), the
     coefficients over H's own transform.  Certificates do not move.
 
-    The residue is sparse and is walked from a heap of the pivot columns
-    it holds (``Lattice._pivot_rows``), as ``_hnf_back`` walks a row, so
-    it visits only the rows it subtracts (over ``tools/replay.py kappa``'s
-    queries a median 9 of Im δ̄'s 168 on C13, 5 of 1 344 at k = 6).
-    Columns leave the heap in increasing order.  A row subtracted at pivot
-    c has no entry left of c, so every column it adds is greater than c
-    and enters the heap when it is added; the subtraction is in place, and
-    an entry that cancels stays a stored 0 until one final scan.  A column
-    that leaves the heap with entry 0 is skipped, as the linear walk down
-    every row skips a pivot whose entry is 0 (quotient 0, remainder 0, no
-    change).  So the walk meets the same rows, finds the same quotients
-    and fails at the same first row k; a rational failure's column c is
-    the least column with a nonzero entry; and q·u⁰ sums only the rows of
-    ``keep`` with q_k ≠ 0.
+    The residue is sparse and meets the echelon rows in order, one
+    lookup at each pivot (28 on C13's core of Im δ̄, 84 at k = 6).  A
+    pivot the residue does not hold has quotient 0 and is passed; a row
+    whose pivot it holds is subtracted in place, and an entry that cancels
+    is deleted.  Pivots increase with the row index and a row has no entry
+    left of its pivot, so no subtraction touches a pivot already passed: a
+    rational failure's column is the least one left, and q·u⁰ sums only
+    the rows of ``keep`` with q_k ≠ 0.
 
     A failure's witness is ``_pivot_witness``: the functional of its
     failing row or column is solved on the first failure there and
@@ -709,28 +680,17 @@ def member(v: Sequence[int] | dict[int, int], lat: Lattice) -> MembershipResult:
         raise ValueError("vector length does not match ambient rank")
     else:
         v = dict(compress(enumerate(v), v))
-    rows, row_of, rem, quotients = lat.echelon()[0].sparse_rows, lat._pivot_rows(), dict(v), []
-    todo = [c for c in rem if c in row_of]
-    heapify(todo)
-    while todo:
-        c = heappop(todo)
-        x = rem[c]
-        if x:
-            k = row_of[c]
-            q, r = divmod(x, rows[k][c])
+    e, pivots, _ = lat.echelon()
+    rem, quotients = dict(v), []
+    for k, (c, row) in enumerate(zip(pivots, e.sparse_rows)):
+        if c in rem:
+            q, r = divmod(rem[c], row[c])
             if r:
                 return MembershipResult(False, witness=_pivot_witness(lat, v, k=k))
             quotients.append((k, q))
-            for j, y in rows[k].items():
-                z = rem.get(j)
-                if z is None:
-                    rem[j] = -q * y
-                    if j in row_of:
-                        heappush(todo, j)
-                else:
-                    rem[j] = z - q * y
-    if any(rem.values()):
-        return MembershipResult(False, witness=_pivot_witness(lat, v, c=min(j for j, x in rem.items() if x)))
+            _sparse_sub(rem, row, q)
+    if rem:
+        return MembershipResult(False, witness=_pivot_witness(lat, v, c=min(rem)))
     return MembershipResult(True, coefficients=densify(combine(quotients, lat._keep()) if quotients else {}, lat.basis.rows))
 
 
@@ -739,8 +699,8 @@ def _pivot_witness(lat: Lattice, v: dict[int, int], *, k=None, c=None) -> Witnes
 
     The functional depends on the lattice and on k or c alone, never on
     ``v`` (``_witness_functional``), so it is solved on the first failure
-    at its key and kept in ``lat._cache["witness"]``, beside the echelon,
-    block and canonical stages it was read from.  Each query pairs it with
+    at its key and kept in ``lat._cache["witness"]``, beside the echelon
+    and canonical stages it was read from.  Each query pairs it with
     ``v`` over its support, at most rank + 1 entries.
     """
     cache = lat._cache.setdefault("witness", {})
@@ -752,7 +712,7 @@ def _pivot_witness(lat: Lattice, v: dict[int, int], *, k=None, c=None) -> Witnes
 
 
 def _witness_functional(lat: Lattice, k: int | None, c: int | None):
-    """``(functional, modulus, support pairs)`` from one back-substitution on the pivot block P of the Hermite form H.
+    """``(functional, modulus, support pairs)`` solved on the pivot block P of the Hermite form H (``canonical_form``).
 
     P, the pivot columns of H, is upper triangular with determinant d,
     the pivot product, so y = d·P⁻¹b is integral (the adjugate).  A
@@ -765,21 +725,24 @@ def _witness_functional(lat: Lattice, k: int | None, c: int | None):
     entry at pivot k is not a multiple of it, and at column c when its
     residue is nonzero at c and zero at every pivot, so f·v ≢ 0 for it.
 
-    A divisibility witness reads only P (``Lattice._pivot_block``), a
-    rational one H's column c too (``canonical_form``).
+    Both read H's rows at the pivot columns through a local pivot → index
+    map, a rational witness H's column c too.  So the first witness pays
+    for the whole Hermite form, which comparison shares, rather than for
+    P alone: on Im δ̄'s core the form is small (rank 28 on C13).
     """
-    e, pivots, det = lat.echelon()
-    above, rank = lat._pivot_block(), len(pivots)
+    h, (_, pivots, det) = lat.canonical_form.sparse_rows, lat.echelon()
+    rank, pos = len(pivots), {p: i for i, p in enumerate(pivots)}
     if c is None:
         b = [det if i == k else 0 for i in range(rank)]
         top = k  # b and so y vanish below row k
     else:
-        b = [-det * row.get(c, 0) for row in lat.canonical_form.sparse_rows]
+        b = [-det * row.get(c, 0) for row in h]
         top = rank - 1
     y = [0] * rank
     for i in range(top, -1, -1):
-        s = b[i] - sum(x * y[j] for j, x in above[i])
-        y[i], r = divmod(s, e.sparse_rows[i][pivots[i]])
+        # y[i] is still 0, so row i's own pivot adds nothing to the sum
+        s = b[i] - sum(x * y[pos[j]] for j, x in h[i].items() if j in pos)
+        y[i], r = divmod(s, h[i][pivots[i]])
         if r:
             raise AssertionError("adjugate witness is not integral")
     if c is None:

@@ -245,7 +245,9 @@ def _point_quotient(gens: IntMatrix) -> QuotientPresentation:
             functionals.append(cycle)
     f = len(functionals)
     section = IntMatrix._of([{next(iter(phi)): 1} for phi in functionals], dim)
-    return QuotientPresentation(dim, (1,) * (dim - f), f, IntMatrix._of(functionals, dim).transpose(), section)
+    # with no functional every row of π_p is zero: one shared empty dict
+    projection = IntMatrix._of(functionals, dim).transpose() if f else IntMatrix._of(({},) * dim, 0)
+    return QuotientPresentation(dim, (1,) * (dim - f), f, projection, section)
 
 
 def u_lattice(config: Configuration) -> Lattice:

@@ -1,5 +1,13 @@
 """Shared fixtures; the degree-3 MacLane data is built once per session."""
 
+import os
+import sys
+
+# no bytecode left beside arrlcs's sources: set before it is imported, and
+# in the environment for the CLI subprocesses that some tests start
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 import pytest
 from hypothesis import settings
 

@@ -637,7 +637,10 @@ def test_point_quotient_equals_the_dict_forest(asymmetric_config):
             assert kernels._point_quotient(gens) == dict_point_quotient(gens), p
         for p, kept, rows in kernels._peeled_u(config):
             gens = IntMatrix._of(rows, len(kept))
-            assert kernels._point_quotient(gens) == dict_point_quotient(gens), p
+            q = kernels._point_quotient(gens)
+            assert q == dict_point_quotient(gens), p
+            # with free rank 0 every projection row is one shared empty dict
+            assert q.free_rank or len({id(row) for row in q.projection.sparse_rows}) <= 1, p
 
 
 def test_cold_u_points_multiply_only_at_live_rows(monkeypatch):
@@ -878,7 +881,7 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
         return forward(a, *args)
 
     def counted_back(a, pivots, u):
-        # a full back-substitution of the core holds its non-pivot columns; its pivot block does not
+        # a full back-substitution of the core holds its non-pivot columns; a cut to its pivot columns would not
         backs.append((u is not None, tuple(pivots), any(set(row) - set(pivots) for row in a)))
         return back(a, pivots, u)
 
@@ -894,11 +897,11 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     g_pp, g_pm = glued_g_map(plus, plus), glued_g_map(plus, minus)
     assert kappa(data, g_pp, g_pp).zero and not kappa(data, g_pp, g_pm).zero
     # κ walks the echelon rows of Im δ̄'s core (40 of its 180 rows, rank 28 of 168), and its
-    # witness back-substitutes only their pivot block: one forward pass, no full back-substitution
+    # witness reads the core's Hermite form: one forward pass, one full back-substitution, no pivot-column cut
     assert data.im_delta.basis.shape == (180, 2040) and data.im_delta_core.lattice.rank == 28
     assert kernel_calls.count("core") == 1 and "im_delta" not in kernel_calls and len(kernel_calls) == 41 + 4
     core_pivots = tuple(data.im_delta_core.lattice.echelon()[1])
-    assert (False, core_pivots, False) in backs and not any(full for _, pivots, full in backs if pivots == core_pivots)
+    assert [(transform, full) for transform, pivots, full in backs if pivots == core_pivots] == [(False, True)]
     # no back-substitution carries a transform: no lattice calls hnf_with_transform
     assert not any(transform for transform, *_ in backs) and rows.pop("hnf_with_transform") == []
     tau_tilde(data, random_abelian(random.Random(0), data))

@@ -9,6 +9,8 @@ identical output as well as compared for speed.  A run also records
 which has no git history) and a sha256 of the ``src/`` tree it imported
 (next to this script).  An existing ``--out`` file keeps its other labels,
 so a copy of this script run in a second checkout adds its run to the same file.
+Each run also records its source, so one file can hold runs of several
+sources (from ``BENCH_45.json`` on); ``command`` names the last one written.
 
 The first six sources each replace one older script and keep its inputs,
 record fields and digests, so every committed record can be regenerated
@@ -44,7 +46,9 @@ compare with later runs.
   a divisibility failure's witness (``im_delta_witness``) and the
   canonical form (``im_delta_canonical``), each after ``rank``.  Records
   before ``BENCH_28.json`` time the whole reduction as
-  ``im_delta_reduction`` instead.
+  ``im_delta_reduction`` instead.  From ``BENCH_45.json`` on, a witness
+  reads the Hermite form, so ``im_delta_witness`` includes its
+  back-substitution, where earlier records time the pivot block's alone.
 * ``kappa``: ``QUERIES`` warm κ queries on c8, C13, ``glued4`` and
   ``glued6`` from ``KAPPA_SEED``, ``g - g'`` in U+B or random, dense or
   sparse; the parts κ runs, τ̃ of the pair and the membership test of its
@@ -148,6 +152,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # no bytecode left beside the sources it times
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
@@ -770,6 +775,7 @@ def write_run(args: argparse.Namespace, fields: dict) -> dict:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["command"] = f"python3 tools/replay.py {args.source} --label LABEL --out FILE"
     run = doc.setdefault("runs", {})[args.label] = {
+        "source": args.source,
         "commit": args.commit or commit(),
         "src_sha256": src_sha256(),
         "python": platform.python_version(),
