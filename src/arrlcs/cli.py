@@ -25,6 +25,7 @@ import os
 import sys
 
 from . import __version__
+from .certify import certify_glued
 from .config import (
     Configuration,
     automorphisms,
@@ -48,7 +49,7 @@ from .geom import (
 from .lcs import (
     TorsionError,
     build_lcs,
-    class_of_glued,
+    glued_g_map,
     kappa,
     tau_kernel_equals_u,
     tau_preimage_equals_u_plus_b,
@@ -63,7 +64,7 @@ from .maclane import (
     tau_star_identities,
     _t_vector,
 )
-from .words import GMap
+from .words import MAX_WORD_LETTERS, GMap
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -356,10 +357,14 @@ def cmd_c13_report(args) -> int:
         realization_details["error"] = str(exc)
     checks.append(_check("glued_realizations", realization_ok, realization_details))
 
-    g_plus = builtin_g_map("plus")
-    g_minus = builtin_g_map("minus")
-    class_pp = class_of_glued(c13, g_plus, g_plus)
-    class_pm = class_of_glued(c13, g_plus, g_minus)
+    # c8's witness for (plus, minus), pulled back to C13 and checked there by products
+    c8, g_plus, g_minus = _maclane_data(), builtin_g_map("plus"), builtin_g_map("minus")
+    witness = kappa(c8, g_plus, g_minus).witness
+    data, g_pp, g_pm = build_lcs(c13), glued_g_map(g_plus, g_plus), glued_g_map(g_plus, g_minus)
+    same = certify_glued(data, c8, witness.functional, witness.modulus, g_pp, g_pp)
+    cert = certify_glued(data, c8, witness.functional, witness.modulus, g_pp, g_pm)
+    class_pp = int(same is not None and same.proves_nonzero)  # 0: ḡ − ḡ′ = 0, so κ = 0
+    class_pm = int(cert is not None and cert.proves_nonzero)
     checks.append(
         _check(
             "glued_classes",
@@ -367,6 +372,7 @@ def cmd_c13_report(args) -> int:
             {"class_plus_plus": class_pp, "class_plus_minus": class_pm},
         )
     )
+    checks.append(_check("glued_certificate", class_pm == 1, cert.to_json_dict()))
 
     distinct = class_pp != class_pm
     verdict = (
@@ -481,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     csrc = p_kap.add_mutually_exclusive_group(required=True)
     csrc.add_argument("--config", help="configuration JSON file")
     csrc.add_argument("--builtin", choices=_BUILTIN_CONFIGS, help="use an embedded configuration")
-    builtin_g = "JSON file or builtin:plus / builtin:minus (maclane8 only)"
+    builtin_g = f"JSON file (each word at most {MAX_WORD_LETTERS} letters, exponents expanded) or builtin:plus / builtin:minus (maclane8 only)"
     p_kap.add_argument("--g", required=True, help=f"first g-map: {builtin_g}")
     p_kap.add_argument("--gprime", required=True, help=f"second g-map: {builtin_g}")
     common(p_kap)

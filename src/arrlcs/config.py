@@ -199,12 +199,14 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_json_file(path: str):
-    """The JSON document at ``path``, read with ``unique_keys``; a parse error is a ``ConfigFormatError`` starting ``invalid JSON: ``."""
+    """The JSON document at ``path``, read with ``unique_keys``; a parse error, or nesting too deep for the decoder, is a ``ConfigFormatError`` starting ``invalid JSON: ``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses once per nested array or object
+            raise ConfigFormatError("invalid JSON: nesting of arrays and objects too deep to decode") from exc
 
 
 def load_configuration_file(path: str) -> Configuration:

@@ -100,7 +100,6 @@ from .config import (
     ConfigMismatchError,
     Configuration,
     copy_line,
-    glue_c13,
     glue_copies,
     maclane_c8,
     validate,
@@ -799,16 +798,3 @@ def glued_g_map(*maps: GMap) -> GMap:
             assignments[(line_map[i], point)] = w.relabeled(line_map)
     return GMap(glued, assignments)
 
-
-def class_of_glued(c13: Configuration, g_first: GMap | AbelianGMap, g_second: GMap | AbelianGMap) -> int:
-    """Isomorphism class (0 or 1) of the glued presentation pair.
-
-    The class is κ of the two halves' conjugator maps against each other
-    on the 8-line template (0 when κ = 0), not κ computed on C13 itself:
-    ``c13`` is only checked to be the glued configuration, and the
-    verdict is proved on the 8-line proxy.
-    """
-    if c13 != glue_c13():
-        raise ConfigMismatchError("expected the glued 13-line configuration")
-    report = kappa(_maclane_data(), g_first, g_second)
-    return 0 if report.zero else 1

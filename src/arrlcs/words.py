@@ -145,13 +145,18 @@ class Word:
 
 _TOKEN = re.compile(r"^w(\d+)(?:\^(-?\d+))?$")
 
+# A parsed word is a list of its letters, exponents expanded, and κ reads only
+# its exponent sums: the bound keeps a few bytes of input from asking for
+# gigabytes of letters.
+MAX_WORD_LETTERS = 10_000
+
 
 def parse_word(text: str) -> Word:
-    """Parse the whitespace-separated word syntax, e.g. 'w6^-1 w3^-1'."""
+    """Parse the whitespace-separated word syntax, e.g. 'w6^-1 w3^-1'; ValueError past ``MAX_WORD_LETTERS`` letters, counted before any is built."""
     text = text.strip()
     if text in ("", "1"):
         return Word()
-    letters: list[int] = []
+    powers: list[tuple[int, int]] = []
     for token in text.split():
         m = _TOKEN.match(token)
         if not m:
@@ -159,7 +164,12 @@ def parse_word(text: str) -> Word:
         i = int(m.group(1))
         if i == 0:
             raise ValueError("generator index 0 is reserved for the infinity line")
-        e = int(m.group(2)) if m.group(2) is not None else 1
+        powers.append((i, int(m.group(2)) if m.group(2) is not None else 1))
+    length = sum(abs(e) for _, e in powers)
+    if length > MAX_WORD_LETTERS:
+        raise ValueError(f"word {text[:40]!r} expands to {length} letters, more than the {MAX_WORD_LETTERS} a word may have")
+    letters: list[int] = []
+    for i, e in powers:
         letters.extend([i if e > 0 else -i] * abs(e))
     return Word(letters)
 

@@ -22,7 +22,7 @@ settings.load_profile("arrlcs")
 
 @pytest.fixture(scope="session")
 def maclane_data():
-    # the module-level cache is shared with class_of_glued and friends
+    # the module-level cache is shared with c13-report, which reads c8's witness from it
     return _maclane_data()
 
 

@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from arrlcs.config import ConfigAutomorphism, Configuration, copy_line, maclane_c8
+from arrlcs.config import ConfigAutomorphism, Configuration, maclane_c8
 from arrlcs.exactlin import (
     IntMatrix,
     Lattice,
@@ -618,33 +618,6 @@ def class_tensor(data: LcsData, gen_coeffs: Sequence[int], functional: Sequence[
     return {g * data.hw_rank + s: c * x for g, c in enumerate(gen_coeffs) if c for s, x in enumerate(functional) if x}
 
 
-def pulled_back_functional(data: LcsData, c8: LcsData, copy: int, functional: Sequence[int]) -> dict[int, int]:
-    """Φ on ⊕_g H⊗Λ²H of ``glue_copies(k)``'s ``data`` from a functional on c8's flat Hom(R2,P3), through MacLane copy c = ``copy``.
-
-    Block g_S of ``functional`` (c8's generator flag (i, p)) composed with
-    c8's ``_bracket_p3`` is a functional W[g_S] on c8's H⊗Λ²H.  It is
-    placed at the image generator flag g_C = (copy_line(c, i), the point of
-    the image lines of p), slot x_m⊗(x_a∧x_b) going to the slot of the
-    image lines.  ``copy_line(c, ·)`` is monotone, so a < b stays a′ < b′
-    and every sign is +1.  Keys are g_C·``hw_rank`` + slot, as
-    ``maclane.tau_star`` takes them.  This is the reference for a certificate
-    checker built on C13 (ROADMAP items 9 and 19).
-    """
-    r8, np8, pairs8 = c8.p3.free_rank, c8.npairs, list(c8.wedge_pos)
-    line = [copy_line(copy, i) for i in range(c8.n + 1)]
-    out = {}
-    for g8, (i, p) in enumerate(c8.gens):
-        block = functional[g8 * r8 : (g8 + 1) * r8]
-        point = data.config.point_of(frozenset(line[j] for j in c8.config.lines_through(p)))
-        base = data.index.gen_pos[line[i], point] * data.hw_rank
-        for s8, row in enumerate(c8._bracket_p3.sparse_rows):
-            x = sum(block[t] * y for t, y in row.items())
-            if x:
-                m, (a, b) = s8 // np8 + 1, pairs8[s8 % np8]
-                out[base + (line[m] - 1) * data.npairs + data.wedge_pos[line[a], line[b]]] = x
-    return out
-
-
 def certificate_failures(data: LcsData, phi: dict[int, int], modulus: int) -> tuple[int, int]:
     """Failures of checks (a) and (b) of a κ ≠ 0 certificate Φ on ⊕_g H⊗Λ²H (keyed as ``maclane.tau_star``'s), by products alone.
 
@@ -657,7 +630,8 @@ def certificate_failures(data: LcsData, phi: dict[int, int], modulus: int) -> tu
     E_{i,t}: H → P2 whose δ-lift (``LcsData._delta_lift``) Φ pairs to
     nonzero mod ``modulus``; those values span Im δ̄.  With no failures, a
     value whose τ̃-lift Φ pairs to nonzero mod ``modulus`` (check (c),
-    through ``maclane.tau_star``) lies outside Im δ̄.
+    through ``maclane.tau_star``) lies outside Im δ̄.  This is the reference
+    that ``certify``'s fast checks (a) and (b) are compared with.
     """
     hw, np_, wp, blocks = data.hw_rank, data.npairs, data.wedge_pos, {}
     for k, x in phi.items():
@@ -674,6 +648,16 @@ def certificate_failures(data: LcsData, phi: dict[int, int], modulus: int) -> tu
             fhat = IntMatrix._of([{t: 1} if k == i else {} for k in range(data.n)], r2) @ data.p2.section
             bad_b += sum(c * phi.get(g * hw + s, 0) for g, s, c in data._delta_lift(fhat)) % modulus != 0
     return bad_a, bad_b
+
+
+def wedge_unit_failures(data: LcsData, phi: dict[int, int], modulus: int) -> int:
+    """Reference for ``certify.failures_b``: the unit maps x_i ↦ x_a∧x_b, all n·C(n,2) of them, whose δ-lift (``LcsData._delta_lift``) Φ pairs to ≢ 0 mod ``modulus``."""
+    hw, bad = data.hw_rank, 0
+    for i in range(data.n):
+        for w in range(data.npairs):
+            fhat = IntMatrix._of([{w: 1} if k == i else {} for k in range(data.n)], data.npairs)
+            bad += sum(c * phi.get(g * hw + s, 0) for g, s, c in data._delta_lift(fhat)) % modulus != 0
+    return bad
 
 
 def scanned_b_rows(config: Configuration) -> IntMatrix:

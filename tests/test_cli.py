@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from arrlcs import cli, exactlin, kernels, lcs, maclane
-from arrlcs.config import maclane_c8
+from arrlcs import certify, cli, exactlin, kernels, lcs, maclane
+from arrlcs.config import glue_c13, maclane_c8
 from arrlcs.lcs import TorsionError
 from arrlcs.maclane import builtin_g_map
-from arrlcs.words import lie_basis
+from arrlcs.words import MAX_WORD_LETTERS, lie_basis
 from helpers import relabel
 
 
@@ -253,9 +253,27 @@ def test_c13_report(capsys):
     assert auto == {"count": 12, "s3_times_z2": True, "partition_preserved": True}
     classes = by_name["glued_classes"]["details"]
     assert classes == {"class_plus_plus": 0, "class_plus_minus": 1}
+    certificate = by_name["glued_certificate"]
+    assert certificate["status"] == "pass"
+    assert certificate["details"] == {"copy": 1, "modulus": 6, "pairing": 2, "failures_a": 0, "failures_b": 0}
     for sign in ("+", "-"):
         real = by_name["glued_realizations"]["details"][sign]
         assert real["ok"] is True and real["clusters"] == 48
+
+
+def test_c13_report_verdicts_are_computed_on_c13(capsys, monkeypatch):
+    # every check of the certificate that decides the classes reads C13's own data, never c8's
+    seen = []
+    for name in ("certify_glued", "failures_a", "failures_b", "tau_pairing"):
+        real = getattr(certify, name)
+        monkeypatch.setattr(certify, name, lambda data, *rest, _real=real, _name=name: seen.append((_name, data.config)) or _real(data, *rest))
+    monkeypatch.setattr(cli, "certify_glued", certify.certify_glued)
+    code, payload = run_json(capsys, "c13-report")
+    assert code == 0 and payload["verdict"] == "fundamental groups differ mod gamma_4"
+    # plus·plus against itself needs no certificate (ḡ − ḡ′ = 0); plus·plus against plus·minus runs all three checks
+    assert [name for name, _ in seen] == ["certify_glued", "certify_glued", "tau_pairing", "failures_a", "failures_b"]
+    assert {config for _, config in seen} == {glue_c13()}
+    assert not hasattr(lcs, "class_of_glued") and not hasattr(cli, "class_of_glued")
 
 
 def test_c13_report_alternate_seed(capsys):
@@ -369,6 +387,26 @@ def test_kappa_reports_a_truncated_g_file_as_validate_does(capsys, tmp_path):
     assert code == 2
     assert payload["ok"] is False and payload["error"].startswith("invalid JSON: ")
     assert run_json(capsys, "validate", str(tmp_path / "g.json")) == (2, payload)
+
+
+def test_deeply_nested_json_is_refused_as_invalid_input(capsys, tmp_path):
+    # the decoder recurses once per level; 5 000 levels pass the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    for argv in (["validate", str(path)], ["kappa", "--builtin", "maclane8", "--g", str(path), "--gprime", "builtin:plus"]):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, ""), argv
+        payload = json.loads(out)
+        assert payload["ok"] is False and payload["error"].startswith("invalid JSON: ") and "nesting" in payload["error"]
+
+
+def test_kappa_refuses_a_word_longer_than_the_bound(capsys, tmp_path):
+    # the letters are counted from the exponents before any list is built
+    g = write_json(tmp_path, "long.json", {"(3,p367)": f"w6^{MAX_WORD_LETTERS} w6^-1"})
+    code, payload = run_json(capsys, "kappa", "--builtin", "maclane8", "--g", g, "--gprime", "builtin:plus")
+    assert code == 2
+    assert payload["ok"] is False and f"more than the {MAX_WORD_LETTERS}" in payload["error"]
 
 
 def test_validate_rejects_a_repeated_key(capsys, tmp_path):
@@ -526,7 +564,7 @@ PINNED_STDOUT = {
     ("maclane-report",): "2b59f721e970039292a18a754eb8bc10f105a1bd7dbb59fa57b9fc5d2743a2f2",
     ("maclane-report", "--swap-g"): "8467dcb4c236aae0591a1ea41c4bf45f9e6c0dd83c3c5a3cefb7896130e87e53",
     ("maclane-report", "--no-hardcoded"): "577add21cdaeb6fb45f3ab9b11a7a6311871bd7d4ddd434d15e8e8b4d7d1a5ab",
-    ("c13-report", "--seed", "0"): "79f6926c305dad96bb392e5cb4e75adeac97c16489b50f53b9d37b423c7fb4fb",
+    ("c13-report", "--seed", "0"): "c84fa278c18c1a4eaa1646a9d93b13089c2be223d8716895673b63321457ab5c",
     ("kappa", "--builtin", "maclane8", "--g", "builtin:plus", "--gprime", "builtin:minus"): (
         "ed7be1ee7a3cf1428847bbbc458a1bc287efda93bfd86d5a8b8965c20c65e42f"
     ),

@@ -1,4 +1,4 @@
-"""The package's import graph: the src/arrlcs modules import one another without a cycle, and the MacLane layer imports only config, exactlin and words."""
+"""The package's import graph: the src/arrlcs modules import one another without a cycle, the MacLane layer imports only config, exactlin and words, and the certificate checker imports no reduction."""
 
 import ast
 import graphlib
@@ -43,3 +43,15 @@ def test_maclane_imports_only_config_exactlin_and_words():
     assert graph["maclane"] <= {"config", "exactlin", "words"}
     assert "maclane" in graph["lcs"]  # the direction of the split: lcs reads the MacLane layer, never the reverse
 
+
+
+def test_certify_imports_only_config_and_words_and_binds_no_reduction():
+    graph = import_graph()
+    assert graph["certify"] <= {"config", "words"}
+    tree = ast.parse((SRC / "certify.py").read_text(encoding="utf-8"))
+    typed = [node for node in tree.body if isinstance(node, ast.If) and is_type_checking(node.test)]
+    assert [(node.module, [alias.name for alias in node.names]) for block in typed for node in block.body] == [("lcs", ["LcsData"])]
+    named = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert named.isdisjoint({"Lattice", "hnf", "snf", "member", "quotient_presentation"})

@@ -10,6 +10,7 @@ import re
 import pytest
 
 from arrlcs import cli, config, exactlin, geom, kernels, lcs, maclane, words
+from arrlcs.certify import GluedCertificate, certify_glued, failures_a, failures_b, pulled_back_functional, tau_pairing
 from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, copy_line, glue_c13, glue_copies, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, densify, member, perp, snf
 from arrlcs.lcs import (
@@ -18,7 +19,6 @@ from arrlcs.lcs import (
     TorsionError,
     b_lattice,
     build_lcs,
-    class_of_glued,
     delta_bar,
     delta_bar_from_lift,
     glued_g_map,
@@ -41,7 +41,7 @@ from arrlcs.maclane import (
     tau_star_identities,
     transport_group,
 )
-from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word
+from arrlcs.words import AbelianGMap, GMap, Word, abelianize, parse_word, wedge_slot
 from helpers import (
     blockwise_tau_tilde,
     certificate_failures,
@@ -52,7 +52,7 @@ from helpers import (
     dense_tau_matrix,
     dense_tau_star,
     dict_point_quotient,
-    pulled_back_functional,
+    wedge_unit_failures,
     rank_mod_p,
     tau_lift,
     delta_kernel,
@@ -1540,19 +1540,6 @@ def test_kappa_on_c13_builds_no_incidence_index(c13_data, monkeypatch):
     assert built == []
 
 
-def test_class_of_glued_sign_combinations(maclane_data):
-    c13 = glue_c13()
-    plus = builtin_g_map("plus")
-    minus = builtin_g_map("minus")
-    assert class_of_glued(c13, plus, plus) == 0
-    assert class_of_glued(c13, plus, minus) == 1
-    assert class_of_glued(c13, minus, plus) == 1
-    assert class_of_glued(c13, minus, minus) == 0
-    assert class_of_glued(c13, abelianize(plus), abelianize(minus)) == 1
-    with pytest.raises(ConfigMismatchError):
-        class_of_glued(maclane_c8(), plus, minus)
-
-
 # -- c8's κ witness pulled back to a gluing through one copy -------------------
 
 
@@ -1562,12 +1549,30 @@ def _pairing(data, phi, g, gprime, modulus):
     return sum(x * diff[a] for a, x in maclane.tau_star(data, phi).items()) % modulus
 
 
+def _checked(data, phi, g, gprime, modulus):
+    """Checks (a), (b) and (c) of Φ by ``certify``'s fast forms, asserted equal to the reference forms; returns (a, b, c) of the references.
+
+    (a) and (c) equal ``certificate_failures`` and ``_pairing``.  ``certify``'s
+    (b) pairs with the unit maps x_i ↦ x_a∧x_b and equals
+    ``wedge_unit_failures``; ``certificate_failures`` pairs with the maps
+    E_{i,t} through P2's section, another spanning set of Im δ̄, so with it
+    only whether any map fails is compared.
+    """
+    ref_a, ref_b = certificate_failures(data, phi, modulus)
+    pairing = _pairing(data, phi, g, gprime, modulus)
+    fast = failures_a(data, phi), failures_b(data, phi, modulus), tau_pairing(data, phi, abelianize(g) - abelianize(gprime), modulus)
+    assert fast == (ref_a, wedge_unit_failures(data, phi, modulus), pairing)
+    assert bool(fast[1]) == bool(ref_b)
+    return ref_a, ref_b, pairing
+
+
 def test_c8_witness_pulled_back_certifies_every_unequal_c13_pair(maclane_data, c13_data):
     w = kappa(maclane_data, builtin_g_map("plus"), builtin_g_map("minus")).witness
     assert (w.modulus, w.pairing) == (6, 2)
     phis = [pulled_back_functional(c13_data, maclane_data, c, w.functional) for c in range(2)]
     # (a) and (b) read Φ alone, not the pair
     assert [certificate_failures(c13_data, phi, w.modulus) for phi in phis] == [(0, 0), (0, 0)]
+    assert [(failures_a(c13_data, phi), failures_b(c13_data, phi, w.modulus)) for phi in phis] == [(0, 0), (0, 0)]
     halves = {"+": builtin_g_map("plus"), "-": builtin_g_map("minus")}
     maps = {a + b: glued_g_map(halves[a], halves[b]) for a in halves for b in halves}
     certified = 0
@@ -1575,38 +1580,87 @@ def test_c8_witness_pulled_back_certifies_every_unequal_c13_pair(maclane_data, c
         pairings = [_pairing(c13_data, phi, g, g2, w.modulus) for phi in phis]
         # copy c pairs to 0 where the halves agree, and to ±2 mod 6 where they differ
         assert pairings == [{"+-": 2, "-+": 4}.get(signs[c] + signs2[c], 0) for c in range(2)]
+        assert [tau_pairing(c13_data, phi, abelianize(g) - abelianize(g2), w.modulus) for phi in phis] == pairings
         certified += any(pairings)
+        # c13-report's certificate goes through the first copy where the halves differ, and reads ḡ′ abelianized alike
+        cert = certify_glued(c13_data, maclane_data, w.functional, w.modulus, g, abelianize(g2))
+        if signs == signs2:
+            assert cert is None
+        else:
+            copy = 0 if signs[0] != signs2[0] else 1
+            assert cert == GluedCertificate(copy, 6, pairings[copy], 0, 0) and cert.proves_nonzero
         # the full route on C13 agrees: κ ≠ 0 on exactly the certified pairs
-        assert kappa(c13_data, g, g2).zero == (not any(pairings)) == (signs == signs2)
+        assert kappa(c13_data, g, g2).zero == (not any(pairings)) == (signs == signs2) == (cert is None)
     assert certified == 12
 
 
 def test_c8_witness_pulled_back_certifies_a_three_copy_gluing(maclane_data):
-    data = build_lcs(glue_copies(3))
     w = kappa(maclane_data, builtin_g_map("plus"), builtin_g_map("minus")).witness
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
-    g, g2 = glued_g_map(plus, plus, plus), glued_g_map(plus, minus, minus)
-    for c, expected in enumerate((0, 2, 2)):
-        phi = pulled_back_functional(data, maclane_data, c, w.functional)
-        assert certificate_failures(data, phi, w.modulus) == (0, 0)
-        assert _pairing(data, phi, g, g2, w.modulus) == expected
+    for k in (3, 4):
+        data = build_lcs(glue_copies(k))
+        g, g2 = glued_g_map(*[plus] * k), glued_g_map(plus, *[minus] * (k - 1))
+        for c, expected in enumerate((0,) + (2,) * (k - 1)):
+            phi = pulled_back_functional(data, maclane_data, c, w.functional)
+            assert certificate_failures(data, phi, w.modulus) == (0, 0)
+            assert _pairing(data, phi, g, g2, w.modulus) == expected
+        assert certify_glued(data, maclane_data, w.functional, w.modulus, g, g2) == GluedCertificate(1, 6, 2, 0, 0)
 
 
 def test_pulled_back_certificate_rejects_mutants(maclane_data, c13_data):
     w = kappa(maclane_data, builtin_g_map("plus"), builtin_g_map("minus")).witness
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    g, g2 = glued_g_map(plus, plus), glued_g_map(plus, minus)
+    checked = functools.partial(_checked, c13_data, g=g, gprime=g2, modulus=w.modulus)
     # a witness one off at one entry still factors through P3, so (a) holds, but one δ̄ row fails (b)
     bumped = list(w.functional)
     bumped[0] += 1
-    assert certificate_failures(c13_data, pulled_back_functional(c13_data, maclane_data, 0, bumped), w.modulus) == (0, 1)
+    assert checked(pulled_back_functional(c13_data, maclane_data, 0, bumped))[:2] == (0, 1)
+    assert checked(pulled_back_functional(c13_data, maclane_data, 1, bumped)) == (0, 1, 2)
     # Φ one off at a slot x_m⊗(x_a∧x_b), m ∉ {a, b}, meets a Jacobi element: (a) fails
     phi, pairs, hw, np_ = pulled_back_functional(c13_data, maclane_data, 0, w.functional), list(c13_data.wedge_pos), c13_data.hw_rank, c13_data.npairs
     k = next(k for k in sorted(phi) if k % hw // np_ + 1 not in pairs[k % np_])
-    assert certificate_failures(c13_data, {**phi, k: phi[k] + 1}, w.modulus)[0]
+    assert checked({**phi, k: phi[k] + 1})[0]
     # the pair differs in copy 1 only: through copy 0 it pairs to 0, so (c) fails
+    assert checked(phi) == (0, 0, 0)
+    phi1 = pulled_back_functional(c13_data, maclane_data, 1, w.functional)
+    assert checked(phi1) == (0, 0, 2)
+    # a line map off by one line: Φ through copy 1 with line 12 (c8's line 7) read as line 11 in every slot
+    off = {}
+    for key, x in phi1.items():
+        flag, slot = divmod(key, hw)
+        m, a, b = (11 if line == 12 else line for line in (slot // np_ + 1, *pairs[slot % np_]))
+        if a != b:
+            pos, sign = wedge_slot(c13_data.wedge_pos, a, b)
+            key = flag * hw + (m - 1) * np_ + pos
+            off[key] = off.get(key, 0) + sign * x
+    fails_a, fails_b, _ = checked({key: x for key, x in off.items() if x})
+    assert fails_a and fails_b
+
+
+def test_certify_glued_reads_c8_as_its_own_copy_and_refuses_other_data(maclane_data, c13_data, asymmetric_config):
     plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    w = kappa(maclane_data, plus, minus).witness
+    # c8 is glue_copies(1): copy 0's line map is the identity, and the witness certifies itself
+    assert certify_glued(maclane_data, maclane_data, w.functional, w.modulus, plus, minus) == GluedCertificate(0, 6, 2, 0, 0)
+    # c8's conjugator data does not live on C13
+    with pytest.raises(ConfigMismatchError):
+        certify_glued(c13_data, maclane_data, w.functional, w.modulus, plus, minus)
+    # a configuration that holds no MacLane copy is refused, not certified
+    rng = random.Random(0)
+    g, g2 = seeded_g_map(rng, asymmetric_config), seeded_g_map(rng, asymmetric_config)
+    with pytest.raises(ConfigMismatchError):
+        certify_glued(build_lcs(asymmetric_config), maclane_data, w.functional, w.modulus, g, g2)
+
+
+def test_the_glued_certificate_reduces_nothing(maclane_data, c13_data, monkeypatch):
+    plus, minus = builtin_g_map("plus"), builtin_g_map("minus")
+    w = kappa(maclane_data, plus, minus).witness  # c8's P3 and witness are warm, as c13-report finds them
     g, g2 = glued_g_map(plus, plus), glued_g_map(plus, minus)
-    assert _pairing(c13_data, pulled_back_functional(c13_data, maclane_data, 0, w.functional), g, g2, w.modulus) == 0
-    assert _pairing(c13_data, pulled_back_functional(c13_data, maclane_data, 1, w.functional), g, g2, w.modulus) == 2
+    passes, forward = [], exactlin._hnf_forward
+    monkeypatch.setattr(exactlin, "_hnf_forward", lambda *args: passes.append(args) or forward(*args))
+    assert certify_glued(c13_data, maclane_data, w.functional, w.modulus, g, g2).proves_nonzero
+    assert passes == []
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""tools/replay.py: its sources, its table of old script names and its JSON writer; only the small ``taustar`` source is run."""
+"""tools/replay.py: its sources, its table of old script names and its JSON writer; the sources that run here run on their smallest inputs."""
 
 import functools
 import importlib.util
@@ -18,9 +18,9 @@ def load_replay():
     return module
 
 
-def test_sources_are_the_nine_layers():
+def test_sources_are_the_ten_layers():
     replay = load_replay()
-    assert list(replay.SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u", "words", "taustar", "core"]
+    assert list(replay.SOURCES) == ["kernel", "lattice", "kappa", "realization", "bracket", "u", "words", "taustar", "core", "c13report"]
     assert list(replay.OLD_SCRIPTS.values()) == ["kernel", "lattice", "kappa", "realization", "bracket", "u"]
 
 
@@ -167,3 +167,18 @@ def test_core_times_the_flat_route_against_the_core_on_c8(monkeypatch):
     assert set(run["flat_s"]) == set(run["core_s"]) == {"c8"} and rec["flat_s"] > 0 and rec["core_s"] > 0
     plus, minus = replay.core_pair("glued3")
     assert plus.config == minus.config == replay.config.glue_copies(3) and plus.config != replay.core_pair("c13")[0].config
+
+
+def test_c13report_times_the_report_with_c8_warm_and_c13_cold(monkeypatch):
+    replay = load_replay()
+    monkeypatch.setattr(replay, "REPEAT", 1)
+    monkeypatch.setattr(replay, "C13_REPORT_SEEDS", (0,))
+    built = []
+    real = replay.lcs.build_lcs
+    monkeypatch.setattr(replay.cli, "build_lcs", lambda config: built.append(len(config.lines)) or real(config))
+    (rec,) = replay.c13report()["inputs"]
+    # the timed report builds C13's data, and no other, through the CLI
+    assert built == [13]
+    assert rec["exit"] == 0 and rec["glued_classes"] == {"class_plus_plus": 0, "class_plus_minus": 1}
+    assert rec["glued_certificate"] == {"copy": 1, "modulus": 6, "pairing": 2, "failures_a": 0, "failures_b": 0}
+    assert rec["stdout_sha256"] == "c84fa278c18c1a4eaa1646a9d93b13089c2be223d8716895673b63321457ab5c"

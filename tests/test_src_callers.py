@@ -12,7 +12,6 @@ UNCALLED = {
     "tau_preimage": "perfbench/tracer.py traces it and perfbench/run.py lists its layer",
     "u_lattice": "perfbench/workloads.py draws kappa-stream's inputs from its rows",
     "delta_bar": "perfbench/workloads.py checks every κ certificate with it",
-    "glued_g_map": "perfbench/inputs.py builds the c13-direct g-maps with it",
     "relators_from_g": "ROADMAP items 1, 5 and 14 compute κ from relator words",
     "relator_at_flag": "ROADMAP items 1, 5 and 14 compute κ from relator words",
     "admissibility_check": "ROADMAP items 1, 5 and 14 refuse relator sets whose degree-2 parts are not r̄",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from arrlcs.config import glue_c13, maclane_c8
 from arrlcs.words import (
+    MAX_WORD_LETTERS,
     AbelianGMap,
     GMap,
     NotInGamma,
@@ -129,6 +130,15 @@ def test_word_str_parse_roundtrip():
 def test_parse_word_rejects_bad_tokens():
     for text in ("w0", "x3", "w2^", "w-1", "w2 ^3"):
         with pytest.raises(ValueError):
+            parse_word(text)
+
+
+def test_parse_word_bounds_the_expanded_length():
+    # at the bound the word is built; one letter more, in one token or spread over several, is refused unbuilt
+    assert parse_word(f"w6^{MAX_WORD_LETTERS}").exponent_sums(6) == (0,) * 5 + (MAX_WORD_LETTERS,)
+    half = MAX_WORD_LETTERS // 2
+    for text in (f"w6^{MAX_WORD_LETTERS + 1}", f"w6^-{MAX_WORD_LETTERS + 1}", f"w6^{half} w3^-{MAX_WORD_LETTERS - half} w1"):
+        with pytest.raises(ValueError, match=f"expands to {MAX_WORD_LETTERS + 1} letters, more than the {MAX_WORD_LETTERS}"):
             parse_word(text)
 
 

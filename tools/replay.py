@@ -132,15 +132,24 @@ compare with later runs.
   peel included).  Each record holds Im δ̄'s shape, the core's rows and
   the columns they use, its rank, the rows peeled, both routes' verdicts
   (which must agree) and the nonzero pair's witness modulus by each route.
+* ``c13report``: ``c13-report --seed S`` in process for ``C13_REPORT_SEEDS``,
+  as perfbench's cli-suite cycle meets it: every ``cache_clear`` on the
+  modules perfbench clears is called and ``maclane-report`` runs, both
+  untimed, so c8's data and witness are warm and C13's are cold.  Each
+  record holds the exit code, the sha256 of stdout, and the details of the
+  ``glued_classes`` check and, from ``BENCH_46.json`` on, of the
+  ``glued_certificate`` check (null where the src has none).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import gc
 import hashlib
 import inspect
+import io
 import json
 import os
 import platform
@@ -156,7 +165,7 @@ sys.dont_write_bytecode = True  # no bytecode left beside the sources it times
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "tests"))
 
-from arrlcs import config, exactlin, geom, lcs, maclane, words  # noqa: E402
+from arrlcs import cli, config, exactlin, geom, lcs, maclane, words  # noqa: E402
 import helpers  # noqa: E402
 from helpers import ASYMMETRIC_9, hesse, relabel  # noqa: E402
 
@@ -735,9 +744,47 @@ def core() -> dict:
     return {"flat_s": total_s(records, by_config, "flat_s"), "core_s": total_s(records, by_config, "core_s"), "inputs": records}
 
 
+# -- c13report: the whole c13-report, in process -----------------------------------------
+
+
+C13_REPORT_SEEDS = (0, SEED)
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def c13report() -> dict:
+    """``c13-report --seed S``, each run after the caches perfbench clears are cleared and ``maclane-report`` has run, both untimed."""
+    records = []
+    for seed in C13_REPORT_SEEDS:
+
+        def prepare():
+            for module in (config, words, exactlin, lcs, geom, cli):
+                for value in vars(module).values():
+                    if callable(getattr(value, "cache_clear", None)):
+                        value.cache_clear()
+            run_cli(["maclane-report"])
+            gc.collect()
+
+        def report(_):
+            return run_cli(["c13-report", "--seed", str(seed)])
+
+        seconds, (code, digest), _, (_, out) = best_of(f"c13-report --seed {seed}", prepare, report, lambda r: (r[0], sha_text(r[1])))
+        checks = {c["name"]: c["details"] for c in json.loads(out)["checks"]}
+        records.append({
+            "seed": seed, "exit": code, "stdout_sha256": digest, "glued_classes": checks["glued_classes"],
+            "glued_certificate": checks.get("glued_certificate"), "seconds": seconds,
+        })
+    return {"total_s": total_s(records, lambda rec: f"seed {rec['seed']}"), "inputs": records}
+
+
 SOURCES = {
     "kernel": kernel, "lattice": lattice, "kappa": kappa, "realization": realization, "bracket": bracket, "u": u,
-    "words": words_source, "taustar": taustar, "core": core,
+    "words": words_source, "taustar": taustar, "core": core, "c13report": c13report,
 }
 OLD_SCRIPTS = {f"{source}_replay.py": source for source in ("kernel", "lattice", "kappa", "realization", "bracket", "u")}
 
