@@ -3,9 +3,10 @@
 ``glue_copies(k)`` holds k copies of the MacLane configuration c8; copy c
 sends c8's line i to ``copy_line(c, i)``.  A witness (w, m) for κ ≠ 0 on
 c8 (``lcs.kappa``) is a functional on c8's flat Hom(R2,P3) that vanishes
-on Im δ̄ mod m.  Pulled back through one copy (``pulled_back_functional``)
-it is a functional Φ on ⊕_g H⊗Λ²H of the gluing, keyed g·``hw_rank`` + s
-for generator flag g and slot s, as ``maclane.tau_star`` takes it.  Three
+on Im δ̄ mod m.  Pulled back through one copy by the line-map rules
+(``pulled_back_functional``) it is a functional Φ on ⊕_g H⊗Λ²H of the
+gluing, keyed g·``hw_rank`` + s for generator flag g and slot s, as
+``maclane.tau_star`` takes it.  Three
 checks, each a sum of products over Φ's entries, prove that Φ separates a
 τ̃ value from Im δ̄ on the gluing itself (``certify_glued``):
 
@@ -25,9 +26,9 @@ checks, each a sum of products over Φ's entries, prove that Φ separates a
 With no failures in (a) and (b) and a nonzero pairing, τ̃(ḡ − ḡ′) lies
 outside Im δ̄: κ ≠ 0 on the gluing.  The proof rests on the three checks
 alone, not on c8's data being right.  Nothing here reduces a matrix: this
-module reads ``LcsData``'s lift (``_flag_terms``, ``_lift``), its wedge
-positions, its R2 basis rows and c8's P3 map ``_bracket_p3``, and builds
-no lattice.
+module reads ``LcsData``'s lift (``_coordinate_lift`` and
+``_flag_terms_transpose``), its wedge positions, its R2 basis transposed
+and c8's P3 map ``_bracket_p3``, and builds no lattice.
 """
 
 from __future__ import annotations
@@ -35,27 +36,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .config import ConfigMismatchError, copy_line
-from .words import AbelianGMap, GMap, _as_abelian, wedge_slot
+from .config import ConfigMismatchError, copy_line, flag_images
+from .words import AbelianGMap, GMap, _as_abelian, slot_images
 
 if TYPE_CHECKING:
     from .lcs import LcsData
-
-
-def copy_flags(data: LcsData, c8: LcsData, copy: int) -> dict[tuple[int, str], tuple[int, str]]:
-    """Each finite flag (i, p) of c8 → its image in MacLane copy ``copy`` of ``data``: (copy_line(copy, i), the point of the image lines of p).
-
-    Raises ``ConfigMismatchError`` when ``data`` does not hold that copy:
-    the image lines of some point of c8 are not a point's lines.
-    """
-    line = [copy_line(copy, i) for i in range(c8.n + 1)]
-    out = {}
-    for i, p in c8.index.pairs:
-        point = data.config.point_of(frozenset(line[j] for j in c8.config.lines_through(p)))
-        if point is None:
-            raise ConfigMismatchError(f"MacLane copy {copy} is not part of this configuration")
-        out[i, p] = (line[i], point)
-    return out
 
 
 def pulled_back_functional(data: LcsData, c8: LcsData, copy: int, functional: Sequence[int]) -> dict[int, int]:
@@ -63,14 +48,13 @@ def pulled_back_functional(data: LcsData, c8: LcsData, copy: int, functional: Se
 
     Block g_S of ``functional`` (c8's generator flag (i, p)) composed with
     c8's ``_bracket_p3`` is a functional W[g_S] on c8's H⊗Λ²H.  It is
-    placed at the image generator flag g_C (``copy_flags``), slot
-    x_m⊗(x_a∧x_b) going to the slot of the image lines.
-    ``copy_line(c, ·)`` is monotone, so a < b stays a′ < b′ and every sign
-    is +1.  Keys are g_C·``hw_rank`` + slot.
+    placed at the image generator flag g_C and each slot at its image slot,
+    with its sign, by the line-map rules ``flag_images`` (which raises
+    ``ConfigMismatchError`` if ``data`` holds no copy ``copy``) and
+    ``slot_images``.  Keys are g_C·``hw_rank`` + slot.
     """
-    r8, np_, flags = c8.p3.free_rank, data.npairs, copy_flags(data, c8, copy)
-    line = [copy_line(copy, i) for i in range(c8.n + 1)]
-    slot = [(line[m] - 1) * np_ + data.wedge_pos[line[a], line[b]] for m in range(1, c8.n + 1) for (a, b) in c8.wedge_pos]
+    r8, line = c8.p3.free_rank, [copy_line(copy, i) for i in range(c8.n + 1)]
+    flags, slots = flag_images(c8.config, data.config, line), slot_images(c8.n, data.wedge_pos, line)
     columns = c8._bracket_p3.transpose().sparse_rows  # P3 coordinate t → {c8 slot: coefficient}
     out = {}
     for g8, flag in enumerate(c8.gens):
@@ -79,7 +63,7 @@ def pulled_back_functional(data: LcsData, c8: LcsData, copy: int, functional: Se
             if x:
                 for s, y in columns[t].items():
                     w[s] = w.get(s, 0) + x * y
-        out.update((base + slot[s], x) for s, x in w.items() if x)
+        out.update((base + slots[s][0], slots[s][1] * x) for s, x in w.items() if x)
     return out
 
 
@@ -92,15 +76,12 @@ def failures_a(data: LcsData, phi: dict[int, int]) -> int:
 
     Only the elements that meet Φ_g's slots are paired: each entry at slot
     (m, w) is summed into (m, r) for every R2 row r with an entry at w,
-    found through a column index, and a Jacobi element {a, b, c} is paired
-    only where Φ_g has a slot x_m⊗(x_a∧x_b) with m ∉ {a, b}.  Every other
-    pairing is an empty sum.
+    read off R2's basis transposed, and a Jacobi element {a, b, c} is
+    paired only where Φ_g has a slot x_m⊗(x_a∧x_b) with m ∉ {a, b}.  Every
+    other pairing is an empty sum.
     """
     hw, np_, pairs, wp = data.hw_rank, data.npairs, list(data.wedge_pos), data.wedge_pos
-    at, blocks = {}, {}
-    for k, r in enumerate(data.r2.basis.sparse_rows):
-        for w, y in r.items():
-            at.setdefault(w, []).append((k, y))
+    at, blocks = data.r2.basis.transpose().sparse_rows, {}
     for k, x in phi.items():
         blocks.setdefault(k // hw, {})[k % hw] = x
     bad = 0
@@ -108,7 +89,7 @@ def failures_a(data: LcsData, phi: dict[int, int]) -> int:
         sums, triples = {}, set()
         for s, x in f.items():
             m, w = divmod(s, np_)
-            for k, y in at.get(w, ()):
+            for k, y in at[w].items():
                 sums[m, k] = sums.get((m, k), 0) + x * y
             if m + 1 not in pairs[w]:
                 triples.add(tuple(sorted((m + 1, *pairs[w]))))
@@ -124,17 +105,14 @@ def failures_b(data: LcsData, phi: dict[int, int], modulus: int) -> int:
     That lift is ``_lift`` of x_a∧x_b (wedge position w) over line i's
     ``_flag_terms``: a term (g, j, s) puts s at generator flag g, slot
     (j, w).  So each entry of Φ at (g, (j, w)) is summed into (line i, w)
-    with sign s, for every term (g, j, s) of line i, and only the sums an
-    entry touched are checked; every other one is 0.
+    with sign s for each (flag (i, p), s) at (g, j) in
+    ``_flag_terms_transpose``; only the sums an entry touched are checked.
     """
-    hw, np_, terms = data.hw_rank, data.npairs, {}
-    for (i, _), flag in zip(data.index.pairs, data._flag_terms):
-        for g, j, s in flag:
-            terms.setdefault((g, j), []).append((i, s))
-    sums = {}
+    hw, np_, terms, lines, sums = data.hw_rank, data.npairs, data._flag_terms_transpose, data.index.pairs, {}
     for k, x in phi.items():
         g, (j, w) = k // hw, divmod(k % hw, np_)
-        for i, s in terms.get((g, j + 1), ()):
+        for f, s in terms.get((g, j + 1), ()):
+            i = lines[f][0]
             sums[i, w] = sums.get((i, w), 0) + s * x
     return sum(1 for x in sums.values() if _residue(x, modulus))
 
@@ -142,16 +120,11 @@ def failures_b(data: LcsData, phi: dict[int, int], modulus: int) -> int:
 def tau_pairing(data: LcsData, phi: dict[int, int], difference: AbelianGMap, modulus: int) -> int:
     """Check (c): Φ paired with the τ̃-lift of ``difference``, mod ``modulus``.
 
-    τ̃ lifts the A coordinate x_m at flag (i, p) as ``_lift`` of x_i∧x_m
-    over (i, p)'s ``_flag_terms`` (nothing when m = i); only the nonzero
-    coordinates of ``difference`` are lifted.
+    Only the nonzero coordinates of ``difference`` are lifted
+    (``LcsData._coordinate_lift``).
     """
-    hw, n, total = data.hw_rank, data.n, 0
-    for a, d in enumerate(difference.vector()):
-        f, m = divmod(a, n)
-        i = data.index.pairs[f][0]
-        if d and m + 1 != i:
-            total += d * sum(c * phi.get(g * hw + s, 0) for g, s, c in data._lift(data._flag_terms[f], [wedge_slot(data.wedge_pos, i, m + 1)]))
+    hw, n, vec = data.hw_rank, data.n, difference.vector()
+    total = sum(d * c * phi.get(g * hw + s, 0) for a, d in enumerate(vec) if d for g, s, c in data._coordinate_lift(a // n, a % n + 1))
     return _residue(total, modulus)
 
 
@@ -179,7 +152,7 @@ def first_differing_copy(data: LcsData, c8: LcsData, difference: AbelianGMap) ->
     n, pairs, copy = data.n, data.index.pairs, 0
     differ = {pairs[a // n] for a, d in enumerate(difference.vector()) if d}
     while copy_line(copy, c8.n) <= n:
-        if not differ.isdisjoint(copy_flags(data, c8, copy).values()):
+        if not differ.isdisjoint(flag_images(c8.config, data.config, [copy_line(copy, i) for i in range(c8.n + 1)]).values()):
             return copy
         copy += 1
     raise ValueError("the two g-maps agree on every MacLane copy")

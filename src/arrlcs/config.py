@@ -274,6 +274,17 @@ def copy_line(c: int, i: int) -> int:
     return i if i < 3 else i + 5 * c
 
 
+def flag_images(source: Configuration, target: Configuration, line: Sequence[int]) -> dict[tuple[int, str], tuple[int, str]]:
+    """Each flag (i, p) of ``source`` → (line[i], q) under the line map ``line``, q the point of ``target`` on the images of p's lines; ``ConfigMismatchError`` naming p where there is none."""
+    out = {}
+    for p in source.points:
+        q = target.point_of(frozenset(line[i] for i in source.lines_through(p)))
+        if q is None:
+            raise ConfigMismatchError(f"the line map sends point {p!r} to lines that meet at no point of the target")
+        out.update(((i, p), (line[i], q)) for i in source.lines_through(p))
+    return out
+
+
 @lru_cache(maxsize=None)
 def glue_copies(k: int) -> Configuration:
     """k MacLane copies glued along lines 0, 1, 2 and their triple point p012.

@@ -33,13 +33,13 @@ section row ŝ_t of P2 over line i's flags, into (generator flag, slot,
 coefficient) terms that ``_to_hom`` sends through ``_bracket_p3``.  τ̃ is
 one sparse A × Hom(R2,P3) matrix (``LcsData.tau_matrix``); only rows
 whose lift meets a nonzero row of ``_bracket_p3`` (a live slot) are
-sent, the others are zero and share one empty dict.  The transposed lift
-Λᵀ (``LcsData.tau_lift_transpose``) is read only by τ̃* (module
-``maclane``).  Each finite point's τ̃_p is its slice of the matrix's
-rows, sharing their dicts (``LcsData.u_points``); ``tau_tilde`` reads
-the nonzero rows re-keyed to the columns τ̃'s image uses
-(``LcsData.tau_support``: 120 of 2 040 on C13), sums into a list of that
-length and maps back once.  R3perp is ker d* ∩ H*⊗R2perp, checked
+sent, the others are zero and share one empty dict.  A row lifts one A
+coordinate (``LcsData._coordinate_lift``); τ̃* and ``certify`` read the
+lift backwards (``LcsData._flag_terms_transpose``).  Each finite point's
+τ̃_p is its slice of the matrix's rows, sharing their dicts
+(``LcsData.u_points``); ``tau_tilde`` reads the nonzero rows re-keyed to
+the columns τ̃'s image uses (``LcsData.tau_support``: 120 of 2 040 on
+C13), sums into a list of that length and maps back once.  R3perp is ker d* ∩ H*⊗R2perp, checked
 against the columns of ``_bracket_p3``.  Every matrix is built from
 sparse rows, so no layer reads or writes their zeros (on C13 under 2%
 of entries are nonzero).
@@ -100,6 +100,7 @@ from .config import (
     ConfigMismatchError,
     Configuration,
     copy_line,
+    flag_images,
     glue_copies,
     maclane_c8,
     validate,
@@ -186,8 +187,8 @@ class LcsData:
     """Degree-2 and degree-3 graded data of one configuration.
 
     Degree-2 objects are built eagerly.  The degree-3 objects (the
-    bracket map, R3, P3, R3perp, τ̃*'s transposed lift, the τ̃ matrix and its
-    nonzero rows for ``tau_tilde``, U per point with τ̃_p and A_p/U_p for
+    bracket map, R3, P3, R3perp, the τ̃ matrix and its nonzero rows for
+    ``tau_tilde``, U per point with τ̃_p and A_p/U_p for
     both kernel identities, π = ⊕_p π_p, Im δ̄ and its core) are cached
     properties computed on first use, so purely degree-2 work on large
     configurations stays cheap.  L3's columns and the bracket map are
@@ -346,23 +347,27 @@ class LcsData:
             out.append(tuple(terms))
         return tuple(out)
 
+    @cached_property
+    def _flag_terms_transpose(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """``_flag_terms`` transposed: (generator flag g, line j) → the (flag f, sign s) with a term (g, j, s), f in ``index.pairs`` order; read by τ̃* and the glued certificate."""
+        out = {}
+        for f, terms in enumerate(self._flag_terms):
+            for g, j, s in terms:
+                out.setdefault((g, j), []).append((f, s))
+        return out
+
     def _lift(self, terms, v) -> list[tuple[int, int, int]]:
         """The lift of a Λ²H value v, (wedge position w, coefficient c) pairs, over ``terms``, the ``_flag_terms`` of one flag or of every flag on one line: (g, (j-1)·C(n,2) + w, s·c) per term (g, j, s).
 
-        τ̃'s rows lift v = x_i∧x_m, ``_delta_lift`` f̂(x_i) at each flag, and Im δ̄'s row (i, t) ŝ_t over line i's flags.
+        τ̃'s rows lift v = x_i∧x_m (``_coordinate_lift``), ``_delta_lift`` f̂(x_i) at each flag, and Im δ̄'s row (i, t) ŝ_t over line i's flags.
         """
         np_ = self.npairs
         return [(g, (j - 1) * np_ + w, s * c) for w, c in v for g, j, s in terms]
 
-    @cached_property
-    def tau_lift_transpose(self) -> dict[int, dict[int, int]]:
-        """Λᵀ, τ̃*'s lift: the lift of every A coordinate (``_lift`` of x_i∧x_m; none for x_i at (i,p)) transposed, its nonzero rows only (1 542 of C13's gens·``hw_rank`` = 40 392), g·``hw_rank`` + s → {A coordinate: coefficient} for generator flag g and H⊗Λ²H slot s."""
-        hw, out = self.hw_rank, {}
-        for f, ((i, _), terms) in enumerate(zip(self.index.pairs, self._flag_terms)):
-            for m in range(1, self.n + 1):
-                for g, s, c in self._lift(terms, [wedge_slot(self.wedge_pos, i, m)]) if m != i else ():
-                    out.setdefault(g * hw + s, {})[f * self.n + m - 1] = c
-        return out
+    def _coordinate_lift(self, f: int, m: int) -> list[tuple[int, int, int]]:
+        """τ̃'s lift of the A coordinate x_m at flag f (its ``index.pairs`` position), ``_lift`` of x_i∧x_m over f's ``_flag_terms``; empty when m = i."""
+        i = self.index.pairs[f][0]
+        return self._lift(self._flag_terms[f], [wedge_slot(self.wedge_pos, i, m)]) if m != i else []
 
     @cached_property
     def _bracket_p3(self) -> IntMatrix:
@@ -401,11 +406,11 @@ class LcsData:
                 live[a].setdefault(b, set()).add(j)
                 live[b].setdefault(a, set()).add(j)
         empty, rows = {}, []
-        for (i, _), terms in zip(self.index.pairs, self._flag_terms):
+        for f, ((i, _), terms) in enumerate(zip(self.index.pairs, self._flag_terms)):
             lines, flag_rows = {j for _, j, _ in terms}, [empty] * self.n
             for m, js in live[i].items():
                 if not lines.isdisjoint(js):
-                    flag_rows[m - 1] = self._to_hom(self._lift(terms, [wedge_slot(self.wedge_pos, i, m)])) or empty
+                    flag_rows[m - 1] = self._to_hom(self._coordinate_lift(f, m)) or empty
             rows += flag_rows
         return IntMatrix._of(rows, len(self.gens) * self.p3.free_rank)
 
@@ -784,17 +789,16 @@ def kappa(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | AbelianGMap) -> K
 def glued_g_map(*maps: GMap) -> GMap:
     """Conjugator data on ``glue_copies(k)`` from one MacLane g-map per copy, trivial where copies cross.
 
-    Copy c's flag (i, p) and its word move by the line map ``copy_line(c, ·)``,
-    and p goes to the point on the images of its lines.
+    Copy c's flags move by ``flag_images`` of the line map ``copy_line(c, ·)``,
+    and their words are relabelled by it.
     """
     c8 = maclane_c8()
     if any(g.config != c8 for g in maps):
         raise ConfigMismatchError("every copy must live on the MacLane configuration")
     glued, assignments = glue_copies(len(maps)), {}
     for c, g in enumerate(maps):
-        line_map = {i: copy_line(c, i) for i in range(len(c8.lines))}
-        for (i, p), w in g.assignments.items():
-            point = glued.point_of(frozenset(line_map[j] for j in c8.lines_through(p)))
-            assignments[(line_map[i], point)] = w.relabeled(line_map)
+        line = {i: copy_line(c, i) for i in range(len(c8.lines))}
+        flags = flag_images(c8, glued, line)
+        assignments.update((flags[flag], w.relabeled(line)) for flag, w in g.assignments.items())
     return GMap(glued, assignments)
 

@@ -7,12 +7,12 @@ functionals on H⊗Λ²H and the I/J/K functionals on A
 realizations (``builtin_g_map``) and the mod-3 functional t
 (``t_functional``).  ``maclane-report`` reads all of it, κ on c8 only t.
 
-τ̃* is one product Φ·Λᵀ: a functional Φ on ⊕_g H⊗Λ²H, a sparse row like
-each MacLane dual functional, times the transposed lift Λᵀ
-(``LcsData.tau_lift_transpose``), its rows keyed g·``hw_rank`` + s as
-Hom(R2,P3)'s are g·r + t; neither κ nor the kernel identities build Λᵀ.
-An automorphism acts on A and on H⊗Λ²H by one signed permutation each,
-read entry by entry (``_line_entries``).
+τ̃* pulls a functional Φ on ⊕_g H⊗Λ²H, a sparse row like each MacLane
+dual functional keyed g·``hw_rank`` + s, back to A through
+``LcsData._flag_terms_transpose``, which neither κ nor the kernel
+identities build.  An automorphism acts on A and on H⊗Λ²H by one signed
+permutation each (``_line_entries``), by the line-map rules
+``config.flag_images`` and ``words.slot_images``.
 
 Imports run one way.  This module imports only ``config``, ``exactlin``
 and ``words`` (``LcsData`` for type checking alone, as ``kernels`` does),
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .config import ConfigAutomorphism, ConfigMismatchError, _builtin_json, _line_maps, maclane_c8
+from .config import ConfigAutomorphism, ConfigMismatchError, _builtin_json, _line_maps, flag_images, maclane_c8
 from .exactlin import IntMatrix, Lattice, member
 from .words import (
     AbelianGMap,
@@ -41,6 +41,7 @@ from .words import (
     abelianize,
     conjugated_generators,
     parse_word,
+    slot_images,
     wedge_index,
     wedge_slot,
 )
@@ -153,40 +154,42 @@ def rbar_gen_coeffs(data: LcsData, i: int, p: str) -> tuple[int, ...]:
 
 
 def tau_star(data: LcsData, functional: dict[int, int]) -> dict[int, int]:
-    """Pull a sparse functional Φ on ⊕_g H⊗Λ²H, keyed g·``hw_rank`` + s, back along τ̃: the sparse A* row Φ·Λᵀ.
+    """Pull a sparse functional Φ on ⊕_g H⊗Λ²H, keyed g·``hw_rank`` + s, back along τ̃: the sparse A* row a ↦ Φ(lift of a).
 
-    One accumulation over Φ's entries and the transposed lift Λᵀ
-    (``LcsData.tau_lift_transpose``); a key outside [0, gens·``hw_rank``)
-    raises ValueError.  For Φ = class ⊗ φ it is a ↦ ⟨φ, τ̃a(class)⟩, well
+    Φ's entry at (g, x_j⊗(x_a∧x_b)), a < b, reaches x_b at line a's flags
+    listed at (g, j) in ``LcsData._flag_terms_transpose`` and x_a, with the
+    wedge sign, at line b's (``LcsData._coordinate_lift``).  A key outside
+    [0, gens·``hw_rank``) raises ValueError.  For Φ = class ⊗ φ it is a ↦ ⟨φ, τ̃a(class)⟩, well
     defined on P3 values whenever φ lies in R3perp.
     """
-    width, lift, out = len(data.gens) * data.hw_rank, data.tau_lift_transpose, {}
+    n, hw, np_ = data.n, data.hw_rank, data.npairs
+    width, terms, pairs, lines, out = len(data.gens) * hw, data._flag_terms_transpose, list(data.wedge_pos), data.index.pairs, {}
     if functional and not 0 <= min(functional) <= max(functional) < width:
         raise ValueError(f"tau_star's functional has a key outside [0, {width})")
     for k, x in functional.items():
-        for a, c in lift.get(k, {}).items():
-            out[a] = out.get(a, 0) + x * c
+        g, (j, w) = k // hw, divmod(k % hw, np_)
+        a, b = pairs[w]
+        for f, s in terms.get((g, j + 1), ()):
+            i = lines[f][0]
+            if i in (a, b):
+                c, y = (f * n + b - 1, s * x) if i == a else (f * n + a - 1, -s * x)
+                out[c] = out.get(c, 0) + y
     return {a: y for a, y in out.items() if y}
 
 
 def _line_entries(data: LcsData, sigma: ConfigAutomorphism):
     """σ acting on row vectors of A and of H⊗Λ²H, entry by entry: two maps, coordinate ↦ (image coordinate, sign).
 
-    x_m at flag (i,p) goes to x_σm at (σi,σp), and x_m⊗(x_a∧x_b) to
-    ±x_σm⊗(x_σa∧x_σb).
+    x_m at flag (i,p) goes to x_σm at (σi,σp) (``flag_images``), and
+    x_m⊗(x_a∧x_b) to ±x_σm⊗(x_σa∧x_σb) (``slot_images``).
     """
     if sigma.config != data.config:
         raise ConfigMismatchError("automorphism of another configuration")
     if sigma.line_perm[0] != 0:
         raise ValueError("automorphism must fix the infinity line")
-    s, n, np_, wp = sigma.line_perm, data.n, data.npairs, data.wedge_pos
-    flags = [data.index.pair_pos[(s[i], sigma.point_image(p))] for i, p in data.index.pairs]
-    wedges = [wedge_slot(wp, s[a], s[b]) for a, b in wp]
-
-    def on_hw(k):
-        m, (t, sign) = k // np_, wedges[k % np_]
-        return (s[m + 1] - 1) * np_ + t, sign
-    return lambda k: (flags[k // n] * n + s[k % n + 1] - 1, 1), on_hw
+    s, n, images = sigma.line_perm, data.n, flag_images(data.config, data.config, sigma.line_perm)
+    flags = [data.index.pair_pos[images[f]] for f in data.index.pairs]
+    return lambda k: (flags[k // n] * n + s[k % n + 1] - 1, 1), slot_images(n, data.wedge_pos, s).__getitem__
 
 
 @dataclass(frozen=True)

@@ -629,6 +629,13 @@ def wedge_slot(idx: Mapping[tuple[int, int], int], a: int, b: int) -> tuple[int,
     return (idx[a, b], 1) if a < b else (idx[b, a], -1)
 
 
+def slot_images(n: int, target_wedges: Mapping[tuple[int, int], int], line: Sequence[int]) -> list[tuple[int, int]]:
+    """Each slot x_m⊗(x_a∧x_b) of H⊗Λ²H on n lines, in slot order, → (the slot of x_line[m]⊗(x_line[a]∧x_line[b]) on ``target_wedges``, its ``wedge_slot`` sign)."""
+    np_ = len(target_wedges)
+    wedges = [wedge_slot(target_wedges, line[a], line[b]) for a, b in wedge_index(n)]
+    return [((line[m] - 1) * np_ + w, sign) for m in range(1, n + 1) for w, sign in wedges]
+
+
 def lyndon3_index(n: int) -> dict[tuple[int, int, int], int]:
     """Position of each degree-3 Lyndon word over 1..n in lexicographic order.
 

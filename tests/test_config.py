@@ -10,9 +10,12 @@ import pytest
 from arrlcs.config import (
     ConfigAutomorphism,
     ConfigFormatError,
+    ConfigMismatchError,
     Configuration,
     _line_maps,
     automorphisms,
+    copy_line,
+    flag_images,
     glue_c13,
     glue_copies,
     is_s3_times_z2,
@@ -174,6 +177,20 @@ def test_glued_copies_restrict_to_maclane():
     second = restrict(c13, [0, 1, 2, 8, 9, 10, 11, 12])
     assert isomorphisms(first, maclane_c8())
     assert isomorphisms(second, maclane_c8())
+
+
+def test_flag_images_move_each_flag_to_the_point_of_its_image_lines(asymmetric_config):
+    c8, c13 = maclane_c8(), glue_c13()
+    flags = [(i, p) for p in c8.points for i in c8.lines_through(p)]
+    copy = [[copy_line(c, i) for i in range(8)] for c in range(3)]
+    assert flag_images(c8, c8, copy[0]) == {f: f for f in flags}
+    images = flag_images(c8, c13, copy[1])
+    assert list(images) == flags and images[1, "p012"] == (1, "p012") and images[7, "p147"] == (12, "p'147")
+    assert all((c13.lines[j], q) in c13.incidence for j, q in images.values())
+    # copy 2 needs lines 13..17, which C13 lacks, and the 9-line fixture holds no copy of c8
+    for target, line, named in ((c13, copy[2], "p034"), (asymmetric_config, copy[0], "p012")):
+        with pytest.raises(ConfigMismatchError, match=f"point '{named}'"):
+            flag_images(c8, target, line)
 
 
 # sha256 of ``glue_c13().canonical_json()``, the configuration every C13 report digests

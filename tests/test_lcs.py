@@ -263,11 +263,14 @@ def test_closed_form_bracket_equals_the_lyndon_sweep():
         assert data.bracket == swept_bracket(n)
 
 
-def test_line_action_commutes_with_the_bracket(maclane_data, c13_data):
-    # σ on H⊗Λ²H, then bracketing, equals bracketing, then σ on L3 (the Lyndon sweep)
-    c13_fixing = [sigma for sigma in automorphisms(c13_data.config) if sigma.line_perm[0] == 0]
-    cases = [(maclane_data, transport_group(maclane_data)), (c13_data, c13_fixing)]
-    assert [len(group) for _, group in cases] == [6, 4]
+def test_line_action_commutes_with_the_bracket(maclane_data, c13_data, glued3_data):
+    # σ on H⊗Λ²H, then bracketing, equals bracketing, then σ on L3 (the Lyndon sweep); at k = 3
+    # the copy permutations reverse pairs of lines from two copies, so ``slot_images`` signs them −1
+    def fixing(data):
+        return [sigma for sigma in automorphisms(data.config) if sigma.line_perm[0] == 0]
+
+    cases = [(maclane_data, transport_group(maclane_data)), (c13_data, fixing(c13_data)), (glued3_data, fixing(glued3_data))]
+    assert [len(group) for _, group in cases] == [6, 4, 12]
     for data, group in cases:
         for sigma in group:
             _, on_hw = line_action(data, sigma)
@@ -855,8 +858,8 @@ def test_verdict_path_never_builds_the_dense_tau(monkeypatch):
     # rank Im τ̃ + rows of Im δ̄'s core = 18 + 21; the dense route reduces 147 and 203
     assert rows["kernel_basis"] and max(rows["kernel_basis"]) <= 18 + 21
     # τ̃'s rows are built from its live slots: one lift per nonzero row, not one for
-    # each of the 126 A coordinates x_m at (i,p), m ≠ i; τ̃*'s lift is not built
-    assert len(lifts) == len(tau_support_rows(data)) == 108 and "tau_lift_transpose" not in vars(data)
+    # each of the 126 A coordinates x_m at (i,p), m ≠ i; τ̃*'s transposed flag terms are not built
+    assert len(lifts) == len(tau_support_rows(data)) == 108 and "_flag_terms_transpose" not in vars(data)
     assert tau_support_rows(data) == [(a, row) for a, row in enumerate(data.tau_matrix.sparse_rows) if row]
 
 
@@ -907,7 +910,7 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     tau_tilde(data, random_abelian(random.Random(0), data))
     assert all(rows.values()) and max(max(r) for r in rows.values()) <= 216
     # one lift per nonzero row of τ̃, of 1104 − 92 A coordinates x_m at (i,p), m ≠ i
-    assert len(lifts) == len(tau_support_rows(data)) == 216 and "tau_lift_transpose" not in vars(data)
+    assert len(lifts) == len(tau_support_rows(data)) == 216 and "_flag_terms_transpose" not in vars(data)
     assert tau_support_rows(data) == [(a, row) for a, row in enumerate(data.tau_matrix.sparse_rows) if row]
 
 
@@ -1176,7 +1179,7 @@ def test_rbar_gen_coeffs_refuses_flags_that_are_not_finite(maclane_data):
 
 
 def test_tau_star_layer_builds_no_dense_row(monkeypatch):
-    # cold: R2 is built first, as LcsData() takes its dense rows; Λᵀ, P3, U, B and
+    # cold: R2 is built first, as LcsData() takes its dense rows; the transposed flag terms, P3, U, B and
     # the decoded dual basis are built inside the count
     data = build_lcs(maclane_c8())
     maclane.maclane_dual_basis.cache_clear()

@@ -31,6 +31,7 @@ from arrlcs.words import (
     rbar_coords,
     relator_at_flag,
     relators_from_g,
+    slot_images,
     standard_bracketing,
     wedge_index,
 )
@@ -260,6 +261,16 @@ def test_degree_two_lyndon_order_matches_wedge_index():
     for n in (3, 7, 12):
         idx = wedge_index(n)
         assert lyndon_words(n, 2) == sorted(idx, key=idx.get)
+
+
+def test_slot_images_fix_the_identity_and_sign_a_reversed_pair():
+    for n in (2, 7, 12):
+        assert slot_images(n, wedge_index(n), range(n + 1)) == [(s, 1) for s in range(n * n * (n - 1) // 2)]
+    # swapping lines 1 and 2: x_1⊗(x_1∧x_2) ↦ x_2⊗(x_2∧x_1) = −x_2⊗(x_1∧x_2), and x_2⊗(x_1∧x_2) ↦ −x_1⊗(x_1∧x_2)
+    assert slot_images(2, wedge_index(2), [0, 2, 1]) == [(1, -1), (0, -1)]
+    # into 3 lines (wedge positions (1,2), (1,3), (2,3)): 1, 2 ↦ 1, 3 keeps the pair's order, 1, 2 ↦ 3, 1 reverses it
+    assert slot_images(2, wedge_index(3), [0, 1, 3]) == [(1, 1), (7, 1)]
+    assert slot_images(2, wedge_index(3), [0, 3, 1]) == [(7, -1), (1, -1)]
 
 
 def test_degree_three_index_is_the_lyndon_order():
