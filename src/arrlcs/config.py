@@ -378,7 +378,7 @@ class ConfigAutomorphism:
     def compose(self, other: "ConfigAutomorphism") -> "ConfigAutomorphism":
         """self after other."""
         if self.config != other.config:
-            raise ValueError("automorphisms of different configurations")
+            raise ConfigMismatchError("automorphisms of different configurations")
         return ConfigAutomorphism(self.config, tuple(self.line_perm[j] for j in other.line_perm))
 
     def inverse(self) -> "ConfigAutomorphism":
@@ -490,7 +490,7 @@ def is_s3_times_z2(autos: Sequence[ConfigAutomorphism]) -> bool:
     if len(autos) != 12 or len(key) != 12:
         return False
     if any(s.config != autos[0].config for s in autos):
-        raise ValueError("automorphisms of different configurations")
+        raise ConfigMismatchError("automorphisms of different configurations")
     perms = list(key)
     table = [[key.get(tuple([p[j] for j in q])) for q in perms] for p in perms]
     if any(None in row for row in table):

@@ -15,8 +15,8 @@ permutation each (``_line_entries``), by the line-map rules
 ``config.flag_images`` and ``words.slot_images``.
 
 Imports run one way.  This module imports only ``config``, ``exactlin``
-and ``words`` (``LcsData`` for type checking alone, as ``kernels`` does),
-and reads ``data`` through its attributes; ``lcs`` imports this module.
+and ``words`` (``LcsData`` for type checking alone), and reads ``data``
+through its attributes; ``lcs`` imports this module.
 ``lcs`` binds four names from here and no others: ``t_functional``,
 which κ calls for its ``t_value`` on c8, and ``builtin_g_map``,
 ``generator_lists_consistent`` and ``tau_star_identities``, which

@@ -28,7 +28,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .config import Configuration
+from .config import ConfigMismatchError, Configuration
 from .exactlin import densify
 
 
@@ -293,7 +293,7 @@ class AbelianGMap:
 
     def _entrywise(self, op, other: "AbelianGMap") -> "AbelianGMap":
         if self.config != other.config:
-            raise ValueError("different configurations")
+            raise ConfigMismatchError("different configurations")
         return AbelianGMap._of(self.config, tuple(map(op, self._vec, other._vec)))
 
     def __sub__(self, other: "AbelianGMap") -> "AbelianGMap":
@@ -347,9 +347,9 @@ def _as_abelian(g: GMap | AbelianGMap) -> AbelianGMap:
 
 
 def conjugated_generators(config: Configuration, g: GMap, p: str) -> list[tuple[int, Word]]:
-    """[(i, g(i,p)^-1 wi g(i,p))] for the lines through p, ascending; ValueError if g belongs to another configuration."""
+    """[(i, g(i,p)^-1 wi g(i,p))] for the lines through p, ascending; ConfigMismatchError if g belongs to another configuration."""
     if g.config != config:
-        raise ValueError("g-map belongs to another configuration")
+        raise ConfigMismatchError("g-map belongs to another configuration")
     return [
         (i, Word.gen(i).conjugated(g.value(i, p)))
         for i in config.lines_through(p)
@@ -375,8 +375,8 @@ def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Wor
     conjugated generators w(i) = g(i,p)^-1 wi g(i,p); the relator at
     the flag (i_a, p) is [w(i_a), c_a].  (It equals c_{a-1}^-1 c_a,
     since c_{a-1} = w(i_a)^-1 c_a w(i_a).)  The a = 1 relator is the
-    redundant one and is dropped.  Raises ValueError if ``g`` belongs
-    to another configuration.
+    redundant one and is dropped.  Raises ConfigMismatchError if ``g``
+    belongs to another configuration.
     """
     out: dict[tuple[int, str], Word] = {}
     for p in config.index.p0:
@@ -387,7 +387,7 @@ def relators_from_g(config: Configuration, g: GMap) -> dict[tuple[int, str], Wor
 
 
 def relator_at_flag(config: Configuration, g: GMap, i: int, p: str) -> Word:
-    """[w(i), c_a] at the flag, defined for the minimal line too; ValueError if ``g`` belongs to another configuration."""
+    """[w(i), c_a] at the flag, defined for the minimal line too; ConfigMismatchError if ``g`` belongs to another configuration."""
     ws = conjugated_generators(config, g, p)
     return _relator(ws, [j for j, _ in ws].index(i) + 1)
 

@@ -26,7 +26,7 @@ from arrlcs.exactlin import (
     vstack,
 )
 from arrlcs.geom import ZERO, CycloRational, ProjLine, ProjPoint, RealizationReport
-from arrlcs.kernels import _u_generators
+from arrlcs.lcs import _u_generators
 from arrlcs.lcs import HomR2P3, LcsData, TorsionError, _as_abelian, tau_tilde
 from arrlcs.maclane import _line_entries, rbar_gen_coeffs, t_functional
 from arrlcs.words import AbelianGMap, GMap, Word, lie_basis, lie_sparse_coords, wedge_index
@@ -591,7 +591,7 @@ def flat_kappa_member(data: LcsData, g: GMap | AbelianGMap, gprime: GMap | Abeli
 
 
 def flat_preimage_equals_u_plus_b(data: LcsData) -> bool:
-    """The flat route of ``kernels.tau_preimage_equals_u_plus_b``: membership in all of Im δ̄ and the joint kernel of [τ̃∘s; Im δ̄'s echelon rows]."""
+    """The flat route of ``lcs.tau_preimage_equals_u_plus_b``: membership in all of Im δ̄ and the joint kernel of [τ̃∘s; Im δ̄'s echelon rows]."""
     points = data.u_points
     if not all(member(v, data.im_delta) for pt in points for v in pt.u_tau.sparse_rows):
         return False
@@ -603,7 +603,7 @@ def flat_preimage_equals_u_plus_b(data: LcsData) -> bool:
 
 
 def flat_tau_preimage(data: LcsData) -> Lattice:
-    """The flat route of ``kernels.tau_preimage``: the joint kernel of [τ̃; Im δ̄'s basis] projected to A."""
+    """The flat route of ``lcs.tau_preimage``: the joint kernel of [τ̃; Im δ̄'s basis] projected to A."""
     joint = kernel_basis(vstack(data.tau_matrix, data.im_delta.basis))
     return Lattice(data.a_rank, joint.columns(0, data.a_rank))
 

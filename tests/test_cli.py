@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arrlcs import certify, cli, exactlin, kernels, lcs, maclane
+from arrlcs import certify, cli, exactlin, lcs, maclane
 from arrlcs.config import glue_c13, maclane_c8
 from arrlcs.lcs import TorsionError
 from arrlcs.maclane import builtin_g_map
@@ -210,7 +210,7 @@ def test_maclane_report_builds_b_once_and_no_global_u(capsys, monkeypatch):
             raise AssertionError("maclane-report takes a perp in A")
         return real_perp(lat)
 
-    for module in (cli, lcs, kernels, exactlin):
+    for module in (cli, lcs, exactlin):
         for name, stub in (("u_lattice", refuse), ("lattice_sum", refuse), ("perp", perp_off_a)):
             monkeypatch.setattr(module, name, stub, raising=False)
     monkeypatch.setattr(cli, "_maclane_data", lambda: lcs.build_lcs(maclane_c8()))  # cold: nothing cached

@@ -26,6 +26,7 @@ from arrlcs.config import (
     validate,
 )
 from arrlcs.maclane import transport_group
+from arrlcs.words import AbelianGMap, GMap, conjugated_generators
 from helpers import relabel, restrict
 
 MACLANE_POINTS = {
@@ -328,6 +329,21 @@ def test_is_s3_times_z2_composes_line_permutations_without_compose(monkeypatch):
     assert is_s3_times_z2(autos)
     with pytest.raises(ValueError, match="different configurations"):
         is_s3_times_z2(autos[:11] + [ConfigAutomorphism.identity(maclane_c8())])
+
+
+@pytest.mark.parametrize(
+    "refusal",
+    [
+        lambda c8, c13: AbelianGMap(c8) - AbelianGMap(c13),
+        lambda c8, c13: conjugated_generators(c13, GMap(c8), c13.index.p0[0]),
+        lambda c8, c13: ConfigAutomorphism.identity(c8).compose(ConfigAutomorphism.identity(c13)),
+        lambda c8, c13: is_s3_times_z2(automorphisms(c13)[:11] + [ConfigAutomorphism.identity(c8)]),
+    ],
+    ids=["abelian-g-map-difference", "conjugated-generators", "automorphism-compose", "is-s3-times-z2"],
+)
+def test_every_cross_configuration_refusal_is_a_config_mismatch(refusal):
+    with pytest.raises(ConfigMismatchError, match="configuration"):
+        refusal(maclane_c8(), glue_c13())
 
 
 def test_partition_preserved_by_every_automorphism():

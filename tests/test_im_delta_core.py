@@ -15,8 +15,7 @@ import pytest
 from arrlcs import lcs
 from arrlcs.config import glue_c13, glue_copies, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, _peel_owned_rows, combine, member
-from arrlcs.kernels import TorsionError, b_lattice, tau_preimage, tau_preimage_equals_u_plus_b, u_lattice
-from arrlcs.lcs import SupportCore, build_lcs, delta_bar, glued_g_map, kappa
+from arrlcs.lcs import SupportCore, TorsionError, b_lattice, build_lcs, delta_bar, glued_g_map, kappa, tau_preimage, tau_preimage_equals_u_plus_b, u_lattice
 from arrlcs.maclane import builtin_g_map
 from arrlcs.words import AbelianGMap
 from helpers import (

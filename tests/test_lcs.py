@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from arrlcs import cli, config, exactlin, geom, kernels, lcs, maclane, words
+from arrlcs import cli, config, exactlin, geom, lcs, maclane, words
 from arrlcs.certify import GluedCertificate, certify_glued, failures_a, failures_b, pulled_back_functional, tau_pairing
 from arrlcs.config import ConfigAutomorphism, Configuration, IncidenceIndex, automorphisms, copy_line, glue_c13, glue_copies, maclane_c8
 from arrlcs.exactlin import IntMatrix, Lattice, densify, member, perp, snf
@@ -475,7 +475,7 @@ def _assert_peel_matches_the_generators(data):
     K's unit divisors with U′_p's those of ``reference_u_points``.
     """
     n = data.n
-    for pt, (p, rows), (u, q) in zip(data.u_points, kernels._u_generators(data.config), reference_u_points(data), strict=True):
+    for pt, (p, rows), (u, q) in zip(data.u_points, lcs._u_generators(data.config), reference_u_points(data), strict=True):
         k, width = data.config.multiplicity(p), pt.tau.rows
         diag = {c for row in rows[:k] for c in row}
         left = [set(row).difference(diag) for row in rows[k + n :]]
@@ -506,20 +506,20 @@ def test_peeled_u_equals_the_generators_at_every_point(asymmetric_config):
 
 
 def _mutated_meetings(monkeypatch, mutate):
-    real = kernels._meeting_classes
+    real = lcs._meeting_classes
 
     def table(config):
         out = real(config)
         mutate(out)
         return out
 
-    monkeypatch.setattr(kernels, "_meeting_classes", table)
+    monkeypatch.setattr(lcs, "_meeting_classes", table)
 
 
 def test_the_peel_oracle_catches_a_double_point_read_as_a_triple_point(monkeypatch):
     def triple(table):
         # l_i and l_m meet at a double point; each reads it as a new point of multiplicity ≥ 3
-        i, m = next((i, m) for i in range(1, len(table)) for m, s in enumerate(table[i], 1) if s == kernels._KILLED and m != i)
+        i, m = next((i, m) for i in range(1, len(table)) for m, s in enumerate(table[i], 1) if s == lcs._KILLED and m != i)
         for a, b in ((i, m), (m, i)):
             table[a][b - 1] = max(table[a]) + 1
 
@@ -532,7 +532,7 @@ def test_the_peel_oracle_catches_a_double_point_read_as_a_triple_point(monkeypat
 def test_the_peel_oracle_catches_a_parallel_line_read_as_meeting(monkeypatch):
     def meeting(table):
         # l_m is parallel to l_i; l_i reads it as meeting at its first point of multiplicity ≥ 3
-        i, m = next((i, m) for i in range(1, len(table)) for m, s in enumerate(table[i], 1) if s == kernels._GROUND and max(table[i]) >= 0)
+        i, m = next((i, m) for i in range(1, len(table)) for m, s in enumerate(table[i], 1) if s == lcs._GROUND and max(table[i]) >= 0)
         table[i][m - 1] = 0
 
     _mutated_meetings(monkeypatch, meeting)
@@ -588,7 +588,7 @@ def test_cold_u_points_reduce_nothing(monkeypatch, asymmetric_config):
     ],
 )
 def test_point_quotient_reads_torsion_off_non_unit_pivots(dim, gens, divisors):
-    q = kernels._point_quotient(IntMatrix._of(gens, dim))
+    q = lcs._point_quotient(IntMatrix._of(gens, dim))
     assert q.elementary_divisors == divisors
     _assert_presents(q, Lattice(dim, IntMatrix._of(gens, dim)))
 
@@ -615,14 +615,14 @@ def test_point_quotient_presents_graph_shaped_rows(monkeypatch):
         reduced.append(lat)
         return exactlin.quotient_presentation(lat)
 
-    monkeypatch.setattr(kernels, "quotient_presentation", counted)
+    monkeypatch.setattr(lcs, "quotient_presentation", counted)
     # a triangle: every entry 1 and each coordinate in two rows, but the rows do not 2-colour
     triangle = IntMatrix._of([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3)
-    assert kernels._point_quotient(triangle).elementary_divisors == (1, 1, 2) and len(reduced) == 1
+    assert lcs._point_quotient(triangle).elementary_divisors == (1, 1, 2) and len(reduced) == 1
     rng, cases = random.Random(0), 400
     for _ in range(cases):
         gens = _graph_rows(rng)
-        _assert_presents(kernels._point_quotient(gens), Lattice(gens.cols, gens))
+        _assert_presents(lcs._point_quotient(gens), Lattice(gens.cols, gens))
     # both routes ran: the forest on the bipartite draws, the reduction on the others
     assert 1 < len(reduced) < cases
 
@@ -632,15 +632,15 @@ def test_point_quotient_equals_the_dict_forest(asymmetric_config):
     rng = random.Random(0)
     for _ in range(400):
         gens = _graph_rows(rng)
-        assert kernels._point_quotient(gens) == dict_point_quotient(gens)
+        assert lcs._point_quotient(gens) == dict_point_quotient(gens)
     configs = (maclane_c8(), glue_c13(), relabel(glue_c13(), 41), glue_copies(3), asymmetric_config, hesse(), pencil4())
     for config in configs:
-        for p, rows in kernels._u_generators(config):
+        for p, rows in lcs._u_generators(config):
             gens = IntMatrix._of(rows, config.multiplicity(p) * config.index.n)
-            assert kernels._point_quotient(gens) == dict_point_quotient(gens), p
-        for p, kept, rows in kernels._peeled_u(config):
+            assert lcs._point_quotient(gens) == dict_point_quotient(gens), p
+        for p, kept, rows in lcs._peeled_u(config):
             gens = IntMatrix._of(rows, len(kept))
-            q = kernels._point_quotient(gens)
+            q = lcs._point_quotient(gens)
             assert q == dict_point_quotient(gens), p
             # with free rank 0 every projection row is one shared empty dict
             assert q.free_rank or len({id(row) for row in q.projection.sparse_rows}) <= 1, p
@@ -766,7 +766,7 @@ def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch
     )
     point = data.index.pairs[unit.index(1) // data.n][1]
     assert not member(unit, lcs.u_lattice(data.config))
-    peeled = kernels._peeled_u
+    peeled = lcs._peeled_u
     local = unit.index(1) - data.u_points[data.index.p0.index(point)].rows.start  # in the point's A coordinates
 
     def with_extra(config):
@@ -774,7 +774,7 @@ def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch
             # τ̃ kills K's unit generators, so the coordinate survives the peel
             yield p, kept, rows + [{kept.index(local): 1}] if p == point else rows
 
-    monkeypatch.setattr(kernels, "_peeled_u", with_extra)
+    monkeypatch.setattr(lcs, "_peeled_u", with_extra)
     data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched source
     u, b = _point_u_lattice(data), lcs.b_lattice(data.config)
     assert member(unit, u) and u != lcs.u_lattice(data.config)
@@ -784,13 +784,13 @@ def test_predicates_fail_when_u_gains_a_generator_outside_the_kernel(monkeypatch
 
 def test_kernel_predicate_compares_lattices_not_ranks(monkeypatch):
     point = maclane_c8().index.p0[0]
-    peeled = kernels._peeled_u
+    peeled = lcs._peeled_u
 
     def doubled_at_point(config):
         for p, kept, rows in peeled(config):
             yield p, kept, [{k: 2 * x for k, x in row.items()} for row in rows] if p == point else rows
 
-    monkeypatch.setattr(kernels, "_peeled_u", doubled_at_point)
+    monkeypatch.setattr(lcs, "_peeled_u", doubled_at_point)
     data = build_lcs(maclane_c8())  # fresh, so its per-point U is built from the patched source
     u = _point_u_lattice(data)
     # Z^K ⊕ 2·U′_p has U_p's rank, but is not saturated: ``_point_quotient`` reduces rows of 2s
@@ -819,7 +819,7 @@ def test_preimage_predicate_fails_when_b_gains_the_builtin_difference(monkeypatc
 
 
 def _row_counter(monkeypatch, names):
-    """Wrap exactlin reductions (and the names lcs and kernels imported) to record the rows of each call."""
+    """Wrap exactlin reductions (and the names lcs imported) to record the rows of each call."""
     rows = {name: [] for name in names}
     for name in names:
         real = getattr(exactlin, name)
@@ -829,9 +829,8 @@ def _row_counter(monkeypatch, names):
             return _real(m)
 
         monkeypatch.setattr(exactlin, name, counted)
-        for module in (lcs, kernels):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+        if hasattr(lcs, name):
+            monkeypatch.setattr(lcs, name, counted)
     return rows
 
 
@@ -871,8 +870,7 @@ def test_c13_verdict_reductions_stay_small(monkeypatch):
     def no_u_lattice(config):
         raise AssertionError("the verdict path builds no global U")
 
-    for module in (lcs, kernels):
-        monkeypatch.setattr(module, "u_lattice", no_u_lattice)
+    monkeypatch.setattr(lcs, "u_lattice", no_u_lattice)
     rows, lifts = _row_counter(monkeypatch, ["hnf", "hnf_with_transform", "kernel_basis"]), _lift_counter(monkeypatch)
     forward, back, kernel_calls, backs = exactlin._hnf_forward, exactlin._hnf_back, [], []
     im_delta_rows = list(data.im_delta.basis.sparse_rows)

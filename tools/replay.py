@@ -99,7 +99,7 @@ compare with later runs.
   and f_p > 0, and ``pi_b_shape``, the shape of B·π and of the basis
   π(B) is built from.  From ``BENCH_42.json`` on, each record also holds
   ``kept_coordinates``, the A coordinates that survive the closed-form
-  unit-row peel of U (``kernels._peeled_u``), where the forests run.
+  unit-row peel of U (``lcs._peeled_u``), where the forests run.
   From ``BENCH_43.json`` on, π(B) is built from B·π itself, so both
   shapes are equal, and A_p/U_p is presented on those coordinates alone:
   the per-point digest reads U_p from ``PointU.generators`` and τ̃_p∘s_p
